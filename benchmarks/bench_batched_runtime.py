@@ -11,8 +11,8 @@ Topology-seeded families (the random cubic hard instances) cannot share
 graphs across seeds; their case is reported too as the honest lower
 bound — there the batch only amortizes setup, not construction.
 
-The engine-layer ratio (chunked ``run_experiment`` vs a serial
-``execute_trial`` loop over the same spec) is recorded alongside.
+The engine-layer ratio (chunked ``run_experiment`` vs a per-trial
+``Runtime.run`` loop over the same spec) is recorded alongside.
 
 PR 8 moves the seeded-cubic lower bound: with the vectorized kernel
 backend (``kernels="vector"``), the batch is no longer bound by
@@ -33,10 +33,9 @@ import time
 from benchmarks.conftest import report, report_json
 from repro import kernels
 from repro.analysis import render_table
-from repro.engine.runner import execute_trial, run_experiment
+from repro.engine.runner import run_experiment
 from repro.engine.spec import ExperimentSpec
 from repro.runtime import Runtime, registry
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 N = 512 if QUICK else 4096
@@ -139,13 +138,13 @@ def _vector_cubic_times(runtime):
     return best_per_trial, best_vector
 
 
-def _engine_layer_ratio():
-    """Chunked run_experiment vs a serial execute_trial loop, same spec."""
+def _engine_layer_ratio(runtime):
+    """Chunked run_experiment vs a per-trial Runtime.run loop, same spec."""
     spec = ExperimentSpec(
         name="bench/degree-parity/parity@cycle",
-        solver=solver_ref("parity"),
-        generator=family_ref("cycle"),
-        verifier=verifier_ref("degree-parity"),
+        problem="degree-parity",
+        solver="parity",
+        generator="cycle",
         ns=(N,),
         seeds=SEEDS,
     )
@@ -153,12 +152,18 @@ def _engine_layer_ratio():
     chunked = None
     for _ in range(REPEATS):
         start = time.perf_counter()
-        serial = [execute_trial(trial) for trial in spec.trials()]
+        serial = [
+            runtime.run(spec.problem, spec.solver, spec.generator, t.n, t.seed)
+            for t in spec.trials()
+        ]
         best_serial = min(best_serial, time.perf_counter() - start)
         start = time.perf_counter()
         chunked = run_experiment(spec, workers=1, batch_size=len(SEEDS))
         best_chunked = min(best_chunked, time.perf_counter() - start)
-    assert chunked is not None and chunked.records == serial
+    assert chunked is not None
+    assert [(r["seed"], r["actual_n"], r["rounds"]) for r in chunked.records] == [
+        (r.seed, r.actual_n, r.rounds) for r in serial
+    ]
     return best_serial / len(SEEDS), best_chunked / len(SEEDS)
 
 
@@ -218,7 +223,7 @@ def test_batched_pipeline_throughput():
             "speedup": vector_cubic_speedup,
         }
 
-    engine_serial_s, engine_chunked_s = _engine_layer_ratio()
+    engine_serial_s, engine_chunked_s = _engine_layer_ratio(runtime)
     engine_speedup = engine_serial_s / engine_chunked_s
     rows.append(
         [

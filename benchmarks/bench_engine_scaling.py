@@ -17,9 +17,9 @@ from repro.engine import ExperimentSpec, TrialCache, run_experiment
 
 SPEC = ExperimentSpec(
     name="engine-scaling/sinkless-det",
-    solver="repro.problems:DeterministicSinklessSolver",
-    generator="repro.generators.hard:cubic_instance",
-    verifier="repro.engine.experiments:verify_sinkless",
+    problem="sinkless-orientation",
+    solver="sinkless-det",
+    generator="cubic",
     ns=tuple(2**k for k in range(6, 12)),
     seeds=(0, 1, 2),
 )

@@ -28,7 +28,6 @@ from repro.engine.faults import FaultInjector
 from repro.engine.runner import plan_experiment, run_shard
 from repro.engine.spec import ExperimentSpec
 from repro.obs import HeartbeatEmitter
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 MAX_N = 512 if QUICK else 4096
@@ -48,9 +47,9 @@ def _spec() -> ExperimentSpec:
         n *= 2
     return ExperimentSpec(
         name="bench/degree-parity/parity@cycle",
-        solver=solver_ref("parity"),
-        generator=family_ref("cycle"),
-        verifier=verifier_ref("degree-parity"),
+        problem="degree-parity",
+        solver="parity",
+        generator="cycle",
         ns=tuple(ns),
         seeds=tuple(range(16 if QUICK else 24)),
     )

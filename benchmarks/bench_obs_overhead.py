@@ -28,7 +28,6 @@ from repro.engine.runner import (
 )
 from repro.engine.spec import ExperimentSpec
 from repro.obs import aggregate, get_telemetry, set_enabled
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 N = 512 if QUICK else 4096
@@ -40,9 +39,9 @@ THRESHOLD = 0.03  # max tolerated wall-time overhead with telemetry on
 def _spec(name: str, ns=(N,)) -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
-        solver=solver_ref("parity"),
-        generator=family_ref("cycle"),
-        verifier=verifier_ref("degree-parity"),
+        problem="degree-parity",
+        solver="parity",
+        generator="cycle",
         ns=ns,
         seeds=SEEDS,
     )

@@ -34,7 +34,6 @@ from repro.engine.cache import TrialCache
 from repro.engine.remote import ExportServer, PullPolicy, pull_export
 from repro.engine.runner import plan_experiment, run_shard
 from repro.engine.spec import ExperimentSpec
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 # Full mode needs seconds of compute per arm so the ~100ms transport
@@ -55,9 +54,9 @@ def _spec() -> ExperimentSpec:
         n *= 2
     return ExperimentSpec(
         name="bench/degree-parity/parity@cycle",
-        solver=solver_ref("parity"),
-        generator=family_ref("cycle"),
-        verifier=verifier_ref("degree-parity"),
+        problem="degree-parity",
+        solver="parity",
+        generator="cycle",
         ns=tuple(ns),
         seeds=tuple(range(16 if QUICK else 8)),
     )

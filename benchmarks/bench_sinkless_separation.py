@@ -27,9 +27,9 @@ WORKERS = 4
 def _spec(name: str, solver: str) -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
+        problem="sinkless-orientation",
         solver=solver,
-        generator="repro.generators.hard:cubic_instance",
-        verifier="repro.engine.experiments:verify_sinkless",
+        generator="cubic",
         ns=NS,
         seeds=SEEDS,
     )
@@ -37,12 +37,10 @@ def _spec(name: str, solver: str) -> ExperimentSpec:
 
 def test_sinkless_separation_series(benchmark):
     det = run_experiment(
-        _spec("sinkless/det", "repro.problems:DeterministicSinklessSolver"),
-        workers=WORKERS,
+        _spec("sinkless/det", "sinkless-det"), workers=WORKERS
     ).sweep
     rand = run_experiment(
-        _spec("sinkless/rand", "repro.problems:RandomizedSinklessSolver"),
-        workers=WORKERS,
+        _spec("sinkless/rand", "sinkless-rand"), workers=WORKERS
     ).sweep
     det_fit = best_fit(det.ns(), det.means())
     rand_fit = best_fit(rand.ns(), rand.means())

@@ -16,7 +16,7 @@ from benchmarks.conftest import report
 from repro.analysis import render_table
 from repro.core import PaddedProblem, PaddedSolver, simulate_padded_algorithm
 from repro.engine import ExperimentSpec, run_experiment
-from repro.engine.experiments import padded_sinkless_instance
+from repro.core.family import padded_sinkless_instance
 from repro.gadgets import LogGadgetFamily
 from repro.generators import random_regular
 from repro.local import Instance
@@ -29,9 +29,9 @@ HEIGHTS = (2, 3, 4, 5, 6, 7)
 
 SPEC = ExperimentSpec(
     name="padding/multiplicative-overhead",
-    solver="repro.engine.experiments:padded_sinkless_solver",
-    generator="repro.engine.experiments:padded_sinkless_instance",
-    verifier="repro.engine.experiments:verify_padded_sinkless",
+    problem="padded-sinkless",
+    solver="padded-sinkless-det",
+    generator="padded-sinkless",
     ns=HEIGHTS,
     seeds=(0,),
 )

@@ -24,13 +24,12 @@ import time
 from benchmarks.conftest import report, report_json
 from repro import kernels
 from repro.analysis import render_table
-from repro.generators import cubic_instance, torus_grid
+from repro.generators import cubic_instance
 from repro.kernels import shm
 from repro.lcl import Labeling
 from repro.lcl.verifier import PreparedVerifier
-from repro.local import Instance, SyncEngine, bfs_distances
+from repro.local import bfs_distances
 from repro.local.distances import connected_components, multi_source_bfs
-from repro.local.identifiers import sequential_ids
 from repro.problems import VertexColoring
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
@@ -46,31 +45,6 @@ THRESHOLD = 3.0
 #: so a regression can't silently eat the win PR 8 shipped.
 MSBFS_THRESHOLD = 2.0
 COMPONENTS_THRESHOLD = 1.5
-
-
-class _FloodNode:
-    """Minimal flooding protocol: forward the smallest id seen, halt
-    when the value stabilizes — enough rounds to time delivery."""
-
-    def __init__(self, v, instance):
-        self.value = v
-        self.deg = instance.graph.degree(v)
-        self.changed = True
-
-    def outgoing(self, round_index):
-        if not self.changed:
-            return None
-        return [self.value] * self.deg
-
-    def receive(self, round_index, inbox):
-        best = min(
-            [self.value] + [m for m in inbox if m is not None]
-        )
-        self.changed = best != self.value
-        self.value = best
-
-    def result(self):
-        return self.value
 
 
 def _best(fn, *args, **kwargs):
@@ -157,38 +131,6 @@ def test_vector_kernel_speedups():
     verifier_speedup = case(
         "batched_verifier", *_vector_vs_object(batched_verify), True
     )
-
-    # SyncEngine delivery on a torus (regular ports, many rounds):
-    # gather/scatter over the port arrays vs the per-message loop.
-    side = max(8, int(n ** 0.5))
-    torus = torus_grid(side, side)
-    instance = Instance(torus, sequential_ids(torus.num_nodes))
-
-    def engine_run():
-        result = SyncEngine(instance, _FloodNode).run(max_rounds=10_000)
-        return (result.results, result.rounds, result.halt_rounds)
-
-    object_s, expected = _best(engine_run)
-    with kernels.active("vector"):
-        vector_s, got = _best(engine_run)
-    assert got == expected
-    rows.append(
-        [
-            "engine_delivery",
-            torus.num_nodes,
-            round(object_s * 1e3, 2),
-            round(vector_s * 1e3, 2),
-            f"{object_s / vector_s:.2f}x",
-            "no",
-        ]
-    )
-    payload["engine_delivery"] = {
-        "n": torus.num_nodes,
-        "object_ms": object_s * 1e3,
-        "vector_ms": vector_s * 1e3,
-        "speedup": object_s / vector_s,
-        "gated": False,
-    }
 
     report(
         render_table(

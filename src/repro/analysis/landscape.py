@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.growth import best_fit, fit_growth
-from repro.analysis.sweep import Sweep
+from repro.analysis.sweep import Sweep, run_sweep
 from repro.analysis.tables import render_table
 from repro.local.algorithm import Instance, LocalAlgorithm
 
@@ -69,17 +69,13 @@ def measure_row(
     candidates: Sequence[str] | None = None,
     verify: Callable[[Instance, object], None] | None = None,
 ) -> LandscapeRow:
-    # Rows run on the engine's in-process sweep path (lazy import:
-    # repro.engine depends on this package's sweep module).
-    from repro.engine.runner import run_callable_sweep
-
     det_sweep = (
-        run_callable_sweep(det_solver, instance_factory, ns, seeds, verify)
+        run_sweep(det_solver, instance_factory, ns, seeds, verify)
         if det_solver
         else None
     )
     rand_sweep = (
-        run_callable_sweep(rand_solver, instance_factory, ns, seeds, verify)
+        run_sweep(rand_solver, instance_factory, ns, seeds, verify)
         if rand_solver
         else None
     )

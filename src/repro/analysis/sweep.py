@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.local.algorithm import Instance, LocalAlgorithm
+from repro.runtime.driver import dispatch_solver
 
-__all__ = ["SweepPoint", "Sweep", "run_sweep"]
+__all__ = ["SweepPoint", "Sweep", "aggregate_points", "run_sweep"]
 
 InstanceFactory = Callable[[int, int], Instance]
 
@@ -46,6 +47,40 @@ class Sweep:
         return [p.rounds_max for p in self.points]
 
 
+def aggregate_points(
+    ns: Sequence[int], seeds: Sequence[int], records: Sequence[dict[str, Any]]
+) -> list[SweepPoint]:
+    """Fold grid-ordered records into one SweepPoint per requested n.
+
+    ``records`` run n-major, seed-minor over the ``ns x seeds`` grid.
+    The reported ``n`` is the actual size of the point's (last)
+    instance, and the mean is taken over the seed grid in seed order —
+    hence bit-stable.
+    """
+    if not seeds:
+        raise ValueError("aggregation needs at least one seed per point")
+    per_point = len(seeds)
+    if len(records) != len(ns) * per_point:
+        raise ValueError(
+            f"record count {len(records)} does not cover the "
+            f"{len(ns)}x{per_point} trial grid"
+        )
+    points = []
+    for i, _n in enumerate(ns):
+        chunk = records[i * per_point : (i + 1) * per_point]
+        rounds = [record["rounds"] for record in chunk]
+        points.append(
+            SweepPoint(
+                n=chunk[-1]["actual_n"],
+                trials=len(rounds),
+                rounds_mean=sum(rounds) / len(rounds),
+                rounds_max=max(rounds),
+                rounds_min=min(rounds),
+            )
+        )
+    return points
+
+
 def run_sweep(
     solver: LocalAlgorithm,
     instance_factory: InstanceFactory,
@@ -53,7 +88,7 @@ def run_sweep(
     seeds: Sequence[int] = (0, 1, 2),
     verify: Callable[[Instance, object], None] | None = None,
 ) -> Sweep:
-    """Measure ``solver`` on instances of each size.
+    """Measure a live ``solver`` object on instances of each size.
 
     ``instance_factory(n, seed)`` builds one instance; the reported
     ``n`` is the actual instance size (which may differ slightly from
@@ -62,14 +97,22 @@ def run_sweep(
     should raise on invalid outputs, so sweeps never report rounds of
     wrong solutions.
 
-    This is a thin shim over :func:`repro.engine.runner.run_callable_sweep`
-    (imported lazily to keep ``repro.analysis`` importable on its own);
-    callers holding importable references instead of live objects
-    should use :func:`repro.engine.runner.run_experiment` directly and
-    gain multiprocessing and trial caching for free.
+    Live objects and closures have no content hash, so this loop is
+    serial and uncached; registered solvers and families run in
+    parallel and cached through :func:`repro.engine.runner.run_experiment`.
     """
     if not seeds:
         raise ValueError("run_sweep needs at least one seed (got an empty grid)")
-    from repro.engine.runner import run_callable_sweep
-
-    return run_callable_sweep(solver, instance_factory, ns, seeds, verify)
+    records = []
+    for n in ns:
+        for seed in seeds:
+            instance = instance_factory(n, seed)
+            result = dispatch_solver(solver, instance)
+            if verify is not None:
+                verify(instance, result)
+            records.append(
+                {"actual_n": instance.graph.num_nodes, "rounds": result.rounds}
+            )
+    return Sweep(
+        solver_name=solver.name, points=aggregate_points(ns, seeds, records)
+    )

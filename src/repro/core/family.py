@@ -131,7 +131,7 @@ def _padded_sinkless_problem() -> PaddedProblem:
 
 
 def padded_sinkless_solver() -> PaddedSolver:
-    """The registered deterministic Pi_2 solver (also a legacy spec ref)."""
+    """The registered deterministic Pi_2 solver."""
     return PaddedSolver(_padded_sinkless_problem(), DeterministicSinklessSolver())
 
 

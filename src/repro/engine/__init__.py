@@ -1,12 +1,12 @@
 """Parallel, cached experiment orchestration.
 
 The engine turns the repo's ad-hoc measurement loops into declarative
-experiment runs: an :class:`ExperimentSpec` names solver, generator,
-verifier and the (n, seed) grid as importable references; the runner
-expands it into content-hashed trials, replays whatever the on-disk
-cache already holds, dispatches the delta to a process pool, and folds
-the records into the same ``Sweep``/``SweepPoint`` shapes the analysis
-layer has always used.  The same pipeline scales out: a
+experiment runs: an :class:`ExperimentSpec` names a registered problem,
+solver, and family plus the (n, seed) grid; the runner expands it into
+content-hashed trials, replays whatever the on-disk cache already
+holds, dispatches the delta to a process pool, and folds the records
+into the same ``Sweep``/``SweepPoint`` shapes the analysis layer has
+always used.  The same pipeline scales out: a
 :class:`ShardPlan` deals a spec's dispatch chunks onto K serializable
 :class:`ShardManifest` shards that run anywhere
 (:func:`run_shard`) and merge back bit-identically
@@ -44,12 +44,10 @@ from repro.engine.runner import (
     EngineReport,
     ShardReport,
     auto_batch_size,
-    execute_trial,
     execute_trial_batch,
     iter_records,
     merge_shard_reports,
     plan_experiment,
-    run_callable_sweep,
     run_experiment,
     run_shard,
 )
@@ -59,7 +57,6 @@ from repro.engine.spec import (
     ExperimentSpec,
     TrialSpec,
     grid,
-    resolve_ref,
     seed_grid,
 )
 
@@ -85,15 +82,12 @@ __all__ = [
     "auto_batch_size",
     "build_experiment",
     "default_workers",
-    "execute_trial",
     "execute_trial_batch",
     "grid",
     "iter_records",
     "merge_shard_reports",
     "parse_fault_specs",
     "plan_experiment",
-    "resolve_ref",
-    "run_callable_sweep",
     "run_experiment",
     "run_fabric",
     "run_shard",

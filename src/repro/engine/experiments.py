@@ -1,9 +1,8 @@
 """Named experiments, generated from the runtime registry.
 
-Every spec here names its solver, generator, and verifier through
-:mod:`repro.runtime.entrypoints` references — importable in any worker
-process, content-hashable by the trial cache, and resolved against the
-registry catalogs rather than hand-wired factories:
+Every spec here names its (problem, solver, family) triple by registry
+name — picklable to any worker process, content-hashable by the trial
+cache, and looked up in the catalogs rather than hand-wired factories:
 
 * ``sinkless``  — the Figure 1 separation dot: deterministic
   Theta(log n) vs randomized Theta(loglog n) sinkless orientation on
@@ -26,7 +25,6 @@ from typing import Callable
 
 from repro.engine.spec import ExperimentSpec, grid
 from repro.runtime import registry
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 from repro.runtime.registry import FamilyInfo, ProblemInfo, SolverInfo
 
 __all__ = ["EXPERIMENTS", "Experiment", "build_experiment", "paper_placement"]
@@ -57,12 +55,12 @@ def _registry_spec(
     ns: tuple[int, ...],
     seeds: tuple[int, ...],
 ) -> ExperimentSpec:
-    """One spec for one sound triple, entirely by registry reference."""
+    """One spec for one registered triple, by registry name."""
     return ExperimentSpec(
         name=f"{experiment}/{problem.name}/{solver.name}@{family.name}",
-        solver=solver_ref(solver.name),
-        generator=family_ref(family.name),
-        verifier=verifier_ref(problem.name),
+        problem=problem.name,
+        solver=solver.name,
+        generator=family.name,
         ns=ns,
         seeds=seeds,
     )
@@ -192,38 +190,3 @@ def build_experiment(
     if max_n < 1:
         raise ValueError(f"--max-n must be positive, got {max_n}")
     return experiment.build(max_n, tuple(range(seed_count)))
-
-
-# -- legacy importable aliases -----------------------------------------
-# Pre-registry spec references ("repro.engine.experiments:<attr>") are
-# baked into existing benches and caches; keep them resolvable.
-
-
-def cycle_instance(n: int, seed: int):
-    from repro.generators.classic import cycle_instance as build
-
-    return build(n, seed)
-
-
-def padded_sinkless_instance(height: int, seed: int):
-    from repro.core.family import padded_sinkless_instance as build
-
-    return build(height, seed)
-
-
-def padded_sinkless_solver():
-    from repro.core.family import padded_sinkless_solver as make
-
-    return make()
-
-
-def verify_sinkless(instance, result) -> None:
-    from repro.runtime.driver import verifier_for
-
-    verifier_for(registry.problem("sinkless-orientation"))(instance, result)
-
-
-def verify_padded_sinkless(instance, result) -> None:
-    from repro.runtime.driver import verifier_for
-
-    verifier_for(registry.problem("padded-sinkless"))(instance, result)

@@ -18,20 +18,16 @@ The pipeline has three stages, each its own function, and
    whatever order the shards ran and on whatever mix of processes.
 
 The chunk — not the trial — stays the unit of scheduling.  Inside a
-worker, :func:`execute_trial_batch` amortizes everything a chunk's
-trials share: entrypoint references resolve once per worker process
-(the memo survives across chunks of the same spec), families with
+worker, :func:`execute_trial_batch` runs a chunk through the runtime's
+one trial executor, :class:`~repro.runtime.driver.TrialBatch`, memoized
+per process over one process-wide
+:class:`~repro.runtime.driver.InstanceCache`: families with
 seed-independent topology rebuild only identifiers/inputs/rng on a
 shared frozen graph, and the verifier's configuration skeleton is
-prepared once per shared core.  Records stay bit-identical to the
-serial per-trial path (:func:`execute_trial`) at every worker count,
-batch size, and shard count, so aggregation — a pure function of the
-ordered record list — cannot tell the difference.
-
-``run_callable_sweep`` is the in-process path for callers holding live
-solver objects and closures (the legacy ``run_sweep`` signature); it
-shares the aggregation code but cannot be parallelized or cached,
-since arbitrary callables have no content hash.
+prepared once per shared core, across the chunks of every spec the
+process runs.  Records stay bit-identical at every worker count, batch
+size, and shard count, so aggregation — a pure function of the ordered
+record list — cannot tell the difference.
 """
 
 from __future__ import annotations
@@ -42,17 +38,18 @@ import queue
 import threading
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import kernels as kernel_layer
-from repro.analysis.sweep import Sweep, SweepPoint
+from repro.analysis.sweep import Sweep, aggregate_points
 from repro.engine.cache import TrialCache
 from repro.engine.pool import run_task_batches
 from repro.engine.shard import ShardManifest, ShardPlan
-from repro.engine.spec import ExperimentSpec, TrialSpec, resolve_ref
+from repro.engine.spec import ExperimentSpec, TrialSpec
 from repro.obs import get_telemetry, merge_snapshots
+from repro.runtime import registry
+from repro.runtime.driver import InstanceCache, TrialBatch
 
 _LOG = logging.getLogger("repro.engine")
 
@@ -60,12 +57,10 @@ __all__ = [
     "EngineReport",
     "ShardReport",
     "auto_batch_size",
-    "execute_trial",
     "execute_trial_batch",
     "iter_records",
     "merge_shard_reports",
     "plan_experiment",
-    "run_callable_sweep",
     "run_experiment",
     "run_shard",
 ]
@@ -158,178 +153,77 @@ def _json_safe_extras(extras: dict) -> dict[str, Any]:
     }
 
 
-def execute_trial(trial: TrialSpec) -> dict[str, Any]:
-    """Run one trial and return its JSON-safe record.
-
-    The trial seed fully determines the instance (generator mixes it
-    in) and the solver's randomness (the instance carries a
-    ``NodeRng(seed)``), so this function is deterministic in any
-    process.  This is the reference per-trial path: no memoization, no
-    topology sharing — the equivalence suite holds the batched path to
-    its records.
-    """
-    from repro.runtime.driver import dispatch_solver
-
-    telemetry = get_telemetry()
-    generator = resolve_ref(trial.generator)
-    with telemetry.span("trial.build"):
-        instance = generator(trial.n, trial.seed, **dict(trial.params))
-    solver = resolve_ref(trial.solver)()
-    with telemetry.span("trial.solve"):
-        result = dispatch_solver(solver, instance)
-    if trial.verifier:
-        with telemetry.span("trial.verify"):
-            resolve_ref(trial.verifier)(instance, result)
-    telemetry.incr("trials.executed")
-    return {
-        "n": trial.n,
-        "actual_n": instance.graph.num_nodes,
-        "seed": trial.seed,
-        "rounds": result.rounds,
-        "extras": _json_safe_extras(result.extras),
-    }
-
-
-# -- per-worker amortization state --------------------------------------
+# -- per-process execution state ------------------------------------------
 #
 # Module globals live once per worker process (and once in the parent
-# for the serial path), so chunks of the same spec arriving at the same
-# worker pay reference resolution, topology builds, and verifier
-# skeleton preparation only once.
+# for the serial path), so chunks arriving at the same process share
+# one instance cache — cores and prepared verifier skeletons — and one
+# TrialBatch per (problem, solver, family, kernels).
 
-_RESOLVED: dict[str, Any] = {}
-_PREPARED_CAP = 8
-_PREPARED: "OrderedDict[tuple, Any]" = OrderedDict()
-_WORKER_INSTANCES = None  # lazily constructed InstanceCache
+_INSTANCES: InstanceCache | None = None
+_BATCHES: dict[tuple[str, str, str, str], TrialBatch] = {}
 
 
-def _resolved(ref: str) -> Any:
-    """resolve_ref with a per-process memo (resolution is deterministic)."""
-    obj = _RESOLVED.get(ref)
-    if obj is None:
-        obj = resolve_ref(ref)
-        _RESOLVED[ref] = obj
-    return obj
+def _instances() -> InstanceCache:
+    global _INSTANCES
+    if _INSTANCES is None:
+        _INSTANCES = InstanceCache()
+    return _INSTANCES
 
 
-def _worker_instances():
-    from repro.runtime.driver import InstanceCache
-
-    global _WORKER_INSTANCES
-    if _WORKER_INSTANCES is None:
-        _WORKER_INSTANCES = InstanceCache(capacity=_PREPARED_CAP)
-    return _WORKER_INSTANCES
-
-
-def _registry_family(generator_ref: str):
-    """The FamilyInfo behind an entrypoints generator ref, else None."""
-    from repro.runtime import registry
-    from repro.runtime.entrypoints import parse_entrypoint
-
-    parsed = parse_entrypoint(generator_ref)
-    if parsed is None or parsed[0] != "family":
-        return None
-    return registry.family(parsed[1])
-
-
-def _prepared_checker(verifier_ref: str, core_key, instance):
-    """A PreparedVerifier for (problem behind ref, shared core), or None.
-
-    Only registry verifier refs over plain ne-LCL problems are
-    preparable.  Caching policy (rebuild on new key or evicted core) is
-    :func:`repro.runtime.driver.cached_prepared_verifier`, shared with
-    ``TrialBatch``; this memo only adds the per-worker LRU bound, with
-    hits refreshed so hot skeletons survive interleaved specs.
-    """
-    from repro.runtime import registry
-    from repro.runtime.driver import cached_prepared_verifier
-    from repro.runtime.entrypoints import parse_entrypoint
-
-    parsed = parse_entrypoint(verifier_ref)
-    if parsed is None or parsed[0] != "verifier":
-        return None
-    key = (verifier_ref,) + tuple(core_key)
-    prepared = cached_prepared_verifier(
-        _PREPARED, key, registry.problem(parsed[1]), instance
-    )
-    _PREPARED.move_to_end(key)
-    if len(_PREPARED) > _PREPARED_CAP:
-        _PREPARED.popitem(last=False)
-    return prepared
+def _batch(trial: TrialSpec, kernels: str) -> TrialBatch:
+    key = (trial.problem, trial.solver, trial.generator, kernels)
+    batch = _BATCHES.get(key)
+    if batch is None:
+        # Specs may name any triple (corruption probes included); the
+        # verifier, not the soundness declarations, judges the outputs.
+        batch = TrialBatch(
+            trial.problem,
+            trial.solver,
+            trial.generator,
+            check_sound=False,
+            instances=_instances(),
+            kernels=kernels,
+        )
+        _BATCHES[key] = batch
+    return batch
 
 
 def execute_trial_batch(
     trials: Sequence[TrialSpec], kernels: str = "auto"
 ) -> list[dict[str, Any]]:
-    """Run a chunk of same-spec trials with shared per-batch setup.
+    """Run a chunk of same-spec trials and return their JSON-safe records.
 
-    All trials must share their solver/generator/verifier references
-    (they come from one spec).  Per-trial records are exactly what
-    :func:`execute_trial` produces, including the verifier raising
-    ``AssertionError`` on a rejected output — only the setup work is
-    amortized, never the per-trial solve or check.  ``kernels`` travels
-    in the chunk payload, NOT in the trial specs: records are
-    backend-independent, so the cache key must not split on it.
+    All trials must name the same (problem, solver, generator) triple
+    (they come from one spec).  A rejected output raises
+    ``AssertionError`` with the verifier's message plus the trial's n
+    and seed.  ``kernels`` travels in the chunk payload, NOT in the
+    trial specs: records are backend-independent, so the cache key must
+    not split on it.
     """
-    from repro.runtime.driver import dispatch_solver
-
     if not trials:
         return []
-    kernel_layer.ensure_mode(kernels)
     head = trials[0]
-    for trial in trials:
-        if (trial.solver, trial.generator, trial.verifier) != (
-            head.solver, head.generator, head.verifier
-        ):
-            raise ValueError(
-                "a trial batch must share solver/generator/verifier refs"
-            )
-    solver_factory = _resolved(head.solver)
-    generator = _resolved(head.generator)
-    checker = _resolved(head.verifier) if head.verifier else None
-    family_info = _registry_family(head.generator)
-    instances = _worker_instances()
-    telemetry = get_telemetry()
+    triple = (head.problem, head.solver, head.generator)
+    if any((t.problem, t.solver, t.generator) != triple for t in trials):
+        raise ValueError(
+            "a trial batch must share one (problem, solver, generator) triple"
+        )
+    batch = _batch(head, kernels)
     records = []
     for trial in trials:
-        with telemetry.span("trial.build"):
-            if family_info is not None:
-                instance, core_key = instances.build(
-                    family_info, trial.n, trial.seed, dict(trial.params)
-                )
-            else:
-                instance = generator(trial.n, trial.seed, **dict(trial.params))
-                core_key = None
-        backend = kernel_layer.select_backend(kernels, instance.graph)
-        telemetry.incr(f"kernels.{backend}_trials")
-        with kernel_layer.active(backend):
-            with telemetry.span("trial.solve"):
-                result = dispatch_solver(solver_factory(), instance)
-            if head.verifier:
-                with telemetry.span("trial.verify"):
-                    prepared = (
-                        _prepared_checker(head.verifier, core_key, instance)
-                        if core_key is not None
-                        else None
-                    )
-                    if prepared is not None:
-                        verdict = kernel_layer.prepared_verify(
-                            prepared, result.outputs
-                        )
-                        assert verdict.ok, (
-                            f"{prepared.problem.name}: {verdict.summary()}"
-                        )
-                    else:
-                        assert checker is not None
-                        checker(instance, result)
-        telemetry.incr("trials.executed")
+        record = batch.run_one(trial.n, trial.seed)
+        if record.verified is False:
+            raise AssertionError(
+                f"{record.rejection} (n={trial.n}, seed={trial.seed})"
+            )
         records.append(
             {
                 "n": trial.n,
-                "actual_n": instance.graph.num_nodes,
+                "actual_n": record.actual_n,
                 "seed": trial.seed,
-                "rounds": result.rounds,
-                "extras": _json_safe_extras(result.extras),
+                "rounds": record.rounds,
+                "extras": _json_safe_extras(record.extras),
             }
         )
     return records
@@ -356,7 +250,7 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
         from repro.kernels import shm as shm_cores
 
         graph = shm_cores.attach_graph(core["handle"])
-        _worker_instances().adopt((core["family"], core["n"]), graph)
+        _instances().adopt((core["family"], core["n"]), graph)
     records = execute_trial_batch(
         [TrialSpec.from_payload(entry) for entry in payload["trials"]],
         kernels=payload.get("kernels", "auto"),
@@ -403,39 +297,6 @@ def _chunk_missing(
     if current:
         chunks.append(current)
     return chunks
-
-
-def aggregate_points(
-    ns: Sequence[int], seeds: Sequence[int], records: Sequence[dict[str, Any]]
-) -> list[SweepPoint]:
-    """Fold grid-ordered records into one SweepPoint per requested n.
-
-    Mirrors the legacy ``run_sweep`` accounting exactly: the reported
-    ``n`` is the actual size of the point's (last) instance, and the
-    mean is taken over the seed grid in seed order — hence bit-stable.
-    """
-    if not seeds:
-        raise ValueError("aggregation needs at least one seed per point")
-    per_point = len(seeds)
-    if len(records) != len(ns) * per_point:
-        raise ValueError(
-            f"record count {len(records)} does not cover the "
-            f"{len(ns)}x{per_point} trial grid"
-        )
-    points = []
-    for i, _n in enumerate(ns):
-        chunk = records[i * per_point : (i + 1) * per_point]
-        rounds = [record["rounds"] for record in chunk]
-        points.append(
-            SweepPoint(
-                n=chunk[-1]["actual_n"],
-                trials=len(rounds),
-                rounds_mean=sum(rounds) / len(rounds),
-                rounds_max=max(rounds),
-                rounds_min=min(rounds),
-            )
-        )
-    return points
 
 
 def plan_experiment(
@@ -564,30 +425,25 @@ def _export_shared_cores(
 
     Returns ``(family, n) -> CoreHandle`` for the cores that were
     exported (the caller owns them and must release in a ``finally``).
-    Eligible chunks: a registered topology-reusable family, no extra
-    params, a bare ``PortGraph`` core, and at least ``_SHM_MIN_WORDS``
-    table words (env-overridable).  Anything else simply ships no
-    handle and the workers build their own cores as before.
+    Eligible chunks: a registered topology-reusable family, a bare
+    ``PortGraph`` core, and at least ``_SHM_MIN_WORDS`` table words
+    (env-overridable).  Anything else simply ships no handle and the
+    workers build their own cores as before.
     """
     handles: dict[tuple[str, int], Any] = {}
     if not chunks or not _shm_cores_enabled(workers):
         return handles
-    try:
-        family_info = _registry_family(trials[chunks[0][0]].generator)
-    except Exception:
-        return handles
-    if family_info is None or not family_info.reusable_topology:
+    family_info = registry.family(trials[chunks[0][0]].generator)
+    if not family_info.reusable_topology:
         return handles
     from repro.kernels import shm as shm_cores
     from repro.local.graphs import PortGraph
 
     forced = os.environ.get("REPRO_SHM_CORES") is not None
     skipped: set[tuple[str, int]] = set()
-    instances = _worker_instances()
+    instances = _instances()
     for chunk in chunks:
         head = trials[chunk[0]]
-        if head.params:
-            continue
         key = (family_info.name, head.n)
         if key in handles or key in skipped:
             continue
@@ -687,7 +543,7 @@ def run_shard(
                 "kernels": kernels,
             }
             for (family, core_n), handle in exported.items():
-                if core_n == head.n and not head.params:
+                if core_n == head.n:
                     payload["core"] = {
                         "family": family,
                         "n": core_n,
@@ -957,42 +813,3 @@ def iter_records(
     if "error" in box and not isinstance(box["error"], _IterAbandoned):
         raise box["error"]
     return box.get("report")
-
-
-def run_callable_sweep(
-    solver: Any,
-    instance_factory: Callable[[int, int], Any],
-    ns: Sequence[int],
-    seeds: Sequence[int] = (0, 1, 2),
-    verify: Callable[[Any, Any], None] | None = None,
-) -> Sweep:
-    """The engine's in-process sweep over live callables.
-
-    This is the execution path behind :func:`repro.analysis.sweep.run_sweep`:
-    same trial grid, same aggregation, no pickling requirements — and
-    therefore serial and uncached.
-    """
-    from repro.runtime.driver import dispatch_solver
-
-    if not seeds:
-        raise ValueError("run_sweep needs at least one seed (got an empty grid)")
-    records: list[dict[str, Any]] = []
-    for n in ns:
-        for seed in seeds:
-            instance = instance_factory(n, seed)
-            result = dispatch_solver(solver, instance)
-            if verify is not None:
-                verify(instance, result)
-            records.append(
-                {
-                    "n": n,
-                    "actual_n": instance.graph.num_nodes,
-                    "seed": seed,
-                    "rounds": result.rounds,
-                    "extras": {},
-                }
-            )
-    return Sweep(
-        solver_name=solver.name,
-        points=aggregate_points(ns, seeds, records),
-    )

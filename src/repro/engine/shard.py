@@ -49,31 +49,29 @@ __all__ = [
 
 # Bump when the plan/manifest layout changes; a loader seeing a foreign
 # version must refuse rather than misread shard boundaries.
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 
 def spec_payload(spec: ExperimentSpec) -> dict[str, Any]:
     """A JSON-safe dict that round-trips an :class:`ExperimentSpec`."""
     return {
         "name": spec.name,
+        "problem": spec.problem,
         "solver": spec.solver,
         "generator": spec.generator,
-        "verifier": spec.verifier,
         "ns": list(spec.ns),
         "seeds": list(spec.seeds),
-        "params": dict(spec.params) if spec.params else None,
     }
 
 
 def spec_from_payload(payload: dict[str, Any]) -> ExperimentSpec:
     return ExperimentSpec(
         name=payload["name"],
+        problem=payload["problem"],
         solver=payload["solver"],
         generator=payload["generator"],
-        verifier=payload["verifier"],
         ns=tuple(payload["ns"]),
         seeds=tuple(payload["seeds"]),
-        params=payload.get("params") or None,
     )
 
 

@@ -1,9 +1,9 @@
 """Declarative experiment specifications.
 
-An :class:`ExperimentSpec` names everything one sweep needs — solver,
-instance generator, verifier, the size grid, the seed grid — as
-importable references (``"module:attr"`` strings) rather than live
-objects.  That buys two properties at once:
+An :class:`ExperimentSpec` names everything one sweep needs by its
+registry names — the problem, the solver, the instance family
+(``generator``), the size grid, the seed grid — rather than holding
+live objects.  That buys two properties at once:
 
 * **picklability** — a spec travels to worker processes as a handful
   of strings and ints, so the pool never depends on closures or open
@@ -12,71 +12,46 @@ objects.  That buys two properties at once:
   key derived purely from the fields that determine its result, so the
   cache can replay identical trials across runs and worker counts.
 
-References resolve with :func:`resolve_ref`; solver references must
-point at a zero-argument factory (a class works), generator references
-at a ``(n, seed, **params) -> Instance`` callable, verifier references
-at a ``(instance, result) -> None`` callable that raises on invalid
-outputs.
+The names are looked up in :mod:`repro.runtime.registry` when a trial
+runs, not when the spec is built, so a spec naming an unknown entry
+fails its run rather than its construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = [
     "CACHE_VERSION",
     "ExperimentSpec",
     "TrialSpec",
     "grid",
-    "resolve_ref",
     "seed_grid",
 ]
 
-# Bump when the trial record layout changes; stale cache shards are
-# then simply never hit instead of being misread.
-CACHE_VERSION = 1
+# Bump when the trial record layout or the key payload changes; stale
+# cache shards are then simply never hit instead of being misread.
+CACHE_VERSION = 2
 
-
-def resolve_ref(ref: str) -> Any:
-    """Import the object named by a ``"module:attr"`` reference."""
-    module_name, _, attr_path = ref.partition(":")
-    if not module_name or not attr_path:
-        raise ValueError(f"reference {ref!r} is not of the form 'module:attr'")
-    obj = importlib.import_module(module_name)
-    for attr in attr_path.split("."):
-        obj = getattr(obj, attr)
-    return obj
-
-
-def _canonical_params(params: dict[str, Any] | None) -> tuple[tuple[str, Any], ...]:
-    if not params:
-        return ()
-    for key, value in params.items():
-        if not isinstance(value, (bool, int, float, str, type(None))):
-            raise TypeError(
-                f"param {key!r} must be a JSON scalar, got {type(value).__name__}"
-            )
-    return tuple(sorted(params.items()))
+_TRIAL_FIELDS = ("problem", "solver", "generator", "n", "seed")
 
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One deterministic unit of work: (generator, solver, n, seed).
+    """One deterministic unit of work: (problem, solver, family, n, seed).
 
     Two trials with equal fields produce bit-identical results, so the
     sha256 of the canonical field encoding is a safe cache key.
     """
 
+    problem: str
     solver: str
     generator: str
-    verifier: str | None
     n: int
     seed: int
-    params: tuple[tuple[str, Any], ...] = ()
 
     def key(self) -> str:
         # Memoized: the shard pipeline keys the same TrialSpec several
@@ -86,15 +61,7 @@ class TrialSpec:
         if cached is not None:
             return cached
         payload = json.dumps(
-            {
-                "v": CACHE_VERSION,
-                "solver": self.solver,
-                "generator": self.generator,
-                "verifier": self.verifier,
-                "n": self.n,
-                "seed": self.seed,
-                "params": list(self.params),
-            },
+            {"v": CACHE_VERSION, **self.to_payload()},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -104,38 +71,23 @@ class TrialSpec:
 
     def to_payload(self) -> dict[str, Any]:
         """A plain-dict form that survives pickling to any start method."""
-        return {
-            "solver": self.solver,
-            "generator": self.generator,
-            "verifier": self.verifier,
-            "n": self.n,
-            "seed": self.seed,
-            "params": list(self.params),
-        }
+        return {name: getattr(self, name) for name in _TRIAL_FIELDS}
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "TrialSpec":
-        return cls(
-            solver=payload["solver"],
-            generator=payload["generator"],
-            verifier=payload["verifier"],
-            n=payload["n"],
-            seed=payload["seed"],
-            params=tuple((k, v) for k, v in payload["params"]),
-        )
+        return cls(**{name: payload[name] for name in _TRIAL_FIELDS})
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named sweep: one solver across an n-grid and a seed-grid."""
+    """A named sweep: one registered solver across an n-grid and a seed-grid."""
 
     name: str
+    problem: str
     solver: str
     generator: str
     ns: tuple[int, ...]
     seeds: tuple[int, ...] = (0, 1, 2)
-    verifier: str | None = None
-    params: dict[str, Any] | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ns", tuple(self.ns))
@@ -156,49 +108,23 @@ class ExperimentSpec:
         """
         cached = self.__dict__.get("_trials")
         if cached is None:
-            canon = _canonical_params(self.params)
             cached = tuple(
-                TrialSpec(
-                    solver=self.solver,
-                    generator=self.generator,
-                    verifier=self.verifier,
-                    n=n,
-                    seed=seed,
-                    params=canon,
-                )
+                TrialSpec(self.problem, self.solver, self.generator, n, seed)
                 for n in self.ns
                 for seed in self.seeds
             )
             object.__setattr__(self, "_trials", cached)
         return list(cached)
 
-    def make_solver(self) -> Any:
-        return resolve_ref(self.solver)()
-
     def solver_display_name(self) -> str:
-        """The ``.name`` the spec's solver objects carry, lazily.
+        """The ``.name`` the spec's solver objects carry, without building
+        one when the catalog can answer (see
+        :func:`repro.runtime.registry.solver_display_name`), so a
+        warm-cache replay never constructs a solver just to label its
+        sweep."""
+        from repro.runtime import registry
 
-        Registry-generated specs answer from the catalog without
-        materializing a solver (class factories expose ``name`` as a
-        class attribute; the rest memoize one materialization per
-        process), so a warm-cache replay never constructs a solver just
-        to label its sweep.  Hand-written refs keep the legacy
-        behavior: build one and read its ``name``.
-        """
-        from repro.runtime.entrypoints import parse_entrypoint
-
-        parsed = parse_entrypoint(self.solver)
-        if parsed is not None and parsed[0] == "solver":
-            from repro.runtime import registry
-
-            return registry.solver_display_name(parsed[1])
-        return getattr(self.make_solver(), "name", self.solver)
-
-    def make_generator(self) -> Callable[..., Any]:
-        return resolve_ref(self.generator)
-
-    def make_verifier(self) -> Callable[..., None] | None:
-        return resolve_ref(self.verifier) if self.verifier else None
+        return registry.solver_display_name(self.solver)
 
 
 def grid(lo: int, hi: int, base: int = 2) -> tuple[int, ...]:

@@ -19,13 +19,12 @@ candidates are already in discovery order.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Any, Iterable
 
 import numpy as np
 
 __all__ = [
-    "DeliveryPlan",
     "bfs_distances",
     "connected_components",
     "csr_arrays",
@@ -290,66 +289,3 @@ def scan_order(
     # then port, matching sorted(key=(id(neighbor), port)) per node.
     perm = np.lexsort((port_of, id_table[nbr], node_of))
     return off.tolist(), nbr[perm].tolist(), eids[perm].tolist()
-
-
-class DeliveryPlan:
-    """SyncEngine message delivery as one gather/scatter per round.
-
-    The destination of the message leaving flat slot ``(v, p)`` is the
-    flat slot of the half-edge across the edge: ``off[nbr] + peer`` — a
-    fixed permutation of the slots, computed once per run.  Per round,
-    active outboxes are packed into one object-dtype array (halted
-    senders leave the explicit ``None`` the object loop delivers) and
-    delivered with a single fancy-index scatter.
-    """
-
-    __slots__ = ("_off", "_np_off", "_dest", "_total", "_deg")
-
-    def __init__(self, graph: Any):
-        off, nbr, peer, _ = csr_arrays(graph)
-        self._off = off.tolist()
-        self._np_off = off
-        self._dest = off[nbr] + peer
-        self._total = int(off[-1]) if off.size else 0
-        self._deg = np.diff(off).tolist()
-
-    def deliver(
-        self, outboxes: list[list[Any] | None], halted: list[bool]
-    ) -> list[list[Any] | None]:
-        """Inboxes for this round: ``None`` for halted receivers, else
-        the per-port message list (``None`` entries from halted
-        senders), exactly like the object delivery loop.
-
-        One flat object array per direction: active outboxes are
-        chained into a single flat list (C-speed), scattered to their
-        slot range in one assignment, permuted through ``_dest`` in one
-        fancy-index scatter, and sliced back out of one ``tolist()`` —
-        no per-sender numpy calls on the round path.
-        """
-        off = self._off
-        senders = [v for v, out in enumerate(outboxes) if out is not None]
-        out_flat = np.full(self._total, None, dtype=object)
-        if senders:
-            flat = list(
-                chain.from_iterable(
-                    out for out in outboxes if out is not None
-                )
-            )
-            # fromiter (not asarray): messages may themselves be
-            # sequences, which asarray would try to stack into 2-D.
-            flat_arr = np.fromiter(flat, dtype=object, count=len(flat))
-            if len(senders) == len(outboxes):
-                out_flat = flat_arr
-            else:
-                slots = _expand(
-                    self._np_off, np.asarray(senders, dtype=_I64)
-                )
-                out_flat[slots] = flat_arr
-        in_flat = np.empty(self._total, dtype=object)
-        in_flat[self._dest] = out_flat
-        in_list = in_flat.tolist()
-        deg = self._deg
-        return [
-            None if halted[v] else in_list[off[v] : off[v] + deg[v]]
-            for v in range(len(outboxes))
-        ]

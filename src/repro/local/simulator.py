@@ -212,11 +212,6 @@ class SyncEngine:
         # objects on the path.
         off, nbr, peer, _ = graph.csr()
         deg = graph.degrees
-        delivery_plan = None
-        if kernels.vector_enabled():
-            from repro.kernels import vector
-
-            delivery_plan = vector.DeliveryPlan(graph)
         halted = [False] * num_nodes
         halt_rounds = [0] * num_nodes
         trace: list[MessageRound] = []
@@ -254,22 +249,19 @@ class SyncEngine:
             # get an inbox — halted receivers would never read theirs, and
             # on large graphs with early halters the skipped allocations
             # dominate the per-round cost.
-            if delivery_plan is not None:
-                inboxes = delivery_plan.deliver(outboxes, halted)
-            else:
-                inboxes: list[list[Any] | None] = [
-                    None if halted[v] else [None] * deg[v]
-                    for v in range(num_nodes)
-                ]
-                for v, out in enumerate(outboxes):
-                    if out is None:
-                        continue
-                    base = off[v]
-                    for port, message in enumerate(out):
-                        slot = base + port
-                        inbox = inboxes[nbr[slot]]
-                        if inbox is not None:
-                            inbox[peer[slot]] = message
+            inboxes: list[list[Any] | None] = [
+                None if halted[v] else [None] * deg[v]
+                for v in range(num_nodes)
+            ]
+            for v, out in enumerate(outboxes):
+                if out is None:
+                    continue
+                base = off[v]
+                for port, message in enumerate(out):
+                    slot = base + port
+                    inbox = inboxes[nbr[slot]]
+                    if inbox is not None:
+                        inbox[peer[slot]] = message
             for v, node in enumerate(nodes):
                 if not halted[v]:
                     node.receive(round_index, inboxes[v])

@@ -18,8 +18,9 @@ __all__ = ["format_telemetry"]
 
 
 def _render_table(headers, rows, title):
-    # Lazy import: repro.analysis pulls in the engine for its run_sweep
-    # shim, and the obs layer must stay importable from anywhere.
+    # Lazy import: repro.analysis pulls in the local and runtime layers,
+    # which import this package, and the obs layer must stay importable
+    # from anywhere.
     from repro.analysis import render_table
 
     return render_table(headers, rows, title=title)

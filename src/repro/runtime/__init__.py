@@ -5,14 +5,15 @@ One layer owns the cross-product the paper's landscape is made of:
 * :mod:`repro.runtime.registry` — introspectable catalogs populated by
   ``@register_problem`` / ``@register_solver`` / ``@register_family``
   decorators in the problem, generator, core, and gadget modules;
-* :mod:`repro.runtime.driver` — ``Runtime.run(problem, solver, family,
-  n, seed)``: build the instance, dispatch the solver behind one
-  adapter (direct / SyncEngine / ViewOracle), verify, return a
-  :class:`~repro.runtime.driver.TrialRecord`;
-* :mod:`repro.runtime.entrypoints` — ``module:attr`` references into
-  the catalogs so the engine's content-hashed, multiprocessing
-  experiment specs are generated from the registry instead of
-  hand-wired lists.
+* :mod:`repro.runtime.driver` — :class:`~repro.runtime.driver.TrialBatch`,
+  the one trial executor behind ``Runtime.run(problem, solver, family,
+  n, seed)``, ``Runtime.run_many``, and the engine's worker chunks:
+  build the instance, dispatch the solver behind one adapter (direct /
+  SyncEngine / ViewOracle), verify, return a
+  :class:`~repro.runtime.driver.TrialRecord`.
+
+The engine's experiment specs name their (problem, solver, family)
+triple by these catalogs' names.
 """
 
 from repro.runtime.registry import (
@@ -41,12 +42,6 @@ from repro.runtime.driver import (
     dispatch_solver,
     verifier_for,
 )
-from repro.runtime.entrypoints import (
-    family_ref,
-    parse_entrypoint,
-    solver_ref,
-    verifier_ref,
-)
 
 __all__ = [
     "FamilyInfo",
@@ -60,8 +55,6 @@ __all__ = [
     "ensure_registered",
     "families",
     "family",
-    "family_ref",
-    "parse_entrypoint",
     "problem",
     "problems",
     "register_family",
@@ -69,10 +62,8 @@ __all__ = [
     "register_solver",
     "solver",
     "solver_display_name",
-    "solver_ref",
     "solvers",
     "solvers_for",
     "sound_triples",
     "verifier_for",
-    "verifier_ref",
 ]

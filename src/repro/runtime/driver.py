@@ -1,23 +1,25 @@
-"""The unified execution driver: one entry point for every trial.
+"""The unified execution driver: one executor for every trial.
 
-``Runtime.run(problem, solver, family, n, seed)`` is the single path
-every (problem x solver x family) combination goes through:
+:class:`TrialBatch` is the single path every (problem x solver x family)
+trial goes through — :meth:`Runtime.run`, :meth:`Runtime.run_many`, and
+the engine's worker chunks all call :meth:`TrialBatch.run_one`:
 
-1. build the instance from the registered family;
+1. build the instance from the registered family, sharing frozen
+   topology across seeds through an :class:`InstanceCache`;
 2. dispatch the registered solver through the adapter — directly for
    :class:`~repro.local.algorithm.LocalAlgorithm` objects, via
    :class:`~repro.local.simulator.SyncEngine` for round-based node
-   programs, via :class:`~repro.local.views.ViewOracle` for view-based
-   programs — landing in one :class:`~repro.local.algorithm.RunResult`
-   shape regardless of the execution model;
+   programs (batched through the registered array twin under the
+   vector backend), via :class:`~repro.local.views.ViewOracle` for
+   view-based programs — landing in one
+   :class:`~repro.local.algorithm.RunResult` shape regardless of the
+   execution model;
 3. run the problem's verifier (the ne-LCL checker of
-   :mod:`repro.lcl.verifier` by default, the problem's own ``verify``
-   for padded problems, or a registered custom check);
+   :mod:`repro.lcl.verifier` by default, over a skeleton prepared once
+   per shared core; the problem's own ``verify`` for padded problems;
+   or a registered custom check);
 4. return a :class:`TrialRecord` with outputs, per-node radii, round
    complexity, verification status, and wall time.
-
-The engine's experiment specs, the CLI, and the conformance suite all
-reduce to calls into this driver.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "Runtime",
     "TrialBatch",
     "TrialRecord",
-    "cached_prepared_verifier",
     "dispatch_solver",
     "prepared_verifier_for",
     "verifier_for",
@@ -70,6 +71,8 @@ class TrialRecord:
     verified: bool | None  # None = verification skipped
     wall_time: float
     extras: dict = field(default_factory=dict)
+    #: The verifier's message when it rejected the output.
+    rejection: str | None = None
 
     def summary(self) -> str:
         status = {True: "ok", False: "FAILED", None: "unverified"}[self.verified]
@@ -189,37 +192,7 @@ def prepared_verifier_for(
     return PreparedVerifier(problem_obj, instance.graph, instance.inputs)
 
 
-_MISSING_PREPARED = object()
-
-
-def cached_prepared_verifier(
-    cache: dict, key: Any, problem_info: ProblemInfo, instance: Instance
-) -> PreparedVerifier | None:
-    """Get-or-rebuild policy for a cache of prepared verifiers.
-
-    ``cache`` maps core keys to ``PreparedVerifier | None`` (None =
-    problem not preparable, cached so the probe runs once per core).
-    The entry is rebuilt when the key is new or when the cached
-    skeleton's graph/inputs identity no longer matches the instance
-    (the shared core was evicted and rebuilt).  Both batch layers —
-    :class:`TrialBatch` and the engine's per-worker memo — share this
-    one staleness rule.
-    """
-    entry = cache.get(key, _MISSING_PREPARED)
-    if entry is _MISSING_PREPARED or (
-        entry is not None
-        and (
-            entry.graph is not instance.graph
-            or entry.inputs_src is not instance.inputs
-        )
-    ):
-        entry = prepared_verifier_for(problem_info, instance)
-        cache[key] = entry
-        if entry is not None:
-            get_telemetry().incr("prepared_verifier.built")
-    elif entry is not None:
-        get_telemetry().incr("prepared_verifier.reused")
-    return entry
+_MISSING = object()
 
 
 class InstanceCache:
@@ -230,9 +203,13 @@ class InstanceCache:
     :class:`~repro.local.graphs.PortGraph`, plus any other
     seed-independent state) once per ``(family, n)`` and re-dress it per
     seed with the cheap mutable parts — identifiers, inputs labeling,
-    ``NodeRng``.  Seeded-topology families and parameterized builds
-    always fall through to the full builder, so records stay
-    bit-identical to the per-trial path either way.
+    ``NodeRng``.  Seeded-topology families always fall through to the
+    full builder, so records stay bit-identical to an unshared build
+    either way.
+
+    The cache also holds each core's prepared verifier skeletons, one
+    per problem: a skeleton pins its core's graph, so it is dropped when
+    its core is evicted, keeping the capacity a bound on memory.
     """
 
     def __init__(self, capacity: int = 8):
@@ -240,28 +217,26 @@ class InstanceCache:
             raise ValueError("instance cache needs capacity >= 1")
         self.capacity = capacity
         self._cores: OrderedDict[tuple[str, int], Any] = OrderedDict()
+        # core key -> problem name -> PreparedVerifier, or None when the
+        # problem is not preparable (custom / padded verification).
+        self._prepared: dict[tuple[str, int], dict[str, PreparedVerifier | None]] = {}
         self.built = 0
         self.reused = 0
         self.bypassed = 0
 
     def build(
-        self,
-        family_info: FamilyInfo,
-        n: int,
-        seed: int,
-        params: dict[str, Any] | None = None,
+        self, family_info: FamilyInfo, n: int, seed: int
     ) -> tuple[Instance, tuple[str, int] | None]:
         """Build one instance, reusing the frozen core when allowed.
 
         Returns ``(instance, core_key)``; ``core_key`` is None when the
-        full builder ran (seeded topology, extra params), and the cache
-        key of the shared core otherwise — batch drivers key their
-        per-core state (e.g. prepared verifiers) on it.
+        full builder ran (seeded topology), and the cache key of the
+        shared core otherwise.
         """
-        if params or not family_info.reusable_topology:
+        if not family_info.reusable_topology:
             self.bypassed += 1
             get_telemetry().incr("instance_cache.bypassed")
-            return family_info.builder(n, seed, **(params or {})), None
+            return family_info.builder(n, seed), None
         key = (family_info.name, n)
         hit = key in self._cores
         core = self.core(family_info, n)
@@ -284,9 +259,7 @@ class InstanceCache:
         if core is None:
             assert family_info.topology is not None
             core = family_info.topology(n)
-            self._cores[key] = core
-            if len(self._cores) > self.capacity:
-                self._cores.popitem(last=False)
+            self._store(key, core)
             self.built += 1
             get_telemetry().incr("instance_cache.core_built")
         else:
@@ -299,25 +272,62 @@ class InstanceCache:
         ``key`` dress the adopted core instead of rebuilding it, which
         is what keeps every worker on a host on the *same* mapped
         topology bytes."""
+        self._store(key, core)
+        get_telemetry().incr("instance_cache.core_adopted")
+
+    def _store(self, key: tuple[str, int], core: Any) -> None:
         self._cores[key] = core
         self._cores.move_to_end(key)
         if len(self._cores) > self.capacity:
-            self._cores.popitem(last=False)
-        get_telemetry().incr("instance_cache.core_adopted")
+            evicted, _ = self._cores.popitem(last=False)
+            self._prepared.pop(evicted, None)
+
+    def prepared_verifier(
+        self, core_key: tuple[str, int], problem_info: ProblemInfo, instance: Instance
+    ) -> PreparedVerifier | None:
+        """The prepared verifier of ``problem_info`` on a shared core.
+
+        Built on first use per (core, problem) and rebuilt when the
+        instance's graph or inputs object is no longer the one the
+        skeleton was prepared on (the core was replaced by an adopted
+        one).  None when the problem is not preparable; that answer is
+        cached too, so the probe runs once per core.
+        """
+        per_core = self._prepared.setdefault(core_key, {})
+        entry = per_core.get(problem_info.name, _MISSING)
+        if entry is _MISSING or (
+            entry is not None
+            and (
+                entry.graph is not instance.graph
+                or entry.inputs_src is not instance.inputs
+            )
+        ):
+            entry = prepared_verifier_for(problem_info, instance)
+            per_core[problem_info.name] = entry
+            if entry is not None:
+                get_telemetry().incr("prepared_verifier.built")
+        elif entry is not None:
+            get_telemetry().incr("prepared_verifier.reused")
+        return entry
 
 
 class TrialBatch:
-    """Amortized execution of many trials of one (problem, solver, family).
+    """The trial executor: many trials of one (problem, solver, family).
 
-    The per-trial path (:meth:`Runtime.run`) re-resolves the three
-    catalog entries, rebuilds the verifier closure, re-materializes the
-    problem object, and rebuilds the instance from scratch on every
-    call.  A batch does that setup once: the solver factory and
-    verifier closure are materialized at construction, frozen topology
-    is shared across seeds through an :class:`InstanceCache`, and a
-    :class:`~repro.lcl.verifier.PreparedVerifier` is kept per shared
-    core.  :meth:`run_one` produces records bit-identical to
-    ``Runtime.run`` (wall time aside).
+    Setup happens once per batch: the three catalog entries are looked
+    up and the verifier closure is materialized at construction, frozen
+    topology is shared across seeds through an :class:`InstanceCache`,
+    and the cache keeps a :class:`~repro.lcl.verifier.PreparedVerifier`
+    per shared core.  Records are bit-identical to building every
+    instance with the family's full builder and checking it with
+    :func:`verifier_for` (wall time aside).
+
+    ``check_sound`` rejects combinations the registry does not vouch
+    for: the solver must target ``problem`` and declare soundness on
+    ``family``.  Pass ``False`` to probe unsound combinations (e.g.
+    corruption experiments) — the verifier still reports the truth.
+    ``kernels`` picks the implementation layer for solve+verify (see
+    :mod:`repro.kernels`); records are bit-identical across backends.
     """
 
     def __init__(
@@ -349,17 +359,8 @@ class TrialBatch:
                     f"{', '.join(self.solver_info.families)})"
                 )
         self.instances = instances if instances is not None else InstanceCache()
-        self._solver_factory = self.solver_info.factory
         self._verify = verify
         self._checker = verifier_for(self.problem_info) if verify else None
-        # core_key -> PreparedVerifier, or None when the problem is not
-        # preparable (custom / padded verification).  Bounded like the
-        # instance cache: a skeleton pins its core's graph, so letting
-        # this grow past the core capacity would defeat that cap's
-        # memory bound over long size grids.
-        self._prepared: OrderedDict[tuple[str, int], PreparedVerifier | None] = (
-            OrderedDict()
-        )
         _LOG.debug(
             "trial batch ready: %s / %s @ %s (verify=%s)",
             self.problem_info.name,
@@ -370,12 +371,9 @@ class TrialBatch:
 
     def _check(self, instance: Instance, result: RunResult, core_key) -> None:
         if core_key is not None:
-            prepared = cached_prepared_verifier(
-                self._prepared, core_key, self.problem_info, instance
+            prepared = self.instances.prepared_verifier(
+                core_key, self.problem_info, instance
             )
-            self._prepared.move_to_end(core_key)
-            if len(self._prepared) > self.instances.capacity:
-                self._prepared.popitem(last=False)
             if prepared is not None:
                 verdict = kernel_layer.prepared_verify(prepared, result.outputs)
                 assert verdict.ok, (
@@ -386,29 +384,31 @@ class TrialBatch:
         self._checker(instance, result)
 
     def run_one(self, n: int, seed: int = 0) -> TrialRecord:
-        """One trial through the amortized pipeline."""
+        """Build, solve, verify one trial; everything it produced in one record."""
         telemetry = get_telemetry()
         start = time.perf_counter()
         with telemetry.span("trial.build"):
             instance, core_key = self.instances.build(self.family_info, n, seed)
         backend = kernel_layer.select_backend(self._kernels, instance.graph)
         telemetry.incr(f"kernels.{backend}_trials")
+        verified: bool | None = None
+        rejection: str | None = None
         with kernel_layer.active(backend):
             with telemetry.span("trial.solve"):
                 result = dispatch_solver(
-                    self._solver_factory(),
+                    self.solver_info.factory(),
                     instance,
                     self.solver_info.array_program,
                 )
-            verified: bool | None = None
             if self._verify:
                 verified = True
                 try:
                     with telemetry.span("trial.verify"):
                         self._check(instance, result, core_key)
-                except AssertionError:
+                except AssertionError as err:
                     verified = False
-        telemetry.incr("trials.run")
+                    rejection = str(err)
+        telemetry.incr("trials.executed")
         return TrialRecord(
             problem=self.problem_info.name,
             solver=self.solver_info.name,
@@ -422,6 +422,7 @@ class TrialBatch:
             verified=verified,
             wall_time=time.perf_counter() - start,
             extras=dict(result.extras),
+            rejection=rejection,
         )
 
 
@@ -460,7 +461,7 @@ class Runtime:
             return False
         return True
 
-    # -- the unified entry point ---------------------------------------
+    # -- the unified entry points (both are TrialBatch runs) ------------
 
     def run(
         self,
@@ -473,65 +474,10 @@ class Runtime:
         check_sound: bool = True,
         kernels: str = "auto",
     ) -> TrialRecord:
-        """Build, solve, verify; everything the trial produced in one record.
-
-        ``check_sound`` rejects combinations the registry does not vouch
-        for: the solver must target ``problem`` and declare soundness on
-        ``family``.  Pass ``False`` to probe unsound combinations (e.g.
-        corruption experiments) — the verifier still reports the truth.
-        ``kernels`` picks the implementation layer for solve+verify
-        (see :mod:`repro.kernels`); records are bit-identical across
-        backends, only ``wall_time`` differs.
-        """
-        problem_info = registry.problem(problem)
-        solver_info = registry.solver(solver)
-        family_info = registry.family(family)
-        if check_sound:
-            if solver_info.problem != problem_info.name:
-                raise ValueError(
-                    f"solver {solver!r} solves {solver_info.problem!r}, "
-                    f"not {problem!r}"
-                )
-            if not solver_info.sound_on(family_info.name):
-                raise ValueError(
-                    f"solver {solver!r} is not declared sound on family "
-                    f"{family!r} (sound on: {', '.join(solver_info.families)})"
-                )
-        kernel_layer.ensure_mode(kernels)
-        telemetry = get_telemetry()
-        start = time.perf_counter()
-        with telemetry.span("trial.build"):
-            instance = family_info.builder(n, seed)
-        backend = kernel_layer.select_backend(kernels, instance.graph)
-        telemetry.incr(f"kernels.{backend}_trials")
-        verified: bool | None = None
-        with kernel_layer.active(backend):
-            with telemetry.span("trial.solve"):
-                result = dispatch_solver(
-                    solver_info.factory(), instance, solver_info.array_program
-                )
-            if verify:
-                verified = True
-                try:
-                    with telemetry.span("trial.verify"):
-                        verifier_for(problem_info)(instance, result)
-                except AssertionError:
-                    verified = False
-        telemetry.incr("trials.run")
-        return TrialRecord(
-            problem=problem_info.name,
-            solver=solver_info.name,
-            family=family_info.name,
-            n=n,
-            actual_n=instance.graph.num_nodes,
-            seed=seed,
-            rounds=result.rounds,
-            node_radius=list(result.node_radius),
-            outputs=result.outputs,
-            verified=verified,
-            wall_time=time.perf_counter() - start,
-            extras=dict(result.extras),
-        )
+        """One trial: a :class:`TrialBatch` of one (see it for the flags)."""
+        return self.run_many(
+            problem, solver, family, (n,), (seed,), verify, check_sound, kernels
+        )[0]
 
     def run_many(
         self,
@@ -544,14 +490,12 @@ class Runtime:
         check_sound: bool = True,
         kernels: str = "auto",
     ) -> list[TrialRecord]:
-        """Batched :meth:`run` over the (ns x seeds) grid, n-major.
+        """One :class:`TrialBatch` over the (ns x seeds) grid, n-major.
 
-        The batch is the unit of scheduling: catalog lookups, soundness
-        checks, the solver factory, and the verifier closure are set up
-        once; families with seed-independent topology share one frozen
-        core (and one prepared verifier skeleton) across all seeds of a
-        size.  Records are bit-identical to calling :meth:`run` per
-        trial — only ``wall_time`` may differ.
+        Catalog lookups, soundness checks, and the verifier closure are
+        set up once; families with seed-independent topology share one
+        frozen core (and one prepared verifier skeleton) across all
+        seeds of a size.
         """
         batch = TrialBatch(
             problem,

@@ -121,8 +121,7 @@ class SolverInfo:
     description: str = ""
     #: Importable ``module:qualname`` of the factory when it is a
     #: module-level class/function, "" otherwise (e.g. lambdas).
-    #: Advisory — shown by ``describe``; specs always go through
-    #: :mod:`repro.runtime.entrypoints`.
+    #: Advisory — shown by ``describe``; specs name the solver itself.
     ref: str = ""
     #: Declared *negative* probe targets: families the solver runs on
     #: but whose outputs the verifier must REJECT (e.g. corruption

@@ -53,3 +53,51 @@ def simple_graphs(draw, max_nodes: int = 12):
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs))) if all_pairs else []
     return PortGraph.from_edge_list(n, chosen)
+
+
+# -- the un-amortized trial reference ----------------------------------------
+
+
+def reference_run(problem: str, solver: str, family: str, n: int, seed: int):
+    """One trial with no reuse at all: ``(instance, result, verified)``.
+
+    The family's full builder, a fresh solver object, and the plain
+    ``verifier_for`` check on the object backend — never a shared core
+    or a prepared verifier skeleton.  Every amortized path
+    (``Runtime.run_many``, chunked, sharded, and merged engine runs) is
+    held to what this produces.
+    """
+    from repro.runtime import registry
+    from repro.runtime.driver import dispatch_solver, verifier_for
+
+    instance = registry.family(family).builder(n, seed)
+    result = dispatch_solver(registry.solver(solver).factory(), instance)
+    try:
+        verifier_for(registry.problem(problem))(instance, result)
+    except AssertionError:
+        return instance, result, False
+    return instance, result, True
+
+
+def reference_record(trial) -> dict:
+    """The engine's JSON record for one ``TrialSpec``, via :func:`reference_run`."""
+    instance, result, verified = reference_run(
+        trial.problem, trial.solver, trial.generator, trial.n, trial.seed
+    )
+    assert verified, f"reference run of {trial} was rejected"
+    return {
+        "n": trial.n,
+        "actual_n": instance.graph.num_nodes,
+        "seed": trial.seed,
+        "rounds": result.rounds,
+        "extras": {
+            key: value
+            for key, value in result.extras.items()
+            if isinstance(value, (bool, int, float, str))
+        },
+    }
+
+
+def reference_records(spec) -> list[dict]:
+    """:func:`reference_record` over a spec's whole grid, in grid order."""
+    return [reference_record(trial) for trial in spec.trials()]

@@ -1,15 +1,18 @@
 """The batched trial pipeline's load-bearing property: equivalence.
 
 ``Runtime.run_many`` and chunked ``run_experiment`` may amortize
-whatever setup they like — entrypoint resolution, frozen topology,
-verifier skeletons — but the records they produce must be bit-identical
-to the per-trial serial path at every worker count and batch size.
+whatever setup they like — catalog lookups, frozen topology, verifier
+skeletons — but the records they produce must be bit-identical to the
+un-amortized reference (``tests.conftest.reference_run``) at every
+worker count and batch size.
 The suite pins that, plus the cache-discipline corners: seeded-topology
 families must never share a graph across seeds, and a warm cache must
 replay the batched run exactly.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -18,29 +21,18 @@ from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.runner import (
     auto_batch_size,
-    execute_trial,
     execute_trial_batch,
     run_experiment,
 )
 from repro.engine.spec import ExperimentSpec
 from repro.runtime import InstanceCache, Runtime, TrialBatch, registry
-from repro.runtime.entrypoints import (
-    family_ref,
-    parse_entrypoint,
-    solver_ref,
-    verifier_ref,
-)
+from tests.conftest import reference_records, reference_run
 
 
 def record_key(record):
     """Every TrialRecord field that must be bit-identical (not wall time)."""
     return (
-        record.problem,
-        record.solver,
-        record.family,
-        record.n,
         record.actual_n,
-        record.seed,
         record.rounds,
         tuple(record.node_radius),
         record.verified,
@@ -48,21 +40,10 @@ def record_key(record):
     )
 
 
-def registry_spec(name, solver, problem, family, ns, seeds):
-    return ExperimentSpec(
-        name=name,
-        solver=solver_ref(solver),
-        generator=family_ref(family),
-        verifier=verifier_ref(problem),
-        ns=ns,
-        seeds=seeds,
-    )
-
-
-PARITY_SPEC = registry_spec(
+PARITY_SPEC = ExperimentSpec(
     "test/degree-parity/parity@cycle",
-    "parity",
     "degree-parity",
+    "parity",
     "cycle",
     ns=(8, 12, 16),
     seeds=(0, 1, 2),
@@ -83,18 +64,23 @@ class TestRunManyEquivalence:
 
     @pytest.mark.parametrize("problem,solver,family,ns,seeds", GRIDS)
     def test_matches_per_trial_run(self, problem, solver, family, ns, seeds):
-        runtime = Runtime()
-        serial = [
-            runtime.run(problem, solver, family, n, seed)
-            for n in ns
-            for seed in seeds
+        batched = Runtime().run_many(problem, solver, family, ns, seeds)
+        grid = [(n, seed) for n in ns for seed in seeds]
+        assert [(r.problem, r.solver, r.family, r.n, r.seed) for r in batched] == [
+            (problem, solver, family, n, seed) for n, seed in grid
         ]
-        batched = runtime.run_many(problem, solver, family, ns, seeds)
-        assert [record_key(r) for r in serial] == [
-            record_key(r) for r in batched
-        ]
-        for a, b in zip(serial, batched):
-            assert a.outputs == b.outputs
+        for (n, seed), record in zip(grid, batched):
+            instance, result, verified = reference_run(
+                problem, solver, family, n, seed
+            )
+            assert record_key(record) == (
+                instance.graph.num_nodes,
+                result.rounds,
+                tuple(result.node_radius),
+                verified,
+                tuple(sorted(result.extras.items())),
+            )
+            assert record.outputs == result.outputs
 
     def test_unsound_combination_rejected_like_run(self):
         runtime = Runtime()
@@ -126,15 +112,6 @@ class TestInstanceCache:
         assert a.graph is not b.graph
         assert cache.bypassed == 2 and cache.built == 0 and cache.reused == 0
 
-    def test_params_bypass_reuse(self):
-        # Extra builder params parameterize the topology too, so a
-        # parameterized build must run the full builder every time.
-        cache = InstanceCache()
-        info = registry.family("cubic")
-        _, key = cache.build(info, 16, 0, params=None)
-        assert key is None
-        assert cache.bypassed == 1
-
     def test_batch_counts_reuse_on_topology_family(self):
         batch = TrialBatch("degree-parity", "parity", "cycle")
         for seed in range(4):
@@ -146,7 +123,26 @@ class TestInstanceCache:
         batch = TrialBatch("degree-parity", "parity", "cycle")
         for n in range(4, 24):  # more sizes than the core capacity
             batch.run_one(n, 0)
-        assert len(batch._prepared) <= batch.instances.capacity
+        # Skeletons are dropped with their cores.
+        assert set(batch.instances._prepared) <= set(batch.instances._cores)
+        assert len(batch.instances._cores) <= batch.instances.capacity
+
+    def test_prepared_verifiers_are_shared_per_core_and_problem(self):
+        instances = InstanceCache()
+        for solver in ("parity", "parity-sync"):
+            batch = TrialBatch(
+                "degree-parity", solver, "cycle", instances=instances
+            )
+            batch.run_one(8, 0)
+            batch.run_one(8, 1)
+        (skeletons,) = instances._prepared.values()
+        assert list(skeletons) == ["degree-parity"]
+        # A replaced core invalidates its skeleton.
+        prepared = skeletons["degree-parity"]
+        instances.adopt(("cycle", 8), registry.family("cycle").topology(8))
+        batch = TrialBatch("degree-parity", "parity", "cycle", instances=instances)
+        batch.run_one(8, 0)
+        assert instances._prepared[("cycle", 8)]["degree-parity"] is not prepared
 
     def test_batch_never_reuses_on_seeded_family(self):
         batch = TrialBatch("sinkless-orientation", "sinkless-det", "cubic")
@@ -172,7 +168,7 @@ class TestInstanceCache:
 
 class TestChunkedEngineEquivalence:
     def test_records_identical_across_workers_and_batch_sizes(self):
-        oracle = [execute_trial(trial) for trial in PARITY_SPEC.trials()]
+        oracle = reference_records(PARITY_SPEC)
         for workers, batch_size in [
             (1, 1), (1, 2), (1, 64), (2, 1), (2, 3), (2, None), (4, 2),
         ]:
@@ -183,30 +179,16 @@ class TestChunkedEngineEquivalence:
             assert report.computed == len(oracle)
 
     def test_seeded_topology_spec_identical(self):
-        spec = registry_spec(
+        spec = ExperimentSpec(
             "test/sinkless/sinkless-rand@cubic",
-            "sinkless-rand",
             "sinkless-orientation",
+            "sinkless-rand",
             "cubic",
             ns=(16, 32),
             seeds=(0, 1, 2),
         )
-        oracle = [execute_trial(trial) for trial in spec.trials()]
         report = run_experiment(spec, workers=2, batch_size=3)
-        assert report.records == oracle
-
-    def test_legacy_refs_take_the_bypass_path(self):
-        spec = ExperimentSpec(
-            name="test/legacy-refs",
-            solver="repro.problems:DeterministicSinklessSolver",
-            generator="repro.generators.hard:cubic_instance",
-            verifier="repro.engine.experiments:verify_sinkless",
-            ns=(16, 32),
-            seeds=(0, 1),
-        )
-        oracle = [execute_trial(trial) for trial in spec.trials()]
-        report = run_experiment(spec, workers=2, batch_size=2)
-        assert report.records == oracle
+        assert report.records == reference_records(spec)
 
     def test_chunks_never_span_two_sizes(self):
         report = run_experiment(PARITY_SPEC, workers=1, batch_size=64)
@@ -216,18 +198,20 @@ class TestChunkedEngineEquivalence:
 
     def test_batch_verifier_failure_still_raises(self):
         spec = ExperimentSpec(
-            name="test/batched-bad-verify",
-            solver=solver_ref("parity"),
-            generator=family_ref("cycle"),
-            verifier="tests.test_batched_engine:_always_fail",
-            ns=(8,),
+            "test/gadget-prover@corrupt-color-clash",
+            "gadget-proof",
+            "gadget-prover",
+            "corrupt-color-clash",
+            ns=(4,),
             seeds=(0, 1),
         )
-        with pytest.raises(AssertionError, match="nope"):
+        with pytest.raises(
+            AssertionError, match=r"prover flagged a valid gadget \(n=4, seed=0\)"
+        ):
             run_experiment(spec, workers=1, batch_size=2)
 
     def test_mixed_ref_batches_rejected(self):
-        trials = PARITY_SPEC.trials()[:1] + registry_spec(
+        trials = PARITY_SPEC.trials()[:1] + ExperimentSpec(
             "test/other", "constant", "constant", "cycle", (8,), (0,)
         ).trials()
         with pytest.raises(ValueError, match="must share"):
@@ -275,7 +259,7 @@ class TestCacheWarmReplay:
         assert warm.cache_hits == warm.trials_total
 
     def test_warm_replay_does_not_materialize_a_solver(self, tmp_path, monkeypatch):
-        spec = registry_spec(
+        spec = ExperimentSpec(
             "test/constant@cycle-lazy-name",
             "constant",
             "constant",
@@ -306,14 +290,7 @@ class TestStreaming:
 
     def test_on_record_fires_for_cache_hits_and_computed(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        narrower = registry_spec(
-            "test/degree-parity/parity@cycle",
-            "parity",
-            "degree-parity",
-            "cycle",
-            ns=(8, 12),
-            seeds=(0, 1, 2),
-        )
+        narrower = dataclasses.replace(PARITY_SPEC, ns=(8, 12))
         run_experiment(narrower, workers=1, cache=TrialCache(cache_dir))
         seen = []
         report = run_experiment(
@@ -350,9 +327,7 @@ class TestAutoBatchSize:
 
 class TestBestPerCellLandscape:
     def _report(self, name, points):
-        spec = ExperimentSpec(
-            name=name, solver="m:s", generator="m:g", ns=(64,), seeds=(0,)
-        )
+        spec = ExperimentSpec(name, "p", "s", "g", ns=(64,), seeds=(0,))
         sweep = Sweep(solver_name=name, points=points)
         return type("FakeReport", (), {"spec": spec, "sweep": sweep})()
 
@@ -442,23 +417,7 @@ class TestCli:
         assert "--batch-size" in capsys.readouterr().err
 
 
-def _always_fail(instance, result):
-    raise AssertionError("nope")
-
-
-class TestEntrypointParsing:
-    def test_roundtrip(self):
-        assert parse_entrypoint(solver_ref("parity")) == ("solver", "parity")
-        assert parse_entrypoint(family_ref("cycle")) == ("family", "cycle")
-        assert parse_entrypoint(verifier_ref("constant")) == (
-            "verifier",
-            "constant",
-        )
-
-    def test_foreign_refs_are_none(self):
-        assert parse_entrypoint("repro.generators.hard:cubic_instance") is None
-        assert parse_entrypoint("repro.runtime.entrypoints:nonsense") is None
-
+class TestDisplayNames:
     def test_display_names(self):
         assert registry.solver_display_name("constant") == "constant"
         # Lambda factory: materialized once, then memoized.

@@ -6,12 +6,13 @@ The three load-bearing properties:
   bit-identical sweep points at any worker count;
 * caching — a second run of the same spec computes nothing and
   replays every trial from disk;
-* compatibility — the legacy ``run_sweep`` shim reports exactly what
-  the engine reports.
+* compatibility — ``run_sweep`` over live solver objects reports
+  exactly what the engine reports for the registered equivalents.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -24,23 +25,34 @@ from repro.engine import (
     TrialCache,
     TrialSpec,
     build_experiment,
-    execute_trial,
+    execute_trial_batch,
     grid,
-    resolve_ref,
     run_experiment,
     run_tasks,
 )
 from repro.engine.cli import main as engine_main
 from repro.generators.hard import cubic_instance
 from repro.problems import DeterministicSinklessSolver
+from tests.conftest import reference_record
 
 SPEC = ExperimentSpec(
     name="test/sinkless-det",
-    solver="repro.problems:DeterministicSinklessSolver",
-    generator="repro.generators.hard:cubic_instance",
-    verifier="repro.engine.experiments:verify_sinkless",
+    problem="sinkless-orientation",
+    solver="sinkless-det",
+    generator="cubic",
     ns=(16, 32, 64),
     seeds=(0, 1),
+)
+
+#: The declared-unsound probe: the Lemma 10 prover on a corrupted
+#: gadget, whose output the verifier must reject.
+REJECTED_SPEC = ExperimentSpec(
+    name="test/gadget-prover@corrupt-color-clash",
+    problem="gadget-proof",
+    solver="gadget-prover",
+    generator="corrupt-color-clash",
+    ns=(4,),
+    seeds=(0,),
 )
 
 
@@ -57,14 +69,7 @@ class TestSpec:
         assert len(set(keys)) == len(keys)
 
     def test_key_ignores_display_name(self):
-        renamed = ExperimentSpec(
-            name="other-name",
-            solver=SPEC.solver,
-            generator=SPEC.generator,
-            verifier=SPEC.verifier,
-            ns=SPEC.ns,
-            seeds=SPEC.seeds,
-        )
+        renamed = dataclasses.replace(SPEC, name="other-name")
         assert [t.key() for t in renamed.trials()] == [
             t.key() for t in SPEC.trials()
         ]
@@ -72,16 +77,14 @@ class TestSpec:
     def test_key_depends_on_every_field(self):
         base = SPEC.trials()[0]
         variants = [
-            TrialSpec(base.solver, base.generator, base.verifier, 17, base.seed),
-            TrialSpec(base.solver, base.generator, base.verifier, base.n, 9),
-            TrialSpec("m:other", base.generator, base.verifier, base.n, base.seed),
-            TrialSpec(
-                base.solver, base.generator, base.verifier,
-                base.n, base.seed, (("k", 1),),
-            ),
+            dataclasses.replace(base, problem="other"),
+            dataclasses.replace(base, solver="other"),
+            dataclasses.replace(base, generator="other"),
+            dataclasses.replace(base, n=17),
+            dataclasses.replace(base, seed=9),
         ]
         keys = {base.key()} | {v.key() for v in variants}
-        assert len(keys) == 5
+        assert len(keys) == 6
 
     def test_payload_roundtrip(self):
         trial = SPEC.trials()[3]
@@ -89,14 +92,9 @@ class TestSpec:
 
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentSpec("e", "m:s", "m:g", ns=(), seeds=(0,))
+            ExperimentSpec("e", "p", "s", "g", ns=(), seeds=(0,))
         with pytest.raises(ValueError):
-            ExperimentSpec("e", "m:s", "m:g", ns=(8,), seeds=())
-
-    def test_resolve_ref(self):
-        assert resolve_ref("repro.generators.hard:cubic_instance") is cubic_instance
-        with pytest.raises(ValueError):
-            resolve_ref("no-colon")
+            ExperimentSpec("e", "p", "s", "g", ns=(8,), seeds=())
 
     def test_grid_helper(self):
         assert grid(64, 512) == (64, 128, 256, 512)
@@ -111,15 +109,13 @@ class TestDeterminism:
 
     def test_execute_trial_reproducible(self):
         trial = SPEC.trials()[-1]
-        assert execute_trial(trial) == execute_trial(trial)
+        assert execute_trial_batch([trial]) == execute_trial_batch([trial])
+        assert execute_trial_batch([trial]) == [reference_record(trial)]
 
     def test_randomized_solver_deterministic_across_workers(self):
-        spec = ExperimentSpec(
-            name="test/sinkless-rand",
-            solver="repro.problems:RandomizedSinklessSolver",
-            generator="repro.generators.hard:cubic_instance",
-            ns=(32, 64),
-            seeds=(0, 1, 2),
+        spec = dataclasses.replace(
+            SPEC, name="test/sinkless-rand", solver="sinkless-rand",
+            ns=(32, 64), seeds=(0, 1, 2),
         )
         assert run_experiment(spec, workers=1).sweep == run_experiment(
             spec, workers=3
@@ -142,14 +138,7 @@ class TestCache:
     def test_partial_overlap_computes_only_delta(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         run_experiment(SPEC, cache=TrialCache(cache_dir))
-        wider = ExperimentSpec(
-            name=SPEC.name,
-            solver=SPEC.solver,
-            generator=SPEC.generator,
-            verifier=SPEC.verifier,
-            ns=SPEC.ns + (128,),
-            seeds=SPEC.seeds,
-        )
+        wider = dataclasses.replace(SPEC, ns=SPEC.ns + (128,))
         report = run_experiment(wider, cache=TrialCache(cache_dir))
         assert report.cache_hits == 6
         assert report.computed == 2
@@ -178,20 +167,10 @@ class TestCache:
         assert warm.cache_hits == warm.trials_total
 
     def test_verifier_runs_on_computed_trials(self, tmp_path):
-        bad = ExperimentSpec(
-            name="test/bad-verify",
-            solver=SPEC.solver,
-            generator=SPEC.generator,
-            verifier="tests.test_engine:_always_fail",
-            ns=(16,),
-            seeds=(0,),
-        )
-        with pytest.raises(AssertionError, match="nope"):
-            run_experiment(bad, workers=1)
-
-
-def _always_fail(instance, result):
-    raise AssertionError("nope")
+        with pytest.raises(
+            AssertionError, match=r"prover flagged a valid gadget \(n=4, seed=0\)"
+        ):
+            run_experiment(REJECTED_SPEC, workers=1)
 
 
 class TestPool:
@@ -216,14 +195,7 @@ class TestSweepShim:
             DeterministicSinklessSolver(), cubic_instance, [16, 32], seeds=(0, 1)
         )
         engine_sweep = run_experiment(
-            ExperimentSpec(
-                name="shim-check",
-                solver="repro.problems:DeterministicSinklessSolver",
-                generator="repro.generators.hard:cubic_instance",
-                ns=(16, 32),
-                seeds=(0, 1),
-            ),
-            workers=4,
+            dataclasses.replace(SPEC, name="shim-check", ns=(16, 32)), workers=4
         ).sweep
         assert sweep.points == engine_sweep.points
 

@@ -44,24 +44,12 @@ from repro.obs import (
     read_heartbeat,
     write_heartbeat,
 )
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 
-def registry_spec(name, solver, problem, family, ns, seeds):
-    return ExperimentSpec(
-        name=name,
-        solver=solver_ref(solver),
-        generator=family_ref(family),
-        verifier=verifier_ref(problem),
-        ns=ns,
-        seeds=seeds,
-    )
-
-
-PARITY_SPEC = registry_spec(
+PARITY_SPEC = ExperimentSpec(
     "test/degree-parity/parity@cycle",
-    "parity",
     "degree-parity",
+    "parity",
     "cycle",
     ns=(8, 12, 16),
     seeds=(0, 1, 2),
@@ -271,10 +259,10 @@ class TestLeaseBoard:
 
     def test_fabric_key_tracks_plan_identity(self, tmp_path):
         _, plans_a = write_plan(tmp_path, 2, name="a.json")
-        other = registry_spec(
+        other = ExperimentSpec(
             "test/degree-parity/parity@cycle",
-            "parity",
             "degree-parity",
+            "parity",
             "cycle",
             ns=(8, 12, 16),
             seeds=(0, 1),
@@ -494,10 +482,10 @@ class TestFabricChaos:
 
     def test_refuses_a_foreign_work_dir(self, tmp_path):
         plan_path, _plans = write_plan(tmp_path, 2, name="a.json")
-        other = registry_spec(
+        other = ExperimentSpec(
             "test/degree-parity/parity@cycle",
-            "parity",
             "degree-parity",
+            "parity",
             "cycle",
             ns=(8,),
             seeds=(0,),
@@ -611,12 +599,13 @@ class TestCliErrorHygiene:
     def test_run_shard_runtime_failure_exits_3_with_shard_attribution(
         self, tmp_path, capsys
     ):
+        # The declared-unsound probe: the verifier rejects its output.
         failing = ExperimentSpec(
-            name="test/fabric-fail",
-            solver=solver_ref("parity"),
-            generator=family_ref("cycle"),
-            verifier="tests.test_fabric:_always_fail",
-            ns=(8,),
+            "test/fabric-fail",
+            "gadget-proof",
+            "gadget-prover",
+            "corrupt-color-clash",
+            ns=(4,),
             seeds=(0,),
         )
         plan_path, _plans = write_plan(tmp_path, 1, spec=failing)
@@ -634,7 +623,7 @@ class TestCliErrorHygiene:
         error = payload["error"]
         assert error["shard"] == 0
         assert error["cause"] == "AssertionError"
-        assert "nope" in error["message"]
+        assert "prover flagged a valid gadget (n=4, seed=0)" in error["message"]
 
     def test_merge_missing_cache_is_structured(self, tmp_path, capsys):
         plan_path, _plans = write_plan(tmp_path, 2)
@@ -670,10 +659,6 @@ class TestCliErrorHygiene:
         out = capsys.readouterr().out
         assert "heartbeats in" in out
         assert "3/5" in out
-
-
-def _always_fail(instance, result):
-    raise AssertionError("nope")
 
 
 class TestShardHeartbeatAndInjectFlags:

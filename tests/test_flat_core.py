@@ -294,8 +294,9 @@ class TestVectorKernelsDifferential:
     @settings(max_examples=20, deadline=None)
     def test_engine_delivery_matches_object_backend(self, graph: PortGraph):
         # _FloodNode ships an array twin, so under the vector backend it
-        # takes the batched path; _PlainFlood suppresses the twin and
-        # keeps the object loop's DeliveryPlan covered on the same runs.
+        # takes the batched path; _PlainFlood suppresses the twin, so the
+        # object round loop runs under the vector backend on the same
+        # graphs and must agree with both.
         class _PlainFlood(_FloodNode):
             array_program = None
 

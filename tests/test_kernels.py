@@ -9,6 +9,7 @@ the vector backend only buys time, never different answers.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import json
 import logging
@@ -31,7 +32,6 @@ from repro.lcl import Labeling, verify
 from repro.lcl.verifier import PreparedVerifier
 from repro.runtime import registry
 from repro.runtime.driver import InstanceCache, Runtime
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 from tests.conftest import multigraphs
 
 needs_numpy = pytest.mark.skipif(
@@ -39,21 +39,10 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
-def _registry_spec(name, solver, problem, family, ns, seeds):
-    return ExperimentSpec(
-        name=name,
-        solver=solver_ref(solver),
-        generator=family_ref(family),
-        verifier=verifier_ref(problem),
-        ns=ns,
-        seeds=seeds,
-    )
-
-
-PARITY_SPEC = _registry_spec(
+PARITY_SPEC = ExperimentSpec(
     "kernels/degree-parity/parity@cycle",
-    "parity",
     "degree-parity",
+    "parity",
     "cycle",
     ns=(8, 16),
     seeds=(0, 1),
@@ -359,19 +348,19 @@ class TestKernelsRecordParity:
 # -- batched array programs vs the object round loop --------------------------
 
 
-ARRAY_PARITY_SPEC = _registry_spec(
+ARRAY_PARITY_SPEC = ExperimentSpec(
     "kernels/degree-parity/parity-sync@cycle",
-    "parity-sync",
     "degree-parity",
+    "parity-sync",
     "cycle",
     ns=(8, 16),
     seeds=(0, 1),
 )
 
-LINIAL_SPEC = _registry_spec(
+LINIAL_SPEC = ExperimentSpec(
     "kernels/4-coloring/linial@cubic",
-    "linial-4-coloring",
     "4-coloring",
+    "linial-4-coloring",
     "cubic",
     ns=(32, 64),
     seeds=(0, 1),
@@ -473,6 +462,27 @@ class TestArrayProgramRecordParity:
         ]
         merged = merge_shard_reports(reports)
         assert _record_keys(merged) == _record_keys(oracle)
+
+    @needs_numpy
+    def test_engine_runs_the_registered_array_twin(self, monkeypatch):
+        # parity-sync's twin is registered with the solver rather than
+        # carried by its node factory, so only an executor that passes
+        # the registry's array_program batches it under the vector
+        # backend.
+        from repro.kernels import engine as kernel_engine
+
+        calls = []
+        original = kernel_engine.run_array_program
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].graph.num_nodes)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_engine, "run_array_program", counted)
+        spec = dataclasses.replace(ARRAY_PARITY_SPEC, ns=(256, 512), seeds=(0,))
+        report = run_experiment(spec, workers=1, kernels="vector")
+        assert calls == [256, 512]
+        assert report.records == run_experiment(spec, kernels="object").records
 
     @needs_numpy
     def test_round_telemetry_splits_by_path(self):

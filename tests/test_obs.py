@@ -41,7 +41,6 @@ from repro.obs import (
     merge_snapshots,
     set_enabled,
 )
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 
 @pytest.fixture(autouse=True)
@@ -57,21 +56,10 @@ def clean_telemetry():
     telemetry.reset()
 
 
-def registry_spec(name, solver, problem, family, ns, seeds):
-    return ExperimentSpec(
-        name=name,
-        solver=solver_ref(solver),
-        generator=family_ref(family),
-        verifier=verifier_ref(problem),
-        ns=ns,
-        seeds=seeds,
-    )
-
-
-PARITY_SPEC = registry_spec(
+PARITY_SPEC = ExperimentSpec(
     "obs/degree-parity/parity@cycle",
-    "parity",
     "degree-parity",
+    "parity",
     "cycle",
     ns=(8, 12, 16),
     seeds=(0, 1),

@@ -39,24 +39,12 @@ from repro.engine.shard import dump_plan_file
 from repro.engine.spec import ExperimentSpec
 from repro.generators import cycle
 from repro.kernels import shm
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 
-def registry_spec(name, solver, problem, family, ns, seeds):
-    return ExperimentSpec(
-        name=name,
-        solver=solver_ref(solver),
-        generator=family_ref(family),
-        verifier=verifier_ref(problem),
-        ns=ns,
-        seeds=seeds,
-    )
-
-
-PARITY_SPEC = registry_spec(
+PARITY_SPEC = ExperimentSpec(
     "test/degree-parity/parity@cycle",
-    "parity",
     "degree-parity",
+    "parity",
     "cycle",
     ns=(8, 12, 16),
     seeds=(0, 1, 2),

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.spec import resolve_ref
 from repro.runtime import Runtime, registry
 from repro.runtime.driver import dispatch_solver
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
 
 RUNTIME = Runtime()
 TRIPLES = registry.sound_triples()
@@ -59,15 +57,6 @@ class TestCatalogs:
             registry.register_family("cubic", description="something else")(
                 lambda n, seed: None
             )
-
-    def test_entrypoint_refs_resolve(self):
-        """Every registry name round-trips through spec references."""
-        for name, info in registry.solvers().items():
-            assert resolve_ref(solver_ref(name)) is info.factory
-        for name, info in registry.families().items():
-            assert resolve_ref(family_ref(name)) is info.builder
-        for name in registry.problems():
-            assert callable(resolve_ref(verifier_ref(name)))
 
 
 class TestConformance:
@@ -177,7 +166,7 @@ class TestAdapter:
 
 class TestEngineIntegration:
     def test_landscape_is_the_full_cross_product(self):
-        """One spec per sound triple that fits the budget, by reference."""
+        """One spec per sound triple that fits the budget, by name."""
         from repro.engine.experiments import build_experiment
 
         specs = build_experiment("landscape", max_n=128)
@@ -189,9 +178,9 @@ class TestEngineIntegration:
         }
         assert named == expected
         for spec in specs:
-            assert spec.solver.startswith("repro.runtime.entrypoints:solver__")
-            assert spec.generator.startswith("repro.runtime.entrypoints:family__")
-            assert spec.verifier.startswith("repro.runtime.entrypoints:verifier__")
+            assert spec.name == (
+                f"landscape/{spec.problem}/{spec.solver}@{spec.generator}"
+            )
 
     def test_registry_spec_runs_through_engine(self):
         """A registry-generated spec executes on the engine runner."""

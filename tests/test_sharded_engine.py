@@ -22,7 +22,6 @@ from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.experiments import build_experiment
 from repro.engine.runner import (
-    execute_trial,
     iter_records,
     merge_shard_reports,
     plan_experiment,
@@ -36,24 +35,13 @@ from repro.engine.shard import (
     load_plan_file,
 )
 from repro.engine.spec import ExperimentSpec
-from repro.runtime.entrypoints import family_ref, solver_ref, verifier_ref
+from tests.conftest import reference_records
 
 
-def registry_spec(name, solver, problem, family, ns, seeds):
-    return ExperimentSpec(
-        name=name,
-        solver=solver_ref(solver),
-        generator=family_ref(family),
-        verifier=verifier_ref(problem),
-        ns=ns,
-        seeds=seeds,
-    )
-
-
-PARITY_SPEC = registry_spec(
+PARITY_SPEC = ExperimentSpec(
     "test/degree-parity/parity@cycle",
-    "parity",
     "degree-parity",
+    "parity",
     "cycle",
     ns=(8, 12, 16),
     seeds=(0, 1, 2),
@@ -145,7 +133,7 @@ class TestShardedEquivalence:
     def test_merged_shards_match_the_per_trial_oracle(
         self, num_shards, tmp_path
     ):
-        oracle = [execute_trial(t) for t in PARITY_SPEC.trials()]
+        oracle = reference_records(PARITY_SPEC)
         plan = plan_experiment(
             PARITY_SPEC, num_shards=num_shards, batch_size=2
         )
@@ -168,7 +156,7 @@ class TestShardedEquivalence:
     def test_remote_host_needs_only_the_manifest(self, tmp_path):
         # Simulate shipping: serialize each manifest to JSON, "receive"
         # it, run from the deserialized copy alone.
-        oracle = [execute_trial(t) for t in PARITY_SPEC.trials()]
+        oracle = reference_records(PARITY_SPEC)
         plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
         reports = []
         for manifest in plan.manifests():
@@ -190,10 +178,10 @@ class TestShardedEquivalence:
         # After a partial merge the misses can interleave with hits
         # inside one size; the dispatch must pack the missing subset
         # like the pre-shard runner, not ship one chunk per remnant.
-        spec = registry_spec(
+        spec = ExperimentSpec(
             "test/degree-parity/parity@cycle-scattered",
-            "parity",
             "degree-parity",
+            "parity",
             "cycle",
             ns=(8,),
             seeds=tuple(range(8)),
@@ -475,10 +463,10 @@ class TestIterRecords:
 
     def test_mixes_cache_hits_and_computed(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        narrower = registry_spec(
+        narrower = ExperimentSpec(
             "test/degree-parity/parity@cycle",
-            "parity",
             "degree-parity",
+            "parity",
             "cycle",
             ns=(8, 12),
             seeds=(0, 1, 2),
@@ -502,16 +490,16 @@ class TestIterRecords:
         # 16 sizes x 2 seeds: the full grid auto-sizes to 8-trial
         # chunks on one worker, but after warming all but the last
         # size, the 2-trial remainder must be sized for itself.
-        wide = registry_spec(
+        wide = ExperimentSpec(
             "test/degree-parity/parity@cycle-wide",
-            "parity",
             "degree-parity",
+            "parity",
             "cycle",
             ns=tuple(range(4, 20)),
             seeds=(0, 1),
         )
-        narrower = registry_spec(
-            wide.name, "parity", "degree-parity", "cycle",
+        narrower = ExperimentSpec(
+            wide.name, "degree-parity", "parity", "cycle",
             ns=wide.ns[:-1], seeds=wide.seeds,
         )
         cache_dir = str(tmp_path / "cache")
@@ -524,20 +512,17 @@ class TestIterRecords:
         assert warm.batch_size == 2  # sized for the remainder, not the grid
 
     def test_propagates_failures(self):
+        # The declared-unsound probe: the verifier rejects its output.
         bad = ExperimentSpec(
-            name="test/iter-bad-verify",
-            solver=solver_ref("parity"),
-            generator=family_ref("cycle"),
-            verifier="tests.test_sharded_engine:_always_fail",
-            ns=(8,),
+            "test/iter-bad-verify",
+            "gadget-proof",
+            "gadget-prover",
+            "corrupt-color-clash",
+            ns=(4,),
             seeds=(0,),
         )
-        with pytest.raises(AssertionError, match="nope"):
+        with pytest.raises(AssertionError, match="prover flagged a valid gadget"):
             list(iter_records(bad))
-
-
-def _always_fail(instance, result):
-    raise AssertionError("nope")
 
 
 class TestCli:
