@@ -26,12 +26,12 @@ and event JSONL for offline analysis; ``stats`` renders the
 phase/counter breakdown a ``--json`` report carries, and ``cache
 --status`` the trial cache's counters.
 
-The bare legacy form (``python -m repro.engine --experiment ...``) is
-still accepted and means ``run``.  ``run`` prints one table per spec
-(the same renderer the benchmark suite feeds into
-``benchmarks/conftest.report``) plus cache/parallelism accounting, and
-optionally writes the full JSON report; ``list``/``describe`` read the
-runtime registry's catalogs.
+A flag shared by several subcommands means the same in each:
+``--json -`` is stdout, and count flags reject values below 1.
+``run`` prints one table per spec (the same renderer the benchmark
+suite feeds into ``benchmarks/conftest.report``) plus
+cache/parallelism accounting, and optionally writes the full JSON
+report; ``list``/``describe`` read the runtime registry's catalogs.
 
 The shard flow needs no scheduler integration: ``plan`` writes one
 JSON file fixing the chunk/shard partition for every spec of an
@@ -44,11 +44,14 @@ shards itself as supervised subprocesses, with leases, heartbeat
 liveness, retry with backoff, and graceful degradation (exit 4 plus a
 gap manifest when shards exhaust their attempts).
 
-Failure hygiene: ``run-shard``/``merge``/``fabric`` failures print one
-structured line (command, experiment, shard, cause) to stderr — never
-a bare traceback — and ``--json-errors`` switches that line to a JSON
-object for supervising processes.  Exit codes: 0 success, 2 bad
-invocation/setup, 3 runtime failure, 4 degraded fabric.  ``run-shard
+Failure hygiene: every subcommand reports a setup failure (a missing
+plan or cache root, a bad shard index, an unknown name) as one
+structured line (command, experiment, shard, cause) on stderr, and
+``run-shard``/``merge``/``fabric`` report runtime failures the same
+way — never a bare traceback.  ``--json-errors`` switches that line to
+a JSON object for supervising processes.  Usage errors are argparse's
+own message.  Exit codes: 0 success, 2 bad invocation/setup, 3
+runtime failure, 4 degraded fabric or merge.  ``run-shard
 --heartbeat PATH`` publishes the :mod:`repro.obs.heartbeat` progress
 file the fabric watches, ``--inject SPEC`` arms the
 :mod:`repro.engine.faults` chaos harness, and ``status --heartbeats
@@ -95,6 +98,7 @@ from repro.engine.shard import (
     coverage_gaps,
     dump_plan_file,
     load_plan_file,
+    shard_coverage,
 )
 from repro.obs import (
     HeartbeatEmitter,
@@ -122,14 +126,11 @@ def _setup_logging(args: argparse.Namespace) -> None:
     only.  Embedding callers configure the same loggers themselves and
     never go through here.
     """
-    quiet = getattr(args, "quiet", False)
-    verbose = getattr(args, "verbose", 0)
-    progress = getattr(args, "progress", False)
-    if quiet:
+    if args.quiet:
         level = logging.ERROR
-    elif verbose >= 2:
+    elif args.verbose >= 2:
         level = logging.DEBUG
-    elif verbose or progress:
+    elif args.verbose or getattr(args, "progress", False):
         level = logging.INFO
     else:
         level = logging.WARNING
@@ -143,12 +144,11 @@ def _setup_logging(args: argparse.Namespace) -> None:
 
 def _attach_trace(args: argparse.Namespace) -> TraceSink | None:
     """Open ``--trace PATH`` and attach it to the default telemetry."""
-    path = getattr(args, "trace", None)
-    if not path:
+    if not args.trace:
         return None
-    sink = TraceSink(path)
+    sink = TraceSink(args.trace)
     get_telemetry().attach_sink(sink)
-    _LOG.info("streaming span/event trace to %s", path)
+    _LOG.info("streaming span/event trace to %s", args.trace)
     return sink
 
 
@@ -160,7 +160,6 @@ def _detach_trace(sink: TraceSink | None) -> None:
 
 def _emit_error(
     args: argparse.Namespace,
-    command: str,
     err: BaseException,
     code: int,
     experiment: str | None = None,
@@ -173,28 +172,24 @@ def _emit_error(
     fabric launcher parses out of a failed shard's log to attribute the
     failure.  Never a traceback on this path — ``-vv`` logs one.
     """
+    _LOG.debug("%s failed", args.command, exc_info=True)
     cause = type(err).__name__
     message = str(err) or cause
-    _LOG.debug("%s failed", command, exc_info=True)
+    fields = {
+        key: value
+        for key, value in (
+            ("command", args.command),
+            ("experiment", experiment),
+            ("shard", shard),
+            ("cause", cause),
+        )
+        if value is not None
+    }
     if getattr(args, "json_errors", False):
-        payload: dict[str, object] = {
-            "command": command,
-            "cause": cause,
-            "message": message,
-        }
-        if experiment is not None:
-            payload["experiment"] = experiment
-        if shard is not None:
-            payload["shard"] = shard
-        payload["exit_code"] = code
+        payload = {**fields, "message": message, "exit_code": code}
         print(json.dumps({"error": payload}, sort_keys=True), file=sys.stderr)
     else:
-        parts = [f"command={command}"]
-        if experiment is not None:
-            parts.append(f"experiment={experiment}")
-        if shard is not None:
-            parts.append(f"shard={shard}")
-        parts.append(f"cause={cause}")
+        parts = [f"{key}={value}" for key, value in fields.items()]
         parts.append(f"message={message!r}")
         print("error: " + " ".join(parts), file=sys.stderr)
     return code
@@ -366,48 +361,93 @@ def format_description(name: str) -> str:
 # -- argument parsing --------------------------------------------------
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _positive_int(text: str) -> int:
+    """The argparse type of every count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
+    # Every flag more than one subcommand takes is defined once, as a
+    # parent parser the subcommands list by name, so a shared flag has
+    # one type, default, and help text wherever it appears.
+    shared: dict[str, argparse.ArgumentParser] = {}
+
+    def parent(name: str) -> argparse.ArgumentParser:
+        shared[name] = argparse.ArgumentParser(add_help=False)
+        return shared[name]
+
+    grid = parent("grid")
+    grid.add_argument(
         "--experiment",
         required=True,
         choices=sorted(EXPERIMENTS),
-        help="named experiment to run",
+        help="named experiment",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=default_workers(),
-        help="worker processes (1 = serial; default: CPU count capped at 8)",
-    )
-    parser.add_argument(
+    grid.add_argument(
         "--max-n",
-        type=int,
-        default=None,
+        type=_positive_int,
         help="upper bound of the size grid (experiment default otherwise)",
     )
-    parser.add_argument(
+    grid.add_argument(
         "--seeds",
-        type=int,
-        default=None,
+        type=_positive_int,
         metavar="COUNT",
         help="number of seeds per point (experiment default otherwise)",
     )
-    parser.add_argument(
+    grid.add_argument(
         "--batch-size",
-        type=int,
-        default=None,
+        type=_positive_int,
         metavar="COUNT",
         help=(
-            "trials per worker dispatch chunk (default: auto — covers a "
-            "full seed group, ~4 chunks per worker)"
+            "trials per dispatch chunk (default: auto — covers a full seed "
+            "group; `plan` sizes it independently of the host)"
         ),
     )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="render per-trial progress on stderr as chunks complete",
+    parent("plan").add_argument(
+        "--plan", required=True, metavar="PATH", help="plan file from `plan`"
     )
-    parser.add_argument(
+    parent("workers").add_argument(
+        "--workers",
+        type=_positive_int,
+        default=default_workers(),
+        help="worker processes (1 = serial; default: CPU count capped at 8)",
+    )
+    parent("cache-dir").add_argument(
+        "--cache-dir",
+        default=DEFAULT_CACHE_DIR,
+        metavar="DIR",
+        help=f"trial cache root (default: {DEFAULT_CACHE_DIR})",
+    )
+    parent("from").add_argument(
+        "--from",
+        dest="sources",
+        nargs="*",
+        default=[],
+        metavar="ROOT",
+        help=(
+            "shard cache roots not yet merged, e.g. the --cache-out roots "
+            "of shards: `merge` unions them into --cache-dir, `status` "
+            "counts them as present"
+        ),
+    )
+    parent("compact").add_argument(
+        "--compact",
+        action="store_true",
+        help=(
+            "rewrite the cache root's shard files keeping only the last "
+            "record per key (`merge`: after merging; run only while no "
+            "other writer uses the root)"
+        ),
+    )
+    parent("kernels").add_argument(
         "--kernels",
         choices=("auto", "vector", "object"),
         default="auto",
@@ -417,105 +457,84 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
             "instances when numpy is importable"
         ),
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"trial cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
+    parent("progress").add_argument(
+        "--progress",
         action="store_true",
-        help="recompute every trial; do not read or write the cache",
+        help="render per-trial progress on stderr as chunks complete",
     )
-    parser.add_argument(
+    parent("json").add_argument(
         "--json",
-        default=None,
         metavar="PATH",
-        help="also write the report as JSON to PATH ('-' for stdout)",
+        help="also write the result as JSON to PATH ('-' for stdout)",
     )
-    parser.add_argument(
+    parent("trace").add_argument(
         "--trace",
-        default=None,
         metavar="PATH",
         help="stream span/event telemetry as JSONL to PATH (off by default)",
     )
-
-
-def _sub_parser(common: argparse.ArgumentParser):
-    """A subparser class that carries the shared -v/-q flags."""
-
-    class _Sub(argparse.ArgumentParser):
-        def __init__(self, **kwargs):
-            parents = list(kwargs.pop("parents", []))
-            parents.append(common)
-            super().__init__(parents=parents, **kwargs)
-
-    return _Sub
-
-
-def _verbosity_parent() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    parent("json-errors").add_argument(
+        "--json-errors",
+        action="store_true",
+        help="emit failures as one JSON object on stderr instead of a text line",
+    )
+    parent("inject").add_argument(
+        "--inject",
+        action="append",
+        metavar="SPEC",
+        help=(
+            "arm fault injection, e.g. 'kill@1:at=3' or "
+            "'net-truncate@0:attempts=1' (repeatable; `run-shard` also "
+            f"reads ${ENV_FAULTS}); for chaos tests only"
+        ),
+    )
+    verbosity = parent("verbosity")
+    verbosity.add_argument(
         "-v",
         "--verbose",
         action="count",
         default=0,
         help="log INFO from the repro loggers to stderr (-vv for DEBUG)",
     )
-    common.add_argument(
+    verbosity.add_argument(
         "-q",
         "--quiet",
         action="store_true",
         help="errors only: silence logs and progress rendering",
     )
-    return common
 
-
-def _parser() -> argparse.ArgumentParser:
-    common = _verbosity_parent()
     parser = argparse.ArgumentParser(
         prog="python -m repro.engine",
         description="parallel, cached, shardable experiment runs",
     )
-    subparsers = parser.add_subparsers(dest="command", parser_class=_sub_parser(common))
-    run = subparsers.add_parser("run", help="run a named experiment")
-    _add_run_arguments(run)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    plan = subparsers.add_parser(
-        "plan", help="write a deterministic sharded execution plan"
+    def command(name: str, handler, flags: str = "", **kwargs):
+        parents = [shared[flag] for flag in (*flags.split(), "verbosity")]
+        sub = subparsers.add_parser(name, parents=parents, **kwargs)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    run = command(
+        "run",
+        _run,
+        "grid workers progress kernels cache-dir json trace",
+        help="run a named experiment",
     )
-    plan.add_argument(
-        "--experiment",
-        required=True,
-        choices=sorted(EXPERIMENTS),
-        help="named experiment to plan",
+    run.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="recompute every trial; do not read or write the cache",
+    )
+
+    plan = command(
+        "plan", _plan, "grid", help="write a deterministic sharded execution plan"
     )
     plan.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         required=True,
         metavar="K",
         help="number of shards to deal the dispatch chunks onto",
-    )
-    plan.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        help="upper bound of the size grid (experiment default otherwise)",
-    )
-    plan.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        metavar="COUNT",
-        help="number of seeds per point (experiment default otherwise)",
-    )
-    plan.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="COUNT",
-        help="trials per dispatch chunk (default: auto, host-independent)",
     )
     plan.add_argument(
         "--out",
@@ -524,11 +543,11 @@ def _parser() -> argparse.ArgumentParser:
         help="where to write the plan JSON ('-' for stdout, the default)",
     )
 
-    run_shard_p = subparsers.add_parser(
-        "run-shard", help="execute one shard of a plan"
-    )
-    run_shard_p.add_argument(
-        "--plan", required=True, metavar="PATH", help="plan file from `plan`"
+    run_shard_p = command(
+        "run-shard",
+        _run_shard,
+        "plan workers cache-dir progress kernels json trace inject json-errors",
+        help="execute one shard of a plan",
     )
     run_shard_p.add_argument(
         "--shard",
@@ -537,19 +556,7 @@ def _parser() -> argparse.ArgumentParser:
         help="0-based shard to run, e.g. '1' or '1/4' (the /K must match the plan)",
     )
     run_shard_p.add_argument(
-        "--workers",
-        type=int,
-        default=default_workers(),
-        help="worker processes (1 = serial; default: CPU count capped at 8)",
-    )
-    run_shard_p.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"shared cache root to read (default: {DEFAULT_CACHE_DIR})",
-    )
-    run_shard_p.add_argument(
         "--cache-out",
-        default=None,
         metavar="DIR",
         help=(
             "private root this shard writes to (reads still see --cache-dir); "
@@ -557,84 +564,27 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     run_shard_p.add_argument(
-        "--progress",
-        action="store_true",
-        help="render per-trial progress on stderr as chunks complete",
-    )
-    run_shard_p.add_argument(
-        "--kernels",
-        choices=("auto", "vector", "object"),
-        default="auto",
-        help=(
-            "kernel backend: 'vector' forces the numpy layer, 'object' the "
-            "pure-python oracle, 'auto' (default) picks per instance"
-        ),
-    )
-    run_shard_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the shard reports (with records) as JSON to PATH",
-    )
-    run_shard_p.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="stream span/event telemetry as JSONL to PATH (off by default)",
-    )
-    run_shard_p.add_argument(
         "--heartbeat",
-        default=None,
         metavar="PATH",
         help=(
             "publish a progress heartbeat file (atomically replaced) that "
             "a supervisor can watch for liveness"
         ),
     )
-    run_shard_p.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "arm fault injection, e.g. 'kill@1:at=3' (repeatable; also "
-            f"read from ${ENV_FAULTS}); for chaos tests only"
-        ),
-    )
-    run_shard_p.add_argument(
-        "--json-errors",
-        action="store_true",
-        help="emit failures as one JSON object on stderr instead of a text line",
-    )
 
-    merge = subparsers.add_parser(
+    merge = command(
         "merge",
+        _merge,
+        "plan cache-dir from compact workers kernels json trace json-errors",
         help=(
             "union shard cache roots and rebuild the single-host report "
             "(any remainder is computed locally)"
         ),
     )
     merge.add_argument(
-        "--plan", required=True, metavar="PATH", help="plan file from `plan`"
-    )
-    merge.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"destination cache root (default: {DEFAULT_CACHE_DIR})",
-    )
-    merge.add_argument(
-        "--from",
-        dest="sources",
-        nargs="*",
-        default=[],
-        metavar="ROOT",
-        help="shard cache roots to union into --cache-dir before replaying",
-    )
-    merge.add_argument(
         "--from-url",
         dest="source_urls",
         action="append",
-        default=None,
         metavar="URL",
         help=(
             "pull an exported cache over HTTP (a `serve-exports` "
@@ -644,7 +594,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "--pull-dir",
-        default=None,
         metavar="DIR",
         help=(
             "where --from-url downloads land "
@@ -660,7 +609,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "--pull-attempts",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="attempts per file before quarantining it (default: 4)",
@@ -672,59 +621,18 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="first retry delay; doubles per attempt, jittered (default: 0.25)",
     )
-    merge.add_argument(
-        "--compact",
-        action="store_true",
-        help="compact the destination cache after merging",
-    )
-    merge.add_argument(
-        "--workers",
-        type=int,
-        default=default_workers(),
-        help="workers for any remainder trials the shards did not cover",
-    )
-    merge.add_argument(
-        "--kernels",
-        choices=("auto", "vector", "object"),
-        default="auto",
-        help="kernel backend for any remainder trials computed during merge",
-    )
-    merge.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the merged report as JSON to PATH ('-' for stdout)",
-    )
-    merge.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="stream span/event telemetry as JSONL to PATH (off by default)",
-    )
-    merge.add_argument(
-        "--json-errors",
-        action="store_true",
-        help="emit failures as one JSON object on stderr instead of a text line",
-    )
 
-    fabric = subparsers.add_parser(
+    fabric = command(
         "fabric",
+        _fabric,
+        "plan cache-dir kernels inject json json-errors",
         help=(
             "drive every shard of a plan as supervised subprocesses with "
             "leases, heartbeat liveness, and retry/backoff"
         ),
     )
     fabric.add_argument(
-        "--plan", required=True, metavar="PATH", help="plan file from `plan`"
-    )
-    fabric.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"shared cache root shards read and merge into (default: {DEFAULT_CACHE_DIR})",
-    )
-    fabric.add_argument(
         "--work-dir",
-        default=None,
         metavar="DIR",
         help=(
             "fabric state directory: lease board, shard roots, heartbeats, "
@@ -733,15 +641,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     fabric.add_argument(
         "--shard-workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="worker processes inside each shard subprocess (default: 1)",
     )
     fabric.add_argument(
         "--max-parallel",
-        type=int,
-        default=None,
+        type=_positive_int,
         metavar="N",
         help="shard subprocesses at once (default: half the CPUs)",
     )
@@ -764,7 +671,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     fabric.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="attempts per shard before it is marked failed (default: 3)",
@@ -788,7 +695,6 @@ def _parser() -> argparse.ArgumentParser:
         "--target",
         dest="targets",
         action="append",
-        default=None,
         metavar="URI",
         help=(
             "exec target(s) shards are dealt onto round-robin (repeatable): "
@@ -800,12 +706,6 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     fabric.add_argument(
-        "--kernels",
-        choices=("auto", "vector", "object"),
-        default="auto",
-        help="kernel backend forwarded to every shard (default: auto)",
-    )
-    fabric.add_argument(
         "--dry-run",
         action="store_true",
         help=(
@@ -813,53 +713,15 @@ def _parser() -> argparse.ArgumentParser:
             "without spawning anything"
         ),
     )
-    fabric.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "forward fault-injection specs to shard subprocesses, e.g. "
-            "'kill@1:at=3' (repeatable); for chaos tests only"
-        ),
-    )
-    fabric.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the fabric result (outcomes, gaps) as JSON to PATH",
-    )
-    fabric.add_argument(
-        "--json-errors",
-        action="store_true",
-        help="emit failures as one JSON object on stderr instead of a text line",
-    )
 
-    status = subparsers.add_parser(
-        "status", help="per-shard completion of a plan against a cache"
-    )
-    status.add_argument(
-        "--plan", required=True, metavar="PATH", help="plan file from `plan`"
-    )
-    status.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache root to check (default: {DEFAULT_CACHE_DIR})",
-    )
-    status.add_argument(
-        "--from",
-        dest="sources",
-        nargs="*",
-        default=[],
-        metavar="ROOT",
-        help=(
-            "additional (not-yet-merged) shard cache roots to count as "
-            "present, e.g. the --cache-out roots of running shards"
-        ),
+    status = command(
+        "status",
+        _status,
+        "plan cache-dir from",
+        help="per-shard completion of a plan against a cache",
     )
     status.add_argument(
         "--heartbeats",
-        default=None,
         metavar="DIR",
         help=(
             "also render the shard heartbeat files in DIR (a fabric work "
@@ -867,44 +729,29 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
 
-    stats = subparsers.add_parser(
+    stats = command(
         "stats",
-        help="render the telemetry (phase/counter breakdown) of a report or cache",
+        _stats,
+        "cache-dir",
+        help=(
+            "render the telemetry of a report, or (without --report) the "
+            "`cache --status` view of --cache-dir"
+        ),
     )
     stats.add_argument(
         "--report",
-        default=None,
         metavar="PATH",
         help=(
             "a JSON report written by run/run-shard/merge --json; renders "
             "its merged telemetry block"
         ),
     )
-    stats.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "render a cache root's stats instead (record count + cache "
-            f"counters; default when --report is absent: {DEFAULT_CACHE_DIR})"
-        ),
-    )
 
-    cache = subparsers.add_parser(
-        "cache", help="inspect or compact a trial cache root"
-    )
-    cache.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache root (default: {DEFAULT_CACHE_DIR})",
-    )
-    cache.add_argument(
-        "--compact",
-        action="store_true",
-        help=(
-            "rewrite shard files keeping only the last record per key "
-            "(run only while no writer is using the root)"
-        ),
+    cache = command(
+        "cache",
+        _cache,
+        "cache-dir compact",
+        help="inspect, compact, or export a trial cache root",
     )
     cache.add_argument(
         "--status",
@@ -916,7 +763,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--export",
-        default=None,
         metavar="DIR",
         help=(
             "write a sha256-manifested export of the cache to DIR, "
@@ -925,8 +771,10 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
 
-    serve = subparsers.add_parser(
+    serve = command(
         "serve-exports",
+        _serve_exports,
+        "inject",
         help=(
             "serve a directory of cache exports over HTTP for "
             "`merge --from-url` (stdlib server; trusted networks only)"
@@ -950,16 +798,6 @@ def _parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks an ephemeral one and prints it (default: 0)",
     )
     serve.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "arm network fault injection on served responses, e.g. "
-            "'net-truncate@0:attempts=1' (repeatable); for chaos tests only"
-        ),
-    )
-    serve.add_argument(
         "--fault-seed",
         type=int,
         default=0,
@@ -968,7 +806,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ready-file",
-        default=None,
         metavar="PATH",
         help=(
             "write the bound URL to PATH once listening (lets scripts "
@@ -976,14 +813,77 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
 
-    subparsers.add_parser(
-        "list", help="list registered problems, solvers, families, experiments"
+    command(
+        "list",
+        _list,
+        help="list registered problems, solvers, families, experiments",
     )
-    describe = subparsers.add_parser(
-        "describe", help="describe one problem, solver, family, or experiment"
+    describe = command(
+        "describe",
+        _describe,
+        help="describe one problem, solver, family, or experiment",
     )
     describe.add_argument("name", help="catalog or experiment name")
     return parser
+
+
+# -- shared output -----------------------------------------------------
+
+
+def _write_json(path: str, payload: object) -> None:
+    """Write ``payload`` as indented JSON to ``path``, or stdout for ``-``.
+
+    Files are replaced atomically: a scheduler watching for the file
+    must never read half a plan or report.
+    """
+    text = json.dumps(payload, indent=2)
+    if path == "-":
+        print(text)
+    else:
+        atomic_write_text(path, text + "\n")
+
+
+def _print_reports(experiment: str, reports: Sequence[EngineReport]) -> None:
+    """The per-spec tables, plus the Figure 1 table for ``landscape``."""
+    print(format_report(reports))
+    if experiment == "landscape":
+        table = _render_partial_landscape(reports)
+        if table is not None:
+            print("\n" + table)
+
+
+def _open_cache(root: str) -> TrialCache:
+    """An existing cache root; a read-only probe must not create one.
+
+    A typo'd path would otherwise become an empty cache and report a
+    finished plan as all-remaining.
+    """
+    if not os.path.isdir(root):
+        raise ValueError(f"cache root {root!r} does not exist")
+    return TrialCache(root)
+
+
+def _show_cache(cache: TrialCache, counters: bool) -> None:
+    """The record count of a cache root, optionally with its counters."""
+    cache.load_all()
+    print(f"{cache.root}: {len(cache)} record(s) on disk")
+    if counters:
+        # The obs counters this process accrued touching the root:
+        # shard files loaded by load_all, stale lines compacted by
+        # --compact, plus hits/misses/puts once a runner used it.
+        print(
+            "\n"
+            + format_telemetry(
+                get_telemetry().snapshot(),
+                title=cache.root,
+                counter_prefix="cache.",
+            )
+        )
+
+
+def _inject_specs(args: argparse.Namespace) -> list:
+    """The fault specs of every repeated ``--inject`` flag."""
+    return [spec for text in args.inject or [] for spec in parse_fault_specs(text)]
 
 
 def _progress_callback(spec_name: str, total: int):
@@ -1013,18 +913,16 @@ def _render_partial_landscape(reports: Sequence[EngineReport]) -> str | None:
     return render_landscape(rows)
 
 
+# -- run / list / describe ---------------------------------------------
+
+
 def _run(args: argparse.Namespace) -> int:
     try:
         specs = build_experiment(args.experiment, args.max_n, args.seeds)
         cache = None if args.no_cache else TrialCache(args.cache_dir)
-        if args.batch_size is not None and args.batch_size < 1:
-            raise ValueError(
-                f"--batch-size must be positive, got {args.batch_size}"
-            )
         sink = _attach_trace(args)
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _emit_error(args, err, 2, args.experiment)
     try:
         return _run_specs(args, specs, cache)
     finally:
@@ -1064,11 +962,7 @@ def _run_specs(args, specs, cache) -> int:
                     _LOG.info(
                         "[%d/%d specs]\n%s", len(reports), len(specs), partial
                     )
-    print(format_report(reports))
-    if args.experiment == "landscape":
-        table = _render_partial_landscape(reports)
-        if table is not None:
-            print("\n" + table)
+    _print_reports(args.experiment, reports)
     total = sum(rep.trials_total for rep in reports)
     hits = sum(rep.cache_hits for rep in reports)
     batches = sum(rep.batches for rep in reports)
@@ -1078,19 +972,28 @@ def _run_specs(args, specs, cache) -> int:
         f"{args.workers} worker(s), {elapsed:.2f}s"
     )
     if args.json:
-        payload = json.dumps(
+        _write_json(
+            args.json,
             {
                 "experiment": args.experiment,
                 "workers": args.workers,
                 "cache": None if cache is None else args.cache_dir,
                 "reports": [rep.as_dict() for rep in reports],
             },
-            indent=2,
         )
-        if args.json == "-":
-            print(payload)
-        else:
-            atomic_write_text(args.json, payload + "\n")
+    return 0
+
+
+def _list(args: argparse.Namespace) -> int:
+    print(format_catalog())
+    return 0
+
+
+def _describe(args: argparse.Namespace) -> int:
+    try:
+        print(format_description(args.name))
+    except ValueError as err:
+        return _emit_error(args, err, 2)
     return 0
 
 
@@ -1133,15 +1036,9 @@ def _plan(args: argparse.Namespace) -> int:
         ]
         payload = dump_plan_file(args.experiment, plans)
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    text = json.dumps(payload, indent=2)
-    if args.out == "-":
-        print(text)
-    else:
-        # Atomic: a scheduler (or fabric launcher) watching for the plan
-        # file must never read a half-written partition.
-        atomic_write_text(args.out, text + "\n")
+        return _emit_error(args, err, 2, args.experiment)
+    _write_json(args.out, payload)
+    if args.out != "-":
         print(
             f"wrote {args.out}: {args.experiment}, {len(plans)} spec(s) x "
             f"{args.shards} shard(s), {payload['trials_total']} trials"
@@ -1157,14 +1054,11 @@ def _shard_instrumentation(args, index: int, plans: Sequence[ShardPlan]):
     subprocesses); the attempt number the injector filters on is the
     launcher-stamped ``REPRO_FABRIC_ATTEMPT``.  Both default to inert.
     """
-    specs = []
-    for text in getattr(args, "inject", None) or []:
-        specs.extend(parse_fault_specs(text))
-    specs.extend(parse_fault_specs(os.environ.get(ENV_FAULTS)))
+    specs = _inject_specs(args) + parse_fault_specs(os.environ.get(ENV_FAULTS))
     attempt = int(os.environ.get(ENV_ATTEMPT) or 1)
     injector = FaultInjector(specs, index, attempt)
     emitter = None
-    if getattr(args, "heartbeat", None):
+    if args.heartbeat:
         total = sum(len(plan.manifest(index).trial_indices()) for plan in plans)
         emitter = HeartbeatEmitter(args.heartbeat, index, total)
     return emitter, injector
@@ -1179,14 +1073,14 @@ def _run_shard(args: argparse.Namespace) -> int:
         cache = TrialCache(args.cache_dir, isolation=args.cache_out)
         sink = _attach_trace(args)
     except (ValueError, OSError) as err:
-        return _emit_error(args, "run-shard", err, 2, experiment, index)
+        return _emit_error(args, err, 2, experiment, index)
     try:
         return _run_shard_plans(args, plans, index, cache)
     except Exception as err:
         # The CLI boundary: a solver bug, a rejecting verifier, a full
         # disk — one attributable line for the supervisor, not a
         # traceback (which -vv still logs).
-        return _emit_error(args, "run-shard", err, 3, experiment, index)
+        return _emit_error(args, err, 3, experiment, index)
     finally:
         _detach_trace(sink)
 
@@ -1241,17 +1135,13 @@ def _run_shard_plans(args, plans, index, cache) -> int:
         f"records in {wrote}"
     )
     if args.json:
-        atomic_write_text(
+        _write_json(
             args.json,
-            json.dumps(
-                {
-                    "plan": args.plan,
-                    "shard_index": index,
-                    "reports": [rep.as_dict() for rep in reports],
-                },
-                indent=2,
-            )
-            + "\n",
+            {
+                "plan": args.plan,
+                "shard_index": index,
+                "reports": [rep.as_dict() for rep in reports],
+            },
         )
     return 0
 
@@ -1280,13 +1170,13 @@ def _merge(args: argparse.Namespace) -> int:
         added, degraded = _merge_pulls(args, source_urls, cache, added)
     except (ValueError, OSError) as err:
         _detach_trace(sink)
-        return _emit_error(args, "merge", err, 2, experiment)
+        return _emit_error(args, err, 2, experiment)
     try:
         if degraded is not None:
             return _merge_degraded(args, experiment, plans, cache, added, degraded)
         return _merge_replay(args, experiment, plans, cache, added)
     except Exception as err:
-        return _emit_error(args, "merge", err, 3, experiment)
+        return _emit_error(args, err, 3, experiment)
     finally:
         _detach_trace(sink)
 
@@ -1389,11 +1279,8 @@ def _merge_replay(args, experiment, plans, cache, added) -> int:
         )
         for plan in plans
     ]
-    print("\n" + format_report(reports))
-    if experiment == "landscape":
-        table = _render_partial_landscape(reports)
-        if table is not None:
-            print("\n" + table)
+    print()
+    _print_reports(experiment, reports)
     total = sum(rep.trials_total for rep in reports)
     hits = sum(rep.cache_hits for rep in reports)
     print(
@@ -1401,19 +1288,15 @@ def _merge_replay(args, experiment, plans, cache, added) -> int:
         f"{total - hits} computed during merge"
     )
     if args.json:
-        payload = json.dumps(
+        _write_json(
+            args.json,
             {
                 "experiment": experiment,
                 "merged_roots": list(args.sources),
                 "records_added": added,
                 "reports": [rep.as_dict() for rep in reports],
             },
-            indent=2,
         )
-        if args.json == "-":
-            print(payload)
-        else:
-            atomic_write_text(args.json, payload + "\n")
     return 0
 
 
@@ -1422,37 +1305,24 @@ def _status(args: argparse.Namespace) -> int:
 
     try:
         experiment, plans = _load_plans(args.plan)
-        # A read-only probe must not conjure an empty cache out of a
-        # typo'd path and report a finished plan as all-remaining.
-        for root in [args.cache_dir, *args.sources]:
-            if not os.path.isdir(root):
-                raise ValueError(f"cache root {root!r} does not exist")
         # Probe the shared root plus any not-yet-merged shard roots, so
         # a scheduler can watch shards that write to private
         # --cache-out dirs without forcing an early merge.
-        probes = [TrialCache(args.cache_dir)] + [
-            TrialCache(root) for root in args.sources
-        ]
+        probes = [_open_cache(root) for root in [args.cache_dir, *args.sources]]
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _emit_error(args, err, 2)
+
+    def present(key: str) -> bool:
+        return any(probe.contains(key) for probe in probes)
+
     num_shards = plans[0].num_shards
-    done_by_shard = [0] * num_shards
-    total_by_shard = [0] * num_shards
-    for plan in plans:
-        trials = plan.spec.trials()
-        for shard_index in range(num_shards):
-            for i in plan.manifest(shard_index).trial_indices():
-                total_by_shard[shard_index] += 1
-                key = trials[i].key()
-                if any(probe.contains(key) for probe in probes):
-                    done_by_shard[shard_index] += 1
     rows = []
+    remaining = 0
     for shard_index in range(num_shards):
-        done = done_by_shard[shard_index]
-        total = total_by_shard[shard_index]
-        state = "complete" if done == total else f"{total - done} remaining"
-        rows.append([f"{shard_index}/{num_shards}", total, done, state])
+        owed, missing = shard_coverage(plans, shard_index, present)
+        remaining += missing
+        state = f"{missing} remaining" if missing else "complete"
+        rows.append([f"{shard_index}/{num_shards}", owed, owed - missing, state])
     print(
         render_table(
             ["shard", "trials", "cached", "status"],
@@ -1463,7 +1333,6 @@ def _status(args: argparse.Namespace) -> int:
             ),
         )
     )
-    remaining = sum(total_by_shard) - sum(done_by_shard)
     if remaining:
         print(f"\n{remaining} trial(s) remaining before `merge` is all-hits")
     else:
@@ -1518,14 +1387,12 @@ def _fabric(args: argparse.Namespace) -> int:
     try:
         experiment, plans = _load_plans(args.plan)
         targets = [ExecTarget.parse(uri) for uri in args.targets or []]
-        faults = []
-        for text in args.inject or []:
-            faults.extend(parse_fault_specs(text))
+        faults = _inject_specs(args)
         backoff = BackoffPolicy(
             base=args.backoff_base, max_attempts=args.max_attempts
         )
     except (ValueError, OSError) as err:
-        return _emit_error(args, "fabric", err, 2, experiment)
+        return _emit_error(args, err, 2, experiment)
     if args.dry_run:
         return _fabric_dry_run(args, plans, targets)
     try:
@@ -1544,15 +1411,13 @@ def _fabric(args: argparse.Namespace) -> int:
             kernels=args.kernels,
         )
     except Exception as err:
-        return _emit_error(args, "fabric", err, 3, experiment)
+        return _emit_error(args, err, 3, experiment)
     if result.reports is not None:
-        print(format_report(result.reports))
+        _print_reports(experiment, result.reports)
         print()
     print(result.summary())
     if args.json:
-        atomic_write_text(
-            args.json, json.dumps(result.as_dict(), indent=2) + "\n"
-        )
+        _write_json(args.json, result.as_dict())
     if not result.ok:
         work_dir = args.work_dir or args.plan + ".fabric"
         print(
@@ -1593,9 +1458,7 @@ def _fabric_dry_run(args, plans, targets) -> int:
 
 def _serve_exports(args: argparse.Namespace) -> int:
     try:
-        specs = []
-        for text in args.inject or []:
-            specs.extend(parse_fault_specs(text))
+        specs = _inject_specs(args)
         injector = (
             NetFaultInjector(specs, seed=args.fault_seed) if specs else None
         )
@@ -1603,8 +1466,7 @@ def _serve_exports(args: argparse.Namespace) -> int:
             args.root, host=args.host, port=args.port, injector=injector
         )
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _emit_error(args, err, 2)
     print(f"serving {args.root} at {server.url}", flush=True)
     if args.ready_file:
         atomic_write_text(args.ready_file, server.url + "\n")
@@ -1619,9 +1481,7 @@ def _serve_exports(args: argparse.Namespace) -> int:
 
 def _cache(args: argparse.Namespace) -> int:
     try:
-        if not os.path.isdir(args.cache_dir):
-            raise ValueError(f"cache root {args.cache_dir!r} does not exist")
-        cache = TrialCache(args.cache_dir)
+        cache = _open_cache(args.cache_dir)
         if args.compact:
             kept, dropped = cache.compact()
             print(
@@ -1635,115 +1495,54 @@ def _cache(args: argparse.Namespace) -> int:
                 f"{manifest['records_total']} record(s) to {args.export}"
             )
         if args.status or not (args.compact or args.export):
-            cache.load_all()
-            print(f"{args.cache_dir}: {len(cache)} record(s) on disk")
-        if args.status:
-            # The obs counters this process accrued touching the root:
-            # shard files loaded by load_all, stale lines compacted by
-            # --compact, plus hits/misses/puts once a runner used it.
-            print(
-                "\n"
-                + format_telemetry(
-                    get_telemetry().snapshot(),
-                    title=args.cache_dir,
-                    counter_prefix="cache.",
-                )
-            )
+            _show_cache(cache, counters=args.status)
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _emit_error(args, err, 2)
     return 0
 
 
 def _stats(args: argparse.Namespace) -> int:
     """Render telemetry: from a --json report file, or a cache root."""
     try:
-        if args.report is not None:
-            with open(args.report, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            entries = payload.get("reports", [])
-            if isinstance(payload, dict) and "telemetry" in payload:
-                entries = [payload]  # a single report object
-            snapshots = [
-                entry.get("telemetry")
-                for entry in entries
-                if isinstance(entry, dict)
-            ]
-            if not any(snapshots):
-                print(
-                    f"{args.report}: no telemetry blocks "
-                    "(written by an older build, or telemetry disabled?)"
-                )
-                return 0
-            merged = merge_snapshots(snapshots)
-            title = payload.get("experiment") or args.report
-            print(format_telemetry(merged, title=str(title)))
-            for entry in entries:
-                if isinstance(entry, dict) and "elapsed_s" in entry:
-                    name = entry.get("experiment", "?")
-                    wall = entry.get("elapsed_s", 0.0)
-                    compute = entry.get("cpu_elapsed_s", wall)
-                    print(
-                        f"{name}: {wall:.2f}s wall, {compute:.2f}s compute"
-                    )
+        if args.report is None:
+            _show_cache(_open_cache(args.cache_dir), counters=True)
             return 0
-        root = args.cache_dir or DEFAULT_CACHE_DIR
-        if not os.path.isdir(root):
-            raise ValueError(f"cache root {root!r} does not exist")
-        cache = TrialCache(root)
-        cache.load_all()
-        print(f"{root}: {len(cache)} record(s) on disk\n")
+        with open(args.report, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (ValueError, OSError) as err:
+        return _emit_error(args, err, 2)
+    entries = payload.get("reports", [])
+    if isinstance(payload, dict) and "telemetry" in payload:
+        entries = [payload]  # a single report object
+    snapshots = [
+        entry.get("telemetry") for entry in entries if isinstance(entry, dict)
+    ]
+    if not any(snapshots):
         print(
-            format_telemetry(
-                get_telemetry().snapshot(), title=root, counter_prefix="cache."
-            )
+            f"{args.report}: no telemetry blocks "
+            "(written by an older build, or telemetry disabled?)"
         )
-    except (ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 0
+    title = payload.get("experiment") or args.report
+    print(format_telemetry(merge_snapshots(snapshots), title=str(title)))
+    for entry in entries:
+        if isinstance(entry, dict) and "elapsed_s" in entry:
+            name = entry.get("experiment", "?")
+            wall = entry.get("elapsed_s", 0.0)
+            compute = entry.get("cpu_elapsed_s", wall)
+            print(f"{name}: {wall:.2f}s wall, {compute:.2f}s compute")
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    # Legacy form: bare flags mean `run` — but top-level -h/--help must
-    # keep showing the subcommand overview.
-    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        argv = ["run", *argv]
-    args = _parser().parse_args(argv)
+    """Run one subcommand and return its exit code; a usage error
+    returns argparse's 2 instead of raising ``SystemExit``."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exit_:
+        return exit_.code
     _setup_logging(args)
-    if args.command == "run":
-        return _run(args)
-    if args.command == "plan":
-        return _plan(args)
-    if args.command == "run-shard":
-        return _run_shard(args)
-    if args.command == "merge":
-        return _merge(args)
-    if args.command == "fabric":
-        return _fabric(args)
-    if args.command == "status":
-        return _status(args)
-    if args.command == "stats":
-        return _stats(args)
-    if args.command == "cache":
-        return _cache(args)
-    if args.command == "serve-exports":
-        return _serve_exports(args)
-    if args.command == "list":
-        print(format_catalog())
-        return 0
-    if args.command == "describe":
-        try:
-            print(format_description(args.name))
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        return 0
-    _parser().print_help()
-    return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

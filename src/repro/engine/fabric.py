@@ -51,7 +51,7 @@ from repro.engine.cache import TrialCache
 from repro.engine.faults import ENV_ATTEMPT, ENV_FAULTS, FaultSpec
 from repro.engine.remote import ExecTarget, assign_targets, shard_context
 from repro.engine.runner import EngineReport, run_experiment
-from repro.engine.shard import ShardPlan, coverage_gaps, load_plan_file
+from repro.engine.shard import ShardPlan, coverage_gaps, load_plan_file, shard_coverage
 from repro.obs import LivenessMonitor, get_telemetry
 from repro.util.fsio import atomic_write_text
 
@@ -518,25 +518,6 @@ def _cause_from_log(log_path: str, returncode: int) -> str:
     return fallback
 
 
-def _missing_for_shard(
-    plans: Sequence[ShardPlan], shard_index: int, cache_dir: str, shard_root: str
-) -> int:
-    """How many of the shard's owed trials are absent from its output.
-
-    Probes the same overlay the shard ran with (shared root + private
-    isolation root), so trials the shard legitimately replayed from the
-    shared cache — and therefore never re-wrote — count as present.
-    """
-    probe = TrialCache(cache_dir, isolation=shard_root)
-    missing = 0
-    for plan in plans:
-        trials = plan.spec.trials()
-        for index in plan.manifest(shard_index).trial_indices():
-            if not probe.contains(trials[index].key()):
-                missing += 1
-    return missing
-
-
 def _gap_manifest(
     experiment: str,
     key: str,
@@ -620,6 +601,8 @@ def run_fabric(
     shards export topology cores the crashed process can no longer
     release).
     """
+    if max_parallel is not None and max_parallel < 1:
+        raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
     start = time.perf_counter()
     telemetry = get_telemetry()
     with open(plan_path, "r", encoding="utf-8") as handle:
@@ -780,7 +763,11 @@ def run_fabric(
             running.pop(i)
             monitor.forget(i)
             if returncode == 0:
-                missing = _missing_for_shard(plans, i, cache_dir, sp.root)
+                # Probe the overlay the shard ran with (shared root +
+                # private isolation root): trials it replayed from the
+                # shared cache, and so never re-wrote, count as present.
+                probe = TrialCache(cache_dir, isolation=sp.root)
+                _owed, missing = shard_coverage(plans, i, probe.contains)
                 if missing == 0:
                     board.release(i, "done")
                     telemetry.incr("fabric.shards_done")
@@ -794,8 +781,11 @@ def run_fabric(
                         "after exit 0 (corrupt or torn output)",
                     )
             else:
-                # A clean exit ran release_core; any other death may
-                # have leaked exported topology segments.
+                # Any death but a clean exit can leave the shard's pool
+                # workers and resource tracker idling in its process
+                # group, and its exported topology segments unreleased
+                # (a clean exit ran release_core).
+                _kill_tree(sp.proc)
                 _sweep_shard_segments(sp.proc.pid)
                 attempt_failed(i, _cause_from_log(sp.log_path, returncode))
         # -- launch what's eligible ------------------------------------

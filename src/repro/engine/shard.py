@@ -43,6 +43,7 @@ __all__ = [
     "coverage_gaps",
     "dump_plan_file",
     "load_plan_file",
+    "shard_coverage",
     "spec_from_payload",
     "spec_payload",
 ]
@@ -297,6 +298,20 @@ def coverage_gaps(
                 }
             )
     return trials_total, trials_missing, spec_entries
+
+
+def shard_coverage(
+    plans: Sequence[ShardPlan], shard_index: int, contains: Callable[[str], bool]
+) -> tuple[int, int]:
+    """``(owed, missing)``: :func:`coverage_gaps` for one shard's trials."""
+    owed = missing = 0
+    for plan in plans:
+        trials = plan.spec.trials()
+        for i in plan.manifest(shard_index).trial_indices():
+            owed += 1
+            if not contains(trials[i].key()):
+                missing += 1
+    return owed, missing
 
 
 # -- plan files ---------------------------------------------------------

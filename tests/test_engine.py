@@ -226,6 +226,7 @@ class TestNamedExperiments:
         out_json = tmp_path / "report.json"
         code = engine_main(
             [
+                "run",
                 "--experiment",
                 "sinkless",
                 "--workers",

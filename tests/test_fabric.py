@@ -509,6 +509,19 @@ class TestFabricChaos:
                 poll_interval=0.05,
             )
 
+    def test_refuses_a_nonpositive_max_parallel(self, tmp_path):
+        # With no launch slot the supervision loop would wait forever.
+        plan_path, _plans = write_plan(tmp_path, 2)
+        work_dir = tmp_path / "work"
+        with pytest.raises(ValueError, match="max_parallel"):
+            run_fabric(
+                plan_path,
+                str(tmp_path / "cache"),
+                work_dir=str(work_dir),
+                max_parallel=0,
+            )
+        assert not work_dir.exists()
+
 
 # -- CLI surface -------------------------------------------------------
 

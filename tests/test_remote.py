@@ -17,7 +17,9 @@ from __future__ import annotations
 import glob
 import hashlib
 import json
+import logging
 import os
+import re
 
 import pytest
 
@@ -463,11 +465,15 @@ class TestFabricTargets:
         assert result.outcomes[0].state == "failed"
         assert "target timeout" in result.outcomes[0].cause
 
-    def test_vector_kill_salvages_and_sweeps_shm(self, tmp_path, monkeypatch):
-        """PR 7 x PR 8: a shard on a cmd:// target dies mid-chunk with
-        exported topology cores; the retry salvages its durable chunks
-        and the launcher sweeps the leaked segments."""
+    def test_vector_kill_salvages_and_sweeps_shm(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """A shard on a cmd:// target dies mid-chunk with exported
+        topology cores; the retry salvages its durable chunks and the
+        launcher sweeps the leaked segments and reaps the dead shard's
+        pool workers."""
         monkeypatch.setenv("REPRO_SHM_CORES", "1")
+        caplog.set_level(logging.INFO, logger="repro.engine")
         before = set(glob.glob("/dev/shm/repro-core-*"))
         plan_path, _ = write_plan(tmp_path, num_shards=2)
         result = run_fabric(
@@ -489,6 +495,33 @@ class TestFabricTargets:
         )
         # no shm segments outlive the run, killed exporter included
         assert set(glob.glob("/dev/shm/repro-core-*")) == before
+        # nor does any process of the killed attempt: the shard led its
+        # own process group, so its pool workers and resource tracker
+        # share the group id, which is the attempt's pid
+        killed = re.search(r"shard 0 attempt 1: pid (\d+)", caplog.text)
+        assert killed is not None, caplog.text
+        assert _live_group_members(int(killed.group(1))) == []
+
+
+def _live_group_members(pgid: int) -> list[str]:
+    """The command lines of running (non-zombie) processes in a group."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue  # exited while we looked
+        # The command name (field 2) may hold spaces and parentheses;
+        # the fields after its closing paren are state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(f"{entry}: {cmdline}")
+    return members
 
 
 # -- shm sweep unit surface --------------------------------------------
