@@ -4,10 +4,7 @@ PR 8's claim: the numpy-backed kernel layer (``repro.kernels``) beats
 the pure-python object layer by >= 3x on frontier-vectorized BFS and
 the batched verifier at n >= 1000, with *bit-identical* results — the
 object layer stays the differential-testing oracle, the vector backend
-only buys time.  Alongside, shipping topology cores through
-``multiprocessing.shared_memory`` shrinks the per-worker dispatch
-payload from the full pickled graph to a ~tens-of-bytes handle, and
-attaching a segment is far cheaper than unpickling a private copy.
+only buys time.
 
 Emits ``benchmarks/BENCH_kernels.json`` via the shared ``report_json``
 hook for cross-PR tracking.  The >= 3x gates hold in quick mode too:
@@ -18,14 +15,12 @@ robust to runner noise even when the absolute times are not.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 
 from benchmarks.conftest import report, report_json
 from repro import kernels
 from repro.analysis import render_table
 from repro.generators import cubic_instance
-from repro.kernels import shm
 from repro.lcl import Labeling
 from repro.lcl.verifier import PreparedVerifier
 from repro.local import bfs_distances
@@ -172,81 +167,4 @@ def test_vector_kernel_speedups():
     assert verifier_speedup >= THRESHOLD, (
         f"batched verifier speedup {verifier_speedup:.2f}x below "
         f"{THRESHOLD}x at n={n}"
-    )
-
-
-def test_shared_memory_dispatch_payload():
-    """Handle-vs-pickle: what one worker dispatch actually ships."""
-    graph = cubic_instance(N, seed=0).graph
-    pickled_core = len(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
-    unpickle_s, _ = _best(
-        pickle.loads, pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
-    handle = shm.export_graph(graph)
-    try:
-        handle_bytes = len(
-            pickle.dumps(tuple(handle), protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-        def attach_fresh():
-            # measure a cold attach: drop the exporter short-circuit
-            # and the attach memo so the mmap actually happens
-            entry = shm._EXPORTED.pop(handle.segment)
-            try:
-                attached = shm.attach_graph(handle)
-            finally:
-                dropped = shm._ATTACHED.pop(handle.segment, None)
-                if dropped is not None:
-                    seg = dropped[1]
-                    seg._buf = None
-                    seg._mmap = None
-                    seg._fd = -1
-                shm._EXPORTED[handle.segment] = entry
-                # attach_graph unregistered the segment from the
-                # resource tracker (right for real workers, but this
-                # process is also the exporter): re-register so the
-                # final unlink's bookkeeping balances.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(
-                    "/" + handle.segment, "shared_memory"
-                )
-            return attached.num_nodes
-
-        attach_s, _ = _best(attach_fresh)
-    finally:
-        shm.release_core(handle)
-
-    shrink = pickled_core / handle_bytes
-    report(
-        render_table(
-            ["payload", "bytes", "adopt ms"],
-            [
-                ["pickled core", pickled_core, round(unpickle_s * 1e3, 3)],
-                ["shm handle", handle_bytes, round(attach_s * 1e3, 3)],
-            ],
-            title=(
-                "E12 per-worker dispatch payload, "
-                f"n={graph.num_nodes} cubic core "
-                f"({shrink:.0f}x smaller on the wire)"
-            ),
-        )
-    )
-    report_json(
-        "shm_dispatch",
-        {
-            "n": graph.num_nodes,
-            "pickled_core_bytes": pickled_core,
-            "handle_bytes": handle_bytes,
-            "shrink_factor": shrink,
-            "unpickle_ms": unpickle_s * 1e3,
-            "attach_ms": attach_s * 1e3,
-            "quick": QUICK,
-        },
-        file="BENCH_kernels.json",
-    )
-    assert handle_bytes * 100 < pickled_core, (
-        f"shm handle ({handle_bytes}B) should be >= 100x smaller than the "
-        f"pickled core ({pickled_core}B)"
     )

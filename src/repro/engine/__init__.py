@@ -34,18 +34,12 @@ from repro.engine.fabric import (
     run_fabric,
 )
 from repro.engine.faults import FaultInjector, FaultSpec, parse_fault_specs
-from repro.engine.pool import (
-    WorkerCrashed,
-    default_workers,
-    run_task_batches,
-    run_tasks,
-)
+from repro.engine.pool import WorkerCrashed, default_workers, run_task_batches
 from repro.engine.runner import (
     EngineReport,
     ShardReport,
     auto_batch_size,
     execute_trial_batch,
-    iter_records,
     merge_shard_reports,
     plan_experiment,
     run_experiment,
@@ -84,7 +78,6 @@ __all__ = [
     "default_workers",
     "execute_trial_batch",
     "grid",
-    "iter_records",
     "merge_shard_reports",
     "parse_fault_specs",
     "plan_experiment",
@@ -92,6 +85,5 @@ __all__ = [
     "run_fabric",
     "run_shard",
     "run_task_batches",
-    "run_tasks",
     "seed_grid",
 ]

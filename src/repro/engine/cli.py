@@ -47,11 +47,12 @@ gap manifest when shards exhaust their attempts).
 Failure hygiene: every subcommand reports a setup failure (a missing
 plan or cache root, a bad shard index, an unknown name) as one
 structured line (command, experiment, shard, cause) on stderr, and
-``run-shard``/``merge``/``fabric`` report runtime failures the same
-way — never a bare traceback.  ``--json-errors`` switches that line to
-a JSON object for supervising processes.  Usage errors are argparse's
-own message.  Exit codes: 0 success, 2 bad invocation/setup, 3
-runtime failure, 4 degraded fabric or merge.  ``run-shard
+``run``/``run-shard``/``merge``/``fabric`` report run-time failures (a
+rejected output, a crashed worker) the same way and exit 3 — never a
+bare traceback.  ``--json-errors`` switches that line to a JSON object
+for supervising processes.  Usage errors are argparse's own message.
+Exit codes: 0 success, 2 bad invocation/setup, 3 run-time failure, 4
+degraded fabric or merge.  ``run-shard
 --heartbeat PATH`` publishes the :mod:`repro.obs.heartbeat` progress
 file the fabric watches, ``--inject SPEC`` arms the
 :mod:`repro.engine.faults` chaos harness, and ``status --heartbeats
@@ -925,6 +926,8 @@ def _run(args: argparse.Namespace) -> int:
         return _emit_error(args, err, 2, args.experiment)
     try:
         return _run_specs(args, specs, cache)
+    except Exception as err:
+        return _emit_error(args, err, 3, args.experiment)
     finally:
         _detach_trace(sink)
 

@@ -462,30 +462,6 @@ def _kill_tree(proc: subprocess.Popen) -> None:
         pass
 
 
-def _sweep_shard_segments(pid: int) -> None:
-    """Best-effort cleanup of shm cores a dead shard exporter leaked.
-
-    A shard killed mid-chunk (fault injection, hang timeout, target
-    timeout, a crash) never reaches ``release_core``, so its
-    ``/dev/shm/repro-core-<pid>-*`` segments outlive it.  The launcher
-    is the one process that reliably observes the death, so it sweeps;
-    for a ``cmd://`` wrapper the pid is the wrapper's, in which case
-    the prefix simply matches nothing local and this is a no-op (a
-    truly remote shard's segments live on the remote host anyway).
-    """
-    try:
-        from repro.kernels.shm import sweep_leaked_cores
-
-        swept = sweep_leaked_cores(pid)
-    except Exception:  # pragma: no cover - defensive
-        return
-    if swept:
-        _LOG.warning(
-            "swept %d leaked shm core segment(s) from dead shard pid %d",
-            len(swept), pid,
-        )
-
-
 def _cause_from_log(log_path: str, returncode: int) -> str:
     """A one-line failure cause: the shard's structured error if it left one.
 
@@ -596,10 +572,8 @@ def run_fabric(
     ``faults`` forwards :mod:`repro.engine.faults` specs to every
     shard subprocess via the environment; the spec's shard index and
     the stamped attempt number decide where they fire.  Whenever a
-    shard dies without exiting cleanly, the launcher sweeps the shared-
-    memory core segments its exporter leaked (``--kernels vector``
-    shards export topology cores the crashed process can no longer
-    release).
+    shard dies without exiting cleanly, the launcher kills its whole
+    process group, so none of its pool workers outlive it.
     """
     if max_parallel is not None and max_parallel < 1:
         raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
@@ -727,7 +701,6 @@ def run_fabric(
         for i, sp in list(running.items()):
             returncode = sp.proc.poll()
             if returncode is None:
-                dead_pid = sp.proc.pid
                 if (
                     sp.target is not None
                     and sp.target.timeout is not None
@@ -737,7 +710,6 @@ def run_fabric(
                     running.pop(i)
                     monitor.forget(i)
                     telemetry.incr("fabric.target_timeouts")
-                    _sweep_shard_segments(dead_pid)
                     attempt_failed(
                         i,
                         f"target timeout: exceeded {sp.target.timeout:.1f}s "
@@ -750,7 +722,6 @@ def run_fabric(
                     running.pop(i)
                     monitor.forget(i)
                     telemetry.incr("fabric.hangs_detected")
-                    _sweep_shard_segments(dead_pid)
                     attempt_failed(
                         i,
                         f"hung: no heartbeat progress in "
@@ -783,10 +754,8 @@ def run_fabric(
             else:
                 # Any death but a clean exit can leave the shard's pool
                 # workers and resource tracker idling in its process
-                # group, and its exported topology segments unreleased
-                # (a clean exit ran release_core).
+                # group.
                 _kill_tree(sp.proc)
-                _sweep_shard_segments(sp.proc.pid)
                 attempt_failed(i, _cause_from_log(sp.log_path, returncode))
         # -- launch what's eligible ------------------------------------
         now = time.monotonic()

@@ -1,18 +1,19 @@
-"""Process-pool task dispatch with a guaranteed serial fallback.
+"""Process-pool batch dispatch with a guaranteed serial fallback.
 
-The pool maps a top-level function over a list of picklable payloads.
-Dispatch is chunked (few large pickles beat many small ones for
-millisecond-scale trials) and **order-preserving**, so downstream
-aggregation sees results in task order regardless of worker count —
-that is what makes ``workers=1`` and ``workers=4`` bit-identical.
+:func:`run_task_batches` maps a top-level function over a list of
+picklable batch payloads, one pickle/IPC round-trip per batch, and
+streams results back **in batch order**, so downstream aggregation
+sees results in task order regardless of worker count — that is what
+makes ``workers=1`` and ``workers=4`` bit-identical.
 
-Every worker runs an initializer that reseeds the global ``random``
-module from a per-worker derivation of the pool seed.  Trial
-determinism never relies on that — each trial carries its own seed and
-builds its own generators — but it closes the classic fork bug where
-all children inherit one duplicated global RNG state.
+Workers are forked where the platform supports it (``spawn``
+elsewhere).  Every worker runs an initializer that reseeds the global
+``random`` module from a per-worker derivation of the pool seed.
+Trial determinism never relies on that — each trial carries its own
+seed and builds its own generators — but it closes the classic fork
+bug where all children inherit one duplicated global RNG state.
 
-When ``workers <= 1``, the task list is tiny, or the platform cannot
+When ``workers <= 1``, there is only one batch, or the platform cannot
 deliver a working process pool (no ``fork``/``spawn``, sandboxed
 semaphores, unpicklable payloads), execution degrades to a plain
 serial loop with identical semantics.
@@ -31,7 +32,7 @@ from typing import Any, Callable, Sequence
 
 from repro.obs import get_telemetry
 
-__all__ = ["WorkerCrashed", "default_workers", "run_task_batches", "run_tasks"]
+__all__ = ["WorkerCrashed", "default_workers", "run_task_batches"]
 
 _LOG = logging.getLogger("repro.engine")
 
@@ -80,12 +81,6 @@ def _worker_init(pool_seed: int) -> None:  # pragma: no cover - runs in child
     telemetry.reset()
 
 
-def _chunksize(num_tasks: int, workers: int) -> int:
-    # ~4 chunks per worker keeps the tail short without drowning the
-    # queue in tiny pickles.
-    return max(1, num_tasks // (workers * 4))
-
-
 def _serial_map(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
@@ -100,25 +95,6 @@ def _serial_map(
     return out
 
 
-def _make_pool(workers: int, num_tasks: int, pool_seed: int):
-    """A process pool, or None when this platform cannot provide one.
-
-    Only pool *creation* may trigger the serial fallback: an exception
-    raised by a task itself must propagate, not cause a silent re-run.
-    """
-    try:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        return ctx.Pool(
-            processes=min(workers, num_tasks),
-            initializer=_worker_init,
-            initargs=(pool_seed,),
-        )
-    except (OSError, ValueError):
-        return None
-
-
 def _parallel_viable(fn: Callable[[Any], Any], probe: Any) -> bool:
     try:
         pickle.dumps(fn)
@@ -128,37 +104,14 @@ def _parallel_viable(fn: Callable[[Any], Any], probe: Any) -> bool:
     return True
 
 
-def run_tasks(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    workers: int = 1,
-    pool_seed: int = 0,
-) -> list[Any]:
-    """Apply ``fn`` to every task, in order, possibly across processes.
-
-    ``fn`` must be an importable module-level function and every task a
-    picklable value for the parallel path to engage; anything else
-    falls back to serial execution rather than failing.
-    """
-    tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return _serial_map(fn, tasks)
-    if not _parallel_viable(fn, tasks[0]):
-        return _serial_map(fn, tasks)
-    pool = _make_pool(workers, len(tasks), pool_seed)
-    if pool is None:
-        return _serial_map(fn, tasks)
-    with pool:
-        return pool.map(fn, tasks, chunksize=_chunksize(len(tasks), workers))
-
-
 def _make_executor(workers: int, num_tasks: int, pool_seed: int):
     """A process-pool executor, or None when the platform has none.
 
-    The executor variant of :func:`_make_pool`, used by the batch path:
-    ``concurrent.futures`` detects a worker process dying (it breaks
-    the pool and fails pending futures) where ``multiprocessing.Pool``
-    would wait forever for the vanished task's result.
+    Only executor *creation* may trigger the serial fallback: an
+    exception raised by a task itself must propagate, not cause a
+    silent re-run.  ``concurrent.futures`` detects a worker process
+    dying (it breaks the pool and fails pending futures), which is
+    what lets :func:`run_task_batches` raise :class:`WorkerCrashed`.
     """
     try:
         ctx = multiprocessing.get_context(
@@ -187,11 +140,12 @@ def run_task_batches(
     into chunks: each batch is exactly one pickle/IPC round-trip (no
     second-level chunking on top of the caller's), and results stream
     back in ascending batch order, so ``on_result(index, result)``
-    fires as each batch completes instead of after the whole map.
-    Order and fallback semantics match :func:`run_tasks`: the returned
-    list is in batch order at any worker count, and platforms without a
-    working pool degrade to a serial loop (where ``on_result`` fires
-    after each batch just the same).
+    fires as each batch completes instead of after the whole map.  The
+    returned list is in batch order at any worker count.  The parallel
+    path needs an importable module-level ``fn`` and picklable batches;
+    anything else, like a platform without a working pool, degrades to
+    a serial loop where ``on_result`` fires after each batch just the
+    same.
 
     Failure semantics are typed.  A *task exception* (a verifier
     rejecting, a solver crashing) propagates as itself, at the point

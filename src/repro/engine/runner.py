@@ -33,13 +33,10 @@ record list — cannot tell the difference.
 from __future__ import annotations
 
 import logging
-import os
-import queue
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import kernels as kernel_layer
 from repro.analysis.sweep import Sweep, aggregate_points
@@ -48,7 +45,6 @@ from repro.engine.pool import run_task_batches
 from repro.engine.shard import ShardManifest, ShardPlan
 from repro.engine.spec import ExperimentSpec, TrialSpec
 from repro.obs import get_telemetry, merge_snapshots
-from repro.runtime import registry
 from repro.runtime.driver import InstanceCache, TrialBatch
 
 _LOG = logging.getLogger("repro.engine")
@@ -58,7 +54,6 @@ __all__ = [
     "ShardReport",
     "auto_batch_size",
     "execute_trial_batch",
-    "iter_records",
     "merge_shard_reports",
     "plan_experiment",
     "run_experiment",
@@ -238,22 +233,10 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     accrued since its previous snapshot, so serial fallback (where
     "worker" and parent are the same process) partitions the exact same
     totals across the same chunk boundaries.
-
-    A ``core`` entry, when present, names a shared-memory segment
-    holding the chunk's frozen topology: the worker maps it (zero-copy,
-    memoized per process) and seeds its instance cache, so dressing the
-    chunk's trials touches the same physical bytes the parent exported
-    instead of rebuilding — or unpickling — its own copy.
     """
-    core = payload.get("core")
-    if core is not None:
-        from repro.kernels import shm as shm_cores
-
-        graph = shm_cores.attach_graph(core["handle"])
-        _instances().adopt((core["family"], core["n"]), graph)
     records = execute_trial_batch(
         [TrialSpec.from_payload(entry) for entry in payload["trials"]],
-        kernels=payload.get("kernels", "auto"),
+        kernels=payload["kernels"],
     )
     return {
         "records": records,
@@ -392,69 +375,13 @@ class ShardReport:
             trials_total=payload["trials_total"],
             cache_hits=payload["cache_hits"],
             computed=payload["computed"],
-            elapsed=payload.get("elapsed_s", 0.0),
+            elapsed=payload["elapsed_s"],
             workers=payload["workers"],
             batches=payload["batches"],
             batch_size=payload["batch_size"],
-            telemetry=payload.get("telemetry"),
-            kernels=payload.get("kernels", "auto"),
+            telemetry=payload["telemetry"],
+            kernels=payload["kernels"],
         )
-
-
-# Cores below this many int64 words are not worth a shared segment:
-# the pickle they replace is already smaller than a page or two, and
-# segment setup/attach has a fixed syscall cost.  Override with the
-# REPRO_SHM_CORES env var ("1" forces export even for small cores and
-# serial runs, "0" disables export entirely).
-_SHM_MIN_WORDS = 4096
-
-
-def _shm_cores_enabled(workers: int) -> bool:
-    env = os.environ.get("REPRO_SHM_CORES")
-    if env is not None:
-        return env.strip().lower() not in ("", "0", "false", "no", "off")
-    return workers > 1
-
-
-def _export_shared_cores(
-    trials: Sequence[TrialSpec],
-    chunks: Sequence[Sequence[int]],
-    workers: int,
-) -> dict[tuple[str, int], Any]:
-    """Export each chunk's frozen core into shared memory, when worth it.
-
-    Returns ``(family, n) -> CoreHandle`` for the cores that were
-    exported (the caller owns them and must release in a ``finally``).
-    Eligible chunks: a registered topology-reusable family, a bare
-    ``PortGraph`` core, and at least ``_SHM_MIN_WORDS`` table words
-    (env-overridable).  Anything else simply ships no handle and the
-    workers build their own cores as before.
-    """
-    handles: dict[tuple[str, int], Any] = {}
-    if not chunks or not _shm_cores_enabled(workers):
-        return handles
-    family_info = registry.family(trials[chunks[0][0]].generator)
-    if not family_info.reusable_topology:
-        return handles
-    from repro.kernels import shm as shm_cores
-    from repro.local.graphs import PortGraph
-
-    forced = os.environ.get("REPRO_SHM_CORES") is not None
-    skipped: set[tuple[str, int]] = set()
-    instances = _instances()
-    for chunk in chunks:
-        head = trials[chunk[0]]
-        key = (family_info.name, head.n)
-        if key in handles or key in skipped:
-            continue
-        core = instances.core(family_info, head.n)
-        if not isinstance(core, PortGraph) or (
-            shm_cores.core_words(core) < _SHM_MIN_WORDS and not forced
-        ):
-            skipped.add(key)
-            continue
-        handles[key] = shm_cores.export_graph(core)
-    return handles
 
 
 def run_shard(
@@ -484,12 +411,10 @@ def run_shard(
     every increment lands in exactly one report, at any worker count.
 
     ``kernels`` rides in each dispatched chunk's payload (records stay
-    bit-identical across backends, so cache keys ignore it).  For
-    parallel runs over topology-reusable families, big frozen cores are
-    additionally exported into ``multiprocessing.shared_memory`` and
-    shipped as ``(segment, n, m)`` handles — every worker on the host
-    maps the same table bytes; the segments are released when the
-    dispatch ends.
+    bit-identical across backends, so cache keys ignore it).  Payloads
+    carry trial specs only: each worker builds a missing frozen core on
+    its chunk's first trial and shares it across seeds through its
+    process-wide :class:`~repro.runtime.driver.InstanceCache`.
     """
     kernel_layer.ensure_mode(kernels)
     telemetry = get_telemetry()
@@ -533,24 +458,11 @@ def run_shard(
         i for chunk in manifest.chunks for i in chunk if i in missing
     ]
     chunks = _chunk_missing(trials, missing_in_order, manifest.batch_size)
-    exported = _export_shared_cores(trials, chunks, workers)
     if chunks:
-        payloads = []
-        for chunk in chunks:
-            head = trials[chunk[0]]
-            payload: dict[str, Any] = {
-                "trials": [trials[i].to_payload() for i in chunk],
-                "kernels": kernels,
-            }
-            for (family, core_n), handle in exported.items():
-                if core_n == head.n:
-                    payload["core"] = {
-                        "family": family,
-                        "n": core_n,
-                        "handle": list(handle),
-                    }
-                    break
-            payloads.append(payload)
+        payloads = [
+            {"trials": [trials[i].to_payload() for i in chunk], "kernels": kernels}
+            for chunk in chunks
+        ]
 
         def deliver(chunk_pos: int, result: dict[str, Any]) -> None:
             chunk = chunks[chunk_pos]
@@ -574,22 +486,13 @@ def run_shard(
                 with telemetry.span("shard.store"):
                     cache.put_many((trials[i].key(), got[i]) for i in chunk)
 
-        try:
-            run_task_batches(
-                _execute_batch_payload,
-                payloads,
-                workers=workers,
-                pool_seed=zlib.crc32(spec.name.encode()),
-                on_result=deliver,
-            )
-        finally:
-            # The exporter owns the segments; workers only ever attach.
-            # Releasing here (close + unlink) bounds segment lifetime to
-            # the dispatch, even when a worker crash propagates out.
-            from repro.kernels import shm as shm_cores
-
-            for handle in exported.values():
-                shm_cores.release_core(handle)
+        run_task_batches(
+            _execute_batch_payload,
+            payloads,
+            workers=workers,
+            pool_seed=zlib.crc32(spec.name.encode()),
+            on_result=deliver,
+        )
     # The store-phase delta (plus pool dispatch accounting).
     snapshots.append(telemetry.snapshot(reset=True))
 
@@ -738,78 +641,3 @@ def run_experiment(
     report.elapsed = time.perf_counter() - start
     report.cpu_elapsed = report.elapsed
     return report
-
-
-_ITER_DONE = object()
-
-
-class _IterAbandoned(Exception):
-    """Raised inside the background run when the consumer went away."""
-
-
-def iter_records(
-    spec: ExperimentSpec,
-    workers: int = 1,
-    cache: TrialCache | None = None,
-    batch_size: int | None = None,
-) -> Iterator[dict[str, Any]]:
-    """Generator view over ``on_record``: yield records as they complete.
-
-    The experiment runs on a background thread feeding a queue, so the
-    consumer iterates at its own pace while cache replay and chunk
-    dispatch proceed underneath; ordering matches ``on_record`` (cache
-    hits in grid order, then computed chunks in chunk order).  The
-    generator's ``return`` value is the finished :class:`EngineReport`
-    — reachable as ``StopIteration.value``, or by driving it with
-    ``yield from`` — and a failed run re-raises the worker's exception
-    at the consumption point.
-
-    Closing the generator early (``break``, ``.close()``, garbage
-    collection) cancels the run at its next record boundary instead of
-    silently computing the rest of the grid; work not yet stored by
-    then is discarded, exactly like interrupting ``run_experiment`` —
-    a rerun replays whatever did reach the cache.
-    """
-    feed: "queue.Queue[Any]" = queue.Queue()
-    box: dict[str, Any] = {}
-    abandoned = threading.Event()
-
-    def emit(record: dict[str, Any]) -> None:
-        if abandoned.is_set():
-            raise _IterAbandoned()
-        feed.put(record)
-
-    def drive() -> None:
-        try:
-            box["report"] = run_experiment(
-                spec,
-                workers=workers,
-                cache=cache,
-                batch_size=batch_size,
-                on_record=emit,
-            )
-        except BaseException as err:  # re-raised on the consumer side
-            box["error"] = err
-        finally:
-            feed.put(_ITER_DONE)
-
-    thread = threading.Thread(
-        target=drive, name=f"iter_records({spec.name})", daemon=True
-    )
-    thread.start()
-    try:
-        while True:
-            item = feed.get()
-            if item is _ITER_DONE:
-                break
-            yield item
-    finally:
-        # Await the worker even on early close: once close() returns,
-        # nothing is still appending to the cache behind the caller's
-        # back.  The queue is unbounded, so the worker can never block
-        # on a put while we join it.
-        abandoned.set()
-        thread.join()
-    if "error" in box and not isinstance(box["error"], _IterAbandoned):
-        raise box["error"]
-    return box.get("report")

@@ -45,17 +45,14 @@ __all__ = ["HalfEdge", "Edge", "PortGraph"]
 
 # CSR tables are stored as signed 64-bit typed arrays ("q") and exposed
 # as read-only memoryviews: the buffer protocol makes them zero-copy
-# consumable by numpy kernels and shared-memory exports, and the
-# read-only view makes the "must not be mutated" contract enforceable.
+# consumable by numpy kernels, and the read-only view makes the "must
+# not be mutated" contract enforceable.
 _CSR_TYPECODE = "q"
 
 
-def _readonly_q(buf) -> memoryview:
-    """A read-only int64 memoryview over any buffer-protocol object."""
-    view = memoryview(buf)
-    if view.format != _CSR_TYPECODE:
-        view = view.cast(_CSR_TYPECODE)
-    return view.toreadonly()
+def _readonly_q(buf: array) -> memoryview:
+    """A read-only memoryview over an int64 (``"q"``) typed array."""
+    return memoryview(buf).toreadonly()
 
 
 class HalfEdge(NamedTuple):
@@ -203,36 +200,6 @@ class PortGraph:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def from_csr(
-        cls,
-        num_nodes: int,
-        num_edges: int,
-        off,
-        nbr,
-        peer,
-        eids,
-    ) -> "PortGraph":
-        """Adopt already-frozen CSR tables without rebuilding them.
-
-        The tables may be any buffer-protocol objects holding int64
-        values — typed arrays, numpy arrays, or slices of a
-        ``multiprocessing.shared_memory`` buffer.  They are adopted
-        **zero-copy**: the graph keeps read-only views over the caller's
-        bytes, so a worker attaching a shared segment maps the same
-        physical tables as every other worker on the host.  The object
-        layer (:class:`Edge` values, per-node edge-id lists) is
-        reconstructed lazily on first access; kernels that stay on the
-        flat core never pay for it.
-
-        The tables are trusted to be internally consistent (they came
-        out of another ``PortGraph``); this is an adoption seam, not a
-        validating constructor.
-        """
-        graph = cls.__new__(cls)
-        graph._adopt_csr(num_nodes, num_edges, off, nbr, peer, eids)
-        return graph
-
     def _adopt_csr(self, num_nodes, num_edges, off, nbr, peer, eids) -> None:
         self._num_nodes = int(num_nodes)
         self._num_edges = int(num_edges)
@@ -251,7 +218,7 @@ class PortGraph:
 
     def __getattr__(self, name: str):
         # Only reachable when a slot is unset: the lazy object layer of
-        # a CSR-adopted graph.  Both halves materialize together.
+        # an unpickled graph.  Both halves materialize together.
         if name in ("_edges", "_adj"):
             edges, adj = self._materialize_object_layer()
             self._edges = edges
@@ -359,8 +326,8 @@ class PortGraph:
         ``offsets[num_nodes]`` equals ``2 * num_edges``.  The tables are
         **read-only** int64 memoryviews over the graph's frozen typed
         arrays: mutation attempts raise ``TypeError``, and the buffer
-        protocol lets numpy kernels and shared-memory exports consume
-        them zero-copy (``np.frombuffer(view, dtype=np.int64)``).  Hot
+        protocol lets numpy kernels consume them zero-copy
+        (``np.frombuffer(view, dtype=np.int64)``).  Hot
         loops unpack them into locals; everything else should prefer the
         object API.
         """

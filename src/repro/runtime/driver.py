@@ -250,37 +250,22 @@ class InstanceCache:
         """The shared frozen core for ``(family, n)``, building on miss.
 
         This is the build half of :meth:`build` without the per-seed
-        dressing — the shared-memory exporter uses it to reach the very
-        core object the serial path would dress, so exported bytes and
-        locally built instances can never diverge.
+        dressing.
         """
         key = (family_info.name, n)
         core = self._cores.get(key)
         if core is None:
             assert family_info.topology is not None
             core = family_info.topology(n)
-            self._store(key, core)
+            self._cores[key] = core
+            if len(self._cores) > self.capacity:
+                evicted, _ = self._cores.popitem(last=False)
+                self._prepared.pop(evicted, None)
             self.built += 1
             get_telemetry().incr("instance_cache.core_built")
         else:
             self._cores.move_to_end(key)
         return core
-
-    def adopt(self, key: tuple[str, int], core: Any) -> None:
-        """Seed the cache with an externally built core (e.g. a graph
-        attached from a shared-memory segment).  Subsequent builds for
-        ``key`` dress the adopted core instead of rebuilding it, which
-        is what keeps every worker on a host on the *same* mapped
-        topology bytes."""
-        self._store(key, core)
-        get_telemetry().incr("instance_cache.core_adopted")
-
-    def _store(self, key: tuple[str, int], core: Any) -> None:
-        self._cores[key] = core
-        self._cores.move_to_end(key)
-        if len(self._cores) > self.capacity:
-            evicted, _ = self._cores.popitem(last=False)
-            self._prepared.pop(evicted, None)
 
     def prepared_verifier(
         self, core_key: tuple[str, int], problem_info: ProblemInfo, instance: Instance
@@ -289,9 +274,9 @@ class InstanceCache:
 
         Built on first use per (core, problem) and rebuilt when the
         instance's graph or inputs object is no longer the one the
-        skeleton was prepared on (the core was replaced by an adopted
-        one).  None when the problem is not preparable; that answer is
-        cached too, so the probe runs once per core.
+        skeleton was prepared on (the core under its key was replaced).
+        None when the problem is not preparable; that answer is cached
+        too, so the probe runs once per core.
         """
         per_core = self._prepared.setdefault(core_key, {})
         entry = per_core.get(problem_info.name, _MISSING)

@@ -139,7 +139,7 @@ class TestInstanceCache:
         assert list(skeletons) == ["degree-parity"]
         # A replaced core invalidates its skeleton.
         prepared = skeletons["degree-parity"]
-        instances.adopt(("cycle", 8), registry.family("cycle").topology(8))
+        instances._cores[("cycle", 8)] = registry.family("cycle").topology(8)
         batch = TrialBatch("degree-parity", "parity", "cycle", instances=instances)
         batch.run_one(8, 0)
         assert instances._prepared[("cycle", 8)]["degree-parity"] is not prepared
@@ -281,10 +281,11 @@ class TestCacheWarmReplay:
 
 
 class TestStreaming:
-    def test_on_record_sees_every_record_in_order_when_serial(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_record_sees_every_record_in_order(self, workers):
         seen = []
         report = run_experiment(
-            PARITY_SPEC, workers=1, batch_size=2, on_record=seen.append
+            PARITY_SPEC, workers=workers, batch_size=2, on_record=seen.append
         )
         assert seen == report.records
 

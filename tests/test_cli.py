@@ -4,8 +4,9 @@ Shared flags are parent parsers, so dropping one from a subcommand
 changes that subcommand's option strings: the table below pins every
 subcommand's surface.  Around it, the behaviour the shared definitions
 make uniform: count flags reject values below 1 at parse time,
-``--json -`` means stdout everywhere, and usage errors come back from
-``main`` as exit code 2 instead of ``SystemExit``.
+``--json -`` means stdout everywhere, usage errors come back from
+``main`` as exit code 2 instead of ``SystemExit``, and a run-time
+failure comes back as exit code 3 with one error line, not a traceback.
 """
 
 from __future__ import annotations
@@ -104,6 +105,22 @@ def test_negative_workers_is_a_usage_error(capsys):
     assert main(argv + ["--workers", "-3", "--no-cache"]) == 2
     captured = capsys.readouterr()
     assert "--workers" in captured.err and "positive integer" in captured.err
+    assert captured.out == ""
+
+
+def test_run_time_failure_exits_3_with_one_error_line(monkeypatch, capsys):
+    def reject(spec, **kwargs):
+        raise AssertionError(f"rejected output (spec={spec.name})")
+
+    monkeypatch.setattr(cli, "run_experiment", reject)
+    argv = ["run", "--experiment", "sinkless", "--max-n", "64", "--no-cache"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(
+        "error: command=run experiment=sinkless cause=AssertionError "
+        "message='rejected output (spec=sinkless/"
+    )
     assert captured.out == ""
 
 

@@ -28,7 +28,7 @@ from repro.engine import (
     execute_trial_batch,
     grid,
     run_experiment,
-    run_tasks,
+    run_task_batches,
 )
 from repro.engine.cli import main as engine_main
 from repro.generators.hard import cubic_instance
@@ -175,14 +175,20 @@ class TestCache:
 
 class TestPool:
     def test_preserves_order(self):
-        assert run_tasks(_double, list(range(20)), workers=4) == [
-            2 * i for i in range(20)
-        ]
+        delivered = []
+        results = run_task_batches(
+            _double,
+            list(range(20)),
+            workers=4,
+            on_result=lambda i, result: delivered.append((i, result)),
+        )
+        assert results == [2 * i for i in range(20)]
+        assert delivered == list(enumerate(results))
 
     def test_serial_fallback_for_unpicklable(self):
         # A lambda cannot cross a process boundary; the pool must fall
         # back to an in-process loop rather than fail.
-        assert run_tasks(lambda x: x + 1, [1, 2, 3], workers=4) == [2, 3, 4]
+        assert run_task_batches(lambda x: x + 1, [1, 2, 3], workers=4) == [2, 3, 4]
 
 
 def _double(x):

@@ -1,6 +1,5 @@
 """Tests for :mod:`repro.kernels`: backend selection, the vectorized
-verifier twin, shared-memory topology cores, and record parity across
-the whole engine stack.
+verifier twin, and record parity across the whole engine stack.
 
 The object layer is the oracle everywhere: with or without numpy, with
 any worker count or shard count, trial records must be bit-identical —
@@ -10,7 +9,6 @@ the vector backend only buys time, never different answers.
 from __future__ import annotations
 
 import dataclasses
-import glob
 import json
 import logging
 
@@ -27,11 +25,9 @@ from repro.engine.runner import (
 )
 from repro.engine.spec import ExperimentSpec
 from repro.generators import cycle
-from repro.kernels import shm
 from repro.lcl import Labeling, verify
 from repro.lcl.verifier import PreparedVerifier
-from repro.runtime import registry
-from repro.runtime.driver import InstanceCache, Runtime
+from repro.runtime.driver import Runtime
 from tests.conftest import multigraphs
 
 needs_numpy = pytest.mark.skipif(
@@ -188,73 +184,6 @@ class TestVectorVerifierTwin:
         assert not hasattr(prepared, "_vector_twin")
 
 
-# -- shared-memory topology cores --------------------------------------------
-
-
-class TestSharedMemoryCores:
-    def test_export_attach_release_lifecycle(self):
-        graph = cycle(64)
-        handle = shm.CoreHandle(*shm.export_graph(graph))
-        assert handle.segment.startswith("repro-core-")
-        assert handle.words == shm.core_words(graph)
-        # same-process attach short-circuits to the exporter's object
-        assert shm.attach_graph(handle) is graph
-        assert glob.glob(f"/dev/shm/{handle.segment}")
-        shm.release_core(handle)
-        shm.release_core(handle)  # idempotent
-        assert not glob.glob(f"/dev/shm/{handle.segment}")
-
-    def test_foreign_attach_maps_identical_tables(self):
-        graph = cycle(48)
-        handle = shm.export_graph(graph)
-        # simulate a foreign process: hide the exporter-side memo
-        entry = shm._EXPORTED.pop(handle.segment)
-        try:
-            attached = shm.attach_graph(handle)
-            assert attached is not graph
-            assert attached is shm.attach_graph(handle)  # memoized
-            for mine, theirs in zip(graph.csr(), attached.csr()):
-                assert list(mine) == list(theirs)
-            assert attached.num_nodes == graph.num_nodes
-            assert attached.num_edges == graph.num_edges
-            assert shm.attached_core_words() >= shm.core_words(graph)
-        finally:
-            # drop the attachment; its views are alive, so disarm the
-            # SharedMemory finalizer the way the atexit hook does and
-            # let the exporter clean up the segment
-            dropped = shm._ATTACHED.pop(handle.segment, None)
-            if dropped is not None:
-                seg = dropped[1]
-                seg._buf = None
-                seg._mmap = None
-                seg._fd = -1
-            shm._EXPORTED[handle.segment] = entry
-            shm.release_core(handle)
-
-    def test_handle_is_tiny_on_the_wire(self):
-        import pickle
-
-        graph = cycle(2048)
-        handle = shm.export_graph(graph)
-        try:
-            handle_bytes = len(pickle.dumps(tuple(handle)))
-            core_bytes = len(pickle.dumps(graph))
-            assert handle_bytes < 128
-            assert handle_bytes * 100 < core_bytes
-        finally:
-            shm.release_core(handle)
-
-    def test_instance_cache_adopt_serves_core(self):
-        cache = InstanceCache()
-        family_info = registry.family("cycle")
-        graph = cycle(32)
-        cache.adopt(("cycle", 32), graph)
-        assert cache.core(family_info, 32) is graph
-        instance, key = cache.build(family_info, 32, seed=0)
-        assert key == ("cycle", 32)
-        assert instance.graph is graph
-
-
 # -- record parity through the whole stack ------------------------------------
 
 
@@ -301,14 +230,12 @@ class TestKernelsRecordParity:
         assert executed == len(report.records)
         assert _counter_total(tele, "kernels.vector_trials") == 0
 
-    def test_shard_report_kernels_roundtrip_and_default(self):
+    def test_shard_report_kernels_roundtrip(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=1)
         report = run_shard(plan.manifest(0), workers=1, kernels="object")
         payload = report.as_dict()
         assert payload["kernels"] == "object"
         assert ShardReport.from_dict(payload).kernels == "object"
-        payload.pop("kernels")  # reports written by older builds
-        assert ShardReport.from_dict(payload).kernels == "auto"
 
     def test_mixed_shard_backends_merge_identically(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=4)
@@ -321,28 +248,6 @@ class TestKernelsRecordParity:
         oracle = run_experiment(PARITY_SPEC, workers=1, kernels="object")
         assert _record_keys(merged) == _record_keys(oracle)
         assert merged.kernels == "mixed"
-
-    def test_forced_shm_export_keeps_records_and_cleans_up(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_CORES", "1")
-        before = set(glob.glob("/dev/shm/repro-core-*"))
-        oracle = run_experiment(PARITY_SPEC, workers=1, kernels="object")
-        plan = plan_experiment(PARITY_SPEC, num_shards=1)
-        report = run_shard(plan.manifest(0), workers=2, kernels="auto")
-        shard_records = [
-            json.dumps(record, sort_keys=True)
-            for _, record in sorted(report.records)
-        ]
-        assert shard_records == _record_keys(oracle)
-        exported = _counter_total(report.telemetry, "shm.cores_exported")
-        assert exported >= 1  # cycle topology cores went through shm
-        # exporter released every segment when the shard finished
-        assert set(glob.glob("/dev/shm/repro-core-*")) == before
-
-    def test_shm_export_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_CORES", "0")
-        plan = plan_experiment(PARITY_SPEC, num_shards=1)
-        report = run_shard(plan.manifest(0), workers=2, kernels="auto")
-        assert _counter_total(report.telemetry, "shm.cores_exported") == 0
 
 
 # -- batched array programs vs the object round loop --------------------------

@@ -8,8 +8,8 @@ merges byte-identical to the K=1 oracle, while a *persistently*
 corrupted export is quarantined (never merged) and reported in the gap
 manifest.  Around it, the unit surface: target URI parsing and command
 resolution, manifested exports, every ``net-*`` fault mode against a
-live loopback server, the ``--dry-run`` renderer, and the shm-core
-sweep for shards that die mid-chunk with exported topology cores.
+live loopback server, the ``--dry-run`` renderer, and the process-group
+reaping of shards that die mid-chunk.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from repro.engine.remote import (
 from repro.engine.runner import plan_experiment, run_experiment
 from repro.engine.shard import dump_plan_file
 from repro.engine.spec import ExperimentSpec
-from repro.generators import cycle
-from repro.kernels import shm
 
 
 PARITY_SPEC = ExperimentSpec(
@@ -465,16 +463,11 @@ class TestFabricTargets:
         assert result.outcomes[0].state == "failed"
         assert "target timeout" in result.outcomes[0].cause
 
-    def test_vector_kill_salvages_and_sweeps_shm(
-        self, tmp_path, monkeypatch, caplog
-    ):
-        """A shard on a cmd:// target dies mid-chunk with exported
-        topology cores; the retry salvages its durable chunks and the
-        launcher sweeps the leaked segments and reaps the dead shard's
-        pool workers."""
-        monkeypatch.setenv("REPRO_SHM_CORES", "1")
+    def test_vector_kill_salvages_and_reaps_the_group(self, tmp_path, caplog):
+        """A shard on a cmd:// target dies mid-chunk; the retry salvages
+        its durable chunks and the launcher reaps the dead shard's pool
+        workers."""
         caplog.set_level(logging.INFO, logger="repro.engine")
-        before = set(glob.glob("/dev/shm/repro-core-*"))
         plan_path, _ = write_plan(tmp_path, num_shards=2)
         result = run_fabric(
             plan_path,
@@ -493,11 +486,9 @@ class TestFabricTargets:
         assert cache_fingerprint(str(tmp_path / "cache")) == cache_fingerprint(
             oracle_dir
         )
-        # no shm segments outlive the run, killed exporter included
-        assert set(glob.glob("/dev/shm/repro-core-*")) == before
-        # nor does any process of the killed attempt: the shard led its
-        # own process group, so its pool workers and resource tracker
-        # share the group id, which is the attempt's pid
+        # no process of the killed attempt outlives the run: the shard
+        # led its own process group, so its pool workers and resource
+        # tracker share the group id, which is the attempt's pid
         killed = re.search(r"shard 0 attempt 1: pid (\d+)", caplog.text)
         assert killed is not None, caplog.text
         assert _live_group_members(int(killed.group(1))) == []
@@ -522,39 +513,6 @@ def _live_group_members(pgid: int) -> list[str]:
         if int(pgrp) == pgid and state != "Z":
             members.append(f"{entry}: {cmdline}")
     return members
-
-
-# -- shm sweep unit surface --------------------------------------------
-
-
-class TestSweepLeakedCores:
-    def test_sweeps_foreign_dead_exporters_segments(self):
-        graph = cycle(64)
-        handle = shm.export_graph(graph)
-        # Simulate a crashed exporter: the segment exists on disk but no
-        # live process claims it in _EXPORTED.
-        _, seg = shm._EXPORTED.pop(handle.segment)
-        seg.close()
-        swept = shm.sweep_leaked_cores(os.getpid())
-        assert handle.segment in swept
-        assert not os.path.exists(f"/dev/shm/{handle.segment}")
-
-    def test_skips_own_live_exports(self):
-        graph = cycle(64)
-        handle = shm.export_graph(graph)
-        try:
-            assert shm.sweep_leaked_cores(os.getpid()) == []
-            assert os.path.exists(f"/dev/shm/{handle.segment}")
-        finally:
-            shm.release_core(handle)
-
-    def test_foreign_pid_prefix_matches_nothing(self):
-        graph = cycle(64)
-        handle = shm.export_graph(graph)
-        try:
-            assert shm.sweep_leaked_cores(999999999) == []
-        finally:
-            shm.release_core(handle)
 
 
 # -- the acceptance chaos run ------------------------------------------

@@ -22,7 +22,6 @@ from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.experiments import build_experiment
 from repro.engine.runner import (
-    iter_records,
     merge_shard_reports,
     plan_experiment,
     run_experiment,
@@ -80,6 +79,33 @@ class TestPlanning:
         warm = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
         cold = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
         assert warm.key() == cold.key()
+
+    def test_warm_cache_keys_auto_batch_off_the_missing_subset(
+        self, tmp_path
+    ):
+        # 16 sizes x 2 seeds: the full grid auto-sizes to 8-trial
+        # chunks on one worker, but after warming all but the last
+        # size, the 2-trial remainder must be sized for itself.
+        wide = ExperimentSpec(
+            "test/degree-parity/parity@cycle-wide",
+            "degree-parity",
+            "parity",
+            "cycle",
+            ns=tuple(range(4, 20)),
+            seeds=(0, 1),
+        )
+        narrower = ExperimentSpec(
+            wide.name, "degree-parity", "parity", "cycle",
+            ns=wide.ns[:-1], seeds=wide.seeds,
+        )
+        cache_dir = str(tmp_path / "cache")
+        cold = run_experiment(wide, cache=TrialCache(cache_dir))
+        assert cold.batch_size == 8
+        run_experiment(narrower, cache=TrialCache(str(tmp_path / "warm")))
+        cache = TrialCache(str(tmp_path / "warm"))
+        warm = run_experiment(wide, cache=cache)
+        assert warm.computed == 2
+        assert warm.batch_size == 2  # sized for the remainder, not the grid
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="batch size"):
@@ -447,82 +473,6 @@ class TestCompaction:
         assert kept == 9 and dropped == 9
         warm = run_experiment(PARITY_SPEC, cache=TrialCache(root))
         assert warm.cache_hits == warm.trials_total == 9
-
-
-class TestIterRecords:
-    def test_yields_every_record_in_stream_order(self):
-        stream = []
-        iterator = iter_records(PARITY_SPEC, workers=2, batch_size=2)
-        try:
-            while True:
-                stream.append(next(iterator))
-        except StopIteration as stop:
-            report = stop.value
-        assert stream == report.records
-        assert report.trials_total == 9
-
-    def test_mixes_cache_hits_and_computed(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        narrower = ExperimentSpec(
-            "test/degree-parity/parity@cycle",
-            "degree-parity",
-            "parity",
-            "cycle",
-            ns=(8, 12),
-            seeds=(0, 1, 2),
-        )
-        run_experiment(narrower, cache=TrialCache(cache_dir))
-        stream = list(
-            iter_records(PARITY_SPEC, cache=TrialCache(cache_dir))
-        )
-        assert len(stream) == 9
-        assert [r["n"] for r in stream[:6]] == [8, 8, 8, 12, 12, 12]
-
-    def test_abandoning_the_generator_cancels_the_run(self):
-        iterator = iter_records(PARITY_SPEC, workers=1, batch_size=1)
-        first = next(iterator)
-        assert first["n"] == 8
-        iterator.close()  # must neither hang nor raise
-
-    def test_warm_cache_keys_auto_batch_off_the_missing_subset(
-        self, tmp_path
-    ):
-        # 16 sizes x 2 seeds: the full grid auto-sizes to 8-trial
-        # chunks on one worker, but after warming all but the last
-        # size, the 2-trial remainder must be sized for itself.
-        wide = ExperimentSpec(
-            "test/degree-parity/parity@cycle-wide",
-            "degree-parity",
-            "parity",
-            "cycle",
-            ns=tuple(range(4, 20)),
-            seeds=(0, 1),
-        )
-        narrower = ExperimentSpec(
-            wide.name, "degree-parity", "parity", "cycle",
-            ns=wide.ns[:-1], seeds=wide.seeds,
-        )
-        cache_dir = str(tmp_path / "cache")
-        cold = run_experiment(wide, cache=TrialCache(cache_dir))
-        assert cold.batch_size == 8
-        run_experiment(narrower, cache=TrialCache(str(tmp_path / "warm")))
-        cache = TrialCache(str(tmp_path / "warm"))
-        warm = run_experiment(wide, cache=cache)
-        assert warm.computed == 2
-        assert warm.batch_size == 2  # sized for the remainder, not the grid
-
-    def test_propagates_failures(self):
-        # The declared-unsound probe: the verifier rejects its output.
-        bad = ExperimentSpec(
-            "test/iter-bad-verify",
-            "gadget-proof",
-            "gadget-prover",
-            "corrupt-color-clash",
-            ns=(4,),
-            seeds=(0,),
-        )
-        with pytest.raises(AssertionError, match="prover flagged a valid gadget"):
-            list(iter_records(bad))
 
 
 class TestCli:
