@@ -113,7 +113,7 @@ def _check_subgadget_node(
     elif port_tag != NOPORT:
         out.append(StructuralViolation(v, "alpha", "malformed port tag"))
 
-    incidences = list(scope.incidences(v))
+    incidences = scope.incidences(v)
     labels = [label for _p, _e, _o, label in incidences]
 
     allowed = TREE_LABELS | {UP}
@@ -264,7 +264,7 @@ def _check_center(
 ) -> None:
     if scope.port_tag(v) != NOPORT:
         out.append(StructuralViolation(v, "alpha", "a center cannot be a port"))
-    incidences = list(scope.incidences(v))
+    incidences = scope.incidences(v)
     if len(incidences) != delta:  # c2a
         out.append(
             StructuralViolation(

@@ -11,7 +11,7 @@ are written in terms of.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
 from repro.gadgets.labels import GadgetHalfInput, GadgetNodeInput
 from repro.lcl.assignment import Labeling
@@ -19,9 +19,19 @@ from repro.local.graphs import HalfEdge, PortGraph
 
 __all__ = ["GadgetScope"]
 
+#: ``(port, eid, other_node, my_label)`` of one in-scope edge at a node.
+Incidence = tuple[int, int, int, Hashable]
+
 
 class GadgetScope:
-    """Navigation over the gadget-edge subgraph of a labeled graph."""
+    """Navigation over the gadget-edge subgraph of a labeled graph.
+
+    A scope is a snapshot of ``graph`` and ``inputs``: :meth:`incidences`
+    builds a node's tuple of in-scope edges on its first call and returns
+    that same tuple afterwards, so neither may change once the scope
+    exists.  Corruptions therefore build a new
+    :class:`~repro.lcl.assignment.Labeling` rather than editing one.
+    """
 
     def __init__(
         self,
@@ -32,6 +42,7 @@ class GadgetScope:
         self.graph = graph
         self.inputs = inputs
         self._edge_in_scope = edge_in_scope or (lambda eid: True)
+        self._rows: list[tuple[Incidence, ...] | None] = [None] * graph.num_nodes
 
     def in_scope(self, eid: int) -> bool:
         return self._edge_in_scope(eid)
@@ -65,15 +76,22 @@ class GadgetScope:
 
     # -- incidences --------------------------------------------------------------
 
-    def incidences(self, v: int) -> Iterator[tuple[int, int, int, Hashable]]:
-        """Yield ``(port, eid, other_node, my_label)`` for in-scope edges."""
-        for port in range(self.graph.degree(v)):
-            eid = self.graph.edge_id_at(v, port)
-            if not self.in_scope(eid):
-                continue
-            half = self.half_input(v, port)
-            label = half.label if half else None
-            yield port, eid, self.graph.neighbor(v, port), label
+    def incidences(self, v: int) -> tuple[Incidence, ...]:
+        """The ``(port, eid, other_node, my_label)`` of each in-scope edge
+        at ``v``, in port order (built once per node, then shared)."""
+        row = self._rows[v]
+        if row is None:
+            graph = self.graph
+            found = []
+            for port in range(graph.degree(v)):
+                eid = graph.edge_id_at(v, port)
+                if not self._edge_in_scope(eid):
+                    continue
+                half = self.half_input(v, port)
+                label = half.label if half else None
+                found.append((port, eid, graph.neighbor(v, port), label))
+            row = self._rows[v] = tuple(found)
+        return row
 
     def labels_at(self, v: int) -> list[Hashable]:
         """The in-scope endpoint labels at ``v`` (may contain None)."""
@@ -127,4 +145,4 @@ class GadgetScope:
         return out
 
     def scope_degree(self, v: int) -> int:
-        return sum(1 for _ in self.incidences(v))
+        return len(self.incidences(v))

@@ -13,6 +13,7 @@ import random
 
 from repro.local.distances import girth
 from repro.local.graphs import PortGraph
+from repro.obs import get_telemetry
 from repro.runtime.registry import register_family
 
 __all__ = [
@@ -23,24 +24,52 @@ __all__ = [
 ]
 
 
-def configuration_model(n: int, degree: int, rng: random.Random) -> PortGraph:
-    """One configuration-model sample (may contain loops/parallels)."""
+def _stub_pairs(n: int, degree: int, rng: random.Random) -> list[tuple[int, int]]:
+    """One configuration-model pairing: shuffle the stubs, pair them in order."""
     if n * degree % 2 != 0:
         raise ValueError("n * degree must be even")
     stubs = [v for v in range(n) for _ in range(degree)]
     rng.shuffle(stubs)
-    pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
-    return PortGraph.from_edge_list(n, pairs)
+    return [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+
+
+def _pairs_simple(pairs: list[tuple[int, int]]) -> bool:
+    """Whether the pairs have no loop and no repeated (unordered) pair."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in pairs:
+        if u == v:
+            return False
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def configuration_model(n: int, degree: int, rng: random.Random) -> PortGraph:
+    """One configuration-model sample (may contain loops/parallels)."""
+    return PortGraph.from_edge_list(n, _stub_pairs(n, degree, rng))
 
 
 def random_regular(
     n: int, degree: int, rng: random.Random, simple: bool = True, max_tries: int = 200
 ) -> PortGraph:
-    """A random d-regular graph; resamples until simple when requested."""
+    """A random d-regular graph; resamples until simple when requested.
+
+    Each sample is a configuration-model pairing, drawn exactly as
+    :func:`configuration_model` draws it.  A sample with a loop or a
+    repeated pair is rejected on the pair list, so only the accepted
+    sample is built into a :class:`PortGraph`; the graph and the RNG
+    state afterwards are those of calling :func:`configuration_model`
+    until the result ``is_simple()``.  Every sample adds one to the
+    ``generators.configuration_attempts`` counter.
+    """
+    telemetry = get_telemetry()
     for _ in range(max_tries):
-        graph = configuration_model(n, degree, rng)
-        if not simple or graph.is_simple():
-            return graph
+        telemetry.incr("generators.configuration_attempts")
+        pairs = _stub_pairs(n, degree, rng)
+        if not simple or _pairs_simple(pairs):
+            return PortGraph.from_edge_list(n, pairs)
     raise RuntimeError(
         f"failed to sample a simple {degree}-regular graph on {n} nodes"
     )

@@ -51,12 +51,33 @@ def next_prime(x: int) -> int:
     return candidate
 
 
+def _ceil_root(k: int, e: int) -> int:
+    """The smallest integer ``r >= 1`` with ``r**e >= k``, exactly.
+
+    Newton's iteration on integers, started above the root, descends to
+    ``floor(k ** (1/e))`` without floating point, so it is exact for
+    ``k`` of any size.
+    """
+    r = 1 << -(-k.bit_length() // e)
+    while True:
+        below = ((e - 1) * r + k // r ** (e - 1)) // e
+        if below >= r:
+            break
+        r = below
+    return r if r**e >= k else r + 1
+
+
 def polynomial_family_params(k: int, delta: int) -> tuple[int, int]:
     """Choose ``(q, d)`` for a Delta-cover-free family of size >= k.
 
     Requirements: ``q`` prime, ``q**(d+1) >= k`` (one polynomial per
     color) and ``q > delta * d`` (cover-freeness).  The search minimizes
     the new palette size ``q**2``.
+
+    Both requirements are lower bounds on ``q``, so for each ``d`` the
+    search starts at the largest of ``delta * d + 1``, 2 and the exact
+    ``(d+1)``-th root of ``k`` rounded up, and takes the first prime
+    from there with one :func:`next_prime` call.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -66,10 +87,7 @@ def polynomial_family_params(k: int, delta: int) -> tuple[int, int]:
     # d up to log2 k suffices: q >= 2 gives q**(d+1) >= 2**(d+1).
     for d in range(1, ceil_log2(max(k, 2)) + 2):
         # smallest prime q satisfying both constraints
-        q_floor = max(delta * d + 1, 2)
-        q = next_prime(q_floor)
-        while q ** (d + 1) < k:
-            q = next_prime(q + 1)
+        q = next_prime(max(delta * d + 1, 2, _ceil_root(k, d + 1)))
         if best is None or q * q < best[0] ** 2:
             best = (q, d)
     assert best is not None

@@ -15,6 +15,7 @@ from repro.gadgets import (
     corrupt,
 )
 from repro.gadgets.corruptions import CORRUPTIONS
+from repro.gadgets.labels import GadgetHalfInput
 
 
 def _scope(graph, inputs):
@@ -115,3 +116,46 @@ class TestCorruptionLocality:
             # all flagged nodes are within distance 4 of each other's
             # neighborhoods; in particular the flagged set is small
             assert len(flagged) <= 12, corruption.name
+
+
+class TestScopeSnapshot:
+    """A scope builds each node's incidence tuple once and then shares it."""
+
+    @staticmethod
+    def _recomputed(scope, v):
+        graph = scope.graph
+        out = []
+        for port in range(graph.degree(v)):
+            eid = graph.edge_id_at(v, port)
+            if not scope.in_scope(eid):
+                continue
+            half = scope.inputs.half_at(v, port)
+            label = half.label if isinstance(half, GadgetHalfInput) else None
+            out.append((port, eid, graph.neighbor(v, port), label))
+        return out
+
+    def _assert_snapshot(self, scope):
+        for v in scope.graph.nodes():
+            first = scope.incidences(v)
+            assert list(first) == self._recomputed(scope, v), v
+            assert isinstance(first, tuple)
+            assert scope.incidences(v) is first
+            assert scope.scope_degree(v) == len(first)
+
+    def test_built_gadget_and_corruptions(self):
+        built = build_gadget(3, 4)
+        self._assert_snapshot(_scope(built.graph, built.inputs))
+        for corruption in all_corruptions(built, random.Random(2)):
+            self._assert_snapshot(_scope(corruption.graph, corruption.inputs))
+
+    def test_padded_instance_scope(self):
+        from repro.core import pad_graph
+        from repro.core.virtual_graph import _gadget_scope
+        from repro.generators import complete
+
+        base = complete(4)
+        padded = pad_graph(base, [build_gadget(3, 3) for _ in base.nodes()])
+        scope = _gadget_scope(padded.graph, padded.inputs)
+        self._assert_snapshot(scope)
+        # port edges are out of scope, so every gadget stays its own component
+        assert len(scope.components()) == base.num_nodes

@@ -14,6 +14,17 @@ from repro.generators import (
     random_regular,
 )
 from repro.local import girth
+from repro.obs import get_telemetry
+
+
+def _reference_random_regular(n, d, rng, max_tries=200):
+    """Sample ``configuration_model`` until it is simple; also return
+    how many samples that took."""
+    for samples in range(1, max_tries + 1):
+        graph = configuration_model(n, d, rng)
+        if graph.is_simple():
+            return graph, samples
+    raise AssertionError("no simple sample within max_tries")
 
 
 class TestRegularGraphs:
@@ -23,9 +34,32 @@ class TestRegularGraphs:
         assert all(graph.degree(v) == d for v in graph.nodes())
         assert graph.is_simple()
 
-    def test_odd_product_rejected(self):
+    @pytest.mark.parametrize("sample", [configuration_model, random_regular])
+    def test_odd_product_rejected(self, sample):
         with pytest.raises(ValueError):
-            configuration_model(5, 3, random.Random(0))
+            sample(5, 3, random.Random(0))
+
+    @pytest.mark.parametrize(
+        "n,d,seed",
+        [(10, 3, 0), (16, 3, 1), (20, 4, 2), (64, 3, 3), (1024, 3, 0), (1024, 4, 1)],
+    )
+    def test_random_regular_matches_reference_sampling(self, n, d, seed):
+        twin = random.Random(seed)
+        expected, _samples = _reference_random_regular(n, d, twin)
+        rng = random.Random(seed)
+        graph = random_regular(n, d, rng)
+        assert [t.tolist() for t in graph.csr()] == [
+            t.tolist() for t in expected.csr()
+        ]
+        assert rng.getstate() == twin.getstate()
+
+    def test_configuration_attempts_counted_per_sample(self):
+        _graph, samples = _reference_random_regular(64, 3, random.Random(3))
+        assert samples > 1
+        before = get_telemetry().counters().get("generators.configuration_attempts", 0)
+        random_regular(64, 3, random.Random(3))
+        after = get_telemetry().counters().get("generators.configuration_attempts", 0)
+        assert after - before == samples
 
     def test_configuration_model_allows_multigraph(self):
         graph = configuration_model(4, 3, random.Random(2))

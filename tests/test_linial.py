@@ -15,6 +15,20 @@ from repro.problems.linial import (
     reduction_schedule,
 )
 from repro.util import log_star
+from repro.util.logmath import ceil_log2
+
+
+def _reference_family_params(k: int, delta: int) -> tuple[int, int]:
+    """The one-prime-at-a-time search: from ``delta * d + 1``, step
+    through the primes until ``q ** (d + 1) >= k``."""
+    best = None
+    for d in range(1, ceil_log2(max(k, 2)) + 2):
+        q = next_prime(max(delta * d + 1, 2))
+        while q ** (d + 1) < k:
+            q = next_prime(q + 1)
+        if best is None or q * q < best[0] ** 2:
+            best = (q, d)
+    return best
 
 
 class TestPrimes:
@@ -37,6 +51,24 @@ class TestFamilyParams:
         assert is_prime(q)
         assert q ** (d + 1) >= k
         assert q > delta * d
+
+    def test_matches_reference_on_small_grid(self):
+        for k in range(1, 2001):
+            for delta in range(1, 7):
+                expected = _reference_family_params(k, delta)
+                assert polynomial_family_params(k, delta) == expected, (k, delta)
+
+    @pytest.mark.parametrize("r,d", [(9973, 1), (463, 2), (97, 3), (37, 4)])
+    def test_matches_reference_at_exact_powers(self, r, d):
+        # k = r**(d+1) is where the rounded-up root switches from r to
+        # r+1.  With delta = (r-1)//d the root binds exactly at this d
+        # and this d wins the search (delta*(d+1)+1 > r), so an
+        # off-by-one start shows in the result.  The reference walks
+        # every prime up to sqrt(k) <= 1e4.
+        for delta in (1, 6, (r - 1) // d):
+            for k in (r ** (d + 1) - 1, r ** (d + 1), r ** (d + 1) + 1):
+                expected = _reference_family_params(k, delta)
+                assert polynomial_family_params(k, delta) == expected, (k, delta)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
