@@ -14,8 +14,10 @@ on *presence*, never on *value* — so ``merge`` is a plain key union
 (idempotent, commutative), ``export``/``import_file`` move records as
 one portable JSONL file, and the ``isolation`` mode points writes at a
 private root (one per shard of a sharded run) that unions cleanly back
-into the shared root afterward.  All readers tolerate a torn trailing
-line, the worst a killed writer can leave behind.
+into the shared root afterward.  A root moves between hosts as plain
+files — a shared filesystem or any copy — and ``merge`` takes it from
+wherever it landed.  All readers tolerate a torn trailing line, the
+worst a killed writer or a cut-short copy can leave behind.
 
 The cache is deliberately dumb: it stores whatever JSON-safe record
 the runner hands it, keyed by the trial's content hash.  Invalidation
@@ -25,7 +27,6 @@ part of every key.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -35,23 +36,11 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.obs import get_telemetry
 from repro.util.fsio import atomic_write_text
 
-__all__ = [
-    "CacheStats",
-    "TrialCache",
-    "DEFAULT_CACHE_DIR",
-    "EXPORT_MANIFEST_NAME",
-    "EXPORT_MANIFEST_VERSION",
-    "load_export_manifest",
-]
+__all__ = ["CacheStats", "TrialCache", "DEFAULT_CACHE_DIR"]
 
 _LOG = logging.getLogger("repro.engine")
 
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: The integrity root :meth:`TrialCache.export_dir` writes next to its
-#: record files; bump the version when the manifest layout changes.
-EXPORT_MANIFEST_NAME = "manifest.json"
-EXPORT_MANIFEST_VERSION = 1
 
 
 @dataclass
@@ -116,19 +105,6 @@ def _scan_root(
         for key, record in _parse_lines(os.path.join(root, name), on_torn):
             entries[key] = record
     return entries
-
-
-def load_export_manifest(root: str) -> dict[str, Any]:
-    """Read and version-check the manifest of an exported directory."""
-    path = os.path.join(root, EXPORT_MANIFEST_NAME)
-    with open(path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if manifest.get("version") != EXPORT_MANIFEST_VERSION:
-        raise ValueError(
-            f"unsupported export-manifest version {manifest.get('version')!r} "
-            f"(this build reads version {EXPORT_MANIFEST_VERSION})"
-        )
-    return manifest
 
 
 def _dump_line(key: str, record: dict[str, Any]) -> str:
@@ -265,7 +241,7 @@ class TrialCache:
         ``keys=None`` exports everything on disk; an explicit iterable
         exports exactly those keys (unknown ones are skipped).  Lines
         are key-sorted, so equal caches export byte-identical files.
-        The file is staged and atomically replaced: a consumer pulling
+        The file is staged and atomically replaced: a consumer reading
         an export sees the previous complete file or the new one, never
         a half-written mixture, even if the exporter is killed.
         """
@@ -284,45 +260,6 @@ class TrialCache:
             "".join(_dump_line(key, record) + "\n" for key, record in entries),
         )
         return len(entries)
-
-    def export_dir(self, dest: str) -> dict[str, Any]:
-        """Write a compacted, integrity-checked copy of this cache.
-
-        ``dest`` gets one key-sorted JSONL file per occupied shard plus
-        a :data:`EXPORT_MANIFEST_NAME` recording each file's sha256,
-        byte length, and record count — the shape ``serve-exports``
-        serves and ``merge --from-url`` verifies, so a receiver can
-        prove a transfer intact (or quarantine it) without trusting the
-        sender or the network.  Equal caches export byte-identical
-        directories; every file (and the manifest) is atomically
-        replaced.  Returns the manifest payload.
-        """
-        self.load_all()
-        os.makedirs(dest, exist_ok=True)
-        groups: dict[str, list[tuple[str, dict[str, Any]]]] = {}
-        for key, record in sorted(self._index.items()):
-            groups.setdefault(self._shard_name(key), []).append((key, record))
-        files: dict[str, dict[str, Any]] = {}
-        for name, entries in sorted(groups.items()):
-            text = "".join(_dump_line(key, record) + "\n" for key, record in entries)
-            data = text.encode("utf-8")
-            atomic_write_text(os.path.join(dest, name), text)
-            files[name] = {
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-                "records": len(entries),
-            }
-        manifest = {
-            "version": EXPORT_MANIFEST_VERSION,
-            "files": files,
-            "records_total": len(self._index),
-        }
-        atomic_write_text(
-            os.path.join(dest, EXPORT_MANIFEST_NAME),
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
-        get_telemetry().incr("cache.dir_exports")
-        return manifest
 
     def _absorb(self, incoming: dict[str, dict[str, Any]]) -> int:
         """Key-union incoming records; newcomers win only when they differ.

@@ -8,9 +8,6 @@ Subcommands::
     python -m repro.engine merge --plan plan.json --from shard0 shard1 shard2 shard3
     python -m repro.engine fabric --plan plan.json --cache-dir cache
     python -m repro.engine fabric --plan plan.json --target 'cmd://ssh h ...'
-    python -m repro.engine cache --export exports/shard-0
-    python -m repro.engine serve-exports --root exports --port 8750
-    python -m repro.engine merge --plan plan.json --from-url http://h:8750/shard-0
     python -m repro.engine status --plan plan.json
     python -m repro.engine stats --report report.json
     python -m repro.engine cache --status
@@ -27,7 +24,8 @@ phase/counter breakdown a ``--json`` report carries, and ``cache
 --status`` the trial cache's counters.
 
 A flag shared by several subcommands means the same in each:
-``--json -`` is stdout, and count flags reject values below 1.
+``--json -`` is stdout, count flags reject values below 1, and
+``fabric``'s seconds flags reject values that are not positive.
 ``run`` prints one table per spec (the same renderer the benchmark
 suite feeds into ``benchmarks/conftest.report``) plus
 cache/parallelism accounting, and optionally writes the full JSON
@@ -51,8 +49,8 @@ structured line (command, experiment, shard, cause) on stderr, and
 rejected output, a crashed worker) the same way and exit 3 — never a
 bare traceback.  ``--json-errors`` switches that line to a JSON object
 for supervising processes.  Usage errors are argparse's own message.
-Exit codes: 0 success, 2 bad invocation/setup, 3 run-time failure, 4
-degraded fabric or merge.  ``run-shard
+Exit codes: 0 success, 2 bad invocation/setup, 3 run-time failure
+(an interrupted ``fabric`` included), 4 degraded fabric.  ``run-shard
 --heartbeat PATH`` publishes the :mod:`repro.obs.heartbeat` progress
 file the fabric watches, ``--inject SPEC`` arms the
 :mod:`repro.engine.faults` chaos harness, and ``status --heartbeats
@@ -64,6 +62,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -71,23 +70,15 @@ from typing import Sequence
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, TrialCache
 from repro.engine.experiments import EXPERIMENTS, build_experiment, paper_placement
-from repro.engine.fabric import GAP_MANIFEST_VERSION, BackoffPolicy, run_fabric
+from repro.engine.fabric import BackoffPolicy, run_fabric
 from repro.engine.faults import (
     ENV_ATTEMPT,
     ENV_FAULTS,
     FaultInjector,
-    NetFaultInjector,
     parse_fault_specs,
 )
 from repro.engine.pool import default_workers
-from repro.engine.remote import (
-    ExecTarget,
-    ExportServer,
-    PullPolicy,
-    assign_targets,
-    pull_export,
-    shard_context,
-)
+from repro.engine.remote import ExecTarget, assign_targets, shard_context
 from repro.engine.runner import (
     EngineReport,
     plan_experiment,
@@ -96,7 +87,6 @@ from repro.engine.runner import (
 )
 from repro.engine.shard import (
     ShardPlan,
-    coverage_gaps,
     dump_plan_file,
     load_plan_file,
     shard_coverage,
@@ -375,6 +365,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """The argparse type of every seconds flag: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {text!r}"
+        )
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     # Every flag more than one subcommand takes is defined once, as a
     # parent parser the subcommands list by name, so a shared flag has
@@ -484,7 +487,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help=(
             "arm fault injection, e.g. 'kill@1:at=3' or "
-            "'net-truncate@0:attempts=1' (repeatable; `run-shard` also "
+            "'hang@0:at=1,secs=60' (repeatable; `run-shard` also "
             f"reads ${ENV_FAULTS}); for chaos tests only"
         ),
     )
@@ -582,47 +585,6 @@ def _parser() -> argparse.ArgumentParser:
             "(any remainder is computed locally)"
         ),
     )
-    merge.add_argument(
-        "--from-url",
-        dest="source_urls",
-        action="append",
-        metavar="URL",
-        help=(
-            "pull an exported cache over HTTP (a `serve-exports` "
-            "endpoint, checksum-verified, resumable) and union it like a "
-            "--from root (repeatable)"
-        ),
-    )
-    merge.add_argument(
-        "--pull-dir",
-        metavar="DIR",
-        help=(
-            "where --from-url downloads land "
-            "(default: <cache-dir>/.pulls/)"
-        ),
-    )
-    merge.add_argument(
-        "--pull-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="per-request timeout for --from-url transfers (default: 10)",
-    )
-    merge.add_argument(
-        "--pull-attempts",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="attempts per file before quarantining it (default: 4)",
-    )
-    merge.add_argument(
-        "--pull-backoff",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="first retry delay; doubles per attempt, jittered (default: 0.25)",
-    )
-
     fabric = command(
         "fabric",
         _fabric,
@@ -655,7 +617,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     fabric.add_argument(
         "--heartbeat-timeout",
-        type=float,
+        type=_positive_float,
         default=30.0,
         metavar="SECONDS",
         help=(
@@ -665,7 +627,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     fabric.add_argument(
         "--poll-interval",
-        type=float,
+        type=_positive_float,
         default=0.1,
         metavar="SECONDS",
         help="launcher supervision loop period (default: 0.1)",
@@ -679,7 +641,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     fabric.add_argument(
         "--backoff-base",
-        type=float,
+        type=_positive_float,
         default=0.5,
         metavar="SECONDS",
         help="first retry delay; doubles per attempt, jittered (default: 0.5)",
@@ -703,7 +665,8 @@ def _parser() -> argparse.ArgumentParser:
             "{plan} {shard} {num_shards} {workers} {cache_dir} {out} "
             "{heartbeat} {kernels} {python} placeholders, e.g. "
             "\"cmd://ssh host repro-shard {plan} {shard}\"; append "
-            "'#concurrency=N,timeout=S' for per-target caps"
+            "'#concurrency=N,timeout=S' for per-target caps (a template "
+            "containing '#' must end with '#' or '#options')"
         ),
     )
     fabric.add_argument(
@@ -752,7 +715,7 @@ def _parser() -> argparse.ArgumentParser:
         "cache",
         _cache,
         "cache-dir compact",
-        help="inspect, compact, or export a trial cache root",
+        help="inspect or compact a trial cache root",
     )
     cache.add_argument(
         "--status",
@@ -762,58 +725,6 @@ def _parser() -> argparse.ArgumentParser:
             "loaded, records compacted) alongside the record count"
         ),
     )
-    cache.add_argument(
-        "--export",
-        metavar="DIR",
-        help=(
-            "write a sha256-manifested export of the cache to DIR, "
-            "servable with `serve-exports` and pullable with "
-            "`merge --from-url`"
-        ),
-    )
-
-    serve = command(
-        "serve-exports",
-        _serve_exports,
-        "inject",
-        help=(
-            "serve a directory of cache exports over HTTP for "
-            "`merge --from-url` (stdlib server; trusted networks only)"
-        ),
-    )
-    serve.add_argument(
-        "--root",
-        required=True,
-        metavar="DIR",
-        help="directory holding `cache --export` output (or several)",
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="bind port; 0 picks an ephemeral one and prints it (default: 0)",
-    )
-    serve.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for deterministic fault corruption (default: 0)",
-    )
-    serve.add_argument(
-        "--ready-file",
-        metavar="PATH",
-        help=(
-            "write the bound URL to PATH once listening (lets scripts "
-            "wait for readiness instead of polling)"
-        ),
-    )
-
     command(
         "list",
         _list,
@@ -1152,31 +1063,25 @@ def _run_shard_plans(args, plans, index, cache) -> int:
 def _merge(args: argparse.Namespace) -> int:
     sink = None
     experiment = None
-    source_urls = args.source_urls or []
     try:
         experiment, plans = _load_plans(args.plan)
-        if not args.sources and not source_urls and not os.path.isdir(args.cache_dir):
-            # With --from roots or --from-url endpoints, creating a
-            # fresh destination is the point; without them, a typo'd
-            # --cache-dir would silently recompute the whole experiment
-            # instead of replaying it.
+        if not args.sources and not os.path.isdir(args.cache_dir):
+            # With --from roots, creating a fresh destination is the
+            # point; without them, a typo'd --cache-dir would silently
+            # recompute the whole experiment instead of replaying it.
             raise ValueError(
                 f"cache root {args.cache_dir!r} does not exist and no "
-                "--from roots or --from-url endpoints were given; "
-                "nothing to merge"
+                "--from roots were given; nothing to merge"
             )
         sink = _attach_trace(args)
         cache = TrialCache(args.cache_dir)
         added = 0
         for root in args.sources:
             added += cache.merge(root)
-        added, degraded = _merge_pulls(args, source_urls, cache, added)
     except (ValueError, OSError) as err:
         _detach_trace(sink)
         return _emit_error(args, err, 2, experiment)
     try:
-        if degraded is not None:
-            return _merge_degraded(args, experiment, plans, cache, added, degraded)
         return _merge_replay(args, experiment, plans, cache, added)
     except Exception as err:
         return _emit_error(args, err, 3, experiment)
@@ -1184,86 +1089,11 @@ def _merge(args: argparse.Namespace) -> int:
         _detach_trace(sink)
 
 
-def _merge_pulls(args, source_urls, cache, added):
-    """Pull each --from-url endpoint and union what verified.
-
-    Returns ``(added, degraded)`` where ``degraded`` is None on a fully
-    clean pull and otherwise the ``{"failed_sources", "quarantined"}``
-    accounting a gap manifest needs.  Partial results still merge —
-    quarantined files sit in an ignored subdirectory, so a dest with
-    one bad file contributes its good ones.
-    """
-    if not source_urls:
-        return added, None
-    policy = PullPolicy(
-        timeout=args.pull_timeout,
-        max_attempts=args.pull_attempts,
-        backoff_base=args.pull_backoff,
-    )
-    pull_root = args.pull_dir or os.path.join(args.cache_dir, ".pulls")
-    failed_sources = []
-    quarantined = []
-    for index, url in enumerate(source_urls):
-        dest = os.path.join(pull_root, f"src-{index}")
-        result = pull_export(url, dest, policy=policy)
-        print(result.summary())
-        if result.error is not None:
-            failed_sources.append({"url": url, "cause": result.error})
-            continue
-        for file in result.quarantined:
-            quarantined.append(
-                {
-                    "url": url,
-                    "file": file.name,
-                    "cause": file.cause,
-                    "quarantine": os.path.join(dest, "quarantine", file.name),
-                }
-            )
-        added += cache.merge(dest)
-    if not failed_sources and not quarantined:
-        return added, None
-    return added, {"failed_sources": failed_sources, "quarantined": quarantined}
-
-
-def _merge_degraded(args, experiment, plans, cache, added, degraded) -> int:
-    """Exit 4 with a gap manifest instead of replaying a holey grid.
-
-    The same degradation contract as the fabric's: everything that
-    verified is merged and durable, the holes are machine-readable in
-    ``<cache-dir>/gaps.json``, and nothing quarantined ever entered
-    the cache.
-    """
-    trials_total, trials_missing, specs = coverage_gaps(plans, cache.contains)
-    gap = {
-        "version": GAP_MANIFEST_VERSION,
-        "experiment": experiment,
-        "num_shards": plans[0].num_shards,
-        "trials_total": trials_total,
-        "trials_present": trials_total - trials_missing,
-        "trials_missing": trials_missing,
-        "failed_sources": degraded["failed_sources"],
-        "quarantined": degraded["quarantined"],
-        "specs": specs,
-    }
-    gap_path = os.path.join(args.cache_dir, "gaps.json")
-    atomic_write_text(gap_path, json.dumps(gap, indent=2, sort_keys=True) + "\n")
-    print(
-        f"merged {added} new record(s) into {args.cache_dir}; "
-        f"{len(degraded['failed_sources'])} source(s) unreachable, "
-        f"{len(degraded['quarantined'])} file(s) quarantined, "
-        f"{trials_missing} trial(s) missing"
-    )
-    print(f"gap manifest: {gap_path}", file=sys.stderr)
-    return 4
-
-
 def _merge_replay(args, experiment, plans, cache, added) -> int:
-    pulled = len(args.source_urls or [])
-    pulled_note = f" and {pulled} pulled export(s)" if pulled else ""
     torn = cache.stats.torn_lines
     torn_note = f" ({torn} torn line(s) skipped)" if torn else ""
     print(
-        f"merged {len(args.sources)} shard root(s){pulled_note} into "
+        f"merged {len(args.sources)} shard root(s) into "
         f"{args.cache_dir}: {added} new record(s){torn_note}"
     )
     if args.compact:
@@ -1413,7 +1243,8 @@ def _fabric(args: argparse.Namespace) -> int:
             targets=targets,
             kernels=args.kernels,
         )
-    except Exception as err:
+    except (Exception, KeyboardInterrupt) as err:
+        # run_fabric has already killed every shard it was running.
         return _emit_error(args, err, 3, experiment)
     if result.reports is not None:
         _print_reports(experiment, result.reports)
@@ -1459,29 +1290,6 @@ def _fabric_dry_run(args, plans, targets) -> int:
     return 0
 
 
-def _serve_exports(args: argparse.Namespace) -> int:
-    try:
-        specs = _inject_specs(args)
-        injector = (
-            NetFaultInjector(specs, seed=args.fault_seed) if specs else None
-        )
-        server = ExportServer(
-            args.root, host=args.host, port=args.port, injector=injector
-        )
-    except (ValueError, OSError) as err:
-        return _emit_error(args, err, 2)
-    print(f"serving {args.root} at {server.url}", flush=True)
-    if args.ready_file:
-        atomic_write_text(args.ready_file, server.url + "\n")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def _cache(args: argparse.Namespace) -> int:
     try:
         cache = _open_cache(args.cache_dir)
@@ -1491,13 +1299,7 @@ def _cache(args: argparse.Namespace) -> int:
                 f"compacted {args.cache_dir}: kept {kept} record(s), "
                 f"dropped {dropped} stale line(s)"
             )
-        if args.export:
-            manifest = cache.export_dir(args.export)
-            print(
-                f"exported {len(manifest['files'])} file(s), "
-                f"{manifest['records_total']} record(s) to {args.export}"
-            )
-        if args.status or not (args.compact or args.export):
+        if args.status or not args.compact:
             _show_cache(cache, counters=args.status)
     except (ValueError, OSError) as err:
         return _emit_error(args, err, 2)

@@ -573,7 +573,10 @@ def run_fabric(
     shard subprocess via the environment; the spec's shard index and
     the stamped attempt number decide where they fire.  Whenever a
     shard dies without exiting cleanly, the launcher kills its whole
-    process group, so none of its pool workers outlive it.
+    process group, so none of its pool workers outlive it.  An exception
+    out of the supervision loop (``KeyboardInterrupt`` included) kills
+    every running shard the same way and returns its lease to pending
+    before it propagates.
     """
     if max_parallel is not None and max_parallel < 1:
         raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
@@ -695,99 +698,109 @@ def run_fabric(
                 i, attempts, cause, delay,
             )
 
-    while True:
-        now = time.monotonic()
-        # -- reap and health-check running shards ----------------------
-        for i, sp in list(running.items()):
-            returncode = sp.proc.poll()
-            if returncode is None:
-                if (
-                    sp.target is not None
-                    and sp.target.timeout is not None
-                    and now - sp.started > sp.target.timeout
-                ):
-                    _kill_tree(sp.proc)
-                    running.pop(i)
-                    monitor.forget(i)
-                    telemetry.incr("fabric.target_timeouts")
-                    attempt_failed(
-                        i,
-                        f"target timeout: exceeded {sp.target.timeout:.1f}s "
-                        f"on {sp.target.uri}",
-                    )
+    try:
+        while True:
+            now = time.monotonic()
+            # -- reap and health-check running shards ----------------------
+            for i, sp in list(running.items()):
+                returncode = sp.proc.poll()
+                if returncode is None:
+                    if (
+                        sp.target is not None
+                        and sp.target.timeout is not None
+                        and now - sp.started > sp.target.timeout
+                    ):
+                        _kill_tree(sp.proc)
+                        running.pop(i)
+                        monitor.forget(i)
+                        telemetry.incr("fabric.target_timeouts")
+                        attempt_failed(
+                            i,
+                            f"target timeout: exceeded {sp.target.timeout:.1f}s "
+                            f"on {sp.target.uri}",
+                        )
+                        continue
+                    monitor.observe(i)
+                    if monitor.stale(i):
+                        _kill_tree(sp.proc)
+                        running.pop(i)
+                        monitor.forget(i)
+                        telemetry.incr("fabric.hangs_detected")
+                        attempt_failed(
+                            i,
+                            f"hung: no heartbeat progress in "
+                            f"{heartbeat_timeout:.1f}s",
+                        )
+                    elif now - sp.last_renew > lease_ttl / 4.0:
+                        board.renew(i, lease_ttl)
+                        sp.last_renew = now
                     continue
-                monitor.observe(i)
-                if monitor.stale(i):
-                    _kill_tree(sp.proc)
-                    running.pop(i)
-                    monitor.forget(i)
-                    telemetry.incr("fabric.hangs_detected")
-                    attempt_failed(
-                        i,
-                        f"hung: no heartbeat progress in "
-                        f"{heartbeat_timeout:.1f}s",
-                    )
-                elif now - sp.last_renew > lease_ttl / 4.0:
-                    board.renew(i, lease_ttl)
-                    sp.last_renew = now
-                continue
-            running.pop(i)
-            monitor.forget(i)
-            if returncode == 0:
-                # Probe the overlay the shard ran with (shared root +
-                # private isolation root): trials it replayed from the
-                # shared cache, and so never re-wrote, count as present.
-                probe = TrialCache(cache_dir, isolation=sp.root)
-                _owed, missing = shard_coverage(plans, i, probe.contains)
-                if missing == 0:
-                    board.release(i, "done")
-                    telemetry.incr("fabric.shards_done")
-                    _LOG.info(
-                        "shard %d done (attempt %d)", i, sp.attempt
-                    )
+                running.pop(i)
+                monitor.forget(i)
+                if returncode == 0:
+                    # Probe the overlay the shard ran with (shared root +
+                    # private isolation root): trials it replayed from the
+                    # shared cache, and so never re-wrote, count as present.
+                    probe = TrialCache(cache_dir, isolation=sp.root)
+                    _owed, missing = shard_coverage(plans, i, probe.contains)
+                    if missing == 0:
+                        board.release(i, "done")
+                        telemetry.incr("fabric.shards_done")
+                        _LOG.info(
+                            "shard %d done (attempt %d)", i, sp.attempt
+                        )
+                    else:
+                        attempt_failed(
+                            i,
+                            f"incomplete export: {missing} trial(s) missing "
+                            "after exit 0 (corrupt or torn output)",
+                        )
                 else:
-                    attempt_failed(
-                        i,
-                        f"incomplete export: {missing} trial(s) missing "
-                        "after exit 0 (corrupt or torn output)",
-                    )
-            else:
-                # Any death but a clean exit can leave the shard's pool
-                # workers and resource tracker idling in its process
-                # group.
-                _kill_tree(sp.proc)
-                attempt_failed(i, _cause_from_log(sp.log_path, returncode))
-        # -- launch what's eligible ------------------------------------
-        now = time.monotonic()
-        for i in board.in_state(PENDING):
-            if len(running) >= max_parallel:
-                break
-            if not_before.get(i, float("-inf")) > now:
-                continue
-            target = target_by_shard[i]
-            if target.concurrency is not None:
-                on_target = sum(
-                    1
-                    for sp in running.values()
-                    if target_by_shard[sp.shard_index] is target
-                )
-                if on_target >= target.concurrency:
+                    # Any death but a clean exit can leave the shard's pool
+                    # workers and resource tracker idling in its process
+                    # group.
+                    _kill_tree(sp.proc)
+                    attempt_failed(i, _cause_from_log(sp.log_path, returncode))
+            # -- launch what's eligible ------------------------------------
+            now = time.monotonic()
+            for i in board.in_state(PENDING):
+                if len(running) >= max_parallel:
+                    break
+                if not_before.get(i, float("-inf")) > now:
                     continue
-            lease = board.acquire(i, owner, lease_ttl)
-            sp = spawn(i, lease.attempts)
-            launched += 1
-            telemetry.incr("fabric.spawns")
-            running[i] = sp
-            monitor.watch(i, sp.heartbeat_path)
-        if not running:
-            pending = board.in_state(PENDING)
-            if not pending:
-                break  # every shard is done or failed
-            # All pending shards are in their backoff window.
-            wake = min(not_before.get(i, now) for i in pending)
-            time.sleep(max(poll_interval, min(wake - now, 1.0)))
-            continue
-        time.sleep(poll_interval)
+                target = target_by_shard[i]
+                if target.concurrency is not None:
+                    on_target = sum(
+                        1
+                        for sp in running.values()
+                        if target_by_shard[sp.shard_index] is target
+                    )
+                    if on_target >= target.concurrency:
+                        continue
+                lease = board.acquire(i, owner, lease_ttl)
+                sp = spawn(i, lease.attempts)
+                launched += 1
+                telemetry.incr("fabric.spawns")
+                running[i] = sp
+                monitor.watch(i, sp.heartbeat_path)
+            if not running:
+                pending = board.in_state(PENDING)
+                if not pending:
+                    break  # every shard is done or failed
+                # All pending shards are in their backoff window.
+                wake = min(not_before.get(i, now) for i in pending)
+                time.sleep(max(poll_interval, min(wake - now, 1.0)))
+                continue
+            time.sleep(poll_interval)
+    except BaseException as err:
+        # Shards lead their own sessions, so a Ctrl-C never reaches
+        # them: kill each one before the error propagates, and hand its
+        # lease back so a restarted launcher reruns it straight away.
+        for sp in running.values():
+            _kill_tree(sp.proc)
+        for i in running:
+            board.release(i, "retry", f"launcher stopped: {type(err).__name__}")
+        raise
 
     # -- merge what survived -------------------------------------------
     destination = TrialCache(cache_dir)

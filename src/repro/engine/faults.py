@@ -3,12 +3,11 @@
 The fabric's failure handling is only trustworthy if each failure mode
 can be reproduced on demand, at an exact point in an exact process.
 This module provides that: a :class:`FaultSpec` names *what* breaks
-(``kill``/``hang``/``delay``/``corrupt``, or a ``net-*`` transport
-fault), *where* (a shard index), *when* (the k-th completed trial of
-the shard run, the k-th record line of its export, or the k-th HTTP
-request for the shard's export), and *on which attempts* — so a chaos
-test states "shard 2 is SIGKILLed after its first trial, on attempt 1
-only" and gets precisely that, every run.
+(``kill``/``hang``/``delay``/``corrupt``), *where* (a shard index),
+*when* (the k-th completed trial of the shard run, or the k-th record
+line of its written root), and *on which attempts* — so a chaos test
+states "shard 2 is SIGKILLed after its first trial, on attempt 1 only"
+and gets precisely that, every run.
 
 Activation is explicit and external: specs arrive via the
 ``run-shard --inject`` flag or the ``REPRO_FAULTS`` environment
@@ -16,17 +15,8 @@ variable (how the fabric launcher forwards them to shard
 subprocesses), and the launcher stamps each attempt's number into
 ``REPRO_FABRIC_ATTEMPT`` so faults default to firing on the first
 attempt and letting retries succeed.  Without either, the injector is
-inert and costs one integer increment per trial.
-
-Process faults run inside the shard (:class:`FaultInjector`); network
-faults run inside the export server (:class:`NetFaultInjector`, wired
-into :class:`repro.engine.remote.ExportServer` via ``serve-exports
---inject``) and damage HTTP responses instead of processes.  For
-``net-*`` specs the ``attempts`` option counts *record-file requests
-for that shard* (the manifest is always served clean — it is the
-integrity root the puller verifies everything else against), so
-``attempts=1`` breaks the first transfer and lets the retry through,
-and ``attempts=1+2+3`` models a burst.
+inert and costs one integer increment per trial.  Every fault fires
+inside the shard process (:class:`FaultInjector`).
 
 Spec string format (``;``-separable for the env var)::
 
@@ -36,22 +26,14 @@ Spec string format (``;``-separable for the env var)::
     delay@0:at=2,secs=0.5   shard 0 stalls 0.5s once, then continues
     corrupt@3:at=2      garble the 2nd record line of shard 3's written root
     kill@1:attempts=1+2     fire on attempts 1 AND 2 (default: 1 only)
-    net-stall@2:secs=3      sleep 3s before shard 2's 1st export response
-    net-drop@1              close the connection halfway through the body
-    net-truncate@1          send a short body with a matching short length
-    net-garble@0:attempts=1+2   flip body bytes (seeded) on requests 1 and 2
-    net-5xx@3:attempts=1+2  respond 503 to shard 3's first two requests
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import random
-import re
 import signal
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,12 +44,8 @@ __all__ = [
     "ENV_FAULTS",
     "FaultInjector",
     "FaultSpec",
-    "NET_MODES",
-    "NetFaultInjector",
     "corrupt_jsonl",
-    "garble_bytes",
     "parse_fault_specs",
-    "shard_from_path",
 ]
 
 _LOG = logging.getLogger("repro.engine")
@@ -77,11 +55,7 @@ ENV_FAULTS = "REPRO_FAULTS"
 #: 1-based attempt number the launcher stamps on each spawn.
 ENV_ATTEMPT = "REPRO_FABRIC_ATTEMPT"
 
-#: Faults that fire inside the shard process (:class:`FaultInjector`).
-PROCESS_MODES = ("kill", "hang", "delay", "corrupt")
-#: Faults that fire inside the export server (:class:`NetFaultInjector`).
-NET_MODES = ("net-stall", "net-drop", "net-truncate", "net-garble", "net-5xx")
-MODES = PROCESS_MODES + NET_MODES
+MODES = ("kill", "hang", "delay", "corrupt")
 
 # A hang must outlive any sane heartbeat timeout without wedging a
 # run-away test forever if nothing kills the process.
@@ -96,15 +70,12 @@ class FaultSpec:
     shard: int
     #: 1-based: the k-th completed trial (kill/hang/delay) or the k-th
     #: record line of the shard's written cache root (corrupt).
-    #: Unused by ``net-*`` modes, whose trigger is ``attempts``.
     at: int = 1
     #: Attempt numbers this fault fires on (1-based).  Defaulting to
     #: the first attempt is what makes retries recover: the injected
-    #: failure happens once, the reassigned lease (or the puller's
-    #: retry) runs clean.  For ``net-*`` modes this counts the shard's
-    #: record-file requests at the server rather than fabric attempts.
+    #: failure happens once, the reassigned lease runs clean.
     attempts: tuple[int, ...] = (1,)
-    #: Sleep length for ``hang``/``delay``/``net-stall``.
+    #: Sleep length for ``hang``/``delay``.
     seconds: float = _DEFAULT_HANG_SECONDS
 
     def __post_init__(self) -> None:
@@ -224,9 +195,7 @@ class FaultInjector:
         self._armed = tuple(
             spec
             for spec in specs
-            if spec.mode in PROCESS_MODES
-            and spec.shard == shard_index
-            and attempt in spec.attempts
+            if spec.shard == shard_index and attempt in spec.attempts
         )
         self._trials = 0
         self._fired: set[FaultSpec] = set()
@@ -264,81 +233,3 @@ class FaultInjector:
             for root in roots:
                 if corrupt_jsonl(root, spec.at):
                     break
-
-
-# -- network faults (server side) ---------------------------------------
-
-_SHARD_PATH_RE = re.compile(r"(?:^|/)shard-(\d+)(?:/|$)")
-
-
-def shard_from_path(path: str) -> int:
-    """The shard index an export URL path addresses.
-
-    ``serve-exports`` serves a directory of per-shard export dirs, so
-    request paths look like ``shard-3/ab.jsonl`` and the ``shard-<i>``
-    component names the target.  A flat root (one export served at
-    ``/``) reads as shard 0, so single-source chaos specs still aim.
-    """
-    match = _SHARD_PATH_RE.search(path)
-    return int(match.group(1)) if match else 0
-
-
-def garble_bytes(data: bytes, rng: random.Random) -> bytes:
-    """Flip a few bytes at seeded positions; always changes content.
-
-    XOR with 0xFF can never map a byte to itself, so any non-empty
-    input fails its sha256 afterward — the damage a flaky NIC or a
-    corrupting middlebox inflicts, length-preserving so only the
-    digest (never the byte count) can catch it.
-    """
-    if not data:
-        return data
-    out = bytearray(data)
-    for _ in range(min(len(out), 8)):
-        out[rng.randrange(len(out))] ^= 0xFF
-    return bytes(out)
-
-
-class NetFaultInjector:
-    """The server-side half: decides per request how a response breaks.
-
-    Armed from ``net-*`` specs (others filter out), consulted by the
-    export server once per record-file request.  The request counter is
-    per *shard*, so ``attempts=1`` breaks a shard's first transfer
-    wherever it lands and ``attempts=1+2+3`` models a burst across its
-    retries; the manifest is always served clean (it is the integrity
-    root — corrupting it tests JSON parsing, not transfer recovery).
-    Garbling is seeded per ``(seed, shard, request)``, so a failing
-    chaos run replays byte-identically.
-    """
-
-    def __init__(self, specs: Sequence[FaultSpec], seed: int = 0):
-        self._specs = tuple(spec for spec in specs if spec.mode in NET_MODES)
-        self._seed = seed
-        self._requests: dict[int, int] = {}
-
-    @property
-    def active(self) -> bool:
-        return bool(self._specs)
-
-    def on_request(self, path: str) -> FaultSpec | None:
-        """Count a record-file request; the fault to apply, if any."""
-        if not self._specs:
-            return None
-        shard = shard_from_path(path)
-        count = self._requests.get(shard, 0) + 1
-        self._requests[shard] = count
-        for spec in self._specs:
-            if spec.shard == shard and count in spec.attempts:
-                _LOG.warning(
-                    "net fault injection: %s on %s (shard %d, request %d)",
-                    spec.mode, path, shard, count,
-                )
-                return spec
-        return None
-
-    def rng_for(self, path: str) -> random.Random:
-        """A deterministic byte-garbling stream for the current request."""
-        shard = shard_from_path(path)
-        token = f"{self._seed}:{shard}:{self._requests.get(shard, 0)}"
-        return random.Random(zlib.crc32(token.encode()))

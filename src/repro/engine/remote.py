@@ -1,74 +1,39 @@
-"""Remote shard transport: exec targets and integrity-checked pulls.
+"""Exec targets: where a fabric shard runs.
 
-The fabric (PR 7) supervises shards through exactly one seam — a
-command list it spawns and a cache root it verifies — so "run this
-shard somewhere else" decomposes into two independent halves:
+The fabric supervises shards through exactly one seam — a command list
+it spawns and a cache root it verifies.  An :class:`ExecTarget` URI
+resolves a shard's launch context into that command: ``local://``
+builds the ``python -m repro.engine run-shard`` invocation, and
+``cmd://<template>`` substitutes ``{plan} {shard} {out} ...``
+placeholders into an arbitrary wrapper command — which is how ssh,
+docker, podman, or a cluster submit script become targets without this
+module knowing any of them.  Targets carry their own concurrency cap
+and wall-clock timeout (heterogeneous hosts fail heterogeneously);
+leases, retry, and gap accounting stay target-agnostic in the fabric.
 
-* **Exec targets** describe *where a shard runs*.  An
-  :class:`ExecTarget` URI resolves a shard's launch context into the
-  argv the launcher spawns: ``local://`` builds today's ``python -m
-  repro.engine run-shard`` invocation, and ``cmd://<template>``
-  substitutes ``{plan} {shard} {workdir} ...`` placeholders into an
-  arbitrary wrapper command — which is how ssh, docker, podman, or a
-  cluster submit script become targets without this module knowing any
-  of them.  Targets carry their own concurrency cap and wall-clock
-  timeout (heterogeneous hosts fail heterogeneously); leases, retry,
-  and gap accounting stay target-agnostic in the fabric.
-* **Integrity-checked transport** describes *how results come back*.
-  :meth:`~repro.engine.cache.TrialCache.export_dir` writes record
-  files plus a sha256-per-file manifest; :class:`ExportServer` serves
-  such directories over stdlib HTTP (with Range, so partial transfers
-  resume instead of restarting); :func:`pull_export` fetches one with
-  timeout/retry/exponential-backoff, resumes short bodies from the
-  byte where they tore, verifies every file against its digest, and
-  **quarantines** — never merges — anything that keeps failing.  Like
-  the content-addressed cache itself, nothing received is trusted:
-  presence is re-proved by digest, and a host that stays unreachable
-  degrades into the ordinary exit-4 gap manifest.
-
-Chaos for the transport half lives in
-:class:`repro.engine.faults.NetFaultInjector` (``net-*`` specs), which
-the server consults per request — stalls, mid-body drops, truncations,
-garbled bytes, and 5xx bursts are all deterministic test cases.
+Results come home as files.  The launcher verifies each shard against
+its root at ``{out}`` on the launcher's own filesystem, so a shard on
+another host writes there over a shared filesystem, or its wrapper
+copies the root back before exiting.  Roots copied home after the run
+union like any other with ``merge --from``, which then replays the
+plan and computes locally whatever a partial or torn copy lost.
 """
 
 from __future__ import annotations
 
-import hashlib
-import http.client
-import http.server
-import json
-import logging
 import os
-import random
 import shlex
-import socket
 import string
 import sys
-import threading
-import time
-import urllib.parse
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
-
-from repro.engine.cache import EXPORT_MANIFEST_NAME, EXPORT_MANIFEST_VERSION
-from repro.engine.faults import FaultSpec, NetFaultInjector, garble_bytes
-from repro.obs import get_telemetry
 
 __all__ = [
     "ExecTarget",
-    "ExportServer",
-    "PullPolicy",
-    "PullResult",
-    "PulledFile",
     "assign_targets",
     "local_argv",
-    "pull_export",
     "shard_context",
 ]
-
-_LOG = logging.getLogger("repro.engine")
 
 #: Placeholder names a ``cmd://`` template may reference.
 CONTEXT_KEYS = frozenset(
@@ -87,10 +52,12 @@ CONTEXT_KEYS = frozenset(
     }
 )
 
-_READ_CHUNK = 65536
-
-
-# -- exec targets -------------------------------------------------------
+#: Fragment options a target URI may set: how each parses, and what a
+#: bad value was expected to be.
+_OPTIONS = {
+    "concurrency": (int, "an integer"),
+    "timeout": (float, "a number of seconds"),
+}
 
 
 def shard_context(
@@ -161,6 +128,11 @@ class ExecTarget:
         local://#concurrency=2
         cmd://ssh big-box ...#timeout=900,concurrency=4
 
+    The fragment starts at the URI's last ``#``, so a template that
+    itself contains ``#`` must end with ``#`` or ``#options``::
+
+        cmd://sh -c "run-shard {plan} {shard} # comment"#
+
     ``timeout`` is a wall-clock cap per attempt (the launcher kills and
     reschedules past it — a target that stops answering must not hold
     its lease forever); ``concurrency`` caps the shards running on the
@@ -182,7 +154,7 @@ class ExecTarget:
             raise ValueError(
                 f"target concurrency must be >= 1, got {self.concurrency}"
             )
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:  # nan too
             raise ValueError(f"target timeout must be > 0, got {self.timeout}")
 
     @classmethod
@@ -197,32 +169,32 @@ class ExecTarget:
             raise ValueError(
                 f"target {uri!r} is not 'local://' or 'cmd://<template>'"
             )
-        concurrency: int | None = None
-        timeout: float | None = None
+        options: dict[str, Any] = {}
         for option in filter(None, fragment.split(",")):
             key, eq, value = option.partition("=")
             if not eq:
                 raise ValueError(
-                    f"target option {option!r} is not 'key=value'"
+                    f"target option {option!r} is not 'key=value'; a "
+                    "template containing '#' must end with '#' or '#options'"
                 )
-            if key == "concurrency":
-                concurrency = int(value)
-            elif key == "timeout":
-                timeout = float(value)
-            else:
+            if key not in _OPTIONS:
                 raise ValueError(
-                    f"unknown target option {key!r} (know: concurrency, timeout)"
+                    f"unknown target option {key!r} (know: {', '.join(_OPTIONS)})"
                 )
+            kind, expected = _OPTIONS[key]
+            try:
+                options[key] = kind(value)
+            except ValueError:
+                raise ValueError(
+                    f"target option {key!r} needs {expected}, got {value!r}"
+                ) from None
         if scheme == "local":
             if rest.strip():
                 raise ValueError(
                     f"local:// takes no command (got {rest!r}); "
                     "use cmd:// for wrappers"
                 )
-            return cls(
-                uri=text, scheme="local",
-                concurrency=concurrency, timeout=timeout,
-            )
+            return cls(uri=text, scheme="local", **options)
         template = rest.strip()
         if not template:
             raise ValueError("cmd:// needs a command template")
@@ -243,10 +215,7 @@ class ExecTarget:
                     f"cmd:// template must reference {{{required}}} "
                     "(a wrapper that doesn't know its shard cannot run it)"
                 )
-        return cls(
-            uri=text, scheme="cmd", template=template,
-            concurrency=concurrency, timeout=timeout,
-        )
+        return cls(uri=text, scheme="cmd", template=template, **options)
 
     def command(self, ctx: Mapping[str, Any]) -> list[str]:
         """Resolve the launch context into the argv to spawn.
@@ -283,576 +252,3 @@ def assign_targets(
         for target in targets
     ] or [ExecTarget.parse("local://")]
     return [resolved[i % len(resolved)] for i in range(num_shards)]
-
-
-# -- the export server --------------------------------------------------
-
-
-class _ExportRequestHandler(http.server.BaseHTTPRequestHandler):
-    """GET/HEAD over an export tree, with Range and injected faults.
-
-    ``SimpleHTTPRequestHandler`` has no Range support, and resume is
-    the point — so this handler implements ``bytes=start[-end]``
-    itself (206 + Content-Range).  The server's
-    :class:`~repro.engine.faults.NetFaultInjector`, when armed, gets a
-    say on every record-file response: stall, drop mid-body, truncate
-    with a lying Content-Length, garble bytes, or answer 503.
-    """
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve-exports/1"
-    # Keep-alive without TCP_NODELAY hits the Nagle/delayed-ACK
-    # pathology: ~40ms per request-response on loopback.  With it,
-    # a reused connection answers in ~0.25ms.
-    disable_nagle_algorithm = True
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib handler API
-        self._serve(head=False)
-
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib handler API
-        self._serve(head=True)
-
-    def _resolve(self) -> tuple[str, str] | None:
-        """URL path -> (filesystem path, relative path), or None."""
-        path = urllib.parse.unquote(self.path.split("?", 1)[0])
-        parts = [part for part in path.split("/") if part and part != "."]
-        if any(part == ".." for part in parts):
-            return None
-        root = os.path.abspath(self.server.export_root)  # type: ignore[attr-defined]
-        full = os.path.abspath(os.path.join(root, *parts))
-        if full != root and not full.startswith(root + os.sep):
-            return None
-        return full, "/".join(parts)
-
-    def _serve(self, head: bool) -> None:
-        try:
-            self._serve_checked(head)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client gave up (its timeout fired mid-stall, or it
-            # closed after a drop); nothing to answer.
-            self.close_connection = True
-
-    def _serve_checked(self, head: bool) -> None:
-        resolved = self._resolve()
-        if resolved is None or not os.path.isfile(resolved[0]):
-            self.send_error(404, "not found")
-            return
-        full, rel = resolved
-        with open(full, "rb") as handle:
-            data = handle.read()
-        fault: FaultSpec | None = None
-        injector: NetFaultInjector | None
-        injector = self.server.injector  # type: ignore[attr-defined]
-        if injector is not None and os.path.basename(rel) != EXPORT_MANIFEST_NAME:
-            fault = injector.on_request(rel)
-        if fault is not None and fault.mode == "net-5xx":
-            self.send_error(503, "injected fault: 5xx burst")
-            return
-        if fault is not None and fault.mode == "net-stall":
-            time.sleep(fault.seconds)
-        size = len(data)
-        start = 0
-        status = 200
-        content_range = None
-        range_header = (self.headers.get("Range") or "").strip()
-        if range_header.startswith("bytes="):
-            spec = range_header[len("bytes="):]
-            first, _, last = spec.partition("-")
-            if first.isdigit():
-                start = int(first)
-                if start >= size:
-                    self.send_response(416)
-                    self.send_header("Content-Range", f"bytes */{size}")
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-                    return
-                end = int(last) if last.isdigit() else size - 1
-                end = min(end, size - 1)
-                data = data[start : end + 1]
-                status = 206
-                content_range = f"bytes {start}-{end}/{size}"
-        body = data
-        abort_after: int | None = None
-        if fault is not None:
-            if fault.mode == "net-truncate":
-                # A lying server: short body, matching short length —
-                # only the manifest's byte count can catch it.
-                body = body[: len(body) // 2]
-            elif fault.mode == "net-garble":
-                body = garble_bytes(body, injector.rng_for(rel))
-            elif fault.mode == "net-drop":
-                # Full length declared, half the bytes sent, then the
-                # connection dies — the client sees a short read.
-                abort_after = len(body) // 2
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Accept-Ranges", "bytes")
-        if content_range is not None:
-            self.send_header("Content-Range", content_range)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if head:
-            return
-        if abort_after is not None:
-            self.wfile.write(body[:abort_after])
-            self.wfile.flush()
-            self.connection.shutdown(socket.SHUT_RDWR)
-            self.close_connection = True
-            return
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        _LOG.debug("serve-exports %s: " + format, self.client_address[0], *args)
-
-
-class ExportServer:
-    """A threaded stdlib HTTP server over a directory of exports.
-
-    Serve a single :meth:`~repro.engine.cache.TrialCache.export_dir`
-    (pull it at ``/``) or a directory of them (``/shard-0``,
-    ``/shard-1``, ...).  ``port=0`` binds an ephemeral port — read
-    :attr:`url` after construction.  Use as a context manager in tests
-    (:meth:`start`/:meth:`stop`) or :meth:`serve_forever` from the CLI.
-    """
-
-    def __init__(
-        self,
-        root: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        injector: NetFaultInjector | None = None,
-    ):
-        if not os.path.isdir(root):
-            raise ValueError(f"export root {root!r} is not a directory")
-        self.root = os.path.abspath(root)
-        self._server = http.server.ThreadingHTTPServer(
-            (host, port), _ExportRequestHandler
-        )
-        self._server.daemon_threads = True
-        self._server.export_root = self.root  # type: ignore[attr-defined]
-        self._server.injector = injector  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ExportServer":
-        self._thread = threading.Thread(
-            # The default 0.5s shutdown-poll interval would make every
-            # stop() — and thus every short-lived test server — stall
-            # half a second; 20ms keeps teardown imperceptible.
-            target=lambda: self._server.serve_forever(poll_interval=0.02),
-            name="repro-serve-exports",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI path)."""
-        self._server.serve_forever()
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "ExportServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-
-# -- pulling ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PullPolicy:
-    """Patience budget for one pull: timeouts, attempts, backoff.
-
-    Mirrors the fabric's :class:`~repro.engine.fabric.BackoffPolicy`
-    shape (exponential, capped, jittered) but stays independent of it —
-    transport must not import the launcher.  ``timeout`` is per
-    request, not per file: a resumed transfer gets a fresh window for
-    each attempt, so big files on slow links finish as long as each
-    attempt makes *some* progress.
-    """
-
-    timeout: float = 10.0
-    max_attempts: int = 4
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError(f"pull timeout must be > 0, got {self.timeout}")
-        if self.max_attempts < 1:
-            raise ValueError(f"need >= 1 attempt, got {self.max_attempts}")
-        if (
-            self.backoff_base <= 0
-            or self.backoff_factor < 1
-            or self.max_delay < self.backoff_base
-        ):
-            raise ValueError(
-                "pull backoff needs base > 0, factor >= 1, max_delay >= base"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ValueError(f"jitter is a fraction in [0, 1], got {self.jitter}")
-
-    def delay(self, attempt: int, rng: random.Random | None = None) -> float:
-        """The pause after the ``attempt``-th failure (1-based)."""
-        if attempt < 1:
-            raise ValueError(f"attempts are 1-based, got {attempt}")
-        raw = min(
-            self.max_delay,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        if rng is not None and self.jitter:
-            raw *= 1.0 + self.jitter * rng.random()
-        return raw
-
-
-@dataclass
-class PulledFile:
-    """Transfer accounting for one manifest entry."""
-
-    name: str
-    bytes: int = 0
-    records: int = 0
-    attempts: int = 0
-    resumed_bytes: int = 0
-    quarantined: bool = False
-    cause: str | None = None
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "bytes": self.bytes,
-            "records": self.records,
-            "attempts": self.attempts,
-            "resumed_bytes": self.resumed_bytes,
-            "quarantined": self.quarantined,
-            "cause": self.cause,
-        }
-
-
-@dataclass
-class PullResult:
-    """What one :func:`pull_export` call fetched, verified, or refused."""
-
-    url: str
-    dest: str
-    files: list[PulledFile] = field(default_factory=list)
-    records: int = 0
-    #: Endpoint-level failure (manifest unreachable or unreadable);
-    #: per-file failures are quarantines, not errors.
-    error: str | None = None
-
-    @property
-    def quarantined(self) -> list[PulledFile]:
-        return [file for file in self.files if file.quarantined]
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.quarantined
-
-    def summary(self) -> str:
-        if self.error is not None:
-            return f"pull {self.url}: FAILED ({self.error})"
-        clean = len(self.files) - len(self.quarantined)
-        note = (
-            f", {len(self.quarantined)} QUARANTINED"
-            if self.quarantined
-            else ""
-        )
-        return (
-            f"pull {self.url}: {clean} file(s), {self.records} record(s)"
-            f"{note}"
-        )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "url": self.url,
-            "dest": self.dest,
-            "files": [file.as_dict() for file in self.files],
-            "records": self.records,
-            "error": self.error,
-            "ok": self.ok,
-        }
-
-
-class _TransferError(Exception):
-    """One failed request, carrying whatever bytes did arrive."""
-
-    def __init__(self, message: str, partial: bytes = b"", status: int | None = None):
-        super().__init__(message)
-        self.partial = partial
-        self.status = status
-
-
-class _PullSession:
-    """One keep-alive HTTP connection to an export endpoint.
-
-    Reusing the connection cuts the per-file round trip roughly 3x —
-    no TCP handshake or socket teardown per file — which is what keeps
-    clean-path transport overhead inside its benchmark budget.  After
-    any transfer error the connection state is unknowable (a drop or
-    stall can leave half a response buffered), so the socket is torn
-    down and rebuilt lazily on the next request.
-    """
-
-    def __init__(self, base_url: str, timeout: float):
-        split = urllib.parse.urlsplit(base_url)
-        self._netloc = split.netloc
-        self._base_path = split.path.rstrip("/")
-        self._timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
-
-    def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-
-    def get(self, rel: str, offset: int = 0) -> tuple[int, bytes]:
-        """One GET of ``rel`` (already quoted), chunk-read so partial
-        bodies survive the failure.
-
-        Raises :class:`_TransferError` on any failure; the exception
-        holds the bytes read before it, which is what makes Range
-        resume worth anything — a timeout 90% through a transfer keeps
-        the 90%.
-        """
-        headers = {"Accept-Encoding": "identity"}
-        if offset:
-            headers["Range"] = f"bytes={offset}-"
-        try:
-            if self._conn is None:
-                self._conn = http.client.HTTPConnection(
-                    self._netloc, timeout=self._timeout
-                )
-            self._conn.request(
-                "GET", f"{self._base_path}/{rel}", headers=headers
-            )
-            response = self._conn.getresponse()
-        except (
-            ConnectionError,
-            TimeoutError,
-            http.client.HTTPException,
-            ValueError,
-            OSError,
-        ) as err:
-            self.close()
-            raise _TransferError(f"connect failed: {err}") from err
-        parts: list[bytes] = []
-        status = response.status
-        try:
-            while True:
-                chunk = response.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                parts.append(chunk)
-        except http.client.IncompleteRead as err:
-            parts.append(err.partial)
-            self.close()
-            raise _TransferError(
-                "connection dropped mid-body", partial=b"".join(parts)
-            ) from err
-        except (
-            ConnectionError,
-            TimeoutError,
-            http.client.HTTPException,
-            OSError,
-        ) as err:
-            self.close()
-            raise _TransferError(
-                f"read failed: {err}", partial=b"".join(parts)
-            ) from err
-        if response.will_close:
-            # The server asked to end the connection (send_error does,
-            # as do injected drops); reconnect on the next request.
-            self.close()
-        if status >= 400:
-            raise _TransferError(f"HTTP {status}", status=status)
-        return status, b"".join(parts)
-
-
-def _pull_file(
-    session: _PullSession,
-    base_url: str,
-    name: str,
-    meta: Mapping[str, Any],
-    dest: str,
-    policy: PullPolicy,
-    rng: random.Random,
-) -> PulledFile:
-    telemetry = get_telemetry()
-    result = PulledFile(name=name, records=int(meta.get("records", 0)))
-    expected_sha = str(meta["sha256"])
-    expected_bytes = int(meta["bytes"])
-    rel = urllib.parse.quote(name)
-    url = base_url.rstrip("/") + "/" + rel
-    buf = b""
-    cause: str | None = None
-    while result.attempts < policy.max_attempts:
-        if result.attempts:
-            telemetry.incr("remote.pull_retries")
-            time.sleep(policy.delay(result.attempts, rng))
-        result.attempts += 1
-        offset = len(buf) if 0 < len(buf) < expected_bytes else 0
-        try:
-            status, data = session.get(rel, offset=offset)
-        except _TransferError as err:
-            if offset:
-                buf += err.partial
-            else:
-                buf = err.partial
-            cause = str(err)
-            _LOG.info(
-                "pull %s attempt %d failed: %s (%d/%d bytes held)",
-                url, result.attempts, err, len(buf), expected_bytes,
-            )
-            continue
-        if offset and status == 206:
-            # The held prefix is real progress the retry did not
-            # re-transfer; that saving is what the counter measures.
-            result.resumed_bytes += offset
-            telemetry.incr("remote.bytes_resumed", offset)
-            buf += data
-        else:
-            buf = data  # 200: a full body (Range unsent or ignored)
-        if len(buf) < expected_bytes:
-            cause = f"short body: {len(buf)}/{expected_bytes} bytes"
-            continue  # resume from len(buf) next attempt
-        if (
-            len(buf) > expected_bytes
-            or hashlib.sha256(buf).hexdigest() != expected_sha
-        ):
-            # Corruption poisons the whole buffer — a Range resume on
-            # garbled bytes would re-verify garbage forever.
-            cause = (
-                f"digest mismatch after {len(buf)} byte(s); refetching in full"
-            )
-            buf = b""
-            continue
-        with open(os.path.join(dest, name), "wb") as handle:
-            handle.write(buf)
-        result.bytes = len(buf)
-        telemetry.incr("remote.files_pulled")
-        telemetry.incr("remote.bytes_pulled", len(buf))
-        return result
-    # Out of attempts: keep the evidence, never merge it.
-    quarantine_dir = os.path.join(dest, "quarantine")
-    os.makedirs(quarantine_dir, exist_ok=True)
-    with open(os.path.join(quarantine_dir, name), "wb") as handle:
-        handle.write(buf)
-    result.bytes = len(buf)
-    result.quarantined = True
-    result.cause = cause or "exhausted attempts"
-    telemetry.incr("remote.quarantined")
-    _LOG.error(
-        "pull %s QUARANTINED after %d attempt(s): %s",
-        url, result.attempts, result.cause,
-    )
-    return result
-
-
-def pull_export(
-    base_url: str,
-    dest: str,
-    policy: PullPolicy | None = None,
-    seed: int = 0,
-) -> PullResult:
-    """Fetch an exported cache directory over HTTP, verified or refused.
-
-    The manifest comes first (it is the integrity root); each listed
-    file is then fetched with per-request timeout, retry with seeded
-    exponential backoff, and Range resume of short bodies, and is
-    accepted only when its sha256 and byte count match the manifest.
-    A file that keeps failing lands in ``dest/quarantine/`` — present
-    for forensics, invisible to ``TrialCache.merge`` (which only reads
-    ``dest``'s top level).  An unreachable or unreadable manifest
-    yields ``result.error``; the caller degrades to a gap manifest,
-    exactly like a failed shard.
-    """
-    policy = policy or PullPolicy()
-    rng = random.Random(zlib.crc32(f"{seed}:{base_url}".encode()))
-    os.makedirs(dest, exist_ok=True)
-    session = _PullSession(base_url, policy.timeout)
-    try:
-        return _pull_export_over(session, base_url, dest, policy, rng)
-    finally:
-        session.close()
-
-
-def _pull_export_over(
-    session: _PullSession,
-    base_url: str,
-    dest: str,
-    policy: PullPolicy,
-    rng: random.Random,
-) -> PullResult:
-    manifest: Mapping[str, Any] | None = None
-    cause: str | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        if attempt > 1:
-            get_telemetry().incr("remote.pull_retries")
-            time.sleep(policy.delay(attempt - 1, rng))
-        try:
-            _, data = session.get(EXPORT_MANIFEST_NAME)
-            manifest = json.loads(data.decode("utf-8"))
-            break
-        except _TransferError as err:
-            cause = str(err)
-        except (ValueError, UnicodeDecodeError) as err:
-            cause = f"unreadable manifest: {err}"
-    if manifest is None:
-        return PullResult(
-            url=base_url,
-            dest=dest,
-            error=(
-                f"manifest unreachable after {policy.max_attempts} "
-                f"attempt(s): {cause}"
-            ),
-        )
-    if manifest.get("version") != EXPORT_MANIFEST_VERSION:
-        return PullResult(
-            url=base_url,
-            dest=dest,
-            error=(
-                f"unsupported export-manifest version "
-                f"{manifest.get('version')!r}"
-            ),
-        )
-    result = PullResult(url=base_url, dest=dest)
-    entries = manifest.get("files", {})
-    for name in sorted(entries):
-        if os.path.basename(name) != name or name.startswith("."):
-            # A manifest is received data too: a traversal-shaped name
-            # is refused outright, not written anywhere.
-            result.files.append(
-                PulledFile(
-                    name=name,
-                    quarantined=True,
-                    cause="unsafe file name in manifest",
-                )
-            )
-            get_telemetry().incr("remote.quarantined")
-            continue
-        result.files.append(
-            _pull_file(session, base_url, name, entries[name], dest, policy, rng)
-        )
-    result.records = sum(
-        file.records for file in result.files if not file.quarantined
-    )
-    _LOG.info("%s", result.summary())
-    return result

@@ -273,10 +273,10 @@ def coverage_gaps(
 
     Returns ``(trials_total, trials_missing, spec_entries)`` where each
     entry names a spec with holes and its exact missing grid indices —
-    the common core of every gap manifest (the fabric's after failed
-    shards, the merge's after failed pulls).  ``contains`` is typically
-    ``TrialCache.contains``; because trial keys are content hashes, the
-    probe is exact regardless of which host computed what.
+    the core of the fabric's gap manifest after shards exhaust their
+    attempts.  ``contains`` is typically ``TrialCache.contains``;
+    because trial keys are content hashes, the probe is exact
+    regardless of which host computed what.
     """
     spec_entries: list[dict[str, Any]] = []
     trials_total = 0

@@ -3,10 +3,11 @@
 Shared flags are parent parsers, so dropping one from a subcommand
 changes that subcommand's option strings: the table below pins every
 subcommand's surface.  Around it, the behaviour the shared definitions
-make uniform: count flags reject values below 1 at parse time,
-``--json -`` means stdout everywhere, usage errors come back from
-``main`` as exit code 2 instead of ``SystemExit``, and a run-time
-failure comes back as exit code 3 with one error line, not a traceback.
+make uniform: count flags reject values below 1 and seconds flags
+values that are not positive, both at parse time, ``--json -`` means
+stdout everywhere, usage errors come back from ``main`` as exit code 2
+instead of ``SystemExit``, and a run-time failure comes back as exit
+code 3 with one error line, not a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.engine.cli import main
 
 #: Every subcommand's options, besides ``-h``/``-v``/``-q`` (all take those).
 SURFACE = {
-    "cache": ["--cache-dir", "--compact", "--export", "--status"],
+    "cache": ["--cache-dir", "--compact", "--status"],
     "describe": [],
     "fabric": [
         "--backoff-base", "--cache-dir", "--dry-run", "--heartbeat-timeout",
@@ -31,10 +32,8 @@ SURFACE = {
     ],
     "list": [],
     "merge": [
-        "--cache-dir", "--compact", "--from", "--from-url", "--json",
-        "--json-errors", "--kernels", "--plan", "--pull-attempts",
-        "--pull-backoff", "--pull-dir", "--pull-timeout", "--trace",
-        "--workers",
+        "--cache-dir", "--compact", "--from", "--json", "--json-errors",
+        "--kernels", "--plan", "--trace", "--workers",
     ],
     "plan": [
         "--batch-size", "--experiment", "--max-n", "--out", "--seeds",
@@ -50,18 +49,15 @@ SURFACE = {
         "--json-errors", "--kernels", "--plan", "--progress", "--shard",
         "--trace", "--workers",
     ],
-    "serve-exports": [
-        "--fault-seed", "--host", "--inject", "--port", "--ready-file",
-        "--root",
-    ],
     "stats": ["--cache-dir", "--report"],
     "status": ["--cache-dir", "--from", "--heartbeats", "--plan"],
 }
 EVERYWHERE = ["-h", "--help", "-q", "--quiet", "-v", "--verbose"]
 COUNT_FLAGS = {
     "workers", "max_n", "seeds", "batch_size", "shards", "shard_workers",
-    "max_parallel", "max_attempts", "pull_attempts",
+    "max_parallel", "max_attempts",
 }
+SECONDS_FLAGS = {"heartbeat_timeout", "poll_interval", "backoff_base"}
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -89,6 +85,8 @@ def test_every_subcommand_keeps_its_option_strings():
         for action in sub._actions:
             if action.dest in COUNT_FLAGS:
                 assert action.type is cli._positive_int, (name, action.dest)
+            if action.dest in SECONDS_FLAGS:
+                assert action.type is cli._positive_float, (name, action.dest)
 
 
 def test_usage_errors_return_2(tmp_path, monkeypatch, capsys):
@@ -124,6 +122,25 @@ def test_run_time_failure_exits_3_with_one_error_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_interrupted_fabric_exits_3_with_one_error_line(
+    plan_path, monkeypatch, capsys
+):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_fabric", interrupted)
+    capsys.readouterr()
+    try:
+        code = main(["fabric", "--plan", plan_path])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped the CLI as a traceback")
+    assert code == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "error: command=fabric experiment=sinkless cause=KeyboardInterrupt"
+    )
+
+
 def test_zero_max_parallel_is_a_usage_error(plan_path, capsys):
     capsys.readouterr()
     argv = ["fabric", "--plan", plan_path, "--max-parallel", "0", "--dry-run"]
@@ -131,6 +148,26 @@ def test_zero_max_parallel_is_a_usage_error(plan_path, capsys):
     captured = capsys.readouterr()
     assert "--max-parallel" in captured.err
     assert captured.out == ""  # nothing resolved, nothing printed
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--poll-interval", "-1"),
+        ("--heartbeat-timeout", "0"),
+        ("--backoff-base", "nan"),
+        ("--poll-interval", "soon"),
+    ],
+)
+def test_nonpositive_seconds_are_usage_errors(plan_path, capsys, flag, value):
+    # A negative poll interval used to crash the supervision loop with
+    # its first shard already running.
+    capsys.readouterr()
+    argv = ["fabric", "--plan", plan_path, flag, value, "--dry-run"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "positive number" in captured.err
+    assert captured.out == ""
 
 
 def test_run_shard_json_dash_is_stdout(plan_path, tmp_path, monkeypatch, capsys):

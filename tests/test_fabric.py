@@ -5,20 +5,26 @@ whose shards are SIGKILLed, hung, and corrupted mid-flight — each
 recovered by lease reassignment and retry — merges to a cache
 byte-identical to the clean single-host run.  Around it, the unit
 surface: backoff schedules under a fake clock, lease-board transitions
-and restart resume, fault-spec parsing, the typed
-:class:`WorkerCrashed` contract of the pool, heartbeat emission and
-observer-side liveness, and the CLI's structured error hygiene.
+and restart resume, the reaping of running shards when the launcher is
+interrupted, fault-spec parsing, the typed :class:`WorkerCrashed`
+contract of the pool, heartbeat emission and observer-side liveness,
+and the CLI's structured error hygiene.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import random
+import re
 import signal
+import time
+import types
 
 import pytest
 
+from repro.engine import fabric
 from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.fabric import (
@@ -44,6 +50,7 @@ from repro.obs import (
     read_heartbeat,
     write_heartbeat,
 )
+from tests.test_remote import _live_group_members
 
 
 PARITY_SPEC = ExperimentSpec(
@@ -129,7 +136,10 @@ class TestFaultSpecs:
         assert parse_fault_specs(None) == []
 
     def test_parse_rejects_malformed(self):
-        for text in ("kill", "kill@", "boom@1", "kill@1:at", "kill@1:depth=2"):
+        for text in (
+            "kill", "kill@", "boom@1", "kill@1:at", "kill@1:depth=2",
+            "net-drop@1",
+        ):
             with pytest.raises(ValueError):
                 FaultSpec.parse(text)
 
@@ -508,6 +518,58 @@ class TestFabricChaos:
                 max_parallel=2,
                 poll_interval=0.05,
             )
+
+    def test_interrupt_kills_running_shards(self, tmp_path, monkeypatch, caplog):
+        """Shards lead their own sessions, so a Ctrl-C at the launcher
+        never reaches them: the launcher itself must reap them before
+        the interrupt propagates, and hand their leases back."""
+        caplog.set_level(logging.INFO, logger="repro.engine")
+        plan_path, _plans = write_plan(tmp_path, 1)
+        work_dir = tmp_path / "work"
+        beat_path = str(work_dir / "shard-0.hb.json")
+        first_beat = []
+        started = time.monotonic()
+
+        def sleep(seconds):
+            time.sleep(seconds)
+            now = time.monotonic()
+            if not first_beat and read_heartbeat(beat_path) is not None:
+                first_beat.append(now)
+            # A second after its first beat the shard is parked in the
+            # injected hang; a shard that never beats is interrupted too.
+            if (first_beat and now - first_beat[0] > 1.0) or now - started > 30:
+                raise KeyboardInterrupt
+
+        # Only the launcher's view of time.sleep changes: the shard's
+        # process-group reaping still waits on the real clock.
+        clock = types.SimpleNamespace(
+            monotonic=time.monotonic, perf_counter=time.perf_counter, sleep=sleep
+        )
+        monkeypatch.setattr(fabric, "time", clock)
+        pid = None
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_fabric(
+                    plan_path,
+                    str(tmp_path / "cache"),
+                    work_dir=str(work_dir),
+                    heartbeat_timeout=60.0,
+                    poll_interval=0.05,
+                    faults=["hang@0:at=1,secs=60"],
+                )
+            spawned = re.search(r"shard 0 attempt 1: pid (\d+)", caplog.text)
+            assert spawned is not None, caplog.text
+            pid = int(spawned.group(1))
+            assert _live_group_members(pid) == []
+            board = LeaseBoard.load(str(work_dir / "leases.json"))
+            assert board.lease(0).state == "pending"
+            assert board.lease(0).cause == "launcher stopped: KeyboardInterrupt"
+        finally:
+            if pid is not None:
+                try:
+                    os.killpg(pid, signal.SIGKILL)  # never leak a hung shard
+                except OSError:
+                    pass
 
     def test_refuses_a_nonpositive_max_parallel(self, tmp_path):
         # With no launch slot the supervision loop would wait forever.

@@ -1,21 +1,15 @@
-"""Remote shard transport: exec targets, integrity-checked pulls, chaos.
+"""Exec targets: the fabric's shards run over ``cmd://`` wrappers.
 
 The acceptance property extends the fabric's: a K=8 chaos run whose
-shards execute over ``cmd://`` targets and whose exports travel a
-fault-injected HTTP link — killed shards, stalled responses, truncated
-and garbled transfers — recovers via retries and Range resume and
-merges byte-identical to the K=1 oracle, while a *persistently*
-corrupted export is quarantined (never merged) and reported in the gap
-manifest.  Around it, the unit surface: target URI parsing and command
-resolution, manifested exports, every ``net-*`` fault mode against a
-live loopback server, the ``--dry-run`` renderer, and the process-group
-reaping of shards that die mid-chunk.
+shards execute over a ``cmd://`` target and are killed mid-run
+recovers via retries and merges byte-identical to the K=1 oracle.
+Around it, the unit surface: target URI parsing and command
+resolution, the ``--dry-run`` renderer, target timeouts, and the
+process-group reaping of shards that die mid-chunk.
 """
 
 from __future__ import annotations
 
-import glob
-import hashlib
 import json
 import logging
 import os
@@ -23,17 +17,13 @@ import re
 
 import pytest
 
-from repro.engine.cache import TrialCache, load_export_manifest
+from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.fabric import BackoffPolicy, run_fabric
-from repro.engine.faults import NetFaultInjector, parse_fault_specs, shard_from_path
 from repro.engine.remote import (
     ExecTarget,
-    ExportServer,
-    PullPolicy,
     assign_targets,
     local_argv,
-    pull_export,
     shard_context,
 )
 from repro.engine.runner import plan_experiment, run_experiment
@@ -97,6 +87,10 @@ class TestExecTarget:
         assert target.scheme == "cmd"
         assert target.template == "ssh host run {plan} {shard}"
         assert target.timeout == 5.0
+        # The fragment starts at the last '#': a trailing one keeps a
+        # template's own '#' intact.
+        hashed = ExecTarget.parse('cmd://sh -c "x # {plan} {shard}"#')
+        assert hashed.template == 'sh -c "x # {plan} {shard}"'
 
     @pytest.mark.parametrize(
         "uri, match",
@@ -109,6 +103,13 @@ class TestExecTarget:
             ("cmd://run {plan} {shard}#color=red", "unknown target option"),
             ("local://#concurrency=0", "must be >= 1"),
             ("local://#timeout=0", "must be > 0"),
+            ("local://#timeout=nan", "must be > 0"),
+            ("local://#timeout=abc", "'timeout' needs a number .*'abc'"),
+            ("local://#concurrency=x", "'concurrency' needs an integer, got 'x'"),
+            (
+                'cmd://sh -c "sleep 1 # {plan} {shard}"',
+                "must end with '#' or '#options'",
+            ),
         ],
     )
     def test_bad_targets_rejected(self, uri, match):
@@ -144,158 +145,7 @@ class TestExecTarget:
         assert all(t.scheme == "local" for t in dealt)
 
 
-# -- manifested exports ------------------------------------------------
-
-
-def _filled_cache(root, items):
-    cache = TrialCache(str(root))
-    for key, record in items:
-        cache.put(key, record)
-    return cache
-
-
-class TestExportDir:
-    def test_manifest_names_every_file_with_true_digests(self, tmp_path):
-        cache = _filled_cache(
-            tmp_path / "src", [("aa1", {"x": 1}), ("ab2", {"x": 2}), ("cc3", {"x": 3})]
-        )
-        dest = str(tmp_path / "export")
-        manifest = cache.export_dir(dest)
-        assert manifest["records_total"] == 3
-        loaded = load_export_manifest(dest)
-        assert loaded["files"] == manifest["files"]
-        for name, entry in manifest["files"].items():
-            with open(os.path.join(dest, name), "rb") as handle:
-                blob = handle.read()
-            assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
-            assert len(blob) == entry["bytes"]
-
-    def test_export_dir_merges_back_identically(self, tmp_path):
-        items = [("aa1", {"x": 1}), ("bb2", {"y": [2, 3]})]
-        cache = _filled_cache(tmp_path / "src", items)
-        dest = str(tmp_path / "export")
-        cache.export_dir(dest)
-        merged = TrialCache(str(tmp_path / "merged"))
-        assert merged.merge(dest) == 2
-        for key, record in items:
-            assert merged.get(key) == record
-
-
-# -- pulling over a live loopback server -------------------------------
-
-
-FAST_PULL = PullPolicy(timeout=2.0, max_attempts=4, backoff_base=0.05, jitter=0.0)
-
-
-@pytest.fixture()
-def export_tree(tmp_path):
-    """A served export of 6 records in 3+ files, plus its fingerprint."""
-    items = [(f"{c}{c}{i}", {"v": i}) for i, c in enumerate("aabbcc")]
-    cache = _filled_cache(tmp_path / "src", items)
-    dest = str(tmp_path / "exports" / "shard-0")
-    cache.export_dir(dest)
-    return str(tmp_path / "exports"), items
-
-
-class TestPullExport:
-    def test_clean_round_trip(self, tmp_path, export_tree):
-        root, items = export_tree
-        with ExportServer(root) as server:
-            result = pull_export(
-                server.url + "/shard-0", str(tmp_path / "pull"), FAST_PULL
-            )
-        assert result.ok and not result.quarantined
-        assert result.records == len(items)
-        merged = TrialCache(str(tmp_path / "merged"))
-        merged.merge(result.dest)
-        for key, record in items:
-            assert merged.get(key) == record
-
-    @pytest.mark.parametrize(
-        "spec, resumes",
-        [
-            ("net-truncate@0:attempts=1", True),
-            ("net-drop@0:attempts=1", True),
-            ("net-garble@0:attempts=1", False),  # poisoned -> full refetch
-            ("net-5xx@0:attempts=1+2", False),
-        ],
-    )
-    def test_transient_faults_recover(self, tmp_path, export_tree, spec, resumes):
-        root, items = export_tree
-        injector = NetFaultInjector(parse_fault_specs(spec), seed=7)
-        with ExportServer(root, injector=injector) as server:
-            result = pull_export(
-                server.url + "/shard-0", str(tmp_path / "pull"), FAST_PULL
-            )
-        assert result.ok, result.summary()
-        assert result.records == len(items)
-        assert max(file.attempts for file in result.files) > 1
-        if resumes:
-            assert sum(file.resumed_bytes for file in result.files) > 0
-
-    def test_stall_times_out_and_retries(self, tmp_path, export_tree):
-        root, items = export_tree
-        injector = NetFaultInjector(
-            parse_fault_specs("net-stall@0:attempts=1,secs=5"), seed=0
-        )
-        policy = PullPolicy(timeout=0.5, max_attempts=3, backoff_base=0.05, jitter=0.0)
-        with ExportServer(root, injector=injector) as server:
-            result = pull_export(
-                server.url + "/shard-0", str(tmp_path / "pull"), policy
-            )
-        assert result.ok and result.records == len(items)
-
-    def test_persistent_corruption_quarantined_never_merged(
-        self, tmp_path, export_tree
-    ):
-        root, items = export_tree
-        # Corrupt one record file on disk; its manifest digest is now a
-        # standing lie no number of retries can fix.
-        victim = sorted(glob.glob(os.path.join(root, "shard-0", "*.jsonl")))[0]
-        with open(victim, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "evil", "record": {"v": 666}}\n')
-        with ExportServer(root) as server:
-            result = pull_export(
-                server.url + "/shard-0", str(tmp_path / "pull"), FAST_PULL
-            )
-        assert not result.ok
-        names = [file.name for file in result.quarantined]
-        assert names == [os.path.basename(victim)]
-        # quarantined for forensics, invisible to merge
-        qpath = os.path.join(result.dest, "quarantine", names[0])
-        assert os.path.isfile(qpath)
-        merged = TrialCache(str(tmp_path / "merged"))
-        merged.merge(result.dest)
-        assert merged.get("evil") is None
-        assert result.records < len(items)
-
-    def test_unreachable_endpoint_reports_error(self, tmp_path):
-        policy = PullPolicy(timeout=0.5, max_attempts=2, backoff_base=0.05)
-        result = pull_export(
-            "http://127.0.0.1:9/nope", str(tmp_path / "pull"), policy
-        )
-        assert result.error is not None and not result.ok
-
-    def test_traversal_refused(self, tmp_path, export_tree):
-        import urllib.error
-        import urllib.request
-
-        root, _ = export_tree
-        (tmp_path / "secret.txt").write_text("keep out")
-        with ExportServer(root) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    server.url + "/shard-0/%2e%2e/%2e%2e/secret.txt", timeout=2.0
-                )
-        assert excinfo.value.code == 404
-
-    def test_shard_mapping_from_paths(self):
-        assert shard_from_path("shard-3/aa.jsonl") == 3
-        assert shard_from_path("exports/shard-12/bb.jsonl") == 12
-        assert shard_from_path("aa.jsonl") == 0  # flat root
-
-
-# -- CLI: dry-run, export, serve, merge --from-url ---------------------
+# -- CLI: dry-run and bad targets --------------------------------------
 
 
 class TestRemoteCLI:
@@ -333,94 +183,6 @@ class TestRemoteCLI:
         )
         assert rc == 2
         assert "not 'local://' or 'cmd://" in capsys.readouterr().err
-
-    def test_cache_export_cli(self, tmp_path, capsys):
-        _filled_cache(tmp_path / "cache", [("aa1", {"x": 1}), ("bb2", {"x": 2})])
-        dest = str(tmp_path / "export")
-        rc = engine_main(
-            ["cache", "--cache-dir", str(tmp_path / "cache"), "--export", dest]
-        )
-        assert rc == 0
-        assert "2 record(s)" in capsys.readouterr().out
-        assert load_export_manifest(dest)["records_total"] == 2
-
-    def _ran_plan_with_exports(self, tmp_path):
-        """Run the plan locally, export the cache, return all three."""
-        plan_path, plans = write_plan(tmp_path, num_shards=2)
-        cache_dir = str(tmp_path / "ran")
-        run_experiment(
-            PARITY_SPEC, workers=1, cache=TrialCache(cache_dir),
-            batch_size=plans[0].batch_size,
-        )
-        export_root = str(tmp_path / "exports")
-        TrialCache(cache_dir).export_dir(os.path.join(export_root, "shard-0"))
-        return plan_path, cache_dir, export_root
-
-    def test_merge_from_url_clean(self, tmp_path, capsys):
-        plan_path, cache_dir, export_root = self._ran_plan_with_exports(tmp_path)
-        merged_dir = str(tmp_path / "merged")
-        with ExportServer(export_root) as server:
-            rc = engine_main(
-                [
-                    "merge", "--plan", plan_path,
-                    "--cache-dir", merged_dir,
-                    "--from-url", server.url + "/shard-0",
-                    "--pull-backoff", "0.05", "-q",
-                ]
-            )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "1 pulled export(s)" in out
-        assert cache_fingerprint(merged_dir) == cache_fingerprint(cache_dir)
-
-    def test_merge_from_url_quarantine_degrades_to_gaps(self, tmp_path, capsys):
-        plan_path, cache_dir, export_root = self._ran_plan_with_exports(tmp_path)
-        victim = sorted(
-            glob.glob(os.path.join(export_root, "shard-0", "*.jsonl"))
-        )[0]
-        with open(victim, "ab") as handle:
-            handle.write(b"garbage tail\n")
-        merged_dir = str(tmp_path / "merged")
-        with ExportServer(export_root) as server:
-            rc = engine_main(
-                [
-                    "merge", "--plan", plan_path,
-                    "--cache-dir", merged_dir,
-                    "--from-url", server.url + "/shard-0",
-                    "--pull-attempts", "2", "--pull-backoff", "0.05", "-q",
-                ]
-            )
-        captured = capsys.readouterr()
-        assert rc == 4
-        assert "gap manifest" in captured.err
-        with open(os.path.join(merged_dir, "gaps.json"), encoding="utf-8") as f:
-            gap = json.load(f)
-        assert gap["trials_missing"] > 0
-        assert gap["quarantined"][0]["file"] == os.path.basename(victim)
-        assert os.path.isfile(gap["quarantined"][0]["quarantine"])
-        # every surviving record merged; none of the quarantined bytes
-        good = cache_fingerprint(merged_dir)
-        oracle = cache_fingerprint(cache_dir)
-        assert set(good) < set(oracle)
-        assert all(good[key] == oracle[key] for key in good)
-
-    def test_merge_from_url_unreachable_degrades(self, tmp_path, capsys):
-        plan_path, _ = write_plan(tmp_path, num_shards=2)
-        merged_dir = str(tmp_path / "merged")
-        rc = engine_main(
-            [
-                "merge", "--plan", plan_path,
-                "--cache-dir", merged_dir,
-                "--from-url", "http://127.0.0.1:9/shard-0",
-                "--pull-attempts", "2", "--pull-backoff", "0.05",
-                "--pull-timeout", "0.5", "-q",
-            ]
-        )
-        assert rc == 4
-        with open(os.path.join(merged_dir, "gaps.json"), encoding="utf-8") as f:
-            gap = json.load(f)
-        assert gap["failed_sources"][0]["url"].startswith("http://127.0.0.1:9")
-
 
 # -- fabric over cmd:// targets ----------------------------------------
 
@@ -520,13 +282,14 @@ def _live_group_members(pgid: int) -> list[str]:
 
 class TestRemoteChaosAcceptance:
     def test_k8_chaos_over_cmd_targets_matches_oracle(self, tmp_path):
-        """Kill a shard mid-run on a cmd:// target, then pull every
-        shard's export through a link that stalls, truncates, and
-        garbles — and still merge byte-identical to the K=1 oracle."""
+        """Kill two shards mid-run on a cmd:// target; the retries
+        recover and the fabric's merged cache is byte-identical to the
+        K=1 oracle."""
         plan_path, _ = write_plan(tmp_path, num_shards=8)
+        fabric_dir = str(tmp_path / "fabric-cache")
         fabric = run_fabric(
             plan_path,
-            str(tmp_path / "fabric-cache"),
+            fabric_dir,
             work_dir=str(tmp_path / "work"),
             max_parallel=4,
             backoff=BackoffPolicy(base=0.1, max_attempts=3),
@@ -534,40 +297,9 @@ class TestRemoteChaosAcceptance:
             targets=[CMD_LOCALHOST + "#concurrency=4"],
         )
         assert fabric.ok, fabric.summary()
-
-        # Host-side: export each shard's root with its manifest.
-        export_root = str(tmp_path / "exports")
-        for i in range(8):
-            shard_dir = os.path.join(str(tmp_path / "work"), f"shard-{i}")
-            TrialCache(shard_dir).export_dir(
-                os.path.join(export_root, f"shard-{i}")
-            )
-
-        # Link-side chaos: stall one shard's transfer past the client
-        # timeout, truncate another, garble a third — once each.
-        injector = NetFaultInjector(
-            parse_fault_specs(
-                "net-stall@2:attempts=1,secs=5;"
-                "net-truncate@4:attempts=1;"
-                "net-garble@5:attempts=1"
-            ),
-            seed=11,
-        )
-        merged_dir = str(tmp_path / "merged")
-        policy = PullPolicy(
-            timeout=1.0, max_attempts=4, backoff_base=0.05, jitter=0.0
-        )
-        merged = TrialCache(merged_dir)
-        with ExportServer(export_root, injector=injector) as server:
-            for i in range(8):
-                result = pull_export(
-                    f"{server.url}/shard-{i}",
-                    os.path.join(str(tmp_path / "pulls"), f"src-{i}"),
-                    policy,
-                )
-                assert result.ok, result.summary()
-                merged.merge(result.dest)
+        states = {o.shard_index: o for o in fabric.outcomes}
+        assert states[1].attempts == states[3].attempts == 2
 
         oracle_dir = str(tmp_path / "oracle")
         run_experiment(PARITY_SPEC, workers=1, cache=TrialCache(oracle_dir))
-        assert cache_fingerprint(merged_dir) == cache_fingerprint(oracle_dir)
+        assert cache_fingerprint(fabric_dir) == cache_fingerprint(oracle_dir)
