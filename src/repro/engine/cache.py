@@ -48,8 +48,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    #: Undecodable lines skipped while reading this cache's roots,
-    #: imports, and merge sources — the torn tails killed writers leave.
+    #: Undecodable or non-object lines skipped while reading this
+    #: cache's roots, imports, and merge sources — mostly the torn
+    #: tails killed writers leave.
     torn_lines: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -67,9 +68,10 @@ def _parse_lines(
     """Yield ``(key, record)`` pairs from one shard/export file.
 
     A missing file reads as empty; undecodable lines (the torn tail a
-    killed writer leaves) are skipped rather than poisoning the run,
-    with ``on_torn`` called once per skip so callers can account for
-    them instead of silently under-reading.
+    killed writer leaves) and lines that decode to anything but a JSON
+    object are skipped rather than poisoning the run, with ``on_torn``
+    called once per skip so callers can account for them instead of
+    silently under-reading.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -80,9 +82,11 @@ def _parse_lines(
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError:
+                    entry = None  # torn write at the tail of the file
+                if not isinstance(entry, dict):  # torn, or a stray value
                     if on_torn is not None:
                         on_torn()
-                    continue  # torn write at the tail of the file
+                    continue
                 key = entry.get("key")
                 if key and "record" in entry:
                     yield key, entry["record"]
@@ -226,9 +230,16 @@ class TrialCache:
         write_root = self.isolation or self.root
         os.makedirs(write_root, exist_ok=True)
         for name, lines in by_shard.items():
-            path = os.path.join(write_root, name)
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
+            data = ("\n".join(lines) + "\n").encode("utf-8")
+            with open(os.path.join(write_root, name), "ab+") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                if size:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        # A killed writer left a torn tail: end it, or
+                        # the first new record would be glued onto it.
+                        data = b"\n" + data
+                handle.write(data)
 
     def __len__(self) -> int:
         return len(self._index)

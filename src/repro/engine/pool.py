@@ -123,7 +123,8 @@ def _make_executor(workers: int, num_tasks: int, pool_seed: int):
             initializer=_worker_init,
             initargs=(pool_seed,),
         )
-    except (OSError, ValueError):
+    except (OSError, ValueError, NotImplementedError):
+        # NotImplementedError: no named semaphores on this platform.
         return None
 
 

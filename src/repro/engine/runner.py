@@ -398,9 +398,20 @@ def run_shard(
     the plan's ``batch_size`` — scattered misses after a partial merge
     travel a few full chunks, not many one-trial pickles.  ``on_record``
     streams the shard's records: cache hits first (in shard grid
-    order), then computed chunks as they complete.  Give each shard its
-    own cache root (``TrialCache(root, isolation=...)``) when several
-    run concurrently on one filesystem, and merge the roots afterward.
+    order), then computed records, still in grid order.  Give each
+    shard its own cache root (``TrialCache(root, isolation=...)``) when
+    several run concurrently on one filesystem, and merge the roots
+    afterward.
+
+    With ``workers > 1`` and more than one missing chunk, a pool gets
+    the chunks largest-first (by n times trials, ties in grid order),
+    so the biggest chunk does not start last while the other workers
+    idle.  Each chunk is stored in the cache as soon as it arrives, and
+    a chunk that arrives ahead of an earlier one streams through
+    ``on_record`` once that one is in.  Before the pool forks, this
+    process loads the vector backend once
+    (:func:`repro.kernels.preload`), since it runs no trial itself.
+    The serial path runs and streams the chunks in grid order.
 
     The report's ``telemetry`` block is assembled from delta snapshots:
     one per dispatched chunk (piggybacked on the chunk result by the
@@ -459,12 +470,27 @@ def run_shard(
     ]
     chunks = _chunk_missing(trials, missing_in_order, manifest.batch_size)
     if chunks:
+        # The grid position of each submitted chunk: largest-first for
+        # a pool (longest-processing-time-first), since a chunk's cost
+        # roughly doubles per size step.
+        order = list(range(len(chunks)))
+        if workers > 1 and len(chunks) > 1:
+            order.sort(
+                key=lambda pos: (-trials[chunks[pos][0]].n * len(chunks[pos]), pos)
+            )
+            kernel_layer.preload(kernels)
         payloads = [
-            {"trials": [trials[i].to_payload() for i in chunk], "kernels": kernels}
-            for chunk in chunks
+            {
+                "trials": [trials[i].to_payload() for i in chunks[pos]],
+                "kernels": kernels,
+            }
+            for pos in order
         ]
+        streamed = 0
 
-        def deliver(chunk_pos: int, result: dict[str, Any]) -> None:
+        def deliver(submitted: int, result: dict[str, Any]) -> None:
+            nonlocal streamed
+            chunk_pos = order[submitted]
             chunk = chunks[chunk_pos]
             chunk_records = result["records"]
             if result.get("telemetry"):
@@ -476,15 +502,23 @@ def run_shard(
                 )
             for i, record in zip(chunk, chunk_records):
                 got[i] = record
-                if on_record is not None:
-                    on_record(record)
-            # Store per chunk, not after the whole dispatch: a shard
-            # killed mid-run (or a WorkerCrashed escaping below) keeps
-            # every completed chunk durable, so a retry recomputes only
-            # the chunks that were actually lost.
+            # Store per chunk, as it arrives, not after the whole
+            # dispatch: a shard killed mid-run (or a WorkerCrashed or
+            # task exception escaping below) keeps every completed
+            # chunk durable, so a retry recomputes only the chunks that
+            # were actually lost.
             if cache is not None:
                 with telemetry.span("shard.store"):
                     cache.put_many((trials[i].key(), got[i]) for i in chunk)
+            # Stream in grid order: records of a chunk that arrives
+            # ahead of an earlier one wait until that one is in.
+            if on_record is not None:
+                while (
+                    streamed < len(missing_in_order)
+                    and missing_in_order[streamed] in got
+                ):
+                    on_record(got[missing_in_order[streamed]])
+                    streamed += 1
 
         run_task_batches(
             _execute_batch_payload,
@@ -607,8 +641,8 @@ def run_experiment(
     ``batch_size`` caps how many trials travel in one worker dispatch
     chunk (None = :func:`auto_batch_size`); chunks never span two grid
     sizes.  ``on_record`` streams results: it fires once per record —
-    immediately (in grid order) for cache hits, then as each computed
-    chunk completes, in chunk order at any worker count.
+    immediately (in grid order) for cache hits, then for computed
+    chunks, in grid order at any worker count (see :func:`run_shard`).
     """
     start = time.perf_counter()
     if batch_size is None and cache is not None:

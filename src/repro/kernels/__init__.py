@@ -40,6 +40,7 @@ __all__ = [
     "active",
     "current_backend",
     "ensure_mode",
+    "preload",
     "prepared_verify",
     "select_backend",
     "vector_enabled",
@@ -74,6 +75,22 @@ def ensure_mode(mode: str) -> str:
             f"unknown kernels mode {mode!r} (choose from {', '.join(BACKENDS)})"
         )
     return mode
+
+
+def preload(mode: str) -> None:
+    """Import the vector backend now, so processes forked later inherit it.
+
+    A parent that only dispatches chunks never runs a trial, so without
+    this every forked worker pays these imports again inside its first
+    solve or verify.  ``numpy.ma`` is listed because numpy imports it
+    lazily, on the first ``np.unique`` call without index outputs.  A
+    no-op for ``object`` and when numpy is absent.
+    """
+    if ensure_mode(mode) == "object" or not HAVE_NUMPY:
+        return
+    import numpy.ma  # noqa: F401
+
+    from repro.kernels import engine, programs, vector, verifier  # noqa: F401
 
 
 def current_backend() -> str:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.sweep import Sweep, SweepPoint
 from repro.engine.cache import TrialCache
+from repro.engine import runner
 from repro.engine.cli import main as engine_main
 from repro.engine.runner import (
     auto_batch_size,
@@ -310,6 +311,64 @@ class TestStreaming:
         assert by_grid == sorted(
             report.records, key=lambda r: (r["n"], r["seed"])
         )
+
+
+class TestLargestFirst:
+    """A pool gets a spec's chunks largest-first; nothing else changes."""
+
+    @pytest.mark.parametrize(
+        "workers, batch_size, order",
+        [
+            # One chunk per size: descending n.
+            (2, None, [[16, 16, 16], [12, 12, 12], [8, 8, 8]]),
+            # n x trials: 32, 24, then the tied 16s in grid order, 12, 8.
+            (2, 2, [[16, 16], [12, 12], [8, 8], [16], [12], [8]]),
+            # The serial path keeps grid order.
+            (1, 2, [[8, 8], [8], [12, 12], [12], [16, 16], [16]]),
+        ],
+    )
+    def test_only_a_pool_gets_chunks_largest_first(
+        self, monkeypatch, workers, batch_size, order
+    ):
+        submitted = []
+        original = runner.run_task_batches
+
+        def spy(fn, batches, **kwargs):
+            submitted.extend(
+                [trial["n"] for trial in batch["trials"]] for batch in batches
+            )
+            return original(fn, batches, **kwargs)
+
+        monkeypatch.setattr(runner, "run_task_batches", spy)
+        seen = []
+        report = run_experiment(
+            PARITY_SPEC,
+            workers=workers,
+            batch_size=batch_size,
+            on_record=seen.append,
+        )
+        assert submitted == order
+        assert seen == report.records
+        assert report.records == reference_records(PARITY_SPEC)
+
+    def test_chunks_are_stored_as_they_arrive(self, tmp_path):
+        # A 3-regular graph on 2 nodes cannot be sampled, so the n=2
+        # chunk raises; dispatched last, it comes after the larger ones.
+        spec = ExperimentSpec(
+            "test/sinkless-det@cubic-with-an-impossible-size",
+            "sinkless-orientation",
+            "sinkless-det",
+            "cubic",
+            ns=(2, 16, 32),
+            seeds=(0, 1),
+        )
+        root = str(tmp_path / "cache")
+        with pytest.raises(RuntimeError, match="failed to sample"):
+            run_experiment(spec, workers=2, cache=TrialCache(root))
+        stored = TrialCache(root)
+        assert [t.n for t in spec.trials() if stored.contains(t.key())] == [
+            16, 16, 32, 32,
+        ]
 
 
 class TestAutoBatchSize:

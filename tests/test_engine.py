@@ -12,6 +12,7 @@ The three load-bearing properties:
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -32,6 +33,7 @@ from repro.engine import (
 )
 from repro.engine.cli import main as engine_main
 from repro.generators.hard import cubic_instance
+from repro.obs import get_telemetry
 from repro.problems import DeterministicSinklessSolver
 from tests.conftest import reference_record
 
@@ -190,9 +192,32 @@ class TestPool:
         # back to an in-process loop rather than fail.
         assert run_task_batches(lambda x: x + 1, [1, 2, 3], workers=4) == [2, 3, 4]
 
+    def test_serial_fallback_without_named_semaphores(self, monkeypatch):
+        # Where named semaphores are missing, creating the executor
+        # raises NotImplementedError: the batches must still run, here.
+        def no_semaphores(*args, **kwargs):
+            raise NotImplementedError("named semaphores are unavailable")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_semaphores)
+        get_telemetry().reset()
+        delivered = []
+        results = run_task_batches(
+            _with_pid,
+            [1, 2, 3],
+            workers=2,
+            on_result=lambda i, result: delivered.append(i),
+        )
+        assert results == [(x, os.getpid()) for x in (1, 2, 3)]
+        assert delivered == [0, 1, 2]
+        assert get_telemetry().counters()["pool.serial_fallbacks"] == 1
+
 
 def _double(x):
     return 2 * x
+
+
+def _with_pid(x):
+    return x, os.getpid()
 
 
 class TestSweepShim:

@@ -11,10 +11,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+import repro
 from repro import kernels
 from repro.engine.runner import (
     ShardReport,
@@ -121,6 +125,48 @@ class TestBackendSelection:
             "degree-parity", "parity", "cycle", 16, kernels="vector"
         )
         assert record.verified
+
+
+class TestPreload:
+    """Each check runs in a fresh interpreter, so that modules other
+    tests imported cannot hide what ``preload`` loads."""
+
+    @staticmethod
+    def _modules_loaded_by(mode):
+        code = (
+            "import sys\n"
+            "from repro import kernels\n"
+            "before = set(sys.modules)\n"
+            f"kernels.preload({mode!r})\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        return set(result.stdout.split())
+
+    def test_object_mode_imports_nothing(self):
+        assert self._modules_loaded_by("object") == set()
+
+    def test_auto_mode_loads_the_vector_backend(self):
+        loaded = self._modules_loaded_by("auto")
+        if not kernels.HAVE_NUMPY:
+            assert loaded == set()
+            return
+        assert {
+            "numpy.ma",
+            "repro.kernels.engine",
+            "repro.kernels.programs",
+            "repro.kernels.vector",
+            "repro.kernels.verifier",
+        } <= loaded
 
 
 # -- the vectorized verifier twin --------------------------------------------

@@ -414,6 +414,29 @@ class TestCacheAlgebra:
         assert fresh.get("aa1") == {"x": 1}
         assert fresh.get("aa9") is None
 
+    def test_put_after_a_torn_tail_keeps_its_record(self, tmp_path):
+        root = str(tmp_path / "cache")
+        TrialCache(root).put("aa01", {"x": 1})
+        with open(os.path.join(root, "aa.jsonl"), "a", encoding="utf-8") as handle:
+            handle.write('{"key": "aa02", "record"')  # a killed writer's tail
+        TrialCache(root).put("aa03", {"x": 3})
+        again = TrialCache(root)
+        assert again.get("aa01") == {"x": 1}
+        assert again.get("aa03") == {"x": 3}
+        assert again.get("aa02") is None
+        assert again.stats.torn_lines == 1
+
+    def test_non_object_lines_are_skipped_and_counted(self, tmp_path):
+        self._filled(tmp_path / "src", [("aa1", {"x": 1})])
+        shard = os.path.join(str(tmp_path / "src"), "aa.jsonl")
+        with open(shard, "a", encoding="utf-8") as handle:
+            handle.write('42\n"aa2"\n[1, 2]\nnull\n')
+        fresh = TrialCache(str(tmp_path / "src"))
+        assert fresh.get("aa1") == {"x": 1}
+        assert fresh.stats.torn_lines == 4
+        dest = TrialCache(str(tmp_path / "dest"))
+        assert dest.import_file(shard) == (1, 4)
+
     def test_import_missing_file_rejected(self, tmp_path):
         cache = TrialCache(str(tmp_path / "cache"))
         with pytest.raises(ValueError, match="does not exist"):
