@@ -176,8 +176,7 @@ def padded_sinkless_instance(height: int, seed: int):
     from repro.util.rng import NodeRng
 
     base = random_regular(16, 3, _random.Random(2 + seed))
-    gadgets = [build_gadget(3, height) for _ in base.nodes()]
-    padded = pad_graph(base, gadgets)
+    padded = pad_graph(base, [build_gadget(3, height)] * base.num_nodes)
     return Instance(
         padded.graph,
         sequential_ids(padded.graph.num_nodes),

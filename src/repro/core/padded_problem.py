@@ -39,6 +39,7 @@ from repro.core.virtual_graph import (
 from repro.gadgets.family import GadgetFamily
 from repro.gadgets.labels import GADOK, Port
 from repro.gadgets.psi import verify_psi
+from repro.gadgets.scope import GadgetScope
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import BLANK, EMPTY
 from repro.lcl.problem import NeLCL
@@ -164,13 +165,16 @@ def verify_padded(
         ):
             add("domain", ("node", v), "Sigma_list arrays must have length delta")
 
+    # One scope serves every constraint below: its flat table tells port
+    # edges (out of scope) from gadget edges, malformed tags included.
+    scope = _gadget_scope(graph, inputs)
+
     # --- constraint 1: port edges blank, gadget edges Psi-labeled ---------
     for eid in range(graph.num_edges):
-        tag = edge_tag(inputs, eid)
         label = outputs.edge(eid)
         edge = graph.edge(eid)
         halves = (outputs.half(edge.a), outputs.half(edge.b))
-        if tag == PORTEDGE:
+        if not scope.in_scope(eid):
             if label is not BLANK:
                 add("edge", eid, "port edge must output BLANK")
             for side_label in halves:
@@ -185,7 +189,6 @@ def verify_padded(
                     add("edge", eid, "gadget half-edge must carry a Psi_G label")
 
     # --- constraint 2: Psi_G holds on every gadget component ---------------
-    scope = _gadget_scope(graph, inputs)
     components = scope.components()
     component_of_node: dict[int, int] = {}
     for index, component in enumerate(components):
@@ -199,7 +202,8 @@ def verify_padded(
         # a gadget edge is GadOk exactly when both endpoints are
         for v in component:
             for port, eid, other, _label in scope.incidences(v):
-                half_label = outputs.half(HalfEdge(v, port))
+                side = HalfEdge(v, port)
+                half_label = outputs.half(side)
                 if half_label != psi_outputs.get(v):
                     add(
                         "node",
@@ -207,6 +211,8 @@ def verify_padded(
                         "gadget half-edge must replicate the node's Psi label "
                         f"({half_label!r} vs {psi_outputs.get(v)!r})",
                     )
+                if graph.edge(eid).a != side:
+                    continue  # each edge once, from side a (a loop's lower port)
                 edge_label = outputs.edge(eid)
                 expected_ok = (
                     psi_outputs.get(v) == GADOK and psi_outputs.get(other) == GADOK
@@ -222,8 +228,7 @@ def verify_padded(
     def port_edge_sides(v: int) -> list[HalfEdge]:
         sides = []
         for port in range(graph.degree(v)):
-            eid = graph.edge_id_at(v, port)
-            if edge_tag(inputs, eid) == PORTEDGE:
+            if not scope.in_scope(graph.edge_id_at(v, port)):
                 sides.append(HalfEdge(v, port))
         return sides
 
@@ -244,7 +249,7 @@ def verify_padded(
             )
 
     for eid in range(graph.num_edges):
-        if edge_tag(inputs, eid) != PORTEDGE:
+        if scope.in_scope(eid):
             continue
         edge = graph.edge(eid)
         for side in (edge.a, edge.b):
@@ -334,7 +339,7 @@ def verify_padded(
             add("edge", eid, "constraint 6: missing o_B on a valid port")
 
     # --- constraints 5/6 (solution level): Pi holds on the contraction ------
-    violations.extend(_verify_contraction(problem, graph, inputs, outputs))
+    violations.extend(_verify_contraction(problem, graph, inputs, outputs, scope))
 
     return Verdict(ok=not violations, violations=violations)
 
@@ -344,6 +349,7 @@ def _verify_contraction(
     graph: PortGraph,
     inputs: Labeling,
     outputs: Labeling,
+    scope: GadgetScope,
 ) -> list[Violation]:
     """Check that the Sigma_list outputs solve Pi on the virtual graph.
 
@@ -363,7 +369,12 @@ def _verify_contraction(
     from repro.local.identifiers import sequential_ids
 
     decomposition = decompose(
-        graph, inputs, problem.family, sequential_ids(graph.num_nodes), graph.num_nodes
+        graph,
+        inputs,
+        problem.family,
+        sequential_ids(graph.num_nodes),
+        graph.num_nodes,
+        scope=scope,
     )
     virtual = decomposition.virtual
     vg = virtual.graph

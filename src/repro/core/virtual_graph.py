@@ -112,9 +112,16 @@ def decompose(
     family: GadgetFamily,
     ids: IdAssignment,
     n_hint: int,
+    scope: GadgetScope | None = None,
 ) -> Decomposition:
-    """Analyze a Pi' instance; see the module docstring."""
-    scope = _gadget_scope(graph, inputs)
+    """Analyze a Pi' instance; see the module docstring.
+
+    ``scope``, if given, must be ``_gadget_scope(graph, inputs)``: a
+    caller that already holds that scope passes it to share its
+    structural verdicts.
+    """
+    if scope is None:
+        scope = _gadget_scope(graph, inputs)
     components: list[GadgetComponent] = []
     component_of_node: dict[int, int] = {}
     for nodes in scope.components():
@@ -144,7 +151,7 @@ def decompose(
         eids = []
         for port in range(graph.degree(v)):
             eid = graph.edge_id_at(v, port)
-            if edge_tag(inputs, eid) == PORTEDGE:
+            if not scope.in_scope(eid):
                 eids.append(eid)
         return eids
 

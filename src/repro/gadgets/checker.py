@@ -295,14 +295,28 @@ def _check_center(
 
 
 def check_node(scope: GadgetScope, v: int, delta: int) -> list[StructuralViolation]:
-    """All constant-radius structural constraints at node ``v``."""
+    """All constant-radius structural constraints at node ``v``.
+
+    The verdict is a pure function of the scope's snapshot, so it is
+    computed once per ``(v, delta)`` and memoized on the scope.
+    """
+    key = (v, delta)
+    verdict = scope.verdicts.get(key)
+    if verdict is None:
+        verdict = scope.verdicts[key] = tuple(_evaluate_node(scope, v, delta))
+    return list(verdict)
+
+
+def _evaluate_node(
+    scope: GadgetScope, v: int, delta: int
+) -> list[StructuralViolation]:
+    """:func:`check_node` without the memo."""
     out: list[StructuralViolation] = []
     node = scope.node_input(v)
     if node is None:
         return [StructuralViolation(v, "alpha", "node input is not a gadget label")]
-    for port in range(scope.graph.degree(v)):
-        eid = scope.graph.edge_id_at(v, port)
-        if scope.in_scope(eid) and scope.half_input(v, port) is None:
+    for port, _eid, _other, _label in scope.incidences(v):
+        if scope.half_input(v, port) is None:
             out.append(
                 StructuralViolation(
                     v, "alpha", f"half-edge input at port {port} is malformed"

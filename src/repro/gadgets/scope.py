@@ -15,7 +15,7 @@ from typing import Callable, Hashable
 
 from repro.gadgets.labels import GadgetHalfInput, GadgetNodeInput
 from repro.lcl.assignment import Labeling
-from repro.local.graphs import HalfEdge, PortGraph
+from repro.local.graphs import PortGraph
 
 __all__ = ["GadgetScope"]
 
@@ -26,11 +26,14 @@ Incidence = tuple[int, int, int, Hashable]
 class GadgetScope:
     """Navigation over the gadget-edge subgraph of a labeled graph.
 
-    A scope is a snapshot of ``graph`` and ``inputs``: :meth:`incidences`
-    builds a node's tuple of in-scope edges on its first call and returns
-    that same tuple afterwards, so neither may change once the scope
-    exists.  Corruptions therefore build a new
-    :class:`~repro.lcl.assignment.Labeling` rather than editing one.
+    A scope is a snapshot of ``graph`` and ``inputs``: it reads every
+    label once, at construction, into flat tables indexed by node and by
+    CSR port slot, and builds each node's tuple of in-scope incidences
+    there too.  Later edits to ``inputs`` are not seen, so corruptions
+    build a new :class:`~repro.lcl.assignment.Labeling` rather than
+    editing one.  For the same reason a node's structural verdict is a
+    pure function of the scope: :func:`repro.gadgets.checker.check_node`
+    memoizes it in :attr:`verdicts`.
     """
 
     def __init__(
@@ -41,70 +44,82 @@ class GadgetScope:
     ):
         self.graph = graph
         self.inputs = inputs
-        self._edge_in_scope = edge_in_scope or (lambda eid: True)
-        self._rows: list[tuple[Incidence, ...] | None] = [None] * graph.num_nodes
+        #: ``check_node``'s memo: ``(node, delta) -> violations``.
+        self.verdicts: dict[tuple[int, int], tuple] = {}
+        off, nbr, peer, eids = (table.tolist() for table in graph.csr())
+        self._off = off
+        if edge_in_scope is None:
+            self._in_scope = [True] * graph.num_edges
+        else:
+            self._in_scope = [bool(edge_in_scope(eid)) for eid in range(graph.num_edges)]
+        self._nodes: list[GadgetNodeInput | None] = []
+        self._halves: list[GadgetHalfInput | None] = []
+        for v in graph.nodes():
+            label = inputs.node(v)
+            self._nodes.append(label if isinstance(label, GadgetNodeInput) else None)
+            for port in range(off[v + 1] - off[v]):
+                half = inputs.half_at(v, port)
+                self._halves.append(half if isinstance(half, GadgetHalfInput) else None)
+        labels = [None if half is None else half.label for half in self._halves]
+        # per slot: the endpoint label on the far side of its edge
+        self._far_labels = [labels[off[w] + p] for w, p in zip(nbr, peer)]
+        in_scope = self._in_scope
+        self._rows: list[tuple[Incidence, ...]] = [
+            tuple(
+                (slot - off[v], eids[slot], nbr[slot], labels[slot])
+                for slot in range(off[v], off[v + 1])
+                if in_scope[eids[slot]]
+            )
+            for v in graph.nodes()
+        ]
 
     def in_scope(self, eid: int) -> bool:
-        return self._edge_in_scope(eid)
+        return self._in_scope[eid]
 
     # -- labels ---------------------------------------------------------------
 
     def node_input(self, v: int) -> GadgetNodeInput | None:
         """The node's gadget input, or None if malformed."""
-        label = self.inputs.node(v)
-        if isinstance(label, GadgetNodeInput):
-            return label
-        return None
+        return self._nodes[v]
 
     def half_input(self, v: int, port: int) -> GadgetHalfInput | None:
-        label = self.inputs.half_at(v, port)
-        if isinstance(label, GadgetHalfInput):
-            return label
-        return None
+        """The half-edge's gadget input, or None if malformed or if ``v``
+        has no such port."""
+        if not 0 <= port < self.graph.degree(v):
+            return None
+        return self._halves[self._off[v] + port]
 
     def role(self, v: int) -> Hashable | None:
-        node = self.node_input(v)
+        node = self._nodes[v]
         return node.role if node else None
 
     def port_tag(self, v: int) -> Hashable | None:
-        node = self.node_input(v)
+        node = self._nodes[v]
         return node.port if node else None
 
     def color(self, v: int) -> int | None:
-        node = self.node_input(v)
+        node = self._nodes[v]
         return node.color if node else None
 
     # -- incidences --------------------------------------------------------------
 
     def incidences(self, v: int) -> tuple[Incidence, ...]:
         """The ``(port, eid, other_node, my_label)`` of each in-scope edge
-        at ``v``, in port order (built once per node, then shared)."""
-        row = self._rows[v]
-        if row is None:
-            graph = self.graph
-            found = []
-            for port in range(graph.degree(v)):
-                eid = graph.edge_id_at(v, port)
-                if not self._edge_in_scope(eid):
-                    continue
-                half = self.half_input(v, port)
-                label = half.label if half else None
-                found.append((port, eid, graph.neighbor(v, port), label))
-            row = self._rows[v] = tuple(found)
-        return row
+        at ``v``, in port order (the same tuple on every call)."""
+        return self._rows[v]
 
     def labels_at(self, v: int) -> list[Hashable]:
         """The in-scope endpoint labels at ``v`` (may contain None)."""
-        return [label for _p, _e, _o, label in self.incidences(v)]
+        return [label for _p, _e, _o, label in self._rows[v]]
 
     def other_label(self, v: int, port: int) -> Hashable | None:
         """The endpoint label on the far side of the edge at ``(v, port)``."""
-        other = self.graph.endpoint(v, port)
-        half = self.half_input(other.node, other.port)
-        return half.label if half else None
+        if not 0 <= port < self.graph.degree(v):
+            raise IndexError(f"node {v} has no port {port}")
+        return self._far_labels[self._off[v] + port]
 
     def has_label(self, v: int, label: Hashable) -> bool:
-        return any(mine == label for _p, _e, _o, mine in self.incidences(v))
+        return any(mine == label for _p, _e, _o, mine in self._rows[v])
 
     def follow(self, v: int, label: Hashable) -> int | None:
         """The unique neighbor across the edge labeled ``label`` at ``v``.
@@ -113,7 +128,7 @@ class GadgetScope:
         several do (a 1b violation caught elsewhere), the first in port
         order is used so navigation stays deterministic.
         """
-        for _port, _eid, other, mine in self.incidences(v):
+        for _port, _eid, other, mine in self._rows[v]:
             if mine == label:
                 return other
         return None

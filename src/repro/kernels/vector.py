@@ -20,16 +20,18 @@ candidates are already in discovery order.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
+from repro.local.graphs import HalfEdge
+
 __all__ = [
+    "anchor_scans",
     "bfs_distances",
     "connected_components",
     "csr_arrays",
     "multi_source_bfs",
-    "scan_order",
 ]
 
 _I64 = np.int64
@@ -266,26 +268,253 @@ def connected_components(graph: Any) -> list[list[int]]:
     return components
 
 
-def scan_order(
-    graph: Any, ids: Any
-) -> tuple[list[int], list[int], list[int]]:
-    """Per-node port permutations in increasing (neighbor-id, port) order.
+#: Scratch cells (scan centre x node) one block of :func:`anchor_scans`
+#: may stamp: the visit table is ``block x num_nodes`` int32, so it
+#: stays at 1 MiB whatever the graph size.
+_ANCHOR_CELL_BUDGET = 1 << 18
+_STAMP_MAX = np.iinfo(np.int32).max
 
-    Returns ``(offsets, ordered_neighbors, ordered_eids)`` as plain
-    lists: slot ``offsets[v] + k`` holds node ``v``'s k-th port *after*
-    sorting its ports by ``(identifier of neighbor, port)`` — exactly
-    the exploration order the deterministic sinkless solver's
-    ``anchor_scan`` computes with per-visit ``sorted`` calls.  One
-    lexsort over the flat tables replaces ~|ball| small sorts per scan
-    center, which is where that solver spends most of its time.
+
+def anchor_scans(
+    graph: Any, ids: Any, exempt_below: int
+) -> list[tuple[int, int, HalfEdge] | None]:
+    """Every node's ``anchor_scan``, as one level-synchronous pass.
+
+    Returns a list indexed by node: ``(radius, claim_eid, claim_tail)``
+    for each node the deterministic sinkless solver scans (degree at
+    least ``max(exempt_below, 1)``), exactly as
+    :func:`repro.problems.sinkless_solvers.anchor_scan` returns them,
+    and None for every other node.  A component with neither a cycle
+    nor an exempt node raises the oracle's ``RuntimeError``, naming the
+    smallest such scanned node (the one the solver's loop reaches first).
+
+    All scans of a block of centres advance one BFS level at a time.
+    Each centre's frontier is scanned queue-major and, per node, in
+    increasing (neighbor identifier, port) order: the oracle's visit
+    order.  So the oracle's first anchor is the first *event* of the
+    level in that order, where an event is
+
+    * popping an exempt node (degree below ``exempt_below``, depth >= 1),
+      checked before that node's ports;
+    * an already visited neighbor reached over an edge other than the
+      scanned node's parent edge (self-loops included);
+    * a second scan of a node first discovered earlier in this level.
+
+    A visited neighbor is at most one level shallower, and a node
+    discovered this level is reached again over a different edge, so
+    those rules are exactly the oracle's cycle test.  A centre stops at
+    its first event; a centre with no event discovers only distinct new
+    nodes, which become the next level.  Each visited node carries the
+    first hop of its BFS path at the centre, which is the oracle's
+    ``claim_toward``.
     """
-    off, nbr, _, eids = csr_arrays(graph)
-    total = nbr.shape[0]
-    counts = np.diff(off)
-    node_of = np.repeat(np.arange(graph.num_nodes, dtype=_I64), counts)
-    port_of = np.arange(total, dtype=_I64) - off[node_of]
+    off, nbr, peer, eids = csr_arrays(graph)
+    n = graph.num_nodes
+    deg = np.diff(off)
+    scanned = np.flatnonzero(deg >= max(exempt_below, 1))
+    out: list[tuple[int, int, HalfEdge] | None] = [None] * n
+    if scanned.size == 0:
+        return out
     id_table = np.asarray(ids.as_list(), dtype=_I64)
-    # lexsort: last key is primary — group by node, then neighbor id,
-    # then port, matching sorted(key=(id(neighbor), port)) per node.
-    perm = np.lexsort((port_of, id_table[nbr], node_of))
-    return off.tolist(), nbr[perm].tolist(), eids[perm].tolist()
+    # Each node's ports by neighbor identifier; lexsort is stable, so
+    # equal identifiers (parallel edges, self-loops) stay in port order.
+    order = np.lexsort((id_table[nbr], np.repeat(np.arange(n, dtype=_I64), deg)))
+    tables = _ScanTables(
+        n, off, deg, peer, nbr.take(order), eids.take(order), order,
+        _frontier_expander(off), deg < exempt_below,
+    )
+    block = max(1, _ANCHOR_CELL_BUDGET // n)
+    stamp = np.zeros(min(block, scanned.size) * n, dtype=np.int32)
+    radius = np.empty(n, dtype=_I64)
+    claim = np.empty(n, dtype=_I64)
+    base = 1
+    for start in range(0, scanned.size, block):
+        if base > _STAMP_MAX - stamp.size:
+            # a block writes at most stamp.size records above base
+            stamp[:] = 0
+            base = 1
+        centres = scanned[start : start + block]
+        base, stuck = _anchor_block(tables, centres, stamp, base, radius, claim)
+        if stuck is not None:
+            raise RuntimeError(
+                f"node {stuck}: component has neither a cycle nor an exempt "
+                "node; such a finite graph cannot exist"
+            )
+    slots = claim.take(scanned)
+    for v, r, eid, port in zip(
+        scanned.tolist(),
+        radius.take(scanned).tolist(),
+        eids.take(slots).tolist(),
+        (slots - off.take(scanned)).tolist(),
+    ):
+        out[v] = (r, eid, HalfEdge(v, port))
+    return out
+
+
+class _ScanTables(NamedTuple):
+    """Per-call tables of :func:`anchor_scans`, shared by its blocks."""
+
+    n: int
+    off: np.ndarray
+    deg: np.ndarray
+    peer: np.ndarray
+    nbr: np.ndarray  # neighbors in scan order (sorted per node)
+    eids: np.ndarray  # edge ids in scan order
+    slot: np.ndarray  # scan position -> CSR slot
+    expand: Any  # frontier -> scan positions, frontier-major
+    exempt: np.ndarray  # per node: degree below exempt_below
+
+
+class _Ports(NamedTuple):
+    """One level's scanned ports, frontier-major and in scan order."""
+
+    entry: np.ndarray  # the frontier entry scanning the port
+    pos: np.ndarray  # scan position of the port
+    u: np.ndarray  # the neighbor across it
+    seen: np.ndarray  # the neighbor's stamp before this level
+    visited: np.ndarray  # seen >= base
+    exempt: np.ndarray  # first port of an exempt entry (its pop comes first)
+
+
+def _anchor_block(
+    t: _ScanTables,
+    centres: np.ndarray,
+    stamp: np.ndarray,
+    base: int,
+    radius: np.ndarray,
+    claim: np.ndarray,
+) -> tuple[int, int | None]:
+    """Scan one block of centres; fill ``radius`` and ``claim`` (the CSR
+    slot at each centre whose edge and port the scan claims).
+
+    Returns the next block's base and the smallest centre whose scan ran
+    out of nodes (None when every scan found its anchor).
+    """
+    scan = _BlockScan(t, centres, stamp, base)
+    while scan.x.size:
+        scan.level(radius, claim)
+    stuck = np.flatnonzero(scan.stuck)
+    return base + scan.records, int(centres[stuck[0]]) if stuck.size else None
+
+
+class _BlockScan:
+    """The scans of one block of centres, advanced one level at a time.
+
+    ``stamp[row * n + u]`` is ``base + r`` once centre ``row`` has
+    visited ``u`` as the block's ``r``-th visit record; anything below
+    ``base`` (zeros, earlier blocks, scratch tags) reads as unvisited.
+    Records are numbered level by level, so a record at or above
+    ``level_start`` was visited this level and one below it, the level
+    before (from ``prev_start`` on).
+    """
+
+    def __init__(
+        self, t: _ScanTables, centres: np.ndarray, stamp: np.ndarray, base: int
+    ):
+        self.t, self.centres, self.stamp, self.base = t, centres, stamp, base
+        k = centres.size
+        rows = np.arange(k, dtype=_I64)
+        # Frontier entries: centre row, node, first-hop slot at the
+        # centre (-1 at the centre itself), and the edge that reached it.
+        self.row, self.x = rows, centres
+        self.branch = np.full(k, -1, dtype=_I64)
+        self.parent_eid = np.full(k, -1, dtype=_I64)
+        stamp[rows * t.n + centres] = base + rows
+        self.active = np.ones(k, dtype=bool)
+        self.stuck = np.zeros(k, dtype=bool)
+        self.depth = 0
+        self.level_start, self.records = 0, k
+        self.prev_branch, self.prev_start = self.branch, 0
+
+    def level(self, radius: np.ndarray, claim: np.ndarray) -> None:
+        """Scan the frontier's ports; stop the centres that hit an event
+        and make the rest's first discoveries the next frontier."""
+        t, stamp, base = self.t, self.stamp, self.base
+        counts = t.deg.take(self.x)
+        entry = np.repeat(np.arange(self.x.size, dtype=_I64), counts)
+        pos = t.expand(self.x)
+        u = t.nbr.take(pos)
+        eid = t.eids.take(pos)
+        keys = self.row.take(entry) * t.n + u
+        seen = stamp.take(keys)
+        visited = seen >= base
+        event = visited & (eid != self.parent_eid.take(entry))
+        fresh = np.flatnonzero(~visited)
+        fresh_keys = keys.take(fresh)
+        # First discoveries: a reversed scatter leaves each key's
+        # earliest tag (tags stay below base, so they read unvisited).
+        tags = -1 - np.arange(fresh.size, dtype=np.int32)
+        stamp[fresh_keys[::-1]] = tags[::-1]
+        first = stamp.take(fresh_keys) == tags
+        event[fresh[~first]] = True
+        exempt = np.zeros(pos.size, dtype=bool)
+        if self.depth:
+            popped = t.exempt.take(self.x)
+            if popped.any():
+                exempt[(np.cumsum(counts) - counts)[popped]] = True
+                event |= exempt
+        hits = np.flatnonzero(event)
+        if hits.size:
+            # each centre's first event ends its scan
+            hit_rows = self.row.take(entry.take(hits))
+            lead = np.ones(hits.size, dtype=bool)
+            lead[1:] = hit_rows[1:] != hit_rows[:-1]
+            ports = _Ports(entry, pos, u, seen, visited, exempt)
+            self._resolve(ports, hits[lead], hit_rows[lead], radius, claim)
+            self.active[hit_rows[lead]] = False
+        found = fresh[first]
+        found = found[self.active[self.row.take(entry.take(found))]]
+        found_entry = entry.take(found)
+        stamp[keys.take(found)] = base + self.records + np.arange(found.size, dtype=_I64)
+        self.prev_branch, self.prev_start = self.branch, self.level_start
+        self.level_start = self.records
+        self.records += found.size
+        if self.depth == 0:
+            self.branch = t.slot.take(pos.take(found))
+        else:
+            self.branch = self.branch.take(found_entry)
+        self.row = self.row.take(found_entry)
+        self.x = u.take(found)
+        self.parent_eid = eid.take(found)
+        # a centre still scanning with an empty queue has no anchor
+        reached = np.zeros(self.active.size, dtype=bool)
+        reached[self.row] = True
+        self.stuck |= self.active & ~reached
+        self.active &= reached
+        self.depth += 1
+
+    def _resolve(
+        self,
+        p: _Ports,
+        wins: np.ndarray,
+        rows: np.ndarray,
+        radius: np.ndarray,
+        claim: np.ndarray,
+    ) -> None:
+        """Turn each centre's first event (at port ``wins``, for centre
+        ``rows``) into the oracle's radius and claimed slot."""
+        t, depth = self.t, self.depth
+        v = self.centres.take(rows)
+        slot = t.slot.take(p.pos.take(wins))
+        at_v = t.off.take(v)
+        if depth == 0:
+            # The centre itself: a self-loop claims its lower port, a
+            # parallel edge the scanned port.
+            loop = p.u.take(wins) == v
+            radius[v] = np.where(loop, 0, 1)
+            claim[v] = np.where(loop, np.minimum(slot, at_v + t.peer.take(slot)), slot)
+            return
+        i = p.entry.take(wins)
+        s = self.branch.take(i)  # default: the first hop toward the scanner
+        exempt = p.exempt.take(wins)
+        hit_visited = p.visited.take(wins) & ~exempt
+        record = p.seen.take(wins) - self.base
+        # a visited neighbor one level up is the cycle's nearer endpoint
+        up = hit_visited & (p.u.take(wins) != self.x.take(i)) & (record < self.level_start)
+        if depth == 1:
+            s = np.where(up, at_v + t.peer.take(slot), s)  # the centre's side
+        elif up.any():
+            s[up] = self.prev_branch.take(record[up] - self.prev_start)
+        # a node discovered twice this level closes a cycle one level down
+        radius[v] = np.where(hit_visited | exempt, depth, depth + 1)
+        claim[v] = s

@@ -60,9 +60,7 @@ class AnchorScan:
     claim_tail: HalfEdge | None
 
 
-def anchor_scan(
-    graph: PortGraph, ids, v: int, exempt_below: int, tables=None
-) -> AnchorScan:
+def anchor_scan(graph: PortGraph, ids, v: int, exempt_below: int) -> AnchorScan:
     """Scan outward from ``v`` until an anchor certifies an out-edge.
 
     The scan explores neighbors in increasing-identifier order so the
@@ -77,12 +75,9 @@ def anchor_scan(
       was discovered first (or the non-tree edge itself if that endpoint
       is ``v``).
 
-    ``tables``, if given, is :func:`repro.kernels.vector.scan_order`'s
-    pre-sorted ``(offsets, neighbors, eids)`` triple: each node's ports
-    already in increasing ``(identifier of neighbor, port)`` order.
-    Passing it removes the per-visited-node ``sorted`` and accessor
-    calls — the solver's dominant cost — without changing a single
-    visit: the pairs iterated are exactly the sorted loop's.
+    This per-node scan is the oracle of the batched vector kernel
+    :func:`repro.kernels.vector.anchor_scans`, and the solver's path
+    without numpy.
     """
     # parent[x] = (predecessor node, eid used); center marked specially
     parent: dict[int, tuple[int, int]] = {v: (-2, -1)}
@@ -109,20 +104,13 @@ def anchor_scan(
             eid, tail = claim_toward(x)
             return AnchorScan(radius=d, kind="exempt", claim_eid=eid, claim_tail=tail)
         # scan x's ports in increasing neighbor-id order (then port)
-        if tables is not None:
-            t_off, t_nbr, t_eid = tables
-            base, end = t_off[x], t_off[x + 1]
-            pairs = zip(t_nbr[base:end], t_eid[base:end])
-        else:
-            ports = sorted(
-                range(graph.degree(x)),
-                key=lambda p: (ids.of(graph.neighbor(x, p)), p),
-            )
-            pairs = (
-                (graph.neighbor(x, port), graph.edge_id_at(x, port))
-                for port in ports
-            )
-        for u, eid in pairs:
+        ports = sorted(
+            range(graph.degree(x)),
+            key=lambda p: (ids.of(graph.neighbor(x, p)), p),
+        )
+        for port in ports:
+            u = graph.neighbor(x, port)
+            eid = graph.edge_id_at(x, port)
             if u == x:
                 # self-loop: a cycle at distance d
                 if x == v:
@@ -157,6 +145,22 @@ def anchor_scan(
     )
 
 
+def _object_scans(
+    graph: PortGraph, ids, exempt_below: int
+) -> list[tuple[int, int | None, HalfEdge | None] | None]:
+    """``(radius, claim_eid, claim_tail)`` of every scanned node (degree at
+    least ``max(exempt_below, 1)``), None elsewhere: one
+    :func:`anchor_scan` per node, in node order."""
+    scans: list[tuple[int, int | None, HalfEdge | None] | None] = []
+    for v in graph.nodes():
+        if graph.degree(v) < max(exempt_below, 1):
+            scans.append(None)
+            continue
+        scan = anchor_scan(graph, ids, v, exempt_below)
+        scans.append((scan.radius, scan.claim_eid, scan.claim_tail))
+    return scans
+
+
 @register_solver(
     "sinkless-det",
     problem="sinkless-orientation",
@@ -178,30 +182,30 @@ class DeterministicSinklessSolver:
         node_radius = [0] * graph.num_nodes
         claims: dict[int, HalfEdge] = {}  # eid -> desired tail
         conflicts = 0
-        tables = None
         if kernels.vector_enabled():
             from repro.kernels import vector
 
-            tables = vector.scan_order(graph, ids)
+            scans = vector.anchor_scans(graph, ids, self.exempt_below)
+        else:
+            scans = _object_scans(graph, ids, self.exempt_below)
         for v in graph.nodes():
             if graph.degree(v) == 0:
                 continue
             node_radius[v] = 1  # everyone at least exchanges orientations
-            if graph.degree(v) < self.exempt_below:
+            if scans[v] is None:
                 continue
-            scan = anchor_scan(graph, ids, v, self.exempt_below, tables)
-            node_radius[v] = max(node_radius[v], scan.radius + 1)
-            if scan.claim_eid is None:
+            radius, claim_eid, tail = scans[v]
+            node_radius[v] = max(node_radius[v], radius + 1)
+            if claim_eid is None:
                 continue
-            tail = scan.claim_tail
-            previous = claims.get(scan.claim_eid)
+            previous = claims.get(claim_eid)
             if previous is None:
-                claims[scan.claim_eid] = tail
+                claims[claim_eid] = tail
             elif previous != tail:
                 conflicts += 1
                 # the smaller-identifier claimant wins
                 if ids.of(tail.node) < ids.of(previous.node):
-                    claims[scan.claim_eid] = tail
+                    claims[claim_eid] = tail
         tails = {}
         for edge in graph.edges():
             claimed = claims.get(edge.eid)

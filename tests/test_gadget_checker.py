@@ -14,8 +14,17 @@ from repro.gadgets import (
     component_is_valid,
     corrupt,
 )
+from repro.core.padding import PORTEDGE
 from repro.gadgets.corruptions import CORRUPTIONS
-from repro.gadgets.labels import GadgetHalfInput
+from repro.gadgets.labels import (
+    TREE_LABELS,
+    UP,
+    Down,
+    GadgetHalfInput,
+    GadgetNodeInput,
+)
+from repro.gadgets.probes import PROBE_FAMILIES
+from repro.runtime import registry
 
 
 def _scope(graph, inputs):
@@ -119,34 +128,58 @@ class TestCorruptionLocality:
 
 
 class TestScopeSnapshot:
-    """A scope builds each node's incidence tuple once and then shares it."""
+    """A scope reads its labels once, into flat tables; every accessor
+    must still answer exactly what the labeling says."""
 
-    @staticmethod
-    def _recomputed(scope, v):
-        graph = scope.graph
-        out = []
-        for port in range(graph.degree(v)):
-            eid = graph.edge_id_at(v, port)
-            if not scope.in_scope(eid):
-                continue
-            half = scope.inputs.half_at(v, port)
-            label = half.label if isinstance(half, GadgetHalfInput) else None
-            out.append((port, eid, graph.neighbor(v, port), label))
-        return out
+    FOLLOW_LABELS = (*TREE_LABELS, UP, Down(1), Down(2), Down(3), "no-such-label")
 
-    def _assert_snapshot(self, scope):
-        for v in scope.graph.nodes():
+    def _assert_snapshot(self, scope, edge_in_scope=lambda eid: True):
+        graph, inputs = scope.graph, scope.inputs
+        for eid in range(graph.num_edges):
+            assert scope.in_scope(eid) is edge_in_scope(eid), eid
+        for v in graph.nodes():
+            node = inputs.node(v)
+            node = node if isinstance(node, GadgetNodeInput) else None
+            assert scope.node_input(v) == node, v
+            assert scope.role(v) == (node.role if node else None)
+            assert scope.port_tag(v) == (node.port if node else None)
+            assert scope.color(v) == (node.color if node else None)
+            rows = []
+            for port in range(graph.degree(v)):
+                half = inputs.half_at(v, port)
+                half = half if isinstance(half, GadgetHalfInput) else None
+                assert scope.half_input(v, port) == half, (v, port)
+                far = inputs.half_at(*graph.endpoint(v, port))
+                far_label = far.label if isinstance(far, GadgetHalfInput) else None
+                assert scope.other_label(v, port) == far_label, (v, port)
+                eid = graph.edge_id_at(v, port)
+                if edge_in_scope(eid):
+                    label = half.label if half else None
+                    rows.append((port, eid, graph.neighbor(v, port), label))
             first = scope.incidences(v)
-            assert list(first) == self._recomputed(scope, v), v
+            assert list(first) == rows, v
             assert isinstance(first, tuple)
             assert scope.incidences(v) is first
             assert scope.scope_degree(v) == len(first)
+            for label in self.FOLLOW_LABELS:
+                expected = next((o for _p, _e, o, mine in rows if mine == label), None)
+                assert scope.follow(v, label) == expected, (v, label)
 
     def test_built_gadget_and_corruptions(self):
         built = build_gadget(3, 4)
         self._assert_snapshot(_scope(built.graph, built.inputs))
         for corruption in all_corruptions(built, random.Random(2)):
             self._assert_snapshot(_scope(corruption.graph, corruption.inputs))
+
+    @pytest.mark.parametrize("family", PROBE_FAMILIES)
+    def test_registered_corruption_families(self, family):
+        instance = registry.family(family).builder(4, 0)
+        self._assert_snapshot(_scope(instance.graph, instance.inputs))
+
+    def test_edge_filter(self):
+        built = build_gadget(3, 3)
+        kept = lambda eid: eid % 3 != 0  # noqa: E731
+        self._assert_snapshot(GadgetScope(built.graph, built.inputs, kept), kept)
 
     def test_padded_instance_scope(self):
         from repro.core import pad_graph
@@ -156,6 +189,75 @@ class TestScopeSnapshot:
         base = complete(4)
         padded = pad_graph(base, [build_gadget(3, 3) for _ in base.nodes()])
         scope = _gadget_scope(padded.graph, padded.inputs)
-        self._assert_snapshot(scope)
+        self._assert_snapshot(scope, lambda eid: padded.edge_tag(eid) != PORTEDGE)
         # port edges are out of scope, so every gadget stays its own component
         assert len(scope.components()) == base.num_nodes
+
+    def test_registered_padded_instance_scope(self):
+        from repro.core.projection import edge_tag
+        from repro.core.virtual_graph import _gadget_scope
+
+        instance = registry.family("padded-sinkless").builder(2, 0)
+        scope = _gadget_scope(instance.graph, instance.inputs)
+        self._assert_snapshot(
+            scope, lambda eid: edge_tag(instance.inputs, eid) != PORTEDGE
+        )
+
+
+#: The structural codes each registered corruption family raises,
+#: pinned so that a faster checker cannot silently change a verdict.
+CORRUPTION_CODES = {
+    "corrupt-color-clash": ["1a"],
+    "corrupt-color-replication": ["1a"],
+    "corrupt-detached-subgadget": ["c1", "c2a", "up-root"],
+    "corrupt-dropped-horizontal": ["3a", "3b"],
+    "corrupt-duplicate-down": ["c2b", "c2d"],
+    "corrupt-fake-port": ["3h"],
+    "corrupt-missing-port": ["3h"],
+    "corrupt-parent-as-child": ["1b", "2b", "2c", "c1", "up-root"],
+    "corrupt-swapped-children": ["2c", "2d"],
+    "corrupt-wrong-index": ["1c"],
+}
+
+
+class TestStructuralVerdicts:
+    def test_every_corruption_family_is_pinned(self):
+        assert sorted(PROBE_FAMILIES) == sorted(CORRUPTION_CODES)
+
+    @pytest.mark.parametrize("family", sorted(CORRUPTION_CODES))
+    def test_corruption_families_rejected_with_the_same_codes(self, family):
+        from repro.gadgets.proof import verify_prover_ok
+        from repro.runtime.driver import dispatch_solver
+
+        for height in (4, 5):
+            instance = registry.family(family).builder(height, 0)
+            scope = _scope(instance.graph, instance.inputs)
+            component = sorted(instance.graph.nodes())
+            codes = {v.code for v in check_component(scope, component, 3)}
+            assert sorted(codes) == CORRUPTION_CODES[family], height
+            result = dispatch_solver(
+                registry.solver("gadget-prover").factory(), instance
+            )
+            with pytest.raises(AssertionError):
+                verify_prover_ok(instance, result)
+
+    def test_check_node_is_memoized_per_scope(self, monkeypatch):
+        from repro.gadgets import checker
+
+        built = corrupt(build_gadget(3, 4), "wrong-index")
+        scope = _scope(built.graph, built.inputs)
+        calls = []
+        original = checker._evaluate_node
+
+        def counted(scope, v, delta):
+            calls.append((v, delta))
+            return original(scope, v, delta)
+
+        monkeypatch.setattr(checker, "_evaluate_node", counted)
+        first = {v: checker.check_node(scope, v, 3) for v in built.graph.nodes()}
+        assert any(first.values())
+        first[next(v for v in first if first[v])].clear()  # callers get copies
+        again = {v: checker.check_node(scope, v, 3) for v in built.graph.nodes()}
+        assert calls == [(v, 3) for v in built.graph.nodes()]
+        fresh = _scope(built.graph, built.inputs)
+        assert again == {v: original(fresh, v, 3) for v in built.graph.nodes()}

@@ -17,6 +17,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import kernels
@@ -452,3 +453,154 @@ class TestArrayProgramRecordParity:
         assert _counter_total(obj_tele, "kernels.array_rounds") == 0
         assert _counter_total(vec_tele, "kernels.array_rounds") == vec_rounds
         assert _counter_total(vec_tele, "kernels.object_rounds") == 0
+
+
+# -- batched anchor scans vs the per-node oracle -------------------------------
+
+
+def _oracle_scans(graph, ids, exempt_below):
+    """``anchor_scan`` on every node the solver scans, or the error it raises."""
+    from repro.problems.sinkless_solvers import anchor_scan
+
+    scans = [None] * graph.num_nodes
+    try:
+        for v in graph.nodes():
+            if graph.degree(v) >= max(exempt_below, 1):
+                scan = anchor_scan(graph, ids, v, exempt_below)
+                scans[v] = (scan.radius, scan.claim_eid, scan.claim_tail)
+    except RuntimeError as err:
+        return ("RuntimeError", str(err))
+    return scans
+
+
+def _batched_scans(graph, ids, exempt_below):
+    from repro.kernels import vector
+
+    try:
+        return vector.anchor_scans(graph, ids, exempt_below)
+    except RuntimeError as err:
+        return ("RuntimeError", str(err))
+
+
+SINKLESS_DET_SPEC = ExperimentSpec(
+    "kernels/sinkless-orientation/sinkless-det@cubic",
+    "sinkless-orientation",
+    "sinkless-det",
+    "cubic",
+    ns=(64, 256, 1024),
+    seeds=(0, 1),
+)
+
+PADDED_DET_SPEC = ExperimentSpec(
+    "kernels/padded-sinkless/padded-sinkless-det@padded-sinkless",
+    "padded-sinkless",
+    "padded-sinkless-det",
+    "padded-sinkless",
+    ns=(2, 3),
+    seeds=(0, 1),
+)
+
+
+@needs_numpy
+class TestAnchorScansDifferential:
+    """``vector.anchor_scans`` against one ``anchor_scan`` per node.
+
+    Radius, claimed edge and claimed tail must agree on every scanned
+    node, and both must raise the same ``RuntimeError`` on a component
+    with neither a cycle nor an exempt node.
+    """
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize(
+        "family", ["cubic", "high-girth-cubic", "torus", "tree", "cycle", "path"]
+    )
+    def test_matches_on_every_family(self, family, n):
+        from repro.runtime import registry
+
+        for seed in (0, 1):
+            instance = registry.family(family).builder(n, seed)
+            graph, ids = instance.graph, instance.ids
+            oracle = {}
+            for exempt_below in (1, 2, 3):
+                # anchor_scan reads exempt_below only as "degree <
+                # exempt_below", so thresholds splitting the degrees alike
+                # share one oracle run (on a cycle, 1 and 2 both exempt
+                # nothing and scan every node)
+                split = frozenset(d for d in graph.degrees if d < exempt_below)
+                if split not in oracle:
+                    oracle[split] = _oracle_scans(graph, ids, exempt_below)
+                got = _batched_scans(graph, ids, exempt_below)
+                assert got == oracle[split], (family, n, seed, exempt_below)
+
+    @given(
+        multigraphs(),
+        st.integers(0, 2**16),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_on_multigraphs(self, graph, id_seed, exempt_below):
+        import random
+
+        from repro.local.identifiers import random_ids
+
+        ids = random_ids(graph.num_nodes, random.Random(id_seed))
+        assert _batched_scans(graph, ids, exempt_below) == _oracle_scans(
+            graph, ids, exempt_below
+        )
+
+    def test_both_raise_on_one_edge_without_exempt_nodes(self):
+        from repro.kernels import vector
+        from repro.local import PortGraph
+        from repro.local.identifiers import sequential_ids
+        from repro.problems.sinkless_solvers import anchor_scan
+
+        graph = PortGraph.from_edge_list(2, [(0, 1)])
+        ids = sequential_ids(2)
+        with pytest.raises(RuntimeError, match="node 0: ") as expected:
+            anchor_scan(graph, ids, 0, 1)
+        with pytest.raises(RuntimeError) as got:
+            vector.anchor_scans(graph, ids, 1)
+        assert str(got.value) == str(expected.value)
+
+    def test_small_budget_runs_several_blocks(self, monkeypatch):
+        from repro.kernels import vector
+        from repro.runtime import registry
+
+        instance = registry.family("cubic").builder(256, 0)
+        expected = _oracle_scans(instance.graph, instance.ids, 3)
+        blocks = []
+        original = vector._anchor_block
+
+        def counted(tables, centres, *args):
+            blocks.append(centres.size)
+            return original(tables, centres, *args)
+
+        monkeypatch.setattr(vector, "_anchor_block", counted)
+        # 8 centres per block, and a stamp ceiling low enough that the
+        # visit table is re-zeroed between blocks
+        monkeypatch.setattr(vector, "_ANCHOR_CELL_BUDGET", 8 * 256)
+        monkeypatch.setattr(vector, "_STAMP_MAX", 3 * 8 * 256)
+        assert vector.anchor_scans(instance.graph, instance.ids, 3) == expected
+        assert blocks == [8] * 32
+
+    @pytest.mark.parametrize("spec", [SINKLESS_DET_SPEC, PADDED_DET_SPEC])
+    def test_solver_outputs_identical_across_backends(self, spec):
+        from repro.runtime import registry
+        from repro.runtime.driver import dispatch_solver
+
+        for trial in spec.trials():
+            instance = registry.family(trial.generator).builder(trial.n, trial.seed)
+            results = {}
+            for backend in ("object", "vector"):
+                with kernels.active(backend):
+                    results[backend] = dispatch_solver(
+                        registry.solver(trial.solver).factory(), instance
+                    )
+            obj, vec = results["object"], results["vector"]
+            assert vec.outputs == obj.outputs
+            assert vec.node_radius == obj.node_radius
+            assert vec.rounds == obj.rounds
+            assert vec.extras == obj.extras
+        oracle = run_experiment(spec, workers=1, kernels="object")
+        report = run_experiment(spec, workers=1, kernels="vector")
+        assert _record_keys(report) == _record_keys(oracle)

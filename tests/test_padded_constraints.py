@@ -99,6 +99,66 @@ class TestConstraint2:
 
         assert not _mutated(honest, mutate).ok
 
+    def test_mislabeled_gadget_edge_reported_once(self):
+        from repro.core.projection import edge_tag
+        from repro.runtime import registry
+        from repro.runtime.driver import dispatch_solver
+
+        instance = registry.family("padded-sinkless").builder(2, 0)
+        result = dispatch_solver(
+            registry.solver("padded-sinkless-det").factory(), instance
+        )
+        eid = next(
+            e
+            for e in range(instance.graph.num_edges)
+            if edge_tag(instance.inputs, e) == GADEDGE
+        )
+        outputs = result.outputs.copy()
+        outputs.set_edge(eid, ERRMARK)
+        problem = registry.problem("padded-sinkless").factory()
+        verdict = problem.verify(instance.graph, instance.inputs, outputs)
+        assert [(v.kind, v.where) for v in verdict.violations] == [("edge", eid)]
+        assert "GadOk iff both endpoints" in verdict.violations[0].message
+
+    def test_mislabeled_gadget_self_loop_reported_once(self):
+        # A lone node with a GadEdge self-loop and no gadget labels: its
+        # Psi output is rightly Error, so a GadOk on the loop is the one
+        # violation -- seen from both of the loop's ports, reported once.
+        from repro.core.padding import PaddedInput
+        from repro.core.padded_problem import empty_pad_list
+        from repro.gadgets import ERROR
+        from repro.lcl import Labeling
+        from repro.local import PortGraph
+
+        graph = PortGraph.from_edge_list(1, [(0, 0)])
+        inputs = Labeling(graph)
+        inputs.set_edge(0, PaddedInput(EMPTY, GADEDGE))
+        outputs = Labeling(graph)
+        outputs.set_node(0, PaddedOutput(empty_pad_list(3), PORT_OK, ERROR))
+        outputs.set_edge(0, GADOK)
+        outputs.set_half(HalfEdge(0, 0), ERROR)
+        outputs.set_half(HalfEdge(0, 1), ERROR)
+        problem = PaddedProblem(SinklessOrientation().problem(), LogGadgetFamily(3))
+        verdict = problem.verify(graph, inputs, outputs)
+        assert [(v.kind, v.where) for v in verdict.violations] == [("edge", 0)]
+
+    def test_one_verification_checks_each_node_once(self, honest, monkeypatch):
+        from collections import Counter
+
+        from repro.gadgets import checker
+
+        padded, problem, result = honest
+        calls = Counter()
+        original = checker._evaluate_node
+
+        def counted(scope, v, delta):
+            calls[v] += 1
+            return original(scope, v, delta)
+
+        monkeypatch.setattr(checker, "_evaluate_node", counted)
+        assert problem.verify(padded.graph, padded.inputs, result.outputs).ok
+        assert calls == Counter(padded.graph.nodes())
+
 
 class TestConstraint3:
     def test_port_err2_cannot_be_dropped(self, honest):
