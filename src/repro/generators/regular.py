@@ -75,31 +75,60 @@ def random_regular(
     )
 
 
-def _short_cycle_edge(graph: PortGraph, below: int) -> tuple[int, int] | None:
-    """Return (eid of an edge on a cycle shorter than ``below``, length)."""
-    off, nbr, _, eids = graph.csr()
-    for source in graph.nodes():
-        dist = {source: 0}
-        parent = {source: -1}
-        queue = [source]
-        for v in queue:
-            d = dist[v]
-            if d * 2 >= below:
-                continue
-            for slot in range(off[v], off[v + 1]):
-                u = nbr[slot]
-                eid = eids[slot]
-                if u == v:
-                    return eid, 1
-                if u not in dist:
-                    dist[u] = d + 1
-                    parent[u] = eid
-                    queue.append(u)
-                elif parent[v] != eid:
-                    length = dist[u] + d + 1
-                    if length < below:
-                        return eid, length
+def _short_cycle_edge(
+    rows: list[list[tuple[int, int]]], source: int, below: int
+) -> int | None:
+    """The first edge the BFS from ``source`` finds on a cycle shorter
+    than ``below``, or None.
+
+    ``rows[v]`` lists ``(eid, neighbor)`` in port order.  Only the rows
+    of nodes within distance ``(below - 1) // 2`` of ``source`` are read.
+    """
+    dist = {source: 0}
+    parent = {source: -1}
+    queue = [source]
+    for v in queue:
+        d = dist[v]
+        if d * 2 >= below:
+            continue
+        for eid, u in rows[v]:
+            if u == v:
+                return eid
+            if u not in dist:
+                dist[u] = d + 1
+                parent[u] = eid
+                queue.append(u)
+            elif parent[v] != eid and dist[u] + d + 1 < below:
+                return eid
     return None
+
+
+def _ball(
+    rows: list[list[tuple[int, int]]], centres: set[int], radius: int
+) -> set[int]:
+    """Every node within distance ``radius`` of some node of ``centres``."""
+    seen = set(centres)
+    frontier = list(seen)
+    for _ in range(radius):
+        grown = []
+        for v in frontier:
+            for _eid, u in rows[v]:
+                if u not in seen:
+                    seen.add(u)
+                    grown.append(u)
+        frontier = grown
+    return seen
+
+
+def _rows(n: int, pairs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Per-node ``(eid, neighbor)`` rows in the port order that
+    ``PortGraph.from_edge_list(n, pairs)`` gives: ascending edge id,
+    with a self-loop listed twice."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(pairs):
+        rows[u].append((eid, v))
+        rows[v].append((eid, u))
+    return rows
 
 
 def lift_girth(
@@ -116,17 +145,50 @@ def lift_girth(
     remains; raises if the budget runs out, which indicates the girth
     target is infeasible at this size (a d-regular graph on n nodes has
     girth O(log n)).
+
+    Each search returns the edge a BFS from each source in turn finds
+    first, reading ports in the graph's order; after the first swap that
+    is the order ``PortGraph.from_edge_list(n, pairs)`` gives.  A swap
+    rewrites only the rows of its endpoints, and the next search rescans
+    only the cleared sources within ``(min_girth - 1) // 2`` of one,
+    then resumes at the first source never cleared.  One graph is built
+    at the end; the input graph itself is returned when no swap is
+    needed.
     """
     if max_swaps is None:
         max_swaps = 50 * graph.num_edges + 1000
-    pairs = [(e.a.node, e.b.node) for e in graph.edges()]
     n = graph.num_nodes
-    current = graph
+    off, nbr, _, eids = graph.csr()
+    rows = [
+        list(zip(eids[off[v] : off[v + 1]], nbr[off[v] : off[v + 1]]))
+        for v in range(n)
+    ]
+    # Each edge as (smaller, larger) endpoint: the nodes of its sides a, b.
+    pairs: list[tuple[int, int]] = [(0, 0)] * graph.num_edges
+    for v, row in enumerate(rows):
+        for eid, u in row:
+            if v <= u:
+                pairs[eid] = (v, u)
+    # Rows in ascending edge id are already in from_edge_list's order;
+    # any other input is re-canonicalized by its first swap.
+    canonical = all(row == sorted(row) for row in rows)
+    radius = (min_girth - 1) // 2
+    dirty: set[int] = set()  # cleared sources whose ball has changed since
+    fresh = 0  # the first source never cleared
+    swapped = False
     for _ in range(max_swaps):
-        found = _short_cycle_edge(current, min_girth)
-        if found is None:
-            return current
-        bad_eid, _length = found
+        bad_eid = None
+        for source in sorted(dirty):
+            bad_eid = _short_cycle_edge(rows, source, min_girth)
+            if bad_eid is not None:
+                break
+            dirty.discard(source)
+        while bad_eid is None and fresh < n:
+            bad_eid = _short_cycle_edge(rows, fresh, min_girth)
+            if bad_eid is None:
+                fresh += 1
+        if bad_eid is None:
+            return PortGraph.from_edge_list(n, pairs) if swapped else graph
         other_eid = rng.randrange(len(pairs))
         if other_eid == bad_eid:
             continue
@@ -138,8 +200,27 @@ def lift_girth(
             new_pairs = [(a, d), (b, c)]
         pairs[bad_eid] = new_pairs[0]
         pairs[other_eid] = new_pairs[1]
-        candidate = PortGraph.from_edge_list(n, pairs)
-        current = candidate
+        swapped = True
+        if not canonical:
+            rows = _rows(n, pairs)
+            canonical = True
+            fresh = 0
+            continue
+        ends = {a, b, c, d}
+        # A scan reads only the rows within ``radius`` of its source, so
+        # only the cleared sources that close to a swapped endpoint (in
+        # the graph before the swap) can scan differently after it.
+        dirty.update(v for v in _ball(rows, ends, radius) if v < fresh)
+        for v in ends:
+            rows[v] = [
+                entry for entry in rows[v] if entry[0] not in (bad_eid, other_eid)
+            ]
+        for eid, (u, v) in zip((bad_eid, other_eid), new_pairs):
+            rows[u].append((eid, v))
+            rows[v].append((eid, u))
+        for v in ends:
+            rows[v].sort()
+    current = PortGraph.from_edge_list(n, pairs) if swapped else graph
     g = girth(current)
     raise RuntimeError(
         f"girth surgery did not reach girth {min_girth} (currently {g}); "

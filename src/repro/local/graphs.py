@@ -21,17 +21,21 @@ Two access layers
 
 ``PortGraph`` exposes the same immutable topology through two layers:
 
+* The **flat incidence core** — CSR-style arrays filled once at
+  construction and returned by :meth:`PortGraph.csr` (per-port
+  neighbor, peer port, and edge-id tables with per-node offsets, plus
+  the cached :attr:`PortGraph.degrees` list) — backs ``endpoint``,
+  ``neighbor``, ``neighbors``, and every hot loop in the simulator,
+  BFS, and verifier with O(1) index reads and no per-lookup object
+  allocation.  Both constructors write it directly.
 * The **object layer** — :class:`Edge` / :class:`HalfEdge` values from
-  ``edge``, ``edges``, ``incident_edges`` — is the readable API for
-  construction, formatting, and anything off the hot path.
-* The **flat incidence core** — CSR-style arrays built once at freeze
-  time and returned by :meth:`PortGraph.csr` (per-port neighbor, peer
-  port, and edge-id tables with per-node offsets, plus the cached
-  :attr:`PortGraph.degrees` list) — backs ``endpoint``, ``neighbor``,
-  ``neighbors``, and every hot loop in the simulator, BFS, and verifier
-  with O(1) index reads and no per-lookup object allocation.
+  ``edge``, ``edges``, ``incident_edges``, and the per-node edge-id
+  lists of ``incident_edge_ids`` — is the readable API for formatting
+  and anything off the hot path.  It is built from the tables on its
+  first read, the same way for every graph (constructed or unpickled),
+  so graphs whose callers only read the tables never pay for it.
 
-Both layers are views of the same frozen arrays, so self-loops and
+The object layer is derived from the frozen tables, so self-loops and
 parallel edges behave identically through either.
 """
 
@@ -39,6 +43,8 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from itertools import accumulate
+from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = ["HalfEdge", "Edge", "PortGraph"]
@@ -106,11 +112,56 @@ class _DeprecatedCallableInt(int):
         return int(self)
 
 
+def _csr_tables(
+    deg: list[int], halves: list[tuple[int, int, int, int]]
+) -> tuple[array, array, array, array]:
+    """The flat incidence tables ``(off, nbr, peer, eids)`` of the edges
+    ``halves`` (``(a_node, a_port, b_node, b_port)`` per edge id), whose
+    ports are already validated against the per-node degrees ``deg``.
+
+    Port slot ``(v, p)`` lives at flat index ``off[v] + p``; ``nbr``
+    holds the node across the edge, ``peer`` the port it arrives on,
+    ``eids`` the edge id.  A self-loop on ports p, q of v fills both
+    slots pointing at each other, so the tables keep exact multigraph
+    semantics.
+    """
+    off = [0, *accumulate(deg)]
+    total = off[-1]
+    nbr = [0] * total
+    peer = [0] * total
+    eids = [0] * total
+    for eid, (a_node, a_port, b_node, b_port) in enumerate(halves):
+        i = off[a_node] + a_port
+        j = off[b_node] + b_port
+        nbr[i] = b_node
+        peer[i] = b_port
+        eids[i] = eid
+        nbr[j] = a_node
+        peer[j] = a_port
+        eids[j] = eid
+    return tuple(array(_CSR_TYPECODE, table) for table in (off, nbr, peer, eids))
+
+
+def _numbered(pairs: Sequence[tuple[int, int]]) -> list[tuple[HalfEdge, HalfEdge]]:
+    """(u, v) pairs as half-edge pairs, ports numbered in input order."""
+    next_port: dict[int, int] = {}
+    edges = []
+    for u, v in pairs:
+        pu = next_port.get(u, 0)
+        next_port[u] = pu + 1
+        pv = next_port.get(v, 0)
+        next_port[v] = pv + 1
+        edges.append((HalfEdge(u, pu), HalfEdge(v, pv)))
+    return edges
+
+
 class PortGraph:
     """An immutable port-numbered multigraph.
 
     Construct instances with :class:`repro.local.builder.GraphBuilder` or
-    the convenience classmethod :meth:`from_edge_list`.
+    the convenience classmethod :meth:`from_edge_list`.  Both fill the
+    flat CSR tables only; the ``Edge``/``HalfEdge`` object layer is
+    built from those tables on first touch.
     """
 
     __slots__ = (
@@ -131,72 +182,37 @@ class PortGraph:
     def __init__(self, num_nodes: int, edges: Sequence[tuple[HalfEdge, HalfEdge]]):
         if num_nodes < 0:
             raise ValueError("num_nodes must be non-negative")
-        self._num_nodes = num_nodes
-        self._edges: list[Edge] = []
-        # _adj[v][p] = eid of the edge attached to port p of node v
-        self._adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        occupied: set[HalfEdge] = set()
-        for eid, (a, b) in enumerate(edges):
-            a = HalfEdge(*a)
-            b = HalfEdge(*b)
+        # Validate every half-edge in edge order, the smaller side of each
+        # edge first.
+        halves: list[tuple[int, int, int, int]] = []
+        occupied: set[tuple[int, int]] = set()
+        deg = [0] * num_nodes
+        top = [-1] * num_nodes
+        for a, b in edges:
+            a = tuple(a)
+            b = tuple(b)
             if a > b:
                 a, b = b, a
             for side in (a, b):
-                if not 0 <= side.node < num_nodes:
-                    raise ValueError(f"edge endpoint {side} out of range")
-                if side.port < 0:
-                    raise ValueError(f"negative port in {side}")
+                node, port = side
+                if not 0 <= node < num_nodes:
+                    raise ValueError(f"edge endpoint {HalfEdge(*side)} out of range")
+                if port < 0:
+                    raise ValueError(f"negative port in {HalfEdge(*side)}")
                 if side in occupied:
-                    raise ValueError(f"port {side} used by two edges")
+                    raise ValueError(f"port {HalfEdge(*side)} used by two edges")
                 occupied.add(side)
-            if a == b:
-                raise ValueError("an edge must join two distinct half-edges")
-            self._edges.append(Edge(eid, a, b))
-        # Materialize adjacency; ports must form a contiguous 0..deg-1 range.
-        per_node: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
-        for edge in self._edges:
-            per_node[edge.a.node][edge.a.port] = edge.eid
-            per_node[edge.b.node][edge.b.port] = edge.eid
-        for v, ports in enumerate(per_node):
-            degree = len(ports)
-            if ports and (min(ports) != 0 or max(ports) != degree - 1):
-                raise ValueError(
-                    f"node {v} has non-contiguous ports {sorted(ports)}"
-                )
-            self._adj[v] = [ports[p] for p in range(degree)]
-        # Flat incidence core (CSR layout): port slot (v, p) lives at flat
-        # index _off[v] + p; _nbr holds the node across the edge, _peer the
-        # port it arrives on, _eids the edge id.  A self-loop on ports p, q
-        # of v fills both slots pointing at each other, so the tables keep
-        # exact multigraph semantics.
-        deg = [len(ports) for ports in self._adj]
-        off = [0] * (num_nodes + 1)
+                deg[node] += 1
+                if port > top[node]:
+                    top[node] = port
+            halves.append((*a, *b))
+        # Ports are distinct and non-negative, so they form the contiguous
+        # range 0..deg-1 exactly when the highest one is deg-1.
         for v in range(num_nodes):
-            off[v + 1] = off[v] + deg[v]
-        total = off[num_nodes]
-        nbr = [0] * total
-        peer = [0] * total
-        eids = [0] * total
-        for edge in self._edges:
-            eid = edge.eid
-            (a_node, a_port), (b_node, b_port) = edge.a, edge.b
-            i = off[a_node] + a_port
-            j = off[b_node] + b_port
-            nbr[i] = b_node
-            peer[i] = b_port
-            eids[i] = eid
-            nbr[j] = a_node
-            peer[j] = a_port
-            eids[j] = eid
-        self._deg = deg
-        self._num_edges = len(self._edges)
-        self._off = _readonly_q(array(_CSR_TYPECODE, off))
-        self._nbr = _readonly_q(array(_CSR_TYPECODE, nbr))
-        self._peer = _readonly_q(array(_CSR_TYPECODE, peer))
-        self._eids = _readonly_q(array(_CSR_TYPECODE, eids))
-        self._min_degree = _DeprecatedCallableInt(min(deg, default=0))
-        self._max_degree = max(deg, default=0)
-        self._frozen = True
+            if top[v] != deg[v] - 1:
+                ports = sorted(port for node, port in occupied if node == v)
+                raise ValueError(f"node {v} has non-contiguous ports {ports}")
+        self._adopt_csr(num_nodes, len(halves), *_csr_tables(deg, halves))
 
     # -- construction helpers -------------------------------------------------
 
@@ -207,8 +223,7 @@ class PortGraph:
         self._nbr = _readonly_q(nbr)
         self._peer = _readonly_q(peer)
         self._eids = _readonly_q(eids)
-        off_view = self._off
-        deg = [off_view[v + 1] - off_view[v] for v in range(self._num_nodes)]
+        deg = list(map(sub, off[1:], off))
         self._deg = deg
         self._min_degree = _DeprecatedCallableInt(min(deg, default=0))
         self._max_degree = max(deg, default=0)
@@ -217,8 +232,8 @@ class PortGraph:
         # materializes them from the flat tables on first touch.
 
     def __getattr__(self, name: str):
-        # Only reachable when a slot is unset: the lazy object layer of
-        # an unpickled graph.  Both halves materialize together.
+        # Only reachable when a slot is unset: the lazy object layer.
+        # Both halves materialize together.
         if name in ("_edges", "_adj"):
             edges, adj = self._materialize_object_layer()
             self._edges = edges
@@ -274,16 +289,30 @@ class PortGraph:
     def from_edge_list(
         cls, num_nodes: int, pairs: Sequence[tuple[int, int]]
     ) -> "PortGraph":
-        """Build a graph from (u, v) pairs, assigning ports in input order."""
-        next_port = [0] * num_nodes
-        edges = []
+        """Build a graph from (u, v) pairs, assigning ports in input order.
+
+        Edge ``i`` joins the endpoints of ``pairs[i]``; each node numbers
+        its ports in the order the pairs list it, and a self-loop takes
+        two consecutive ports.  Ports numbered this way are distinct and
+        contiguous, so only the endpoint range needs checking.
+        """
+        if num_nodes < 0:
+            raise ValueError("num_nodes must be non-negative")
+        halves: list[tuple[int, int, int, int]] = []
+        deg = [0] * num_nodes
         for u, v in pairs:
-            pu = next_port[u]
-            next_port[u] += 1
-            pv = next_port[v]
-            next_port[v] += 1
-            edges.append((HalfEdge(u, pu), HalfEdge(v, pv)))
-        return cls(num_nodes, edges)
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                # The validating constructor raises its error naming
+                # the out-of-range endpoint.
+                return cls(num_nodes, _numbered(pairs))
+            pu = deg[u]
+            deg[u] = pu + 1
+            pv = deg[v]
+            deg[v] = pv + 1
+            halves.append((u, pu, v, pv))
+        graph = cls.__new__(cls)
+        graph._adopt_csr(num_nodes, len(halves), *_csr_tables(deg, halves))
+        return graph
 
     # -- basic size queries ----------------------------------------------------
 

@@ -35,15 +35,21 @@ def build_multigraph(num_nodes: int, edge_plan: list[tuple[int, int]]) -> PortGr
 
 
 @st.composite
-def multigraphs(draw, max_nodes: int = 12, max_edges: int = 24):
-    """Random multigraphs (loops and parallel edges allowed)."""
+def edge_plans(draw, max_nodes: int = 12, max_edges: int = 24):
+    """Random ``(num_nodes, (u, v) pairs)`` with loops and parallels."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     m = draw(st.integers(min_value=0, max_value=max_edges))
     pairs = [
         (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
         for _ in range(m)
     ]
-    return build_multigraph(n, pairs)
+    return n, pairs
+
+
+@st.composite
+def multigraphs(draw, max_nodes: int = 12, max_edges: int = 24):
+    """Random multigraphs (loops and parallel edges allowed)."""
+    return build_multigraph(*draw(edge_plans(max_nodes, max_edges)))
 
 
 @st.composite

@@ -9,6 +9,7 @@ identical to a reference implementation that only uses the object API.
 
 from __future__ import annotations
 
+import pickle
 from collections import deque
 
 import pytest
@@ -26,10 +27,10 @@ from repro.local import (
     connected_components,
     multi_source_bfs,
 )
-from repro.local.graphs import HalfEdge
+from repro.local.graphs import Edge, HalfEdge
 from repro.local.identifiers import sequential_ids
 from repro.problems import VertexColoring
-from tests.conftest import build_multigraph, multigraphs
+from tests.conftest import build_multigraph, edge_plans, multigraphs
 from tests.test_views_simulator import _FloodNode
 
 
@@ -164,6 +165,116 @@ class TestFlatTables:
             graph.neighbor(0, 5)
         # negative ports keep list indexing semantics
         assert graph.endpoint(0, -1) == graph.endpoint(0, 1)
+
+
+# -- construction routes ------------------------------------------------------
+
+
+def _reference_layers(num_nodes, pairs):
+    """Both layers of the graph on ``pairs`` with ports in input order,
+    derived from the edge list alone: ``(csr lists, edges, rows)``, where
+    ``rows[v]`` lists the edge ids at ``v`` in port order."""
+    rows = [[] for _ in range(num_nodes)]
+    for eid, (u, v) in enumerate(pairs):
+        rows[u].append(eid)
+        rows[v].append(eid)
+    sides = [[] for _ in pairs]
+    for v, row in enumerate(rows):
+        for port, eid in enumerate(row):
+            sides[eid].append(HalfEdge(v, port))
+    edges = [Edge(eid, *sorted(pair)) for eid, pair in enumerate(sides)]
+    off, nbr, peer, eids = [0], [], [], []
+    for v, row in enumerate(rows):
+        for port, eid in enumerate(row):
+            edge = edges[eid]
+            other = edge.b if edge.a == (v, port) else edge.a
+            nbr.append(other.node)
+            peer.append(other.port)
+            eids.append(eid)
+        off.append(len(eids))
+    return [off, nbr, peer, eids], edges, rows
+
+
+def _input_order_ports(pairs):
+    """``(u, v)`` pairs as half-edge pairs, ports numbered in input order."""
+    next_port: dict[int, int] = {}
+    edges = []
+    for u, v in pairs:
+        sides = []
+        for node in (u, v):
+            port = next_port.get(node, 0)
+            next_port[node] = port + 1
+            sides.append(HalfEdge(node, port))
+        edges.append(tuple(sides))
+    return edges
+
+
+def _slot_unset(graph: PortGraph, slot: str) -> bool:
+    """Whether ``slot`` holds no value, read through the slot descriptor
+    so that ``__getattr__`` does not fill it."""
+    try:
+        PortGraph.__dict__[slot].__get__(graph, PortGraph)
+    except AttributeError:
+        return True
+    return False
+
+
+class TestConstructionRoutes:
+    """``PortGraph(n, edges)``, ``GraphBuilder.build()`` and
+    ``from_edge_list`` fill the same tables and lazy object layer."""
+
+    @staticmethod
+    def _routes(num_nodes, pairs):
+        return {
+            "constructor": PortGraph(num_nodes, _input_order_ports(pairs)),
+            "builder": build_multigraph(num_nodes, pairs),
+            "from_edge_list": PortGraph.from_edge_list(num_nodes, pairs),
+        }
+
+    @given(edge_plans())
+    @settings(max_examples=80, deadline=None)
+    def test_routes_match_reference(self, plan):
+        num_nodes, pairs = plan
+        tables, edges, rows = _reference_layers(num_nodes, pairs)
+        halves = [side for edge in edges for side in (edge.a, edge.b)]
+        for route, graph in self._routes(num_nodes, pairs).items():
+            assert [t.tolist() for t in graph.csr()] == tables, route
+            assert graph.num_edges == len(pairs)
+            assert list(graph.edges()) == edges, route
+            assert list(graph.half_edges()) == halves, route
+            for v in graph.nodes():
+                assert graph.incident_edge_ids(v) == rows[v], route
+                for port, eid in enumerate(rows[v]):
+                    edge = edges[eid]
+                    assert graph.edge_at(v, port) == edge
+                    other = edge.b if edge.a == (v, port) else edge.a
+                    assert graph.endpoint(v, port) == other
+
+    @given(edge_plans())
+    @settings(max_examples=30, deadline=None)
+    def test_object_layer_is_born_on_first_read(self, plan):
+        for graph in self._routes(*plan).values():
+            graph.csr()
+            for v in graph.nodes():
+                graph.neighbors(v)
+                for port in range(graph.degree(v)):
+                    graph.endpoint(v, port)
+            assert _slot_unset(graph, "_edges") and _slot_unset(graph, "_adj")
+            list(graph.edges())
+            assert not _slot_unset(graph, "_edges")
+            assert not _slot_unset(graph, "_adj")
+
+    @given(multigraphs())
+    @settings(max_examples=30, deadline=None)
+    def test_pickle_round_trip_keeps_both_layers(self, graph: PortGraph):
+        clone = pickle.loads(pickle.dumps(graph))
+        assert _slot_unset(clone, "_edges") and _slot_unset(clone, "_adj")
+        assert [t.tolist() for t in clone.csr()] == [t.tolist() for t in graph.csr()]
+        assert list(clone.edges()) == list(graph.edges())
+        assert [clone.incident_edge_ids(v) for v in clone.nodes()] == [
+            graph.incident_edge_ids(v) for v in graph.nodes()
+        ]
+        assert clone.degrees == graph.degrees
 
 
 # -- rewired consumers agree with object-layer references ---------------------

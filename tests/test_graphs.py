@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -55,6 +57,51 @@ class TestConstruction:
     def test_rejects_non_contiguous_ports(self):
         with pytest.raises(ValueError):
             PortGraph(2, [(HalfEdge(0, 1), HalfEdge(1, 0))])
+
+    @pytest.mark.parametrize(
+        "pairs,endpoint",
+        [
+            ([(0, 2)], "HalfEdge(node=2, port=0)"),
+            ([(0, -3)], "HalfEdge(node=-3, port=0)"),
+            ([(-1, 0)], "HalfEdge(node=-1, port=0)"),
+            # a negative endpoint numbers its own ports, not node 1's
+            ([(1, 1), (-1, 0)], "HalfEdge(node=-1, port=0)"),
+        ],
+    )
+    def test_from_edge_list_rejects_out_of_range_endpoint(self, pairs, endpoint):
+        message = f"edge endpoint {endpoint} out of range"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PortGraph.from_edge_list(2, pairs)
+
+    def test_from_edge_list_rejects_negative_num_nodes(self):
+        with pytest.raises(ValueError, match="num_nodes must be non-negative"):
+            PortGraph.from_edge_list(-1, [])
+
+    @pytest.mark.parametrize(
+        "num_nodes,edges,message",
+        [
+            (-1, [], "num_nodes must be non-negative"),
+            (1, [((0, 0), (1, 0))], f"edge endpoint {HalfEdge(1, 0)} out of range"),
+            # the smaller half-edge of an edge is checked first
+            (1, [((3, 0), (2, 0))], f"edge endpoint {HalfEdge(2, 0)} out of range"),
+            (2, [((0, -1), (1, 0))], "negative port in HalfEdge(node=0, port=-1)"),
+            (
+                2,
+                [((0, 0), (1, 0)), ((1, 1), (0, 0))],
+                "port HalfEdge(node=0, port=0) used by two edges",
+            ),
+            # a half-edge joined to itself is a port used twice
+            (1, [((0, 0), (0, 0))], f"port {HalfEdge(0, 0)} used by two edges"),
+            (
+                3,
+                [((0, 0), (1, 0)), ((2, 0), (1, 2))],
+                "node 1 has non-contiguous ports [0, 2]",
+            ),
+        ],
+    )
+    def test_constructor_rejection_messages(self, num_nodes, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PortGraph(num_nodes, edges)
 
     def test_builder_explicit_ports(self):
         builder = GraphBuilder(2)
