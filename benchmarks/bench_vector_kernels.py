@@ -10,6 +10,13 @@ Emits ``benchmarks/BENCH_kernels.json`` via the shared ``report_json``
 hook for cross-PR tracking.  The >= 3x gates hold in quick mode too:
 the kernels are measured back-to-back in-process, so the ratio is
 robust to runner noise even when the absolute times are not.
+
+The ``small_trials`` row backs the ``auto`` kernel mode, which takes
+the vector backend at every instance size: whole trials (solve +
+verify) of the canonical cells at n in {64, 128}, on both backends,
+with identical results asserted.  At these sizes one trial is a few
+milliseconds, so vector < object is gated in aggregate, and only in
+thorough mode.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from repro.lcl.verifier import PreparedVerifier
 from repro.local import bfs_distances
 from repro.local.distances import connected_components, multi_source_bfs
 from repro.problems import VertexColoring
+from repro.runtime import registry
+from repro.runtime.driver import dispatch_solver, verifier_for
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 #: The acceptance bar binds at n >= 1000; quick mode shrinks repeats,
@@ -40,6 +49,18 @@ THRESHOLD = 3.0
 #: so a regression can't silently eat the win PR 8 shipped.
 MSBFS_THRESHOLD = 2.0
 COMPONENTS_THRESHOLD = 1.5
+#: (solver, family) cells of the canonical grid whose small instances
+#: the ``small_trials`` row times, and the sizes it uses.
+SMALL_TRIAL_CELLS = (
+    ("matching-line-coloring", "torus"),
+    ("linial-4-coloring", "tree"),
+    ("mis-color-classes", "torus"),
+    ("sinkless-det", "cubic"),
+    ("sinkless-rand", "cubic"),
+    ("matching-luby", "cubic"),
+    ("parity", "path"),
+)
+SMALL_TRIAL_NS = (64, 128)
 
 
 def _best(fn, *args, **kwargs):
@@ -168,3 +189,101 @@ def test_vector_kernel_speedups():
         f"batched verifier speedup {verifier_speedup:.2f}x below "
         f"{THRESHOLD}x at n={n}"
     )
+
+
+def _timed_trial(solver, family, n, backend):
+    """Best-of solve + verify time of one seed-0 trial on ``backend``.
+
+    Each repeat builds a fresh instance outside the timed region (a
+    randomized solver consumes the instance's ``NodeRng``).  Returns
+    the time and what the trial produced, for the equality check.
+    """
+    solver_info = registry.solver(solver)
+    check = verifier_for(registry.problem(solver_info.problem))
+    best = float("inf")
+    produced = None
+    for _ in range(REPEATS):
+        instance = registry.family(family).builder(n, 0)
+        start = time.perf_counter()
+        with kernels.active(backend):
+            result = dispatch_solver(
+                solver_info.factory(), instance, solver_info.array_program
+            )
+            check(instance, result)
+        best = min(best, time.perf_counter() - start)
+        produced = (
+            result.rounds,
+            list(result.node_radius),
+            result.outputs,
+            dict(result.extras),
+        )
+    return best, produced
+
+
+def test_small_trial_speedups():
+    kernels.preload("vector")  # numpy's lazy imports stay out of the timings
+    rows = []
+    payload = {}
+    totals = {"object": 0.0, "vector": 0.0}
+    for solver, family in SMALL_TRIAL_CELLS:
+        cell = f"{solver}@{family}"
+        for n in SMALL_TRIAL_NS:
+            object_s, expected = _timed_trial(solver, family, n, "object")
+            vector_s, got = _timed_trial(solver, family, n, "vector")
+            assert got == expected, f"{cell} n={n}: vector diverged from object"
+            totals["object"] += object_s
+            totals["vector"] += vector_s
+            speedup = object_s / vector_s
+            rows.append(
+                [
+                    cell,
+                    n,
+                    round(object_s * 1e3, 2),
+                    round(vector_s * 1e3, 2),
+                    f"{speedup:.2f}x",
+                ]
+            )
+            payload.setdefault(cell, {})[str(n)] = {
+                "object_ms": object_s * 1e3,
+                "vector_ms": vector_s * 1e3,
+                "speedup": speedup,
+            }
+    aggregate = totals["object"] / totals["vector"]
+    rows.append(
+        [
+            "all cells",
+            "",
+            round(totals["object"] * 1e3, 2),
+            round(totals["vector"] * 1e3, 2),
+            f"{aggregate:.2f}x",
+        ]
+    )
+    report(
+        render_table(
+            ["cell", "n", "object ms", "vector ms", "speedup"],
+            rows,
+            title=(
+                "E12 small trials: solve + verify per backend "
+                "(results identical; vector faster in aggregate, gated "
+                "in thorough mode)"
+            ),
+        )
+    )
+    report_json(
+        "small_trials",
+        {
+            "cells": payload,
+            "ns": list(SMALL_TRIAL_NS),
+            "quick": QUICK,
+            "repeats": REPEATS,
+            "object_ms_total": totals["object"] * 1e3,
+            "vector_ms_total": totals["vector"] * 1e3,
+            "aggregate_speedup": aggregate,
+        },
+        file="BENCH_kernels.json",
+    )
+    if not QUICK:
+        assert totals["vector"] < totals["object"], (
+            f"small trials: vector {totals['vector'] * 1e3:.1f} ms is not "
+            f"below object {totals['object'] * 1e3:.1f} ms in aggregate"
+        )

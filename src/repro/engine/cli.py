@@ -457,8 +457,8 @@ def _parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "kernel backend: 'vector' forces the numpy layer, 'object' the "
-            "pure-python oracle, 'auto' (default) picks vector on large "
-            "instances when numpy is importable"
+            "pure-python oracle, 'auto' (default) picks vector whenever "
+            "numpy is importable and object otherwise, without a warning"
         ),
     )
     parent("progress").add_argument(

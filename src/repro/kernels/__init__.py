@@ -18,13 +18,15 @@ trial's solve+verify, after resolving the user-facing mode with
 
 * ``object`` — always the pure-Python object layer;
 * ``vector`` — the numpy kernels whenever numpy is importable;
-* ``auto`` — vector when numpy is importable *and* the instance clears
-  :data:`AUTO_THRESHOLD` nodes (below that, per-call numpy overhead
-  beats the win).
+* ``auto`` (the default) — the same as ``vector``, at every instance
+  size: whole trials (solve and verify) of the canonical cells run
+  faster on the vector kernels even at 64 and 128 nodes (the
+  ``small_trials`` rows of ``benchmarks/bench_vector_kernels.py``).
 
 numpy is an optional extra (``pip install -e .[fast]``).  Without it,
-every mode degrades to the object layer — ``vector`` logs a one-time
-warning — so a stdlib-only install stays fully functional.
+every mode degrades to the object layer — only an explicit ``vector``
+request logs a one-time warning — so a stdlib-only install stays fully
+functional.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 __all__ = [
-    "AUTO_THRESHOLD",
     "BACKENDS",
     "HAVE_NUMPY",
     "active",
@@ -58,12 +59,6 @@ except Exception:  # pragma: no cover
 
 #: The user-facing kernel modes, in CLI order.
 BACKENDS = ("auto", "vector", "object")
-
-#: ``auto`` picks the vector backend at or above this many nodes.  The
-#: crossover is flat and forgiving: numpy per-call overhead is ~tens of
-#: microseconds, object-layer loops are ~100ns/element, so anywhere in
-#: the few-hundreds is fine.
-AUTO_THRESHOLD = 256
 
 _STATE = threading.local()
 _WARNED_NO_NUMPY = False
@@ -118,29 +113,26 @@ def active(backend: str) -> Iterator[None]:
         _STATE.backend = previous
 
 
-def select_backend(mode: str, graph: Any = None) -> str:
+def select_backend(mode: str) -> str:
     """Resolve a user-facing mode to the concrete backend for one trial.
 
-    ``graph`` feeds the ``auto`` size threshold; pass None to make
-    ``auto`` decide on numpy availability alone.
+    ``object`` stays ``object``; ``vector`` and ``auto`` resolve to
+    ``vector`` whenever numpy is importable and to ``object`` otherwise.
+    Only an explicit ``vector`` request warns (once per process) that it
+    was degraded.
     """
     global _WARNED_NO_NUMPY
-    ensure_mode(mode)
-    if mode == "object":
+    if ensure_mode(mode) == "object":
         return "object"
-    if not HAVE_NUMPY:
-        if not _WARNED_NO_NUMPY:
-            _WARNED_NO_NUMPY = True
-            _LOG.warning(
-                "numpy is not importable; kernels degrade to the object "
-                "layer (install the [fast] extra for vectorized kernels)"
-            )
-        return "object"
-    if mode == "vector":
+    if HAVE_NUMPY:
         return "vector"
-    if graph is not None and graph.num_nodes < AUTO_THRESHOLD:
-        return "object"
-    return "vector"
+    if mode == "vector" and not _WARNED_NO_NUMPY:
+        _WARNED_NO_NUMPY = True
+        _LOG.warning(
+            "numpy is not importable; kernels degrade to the object "
+            "layer (install the [fast] extra for vectorized kernels)"
+        )
+    return "object"
 
 
 def vector_enabled() -> bool:

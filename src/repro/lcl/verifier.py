@@ -167,10 +167,11 @@ class PreparedVerifier:
     (seed-only reruns of a topology-reusable family) re-derives the same
     topology- and input-side configuration fields on every :func:`verify`
     call; only the output-dependent fields actually change between
-    trials.  This class precomputes that invariant skeleton once and
-    then evaluates exactly the constraint calls :func:`verify` makes
-    with default options, so ``prepared.verify(outputs)`` returns a
-    verdict identical to ``verify(problem, graph, inputs, outputs)``.
+    trials.  This class computes that invariant skeleton once, on its
+    first :meth:`verify`, and then evaluates exactly the constraint
+    calls :func:`verify` makes with default options, so
+    ``prepared.verify(outputs)`` returns a verdict identical to
+    ``verify(problem, graph, inputs, outputs)``.
 
     The caller is responsible for only reusing an instance against the
     graph and inputs it was prepared with (:attr:`graph` and
@@ -185,6 +186,17 @@ class PreparedVerifier:
         #: The inputs object handed in (None = "empty labeling"), kept
         #: for identity checks by batch drivers.
         self.inputs_src = inputs
+        # Built on the first :meth:`verify`.  The vector twin
+        # (``repro.kernels.verifier.vector_prepared``) reads only the
+        # three fields above, so a verifier that only runs on the vector
+        # backend never builds it.
+        self._skeleton: tuple[list, list] | None = None
+
+    def _build_skeleton(self) -> tuple[list, list]:
+        """The (node, edge) skeleton: every configuration field that
+        does not depend on the outputs."""
+        graph = self.graph
+        inputs = self.inputs_src
         if inputs is None:
             inputs = Labeling(graph)
         node_skeleton = []
@@ -218,13 +230,15 @@ class PreparedVerifier:
                     edge.is_loop,
                 )
             )
-        self._node_skeleton = node_skeleton
-        self._edge_skeleton = edge_skeleton
+        return node_skeleton, edge_skeleton
 
     def verify(self, outputs: Labeling) -> Verdict:
         """The verdict ``verify(problem, graph, inputs, outputs)`` returns."""
         from repro.lcl.labels import EMPTY
 
+        if self._skeleton is None:
+            self._skeleton = self._build_skeleton()
+        node_skeleton, edge_skeleton = self._skeleton
         problem = self.problem
         violations = _domain_violations(problem, self.graph, outputs, "output")
         # Hot path: labels are read straight off the labeling's sparse
@@ -238,7 +252,7 @@ class PreparedVerifier:
         new_node_config = NodeConfiguration.__new__
         new_edge_config = EdgeConfiguration.__new__
         node_constraint = problem.node_constraint
-        for v, degree, n_in, e_in, h_in, loops, eids, sides in self._node_skeleton:
+        for v, degree, n_in, e_in, h_in, loops, eids, sides in node_skeleton:
             config = new_node_config(NodeConfiguration)
             config.__dict__.update(
                 degree=degree,
@@ -256,7 +270,7 @@ class PreparedVerifier:
                 )
         edge_constraint = problem.edge_constraint
         check_flip = not problem.edge_symmetric
-        for eid, u_side, v_side, n_in, e_in, h_in, is_loop in self._edge_skeleton:
+        for eid, u_side, v_side, n_in, e_in, h_in, is_loop in edge_skeleton:
             config = new_edge_config(EdgeConfiguration)
             config.__dict__.update(
                 node_inputs=n_in,

@@ -374,7 +374,7 @@ class TrialBatch:
         start = time.perf_counter()
         with telemetry.span("trial.build"):
             instance, core_key = self.instances.build(self.family_info, n, seed)
-        backend = kernel_layer.select_backend(self._kernels, instance.graph)
+        backend = kernel_layer.select_backend(self._kernels)
         telemetry.incr(f"kernels.{backend}_trials")
         verified: bool | None = None
         rejection: str | None = None

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import kernels
+from repro.engine.experiments import build_experiment
 from repro.engine.runner import (
     ShardReport,
     merge_shard_reports,
@@ -33,7 +34,7 @@ from repro.generators import cycle
 from repro.lcl import Labeling, verify
 from repro.lcl.verifier import PreparedVerifier
 from repro.runtime.driver import Runtime
-from tests.conftest import multigraphs
+from tests.conftest import multigraphs, reference_run
 
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="vector kernels need numpy"
@@ -52,6 +53,36 @@ PARITY_SPEC = ExperimentSpec(
 
 def _record_keys(report):
     return [json.dumps(r, sort_keys=True) for r in report.records]
+
+
+def _corruptions(outputs):
+    """Corrupted copies of a valid labeling, each broken differently.
+
+    The labels stay of the kinds the solver wrote (constraints may
+    unpack them): one copy moves every third set label to another label
+    its kind takes elsewhere, the other shifts every label of one kind
+    one element along.
+    """
+    setters = {
+        "node": Labeling.set_node,
+        "edge": Labeling.set_edge,
+        "half": Labeling.set_half,
+    }
+    by_kind = {}
+    for kind, key, label in outputs.items():
+        by_kind.setdefault(kind, []).append((key, label))
+    moved = outputs.copy()
+    for kind, entries in by_kind.items():
+        labels = sorted({label for _, label in entries}, key=repr)
+        for index, (key, label) in enumerate(entries):
+            others = [other for other in labels if other != label]
+            if index % 3 == 0 and others:
+                setters[kind](moved, key, others[0])
+    shifted = outputs.copy()
+    kind, entries = max(by_kind.items(), key=lambda item: len(item[1]))
+    for (key, _), (_, label) in zip(entries, entries[1:] + entries[:1]):
+        setters[kind](shifted, key, label)
+    return [moved, shifted]
 
 
 def _counter_total(telemetry_block, name):
@@ -89,16 +120,18 @@ class TestBackendSelection:
         assert kernels.current_backend() == "object"
 
     def test_object_mode_always_object(self):
-        assert kernels.select_backend("object", cycle(4096)) == "object"
+        assert kernels.select_backend("object") == "object"
 
-    @needs_numpy
-    def test_auto_threshold(self):
-        small = cycle(kernels.AUTO_THRESHOLD // 2)
-        large = cycle(kernels.AUTO_THRESHOLD)
-        assert kernels.select_backend("auto", small) == "object"
-        assert kernels.select_backend("auto", large) == "vector"
-        assert kernels.select_backend("auto", None) == "vector"
-        assert kernels.select_backend("vector", small) == "vector"
+    @pytest.mark.parametrize(
+        "have_numpy", [pytest.param(True, marks=needs_numpy), False]
+    )
+    def test_auto_follows_numpy_alone(self, monkeypatch, have_numpy):
+        monkeypatch.setattr(kernels, "HAVE_NUMPY", have_numpy)
+        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", True)
+        expected = "vector" if have_numpy else "object"
+        assert kernels.select_backend("auto") == expected
+        assert kernels.select_backend("vector") == expected
+        assert kernels.select_backend("object") == "object"
 
     def test_vector_enabled_is_ambient(self):
         assert not kernels.vector_enabled()
@@ -109,8 +142,8 @@ class TestBackendSelection:
         monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
         monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", False)
         with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            assert kernels.select_backend("vector", cycle(4096)) == "object"
-            assert kernels.select_backend("auto", cycle(4096)) == "object"
+            assert kernels.select_backend("vector") == "object"
+            assert kernels.select_backend("auto") == "object"
             assert kernels.select_backend("vector") == "object"
         warnings = [
             rec for rec in caplog.records if "degrade" in rec.getMessage()
@@ -118,6 +151,23 @@ class TestBackendSelection:
         assert len(warnings) == 1  # logged once, not per call
         with kernels.active("vector"):
             assert not kernels.vector_enabled()
+
+    def test_only_an_explicit_vector_request_warns(self, monkeypatch, caplog):
+        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", False)
+
+        def warnings():
+            return [
+                rec for rec in caplog.records if "degrade" in rec.getMessage()
+            ]
+
+        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
+            for _ in range(3):
+                assert kernels.select_backend("auto") == "object"
+            assert warnings() == []  # the default mode degrades silently
+            assert kernels.select_backend("vector") == "object"
+            assert kernels.select_backend("vector") == "object"
+            assert len(warnings()) == 1
 
     def test_runtime_works_without_numpy(self, monkeypatch):
         monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
@@ -230,6 +280,114 @@ class TestVectorVerifierTwin:
         assert verdict.violations == prepared.verify(outputs).violations
         assert not hasattr(prepared, "_vector_twin")
 
+    # -- the object skeleton is built on the first object-path verify --
+
+    @pytest.fixture
+    def skeleton_builds(self, monkeypatch):
+        """Every ``PreparedVerifier`` whose object skeleton gets built."""
+        built = []
+        build = PreparedVerifier._build_skeleton
+
+        def counted(prepared):
+            built.append(prepared)
+            return build(prepared)
+
+        monkeypatch.setattr(PreparedVerifier, "_build_skeleton", counted)
+        return built
+
+    @staticmethod
+    def _coloring(graph):
+        outputs = Labeling(graph)
+        for v in graph.nodes():
+            outputs.set_node(v, v % 3 if v else 1)  # node 0 clashes
+        return outputs
+
+    def test_vector_path_never_builds_the_object_skeleton(
+        self, skeleton_builds
+    ):
+        from repro.problems import VertexColoring
+
+        graph = cycle(32)
+        problem = VertexColoring(3).problem()
+        prepared = PreparedVerifier(problem, graph)
+        outputs = self._coloring(graph)
+        with kernels.active("vector"):
+            verdicts = [
+                kernels.prepared_verify(prepared, outputs) for _ in range(3)
+            ]
+        assert skeleton_builds == []
+        expected = verify(problem, graph, Labeling(graph), outputs)
+        assert not expected.ok
+        for verdict in verdicts:
+            assert verdict.violations == expected.violations
+
+    def test_object_path_builds_the_skeleton_once(self, skeleton_builds):
+        from repro.problems import VertexColoring
+
+        graph = cycle(32)
+        prepared = PreparedVerifier(VertexColoring(3).problem(), graph)
+        assert skeleton_builds == []  # nothing is built up front
+        outputs = self._coloring(graph)
+        for _ in range(3):
+            kernels.prepared_verify(prepared, outputs)
+            prepared.verify(outputs)
+        assert skeleton_builds == [prepared]
+
+    @pytest.mark.parametrize(
+        "problem, solver, family, n",
+        [
+            ("mis", "mis-color-classes", "cycle", 30),
+            ("maximal-matching", "matching-line-coloring", "torus", 36),
+            ("sinkless-orientation", "sinkless-det", "cubic", 32),
+            ("degree-parity", "parity", "tree", 40),
+        ],
+    )
+    def test_lazy_skeleton_verdicts_match_verify(
+        self, problem, solver, family, n
+    ):
+        from repro.runtime import registry
+
+        instance, result, verified = reference_run(problem, solver, family, n, 0)
+        assert verified
+        problem_obj = registry.problem(problem).materialize()
+        graph = instance.graph
+        inputs = instance.inputs if instance.inputs is not None else Labeling(graph)
+        prepared = PreparedVerifier(problem_obj, graph, instance.inputs)
+        accepted = []
+        for outputs in [result.outputs, *_corruptions(result.outputs)]:
+            expected = verify(problem_obj, graph, inputs, outputs)
+            got = prepared.verify(outputs)
+            assert got.ok == expected.ok
+            assert got.violations == expected.violations
+            accepted.append(expected.ok)
+        assert accepted == [True, False, False]
+
+    @pytest.mark.parametrize(
+        "problem, solver, family, ns",
+        [
+            ("4-coloring", "linial-4-coloring", "cycle", (16, 64)),
+            ("maximal-matching", "matching-line-coloring", "torus", (16, 64)),
+        ],
+    )
+    def test_shared_core_sweep_builds_no_object_skeleton(
+        self, skeleton_builds, problem, solver, family, ns
+    ):
+        from repro.runtime.driver import TrialBatch
+
+        batch = TrialBatch(problem, solver, family, kernels="vector")
+        for n in ns:
+            for seed in range(3):
+                assert batch.run_one(n, seed).verified
+        prepared = [
+            entry
+            for per_core in batch.instances._prepared.values()
+            for entry in per_core.values()
+        ]
+        # The sweep verified through prepared verifiers, on their twins.
+        assert len(prepared) == len(ns)
+        assert all(hasattr(entry, "_vector_twin") for entry in prepared)
+        assert skeleton_builds == []
+
 
 # -- record parity through the whole stack ------------------------------------
 
@@ -267,6 +425,21 @@ class TestKernelsRecordParity:
         merged = merge_shard_reports(reports)
         assert _record_keys(merged) == _record_keys(oracle)
         assert merged.kernels == "vector"
+
+    @needs_numpy
+    def test_small_canonical_cells_identical_across_backends(self):
+        """``auto`` takes the vector kernels at every size, so the small
+        end of every canonical cell must match the object oracle too:
+        the landscape up to 128 nodes, and the padded and gadget grids
+        at their smallest heights."""
+        specs = build_experiment("landscape", max_n=128, seed_count=2)
+        specs += build_experiment("padding", max_n=512)
+        specs += build_experiment("gadget", max_n=256)
+        assert len(specs) == 64
+        for spec in specs:
+            oracle = run_experiment(spec, workers=1, kernels="object")
+            got = run_experiment(spec, workers=1, kernels="vector")
+            assert _record_keys(got) == _record_keys(oracle), spec.name
 
     def test_report_carries_kernels_field(self):
         report = run_experiment(PARITY_SPEC, workers=1, kernels="object")
