@@ -206,6 +206,7 @@ class _EagerPortGraph(PortGraph):
         nbr = [0] * total
         peer = [0] * total
         eids = [0] * total
+        ends = [0] * total
         for edge in self._edges:
             eid = edge.eid
             (a_node, a_port), (b_node, b_port) = edge.a, edge.b
@@ -217,10 +218,12 @@ class _EagerPortGraph(PortGraph):
             nbr[j] = a_node
             peer[j] = a_port
             eids[j] = eid
+            ends[2 * eid] = i
+            ends[2 * eid + 1] = j
         self._adopt_csr(
             num_nodes,
             len(self._edges),
-            *(array("q", table) for table in (off, nbr, peer, eids)),
+            *(array("q", table) for table in (off, nbr, peer, eids, ends)),
         )
 
 

@@ -24,7 +24,7 @@ from repro.core.padding import PaddedGraph, pad_graph
 from repro.gadgets.family import LogGadgetFamily
 from repro.lcl.assignment import Labeling
 from repro.local.algorithm import Instance, LocalAlgorithm, RunResult
-from repro.local.graphs import HalfEdge, PortGraph
+from repro.local.graphs import PortGraph
 from repro.local.identifiers import IdAssignment
 
 __all__ = ["paper_f", "HardInstance", "hard_instance", "simulate_padded_algorithm"]
@@ -88,32 +88,15 @@ def hard_instance(
     filler = target_n - padded.graph.num_nodes
     if filler < 0:
         raise AssertionError("gadget sizing must fit in the budget")
-    full_graph = _append_isolated(padded.graph, filler)
+    full_graph = padded.graph.with_isolated_nodes(filler)
     return HardInstance(
         padded=padded,
         graph=full_graph,
-        inputs=_rehome(padded.inputs, full_graph),
+        inputs=padded.inputs.extended_to(full_graph),
         base_graph=base_graph,
         gadget_height=height,
         target_n=target_n,
     )
-
-
-def _append_isolated(graph: PortGraph, count: int) -> PortGraph:
-    edges = [(e.a, e.b) for e in graph.edges()]
-    return PortGraph(graph.num_nodes + count, edges)
-
-
-def _rehome(labeling: Labeling, graph: PortGraph) -> Labeling:
-    fresh = Labeling(graph)
-    for kind, key, label in labeling.items():
-        if kind == "node":
-            fresh.set_node(key, label)
-        elif kind == "edge":
-            fresh.set_edge(key, label)
-        else:
-            fresh.set_half(key, label)
-    return fresh
 
 
 def simulate_padded_algorithm(
@@ -149,6 +132,7 @@ def simulate_padded_algorithm(
     outputs = Labeling(base_graph)
     depth = 2 * instance.gadget_height
     base_radius = [0] * base_graph.num_nodes
+    off, _nbr, _peer, eids = base_graph.csr()
     for v in base_graph.nodes():
         rep = padded_result.outputs.node(instance.padded.node_offset[v])
         if not isinstance(rep, PaddedOutput):
@@ -157,10 +141,9 @@ def simulate_padded_algorithm(
         outputs.set_node(v, pad.o_v)
         for port in range(base_graph.degree(v)):
             i = port + 1  # base port p attaches to gadget Port_{p+1}
-            eid = base_graph.edge_id_at(v, port)
             if i - 1 < len(pad.o_e):
-                outputs.set_edge(eid, pad.o_e[i - 1])
-                outputs.set_half(HalfEdge(v, port), pad.o_b[i - 1])
+                outputs.set_edge(eids[off[v] + port], pad.o_e[i - 1])
+                outputs.set_slot(off[v] + port, pad.o_b[i - 1])
         padded_nodes = instance.padded.gadget_nodes(v)
         worst = max(padded_result.node_radius[x] for x in padded_nodes)
         base_radius[v] = -(-worst // max(depth, 1))  # ceil division
@@ -178,15 +161,15 @@ def _lifted_ids(base_ids: IdAssignment, instance: HardInstance) -> IdAssignment:
     n = instance.graph.num_nodes
     base_n = instance.base_graph.num_nodes
     stride = n + 1
+    first_free = base_ids.max_id() + 1
     ids = [0] * n
     for v in instance.base_graph.nodes():
-        nodes = list(instance.padded.gadget_nodes(v))
-        anchor = base_ids.of(v)
-        ids[nodes[0]] = anchor
+        nodes = instance.padded.gadget_nodes(v)
+        ids[nodes[0]] = base_ids.of(v)
         for offset, x in enumerate(nodes[1:], start=1):
-            ids[x] = base_ids.max_id() + 1 + (v * stride + offset)
+            ids[x] = first_free + (v * stride + offset)
     filler_start = instance.padded.graph.num_nodes
-    tail = base_ids.max_id() + 1 + base_n * stride + 1
+    tail = first_free + base_n * stride + 1
     for x in range(filler_start, n):
         ids[x] = tail
         tail += 1

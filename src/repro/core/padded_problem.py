@@ -45,7 +45,7 @@ from repro.lcl.labels import BLANK, EMPTY
 from repro.lcl.problem import NeLCL
 from repro.lcl.verifier import Verdict, Violation
 from repro.lcl.verifier import verify as lcl_verify
-from repro.local.graphs import HalfEdge, PortGraph
+from repro.local.graphs import PortGraph
 
 __all__ = ["PadList", "PaddedOutput", "ERRMARK", "PaddedProblem", "verify_padded"]
 
@@ -168,13 +168,18 @@ def verify_padded(
     # One scope serves every constraint below: its flat table tells port
     # edges (out of scope) from gadget edges, malformed tags included.
     scope = _gadget_scope(graph, inputs)
+    in_scope = scope.in_scope
+    off, nbr, _peer, eids = graph.csr()
+    ends = graph.edge_slots()
+    out_nodes = outputs.node_labels()
+    out_edges = outputs.edge_labels()
+    out_slots = outputs.slot_labels()
 
     # --- constraint 1: port edges blank, gadget edges Psi-labeled ---------
     for eid in range(graph.num_edges):
-        label = outputs.edge(eid)
-        edge = graph.edge(eid)
-        halves = (outputs.half(edge.a), outputs.half(edge.b))
-        if not scope.in_scope(eid):
+        label = out_edges[eid]
+        halves = (out_slots[ends[2 * eid]], out_slots[ends[2 * eid + 1]])
+        if not in_scope(eid):
             if label is not BLANK:
                 add("edge", eid, "port edge must output BLANK")
             for side_label in halves:
@@ -202,8 +207,8 @@ def verify_padded(
         # a gadget edge is GadOk exactly when both endpoints are
         for v in component:
             for port, eid, other, _label in scope.incidences(v):
-                side = HalfEdge(v, port)
-                half_label = outputs.half(side)
+                slot = off[v] + port
+                half_label = out_slots[slot]
                 if half_label != psi_outputs.get(v):
                     add(
                         "node",
@@ -211,9 +216,9 @@ def verify_padded(
                         "gadget half-edge must replicate the node's Psi label "
                         f"({half_label!r} vs {psi_outputs.get(v)!r})",
                     )
-                if graph.edge(eid).a != side:
+                if ends[2 * eid] != slot:
                     continue  # each edge once, from side a (a loop's lower port)
-                edge_label = outputs.edge(eid)
+                edge_label = out_edges[eid]
                 expected_ok = (
                     psi_outputs.get(v) == GADOK and psi_outputs.get(other) == GADOK
                 )
@@ -225,21 +230,16 @@ def verify_padded(
                     )
 
     # --- constraints 3 and 4: port flags ------------------------------------
-    def port_edge_sides(v: int) -> list[HalfEdge]:
-        sides = []
-        for port in range(graph.degree(v)):
-            if not scope.in_scope(graph.edge_id_at(v, port)):
-                sides.append(HalfEdge(v, port))
-        return sides
+    def port_edge_slots(v: int) -> list[int]:
+        return [slot for slot in range(off[v], off[v + 1]) if not in_scope(eids[slot])]
 
-    def port_tag_of(v: int) -> Hashable:
-        return scope.port_tag(v)
+    port_tag_of = scope.port_tag
 
     for v in graph.nodes():
-        label: PaddedOutput = outputs.node(v)
+        label: PaddedOutput = out_nodes[v]
         tag = port_tag_of(v)
         is_port = isinstance(tag, Port)
-        n_port_edges = len(port_edge_sides(v))
+        n_port_edges = len(port_edge_slots(v))
         must_err2 = is_port and n_port_edges != 1
         if must_err2 != (label.port_err == PORT_ERR2):
             add(
@@ -249,18 +249,16 @@ def verify_padded(
             )
 
     for eid in range(graph.num_edges):
-        if scope.in_scope(eid):
+        if in_scope(eid):
             continue
-        edge = graph.edge(eid)
-        for side in (edge.a, edge.b):
-            u = side.node
-            far = edge.other_side(side)
+        a_node, b_node = nbr[ends[2 * eid + 1]], nbr[ends[2 * eid]]
+        for u, far_node in ((a_node, b_node), (b_node, a_node)):
             u_tag = port_tag_of(u)
             if not isinstance(u_tag, Port):
                 continue
-            u_out: PaddedOutput = outputs.node(u)
-            far_out: PaddedOutput = outputs.node(far.node)
-            far_tag = port_tag_of(far.node)
+            u_out: PaddedOutput = out_nodes[u]
+            far_out: PaddedOutput = out_nodes[far_node]
+            far_tag = port_tag_of(far_node)
             both_ports = isinstance(far_tag, Port)
             both_gadok = u_out.psi == GADOK and far_out.psi == GADOK
             if both_ports and both_gadok:
@@ -275,15 +273,15 @@ def verify_padded(
                     )
 
     # --- constraint 5 (label level): S and the iota copies ------------------
+    in_edges, in_slots = inputs.edge_labels(), inputs.slot_labels()
     for v in graph.nodes():
-        label = outputs.node(v)
+        label = out_nodes[v]
         # LErr escape: any incident element (node psi, incident gadget
         # edges/halves) with an error label satisfies the node for free.
         incident_labels = [label.psi]
-        for port in range(graph.degree(v)):
-            eid = graph.edge_id_at(v, port)
-            incident_labels.append(outputs.edge(eid))
-            incident_labels.append(outputs.half(HalfEdge(v, port)))
+        for slot in range(off[v], off[v + 1]):
+            incident_labels.append(out_edges[eids[slot]])
+            incident_labels.append(out_slots[slot])
         if any(_is_lerr(x) for x in incident_labels):
             continue
         pad: PadList = label.list
@@ -295,25 +293,24 @@ def verify_padded(
             if tag.i == 1 and pad.iota_v != pi_part(inputs.node(v)):
                 add("node", v, "constraint 5: iota_V must copy Port_1's Pi input")
             if in_s:
-                for side in port_edge_sides(v):
-                    eid = graph.edge_id_at(side.node, side.port)
-                    if pad.iota_e[tag.i - 1] != pi_part(inputs.edge(eid)):
+                for slot in port_edge_slots(v):
+                    if pad.iota_e[tag.i - 1] != pi_part(in_edges[eids[slot]]):
                         add("node", v, "constraint 5: iota_E must copy the port edge input")
-                    if pad.iota_b[tag.i - 1] != pi_part(inputs.half(side)):
+                    if pad.iota_b[tag.i - 1] != pi_part(in_slots[slot]):
                         add("node", v, "constraint 5: iota_B must copy the half input")
 
     # --- constraint 6 (label level): list agreement --------------------------
     for eid in range(graph.num_edges):
-        edge = graph.edge(eid)
-        u, w = edge.a.node, edge.b.node
-        u_out: PaddedOutput = outputs.node(u)
-        w_out: PaddedOutput = outputs.node(w)
+        a, b = ends[2 * eid], ends[2 * eid + 1]
+        u, w = nbr[b], nbr[a]
+        u_out: PaddedOutput = out_nodes[u]
+        w_out: PaddedOutput = out_nodes[w]
         element_labels = [
             u_out.psi,
             w_out.psi,
-            outputs.edge(eid),
-            outputs.half(edge.a),
-            outputs.half(edge.b),
+            out_edges[eid],
+            out_slots[a],
+            out_slots[b],
         ]
         if any(_is_lerr(x) for x in element_labels):
             continue
@@ -378,6 +375,7 @@ def _verify_contraction(
     )
     virtual = decomposition.virtual
     vg = virtual.graph
+    v_off, _nbr, _peer, v_eids = vg.csr()
     virtual_outputs = Labeling(vg)
     for a in vg.nodes():
         comp_index = virtual.component_of_virtual[a]
@@ -392,15 +390,13 @@ def _verify_contraction(
         ranked = virtual.alpha[a] or []
         for rank, i in enumerate(ranked):
             if i - 1 < len(pad.o_e):
-                virtual_outputs.set_edge(vg.edge_id_at(a, rank), pad.o_e[i - 1])
-                virtual_outputs.set_half(HalfEdge(a, rank), pad.o_b[i - 1])
+                virtual_outputs.set_edge(v_eids[v_off[a] + rank], pad.o_e[i - 1])
+                virtual_outputs.set_slot(v_off[a] + rank, pad.o_b[i - 1])
 
     dummies = {
         a for a in vg.nodes() if virtual.component_of_virtual[a] is None
     }
-    dangling_eids = {
-        vg.edge_id_at(a, 0) for a in dummies
-    }
+    dangling_eids = {v_eids[v_off[a]] for a in dummies}
 
     def located_at_exempt(violation: Violation) -> bool:
         where = violation.where

@@ -36,7 +36,6 @@ from repro.gadgets.labels import GADOK
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import BLANK, EMPTY
 from repro.local.algorithm import Instance, LocalAlgorithm, RunResult
-from repro.local.graphs import HalfEdge
 
 __all__ = ["PaddedSolver"]
 
@@ -84,18 +83,22 @@ class PaddedSolver:
         """Physical radius bound per *virtual* node (see module docstring)."""
         virtual = decomposition.virtual
         vg = virtual.graph
+        v_off, v_nbr, _peer, v_eids = vg.csr()
+        v_ends = vg.edge_slots()
         # weighted center-to-center distances through the padding
-        weights: dict[int, int] = {}
-        for edge in vg.edges():
+        weights: list[int] = []
+        for eid in range(vg.num_edges):
             total = 1
-            for side in (edge.a, edge.b):
-                att = virtual.attachment.get(side)
+            a, b = v_ends[2 * eid], v_ends[2 * eid + 1]
+            # the node of one side is the neighbor entry of the other
+            for slot, node in ((a, v_nbr[b]), (b, v_nbr[a])):
+                att = virtual.attachment[slot]
                 if att is None:
                     continue  # dummy side: weight 1 covers the hop
-                port_node, _eid = att
-                comp_index = virtual.component_of_virtual[side.node]
+                port_node, _port_slot = att
+                comp_index = virtual.component_of_virtual[node]
                 total += dist_maps[comp_index].get(port_node, 0)
-            weights[edge.eid] = total
+            weights.append(total)
 
         sim_radius: dict[int, int] = {}
         for a in vg.nodes():
@@ -116,10 +119,9 @@ class PaddedSolver:
                 reach = max(reach, w + ecc + 1)
                 if h >= hops:
                     continue
-                for port in range(vg.degree(x)):
-                    eid = vg.edge_id_at(x, port)
-                    y = vg.neighbor(x, port)
-                    nw = w + weights[eid]
+                for slot in range(v_off[x], v_off[x + 1]):
+                    y = v_nbr[slot]
+                    nw = w + weights[v_eids[slot]]
                     if nw < best.get(y, (1 << 60, 0))[0]:
                         best[y] = (nw, h + 1)
                         heapq.heappush(heap, (nw, h + 1, y))
@@ -150,28 +152,35 @@ class PaddedSolver:
         )
         base_result = self.base_solver.solve(base_instance)
 
-        outputs = Labeling(graph)
         # gadget-layer outputs: Psi labels on nodes/halves/edges, blanks
         # on port edges (constraints 1 and 2)
-        psi_of: dict[int, Hashable] = {}
+        psi_of: list[Hashable] = [None] * graph.num_nodes
         for component in decomposition.components:
             for v in component.nodes:
                 psi_of[v] = component.prover.outputs[v]
+        in_scope = decomposition.scope.in_scope
+        off, nbr, _peer, eids = graph.csr()
+        ends = graph.edge_slots()
+        edge_labels = []
         for eid in range(graph.num_edges):
-            edge = graph.edge(eid)
-            if decomposition.scope.in_scope(eid):
-                a_ok = psi_of.get(edge.a.node) == GADOK
-                b_ok = psi_of.get(edge.b.node) == GADOK
-                outputs.set_edge(eid, GADOK if a_ok and b_ok else ERRMARK)
-                outputs.set_half(edge.a, psi_of.get(edge.a.node))
-                outputs.set_half(edge.b, psi_of.get(edge.b.node))
+            a, b = ends[2 * eid], ends[2 * eid + 1]
+            if in_scope(eid):
+                ok = psi_of[nbr[b]] == GADOK and psi_of[nbr[a]] == GADOK
+                edge_labels.append(GADOK if ok else ERRMARK)
             else:
-                outputs.set_edge(eid, BLANK)
-                outputs.set_half(edge.a, BLANK)
-                outputs.set_half(edge.b, BLANK)
+                edge_labels.append(BLANK)
+        slot_labels = [
+            psi_of[v] if in_scope(eids[slot]) else BLANK
+            for v in graph.nodes()
+            for slot in range(off[v], off[v + 1])
+        ]
 
         # Sigma_list per component (constraints 5 and 6)
         empty = problem.empty_list()
+        in_edges, in_slots = inputs.edge_labels(), inputs.slot_labels()
+        v_off, _nbr, _peer, v_eids = virtual.graph.csr()
+        base_outputs = base_result.outputs
+        base_slots = base_outputs.slot_labels()
         pad_of_component: dict[int, PadList] = {}
         for component in decomposition.components:
             if not component.is_valid:
@@ -184,17 +193,12 @@ class PaddedSolver:
             o_e = [EMPTY] * delta
             o_b = [EMPTY] * delta
             for rank, i in enumerate(ranked):
-                side = HalfEdge(a, rank)
-                port_node, port_eid = virtual.attachment[side]
-                iota_e[i - 1] = pi_part(inputs.edge(port_eid))
-                my_side = None
-                for port in range(graph.degree(port_node)):
-                    if graph.edge_id_at(port_node, port) == port_eid:
-                        my_side = HalfEdge(port_node, port)
-                        break
-                iota_b[i - 1] = pi_part(inputs.half(my_side))
-                o_e[i - 1] = base_result.outputs.edge(virtual.graph.edge_id_at(a, rank))
-                o_b[i - 1] = base_result.outputs.half(side)
+                v_slot = v_off[a] + rank
+                _port_node, slot = virtual.attachment[v_slot]
+                iota_e[i - 1] = pi_part(in_edges[eids[slot]])
+                iota_b[i - 1] = pi_part(in_slots[slot])
+                o_e[i - 1] = base_outputs.edge(v_eids[v_slot])
+                o_b[i - 1] = base_slots[v_slot]
             port1 = component.port_nodes.get(1)
             iota_v = pi_part(inputs.node(port1)) if port1 is not None else EMPTY
             pad_of_component[component.index] = PadList(
@@ -202,16 +206,30 @@ class PaddedSolver:
                 iota_v=iota_v,
                 iota_e=tuple(iota_e),
                 iota_b=tuple(iota_b),
-                o_v=base_result.outputs.node(a),
+                o_v=base_outputs.node(a),
                 o_e=tuple(o_e),
                 o_b=tuple(o_b),
             )
 
+        # one shared PaddedOutput per distinct (component, flag, psi)
+        shared: dict[tuple, PaddedOutput] = {}
+        node_labels = []
         for v in graph.nodes():
             comp_index = decomposition.component_of_node[v]
-            pad = pad_of_component[comp_index]
             port_err = decomposition.port_status.get(v, PORT_OK)
-            outputs.set_node(v, PaddedOutput(pad, port_err, psi_of[v]))
+            key = (comp_index, port_err, psi_of[v])
+            label = shared.get(key)
+            if label is None:
+                label = shared[key] = PaddedOutput(
+                    pad_of_component[comp_index], port_err, psi_of[v]
+                )
+            node_labels.append(label)
+        outputs = (
+            Labeling(graph)
+            .set_node_labels(node_labels)
+            .set_edge_labels(edge_labels)
+            .set_slot_labels(slot_labels)
+        )
 
         # --- radius accounting ---------------------------------------------
         dist_maps, eccs = self._center_distances(decomposition)

@@ -14,13 +14,13 @@ structure from the labels alone, as a distributed algorithm must.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Hashable, Sequence
 
 from repro.gadgets.build import BuiltGadget
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import EMPTY
-from repro.local.builder import GraphBuilder
-from repro.local.graphs import HalfEdge, PortGraph
+from repro.local.graphs import PortGraph
 
 __all__ = ["GADEDGE", "PORTEDGE", "PaddedInput", "PaddedGraph", "pad_graph"]
 
@@ -96,84 +96,86 @@ def pad_graph(
                 f"offers only {gadgets[v].delta} ports"
             )
 
-    builder = GraphBuilder()
-    node_offset = []
-    for v in base.nodes():
-        offset = builder.num_nodes
-        node_offset.append(offset)
-        builder.add_nodes(gadgets[v].num_nodes)
+    node_offset = list(accumulate((g.num_nodes for g in gadgets), initial=0))
+    total_nodes = node_offset.pop()
 
-    # copy gadget-internal edges (ports preserved: edges inserted in the
-    # same per-node order as in the standalone gadget)
-    edge_tags: list[Hashable] = []
-    for v in base.nodes():
+    # Gadget-internal edges first, each gadget's in its own edge order
+    # (so ports are preserved), then one port edge per base edge: base
+    # edge {u via port a, v via port b} connects Port_{a+1} of u's
+    # gadget to Port_{b+1} of v's gadget.
+    pairs: list[tuple[int, int]] = []
+    for v, gadget in enumerate(gadgets):
         offset = node_offset[v]
-        for edge in gadgets[v].graph.edges():
-            builder.add_edge(offset + edge.a.node, offset + edge.b.node)
-            edge_tags.append(GADEDGE)
-
-    # port edges: base edge {u via port a, v via port b} connects
-    # Port_{a+1} of u's gadget to Port_{b+1} of v's gadget
-    port_edge_of_base_edge: list[int] = []
-    for edge in base.edges():
-        u, a = edge.a
-        v, b = edge.b
-        pu = node_offset[u] + gadgets[u].ports[a]
-        pv = node_offset[v] + gadgets[v].ports[b]
-        eid = builder.add_edge(pu, pv)
-        edge_tags.append(PORTEDGE)
-        assert edge_tags[eid] == PORTEDGE
-        port_edge_of_base_edge.append(eid)
-
-    graph = builder.build()
-    inputs = Labeling(graph)
-
-    def base_node_input(v: int) -> Hashable:
-        return base_inputs.node(v) if base_inputs is not None else EMPTY
-
-    for v in base.nodes():
-        offset = node_offset[v]
-        gadget = gadgets[v]
-        for w in gadget.graph.nodes():
-            inputs.set_node(
-                offset + w, PaddedInput(base_node_input(v), gadget.inputs.node(w))
-            )
-            for port in range(gadget.graph.degree(w)):
-                inputs.set_half(
-                    HalfEdge(offset + w, port),
-                    PaddedInput(EMPTY, gadget.inputs.half_at(w, port)),
-                )
-    for eid in range(graph.num_edges):
-        inputs.set_edge(eid, PaddedInput(EMPTY, edge_tags[eid]))
-
-    # base edge/half-edge inputs ride on the port edges
-    for base_eid, padded_eid in enumerate(port_edge_of_base_edge):
-        base_edge = base.edge(base_eid)
-        if base_inputs is not None:
-            inputs.set_edge(
-                padded_eid,
-                PaddedInput(base_inputs.edge(base_eid), PORTEDGE),
-            )
-        padded_edge = graph.edge(padded_eid)
-        # match padded sides to base sides through the gadget ports
-        u, a = base_edge.a
-        v, b = base_edge.b
-        pu = node_offset[u] + gadgets[u].ports[a]
-        pv = node_offset[v] + gadgets[v].ports[b]
-        side_u = (
-            padded_edge.a if padded_edge.a.node == pu else padded_edge.b
+        g_nbr = gadget.graph.csr()[1]
+        g_ends = gadget.graph.edge_slots()
+        pairs.extend(
+            (offset + g_nbr[b], offset + g_nbr[a])
+            for a, b in zip(g_ends[0::2], g_ends[1::2])
         )
-        side_v = padded_edge.other_side(side_u)
-        if base_inputs is not None:
-            inputs.set_half(
-                side_u, PaddedInput(base_inputs.half(base_edge.a), EMPTY)
+    num_gadget_edges = len(pairs)
+    b_off, b_nbr, _peer, _eids = base.csr()
+    b_ends = base.edge_slots()
+    for eid in range(base.num_edges):
+        a, b = b_ends[2 * eid], b_ends[2 * eid + 1]
+        u, w = b_nbr[b], b_nbr[a]
+        pairs.append(
+            (
+                node_offset[u] + gadgets[u].ports[a - b_off[u]],
+                node_offset[w] + gadgets[w].ports[b - b_off[w]],
             )
-            inputs.set_half(
-                side_v, PaddedInput(base_inputs.half(base_edge.b), EMPTY)
-            )
-        else:
-            inputs.set_half(side_u, PaddedInput(EMPTY, EMPTY))
-            inputs.set_half(side_v, PaddedInput(EMPTY, EMPTY))
+        )
+    graph = PortGraph.from_edge_list(total_nodes, pairs)
+
+    # Labels: equal labels are one shared PaddedInput, and a gadget's
+    # label rows are wrapped once per distinct base input.
+    shared: dict[tuple[Hashable, Hashable], PaddedInput] = {}
+
+    def padded(pi: Hashable, gadget_label: Hashable) -> PaddedInput:
+        key = (pi, gadget_label)
+        label = shared.get(key)
+        if label is None:
+            label = shared[key] = PaddedInput(pi, gadget_label)
+        return label
+
+    rows: dict[tuple[int, Hashable, str], list[PaddedInput]] = {}
+
+    def row(gadget: BuiltGadget, pi: Hashable, kind: str) -> list[PaddedInput]:
+        key = (id(gadget), pi, kind)
+        labels = rows.get(key)
+        if labels is None:
+            source = getattr(gadget.inputs, f"{kind}_labels")()
+            labels = rows[key] = [padded(pi, label) for label in source]
+        return labels
+
+    if base_inputs is None:
+        base_inputs = Labeling(base)
+    base_nodes = base_inputs.node_labels()
+    base_slots = base_inputs.slot_labels()
+    node_labels: list[PaddedInput] = []
+    slot_labels: list[PaddedInput] = []
+    for v, gadget in enumerate(gadgets):
+        # the base node input lands on every node of its gadget
+        node_labels.extend(row(gadget, base_nodes[v], "node"))
+        # gadget slots, with each port node's port-edge slot (carrying
+        # the base half-edge input) right after its gadget ports
+        gadget_slots = row(gadget, EMPTY, "slot")
+        g_off = gadget.graph.csr()[0]
+        start = 0
+        for port in sorted(range(base.degree(v)), key=gadget.ports.__getitem__):
+            end = g_off[gadget.ports[port] + 1]
+            slot_labels.extend(gadget_slots[start:end])
+            slot_labels.append(padded(base_slots[b_off[v] + port], EMPTY))
+            start = end
+        slot_labels.extend(gadget_slots[start:])
+    edge_labels = [padded(EMPTY, GADEDGE)] * num_gadget_edges
+    edge_labels.extend(padded(label, PORTEDGE) for label in base_inputs.edge_labels())
+    inputs = (
+        Labeling(graph)
+        .set_node_labels(node_labels)
+        .set_edge_labels(edge_labels)
+        .set_slot_labels(slot_labels)
+    )
+    port_edge_of_base_edge = list(range(num_gadget_edges, graph.num_edges))
 
     return PaddedGraph(
         graph=graph,

@@ -56,3 +56,17 @@ class GadgetProjection:
 
     def half_at(self, v: int, port: int) -> Hashable:
         return gadget_part(self._inputs.half_at(v, port))
+
+    def node_labels(self) -> list[Hashable]:
+        return _gadget_parts(self._inputs.node_labels())
+
+    def edge_labels(self) -> list[Hashable]:
+        return _gadget_parts(self._inputs.edge_labels())
+
+    def slot_labels(self) -> list[Hashable]:
+        return _gadget_parts(self._inputs.slot_labels())
+
+
+def _gadget_parts(labels: list[Hashable]) -> list[Hashable]:
+    """``gadget_part`` of every label (``PaddedInput`` is ``(pi, gadget)``)."""
+    return [label[1] if isinstance(label, PaddedInput) else label for label in labels]

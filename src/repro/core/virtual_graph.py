@@ -23,17 +23,16 @@ like sinkless orientation give for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
 
-from repro.core.padding import GADEDGE, PORTEDGE
-from repro.core.projection import GadgetProjection, edge_tag, pi_part
+from repro.core.padding import PORTEDGE
+from repro.core.projection import GadgetProjection, pi_part
 from repro.gadgets.family import GadgetFamily
 from repro.gadgets.labels import CENTER, Port
 from repro.gadgets.prover import ProverResult
 from repro.gadgets.scope import GadgetScope
 from repro.lcl.assignment import Labeling
 from repro.local.builder import GraphBuilder
-from repro.local.graphs import HalfEdge, PortGraph
+from repro.local.graphs import PortGraph
 from repro.local.identifiers import IdAssignment
 
 __all__ = [
@@ -76,8 +75,9 @@ class VirtualGraph:
     # per virtual node: the (1-based) gadget port index behind each
     # virtual port, in virtual-port order (None rows for dummies)
     alpha: list[list[int] | None]
-    # physical provenance: virtual half-edge -> (port node, port edge id)
-    attachment: dict[HalfEdge, tuple[int, int]] = field(default_factory=dict)
+    # physical provenance, by virtual CSR slot: (port node, the port
+    # node's port-edge slot), None for the dummy side of dangling edges
+    attachment: list[tuple[int, int] | None] = field(default_factory=list)
 
     def num_real(self) -> int:
         return sum(1 for c in self.component_of_virtual if c is not None)
@@ -99,11 +99,10 @@ def _gadget_scope(graph: PortGraph, inputs: Labeling) -> GadgetScope:
     """Everything that is not explicitly a PortEdge belongs to the
     gadget layer (malformed tags are adversarial gadget edges)."""
     projection = GadgetProjection(graph, inputs)
-
-    def in_scope(eid: int) -> bool:
-        return edge_tag(inputs, eid) != PORTEDGE
-
-    return GadgetScope(graph, projection, in_scope)  # type: ignore[arg-type]
+    tags = projection.edge_labels()
+    return GadgetScope(  # type: ignore[arg-type]
+        graph, projection, lambda eid: tags[eid] != PORTEDGE
+    )
 
 
 def decompose(
@@ -147,36 +146,31 @@ def decompose(
             component_of_node[v] = index
 
     # --- port status (constraints 3 and 4) --------------------------------
-    def port_edges_at(v: int) -> list[int]:
-        eids = []
-        for port in range(graph.degree(v)):
-            eid = graph.edge_id_at(v, port)
-            if not scope.in_scope(eid):
-                eids.append(eid)
-        return eids
+    off, nbr, peer, eids = graph.csr()
+
+    def port_slots_at(v: int) -> list[int]:
+        """The slots at ``v`` whose edge is a port edge, in port order."""
+        return [
+            slot for slot in range(off[v], off[v + 1]) if not scope.in_scope(eids[slot])
+        ]
 
     port_status: dict[int, str] = {}
+    port_slot: dict[int, int] = {}  # nodes with exactly one port edge
     for v in graph.nodes():
         tag = scope.port_tag(v)
         if not isinstance(tag, Port):
             continue
-        eids = port_edges_at(v)
-        if len(eids) != 1:
+        slots = port_slots_at(v)
+        if len(slots) != 1:
             port_status[v] = PORT_ERR2
             continue
+        port_slot[v] = slots[0]
         own_valid = components[component_of_node[v]].is_valid
-        edge = graph.edge(eids[0])
-        # resolve the far half-edge robustly (loops included)
-        my_side = None
-        for port in range(graph.degree(v)):
-            if graph.edge_id_at(v, port) == eids[0]:
-                my_side = HalfEdge(v, port)
-                break
-        far = edge.other_side(my_side)
-        far_tag = scope.port_tag(far.node)
+        far_node = nbr[slots[0]]
+        far_tag = scope.port_tag(far_node)
         far_valid = (
             isinstance(far_tag, Port)
-            and components[component_of_node[far.node]].is_valid
+            and components[component_of_node[far_node]].is_valid
         )
         if own_valid and far_valid:
             port_status[v] = PORT_OK
@@ -208,50 +202,49 @@ def decompose(
         tag = scope.port_tag(v)
         valid_ports.setdefault(virtual, []).append((tag.i, v))
 
-    next_virtual_port: dict[int, int] = {}
     virtual_port_of_node: dict[int, tuple[int, int]] = {}
     for virtual, ports in valid_ports.items():
         ports.sort()
         alpha[virtual] = [i for i, _node in ports]
         for rank, (_i, node) in enumerate(ports):
             virtual_port_of_node[node] = (virtual, rank)
-        next_virtual_port[virtual] = len(ports)
 
-    attachment: dict[HalfEdge, tuple[int, int]] = {}
+    # physical provenance of each attached virtual half-edge, keyed by
+    # (virtual node, virtual port) until the virtual slots exist
+    attached: dict[tuple[int, int], tuple[int, int]] = {}
     seen_port_edges: set[int] = set()
-    dummy_sides: list[tuple[HalfEdge, int]] = []
-    edge_plan: list[tuple[HalfEdge, HalfEdge, int]] = []
+    dummy_sides: list[tuple[int, int]] = []
+    edge_plan: list[tuple[int, int, int, int]] = []
     for v in sorted(virtual_port_of_node):
         virtual, rank = virtual_port_of_node[v]
-        eid = port_edges_at(v)[0]
+        slot = port_slot[v]
+        eid = eids[slot]
         if eid in seen_port_edges:
             continue
         seen_port_edges.add(eid)
-        edge = graph.edge(eid)
-        my_side = edge.a if edge.a.node == v else edge.b
-        far = edge.other_side(my_side)
-        my_half = HalfEdge(virtual, rank)
-        attachment[my_half] = (v, eid)
-        if far.node in virtual_port_of_node and port_status.get(far.node) == PORT_OK:
-            far_virtual, far_rank = virtual_port_of_node[far.node]
-            far_half = HalfEdge(far_virtual, far_rank)
-            attachment[far_half] = (far.node, eid)
-            edge_plan.append((my_half, far_half, eid))
+        attached[virtual, rank] = (v, slot)
+        far_node = nbr[slot]
+        if far_node in virtual_port_of_node and port_status.get(far_node) == PORT_OK:
+            far_virtual, far_rank = virtual_port_of_node[far_node]
+            attached[far_virtual, far_rank] = (far_node, off[far_node] + peer[slot])
+            edge_plan.append((virtual, rank, far_virtual, far_rank))
         else:
-            dummy_sides.append((my_half, eid))
+            dummy_sides.append((virtual, rank))
 
-    dummy_virtuals = []
-    for my_half, eid in dummy_sides:
+    for virtual, rank in dummy_sides:
         dummy = builder.add_node()
         component_of_virtual.append(None)
         alpha.append(None)
-        dummy_virtuals.append(dummy)
-        edge_plan.append((my_half, HalfEdge(dummy, 0), eid))
+        edge_plan.append((virtual, rank, dummy, 0))
 
-    for a, b, eid in edge_plan:
-        builder.add_edge(a.node, b.node, u_port=a.port, v_port=b.port)
+    for a, a_port, b, b_port in edge_plan:
+        builder.add_edge(a, b, u_port=a_port, v_port=b_port)
 
     virtual_graph = builder.build()
+    v_off = virtual_graph.csr()[0]
+    attachment: list[tuple[int, int] | None] = [None] * (2 * virtual_graph.num_edges)
+    for (virtual, rank), provenance in attached.items():
+        attachment[v_off[virtual] + rank] = provenance
 
     # identifiers: the smallest real id inside each gadget; dummies get
     # fresh ids above everything
@@ -282,17 +275,13 @@ def decompose(
         port1 = comp.port_nodes.get(1)
         if port1 is not None:
             virtual_input_labeling.set_node(virtual, pi_part(inputs.node(port1)))
-    for edge in virtual_graph.edges():
-        for side in (edge.a, edge.b):
-            if side in attachment:
-                node, eid = attachment[side]
-                virtual_input_labeling.set_edge(edge.eid, pi_part(inputs.edge(eid)))
-                my_side = None
-                for port in range(graph.degree(node)):
-                    if graph.edge_id_at(node, port) == eid:
-                        my_side = HalfEdge(node, port)
-                        break
-                virtual_input_labeling.set_half(side, pi_part(inputs.half(my_side)))
+    in_edges, in_slots = inputs.edge_labels(), inputs.slot_labels()
+    v_eids = virtual_graph.csr()[3]
+    for v_slot, provenance in enumerate(attachment):
+        if provenance is not None:
+            _node, slot = provenance
+            virtual_input_labeling.set_edge(v_eids[v_slot], pi_part(in_edges[eids[slot]]))
+            virtual_input_labeling.set_slot(v_slot, pi_part(in_slots[slot]))
 
     virtual = VirtualGraph(
         graph=virtual_graph,

@@ -30,8 +30,7 @@ from repro.gadgets.labels import (
     UP,
 )
 from repro.lcl.assignment import Labeling
-from repro.local.builder import GraphBuilder
-from repro.local.graphs import HalfEdge, PortGraph
+from repro.local.graphs import PortGraph
 
 __all__ = ["BuiltGadget", "build_gadget", "subgadget_size", "gadget_size"]
 
@@ -112,22 +111,20 @@ def build_gadget(delta: int, heights: tuple[int, ...] | int) -> BuiltGadget:
     if any(h < 2 for h in heights):
         raise ValueError("sub-gadget heights must be at least 2")
 
-    builder = GraphBuilder()
     coords: dict[int, tuple] = {}
     node_of: dict[tuple, int] = {}
-    half_labels: dict[tuple[int, int], object] = {}  # filled after build
 
     # Allocate nodes: all sub-gadgets first, center last.
     for i, h in enumerate(heights, start=1):
         for level in range(h):
             for x in range(2**level):
-                v = builder.add_node()
-                coords[v] = ("sub", i, level, x)
-                node_of[(i, level, x)] = v
-    center = builder.add_node()
+                node_of[(i, level, x)] = len(coords)
+                coords[len(coords)] = ("sub", i, level, x)
+    center = len(coords)
     coords[center] = ("center",)
+    num_nodes = center + 1
 
-    # Edges with endpoint labels; record labels by (node, port) as we go.
+    # Edges with endpoint labels, in edge-id order.
     pending: list[tuple[int, int, object, object]] = []  # u, v, label_u, label_v
     for i, h in enumerate(heights, start=1):
         for level in range(1, h):
@@ -144,24 +141,33 @@ def build_gadget(delta: int, heights: tuple[int, ...] | int) -> BuiltGadget:
         root = node_of[(i, 0, 0)]
         pending.append((root, center, UP, Down(i)))
 
-    ports_used: dict[int, int] = {}
+    # Ports are numbered in edge order, so each endpoint label lands on
+    # the next free slot of its node.
+    graph = PortGraph.from_edge_list(num_nodes, [(u, v) for u, v, _, _ in pending])
+    off = graph.csr()[0]
+    next_slot = off[:-1].tolist()
+    end_labels: list[object] = [None] * (2 * graph.num_edges)
     for u, v, label_u, label_v in pending:
-        pu = ports_used.get(u, 0)
-        pv = ports_used.get(v, 0)
-        if u == v:
-            raise AssertionError("gadget construction never builds loops")
-        builder.add_edge(u, v)
-        half_labels[(u, pu)] = label_u
-        half_labels[(v, pv)] = label_v
-        ports_used[u] = pu + 1
-        ports_used[v] = pv + 1
-
-    graph = builder.build()
+        end_labels[next_slot[u]] = label_u
+        end_labels[next_slot[v]] = label_v
+        next_slot[u] += 1
+        next_slot[v] += 1
     colors = _distance2_coloring(graph)
 
-    inputs = Labeling(graph)
+    # Labels repeat massively (a role, a port tag and a color each), so
+    # equal labels are one shared object.
+    shared: dict[tuple, object] = {}
+
+    def label_of(kind, *fields):
+        key = (kind, *fields)
+        label = shared.get(key)
+        if label is None:
+            label = shared[key] = kind(*fields)
+        return label
+
     ports: list[int] = [0] * delta
-    for v in graph.nodes():
+    node_labels = []
+    for v in range(num_nodes):
         coord = coords[v]
         if coord[0] == "center":
             role = CENTER
@@ -175,9 +181,13 @@ def build_gadget(delta: int, heights: tuple[int, ...] | int) -> BuiltGadget:
                 ports[i - 1] = v
             else:
                 port_tag = NOPORT
-        inputs.set_node(v, GadgetNodeInput(role, port_tag, colors[v]))
-    for (v, port), label in half_labels.items():
-        inputs.set_half(HalfEdge(v, port), GadgetHalfInput(label, colors[v]))
+        node_labels.append(label_of(GadgetNodeInput, role, port_tag, colors[v]))
+    half_labels = [
+        label_of(GadgetHalfInput, end_labels[slot], colors[v])
+        for v in range(num_nodes)
+        for slot in range(off[v], off[v + 1])
+    ]
+    inputs = Labeling(graph).set_node_labels(node_labels).set_slot_labels(half_labels)
 
     return BuiltGadget(
         delta=delta,

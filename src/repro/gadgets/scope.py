@@ -26,14 +26,15 @@ Incidence = tuple[int, int, int, Hashable]
 class GadgetScope:
     """Navigation over the gadget-edge subgraph of a labeled graph.
 
-    A scope is a snapshot of ``graph`` and ``inputs``: it reads every
-    label once, at construction, into flat tables indexed by node and by
-    CSR port slot, and builds each node's tuple of in-scope incidences
-    there too.  Later edits to ``inputs`` are not seen, so corruptions
-    build a new :class:`~repro.lcl.assignment.Labeling` rather than
-    editing one.  For the same reason a node's structural verdict is a
-    pure function of the scope: :func:`repro.gadgets.checker.check_node`
-    memoizes it in :attr:`verdicts`.
+    A scope is a snapshot of ``graph`` and ``inputs``: it reads the
+    labeling's node and slot lists once, at construction, into flat
+    tables indexed by node and by CSR port slot, and builds each node's
+    tuple of in-scope incidences there too.  Later edits to ``inputs``
+    are not seen, so corruptions build a new
+    :class:`~repro.lcl.assignment.Labeling` rather than editing one.
+    For the same reason a node's structural verdict is a pure function
+    of the scope: :func:`repro.gadgets.checker.check_node` memoizes it
+    in :attr:`verdicts`.
     """
 
     def __init__(
@@ -48,18 +49,19 @@ class GadgetScope:
         self.verdicts: dict[tuple[int, int], tuple] = {}
         off, nbr, peer, eids = (table.tolist() for table in graph.csr())
         self._off = off
+        self._deg = graph.degrees
         if edge_in_scope is None:
             self._in_scope = [True] * graph.num_edges
         else:
             self._in_scope = [bool(edge_in_scope(eid)) for eid in range(graph.num_edges)]
-        self._nodes: list[GadgetNodeInput | None] = []
-        self._halves: list[GadgetHalfInput | None] = []
-        for v in graph.nodes():
-            label = inputs.node(v)
-            self._nodes.append(label if isinstance(label, GadgetNodeInput) else None)
-            for port in range(off[v + 1] - off[v]):
-                half = inputs.half_at(v, port)
-                self._halves.append(half if isinstance(half, GadgetHalfInput) else None)
+        self._nodes: list[GadgetNodeInput | None] = [
+            label if isinstance(label, GadgetNodeInput) else None
+            for label in inputs.node_labels()
+        ]
+        self._halves: list[GadgetHalfInput | None] = [
+            half if isinstance(half, GadgetHalfInput) else None
+            for half in inputs.slot_labels()
+        ]
         labels = [None if half is None else half.label for half in self._halves]
         # per slot: the endpoint label on the far side of its edge
         self._far_labels = [labels[off[w] + p] for w, p in zip(nbr, peer)]
@@ -85,7 +87,7 @@ class GadgetScope:
     def half_input(self, v: int, port: int) -> GadgetHalfInput | None:
         """The half-edge's gadget input, or None if malformed or if ``v``
         has no such port."""
-        if not 0 <= port < self.graph.degree(v):
+        if not 0 <= port < self._deg[v]:
             return None
         return self._halves[self._off[v] + port]
 
@@ -114,7 +116,7 @@ class GadgetScope:
 
     def other_label(self, v: int, port: int) -> Hashable | None:
         """The endpoint label on the far side of the edge at ``(v, port)``."""
-        if not 0 <= port < self.graph.degree(v):
+        if not 0 <= port < self._deg[v]:
             raise IndexError(f"node {v} has no port {port}")
         return self._far_labels[self._off[v] + port]
 

@@ -28,13 +28,12 @@ ascending), same messages, same ``Violation`` values.
 
 Caveat shared with the whole label machinery: labels that compare equal
 are treated as the same label (``1 == True == 1.0`` would share a
-code), which matches how ``Labeling`` dicts and ``LabelSet`` membership
-already behave everywhere else.
+code), which matches how ``LabelSet`` membership and the shared labels
+of ``pad_graph`` and ``build_gadget`` already behave everywhere else.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Hashable, Iterable
 
 import numpy as np
@@ -117,22 +116,21 @@ class VectorPreparedVerifier:
         self._slot_node = slot_node
         self._slot_port = slot_port
         loop_flat = (nbr == slot_node).astype(_I64)
-        # Label interner: code 0 is EMPTY (the sparse default), decode
-        # table mirrors it for message formatting.
+        # Label interner: code 0 is EMPTY (the labelings' fill value),
+        # and the decode table mirrors it for message formatting.
         self._codes: dict[Hashable, int] = {}
         self._labels: list[Hashable] = []
         self._intern(EMPTY)
         inp = self._inputs
-        in_node = self._node_codes(inp)
-        in_edge = self._edge_codes(inp)
-        in_half = self._half_codes(inp)
+        in_node = self._code_array(inp.node_labels())
+        in_edge = self._code_array(inp.edge_labels())
+        in_half = self._code_array(inp.slot_labels())
         self._in_node, self._in_edge, self._in_half = in_node, in_edge, in_half
-        # Edge sides: each eid fills exactly two flat slots; a stable
-        # argsort by eid pairs them up with the lower (node, port) slot
-        # first — the canonical ``a`` side.
-        pairing = np.argsort(eids, kind="stable")
-        self._a_slot = pairing[0::2]
-        self._b_slot = pairing[1::2]
+        # Edge sides: the canonical ``a`` slot and the ``b`` slot of
+        # every edge, by edge id.
+        ends = np.frombuffer(graph.edge_slots(), dtype=_I64)
+        self._a_slot = ends[0::2]
+        self._b_slot = ends[1::2]
         self._a_node = slot_node[self._a_slot]
         self._b_node = slot_node[self._b_slot]
         self._edge_fixed = (
@@ -191,40 +189,9 @@ class VectorPreparedVerifier:
             intern = self._intern
             return [intern(label) for label in labels]
 
-    def _node_codes(self, labeling: Labeling) -> np.ndarray:
-        out = np.zeros(self._num_nodes, dtype=_I64)
-        entries = labeling._node
-        if entries:
-            count = len(entries)
-            idx = np.fromiter(entries.keys(), dtype=_I64, count=count)
-            out[idx] = np.fromiter(
-                self._code_list(entries.values()), dtype=_I64, count=count
-            )
-        return out
-
-    def _edge_codes(self, labeling: Labeling) -> np.ndarray:
-        out = np.zeros(self._num_edges, dtype=_I64)
-        entries = labeling._edge
-        if entries:
-            count = len(entries)
-            idx = np.fromiter(entries.keys(), dtype=_I64, count=count)
-            out[idx] = np.fromiter(
-                self._code_list(entries.values()), dtype=_I64, count=count
-            )
-        return out
-
-    def _half_codes(self, labeling: Labeling) -> np.ndarray:
-        out = np.zeros(int(self._off[-1]) if self._off.size else 0, dtype=_I64)
-        entries = labeling._half
-        if entries:
-            count = len(entries)
-            pairs = np.fromiter(
-                chain.from_iterable(entries.keys()), dtype=_I64, count=2 * count
-            ).reshape(count, 2)
-            out[self._off[pairs[:, 0]] + pairs[:, 1]] = np.fromiter(
-                self._code_list(entries.values()), dtype=_I64, count=count
-            )
-        return out
+    def _code_array(self, labels: list[Hashable]) -> np.ndarray:
+        """The code of every label of a labeling's node, edge or slot list."""
+        return np.fromiter(self._code_list(labels), dtype=_I64, count=len(labels))
 
     # -- the passes -------------------------------------------------------
 
@@ -299,9 +266,9 @@ class VectorPreparedVerifier:
     def verify(self, outputs: Labeling) -> Verdict:
         """The verdict the object layer returns, bit for bit."""
         problem = self.problem
-        out_node = self._node_codes(outputs)
-        out_edge = self._edge_codes(outputs)
-        out_half = self._half_codes(outputs)
+        out_node = self._code_array(outputs.node_labels())
+        out_edge = self._code_array(outputs.edge_labels())
+        out_half = self._code_array(outputs.slot_labels())
         violations = self._domain_violations(out_node, out_edge, out_half)
 
         node_constraint = problem.node_constraint

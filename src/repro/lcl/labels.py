@@ -35,6 +35,10 @@ class _Sentinel:
     def __deepcopy__(self, memo) -> "_Sentinel":
         return self
 
+    def __reduce__(self) -> str:
+        # pickles as a reference to the module-level singleton
+        return self._name
+
 
 EMPTY = _Sentinel("EMPTY")
 BLANK = _Sentinel("BLANK")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro import kernels
 from repro.lcl.assignment import Labeling
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration
-from repro.local.graphs import PortGraph
+from repro.local.graphs import HalfEdge, PortGraph
 
 __all__ = [
     "PreparedVerifier",
@@ -62,43 +62,45 @@ def node_configuration(
 ) -> NodeConfiguration:
     """Assemble the configuration node ``v`` checks locally.
 
-    Reads topology through the flat incidence core: edge ids come from
-    the per-node table, and a port is a loop port exactly when its flat
-    neighbor entry is ``v`` itself.  Plain ``(v, p)`` tuples stand in
-    for :class:`HalfEdge` keys (NamedTuples compare and hash equal to
-    plain tuples).
+    Reads topology through the flat incidence core and labels through
+    the labelings' slot lists: node ``v``'s ports are the slots
+    ``offsets[v]..offsets[v + 1]``, and a port is a loop port exactly
+    when its flat neighbor entry is ``v`` itself.
     """
-    eids = graph.incident_edge_ids(v)
-    degree = len(eids)
-    sides = [(v, p) for p in range(degree)]
-    in_edge, out_edge = inputs.edge, outputs.edge
-    in_half, out_half = inputs.half, outputs.half
+    off, nbr, _peer, eids = graph.csr()
+    start, end = off[v], off[v + 1]
+    row = eids[start:end].tolist()
+    in_edges, out_edges = inputs.edge_labels(), outputs.edge_labels()
     return NodeConfiguration(
-        degree=degree,
+        degree=end - start,
         node_input=inputs.node(v),
         node_output=outputs.node(v),
-        edge_inputs=tuple(in_edge(e) for e in eids),
-        edge_outputs=tuple(out_edge(e) for e in eids),
-        half_inputs=tuple(in_half(s) for s in sides),
-        half_outputs=tuple(out_half(s) for s in sides),
-        loop_ports=tuple(u == v for u in graph.neighbors(v)),
+        edge_inputs=tuple(in_edges[e] for e in row),
+        edge_outputs=tuple(out_edges[e] for e in row),
+        half_inputs=tuple(inputs.slot_labels()[start:end]),
+        half_outputs=tuple(outputs.slot_labels()[start:end]),
+        loop_ports=tuple(u == v for u in nbr[start:end].tolist()),
     )
 
 
 def edge_configuration(
     graph: PortGraph, eid: int, inputs: Labeling, outputs: Labeling
 ) -> EdgeConfiguration:
-    """Assemble the configuration edge ``eid`` checks locally."""
-    edge = graph.edge(eid)
-    u_side, v_side = edge.a, edge.b
+    """Assemble the configuration edge ``eid`` checks locally (its ``a``
+    side first)."""
+    ends = graph.edge_slots()
+    nbr = graph.csr()[1]
+    a, b = ends[2 * eid], ends[2 * eid + 1]
+    u, w = nbr[b], nbr[a]
+    in_slots, out_slots = inputs.slot_labels(), outputs.slot_labels()
     return EdgeConfiguration(
-        node_inputs=(inputs.node(u_side.node), inputs.node(v_side.node)),
-        node_outputs=(outputs.node(u_side.node), outputs.node(v_side.node)),
+        node_inputs=(inputs.node(u), inputs.node(w)),
+        node_outputs=(outputs.node(u), outputs.node(w)),
         edge_input=inputs.edge(eid),
         edge_output=outputs.edge(eid),
-        half_inputs=(inputs.half(u_side), inputs.half(v_side)),
-        half_outputs=(outputs.half(u_side), outputs.half(v_side)),
-        is_loop=edge.is_loop,
+        half_inputs=(in_slots[a], in_slots[b]),
+        half_outputs=(out_slots[a], out_slots[b]),
+        is_loop=u == w,
     )
 
 
@@ -109,54 +111,41 @@ def _domain_violations(
     direction: str,
     limit: int | None = None,
 ) -> list[Violation]:
-    """Domain-membership violations, stopping once ``limit`` are found."""
-    sets = {
-        "node": getattr(problem, f"node_{direction}s"),
-        "edge": getattr(problem, f"edge_{direction}s"),
-        "half": getattr(problem, f"half_{direction}s"),
-    }
+    """Domain-membership violations, stopping once ``limit`` are found.
+
+    Nodes and edges are scanned by index, half-edges edge by edge (a
+    side, then b side), the order of :meth:`PortGraph.half_edges`.
+    """
     out: list[Violation] = []
     if limit is not None and limit <= 0:
         return out
-    if sets["node"] is not None:
-        for v in graph.nodes():
-            if labeling.node(v) not in sets["node"]:
-                out.append(
-                    Violation(
-                        "domain",
-                        ("node", v),
-                        f"{direction} label {labeling.node(v)!r} not in "
-                        f"{sets['node'].name}",
-                    )
+    off, nbr, _peer, _eids = graph.csr()
+    ends = graph.edge_slots()
+    for kind in ("node", "edge", "half"):
+        label_set = getattr(problem, f"{kind}_{direction}s")
+        if label_set is None:
+            continue
+        if kind == "half":
+            slot_labels = labeling.slot_labels()
+            labels = [slot_labels[slot] for slot in ends]
+        else:
+            labels = getattr(labeling, f"{kind}_labels")()
+        for index, label in enumerate(labels):
+            if label in label_set:
+                continue
+            key = index
+            if kind == "half":
+                node = nbr[ends[index ^ 1]]
+                key = HalfEdge(node, ends[index] - off[node])
+            out.append(
+                Violation(
+                    "domain",
+                    (kind, key),
+                    f"{direction} label {label!r} not in {label_set.name}",
                 )
-                if limit is not None and len(out) >= limit:
-                    return out
-    if sets["edge"] is not None:
-        for eid in range(graph.num_edges):
-            if labeling.edge(eid) not in sets["edge"]:
-                out.append(
-                    Violation(
-                        "domain",
-                        ("edge", eid),
-                        f"{direction} label {labeling.edge(eid)!r} not in "
-                        f"{sets['edge'].name}",
-                    )
-                )
-                if limit is not None and len(out) >= limit:
-                    return out
-    if sets["half"] is not None:
-        for side in graph.half_edges():
-            if labeling.half(side) not in sets["half"]:
-                out.append(
-                    Violation(
-                        "domain",
-                        ("half", side),
-                        f"{direction} label {labeling.half(side)!r} not in "
-                        f"{sets['half'].name}",
-                    )
-                )
-                if limit is not None and len(out) >= limit:
-                    return out
+            )
+            if limit is not None and len(out) >= limit:
+                return out
     return out
 
 
@@ -194,74 +183,81 @@ class PreparedVerifier:
 
     def _build_skeleton(self) -> tuple[list, list]:
         """The (node, edge) skeleton: every configuration field that
-        does not depend on the outputs."""
+        does not depend on the outputs, with the slot ranges the
+        outputs are read from."""
         graph = self.graph
         inputs = self.inputs_src
         if inputs is None:
             inputs = Labeling(graph)
+        off, nbr, _peer, eids = (table.tolist() for table in graph.csr())
+        ends = graph.edge_slots().tolist()
+        in_nodes = inputs.node_labels()
+        in_edges = inputs.edge_labels()
+        in_slots = inputs.slot_labels()
         node_skeleton = []
         for v in graph.nodes():
-            eids = graph.incident_edge_ids(v)
-            sides = [(v, p) for p in range(len(eids))]
+            start, end = off[v], off[v + 1]
+            row = eids[start:end]
             node_skeleton.append(
                 (
                     v,
-                    len(eids),
-                    inputs.node(v),
-                    tuple(inputs.edge(e) for e in eids),
-                    tuple(inputs.half(s) for s in sides),
-                    tuple(u == v for u in graph.neighbors(v)),
-                    eids,
-                    sides,
+                    end - start,
+                    in_nodes[v],
+                    tuple(in_edges[e] for e in row),
+                    tuple(in_slots[start:end]),
+                    tuple(u == v for u in nbr[start:end]),
+                    row,
+                    start,
+                    end,
                 )
             )
         edge_skeleton = []
         for eid in range(graph.num_edges):
-            edge = graph.edge(eid)
-            u_side, v_side = edge.a, edge.b
+            a, b = ends[2 * eid], ends[2 * eid + 1]
+            u, w = nbr[b], nbr[a]
             edge_skeleton.append(
                 (
                     eid,
-                    u_side,
-                    v_side,
-                    (inputs.node(u_side.node), inputs.node(v_side.node)),
-                    inputs.edge(eid),
-                    (inputs.half(u_side), inputs.half(v_side)),
-                    edge.is_loop,
+                    a,
+                    b,
+                    u,
+                    w,
+                    (in_nodes[u], in_nodes[w]),
+                    in_edges[eid],
+                    (in_slots[a], in_slots[b]),
+                    u == w,
                 )
             )
         return node_skeleton, edge_skeleton
 
     def verify(self, outputs: Labeling) -> Verdict:
         """The verdict ``verify(problem, graph, inputs, outputs)`` returns."""
-        from repro.lcl.labels import EMPTY
-
         if self._skeleton is None:
             self._skeleton = self._build_skeleton()
         node_skeleton, edge_skeleton = self._skeleton
         problem = self.problem
         violations = _domain_violations(problem, self.graph, outputs, "output")
-        # Hot path: labels are read straight off the labeling's sparse
-        # maps (same ``get(key, EMPTY)`` the accessors perform), and the
-        # configurations are allocated without re-running ``__post_init__``
-        # — the skeleton's per-port tuples are length-consistent by
-        # construction, so the skipped validation could never fire.
-        out_node = outputs._node.get
-        out_edge = outputs._edge.get
-        out_half = outputs._half.get
+        # Hot path: labels are read straight off the outputs' slot
+        # lists, and the configurations are allocated without re-running
+        # ``__post_init__`` — the skeleton's per-port tuples are
+        # length-consistent by construction, so the skipped validation
+        # could never fire.
+        out_nodes = outputs.node_labels()
+        out_edges = outputs.edge_labels()
+        out_slots = outputs.slot_labels()
         new_node_config = NodeConfiguration.__new__
         new_edge_config = EdgeConfiguration.__new__
         node_constraint = problem.node_constraint
-        for v, degree, n_in, e_in, h_in, loops, eids, sides in node_skeleton:
+        for v, degree, n_in, e_in, h_in, loops, eids, start, end in node_skeleton:
             config = new_node_config(NodeConfiguration)
             config.__dict__.update(
                 degree=degree,
                 node_input=n_in,
-                node_output=out_node(v, EMPTY),
+                node_output=out_nodes[v],
                 edge_inputs=e_in,
-                edge_outputs=tuple(out_edge(e, EMPTY) for e in eids),
+                edge_outputs=tuple(out_edges[e] for e in eids),
                 half_inputs=h_in,
-                half_outputs=tuple(out_half(s, EMPTY) for s in sides),
+                half_outputs=tuple(out_slots[start:end]),
                 loop_ports=loops,
             )
             if not node_constraint(config):
@@ -270,18 +266,15 @@ class PreparedVerifier:
                 )
         edge_constraint = problem.edge_constraint
         check_flip = not problem.edge_symmetric
-        for eid, u_side, v_side, n_in, e_in, h_in, is_loop in edge_skeleton:
+        for eid, a, b, u, w, n_in, e_in, h_in, is_loop in edge_skeleton:
             config = new_edge_config(EdgeConfiguration)
             config.__dict__.update(
                 node_inputs=n_in,
-                node_outputs=(
-                    out_node(u_side.node, EMPTY),
-                    out_node(v_side.node, EMPTY),
-                ),
+                node_outputs=(out_nodes[u], out_nodes[w]),
                 edge_input=e_in,
-                edge_output=out_edge(eid, EMPTY),
+                edge_output=out_edges[eid],
                 half_inputs=h_in,
-                half_outputs=(out_half(u_side, EMPTY), out_half(v_side, EMPTY)),
+                half_outputs=(out_slots[a], out_slots[b]),
                 is_loop=is_loop,
             )
             if not edge_constraint(config):

@@ -24,16 +24,22 @@ Two access layers
 * The **flat incidence core** — CSR-style arrays filled once at
   construction and returned by :meth:`PortGraph.csr` (per-port
   neighbor, peer port, and edge-id tables with per-node offsets, plus
-  the cached :attr:`PortGraph.degrees` list) — backs ``endpoint``,
-  ``neighbor``, ``neighbors``, and every hot loop in the simulator,
-  BFS, and verifier with O(1) index reads and no per-lookup object
-  allocation.  Both constructors write it directly.
+  the cached :attr:`PortGraph.degrees` list) and by
+  :meth:`PortGraph.edge_slots` (the two port slots of every edge) —
+  backs ``endpoint``, ``neighbor``, ``neighbors``, and every hot loop
+  with O(1) index reads and no per-lookup object allocation.  Both
+  constructors write it directly.  Labelings
+  (:class:`repro.lcl.assignment.Labeling`) store half-edge labels by
+  the same port slots, and every solver, verifier and instance builder
+  of the canonical reproduction reads only this layer.
 * The **object layer** — :class:`Edge` / :class:`HalfEdge` values from
   ``edge``, ``edges``, ``incident_edges``, and the per-node edge-id
-  lists of ``incident_edge_ids`` — is the readable API for formatting
-  and anything off the hot path.  It is built from the tables on its
-  first read, the same way for every graph (constructed or unpickled),
-  so graphs whose callers only read the tables never pay for it.
+  lists of ``incident_edge_ids`` — is the readable API for formatting,
+  tests, the graph generators' and corruptions' off-path rebuilds,
+  networkx interop, and the differential oracle the flat core is
+  checked against.  It is built from the tables on its first read, the
+  same way for every graph (constructed or unpickled), so graphs whose
+  callers only read the tables never pay for it.
 
 The object layer is derived from the frozen tables, so self-loops and
 parallel edges behave identically through either.
@@ -114,22 +120,25 @@ class _DeprecatedCallableInt(int):
 
 def _csr_tables(
     deg: list[int], halves: list[tuple[int, int, int, int]]
-) -> tuple[array, array, array, array]:
-    """The flat incidence tables ``(off, nbr, peer, eids)`` of the edges
-    ``halves`` (``(a_node, a_port, b_node, b_port)`` per edge id), whose
-    ports are already validated against the per-node degrees ``deg``.
+) -> tuple[array, array, array, array, array]:
+    """The flat incidence tables ``(off, nbr, peer, eids, ends)`` of the
+    edges ``halves`` (``(a_node, a_port, b_node, b_port)`` per edge id),
+    whose ports are already validated against the per-node degrees
+    ``deg``.
 
     Port slot ``(v, p)`` lives at flat index ``off[v] + p``; ``nbr``
     holds the node across the edge, ``peer`` the port it arrives on,
-    ``eids`` the edge id.  A self-loop on ports p, q of v fills both
-    slots pointing at each other, so the tables keep exact multigraph
-    semantics.
+    ``eids`` the edge id.  ``ends[2 * eid]`` and ``ends[2 * eid + 1]``
+    are the two slots of edge ``eid``, the smaller first.  A self-loop
+    on ports p, q of v fills both slots pointing at each other, so the
+    tables keep exact multigraph semantics.
     """
     off = [0, *accumulate(deg)]
     total = off[-1]
     nbr = [0] * total
     peer = [0] * total
     eids = [0] * total
+    ends = [0] * total
     for eid, (a_node, a_port, b_node, b_port) in enumerate(halves):
         i = off[a_node] + a_port
         j = off[b_node] + b_port
@@ -139,7 +148,15 @@ def _csr_tables(
         nbr[j] = a_node
         peer[j] = a_port
         eids[j] = eid
-    return tuple(array(_CSR_TYPECODE, table) for table in (off, nbr, peer, eids))
+        if i < j:
+            ends[2 * eid] = i
+            ends[2 * eid + 1] = j
+        else:
+            ends[2 * eid] = j
+            ends[2 * eid + 1] = i
+    return tuple(
+        array(_CSR_TYPECODE, table) for table in (off, nbr, peer, eids, ends)
+    )
 
 
 def _numbered(pairs: Sequence[tuple[int, int]]) -> list[tuple[HalfEdge, HalfEdge]]:
@@ -175,6 +192,7 @@ class PortGraph:
         "_nbr",
         "_peer",
         "_eids",
+        "_ends",
         "_min_degree",
         "_max_degree",
     )
@@ -216,13 +234,14 @@ class PortGraph:
 
     # -- construction helpers -------------------------------------------------
 
-    def _adopt_csr(self, num_nodes, num_edges, off, nbr, peer, eids) -> None:
+    def _adopt_csr(self, num_nodes, num_edges, off, nbr, peer, eids, ends) -> None:
         self._num_nodes = int(num_nodes)
         self._num_edges = int(num_edges)
         self._off = _readonly_q(off)
         self._nbr = _readonly_q(nbr)
         self._peer = _readonly_q(peer)
         self._eids = _readonly_q(eids)
+        self._ends = _readonly_q(ends)
         deg = list(map(sub, off[1:], off))
         self._deg = deg
         self._min_degree = _DeprecatedCallableInt(min(deg, default=0))
@@ -275,11 +294,12 @@ class PortGraph:
             "nbr": self._nbr.tobytes(),
             "peer": self._peer.tobytes(),
             "eids": self._eids.tobytes(),
+            "ends": self._ends.tobytes(),
         }
 
     def __setstate__(self, state: dict) -> None:
         tables = []
-        for key in ("off", "nbr", "peer", "eids"):
+        for key in ("off", "nbr", "peer", "eids", "ends"):
             buf = array(_CSR_TYPECODE)
             buf.frombytes(state[key])
             tables.append(buf)
@@ -361,6 +381,37 @@ class PortGraph:
         object API.
         """
         return self._off, self._nbr, self._peer, self._eids
+
+    def edge_slots(self) -> memoryview:
+        """The flat slots of every edge's two sides, edge-major: edge
+        ``eid`` joins slots ``slots[2 * eid]`` (its canonical ``a``
+        side, the smaller slot) and ``slots[2 * eid + 1]`` (``b``).
+
+        A read-only int64 memoryview like the :meth:`csr` tables.  The
+        node of a side is the neighbor entry of the other side:
+        ``a`` sits at node ``neighbors[slots[2 * eid + 1]]``.
+        """
+        return self._ends
+
+    def with_isolated_nodes(self, count: int) -> "PortGraph":
+        """This graph plus ``count`` isolated nodes numbered after its
+        own.  Isolated nodes own no port slots, so only the offsets
+        table grows; the other tables are shared with this graph."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        off = array(_CSR_TYPECODE, self._off)
+        off.extend([off[-1]] * count)
+        graph = PortGraph.__new__(PortGraph)
+        graph._adopt_csr(
+            self._num_nodes + count,
+            self._num_edges,
+            off,
+            self._nbr,
+            self._peer,
+            self._eids,
+            self._ends,
+        )
+        return graph
 
     def incident_edge_ids(self, v: int) -> list[int]:
         """Edge ids at ``v`` in port order (shared, frozen — do not

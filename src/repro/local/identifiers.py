@@ -25,6 +25,7 @@ class IdAssignment:
             raise ValueError("identifiers must be positive")
         self._ids = ids
         self._inverse = {identifier: v for v, identifier in enumerate(ids)}
+        self._max_id = max(ids, default=0)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -38,7 +39,7 @@ class IdAssignment:
         return self._inverse[identifier]
 
     def max_id(self) -> int:
-        return max(self._ids) if self._ids else 0
+        return self._max_id
 
     def as_list(self) -> list[int]:
         return list(self._ids)

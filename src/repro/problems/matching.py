@@ -51,6 +51,8 @@ class MaximalMatching:
 
     def problem(self) -> NeLCL:
         def node_ok(cfg: NodeConfiguration) -> bool:
+            if not all(half in _HALF for half in cfg.half_outputs):
+                return False
             matched_ports = [
                 p for p in cfg.ports() if cfg.half_outputs[p][0] == 1
             ]
@@ -73,6 +75,8 @@ class MaximalMatching:
             return True
 
         def edge_ok(cfg: EdgeConfiguration) -> bool:
+            if not all(half in _HALF for half in cfg.half_outputs):
+                return False
             (m1, a1, b1), (m2, a2, b2) = cfg.half_outputs
             if m1 != m2:
                 return False
@@ -94,20 +98,33 @@ class MaximalMatching:
         )
 
 
+def _endpoints(graph: PortGraph) -> tuple[list[int], list[int]]:
+    """The ``a``-side and ``b``-side node of every edge, by edge id."""
+    nbr = graph.csr()[1]
+    ends = graph.edge_slots()
+    # the node of one side is the neighbor entry of the other
+    return [nbr[b] for b in ends[1::2]], [nbr[a] for a in ends[0::2]]
+
+
 def matching_labeling(graph: PortGraph, matched_edges: set[int]) -> Labeling:
     """Encode a matching (set of edge ids) into the output format."""
+    a_nodes, b_nodes = _endpoints(graph)
     node_matched = [0] * graph.num_nodes
     for eid in matched_edges:
-        edge = graph.edge(eid)
-        node_matched[edge.a.node] = 1
-        node_matched[edge.b.node] = 1
-    labeling = Labeling(graph)
-    for edge in graph.edges():
-        m = 1 if edge.eid in matched_edges else 0
-        a, b = edge.a.node, edge.b.node
-        labeling.set_half(edge.a, (m, node_matched[a], node_matched[b]))
-        labeling.set_half(edge.b, (m, node_matched[b], node_matched[a]))
-    return labeling
+        node_matched[a_nodes[eid]] = 1
+        node_matched[b_nodes[eid]] = 1
+    off, nbr, _peer, eids = graph.csr()
+    # each half-edge: (edge matched, own node matched, far node matched)
+    halves = [
+        (
+            1 if eids[slot] in matched_edges else 0,
+            node_matched[v],
+            node_matched[nbr[slot]],
+        )
+        for v in graph.nodes()
+        for slot in range(off[v], off[v + 1])
+    ]
+    return Labeling(graph).set_slot_labels(halves)
 
 
 def line_graph(graph: PortGraph) -> PortGraph:
@@ -117,10 +134,13 @@ def line_graph(graph: PortGraph) -> PortGraph:
     are never matchable); parallel base edges become adjacent line
     nodes.  Each shared endpoint contributes exactly one line edge.
     """
+    off, nbr, _peer, eids = graph.csr()
     pairs = []
     for v in graph.nodes():
-        incident = sorted({graph.edge_id_at(v, p) for p in range(graph.degree(v))})
-        incident = [e for e in incident if not graph.edge(e).is_loop]
+        # a loop's slots at v point back at v
+        incident = sorted(
+            {eids[slot] for slot in range(off[v], off[v + 1]) if nbr[slot] != v}
+        )
         for i, e1 in enumerate(incident):
             for e2 in incident[i + 1 :]:
                 pairs.append((e1, e2))
@@ -148,11 +168,10 @@ class ColorClassMatchingSolver:
         # flattened injectively; communication on the line graph costs a
         # constant factor on the base graph, accounted below.
         base = instance.ids.max_id() + 1
+        a_nodes, b_nodes = _endpoints(graph)
         line_ids = []
-        for edge in graph.edges():
-            lo, hi = sorted(
-                (instance.ids.of(edge.a.node), instance.ids.of(edge.b.node))
-            )
+        for u, w in zip(a_nodes, b_nodes):
+            lo, hi = sorted((instance.ids.of(u), instance.ids.of(w)))
             line_ids.append(lo * base + hi + 1)
         line_instance = Instance(
             lg, IdAssignment(line_ids), None, None, instance.rng
@@ -165,14 +184,13 @@ class ColorClassMatchingSolver:
         sweep_rounds = 0
         for c in range(palette):
             sweep_rounds += 1
-            for eid in range(graph.num_edges):
-                edge = graph.edge(eid)
-                if colors[eid] != c or edge.is_loop:
+            for eid, (u, w) in enumerate(zip(a_nodes, b_nodes)):
+                if colors[eid] != c or u == w:
                     continue
-                if not node_matched[edge.a.node] and not node_matched[edge.b.node]:
+                if not node_matched[u] and not node_matched[w]:
                     matched.add(eid)
-                    node_matched[edge.a.node] = True
-                    node_matched[edge.b.node] = True
+                    node_matched[u] = True
+                    node_matched[w] = True
         line_rounds = coloring_run.rounds
         total_rounds = 2 * line_rounds + sweep_rounds + 1
         return RunResult(
@@ -202,7 +220,9 @@ class LubyMatchingSolver:
         graph = instance.graph
         rng = instance.require_rng()
         stream = rng.global_stream()
-        live = {e.eid for e in graph.edges() if not e.is_loop}
+        off, _nbr, _peer, eids = graph.csr()
+        a_nodes, b_nodes = _endpoints(graph)
+        live = {eid for eid in range(graph.num_edges) if a_nodes[eid] != b_nodes[eid]}
         matched: set[int] = set()
         node_matched = [False] * graph.num_nodes
         rounds = 0
@@ -210,12 +230,11 @@ class LubyMatchingSolver:
             rounds += 1
             marks = {eid: stream.random() for eid in live}
             for eid in sorted(live):
-                edge = graph.edge(eid)
-                a, b = edge.a.node, edge.b.node
+                a, b = a_nodes[eid], b_nodes[eid]
                 competitors = set()
                 for v in (a, b):
-                    for port in range(graph.degree(v)):
-                        other = graph.edge_id_at(v, port)
+                    for slot in range(off[v], off[v + 1]):
+                        other = eids[slot]
                         if other in live and other != eid:
                             competitors.add(other)
                 if all(marks[eid] < marks[c] for c in competitors):
@@ -227,8 +246,8 @@ class LubyMatchingSolver:
                 eid
                 for eid in live
                 if eid not in matched
-                and not node_matched[graph.edge(eid).a.node]
-                and not node_matched[graph.edge(eid).b.node]
+                and not node_matched[a_nodes[eid]]
+                and not node_matched[b_nodes[eid]]
             }
             if rounds > 64 * max(graph.num_edges, 2):  # pragma: no cover
                 raise RuntimeError("matching proposals did not converge")

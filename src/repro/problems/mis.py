@@ -26,7 +26,7 @@ from repro.lcl.assignment import Labeling
 from repro.lcl.labels import EMPTY, LabelSet
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration
 from repro.local.algorithm import Instance, RunResult
-from repro.local.graphs import HalfEdge, PortGraph
+from repro.local.graphs import PortGraph
 from repro.problems.coloring import LinialColoringSolver
 from repro.runtime.registry import register_problem, register_solver
 
@@ -55,6 +55,8 @@ class MaximalIndependentSet:
             bit = cfg.node_output
             if bit not in (IN_SET, OUT_SET):
                 return False
+            if not all(half in _HALF for half in cfg.half_outputs):
+                return False
             for mine, _theirs in cfg.half_outputs:
                 if mine != bit:
                     return False
@@ -66,6 +68,8 @@ class MaximalIndependentSet:
             return True
 
         def edge_ok(cfg: EdgeConfiguration) -> bool:
+            if not all(half in _HALF for half in cfg.half_outputs):
+                return False
             (a_mine, a_theirs), (b_mine, b_theirs) = cfg.half_outputs
             if cfg.is_loop:
                 # both halves describe the same node
@@ -87,15 +91,15 @@ class MaximalIndependentSet:
 
 def mis_labeling(graph: PortGraph, members: set[int]) -> Labeling:
     """Encode a member set into the ne-LCL output format."""
-    labeling = Labeling(graph)
-    for v in graph.nodes():
-        labeling.set_node(v, IN_SET if v in members else OUT_SET)
-    for edge in graph.edges():
-        a_bit = IN_SET if edge.a.node in members else OUT_SET
-        b_bit = IN_SET if edge.b.node in members else OUT_SET
-        labeling.set_half(edge.a, (a_bit, b_bit))
-        labeling.set_half(edge.b, (b_bit, a_bit))
-    return labeling
+    bits = [IN_SET if v in members else OUT_SET for v in graph.nodes()]
+    off, nbr, _peer, _eids = graph.csr()
+    # each half-edge: (own membership, membership across the edge)
+    halves = [
+        (bits[v], bits[u])
+        for v in graph.nodes()
+        for u in nbr[off[v] : off[v + 1]].tolist()
+    ]
+    return Labeling(graph).set_node_labels(bits).set_slot_labels(halves)
 
 
 @register_solver(

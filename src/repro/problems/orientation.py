@@ -27,7 +27,6 @@ from collections import deque
 from typing import Callable
 
 from repro.lcl.assignment import Labeling
-from repro.lcl.labels import EMPTY
 from repro.local.graphs import HalfEdge, PortGraph
 
 __all__ = ["OUT", "IN", "Orientation", "fix_deficient", "FixReport"]
@@ -37,20 +36,47 @@ IN = "in"
 
 
 class Orientation:
-    """A direction for every edge of a graph, mutable via reversal."""
+    """A direction for every edge of a graph, mutable via reversal.
+
+    Each edge's tail is held as a flat CSR slot (``offsets[v] + port``,
+    see :meth:`PortGraph.csr`); the head is the edge's other slot.  The
+    node of a slot is the neighbor entry of its edge's other slot, so
+    no ``Edge``/``HalfEdge`` value is built except by the
+    :class:`HalfEdge`-valued queries ``tail`` and ``head``.
+    """
 
     def __init__(self, graph: PortGraph, tails: dict[int, HalfEdge]):
-        self.graph = graph
         if set(tails) != set(range(graph.num_edges)):
             raise ValueError("an orientation must direct every edge")
-        self._tail: list[HalfEdge] = [None] * graph.num_edges  # type: ignore
-        self._out_degree = [0] * graph.num_nodes
+        off = graph.csr()[0]
+        ends = graph.edge_slots()
+        slots = [0] * graph.num_edges
         for eid, tail in tails.items():
-            edge = graph.edge(eid)
-            if tail not in (edge.a, edge.b):
+            v, port = tail
+            in_range = 0 <= v < graph.num_nodes and 0 <= port < graph.degree(v)
+            slot = off[v] + port if in_range else -1
+            if slot not in (ends[2 * eid], ends[2 * eid + 1]):
                 raise ValueError(f"half-edge {tail} does not belong to edge {eid}")
-            self._tail[eid] = tail
-            self._out_degree[tail.node] += 1
+            slots[eid] = slot
+        self._adopt(graph, slots)
+
+    @classmethod
+    def from_tail_slots(cls, graph: PortGraph, slots: list[int]) -> "Orientation":
+        """The orientation whose edge ``eid`` has its tail at flat slot
+        ``slots[eid]``, which must be one of the edge's two slots
+        (:meth:`PortGraph.edge_slots`).  The list is adopted, not copied."""
+        orientation = cls.__new__(cls)
+        orientation._adopt(graph, slots)
+        return orientation
+
+    def _adopt(self, graph: PortGraph, slots: list[int]) -> None:
+        self.graph = graph
+        self._off, self._nbr, _peer, self._eids = graph.csr()
+        self._ends = graph.edge_slots()
+        self._tail = slots
+        self._out_degree = [0] * graph.num_nodes
+        for eid in range(graph.num_edges):
+            self._out_degree[self.tail_node(eid)] += 1
 
     # -- construction -----------------------------------------------------------
 
@@ -61,62 +87,78 @@ class Orientation:
         Self-loops use the lower port as tail (any choice gives the node
         an out-edge).
         """
-        tails = {}
-        for edge in graph.edges():
-            if edge.is_loop or ids.of(edge.a.node) < ids.of(edge.b.node):
-                tails[edge.eid] = edge.a
-            else:
-                tails[edge.eid] = edge.b
-        return cls(graph, tails)
+        nbr = graph.csr()[1]
+        ends = graph.edge_slots()
+        slots = []
+        for eid in range(graph.num_edges):
+            a, b = ends[2 * eid], ends[2 * eid + 1]
+            u, w = nbr[b], nbr[a]
+            slots.append(a if u == w or ids.of(u) < ids.of(w) else b)
+        return cls.from_tail_slots(graph, slots)
 
     @classmethod
     def by_coin_flips(cls, graph: PortGraph, rng: random.Random) -> "Orientation":
         """Independent fair coin per edge (the randomized first round)."""
-        tails = {}
-        for edge in graph.edges():
-            tails[edge.eid] = edge.a if rng.random() < 0.5 else edge.b
-        return cls(graph, tails)
+        ends = graph.edge_slots()
+        slots = [
+            ends[2 * eid] if rng.random() < 0.5 else ends[2 * eid + 1]
+            for eid in range(graph.num_edges)
+        ]
+        return cls.from_tail_slots(graph, slots)
 
     # -- queries ---------------------------------------------------------------
 
+    def _head_slot(self, eid: int) -> int:
+        ends = self._ends
+        return ends[2 * eid] + ends[2 * eid + 1] - self._tail[eid]
+
     def tail(self, eid: int) -> HalfEdge:
-        return self._tail[eid]
+        node = self.tail_node(eid)
+        return HalfEdge(node, self._tail[eid] - self._off[node])
 
     def head(self, eid: int) -> HalfEdge:
-        return self.graph.edge(eid).other_side(self._tail[eid])
+        node = self.head_node(eid)
+        return HalfEdge(node, self._head_slot(eid) - self._off[node])
+
+    # the node of one side is the neighbor entry of the other
+
+    def tail_node(self, eid: int) -> int:
+        return self._nbr[self._head_slot(eid)]
+
+    def head_node(self, eid: int) -> int:
+        return self._nbr[self._tail[eid]]
 
     def out_degree(self, v: int) -> int:
         return self._out_degree[v]
 
     def points_out_of(self, eid: int, v: int) -> bool:
         """Whether edge ``eid`` contributes an out-edge to node ``v``."""
-        return self._tail[eid].node == v
+        return self.tail_node(eid) == v
 
     def in_edge_ids(self, v: int) -> list[int]:
-        """Edges whose head is ``v`` (for self-loops both sides count)."""
-        result = []
-        for port in range(self.graph.degree(v)):
-            eid = self.graph.edge_id_at(v, port)
-            if self.head(eid) == HalfEdge(v, port):
-                result.append(eid)
-        return result
+        """Edges whose head is ``v``, in port order (for self-loops both
+        sides count)."""
+        eids, tail = self._eids, self._tail
+        return [
+            eids[slot]
+            for slot in range(self._off[v], self._off[v + 1])
+            if tail[eids[slot]] != slot
+        ]
 
     def out_edge_ids(self, v: int) -> list[int]:
-        result = []
-        for port in range(self.graph.degree(v)):
-            eid = self.graph.edge_id_at(v, port)
-            if self.tail(eid) == HalfEdge(v, port):
-                result.append(eid)
-        return result
+        eids, tail = self._eids, self._tail
+        return [
+            eids[slot]
+            for slot in range(self._off[v], self._off[v + 1])
+            if tail[eids[slot]] == slot
+        ]
 
     # -- mutation ---------------------------------------------------------------
 
     def reverse(self, eid: int) -> None:
-        old_tail = self._tail[eid]
-        new_tail = self.graph.edge(eid).other_side(old_tail)
-        self._tail[eid] = new_tail
-        self._out_degree[old_tail.node] -= 1
-        self._out_degree[new_tail.node] += 1
+        self._out_degree[self.tail_node(eid)] -= 1
+        self._tail[eid] = self._head_slot(eid)
+        self._out_degree[self.tail_node(eid)] += 1
 
     def reverse_path(self, eids: list[int]) -> None:
         for eid in eids:
@@ -126,27 +168,26 @@ class Orientation:
 
     def to_labeling(self) -> Labeling:
         """Half-edge labels ``out``/``in``; nodes and edges stay EMPTY."""
-        labeling = Labeling(self.graph)
-        for eid in range(self.graph.num_edges):
-            edge = self.graph.edge(eid)
-            tail = self._tail[eid]
-            labeling.set_half(tail, OUT)
-            labeling.set_half(edge.other_side(tail), IN)
-        return labeling
+        labels = [IN] * len(self._nbr)
+        for slot in self._tail:
+            labels[slot] = OUT
+        return Labeling(self.graph).set_slot_labels(labels)
 
     @classmethod
     def from_labeling(cls, graph: PortGraph, labeling: Labeling) -> "Orientation":
-        tails = {}
-        for edge in graph.edges():
-            a_label = labeling.half(edge.a)
-            b_label = labeling.half(edge.b)
+        ends = graph.edge_slots()
+        labels = labeling.slot_labels()
+        slots = []
+        for eid in range(graph.num_edges):
+            a, b = ends[2 * eid], ends[2 * eid + 1]
+            a_label, b_label = labels[a], labels[b]
             if {a_label, b_label} != {OUT, IN}:
                 raise ValueError(
-                    f"edge {edge.eid} is not consistently oriented: "
+                    f"edge {eid} is not consistently oriented: "
                     f"{a_label!r}/{b_label!r}"
                 )
-            tails[edge.eid] = edge.a if a_label == OUT else edge.b
-        return cls(graph, tails)
+            slots.append(a if a_label == OUT else b)
+        return cls.from_tail_slots(graph, slots)
 
 
 class FixReport:
@@ -185,7 +226,7 @@ def _backward_path_to_donor(
             continue
         in_edges = neighbor_order(orientation.in_edge_ids(x))
         for eid in in_edges:
-            pred = orientation.tail(eid).node
+            pred = orientation.tail_node(eid)
             if pred in parent_edge:
                 continue
             parent_edge[pred] = eid
@@ -196,7 +237,7 @@ def _backward_path_to_donor(
                 while node != start:
                     eid_step = parent_edge[node]
                     path.append(eid_step)
-                    node = orientation.head(eid_step).node
+                    node = orientation.head_node(eid_step)
                 return path
             frontier.append((pred, depth + 1))
     return None
@@ -268,9 +309,8 @@ def fix_deficient(
             radius = len(path) + 1
             report.charge(v, radius)
             for eid in path:
-                edge = graph.edge(eid)
-                report.charge(edge.a.node, radius)
-                report.charge(edge.b.node, radius)
+                report.charge(orientation.tail_node(eid), radius)
+                report.charge(orientation.head_node(eid), radius)
         for v in batch:
             if orientation.out_degree(v) == 0:
                 next_round.append(v)

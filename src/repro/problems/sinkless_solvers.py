@@ -79,22 +79,24 @@ def anchor_scan(graph: PortGraph, ids, v: int, exempt_below: int) -> AnchorScan:
     :func:`repro.kernels.vector.anchor_scans`, and the solver's path
     without numpy.
     """
-    # parent[x] = (predecessor node, eid used); center marked specially
-    parent: dict[int, tuple[int, int]] = {v: (-2, -1)}
+    # parent[x] = (predecessor node, eid used, slot it left through);
+    # center marked specially
+    off, nbr, peer, eids = graph.csr()
+    parent: dict[int, tuple[int, int, int]] = {v: (-2, -1, -1)}
     depth = {v: 0}
     queue = deque([v])
+
+    def side_at_v(slot: int) -> HalfEdge:
+        return HalfEdge(v, slot - off[v])
 
     def claim_toward(target: int) -> tuple[int | None, HalfEdge | None]:
         if target == v:
             return None, None
         node = target
         while True:
-            pred, eid = parent[node]
+            pred, eid, slot = parent[node]
             if pred == v:
-                edge = graph.edge(eid)
-                side = edge.a if edge.a.node == v else edge.b
-                # for a loop both sides are v; take the tail actually used
-                return eid, side
+                return eid, side_at_v(slot)
             node = pred
 
     while queue:
@@ -104,23 +106,22 @@ def anchor_scan(graph: PortGraph, ids, v: int, exempt_below: int) -> AnchorScan:
             eid, tail = claim_toward(x)
             return AnchorScan(radius=d, kind="exempt", claim_eid=eid, claim_tail=tail)
         # scan x's ports in increasing neighbor-id order (then port)
-        ports = sorted(
-            range(graph.degree(x)),
-            key=lambda p: (ids.of(graph.neighbor(x, p)), p),
+        slots = sorted(
+            range(off[x], off[x + 1]), key=lambda slot: (ids.of(nbr[slot]), slot)
         )
-        for port in ports:
-            u = graph.neighbor(x, port)
-            eid = graph.edge_id_at(x, port)
+        for slot in slots:
+            u = nbr[slot]
+            eid = eids[slot]
             if u == x:
                 # self-loop: a cycle at distance d
                 if x == v:
-                    side = graph.edge(eid).a
-                    return AnchorScan(d, "loop", eid, side)
+                    lower = min(slot, off[x] + peer[slot])  # the loop's a side
+                    return AnchorScan(d, "loop", eid, side_at_v(lower))
                 claim, tail = claim_toward(x)
                 return AnchorScan(d, "loop", claim, tail)
             if u not in depth:
                 depth[u] = d + 1
-                parent[u] = (x, eid)
+                parent[u] = (x, eid, slot)
                 queue.append(u)
             elif parent[x][1] != eid and parent[u][1] != eid:
                 # non-tree edge: a cycle is contained in the ball of
@@ -128,9 +129,10 @@ def anchor_scan(graph: PortGraph, ids, v: int, exempt_below: int) -> AnchorScan:
                 radius = max(d, depth[u])
                 closer = x if depth[x] <= depth[u] else u
                 if closer == v:
-                    edge = graph.edge(eid)
-                    side = edge.a if edge.a.node == v else edge.b
-                    return AnchorScan(radius, "cycle", eid, side)
+                    # v's side of the edge: this slot, or the far one
+                    # when v is the neighbor u
+                    at_v = slot if x == v else off[u] + peer[slot]
+                    return AnchorScan(radius, "cycle", eid, side_at_v(at_v))
                 claim, tail = claim_toward(closer)
                 return AnchorScan(radius, "cycle", claim, tail)
     # no anchor: the component is a tree whose nodes all have degree
@@ -206,16 +208,18 @@ class DeterministicSinklessSolver:
                 # the smaller-identifier claimant wins
                 if ids.of(tail.node) < ids.of(previous.node):
                     claims[claim_eid] = tail
-        tails = {}
-        for edge in graph.edges():
-            claimed = claims.get(edge.eid)
+        off, nbr, _peer, _eids = graph.csr()
+        ends = graph.edge_slots()
+        tails = []
+        for eid in range(graph.num_edges):
+            claimed = claims.get(eid)
+            a, b = ends[2 * eid], ends[2 * eid + 1]
             if claimed is not None:
-                tails[edge.eid] = claimed
-            elif edge.is_loop or ids.of(edge.a.node) < ids.of(edge.b.node):
-                tails[edge.eid] = edge.a
+                tails.append(off[claimed.node] + claimed.port)
             else:
-                tails[edge.eid] = edge.b
-        orientation = Orientation(graph, tails)
+                u, w = nbr[b], nbr[a]
+                tails.append(a if u == w or ids.of(u) < ids.of(w) else b)
+        orientation = Orientation.from_tail_slots(graph, tails)
         report = fix_deficient(
             graph,
             orientation,
@@ -258,11 +262,14 @@ class RandomizedSinklessSolver:
         rng = instance.require_rng()
         # Per-edge fair coins: each edge uses its own forked stream so the
         # outcome does not depend on iteration order.
-        tails = {}
-        for edge in graph.edges():
-            stream = rng.for_node(graph.num_nodes + edge.eid)
-            tails[edge.eid] = edge.a if stream.random() < 0.5 else edge.b
-        orientation = Orientation(graph, tails)
+        ends = graph.edge_slots()
+        tails = [
+            ends[2 * eid]
+            if rng.for_node(graph.num_nodes + eid).random() < 0.5
+            else ends[2 * eid + 1]
+            for eid in range(graph.num_edges)
+        ]
+        orientation = Orientation.from_tail_slots(graph, tails)
         node_radius = [1 if graph.degree(v) > 0 else 0 for v in graph.nodes()]
         report = fix_deficient(
             graph,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.generators import (
     complete,
     complete_binary_tree,
@@ -19,7 +20,9 @@ from repro.generators import (
     torus_grid,
 )
 from repro.lcl import Labeling, verify
+from repro.lcl.labels import EMPTY
 from repro.local import Instance
+from repro.local.graphs import HalfEdge
 from repro.local.identifiers import random_ids
 from repro.problems import (
     ColorClassMatchingSolver,
@@ -239,6 +242,47 @@ class TestMatching:
     def test_luby_total_on_multigraphs(self, graph, seed):
         result = LubyMatchingSolver().solve(Instance.simple(graph, seed=seed))
         _check(MaximalMatching().problem(), graph, result)
+
+
+_FOREIGN_HALF_LABELS = [7, EMPTY, (1,), (1, 0, 0, 0), "out"]
+
+
+@pytest.mark.parametrize("backend", ["object", "vector"])
+@pytest.mark.parametrize("label", _FOREIGN_HALF_LABELS, ids=repr)
+class TestLabelsOutsideTheAlphabet:
+    """A half-edge label outside the problem's alphabet is a rejected
+    output with a domain violation, never a crash, on both backends."""
+
+    @staticmethod
+    def _verdict(problem, graph, outputs, backend):
+        with kernels.active(backend):
+            return verify(problem, graph, Labeling(graph), outputs)
+
+    @staticmethod
+    def _assert_rejected_at(verdict, side):
+        assert not verdict.ok
+        assert any(
+            v.kind == "domain" and v.where == ("half", side)
+            for v in verdict.violations
+        ), verdict.summary()
+
+    def test_mis(self, label, backend):
+        from repro.problems.mis import mis_labeling
+
+        graph = cycle(6)
+        outputs = mis_labeling(graph, {0, 2, 4})
+        outputs.set_half(HalfEdge(1, 0), label)
+        verdict = self._verdict(MaximalIndependentSet().problem(), graph, outputs, backend)
+        self._assert_rejected_at(verdict, HalfEdge(1, 0))
+
+    def test_matching(self, label, backend):
+        from repro.problems.matching import matching_labeling
+
+        graph = cycle(6)
+        outputs = matching_labeling(graph, {0, 2, 4})
+        outputs.set_half(HalfEdge(3, 1), label)
+        verdict = self._verdict(MaximalMatching().problem(), graph, outputs, backend)
+        self._assert_rejected_at(verdict, HalfEdge(3, 1))
 
 
 class TestTrivial:

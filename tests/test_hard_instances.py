@@ -194,3 +194,55 @@ class TestFamilyConstruction:
         result = levels[1].det_solver.solve(instance)
         verdict = levels[1].verify(instance.graph, instance.inputs, result.outputs)
         assert verdict.ok, verdict.summary()
+
+
+def _reference_lifted_ids(base_ids, instance) -> list[int]:
+    """Lemma 5's padded ids, spelled out: each gadget's first node keeps
+    its base node's id, every other node gets a fresh id above all base
+    ids, and the isolated filler nodes come last."""
+    n = instance.graph.num_nodes
+    stride = n + 1
+    first_free = max(base_ids.as_list()) + 1
+    ids = [0] * n
+    offsets = instance.padded.node_offset
+    for v in instance.base_graph.nodes():
+        size = instance.padded.gadget_of[v].num_nodes
+        ids[offsets[v]] = base_ids.of(v)
+        for offset in range(1, size):
+            ids[offsets[v] + offset] = first_free + v * stride + offset
+    tail = first_free + instance.base_graph.num_nodes * stride + 1
+    for x in range(instance.padded.graph.num_nodes, n):
+        ids[x] = tail
+        tail += 1
+    return ids
+
+
+class TestLiftedIds:
+    @pytest.mark.parametrize("level_index, n", [(2, 900), (2, 4096), (3, 16384)])
+    def test_lifted_ids_match_the_reference_at_every_layer(self, level_index, n):
+        from repro.core.hard_instances import _lifted_ids
+        from repro.generators.hard import cubic_instance, padded_hard_instance
+
+        chain = build_family(level_index)
+        sizes = [n]
+        for _ in range(level_index - 1):
+            sizes.append(max(paper_f(sizes[-1]), 6))
+        instance = cubic_instance(sizes[-1], 0)
+        for depth, target in enumerate(reversed(sizes[:-1]), start=1):
+            hard = hard_instance(
+                instance.graph, chain[depth].family, target, instance.inputs
+            )
+            ids = _lifted_ids(instance.ids, hard)
+            assert ids.as_list() == _reference_lifted_ids(instance.ids, hard)
+            assert ids.max_id() == max(ids.as_list())
+            instance = Instance(hard.graph, ids, hard.inputs, target, NodeRng(0))
+        built = padded_hard_instance(chain[level_index - 1], n, 0)
+        assert built.ids.as_list() == instance.ids.as_list()
+
+    def test_max_id_is_the_largest_id(self):
+        from repro.local.identifiers import IdAssignment, random_ids
+
+        assert IdAssignment([]).max_id() == 0
+        assert IdAssignment([4, 9, 2]).max_id() == 9
+        ids = random_ids(50, random.Random(1))
+        assert ids.max_id() == max(ids.as_list())
