@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.analysis.growth import best_fit, fit_growth
+from repro.analysis.growth import best_fit
 from repro.analysis.sweep import Sweep, run_sweep
 from repro.analysis.tables import render_table
 from repro.local.algorithm import Instance, LocalAlgorithm

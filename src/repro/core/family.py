@@ -23,7 +23,7 @@ from repro.lcl.assignment import Labeling
 from repro.lcl.problem import NeLCL
 from repro.lcl.verifier import Verdict
 from repro.lcl.verifier import verify as lcl_verify
-from repro.local.algorithm import Instance, LocalAlgorithm, RunResult
+from repro.local.algorithm import Instance, LocalAlgorithm
 from repro.local.graphs import PortGraph
 from repro.problems.sinkless import SinklessOrientation
 from repro.problems.sinkless_solvers import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 from repro.core.padding import GADEDGE, PORTEDGE
-from repro.core.projection import edge_tag, gadget_part, pi_part
+from repro.core.projection import edge_tag, pi_part
 from repro.core.virtual_graph import (
     PORT_ERR1,
     PORT_ERR2,

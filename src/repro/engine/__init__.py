@@ -13,27 +13,13 @@ always used.  The same pipeline scales out: a
 (:func:`merge_shard_reports` + cache union).  ``python -m
 repro.engine`` exposes the named experiments of
 :mod:`repro.engine.experiments` and the
-``plan``/``run-shard``/``merge`` flow from the shell.
-
-On top of the shard layer sits the fault-tolerant fabric
-(:func:`run_fabric`): a launcher that drives every shard as a
-supervised subprocess with persisted leases, heartbeat liveness,
-retry with exponential backoff, and graceful degradation to a gap
-manifest — plus the seeded fault-injection harness
-(:mod:`repro.engine.faults`) that makes each failure mode a
-deterministic test case.
+``plan``/``run-shard``/``merge`` flow from the shell.  Any launcher
+can run the shards and restart one that dies: ``run_shard`` stores
+each chunk as it arrives, so a rerun recomputes only what was lost.
 """
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, CacheStats, TrialCache
 from repro.engine.experiments import EXPERIMENTS, build_experiment
-from repro.engine.fabric import (
-    BackoffPolicy,
-    FabricResult,
-    Lease,
-    LeaseBoard,
-    run_fabric,
-)
-from repro.engine.faults import FaultInjector, FaultSpec, parse_fault_specs
 from repro.engine.pool import WorkerCrashed, default_workers, run_task_batches
 from repro.engine.runner import (
     EngineReport,
@@ -55,18 +41,12 @@ from repro.engine.spec import (
 )
 
 __all__ = [
-    "BackoffPolicy",
     "CACHE_VERSION",
     "CacheStats",
     "DEFAULT_CACHE_DIR",
     "EXPERIMENTS",
     "EngineReport",
     "ExperimentSpec",
-    "FabricResult",
-    "FaultInjector",
-    "FaultSpec",
-    "Lease",
-    "LeaseBoard",
     "ShardManifest",
     "ShardPlan",
     "ShardReport",
@@ -79,10 +59,8 @@ __all__ = [
     "execute_trial_batch",
     "grid",
     "merge_shard_reports",
-    "parse_fault_specs",
     "plan_experiment",
     "run_experiment",
-    "run_fabric",
     "run_shard",
     "run_task_batches",
     "seed_grid",

@@ -48,9 +48,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    #: Undecodable or non-object lines skipped while reading this
-    #: cache's roots, imports, and merge sources — mostly the torn
-    #: tails killed writers leave.
+    #: Lines that are not a record, skipped while reading this cache's
+    #: roots, imports, and merge sources — mostly the torn tails killed
+    #: writers leave.
     torn_lines: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -67,11 +67,12 @@ def _parse_lines(
 ) -> Iterator[tuple[str, dict[str, Any]]]:
     """Yield ``(key, record)`` pairs from one shard/export file.
 
-    A missing file reads as empty; undecodable lines (the torn tail a
-    killed writer leaves) and lines that decode to anything but a JSON
-    object are skipped rather than poisoning the run, with ``on_torn``
-    called once per skip so callers can account for them instead of
-    silently under-reading.
+    A missing file reads as empty.  Every other line that is not a
+    record — an object with a non-empty string ``key`` and an object
+    ``record`` — is skipped rather than poisoning the run: mostly the
+    torn tail a killed writer leaves, sometimes a stray value.
+    ``on_torn`` is called once per skip so callers can account for them
+    instead of silently under-reading.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -83,13 +84,16 @@ def _parse_lines(
                     entry = json.loads(line)
                 except json.JSONDecodeError:
                     entry = None  # torn write at the tail of the file
-                if not isinstance(entry, dict):  # torn, or a stray value
+                if not (
+                    isinstance(entry, dict)
+                    and isinstance(entry.get("key"), str)
+                    and entry["key"]
+                    and isinstance(entry.get("record"), dict)
+                ):
                     if on_torn is not None:
                         on_torn()
                     continue
-                key = entry.get("key")
-                if key and "record" in entry:
-                    yield key, entry["record"]
+                yield entry["key"], entry["record"]
     except OSError:
         return  # missing file == empty file
 
@@ -343,10 +347,12 @@ class TrialCache:
         Returns ``(kept, dropped)`` line counts.  Appends accumulate a
         line per put — re-runs after merges or interruptions write keys
         that already exist — and compaction is the one operation that
-        reclaims that space.  Each file is rewritten atomically
-        (temp file + ``os.replace``) and only when it actually shrinks;
-        the read view is unchanged, since replay already kept only the
-        last record per key.
+        reclaims that space.  Lines that are not a record (mostly the
+        half-written tail a killed writer leaves) are dropped and
+        counted too.  Each file is rewritten atomically (temp file +
+        ``os.replace``) and only when it actually shrinks; the read view
+        is unchanged, since replay already kept only the last record per
+        key and skipped every other line.
 
         **Single-writer only**: unlike every other operation here,
         compaction is read-modify-replace, so records appended by a
@@ -373,12 +379,14 @@ class TrialCache:
                 path = os.path.join(root, name)
                 entries: dict[str, dict[str, Any]] = {}
                 lines = 0
-                for key, record in _parse_lines(path):
+                torn = []
+                for key, record in _parse_lines(path, lambda: torn.append(1)):
                     entries[key] = record
                     lines += 1
                 kept += len(entries)
-                dropped += lines - len(entries)
-                if lines == len(entries):
+                stale = lines + len(torn) - len(entries)
+                dropped += stale
+                if not stale:
                     continue  # already compact: skip the rewrite
                 tmp = path + ".compact"
                 with open(tmp, "w", encoding="utf-8") as handle:

@@ -6,8 +6,6 @@ Subcommands::
     python -m repro.engine plan --experiment landscape --shards 4 --out plan.json
     python -m repro.engine run-shard --plan plan.json --shard 0/4 --cache-out shard0
     python -m repro.engine merge --plan plan.json --from shard0 shard1 shard2 shard3
-    python -m repro.engine fabric --plan plan.json --cache-dir cache
-    python -m repro.engine fabric --plan plan.json --target 'cmd://ssh h ...'
     python -m repro.engine status --plan plan.json
     python -m repro.engine stats --report report.json
     python -m repro.engine cache --status
@@ -24,8 +22,7 @@ phase/counter breakdown a ``--json`` report carries, and ``cache
 --status`` the trial cache's counters.
 
 A flag shared by several subcommands means the same in each:
-``--json -`` is stdout, count flags reject values below 1, and
-``fabric``'s seconds flags reject values that are not positive.
+``--json -`` is stdout, and count flags reject values below 1.
 ``run`` prints one table per spec (the same renderer the benchmark
 suite feeds into ``benchmarks/conftest.report``) plus
 cache/parallelism accounting, and optionally writes the full JSON
@@ -37,24 +34,19 @@ experiment, ``run-shard`` executes one shard of it anywhere (a private
 ``--cache-out`` root keeps concurrent shards from contending), and
 ``merge`` unions the shard caches and rebuilds the exact report — and
 Figure 1 table — a single-host run would have produced.  Any shell
-loop, make, or batch scheduler can drive it — or ``fabric`` drives all
-shards itself as supervised subprocesses, with leases, heartbeat
-liveness, retry with backoff, and graceful degradation (exit 4 plus a
-gap manifest when shards exhaust their attempts).
+loop, ``xargs -P``, or batch scheduler can drive it, and restarts a
+shard that dies: ``run-shard`` stores each chunk as it completes, so
+the rerun recomputes only the chunks that were lost, and ``status``
+shows which shards still owe trials.
 
 Failure hygiene: every subcommand reports a setup failure (a missing
 plan or cache root, a bad shard index, an unknown name) as one
 structured line (command, experiment, shard, cause) on stderr, and
-``run``/``run-shard``/``merge``/``fabric`` report run-time failures (a
-rejected output, a crashed worker) the same way and exit 3 — never a
-bare traceback.  ``--json-errors`` switches that line to a JSON object
-for supervising processes.  Usage errors are argparse's own message.
-Exit codes: 0 success, 2 bad invocation/setup, 3 run-time failure
-(an interrupted ``fabric`` included), 4 degraded fabric.  ``run-shard
---heartbeat PATH`` publishes the :mod:`repro.obs.heartbeat` progress
-file the fabric watches, ``--inject SPEC`` arms the
-:mod:`repro.engine.faults` chaos harness, and ``status --heartbeats
-DIR`` renders the heartbeat files in a fabric work dir.
+``run``/``run-shard``/``merge`` report run-time failures (a rejected
+output, a crashed worker) the same way and exit 3 — never a bare
+traceback.  ``--json-errors`` switches that line to a JSON object a
+launcher can parse.  Usage errors are argparse's own message.  Exit
+codes: 0 success, 2 bad invocation/setup, 3 run-time failure.
 """
 
 from __future__ import annotations
@@ -62,23 +54,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
-import shlex
 import sys
 from typing import Sequence
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, TrialCache
 from repro.engine.experiments import EXPERIMENTS, build_experiment, paper_placement
-from repro.engine.fabric import BackoffPolicy, run_fabric
-from repro.engine.faults import (
-    ENV_ATTEMPT,
-    ENV_FAULTS,
-    FaultInjector,
-    parse_fault_specs,
-)
 from repro.engine.pool import default_workers
-from repro.engine.remote import ExecTarget, assign_targets, shard_context
 from repro.engine.runner import (
     EngineReport,
     plan_experiment,
@@ -91,14 +73,7 @@ from repro.engine.shard import (
     load_plan_file,
     shard_coverage,
 )
-from repro.obs import (
-    HeartbeatEmitter,
-    TraceSink,
-    format_telemetry,
-    get_telemetry,
-    merge_snapshots,
-    read_heartbeat,
-)
+from repro.obs import TraceSink, format_telemetry, get_telemetry, merge_snapshots
 from repro.runtime import registry
 from repro.util.fsio import atomic_write_text
 
@@ -159,9 +134,9 @@ def _emit_error(
     """One structured error line to stderr; returns the exit code.
 
     The default form is a single greppable key=value line; with
-    ``--json-errors`` it becomes one JSON object, which is what the
-    fabric launcher parses out of a failed shard's log to attribute the
-    failure.  Never a traceback on this path — ``-vv`` logs one.
+    ``--json-errors`` it becomes one JSON object, the form a launcher
+    parses out of a failed shard's stderr to attribute the failure.
+    Never a traceback on this path — ``-vv`` logs one.
     """
     _LOG.debug("%s failed", args.command, exc_info=True)
     cause = type(err).__name__
@@ -365,19 +340,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """The argparse type of every seconds flag: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text!r}"
-        )
-    return value
-
-
 def _parser() -> argparse.ArgumentParser:
     # Every flag more than one subcommand takes is defined once, as a
     # parent parser the subcommands list by name, so a shared flag has
@@ -481,16 +443,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit failures as one JSON object on stderr instead of a text line",
     )
-    parent("inject").add_argument(
-        "--inject",
-        action="append",
-        metavar="SPEC",
-        help=(
-            "arm fault injection, e.g. 'kill@1:at=3' or "
-            "'hang@0:at=1,secs=60' (repeatable; `run-shard` also "
-            f"reads ${ENV_FAULTS}); for chaos tests only"
-        ),
-    )
     verbosity = parent("verbosity")
     verbosity.add_argument(
         "-v",
@@ -550,7 +502,7 @@ def _parser() -> argparse.ArgumentParser:
     run_shard_p = command(
         "run-shard",
         _run_shard,
-        "plan workers cache-dir progress kernels json trace inject json-errors",
+        "plan workers cache-dir progress kernels json trace json-errors",
         help="execute one shard of a plan",
     )
     run_shard_p.add_argument(
@@ -567,16 +519,8 @@ def _parser() -> argparse.ArgumentParser:
             "merge the roots afterward.  Default: write into --cache-dir"
         ),
     )
-    run_shard_p.add_argument(
-        "--heartbeat",
-        metavar="PATH",
-        help=(
-            "publish a progress heartbeat file (atomically replaced) that "
-            "a supervisor can watch for liveness"
-        ),
-    )
 
-    merge = command(
+    command(
         "merge",
         _merge,
         "plan cache-dir from compact workers kernels json trace json-errors",
@@ -585,112 +529,11 @@ def _parser() -> argparse.ArgumentParser:
             "(any remainder is computed locally)"
         ),
     )
-    fabric = command(
-        "fabric",
-        _fabric,
-        "plan cache-dir kernels inject json json-errors",
-        help=(
-            "drive every shard of a plan as supervised subprocesses with "
-            "leases, heartbeat liveness, and retry/backoff"
-        ),
-    )
-    fabric.add_argument(
-        "--work-dir",
-        metavar="DIR",
-        help=(
-            "fabric state directory: lease board, shard roots, heartbeats, "
-            "logs (default: <plan>.fabric/)"
-        ),
-    )
-    fabric.add_argument(
-        "--shard-workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes inside each shard subprocess (default: 1)",
-    )
-    fabric.add_argument(
-        "--max-parallel",
-        type=_positive_int,
-        metavar="N",
-        help="shard subprocesses at once (default: half the CPUs)",
-    )
-    fabric.add_argument(
-        "--heartbeat-timeout",
-        type=_positive_float,
-        default=30.0,
-        metavar="SECONDS",
-        help=(
-            "kill and reassign a shard whose heartbeat stops advancing for "
-            "this long (default: 30)"
-        ),
-    )
-    fabric.add_argument(
-        "--poll-interval",
-        type=_positive_float,
-        default=0.1,
-        metavar="SECONDS",
-        help="launcher supervision loop period (default: 0.1)",
-    )
-    fabric.add_argument(
-        "--max-attempts",
-        type=_positive_int,
-        default=3,
-        metavar="N",
-        help="attempts per shard before it is marked failed (default: 3)",
-    )
-    fabric.add_argument(
-        "--backoff-base",
-        type=_positive_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="first retry delay; doubles per attempt, jittered (default: 0.5)",
-    )
-    fabric.add_argument(
-        "--retry-failed",
-        action="store_true",
-        help=(
-            "on resume, reset shards a previous launcher marked failed "
-            "and try them again"
-        ),
-    )
-    fabric.add_argument(
-        "--target",
-        dest="targets",
-        action="append",
-        metavar="URI",
-        help=(
-            "exec target(s) shards are dealt onto round-robin (repeatable): "
-            "'local://' (default) or a 'cmd://' command template with "
-            "{plan} {shard} {num_shards} {workers} {cache_dir} {out} "
-            "{heartbeat} {kernels} {python} placeholders, e.g. "
-            "\"cmd://ssh host repro-shard {plan} {shard}\"; append "
-            "'#concurrency=N,timeout=S' for per-target caps (a template "
-            "containing '#' must end with '#' or '#options')"
-        ),
-    )
-    fabric.add_argument(
-        "--dry-run",
-        action="store_true",
-        help=(
-            "print each shard's resolved target, workdir, and command "
-            "without spawning anything"
-        ),
-    )
-
-    status = command(
+    command(
         "status",
         _status,
         "plan cache-dir from",
         help="per-shard completion of a plan against a cache",
-    )
-    status.add_argument(
-        "--heartbeats",
-        metavar="DIR",
-        help=(
-            "also render the shard heartbeat files in DIR (a fabric work "
-            "dir): phase, trial progress, emitting pid"
-        ),
     )
 
     stats = command(
@@ -791,11 +634,6 @@ def _show_cache(cache: TrialCache, counters: bool) -> None:
                 counter_prefix="cache.",
             )
         )
-
-
-def _inject_specs(args: argparse.Namespace) -> list:
-    """The fault specs of every repeated ``--inject`` flag."""
-    return [spec for text in args.inject or [] for spec in parse_fault_specs(text)]
 
 
 def _progress_callback(spec_name: str, total: int):
@@ -960,24 +798,6 @@ def _plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_instrumentation(args, index: int, plans: Sequence[ShardPlan]):
-    """The shard's heartbeat emitter and fault injector, from flags + env.
-
-    Fault specs come from repeated ``--inject`` flags and the
-    ``REPRO_FAULTS`` environment variable (how the fabric launcher arms
-    subprocesses); the attempt number the injector filters on is the
-    launcher-stamped ``REPRO_FABRIC_ATTEMPT``.  Both default to inert.
-    """
-    specs = _inject_specs(args) + parse_fault_specs(os.environ.get(ENV_FAULTS))
-    attempt = int(os.environ.get(ENV_ATTEMPT) or 1)
-    injector = FaultInjector(specs, index, attempt)
-    emitter = None
-    if args.heartbeat:
-        total = sum(len(plan.manifest(index).trial_indices()) for plan in plans)
-        emitter = HeartbeatEmitter(args.heartbeat, index, total)
-    return emitter, injector
-
-
 def _run_shard(args: argparse.Namespace) -> int:
     experiment = None
     index = None
@@ -992,7 +812,7 @@ def _run_shard(args: argparse.Namespace) -> int:
         return _run_shard_plans(args, plans, index, cache)
     except Exception as err:
         # The CLI boundary: a solver bug, a rejecting verifier, a full
-        # disk — one attributable line for the supervisor, not a
+        # disk — one attributable line for the launcher, not a
         # traceback (which -vv still logs).
         return _emit_error(args, err, 3, experiment, index)
     finally:
@@ -1001,26 +821,15 @@ def _run_shard(args: argparse.Namespace) -> int:
 
 def _run_shard_plans(args, plans, index, cache) -> int:
     show_progress = args.progress and not args.quiet
-    emitter, injector = _shard_instrumentation(args, index, plans)
-    if emitter is not None:
-        emitter.start()
     reports = []
     for plan in plans:
         manifest = plan.manifest(index)
-        progress_cb = None
+        on_record = None
         if show_progress:
-            progress_cb = _progress_callback(
+            on_record = _progress_callback(
                 f"{manifest.spec.name} [shard {index}]",
                 len(manifest.trial_indices()),
             )
-        on_record = None
-        if progress_cb is not None or emitter is not None or injector.active:
-            def on_record(record, _cb=progress_cb):
-                if _cb is not None:
-                    _cb(record)
-                if emitter is not None:
-                    emitter.record()
-                injector.on_trial()
         reports.append(
             run_shard(
                 manifest,
@@ -1033,11 +842,6 @@ def _run_shard_plans(args, plans, index, cache) -> int:
         if show_progress:
             print(file=sys.stderr)
         print(reports[-1].summary())
-    # Corruption applies to what was actually written, after it all was;
-    # the final heartbeat still reports honest progress either way.
-    injector.on_exit([args.cache_out or args.cache_dir])
-    if emitter is not None:
-        emitter.done()
     total = sum(rep.trials_total for rep in reports)
     hits = sum(rep.cache_hits for rep in reports)
     computed = sum(rep.computed for rep in reports)
@@ -1170,123 +974,6 @@ def _status(args: argparse.Namespace) -> int:
         print(f"\n{remaining} trial(s) remaining before `merge` is all-hits")
     else:
         print("\nplan complete — `merge` will replay without computing")
-    if args.heartbeats:
-        print("\n" + _render_heartbeats(args.heartbeats))
-    return 0
-
-
-def _render_heartbeats(directory: str) -> str:
-    """A one-shot view of the heartbeat files in a fabric work dir.
-
-    Point-in-time, not liveness: staleness needs repeated observation
-    (the fabric launcher's LivenessMonitor does that); what a status
-    probe *can* report is each shard's last published phase and
-    progress, which is usually the question being asked.
-    """
-    from repro.analysis import render_table
-
-    rows = []
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        names = []
-    for name in names:
-        if not name.endswith(".hb.json"):
-            continue
-        beat = read_heartbeat(os.path.join(directory, name))
-        if beat is None:
-            rows.append([name, "(unreadable)", "-", "-", "-"])
-            continue
-        rows.append(
-            [
-                beat.shard_index,
-                beat.phase,
-                f"{beat.done}/{beat.total}",
-                beat.seq,
-                beat.pid,
-            ]
-        )
-    if not rows:
-        return f"no heartbeat files under {directory}"
-    return render_table(
-        ["shard", "phase", "trials", "seq", "pid"],
-        rows,
-        title=f"heartbeats in {directory}",
-    )
-
-
-def _fabric(args: argparse.Namespace) -> int:
-    experiment = None
-    try:
-        experiment, plans = _load_plans(args.plan)
-        targets = [ExecTarget.parse(uri) for uri in args.targets or []]
-        faults = _inject_specs(args)
-        backoff = BackoffPolicy(
-            base=args.backoff_base, max_attempts=args.max_attempts
-        )
-    except (ValueError, OSError) as err:
-        return _emit_error(args, err, 2, experiment)
-    if args.dry_run:
-        return _fabric_dry_run(args, plans, targets)
-    try:
-        result = run_fabric(
-            args.plan,
-            args.cache_dir,
-            work_dir=args.work_dir,
-            shard_workers=args.shard_workers,
-            max_parallel=args.max_parallel,
-            heartbeat_timeout=args.heartbeat_timeout,
-            poll_interval=args.poll_interval,
-            backoff=backoff,
-            faults=faults,
-            retry_failed=args.retry_failed,
-            targets=targets,
-            kernels=args.kernels,
-        )
-    except (Exception, KeyboardInterrupt) as err:
-        # run_fabric has already killed every shard it was running.
-        return _emit_error(args, err, 3, experiment)
-    if result.reports is not None:
-        _print_reports(experiment, result.reports)
-        print()
-    print(result.summary())
-    if args.json:
-        _write_json(args.json, result.as_dict())
-    if not result.ok:
-        work_dir = args.work_dir or args.plan + ".fabric"
-        print(
-            f"gap manifest: {os.path.join(work_dir, 'gaps.json')}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
-
-
-def _fabric_dry_run(args, plans, targets) -> int:
-    """Print each shard's resolved launch plan without spawning.
-
-    The exact context and command :func:`run_fabric` would use — the
-    way to sanity-check a ``cmd://`` template (quoting, placeholder
-    coverage, host assignment) before burning attempts on it.
-    """
-    num_shards = plans[0].num_shards
-    work_dir = args.work_dir or args.plan + ".fabric"
-    target_by_shard = assign_targets(num_shards, targets)
-    for i in range(num_shards):
-        target = target_by_shard[i]
-        ctx = shard_context(
-            args.plan,
-            i,
-            num_shards,
-            args.cache_dir,
-            work_dir,
-            shard_workers=args.shard_workers,
-            kernels=args.kernels,
-        )
-        print(f"shard {i}/{num_shards}: target {target.uri}")
-        print(f"  workdir {work_dir}")
-        print(f"  out     {ctx['out']}")
-        print(f"  command {shlex.join(target.command(ctx))}")
     return 0
 
 

@@ -11,7 +11,10 @@ elsewhere).  Every worker runs an initializer that reseeds the global
 ``random`` module from a per-worker derivation of the pool seed.
 Trial determinism never relies on that — each trial carries its own
 seed and builds its own generators — but it closes the classic fork
-bug where all children inherit one duplicated global RNG state.
+bug where all children inherit one duplicated global RNG state.  The
+initializer also starts a watcher thread that ends the worker as soon
+as its parent is gone, so a parent killed by SIGKILL does not leave
+its workers running.
 
 When ``workers <= 1``, there is only one batch, or the platform cannot
 deliver a working process pool (no ``fork``/``spawn``, sandboxed
@@ -27,6 +30,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
@@ -68,7 +72,19 @@ def default_workers() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
+def _exit_with(
+    parent: multiprocessing.process.BaseProcess,
+) -> None:  # pragma: no cover - runs in child
+    parent.join()  # returns once the parent process is gone
+    os._exit(1)
+
+
 def _worker_init(pool_seed: int) -> None:  # pragma: no cover - runs in child
+    # A parent killed outright never shuts its pool down, and a worker
+    # would finish its chunk and then block on the call queue forever.
+    threading.Thread(
+        target=_exit_with, args=(multiprocessing.parent_process(),), daemon=True
+    ).start()
     mixed = (pool_seed * 0x100000001B3 + os.getpid() * _WORKER_SALT)
     mixed &= 0xFFFFFFFFFFFFFFFF
     random.seed(mixed ^ (mixed >> 33))

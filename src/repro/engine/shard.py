@@ -1,7 +1,7 @@
 """Shards: content-addressed slices of an experiment's chunk plan.
 
-A shard is the unit of *distribution* the way PR 4's chunk is the unit
-of *scheduling*: a :class:`ShardPlan` fixes — once, deterministically —
+A shard is the unit of *distribution* the way a chunk is the unit of
+*scheduling*: a :class:`ShardPlan` fixes — once, deterministically —
 how one spec's full (n, seed) trial grid is cut into worker-dispatch
 chunks and how those chunks are dealt onto K shards, and a
 :class:`ShardManifest` is the JSON-serializable view one shard needs to
@@ -24,7 +24,10 @@ Three properties carry the whole design:
 
 This module is pure data; the execution half (``plan_experiment``,
 ``run_shard``, ``merge_shard_reports``) lives in
-:mod:`repro.engine.runner`.
+:mod:`repro.engine.runner`.  Running the shards is left to any
+launcher (a shell loop, ``xargs -P``, a batch scheduler), which
+restarts a shard that dies; :func:`shard_coverage` is what ``status``
+reports per shard.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "PLAN_VERSION",
     "ShardManifest",
     "ShardPlan",
-    "coverage_gaps",
     "dump_plan_file",
     "load_plan_file",
     "shard_coverage",
@@ -266,44 +268,17 @@ class ShardManifest:
         return cls.from_dict(json.loads(text))
 
 
-def coverage_gaps(
-    plans: Sequence[ShardPlan], contains: Callable[[str], bool]
-) -> tuple[int, int, list[dict[str, Any]]]:
-    """Probe a plan's full trial grid against a presence predicate.
-
-    Returns ``(trials_total, trials_missing, spec_entries)`` where each
-    entry names a spec with holes and its exact missing grid indices —
-    the core of the fabric's gap manifest after shards exhaust their
-    attempts.  ``contains`` is typically ``TrialCache.contains``;
-    because trial keys are content hashes, the probe is exact
-    regardless of which host computed what.
-    """
-    spec_entries: list[dict[str, Any]] = []
-    trials_total = 0
-    trials_missing = 0
-    for plan in plans:
-        trials = plan.spec.trials()
-        trials_total += len(trials)
-        missing = [
-            i for i, trial in enumerate(trials) if not contains(trial.key())
-        ]
-        trials_missing += len(missing)
-        if missing:
-            spec_entries.append(
-                {
-                    "spec": plan.spec.name,
-                    "plan_key": plan.key(),
-                    "trials_total": len(trials),
-                    "missing_indices": missing,
-                }
-            )
-    return trials_total, trials_missing, spec_entries
-
-
 def shard_coverage(
     plans: Sequence[ShardPlan], shard_index: int, contains: Callable[[str], bool]
 ) -> tuple[int, int]:
-    """``(owed, missing)``: :func:`coverage_gaps` for one shard's trials."""
+    """``(owed, missing)``: how many trials shard ``shard_index`` owes
+    across ``plans``, and how many of them ``contains`` does not hold.
+
+    ``contains`` is typically ``TrialCache.contains``; because trial
+    keys are content hashes, the probe is exact regardless of which
+    host computed what.  ``status`` prints it per shard, so a launcher
+    can tell which shards still need a run.
+    """
     owed = missing = 0
     for plan in plans:
         trials = plan.spec.trials()
@@ -337,16 +312,29 @@ def dump_plan_file(experiment: str, plans: Sequence[ShardPlan]) -> dict[str, Any
     }
 
 
-def load_plan_file(payload: dict[str, Any]) -> tuple[str, list[ShardPlan]]:
-    """Invert :func:`dump_plan_file`, revalidating every spec plan."""
+def load_plan_file(payload: Any) -> tuple[str, list[ShardPlan]]:
+    """Invert :func:`dump_plan_file`, revalidating every spec plan.
+
+    Whatever is wrong with the document — a foreign version, a failed
+    content hash, a missing field, a value of the wrong type — raises
+    ``ValueError``, so the CLI reports it as one setup-error line.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"a plan file holds one JSON object, not {type(payload).__name__}"
+        )
     if payload.get("version") != PLAN_VERSION:
         raise ValueError(
             f"unsupported plan-file version {payload.get('version')!r} "
             f"(this build reads version {PLAN_VERSION})"
         )
-    plans = [ShardPlan.from_dict(entry) for entry in payload["specs"]]
-    if not plans:
+    specs = payload.get("specs")
+    if not isinstance(specs, list) or not specs:
         raise ValueError("plan file contains no spec plans")
+    try:
+        plans = [ShardPlan.from_dict(entry) for entry in specs]
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(f"malformed spec plan in plan file: {err!r}") from err
     declared = payload.get("num_shards")
     if declared is not None and any(p.num_shards != declared for p in plans):
         raise ValueError("plan file's num_shards disagrees with its specs")

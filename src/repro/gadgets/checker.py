@@ -27,7 +27,6 @@ unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro.gadgets.labels import (
     CENTER,

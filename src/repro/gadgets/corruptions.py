@@ -20,13 +20,11 @@ from repro.gadgets.labels import (
     GadgetNodeInput,
     Index,
     LCHILD,
-    LEFT,
     NOPORT,
     PARENT,
     Port,
     RCHILD,
     RIGHT,
-    UP,
 )
 from repro.lcl.assignment import Labeling
 from repro.local.graphs import HalfEdge, PortGraph

@@ -34,10 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
-from repro.gadgets.checker import check_node
 from repro.gadgets.labels import (
     ERROR,
-    GADOK,
     LCHILD,
     LEFT,
     PARENT,

@@ -28,14 +28,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable
 
-from repro.gadgets.checker import check_component, check_node
+from repro.gadgets.checker import check_component
 from repro.gadgets.labels import (
     CENTER,
     Down,
     ERROR,
     GADOK,
-    Index,
-    LCHILD,
     LEFT,
     PARENT,
     Pointer,

@@ -8,7 +8,7 @@ needed (see DESIGN.md, "Rounds are measured, not asserted").
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro import kernels
 from repro.local.graphs import PortGraph

@@ -27,30 +27,14 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import TraceSink
 from repro.obs.render import format_telemetry
-from repro.obs.heartbeat import (
-    HEARTBEAT_VERSION,
-    Heartbeat,
-    HeartbeatEmitter,
-    LivenessMonitor,
-    format_liveness,
-    read_heartbeat,
-    write_heartbeat,
-)
 
 __all__ = [
-    "HEARTBEAT_VERSION",
-    "Heartbeat",
-    "HeartbeatEmitter",
-    "LivenessMonitor",
     "SNAPSHOT_VERSION",
     "Telemetry",
     "TraceSink",
     "aggregate",
-    "format_liveness",
     "format_telemetry",
     "get_telemetry",
     "merge_snapshots",
-    "read_heartbeat",
     "set_enabled",
-    "write_heartbeat",
 ]

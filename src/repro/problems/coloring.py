@@ -11,7 +11,7 @@ color-class elimination walks the palette down to the target size
 from __future__ import annotations
 
 from repro.lcl.assignment import Labeling
-from repro.lcl.labels import EMPTY, LabelSet
+from repro.lcl.labels import LabelSet
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration
 from repro.local.algorithm import Instance, RunResult
 from repro.local.simulator import SyncEngine

@@ -13,8 +13,6 @@ proposal scheme on edges.
 
 from __future__ import annotations
 
-import random
-
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import LabelSet
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration

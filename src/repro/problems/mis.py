@@ -23,7 +23,7 @@ Solvers:
 from __future__ import annotations
 
 from repro.lcl.assignment import Labeling
-from repro.lcl.labels import EMPTY, LabelSet
+from repro.lcl.labels import LabelSet
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration
 from repro.local.algorithm import Instance, RunResult
 from repro.local.graphs import PortGraph

@@ -1,11 +1,11 @@
 """Crash-safe file writes: tmp file + ``os.replace``.
 
 Every file the engine hands to another process — plan files, shard
-report JSON, cache exports, lease boards, heartbeats — must be either
-absent or complete: a reader that races a writer (or outlives a killed
-one) may see the *old* contents but never a torn prefix.  POSIX rename
-within one directory gives exactly that, so the helper stages the text
-in a sibling temp file and atomically replaces the target.
+report JSON, cache exports — must be either absent or complete: a
+reader that races a writer (or outlives a killed one) may see the
+*old* contents but never a torn prefix.  POSIX rename within one
+directory gives exactly that, so the helper stages the text in a
+sibling temp file and atomically replaces the target.
 """
 
 from __future__ import annotations

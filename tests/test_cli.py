@@ -3,11 +3,12 @@
 Shared flags are parent parsers, so dropping one from a subcommand
 changes that subcommand's option strings: the table below pins every
 subcommand's surface.  Around it, the behaviour the shared definitions
-make uniform: count flags reject values below 1 and seconds flags
-values that are not positive, both at parse time, ``--json -`` means
-stdout everywhere, usage errors come back from ``main`` as exit code 2
-instead of ``SystemExit``, and a run-time failure comes back as exit
-code 3 with one error line, not a traceback.
+make uniform: count flags reject values below 1 at parse time,
+``--json -`` means stdout everywhere, usage errors come back from
+``main`` as exit code 2 instead of ``SystemExit``, and a failure comes
+back as one error line (``--json-errors``: one JSON object), not a
+traceback: exit code 2 for setup (a missing, torn or malformed plan
+file included), 3 at run time.
 """
 
 from __future__ import annotations
@@ -19,17 +20,14 @@ import pytest
 
 from repro.engine import cli
 from repro.engine.cli import main
+from repro.engine.runner import plan_experiment
+from repro.engine.shard import dump_plan_file
+from repro.engine.spec import ExperimentSpec
 
 #: Every subcommand's options, besides ``-h``/``-v``/``-q`` (all take those).
 SURFACE = {
     "cache": ["--cache-dir", "--compact", "--status"],
     "describe": [],
-    "fabric": [
-        "--backoff-base", "--cache-dir", "--dry-run", "--heartbeat-timeout",
-        "--inject", "--json", "--json-errors", "--kernels", "--max-attempts",
-        "--max-parallel", "--plan", "--poll-interval", "--retry-failed",
-        "--shard-workers", "--target", "--work-dir",
-    ],
     "list": [],
     "merge": [
         "--cache-dir", "--compact", "--from", "--json", "--json-errors",
@@ -45,19 +43,80 @@ SURFACE = {
         "--workers",
     ],
     "run-shard": [
-        "--cache-dir", "--cache-out", "--heartbeat", "--inject", "--json",
-        "--json-errors", "--kernels", "--plan", "--progress", "--shard",
-        "--trace", "--workers",
+        "--cache-dir", "--cache-out", "--json", "--json-errors", "--kernels",
+        "--plan", "--progress", "--shard", "--trace", "--workers",
     ],
     "stats": ["--cache-dir", "--report"],
-    "status": ["--cache-dir", "--from", "--heartbeats", "--plan"],
+    "status": ["--cache-dir", "--from", "--plan"],
 }
 EVERYWHERE = ["-h", "--help", "-q", "--quiet", "-v", "--verbose"]
-COUNT_FLAGS = {
-    "workers", "max_n", "seeds", "batch_size", "shards", "shard_workers",
-    "max_parallel", "max_attempts",
+COUNT_FLAGS = {"workers", "max_n", "seeds", "batch_size", "shards"}
+#: Every (subcommand, count flag) pair of the surface above.
+COUNT_FLAG_USES = [
+    (name, option)
+    for name, options in sorted(SURFACE.items())
+    for option in options
+    if option[2:].replace("-", "_") in COUNT_FLAGS
+]
+#: The least argv each count-flag subcommand parses, without the flag.
+REQUIRED_ARGV = {
+    "merge": ["--plan", "plan.json"],
+    "plan": ["--experiment", "sinkless", "--shards", "1"],
+    "run": ["--experiment", "sinkless", "--no-cache"],
+    "run-shard": ["--plan", "plan.json", "--shard", "0"],
 }
-SECONDS_FLAGS = {"heartbeat_timeout", "poll_interval", "backoff_base"}
+
+
+def _dumps_after(edit):
+    """A plan file's text after ``edit`` changed its payload in place."""
+
+    def text(payload):
+        edit(payload)
+        return json.dumps(payload)
+
+    return text
+
+
+#: Broken plan files, each with the cause its setup error names
+#: (``None``: no file at all).
+BAD_PLAN_FILES = {
+    "missing": (None, "FileNotFoundError"),
+    "torn": (lambda payload: json.dumps(payload)[:-40], "JSONDecodeError"),
+    "a-list": (lambda payload: json.dumps([payload]), "ValueError"),
+    "foreign-version": (
+        _dumps_after(lambda payload: payload.update(version=99)),
+        "ValueError",
+    ),
+    "no-specs": (_dumps_after(lambda payload: payload.pop("specs")), "ValueError"),
+    "empty-specs": (
+        _dumps_after(lambda payload: payload.update(specs=[])),
+        "ValueError",
+    ),
+    "spec-plan-not-an-object": (
+        _dumps_after(lambda payload: payload.update(specs=["sinkless"])),
+        "ValueError",
+    ),
+    "spec-plan-missing-a-field": (
+        _dumps_after(lambda payload: payload["specs"][0].pop("spec")),
+        "ValueError",
+    ),
+    "field-of-the-wrong-type": (
+        _dumps_after(lambda payload: payload["specs"][0].update(num_shards=None)),
+        "ValueError",
+    ),
+    "tampered": (
+        _dumps_after(lambda payload: payload["specs"][0].update(batch_size=7)),
+        "ValueError",
+    ),
+    "truncated": (
+        _dumps_after(lambda payload: payload["specs"][0].update(chunks=[])),
+        "ValueError",
+    ),
+    "shard-count-disagrees": (
+        _dumps_after(lambda payload: payload.update(num_shards=3)),
+        "ValueError",
+    ),
+}
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -85,8 +144,6 @@ def test_every_subcommand_keeps_its_option_strings():
         for action in sub._actions:
             if action.dest in COUNT_FLAGS:
                 assert action.type is cli._positive_int, (name, action.dest)
-            if action.dest in SECONDS_FLAGS:
-                assert action.type is cli._positive_float, (name, action.dest)
 
 
 def test_usage_errors_return_2(tmp_path, monkeypatch, capsys):
@@ -106,6 +163,20 @@ def test_negative_workers_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, flag", COUNT_FLAG_USES)
+def test_count_flags_reject_values_below_one(
+    command, flag, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    for bad in ("0", "-1", "1.5", "many"):
+        argv = [command, *REQUIRED_ARGV[command], flag, bad]
+        assert main(argv) == 2, bad
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected a positive integer" in captured.err
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # no handler ran
+
+
 def test_run_time_failure_exits_3_with_one_error_line(monkeypatch, capsys):
     def reject(spec, **kwargs):
         raise AssertionError(f"rejected output (spec={spec.name})")
@@ -119,54 +190,6 @@ def test_run_time_failure_exits_3_with_one_error_line(monkeypatch, capsys):
         "error: command=run experiment=sinkless cause=AssertionError "
         "message='rejected output (spec=sinkless/"
     )
-    assert captured.out == ""
-
-
-def test_interrupted_fabric_exits_3_with_one_error_line(
-    plan_path, monkeypatch, capsys
-):
-    def interrupted(*args, **kwargs):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(cli, "run_fabric", interrupted)
-    capsys.readouterr()
-    try:
-        code = main(["fabric", "--plan", plan_path])
-    except KeyboardInterrupt:
-        pytest.fail("the interrupt escaped the CLI as a traceback")
-    assert code == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(
-        "error: command=fabric experiment=sinkless cause=KeyboardInterrupt"
-    )
-
-
-def test_zero_max_parallel_is_a_usage_error(plan_path, capsys):
-    capsys.readouterr()
-    argv = ["fabric", "--plan", plan_path, "--max-parallel", "0", "--dry-run"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "--max-parallel" in captured.err
-    assert captured.out == ""  # nothing resolved, nothing printed
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--poll-interval", "-1"),
-        ("--heartbeat-timeout", "0"),
-        ("--backoff-base", "nan"),
-        ("--poll-interval", "soon"),
-    ],
-)
-def test_nonpositive_seconds_are_usage_errors(plan_path, capsys, flag, value):
-    # A negative poll interval used to crash the supervision loop with
-    # its first shard already running.
-    capsys.readouterr()
-    argv = ["fabric", "--plan", plan_path, flag, value, "--dry-run"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert flag in captured.err and "positive number" in captured.err
     assert captured.out == ""
 
 
@@ -186,3 +209,83 @@ def test_run_shard_json_dash_is_stdout(plan_path, tmp_path, monkeypatch, capsys)
     assert payload["shard_index"] == 0
     assert payload["reports"]
     assert not (tmp_path / "-").exists()
+
+
+def test_run_shard_setup_error_is_one_structured_line(tmp_path, capsys):
+    code = main(["run-shard", "--plan", str(tmp_path / "nope.json"), "--shard", "0"])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: command=run-shard")
+    assert "cause=FileNotFoundError" in err
+    assert "\n" not in err
+
+
+def test_run_shard_json_errors_emits_parseable_json(plan_path, capsys):
+    capsys.readouterr()
+    code = main(["run-shard", "--plan", plan_path, "--shard", "7/2", "--json-errors"])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error["command"] == "run-shard"
+    assert error["experiment"] == "sinkless"
+    assert error["cause"] == "ValueError"
+    assert error["exit_code"] == 2
+
+
+def test_run_shard_runtime_failure_exits_3_with_shard_attribution(
+    tmp_path, capsys
+):
+    # The declared-unsound probe: the verifier rejects its output.
+    failing = ExperimentSpec(
+        "test/shard-fail",
+        "gadget-proof",
+        "gadget-prover",
+        "corrupt-color-clash",
+        ns=(4,),
+        seeds=(0,),
+    )
+    path = str(tmp_path / "plan.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(
+            dump_plan_file("test-fail", [plan_experiment(failing, batch_size=1)]),
+            handle,
+        )
+    argv = ["run-shard", "--plan", path, "--shard", "0/1"]
+    code = main(argv + ["--cache-dir", str(tmp_path / "cache"), "--json-errors"])
+    assert code == 3
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error["shard"] == 0
+    assert error["cause"] == "AssertionError"
+    assert "prover flagged a valid gadget (n=4, seed=0)" in error["message"]
+
+
+def test_merge_missing_cache_is_structured(plan_path, tmp_path, capsys):
+    capsys.readouterr()
+    argv = ["merge", "--plan", plan_path, "--cache-dir", str(tmp_path / "missing")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: command=merge")
+
+
+@pytest.mark.parametrize("command", ["run-shard", "merge", "status"])
+@pytest.mark.parametrize("case", sorted(BAD_PLAN_FILES))
+def test_a_bad_plan_file_is_one_setup_error_line(
+    case, command, plan_path, tmp_path, capsys
+):
+    make, cause = BAD_PLAN_FILES[case]
+    bad = tmp_path / "bad.json"
+    if make is not None:
+        with open(plan_path, encoding="utf-8") as handle:
+            bad.write_text(make(json.load(handle)), encoding="utf-8")
+    argv = [command, "--plan", str(bad), "--cache-dir", str(tmp_path / "cache")]
+    if command == "run-shard":
+        argv += ["--shard", "0"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: command={command} cause={cause} message=")
+    assert captured.out == ""
+    if command != "status":  # the subcommands a launcher parses
+        assert main(argv + ["--json-errors"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["cause"], error["exit_code"]) == (cause, 2)
+    assert not (tmp_path / "cache").exists()

@@ -16,9 +16,14 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.analysis import run_sweep
 from repro.analysis.sweep import SweepPoint
 from repro.engine import (
@@ -32,6 +37,7 @@ from repro.engine import (
     run_task_batches,
 )
 from repro.engine.cli import main as engine_main
+from repro.engine.pool import WorkerCrashed, _make_executor
 from repro.generators.hard import cubic_instance
 from repro.obs import get_telemetry
 from repro.problems import DeterministicSinklessSolver
@@ -211,6 +217,72 @@ class TestPool:
         assert delivered == [0, 1, 2]
         assert get_telemetry().counters()["pool.serial_fallbacks"] == 1
 
+    def test_worker_death_raises_typed_error_with_lost_chunks(self):
+        # The guard matters: on a pool-less platform the batches would
+        # run serially and the suicide batch would kill pytest.
+        _require_a_pool()
+        delivered = {}
+        with pytest.raises(WorkerCrashed) as excinfo:
+            run_task_batches(
+                _suicide_batch,
+                ["a", "die", "b", "c"],
+                workers=2,
+                on_result=lambda i, result: delivered.__setitem__(i, result),
+            )
+        lost = set(excinfo.value.chunk_indices)
+        assert 1 in lost
+        assert set(delivered) | lost == {0, 1, 2, 3}
+        for i, result in delivered.items():
+            assert result == f"ok:{['a', 'die', 'b', 'c'][i]}"
+
+    def test_task_exceptions_still_propagate_as_themselves(self):
+        with pytest.raises(ValueError, match="boom"):
+            run_task_batches(_raising_batch, ["x", "y"], workers=2)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process groups from /proc"
+    )
+    def test_a_killed_parent_takes_its_workers_with_it(self):
+        # The parent leads its own process group, so its pool workers
+        # share the group id, which is the parent's pid.
+        _require_a_pool()
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = (
+            "import time\n"
+            "from repro.engine.pool import run_task_batches\n"
+            "run_task_batches(time.sleep, [60, 60, 60, 60], workers=2)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(_live_group_members(parent.pid)) < 3:
+                assert parent.poll() is None, "the pool's parent exited early"
+                assert time.monotonic() < deadline, "the pool never started"
+                time.sleep(0.05)
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while _live_group_members(parent.pid):
+                assert time.monotonic() < deadline, _live_group_members(parent.pid)
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(parent.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            parent.wait(timeout=10)
+
+
+def _require_a_pool():
+    executor = _make_executor(2, 2, 0)
+    if executor is None:
+        pytest.skip("no process pool on this platform")
+    executor.shutdown()
+
 
 def _double(x):
     return 2 * x
@@ -218,6 +290,37 @@ def _double(x):
 
 def _with_pid(x):
     return x, os.getpid()
+
+
+def _suicide_batch(payload):
+    if payload == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return f"ok:{payload}"
+
+
+def _raising_batch(payload):
+    raise ValueError(f"boom: {payload}")
+
+
+def _live_group_members(pgid: int) -> list[str]:
+    """The command lines of running (non-zombie) processes in a group."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue  # exited while we looked
+        # The command name (field 2) may hold spaces and parentheses;
+        # the fields after its closing paren are state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(f"{entry}: {cmdline}")
+    return members
 
 
 class TestSweepShim:

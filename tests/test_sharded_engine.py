@@ -5,7 +5,9 @@ ANY order, on any mix of processes, with any per-shard cache roots,
 then merging, yields records — and a Figure 1 table — byte-identical
 to the single-host run.  The suite pins that (K in {1, 2, 5} against
 the per-trial oracle, plus the K=4 shuffled landscape acceptance run),
-and the cache algebra that makes distributed merge safe: union is
+the property a launcher's restart rests on (a shard that fails mid-run
+keeps its finished chunks, and the rerun computes only the rest), and
+the cache algebra that makes distributed merge safe: union is
 idempotent and commutative, compaction preserves the index, and a torn
 trailing line never poisons an import.
 """
@@ -13,14 +15,18 @@ trailing line never poisons an import.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
+import signal
 
 import pytest
 
+from repro.engine import runner
 from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.experiments import build_experiment
+from repro.engine.pool import WorkerCrashed, _make_executor
 from repro.engine.runner import (
     merge_shard_reports,
     plan_experiment,
@@ -261,6 +267,108 @@ class TestShardedEquivalence:
         assert warm.cache_hits == warm.trials_total == 9
 
 
+def _records_on_disk(root):
+    cache = TrialCache(root)
+    cache.load_all()
+    return dict(cache._index)
+
+
+def _export_bytes(root, path):
+    TrialCache(root).export(path)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+_EXECUTE = runner._execute_batch_payload
+#: The trial whose chunk kills its pool worker in the crash test.
+_DOOMED = PARITY_SPEC.trials()[4].to_payload()
+
+
+def _die_on_the_doomed_chunk(payload):
+    if _DOOMED in payload["trials"]:
+        if multiprocessing.parent_process() is None:
+            # Never SIGKILL the test process itself.
+            raise RuntimeError("the doomed chunk ran outside a pool worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _EXECUTE(payload)
+
+
+class TestInterruptedShard:
+    """A shard that fails mid-run keeps every chunk it delivered, so
+    its rerun — whatever launcher restarts it — computes only the rest
+    and leaves the cache a clean K=1 run writes."""
+
+    def test_a_failed_chunk_keeps_the_chunks_before_it(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = plan_experiment(PARITY_SPEC, batch_size=1).manifest(0)
+        trials = PARITY_SPEC.trials()
+        calls = []
+
+        def fail_the_third(payload):
+            calls.append(payload)
+            if len(calls) == 3:
+                raise RuntimeError("the shard died here")
+            return _EXECUTE(payload)
+
+        root = str(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_execute_batch_payload", fail_the_third)
+            with pytest.raises(RuntimeError, match="the shard died here"):
+                run_shard(manifest, workers=1, cache=TrialCache(root))
+        delivered = [trials[i].key() for chunk in manifest.chunks[:2] for i in chunk]
+        assert sorted(_records_on_disk(root)) == sorted(delivered)
+
+        rerun = run_shard(manifest, workers=1, cache=TrialCache(root))
+        assert rerun.cache_hits == 2
+        assert rerun.computed == len(trials) - 2
+        oracle = str(tmp_path / "oracle")
+        run_experiment(PARITY_SPEC, cache=TrialCache(oracle))
+        # Serial runs append in grid order, so even the files match.
+        for name in sorted(os.listdir(oracle)):
+            with open(os.path.join(root, name), "rb") as mine, open(
+                os.path.join(oracle, name), "rb"
+            ) as clean:
+                assert mine.read() == clean.read(), name
+        assert sorted(os.listdir(root)) == sorted(os.listdir(oracle))
+
+    def test_a_dead_worker_keeps_the_delivered_chunks(
+        self, tmp_path, monkeypatch
+    ):
+        executor = _make_executor(2, 2, 0)
+        if executor is None:
+            pytest.skip("no process pool on this platform")
+        executor.shutdown()
+        manifest = plan_experiment(PARITY_SPEC, batch_size=1).manifest(0)
+        trials = PARITY_SPEC.trials()
+        root = str(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                runner, "_execute_batch_payload", _die_on_the_doomed_chunk
+            )
+            with pytest.raises(WorkerCrashed) as excinfo:
+                run_shard(manifest, workers=2, cache=TrialCache(root))
+        lost = len(excinfo.value.chunk_indices)
+        stored = _records_on_disk(root)
+        # One trial per chunk: every chunk not reported lost is stored,
+        # with the record a clean run computes, and the doomed one is not.
+        assert len(stored) == len(trials) - lost
+        assert trials[4].key() not in stored
+        oracle = str(tmp_path / "oracle")
+        run_experiment(PARITY_SPEC, cache=TrialCache(oracle))
+        clean = _records_on_disk(oracle)
+        assert all(clean[key] == record for key, record in stored.items())
+
+        rerun = run_shard(manifest, workers=2, cache=TrialCache(root))
+        assert rerun.cache_hits == len(stored)
+        assert rerun.computed == lost
+        # Pool chunks land in arrival order, so compare the key-sorted
+        # exports rather than the append-ordered shard files.
+        assert _export_bytes(root, str(tmp_path / "mine.jsonl")) == (
+            _export_bytes(oracle, str(tmp_path / "clean.jsonl"))
+        )
+
+
 class TestLandscapeAcceptance:
     def test_k4_shuffled_shards_match_the_single_host_landscape(
         self, tmp_path
@@ -329,6 +437,19 @@ class TestLandscapeAcceptance:
         assert [rep.records for rep in replay] == [
             rep.records for rep in single_reports
         ]
+
+
+#: Lines that decode to a JSON object but are not a record: each is
+#: skipped and counted like a torn tail, never indexed.
+STRAY_OBJECTS = [
+    pytest.param('{"stray": 1}', id="neither-key-nor-record"),
+    pytest.param('{"key": "aa2"}', id="no-record"),
+    pytest.param('{"record": {"x": 2}}', id="no-key"),
+    pytest.param('{"key": "", "record": {"x": 2}}', id="empty-key"),
+    pytest.param('{"key": 7, "record": {"x": 2}}', id="number-key"),
+    pytest.param('{"key": "aa2", "record": 5}', id="number-record"),
+    pytest.param('{"key": "aa2", "record": null}', id="null-record"),
+]
 
 
 class TestCacheAlgebra:
@@ -437,6 +558,21 @@ class TestCacheAlgebra:
         dest = TrialCache(str(tmp_path / "dest"))
         assert dest.import_file(shard) == (1, 4)
 
+    @pytest.mark.parametrize("line", STRAY_OBJECTS)
+    def test_stray_objects_are_skipped_and_counted(self, tmp_path, line):
+        self._filled(tmp_path / "src", [("aa1", {"x": 1})])
+        shard = os.path.join(str(tmp_path / "src"), "aa.jsonl")
+        with open(shard, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        fresh = TrialCache(str(tmp_path / "src"))
+        fresh.load_all()
+        assert fresh._index == {"aa1": {"x": 1}}
+        assert fresh.stats.torn_lines == 1
+        assert TrialCache(str(tmp_path / "imported")).import_file(shard) == (1, 1)
+        merged = TrialCache(str(tmp_path / "merged"))
+        assert merged.merge(str(tmp_path / "src")) == 1
+        assert merged.stats.torn_lines == 1
+
     def test_import_missing_file_rejected(self, tmp_path):
         cache = TrialCache(str(tmp_path / "cache"))
         with pytest.raises(ValueError, match="does not exist"):
@@ -484,6 +620,45 @@ class TestCompaction:
         assert after._index == before._index
         # Idempotent: a second pass finds nothing to drop.
         assert TrialCache(root).compact() == (3, 0)
+
+    def test_compact_drops_and_counts_a_torn_tail(self, tmp_path):
+        root = str(tmp_path / "cache")
+        TrialCache(root).put_many([("aa1", {"x": 1}), ("aa2", {"x": 2})])
+        with open(os.path.join(root, "aa.jsonl"), "a", encoding="utf-8") as handle:
+            handle.write('{"key": "aa3", "rec')  # a killed writer's tail
+        assert TrialCache(root).compact() == (2, 1)
+        after = TrialCache(root)
+        after.load_all()
+        assert after.stats.torn_lines == 0
+        assert after._index == {"aa1": {"x": 1}, "aa2": {"x": 2}}
+        assert TrialCache(root).compact() == (2, 0)
+
+    def test_compact_counts_a_torn_tail_beside_a_duplicate(self, tmp_path):
+        root = str(tmp_path / "cache")
+        cache = TrialCache(root)
+        cache.put_many([("aa1", {"x": 1}), ("aa2", {"x": 2})])
+        cache.put("aa1", {"x": 1})
+        with open(os.path.join(root, "aa.jsonl"), "a", encoding="utf-8") as handle:
+            handle.write('{"key": "aa3", "rec')
+        assert TrialCache(root).compact() == (2, 2)
+        after = TrialCache(root)
+        after.load_all()
+        assert after.stats.torn_lines == 0
+        assert len(after) == 2
+
+    @pytest.mark.parametrize("line", STRAY_OBJECTS)
+    def test_compact_drops_and_counts_a_stray_object(self, tmp_path, line):
+        root = str(tmp_path / "cache")
+        TrialCache(root).put("aa1", {"x": 1})
+        shard = os.path.join(root, "aa.jsonl")
+        with open(shard, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        assert TrialCache(root).compact() == (1, 1)
+        with open(shard, encoding="utf-8") as handle:
+            assert handle.read() == '{"key": "aa1", "record": {"x": 1}}\n'
+        after = TrialCache(root)
+        after.load_all()
+        assert after.stats.torn_lines == 0
 
     def test_compacted_cache_still_replays_the_engine_run(self, tmp_path):
         root = str(tmp_path / "cache")
@@ -661,6 +836,37 @@ class TestCli:
         )
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ran", [(), (0,), (2,), (0, 1), (0, 1, 2)])
+    def test_status_reports_exactly_the_shards_still_owing(
+        self, tmp_path, capsys, ran
+    ):
+        path = str(tmp_path / "plan.json")
+        argv = ["plan", "--experiment", "sinkless", "--max-n", "128"]
+        argv += ["--seeds", "2", "--batch-size", "1", "--shards", "3"]
+        assert engine_main(argv + ["--out", path]) == 0
+        cache_dir = str(tmp_path / "cache")
+        os.makedirs(cache_dir)
+        for shard in ran:
+            argv = ["run-shard", "--plan", path, "--shard", f"{shard}/3"]
+            argv += ["--workers", "1", "--cache-dir", cache_dir]
+            assert engine_main(argv) == 0
+        capsys.readouterr()
+        assert engine_main(["status", "--plan", path, "--cache-dir", cache_dir]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line[:1].isdigit() and "/3 " in line
+        }
+        assert sorted(rows) == ["0/3", "1/3", "2/3"]
+        owed = {"0/3": 4, "1/3": 2, "2/3": 2}  # chunks dealt round-robin
+        for shard in range(3):
+            trials, cached, *state = rows[f"{shard}/3"]
+            assert int(trials) == owed[f"{shard}/3"]
+            if shard in ran:
+                assert (int(cached), state) == (int(trials), ["complete"])
+            else:
+                assert (int(cached), state) == (0, [trials, "remaining"])
 
     def test_read_only_subcommands_reject_a_missing_cache_dir(
         self, tmp_path, capsys
