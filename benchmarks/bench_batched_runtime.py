@@ -9,7 +9,10 @@ batch size >= 8, while producing bit-identical records.
 
 Topology-seeded families (the random cubic hard instances) cannot share
 graphs across seeds; their case is reported too as the honest lower
-bound — there the batch only amortizes setup, not construction.
+bound — there the batch only amortizes setup, not construction.  (The
+engine's process-wide ``InstanceCache`` does share each seeded build
+across specs and solvers, but one ``run_many`` grid names every
+(n, seed) once, so nothing here is built twice either way.)
 
 The engine-layer ratio (chunked ``run_experiment`` vs a per-trial
 ``Runtime.run`` loop over the same spec) is recorded alongside.

@@ -21,11 +21,14 @@ The chunk — not the trial — stays the unit of scheduling.  Inside a
 worker, :func:`execute_trial_batch` runs a chunk through the runtime's
 one trial executor, :class:`~repro.runtime.driver.TrialBatch`, memoized
 per process over one process-wide
-:class:`~repro.runtime.driver.InstanceCache`: families with
-seed-independent topology rebuild only identifiers/inputs/rng on a
-shared frozen graph, and the verifier's configuration skeleton is
-prepared once per shared core, across the chunks of every spec the
-process runs.  Records stay bit-identical at every worker count, batch
+:class:`~repro.runtime.driver.InstanceCache`, across the chunks of
+every spec the process runs: families with seed-independent topology
+rebuild only identifiers/inputs/rng on a shared frozen graph, whose
+verifier configuration skeleton is prepared once; a seeded instance
+(the random cubic hard inputs) is built once per (family, n, seed) and
+handed, with a fresh ``NodeRng``, to every spec and solver that runs on
+it.  Pool workers exit with their spec, so that sharing happens on the
+serial path.  Records stay bit-identical at every worker count, batch
 size, and shard count, so aggregation — a pure function of the ordered
 record list — cannot tell the difference.
 """
@@ -152,8 +155,8 @@ def _json_safe_extras(extras: dict) -> dict[str, Any]:
 #
 # Module globals live once per worker process (and once in the parent
 # for the serial path), so chunks arriving at the same process share
-# one instance cache — cores and prepared verifier skeletons — and one
-# TrialBatch per (problem, solver, family, kernels).
+# one instance cache — cores, prepared verifier skeletons and seeded
+# instances — and one TrialBatch per (problem, solver, family, kernels).
 
 _INSTANCES: InstanceCache | None = None
 _BATCHES: dict[tuple[str, str, str, str], TrialBatch] = {}
@@ -425,7 +428,9 @@ def run_shard(
     bit-identical across backends, so cache keys ignore it).  Payloads
     carry trial specs only: each worker builds a missing frozen core on
     its chunk's first trial and shares it across seeds through its
-    process-wide :class:`~repro.runtime.driver.InstanceCache`.
+    process-wide :class:`~repro.runtime.driver.InstanceCache`, which
+    also keeps every seeded instance it builds for the process's later
+    trials on it.
     """
     kernel_layer.ensure_mode(kernels)
     telemetry = get_telemetry()

@@ -24,7 +24,7 @@ Two access layers
 * The **flat incidence core** — CSR-style arrays filled once at
   construction and returned by :meth:`PortGraph.csr` (per-port
   neighbor, peer port, and edge-id tables with per-node offsets, plus
-  the cached :attr:`PortGraph.degrees` list) and by
+  the cached :attr:`PortGraph.degrees` tuple) and by
   :meth:`PortGraph.edge_slots` (the two port slots of every edge) —
   backs ``endpoint``, ``neighbor``, ``neighbors``, and every hot loop
   with O(1) index reads and no per-lookup object allocation.  Both
@@ -242,7 +242,7 @@ class PortGraph:
         self._peer = _readonly_q(peer)
         self._eids = _readonly_q(eids)
         self._ends = _readonly_q(ends)
-        deg = list(map(sub, off[1:], off))
+        deg = tuple(map(sub, off[1:], off))
         self._deg = deg
         self._min_degree = _DeprecatedCallableInt(min(deg, default=0))
         self._max_degree = max(deg, default=0)
@@ -348,8 +348,9 @@ class PortGraph:
         return self._deg[v]
 
     @property
-    def degrees(self) -> list[int]:
-        """Per-node degree table (shared, frozen — do not mutate)."""
+    def degrees(self) -> tuple[int, ...]:
+        """Per-node degree table (shared and immutable, like the CSR
+        tables)."""
         return self._deg
 
     @property

@@ -4,8 +4,9 @@
 trial goes through — :meth:`Runtime.run`, :meth:`Runtime.run_many`, and
 the engine's worker chunks all call :meth:`TrialBatch.run_one`:
 
-1. build the instance from the registered family, sharing frozen
-   topology across seeds through an :class:`InstanceCache`;
+1. build the instance from the registered family through an
+   :class:`InstanceCache`, which shares frozen topology across seeds
+   and builds each seeded instance once per process;
 2. dispatch the registered solver through the adapter — directly for
    :class:`~repro.local.algorithm.LocalAlgorithm` objects, via
    :class:`~repro.local.simulator.SyncEngine` for round-based node
@@ -27,7 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro import kernels as kernel_layer
@@ -41,10 +42,12 @@ from repro.local.views import ViewOracle
 from repro.obs import get_telemetry
 from repro.runtime import registry
 from repro.runtime.registry import FamilyInfo, ProblemInfo, SolverInfo
+from repro.util.rng import NodeRng
 
 _LOG = logging.getLogger("repro.runtime")
 
 __all__ = [
+    "INSTANCE_NODE_BUDGET",
     "InstanceCache",
     "Runtime",
     "TrialBatch",
@@ -194,22 +197,49 @@ def prepared_verifier_for(
 
 _MISSING = object()
 
+#: The most nodes :class:`InstanceCache` retains in seeded instances at
+#: once.  The canonical grid's seeded instances need ~31k nodes and the
+#: paper-scale ``sinkless-wide`` grid 65,408, so each is built once per
+#: process; a larger instance (Pi_3 and ladder sizes) is built, handed
+#: out and dropped, never pinned.
+INSTANCE_NODE_BUDGET = 1 << 16
+
 
 class InstanceCache:
-    """Frozen-topology cores shared across the seeds of one size.
+    """Built instances shared across trials: seeded instances per
+    ``(family, n, seed)``, frozen-topology cores per ``(family, n)``.
 
     Families that declare ``topology_seeded=False`` with the
     ``topology``/``dress`` split build their immutable core (the frozen
     :class:`~repro.local.graphs.PortGraph`, plus any other
     seed-independent state) once per ``(family, n)`` and re-dress it per
     seed with the cheap mutable parts — identifiers, inputs labeling,
-    ``NodeRng``.  Seeded-topology families always fall through to the
-    full builder, so records stay bit-identical to an unshared build
-    either way.
+    ``NodeRng``.  The cores live in a ``capacity``-bounded LRU.
+
+    Seeded-topology families run the full builder once per
+    ``(family, n, seed)``: the built instance is kept, and every trial
+    on it, the first included, gets it with a fresh ``NodeRng`` of the
+    builder's seed (an instance built without one stays without), so
+    the specs and solvers that share the random hard inputs share one
+    build.  Kept instances are evicted least-recently-used to hold
+    their total node count within :data:`INSTANCE_NODE_BUDGET`; an
+    instance larger than the budget is returned but not kept.  Solvers
+    and verifiers never write to an instance's graph, ids or inputs
+    (``tests/test_solver_purity.py``), so records stay bit-identical
+    to an unshared build either way.
+
+    Each :meth:`build` counts one telemetry event: a hit — a kept
+    instance, or a cached core re-dressed — is
+    ``instance_cache.core_reused``; a build that is kept (a new core,
+    or a seeded instance within the budget) is
+    ``instance_cache.core_built``; a seeded build over the budget is
+    ``instance_cache.bypassed``.
 
     The cache also holds each core's prepared verifier skeletons, one
     per problem: a skeleton pins its core's graph, so it is dropped when
     its core is evicted, keeping the capacity a bound on memory.
+    Seeded instances get none: each (instance, problem) pair is
+    verified only once or twice.
     """
 
     def __init__(self, capacity: int = 8):
@@ -220,6 +250,8 @@ class InstanceCache:
         # core key -> problem name -> PreparedVerifier, or None when the
         # problem is not preparable (custom / padded verification).
         self._prepared: dict[tuple[str, int], dict[str, PreparedVerifier | None]] = {}
+        self._instances: OrderedDict[tuple[str, int, int], Instance] = OrderedDict()
+        self.retained_nodes = 0
         self.built = 0
         self.reused = 0
         self.bypassed = 0
@@ -227,30 +259,63 @@ class InstanceCache:
     def build(
         self, family_info: FamilyInfo, n: int, seed: int
     ) -> tuple[Instance, tuple[str, int] | None]:
-        """Build one instance, reusing the frozen core when allowed.
+        """One instance of ``family_info`` at ``(n, seed)``, from what
+        this cache kept when it can.
 
-        Returns ``(instance, core_key)``; ``core_key`` is None when the
-        full builder ran (seeded topology), and the cache key of the
-        shared core otherwise.
+        Returns ``(instance, core_key)``; ``core_key`` is the cache key
+        of the shared core on a reusable-topology family, and None on a
+        seeded one.
         """
-        if not family_info.reusable_topology:
-            self.bypassed += 1
-            get_telemetry().incr("instance_cache.bypassed")
-            return family_info.builder(n, seed), None
-        key = (family_info.name, n)
-        hit = key in self._cores
-        core = self.core(family_info, n)
-        if hit:
+        if family_info.reusable_topology:
+            key = (family_info.name, n)
+            if key in self._cores:
+                self._count("core_reused")
+            core = self.core(family_info, n)
+            assert family_info.dress is not None
+            return family_info.dress(core, n, seed), key
+        key = (family_info.name, n, seed)
+        instance = self._instances.get(key)
+        if instance is not None:
+            self._instances.move_to_end(key)
+            self._count("core_reused")
+        else:
+            instance = family_info.builder(n, seed)
+            kept = self._retain(key, instance)
+            self._count("core_built" if kept else "bypassed")
+        rng = instance.rng
+        return (
+            replace(instance, rng=None if rng is None else NodeRng(rng.seed)),
+            None,
+        )
+
+    def _retain(self, key: tuple[str, int, int], instance: Instance) -> bool:
+        """Keep ``instance`` under the node budget, evicting the least
+        recently used; False (nothing kept) when it alone exceeds it."""
+        size = instance.graph.num_nodes
+        if size > INSTANCE_NODE_BUDGET:
+            return False
+        self._instances[key] = instance
+        self.retained_nodes += size
+        while self.retained_nodes > INSTANCE_NODE_BUDGET:
+            _, evicted = self._instances.popitem(last=False)
+            self.retained_nodes -= evicted.graph.num_nodes
+        return True
+
+    def _count(self, event: str) -> None:
+        """One :meth:`build` outcome, on the attribute and in telemetry."""
+        if event == "core_reused":
             self.reused += 1
-            get_telemetry().incr("instance_cache.core_reused")
-        assert family_info.dress is not None
-        return family_info.dress(core, n, seed), key
+        elif event == "core_built":
+            self.built += 1
+        else:
+            self.bypassed += 1
+        get_telemetry().incr(f"instance_cache.{event}")
 
     def core(self, family_info: FamilyInfo, n: int) -> Any:
         """The shared frozen core for ``(family, n)``, building on miss.
 
-        This is the build half of :meth:`build` without the per-seed
-        dressing.
+        This is the build half of :meth:`build` on a reusable-topology
+        family, without the per-seed dressing.
         """
         key = (family_info.name, n)
         core = self._cores.get(key)
@@ -261,8 +326,7 @@ class InstanceCache:
             if len(self._cores) > self.capacity:
                 evicted, _ = self._cores.popitem(last=False)
                 self._prepared.pop(evicted, None)
-            self.built += 1
-            get_telemetry().incr("instance_cache.core_built")
+            self._count("core_built")
         else:
             self._cores.move_to_end(key)
         return core
@@ -301,11 +365,12 @@ class TrialBatch:
 
     Setup happens once per batch: the three catalog entries are looked
     up and the verifier closure is materialized at construction, frozen
-    topology is shared across seeds through an :class:`InstanceCache`,
-    and the cache keeps a :class:`~repro.lcl.verifier.PreparedVerifier`
-    per shared core.  Records are bit-identical to building every
-    instance with the family's full builder and checking it with
-    :func:`verifier_for` (wall time aside).
+    topology is shared across seeds and seeded instances across trials
+    through an :class:`InstanceCache`, and the cache keeps a
+    :class:`~repro.lcl.verifier.PreparedVerifier` per shared core.
+    Records are bit-identical to building every instance with the
+    family's full builder and checking it with :func:`verifier_for`
+    (wall time aside).
 
     ``check_sound`` rejects combinations the registry does not vouch
     for: the solver must target ``problem`` and declare soundness on
@@ -480,7 +545,10 @@ class Runtime:
         Catalog lookups, soundness checks, and the verifier closure are
         set up once; families with seed-independent topology share one
         frozen core (and one prepared verifier skeleton) across all
-        seeds of a size.
+        seeds of a size.  The batch's instance cache is its own and the
+        grid names every (n, seed) once, so no seeded instance is
+        reused here; the engine's one cache per process shares them
+        across specs and solvers.
         """
         batch = TrialBatch(
             problem,

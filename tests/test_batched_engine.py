@@ -5,9 +5,10 @@ whatever setup they like — catalog lookups, frozen topology, verifier
 skeletons — but the records they produce must be bit-identical to the
 un-amortized reference (``tests.conftest.reference_run``) at every
 worker count and batch size.
-The suite pins that, plus the cache-discipline corners: seeded-topology
-families must never share a graph across seeds, and a warm cache must
-replay the batched run exactly.
+The suite pins that, plus the cache-discipline corners: a seeded
+instance is shared by every trial on its (family, n, seed) and by no
+other seed, kept instances stay within the node budget, and a warm
+cache must replay the batched run exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from repro.engine.runner import (
     run_experiment,
 )
 from repro.engine.spec import ExperimentSpec
-from repro.runtime import InstanceCache, Runtime, TrialBatch, registry
+from repro.generators import cycle
+from repro.local import Instance
+from repro.runtime import InstanceCache, Runtime, TrialBatch, driver, registry
 from tests.conftest import reference_records, reference_run
 
 
@@ -105,13 +108,92 @@ class TestInstanceCache:
         assert a.ids != b.ids  # the per-seed dressing still differs
         assert (cache.built, cache.reused) == (1, 1)
 
-    def test_seeded_family_never_shares(self):
+    def test_seeded_family_builds_once_per_seed(self):
         cache = InstanceCache()
-        a, key_a = cache.build(registry.family("cubic"), 16, 0)
-        b, key_b = cache.build(registry.family("cubic"), 16, 1)
-        assert key_a is None and key_b is None
-        assert a.graph is not b.graph
-        assert cache.bypassed == 2 and cache.built == 0 and cache.reused == 0
+        cubic = registry.family("cubic")
+        a, key_a = cache.build(cubic, 16, 0)
+        b, key_b = cache.build(cubic, 16, 0)
+        c, key_c = cache.build(cubic, 16, 1)
+        assert key_a is None and key_b is None and key_c is None
+        # The same (family, n, seed) is one build ...
+        assert a.graph is b.graph and a.ids is b.ids
+        # ... whose every trial gets its own unconsumed rng of the seed.
+        assert a.rng is not b.rng and a.rng.seed == b.rng.seed == 0
+        # Another seed is another graph.
+        assert c.graph is not a.graph
+        assert bytes(c.graph.csr()[1]) != bytes(a.graph.csr()[1])
+        assert (cache.built, cache.reused, cache.bypassed) == (2, 1, 0)
+        assert cache.retained_nodes == 32
+
+    def test_instance_without_rng_stays_without(self):
+        family = registry.FamilyInfo(
+            "test-no-rng", lambda n, seed: Instance.simple(cycle(n))
+        )
+        cache = InstanceCache()
+        a, _ = cache.build(family, 8, 0)
+        b, _ = cache.build(family, 8, 0)
+        assert a.graph is b.graph
+        assert a.rng is None and b.rng is None
+
+    @pytest.mark.parametrize(
+        "problem,solver,family,n",
+        [
+            ("sinkless-orientation", "sinkless-rand", "cubic", 30),
+            ("mis", "mis-luby", "cubic", 30),
+            ("padded-sinkless", "padded-sinkless-rand", "padded-sinkless", 2),
+        ],
+    )
+    def test_memoized_instance_matches_fresh_build_twice(
+        self, problem, solver, family, n
+    ):
+        instance, result, verified = reference_run(problem, solver, family, n, 1)
+        expected = (
+            instance.graph.num_nodes,
+            result.rounds,
+            tuple(result.node_radius),
+            verified,
+            tuple(sorted(result.extras.items())),
+        )
+        batch = TrialBatch(problem, solver, family)
+        records = [batch.run_one(n, 1), batch.run_one(n, 1)]
+        assert (batch.instances.built, batch.instances.reused) == (1, 1)
+        for record in records:
+            assert record_key(record) == expected
+            assert record.outputs == result.outputs
+
+    def test_retained_nodes_never_exceed_the_budget(self, monkeypatch):
+        monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 64)
+        cache = InstanceCache()
+        cubic = registry.family("cubic")
+        for seed in range(4):
+            cache.build(cubic, 16, seed)
+        assert cache.retained_nodes == 64
+        cache.build(cubic, 16, 0)  # a hit: seed 0 is now the most recent
+        cache.build(cubic, 30, 0)  # evicts the least recent, seeds 1 and 2
+        assert list(cache._instances) == [
+            ("cubic", 16, 3), ("cubic", 16, 0), ("cubic", 30, 0)
+        ]
+        for seed in range(4, 12):
+            cache.build(cubic, 16 + 2 * (seed % 3), seed)
+            assert cache.retained_nodes <= 64
+            assert cache.retained_nodes == sum(
+                instance.graph.num_nodes for instance in cache._instances.values()
+            )
+        assert cache.bypassed == 0
+
+    def test_over_budget_instance_is_returned_not_retained(self, monkeypatch):
+        monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 20)
+        cache = InstanceCache()
+        cubic = registry.family("cubic")
+        kept, _ = cache.build(cubic, 16, 0)
+        big, key = cache.build(cubic, 30, 0)
+        again, _ = cache.build(cubic, 30, 0)
+        assert key is None and big.graph.num_nodes == 30
+        assert again.graph is not big.graph  # built afresh each time
+        assert (cache.built, cache.reused, cache.bypassed) == (1, 0, 2)
+        assert list(cache._instances) == [("cubic", 16, 0)]
+        assert cache.retained_nodes == 16
+        assert cache.build(cubic, 16, 0)[0].graph is kept.graph
 
     def test_batch_counts_reuse_on_topology_family(self):
         batch = TrialBatch("degree-parity", "parity", "cycle")
@@ -145,13 +227,19 @@ class TestInstanceCache:
         batch.run_one(8, 0)
         assert instances._prepared[("cycle", 8)]["degree-parity"] is not prepared
 
-    def test_batch_never_reuses_on_seeded_family(self):
-        batch = TrialBatch("sinkless-orientation", "sinkless-det", "cubic")
+    def test_batches_share_seeded_instances_across_solvers(self):
+        instances = InstanceCache()
+        det = TrialBatch(
+            "sinkless-orientation", "sinkless-det", "cubic", instances=instances
+        )
+        rand = TrialBatch(
+            "sinkless-orientation", "sinkless-rand", "cubic", instances=instances
+        )
         for seed in range(3):
-            batch.run_one(16, seed)
-        assert batch.instances.built == 0
-        assert batch.instances.reused == 0
-        assert batch.instances.bypassed == 3
+            det.run_one(16, seed)
+        for seed in range(3):
+            rand.run_one(16, seed)
+        assert (instances.built, instances.reused, instances.bypassed) == (3, 3, 0)
 
     def test_registry_rejects_hooks_on_seeded_family(self):
         from repro.runtime.registry import register_family

@@ -444,14 +444,16 @@ class TestVectorKernelsDifferential:
 
 
 class TestReadonlyCore:
-    """Satellite regression: csr() views are frozen against callers."""
+    """Satellite regression: csr() views and the degree table are
+    frozen against callers (graphs are shared across trials)."""
 
     def test_caller_mutation_cannot_corrupt_csr(self):
         graph = cycle(8)
         off, nbr, peer, eids = graph.csr()
-        for view in (off, nbr, peer, eids):
+        for view in (off, nbr, peer, eids, graph.degrees):
             with pytest.raises(TypeError):
                 view[0] = 99
+        assert graph.degree(0) == 2
         # still intact afterwards
         assert bfs_distances(graph, 0) == _object_bfs(graph, 0)
 
