@@ -42,6 +42,11 @@ class PaddedInput(tuple):
     def __new__(cls, pi: Hashable, gadget: Hashable):
         return super().__new__(cls, (pi, gadget))
 
+    def __getnewargs__(self) -> tuple[Hashable, Hashable]:
+        # pickle and copy rebuild a tuple subclass as cls.__new__(cls,
+        # *args); the tuple default passes the whole tuple as one arg.
+        return (self[0], self[1])
+
     @property
     def pi(self) -> Hashable:
         return self[0]

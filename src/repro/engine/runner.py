@@ -9,28 +9,31 @@ The pipeline has three stages, each its own function, and
    function of ``(spec, num_shards, batch_size)``, so any host re-plans
    to byte-identical shards;
 2. :func:`run_shard` executes one :class:`~repro.engine.shard.ShardManifest`:
-   look the shard's trial keys up in the cache, ship each chunk's
-   missing trials to the worker pool as ONE task (one pickle/IPC
-   round-trip per chunk, not per trial), store the fresh records;
+   look the shard's trial keys up in the cache, hand each chunk's
+   missing trials to the worker pool as ONE task (one result pickle
+   per chunk a helper runs, not per trial), store the fresh records;
 3. :func:`merge_shard_reports` reduces the K shard reports back into
    one :class:`EngineReport` — grid-ordered records, aggregated
    ``Sweep`` — bit-identical to what a single-host run produces, in
    whatever order the shards ran and on whatever mix of processes.
 
-The chunk — not the trial — stays the unit of scheduling.  Inside a
-worker, :func:`execute_trial_batch` runs a chunk through the runtime's
-one trial executor, :class:`~repro.runtime.driver.TrialBatch`, memoized
-per process over one process-wide
-:class:`~repro.runtime.driver.InstanceCache`, across the chunks of
-every spec the process runs: families with seed-independent topology
-rebuild only identifiers/inputs/rng on a shared frozen graph, whose
-verifier configuration skeleton is prepared once; a seeded instance
-(the random cubic hard inputs) is built once per (family, n, seed) and
-handed, with a fresh ``NodeRng``, to every spec and solver that runs on
-it.  Pool workers exit with their spec, so that sharing happens on the
-serial path.  Records stay bit-identical at every worker count, batch
-size, and shard count, so aggregation — a pure function of the ordered
-record list — cannot tell the difference.
+The chunk — not the trial — stays the unit of scheduling.  In every
+process that runs chunks, :func:`execute_trial_batch` runs a chunk
+through the runtime's one trial executor,
+:class:`~repro.runtime.driver.TrialBatch`, memoized per process over
+one process-wide :class:`~repro.runtime.driver.InstanceCache`, across
+the chunks of every spec the process runs: families with
+seed-independent topology rebuild only identifiers/inputs/rng on a
+shared frozen graph, whose verifier configuration skeleton is prepared
+once; a seeded instance (the random cubic hard inputs) is built once
+per (family, n, seed) and handed, with a fresh ``NodeRng``, to every
+spec and solver that runs on it.  At any worker count this process
+runs chunks itself, so its cache carries over from spec to spec, and
+the pool helpers a dispatch forks start with everything it holds; what
+a helper builds dies with it at the end of its spec.  Records stay
+bit-identical at every worker count, batch size, and shard count, so
+aggregation — a pure function of the ordered record list — cannot tell
+the difference.
 """
 
 from __future__ import annotations
@@ -153,10 +156,11 @@ def _json_safe_extras(extras: dict) -> dict[str, Any]:
 
 # -- per-process execution state ------------------------------------------
 #
-# Module globals live once per worker process (and once in the parent
-# for the serial path), so chunks arriving at the same process share
-# one instance cache — cores, prepared verifier skeletons and seeded
-# instances — and one TrialBatch per (problem, solver, family, kernels).
+# Module globals live once per process, so chunks run by the same
+# process share one instance cache — cores, prepared verifier skeletons
+# and seeded instances — and one TrialBatch per (problem, solver,
+# family, kernels).  A forked pool helper starts with a copy of the
+# dispatching process's.
 
 _INSTANCES: InstanceCache | None = None
 _BATCHES: dict[tuple[str, str, str, str], TrialBatch] = {}
@@ -230,12 +234,13 @@ def execute_trial_batch(
 def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     """Module-level pool target: chunk payload in, records + telemetry out.
 
-    The worker's telemetry delta for this chunk piggybacks on the
-    result — one extra dict per chunk, no new IPC round trips.  The
+    The telemetry delta of the process that ran the chunk piggybacks on
+    the result — one extra dict per chunk, no new IPC round trips.  The
     delta snapshot (``reset=True``) drains everything this process
-    accrued since its previous snapshot, so serial fallback (where
-    "worker" and parent are the same process) partitions the exact same
-    totals across the same chunk boundaries.
+    accrued since its previous snapshot, so the chunks the dispatching
+    process runs itself (all of them on the serial path) partition its
+    totals across the chunk boundaries, and every increment lands in
+    exactly one delta.
     """
     records = execute_trial_batch(
         [TrialSpec.from_payload(entry) for entry in payload["trials"]],
@@ -406,15 +411,19 @@ def run_shard(
     several run concurrently on one filesystem, and merge the roots
     afterward.
 
-    With ``workers > 1`` and more than one missing chunk, a pool gets
+    With ``workers > 1`` and more than one missing chunk, the pool gets
     the chunks largest-first (by n times trials, ties in grid order),
     so the biggest chunk does not start last while the other workers
-    idle.  Each chunk is stored in the cache as soon as it arrives, and
-    a chunk that arrives ahead of an earlier one streams through
-    ``on_record`` once that one is in.  Before the pool forks, this
-    process loads the vector backend once
-    (:func:`repro.kernels.preload`), since it runs no trial itself.
-    The serial path runs and streams the chunks in grid order.
+    idle; its ``workers - 1`` helpers take chunks from the large end
+    and this process runs the small end itself (see
+    :mod:`repro.engine.pool`).  Each chunk is stored in the cache as
+    soon as it arrives, and a chunk that arrives ahead of an earlier
+    one streams through ``on_record`` once that one is in.  This
+    process loads the vector backend (:func:`repro.kernels.preload`)
+    before the dispatch: the helpers fork before its first trial, so
+    they inherit the loaded backend instead of each importing it again
+    inside its first solve or verify.  The serial path runs and streams
+    the chunks in grid order.
 
     The report's ``telemetry`` block is assembled from delta snapshots:
     one per dispatched chunk (piggybacked on the chunk result by the
@@ -426,11 +435,12 @@ def run_shard(
 
     ``kernels`` rides in each dispatched chunk's payload (records stay
     bit-identical across backends, so cache keys ignore it).  Payloads
-    carry trial specs only: each worker builds a missing frozen core on
-    its chunk's first trial and shares it across seeds through its
-    process-wide :class:`~repro.runtime.driver.InstanceCache`, which
-    also keeps every seeded instance it builds for the process's later
-    trials on it.
+    carry trial specs only: whichever process runs a chunk builds a
+    missing frozen core on the chunk's first trial and shares it across
+    seeds through its process-wide
+    :class:`~repro.runtime.driver.InstanceCache`, which also keeps
+    every seeded instance it builds for the process's later trials on
+    it.
     """
     kernel_layer.ensure_mode(kernels)
     telemetry = get_telemetry()

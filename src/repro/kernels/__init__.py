@@ -76,11 +76,12 @@ def ensure_mode(mode: str) -> str:
 def preload(mode: str) -> None:
     """Import the vector backend now, so processes forked later inherit it.
 
-    A parent that only dispatches chunks never runs a trial, so without
-    this every forked worker pays these imports again inside its first
-    solve or verify.  ``numpy.ma`` is listed because numpy imports it
-    lazily, on the first ``np.unique`` call without index outputs.  A
-    no-op for ``object`` and when numpy is absent.
+    A dispatch forks its pool helpers before the dispatching process
+    runs its own first trial, so without this every forked helper pays
+    these imports again inside its first solve or verify.  ``numpy.ma``
+    is listed because numpy imports it lazily, on the first
+    ``np.unique`` call without index outputs.  A no-op for ``object``
+    and when numpy is absent.
     """
     if ensure_mode(mode) == "object" or not HAVE_NUMPY:
         return

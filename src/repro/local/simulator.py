@@ -67,6 +67,11 @@ class ConvergenceError(RuntimeError):
         self.active = active
         self.trace = trace
 
+    def __reduce__(self):
+        # Rebuild through __init__'s arguments, so the error crosses a
+        # process boundary (the default passes only the message).
+        return (type(self), (self.max_rounds, self.active, self.trace))
+
 
 class NodeProtocol(Protocol):
     """Behaviour of one node in the synchronous engine.

@@ -8,8 +8,10 @@ trace viewer.  It is off by default (``--trace PATH`` on the CLI turns
 it on) and stays out of the hot path entirely when detached: the only
 cost without a sink is one attribute test per span close.
 
-Tracing is parent-process only: worker processes detach any inherited
-sink when they initialize (one writer per file, no interleaved lines).
+Tracing is parent-process only: pool helpers detach any inherited sink
+when they initialize (one writer per file, no interleaved lines), so a
+parallel run's trace holds the dispatching process's spans, including
+those of the chunks it runs itself.
 Lines flush on every emit, so a killed run leaves at worst one torn
 trailing line — the same failure mode the trial cache already
 tolerates everywhere.

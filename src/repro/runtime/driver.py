@@ -197,12 +197,18 @@ def prepared_verifier_for(
 
 _MISSING = object()
 
-#: The most nodes :class:`InstanceCache` retains in seeded instances at
-#: once.  The canonical grid's seeded instances need ~31k nodes and the
-#: paper-scale ``sinkless-wide`` grid 65,408, so each is built once per
-#: process; a larger instance (Pi_3 and ladder sizes) is built, handed
-#: out and dropped, never pinned.
+#: The most nodes :class:`InstanceCache` retains at once, in cores and
+#: seeded instances together.  The canonical grid needs ~41k nodes
+#: (9,905 in cores) and the paper-scale ``sinkless-wide`` grid 65,408,
+#: so each is built once per process; a larger instance (Pi_3 and
+#: ladder sizes) is built, handed out and dropped, never pinned.
 INSTANCE_NODE_BUDGET = 1 << 16
+
+
+def _num_nodes(kept: Any) -> int:
+    """A kept entry's node count: its graph's, or its own when the
+    entry is the graph (a core may be a bare ``PortGraph``)."""
+    return getattr(kept, "graph", kept).num_nodes
 
 
 class InstanceCache:
@@ -214,43 +220,44 @@ class InstanceCache:
     :class:`~repro.local.graphs.PortGraph`, plus any other
     seed-independent state) once per ``(family, n)`` and re-dress it per
     seed with the cheap mutable parts — identifiers, inputs labeling,
-    ``NodeRng``.  The cores live in a ``capacity``-bounded LRU.
+    ``NodeRng``.
 
     Seeded-topology families run the full builder once per
     ``(family, n, seed)``: the built instance is kept, and every trial
     on it, the first included, gets it with a fresh ``NodeRng`` of the
     builder's seed (an instance built without one stays without), so
     the specs and solvers that share the random hard inputs share one
-    build.  Kept instances are evicted least-recently-used to hold
-    their total node count within :data:`INSTANCE_NODE_BUDGET`; an
-    instance larger than the budget is returned but not kept.  Solvers
-    and verifiers never write to an instance's graph, ids or inputs
+    build.
+
+    Cores and seeded instances are kept in one least-recently-used
+    order, evicted to hold their total node count (a core counts its
+    graph's) within :data:`INSTANCE_NODE_BUDGET`.  An entry larger than
+    the budget is returned but not kept, so a core that large is
+    rebuilt for every trial and gets no prepared verifier.  Solvers and
+    verifiers never write to an instance's graph, ids or inputs
     (``tests/test_solver_purity.py``), so records stay bit-identical
     to an unshared build either way.
 
     Each :meth:`build` counts one telemetry event: a hit — a kept
-    instance, or a cached core re-dressed — is
-    ``instance_cache.core_reused``; a build that is kept (a new core,
-    or a seeded instance within the budget) is
-    ``instance_cache.core_built``; a seeded build over the budget is
+    instance, or a kept core re-dressed — is
+    ``instance_cache.core_reused``; a build that is kept is
+    ``instance_cache.core_built``; a build over the budget is
     ``instance_cache.bypassed``.
 
-    The cache also holds each core's prepared verifier skeletons, one
-    per problem: a skeleton pins its core's graph, so it is dropped when
-    its core is evicted, keeping the capacity a bound on memory.
+    The cache also holds each kept core's prepared verifier skeletons,
+    one per problem: a skeleton pins its core's graph, so it is dropped
+    when its core is evicted, and the budget stays a bound on memory.
     Seeded instances get none: each (instance, problem) pair is
     verified only once or twice.
     """
 
-    def __init__(self, capacity: int = 8):
-        if capacity < 1:
-            raise ValueError("instance cache needs capacity >= 1")
-        self.capacity = capacity
-        self._cores: OrderedDict[tuple[str, int], Any] = OrderedDict()
+    def __init__(self) -> None:
+        # (family, n) -> core and (family, n, seed) -> seeded instance,
+        # least recently used first.
+        self._kept: OrderedDict[tuple, Any] = OrderedDict()
         # core key -> problem name -> PreparedVerifier, or None when the
         # problem is not preparable (custom / padded verification).
         self._prepared: dict[tuple[str, int], dict[str, PreparedVerifier | None]] = {}
-        self._instances: OrderedDict[tuple[str, int, int], Instance] = OrderedDict()
         self.retained_nodes = 0
         self.built = 0
         self.reused = 0
@@ -263,42 +270,45 @@ class InstanceCache:
         this cache kept when it can.
 
         Returns ``(instance, core_key)``; ``core_key`` is the cache key
-        of the shared core on a reusable-topology family, and None on a
-        seeded one.
+        of the kept core on a reusable-topology family, and None on a
+        seeded one or for a core over the budget.
         """
         if family_info.reusable_topology:
             key = (family_info.name, n)
-            if key in self._cores:
+            if key in self._kept:
                 self._count("core_reused")
             core = self.core(family_info, n)
             assert family_info.dress is not None
-            return family_info.dress(core, n, seed), key
+            return (
+                family_info.dress(core, n, seed),
+                key if key in self._kept else None,
+            )
         key = (family_info.name, n, seed)
-        instance = self._instances.get(key)
+        instance = self._kept.get(key)
         if instance is not None:
-            self._instances.move_to_end(key)
+            self._kept.move_to_end(key)
             self._count("core_reused")
         else:
             instance = family_info.builder(n, seed)
-            kept = self._retain(key, instance)
-            self._count("core_built" if kept else "bypassed")
+            self._count("core_built" if self._retain(key, instance) else "bypassed")
         rng = instance.rng
         return (
             replace(instance, rng=None if rng is None else NodeRng(rng.seed)),
             None,
         )
 
-    def _retain(self, key: tuple[str, int, int], instance: Instance) -> bool:
-        """Keep ``instance`` under the node budget, evicting the least
+    def _retain(self, key: tuple, entry: Any) -> bool:
+        """Keep ``entry`` under the node budget, evicting the least
         recently used; False (nothing kept) when it alone exceeds it."""
-        size = instance.graph.num_nodes
+        size = _num_nodes(entry)
         if size > INSTANCE_NODE_BUDGET:
             return False
-        self._instances[key] = instance
+        self._kept[key] = entry
         self.retained_nodes += size
         while self.retained_nodes > INSTANCE_NODE_BUDGET:
-            _, evicted = self._instances.popitem(last=False)
-            self.retained_nodes -= evicted.graph.num_nodes
+            evicted_key, evicted = self._kept.popitem(last=False)
+            self.retained_nodes -= _num_nodes(evicted)
+            self._prepared.pop(evicted_key, None)
         return True
 
     def _count(self, event: str) -> None:
@@ -318,17 +328,13 @@ class InstanceCache:
         family, without the per-seed dressing.
         """
         key = (family_info.name, n)
-        core = self._cores.get(key)
+        core = self._kept.get(key)
         if core is None:
             assert family_info.topology is not None
             core = family_info.topology(n)
-            self._cores[key] = core
-            if len(self._cores) > self.capacity:
-                evicted, _ = self._cores.popitem(last=False)
-                self._prepared.pop(evicted, None)
-            self._count("core_built")
+            self._count("core_built" if self._retain(key, core) else "bypassed")
         else:
-            self._cores.move_to_end(key)
+            self._kept.move_to_end(key)
         return core
 
     def prepared_verifier(

@@ -170,14 +170,14 @@ class TestInstanceCache:
         assert cache.retained_nodes == 64
         cache.build(cubic, 16, 0)  # a hit: seed 0 is now the most recent
         cache.build(cubic, 30, 0)  # evicts the least recent, seeds 1 and 2
-        assert list(cache._instances) == [
+        assert list(cache._kept) == [
             ("cubic", 16, 3), ("cubic", 16, 0), ("cubic", 30, 0)
         ]
         for seed in range(4, 12):
             cache.build(cubic, 16 + 2 * (seed % 3), seed)
             assert cache.retained_nodes <= 64
             assert cache.retained_nodes == sum(
-                instance.graph.num_nodes for instance in cache._instances.values()
+                instance.graph.num_nodes for instance in cache._kept.values()
             )
         assert cache.bypassed == 0
 
@@ -191,7 +191,7 @@ class TestInstanceCache:
         assert key is None and big.graph.num_nodes == 30
         assert again.graph is not big.graph  # built afresh each time
         assert (cache.built, cache.reused, cache.bypassed) == (1, 0, 2)
-        assert list(cache._instances) == [("cubic", 16, 0)]
+        assert list(cache._kept) == [("cubic", 16, 0)]
         assert cache.retained_nodes == 16
         assert cache.build(cubic, 16, 0)[0].graph is kept.graph
 
@@ -202,13 +202,56 @@ class TestInstanceCache:
         assert batch.instances.built == 1
         assert batch.instances.reused == 3
 
-    def test_batch_prepared_verifiers_stay_bounded(self):
+    def test_batch_prepared_verifiers_stay_bounded(self, monkeypatch):
+        # 20 cycle sizes of 4..23 nodes overflow a 64-node budget many
+        # times over.
+        monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 64)
         batch = TrialBatch("degree-parity", "parity", "cycle")
-        for n in range(4, 24):  # more sizes than the core capacity
+        instances = batch.instances
+        for n in range(4, 24):
             batch.run_one(n, 0)
-        # Skeletons are dropped with their cores.
-        assert set(batch.instances._prepared) <= set(batch.instances._cores)
-        assert len(batch.instances._cores) <= batch.instances.capacity
+            assert instances.retained_nodes <= 64
+            assert instances.retained_nodes == sum(
+                core.num_nodes for core in instances._kept.values()
+            )
+        # The most recent cores that fit are kept, and skeletons are
+        # dropped with their cores.
+        assert list(instances._kept) == [("cycle", 22), ("cycle", 23)]
+        assert set(instances._prepared) <= set(instances._kept)
+        assert instances.bypassed == 0
+
+    def test_cores_and_seeded_instances_share_one_budget(self, monkeypatch):
+        monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 64)
+        cache = InstanceCache()
+        cycle_family, cubic = registry.family("cycle"), registry.family("cubic")
+        cache.build(cycle_family, 20, 0)
+        cache.build(cubic, 16, 0)
+        cache.build(cubic, 16, 1)
+        _, core_key = cache.build(cycle_family, 8, 0)
+        assert core_key == ("cycle", 8)
+        assert cache.retained_nodes == 20 + 16 + 16 + 8
+        cache.build(cubic, 16, 2)  # evicts the least recent, the 20-cycle
+        assert list(cache._kept) == [
+            ("cubic", 16, 0), ("cubic", 16, 1), ("cycle", 8), ("cubic", 16, 2)
+        ]
+        assert cache.retained_nodes == 56
+        again, _ = cache.build(cycle_family, 20, 1)  # built anew, evicting seed 0
+        assert (cache.built, cache.reused, cache.bypassed) == (6, 0, 0)
+        assert list(cache._kept)[-1] == ("cycle", 20)
+        assert ("cubic", 16, 0) not in cache._kept
+        assert cache.retained_nodes == 60
+
+    def test_over_budget_core_is_rebuilt_per_trial(self, monkeypatch):
+        monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 20)
+        batch = TrialBatch("degree-parity", "parity", "cycle")
+        instances = batch.instances
+        first, core_key = instances.build(registry.family("cycle"), 30, 0)
+        second, _ = instances.build(registry.family("cycle"), 30, 1)
+        assert core_key is None and first.graph is not second.graph
+        batch.run_one(30, 2)  # verified without a prepared skeleton
+        assert (instances.built, instances.reused, instances.bypassed) == (0, 0, 3)
+        assert not instances._kept and not instances._prepared
+        assert instances.retained_nodes == 0
 
     def test_prepared_verifiers_are_shared_per_core_and_problem(self):
         instances = InstanceCache()
@@ -222,7 +265,7 @@ class TestInstanceCache:
         assert list(skeletons) == ["degree-parity"]
         # A replaced core invalidates its skeleton.
         prepared = skeletons["degree-parity"]
-        instances._cores[("cycle", 8)] = registry.family("cycle").topology(8)
+        instances._kept[("cycle", 8)] = registry.family("cycle").topology(8)
         batch = TrialBatch("degree-parity", "parity", "cycle", instances=instances)
         batch.run_one(8, 0)
         assert instances._prepared[("cycle", 8)]["degree-parity"] is not prepared

@@ -12,9 +12,10 @@ The three load-bearing properties:
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
+import multiprocessing.context
 import os
 import signal
 import subprocess
@@ -36,10 +37,11 @@ from repro.engine import (
     run_experiment,
     run_task_batches,
 )
+from repro.engine import pool, runner
 from repro.engine.cli import main as engine_main
-from repro.engine.pool import WorkerCrashed, _make_executor
+from repro.engine.pool import WorkerCrashed
 from repro.generators.hard import cubic_instance
-from repro.obs import get_telemetry
+from repro.obs import aggregate, get_telemetry
 from repro.problems import DeterministicSinklessSolver
 from tests.conftest import reference_record
 
@@ -193,18 +195,59 @@ class TestPool:
         assert results == [2 * i for i in range(20)]
         assert delivered == list(enumerate(results))
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_order_and_results_match_the_serial_loop(self, workers):
+        _require_a_pool()
+        batches = [(i, "x" * (i % 5)) for i in range(13)]
+        serial = []
+        expected = run_task_batches(
+            _describe, batches, on_result=lambda i, r: serial.append((i, r))
+        )
+        delivered = []
+        results = run_task_batches(
+            _describe,
+            batches,
+            workers=workers,
+            on_result=lambda i, result: delivered.append((i, result)),
+        )
+        assert results == expected
+        assert delivered == serial
+
+    def test_every_batch_runs_once_when_more_workers_than_cores_race(
+        self, tmp_path
+    ):
+        # A lost update on the claim window would run a batch twice
+        # (its second exclusive create fails) or never (it comes back
+        # lost).  Bounded: 2,000 tiny batches, under a second.
+        _require_a_pool()
+        workers = min(16, 2 * (os.cpu_count() or 1) + 2)
+        batches = [(i, str(tmp_path)) for i in range(2000)]
+        start = time.monotonic()
+        assert run_task_batches(_run_once, batches, workers=workers) == list(range(2000))
+        assert len(os.listdir(tmp_path)) == 2000
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 60
+
+    def test_the_caller_is_one_of_the_workers(self, fork_signals):
+        # The two batches wait for each other, so they run at once in
+        # two processes: the caller takes the back one, a helper the
+        # front one.
+        pids = run_task_batches(_meet, [0, 1], workers=2)
+        assert pids[1] == os.getpid()
+        assert pids[0] != os.getpid()
+
     def test_serial_fallback_for_unpicklable(self):
         # A lambda cannot cross a process boundary; the pool must fall
         # back to an in-process loop rather than fail.
         assert run_task_batches(lambda x: x + 1, [1, 2, 3], workers=4) == [2, 3, 4]
 
     def test_serial_fallback_without_named_semaphores(self, monkeypatch):
-        # Where named semaphores are missing, creating the executor
-        # raises NotImplementedError: the batches must still run, here.
+        # Where named semaphores are missing, creating the window's
+        # lock raises: the batches must still run, here.
         def no_semaphores(*args, **kwargs):
-            raise NotImplementedError("named semaphores are unavailable")
+            raise ImportError("This platform lacks a functioning sem_open implementation")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_semaphores)
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Lock", no_semaphores)
         get_telemetry().reset()
         delivered = []
         results = run_task_batches(
@@ -217,10 +260,10 @@ class TestPool:
         assert delivered == [0, 1, 2]
         assert get_telemetry().counters()["pool.serial_fallbacks"] == 1
 
-    def test_worker_death_raises_typed_error_with_lost_chunks(self):
-        # The guard matters: on a pool-less platform the batches would
-        # run serially and the suicide batch would kill pytest.
-        _require_a_pool()
+    def test_worker_death_raises_typed_error_with_lost_chunks(self, fork_signals):
+        # The caller's batches wait until a helper holds the doomed one,
+        # so the caller never claims it (it would SIGKILL pytest).  The
+        # helper's death loses that batch alone: the caller runs the rest.
         delivered = {}
         with pytest.raises(WorkerCrashed) as excinfo:
             run_task_batches(
@@ -229,28 +272,129 @@ class TestPool:
                 workers=2,
                 on_result=lambda i, result: delivered.__setitem__(i, result),
             )
-        lost = set(excinfo.value.chunk_indices)
-        assert 1 in lost
-        assert set(delivered) | lost == {0, 1, 2, 3}
-        for i, result in delivered.items():
-            assert result == f"ok:{['a', 'die', 'b', 'c'][i]}"
+        assert excinfo.value.chunk_indices == (1,)
+        assert {i: text for i, (text, _) in delivered.items()} == {
+            0: "ok:a", 2: "ok:b", 3: "ok:c"
+        }
+        # The caller ran the back two while a helper took the front two.
+        pids = {i: pid for i, (_, pid) in delivered.items()}
+        assert pids[2] == pids[3] == os.getpid() != pids[0]
 
     def test_task_exceptions_still_propagate_as_themselves(self):
         with pytest.raises(ValueError, match="boom"):
             run_task_batches(_raising_batch, ["x", "y"], workers=2)
 
+    @pytest.mark.parametrize("kind", ["plain", "two-arg"])
+    def test_a_helpers_exception_arrives_with_its_traceback(
+        self, fork_signals, kind
+    ):
+        # The caller's batch waits until a helper has run the failing
+        # front one.  An exception that cannot be rebuilt from its args
+        # arrives as a RuntimeError with its type and message.
+        with pytest.raises(Exception) as excinfo:
+            run_task_batches(_fail_in_a_helper, [kind, "caller"], workers=2)
+        err = excinfo.value
+        if kind == "plain":
+            assert type(err) is ValueError and str(err) == "boom in a helper"
+        else:
+            assert type(err) is RuntimeError
+            assert str(err) == "_TwoArgError: boom 2"
+        assert isinstance(err.__cause__, pool._RemoteTraceback)
+        assert "in _fail_in_a_helper" in str(err.__cause__)
+
+    def test_no_batch_past_a_failure_is_started(
+        self, fork_signals, monkeypatch, tmp_path
+    ):
+        # The helper's front batch fails once the caller runs the back
+        # one, and the caller's batch returns only when the helper has
+        # closed the window at the failure (forked helpers inherit the
+        # patched _portable, which runs after that).
+        portable = pool._portable
+
+        def portable_then_signal(err):
+            _SIGNALS["doomed"].set()
+            return portable(err)
+
+        monkeypatch.setattr(pool, "_portable", portable_then_signal)
+        batches = [(i, str(tmp_path)) for i in range(6)]
+        with pytest.raises(ValueError, match="boom: 0"):
+            run_task_batches(_fail_the_front_once_the_back_runs, batches, workers=2)
+        assert sorted(os.listdir(tmp_path)) == ["ran-0", "ran-5"]
+
+    def test_no_helper_outlives_a_dispatch(self):
+        _require_a_pool()
+        assert run_task_batches(_double, list(range(8)), workers=3) == [
+            2 * i for i in range(8)
+        ]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="boom"):
+            run_task_batches(_raising_batch, ["x", "y", "z"], workers=3)
+        assert multiprocessing.active_children() == []
+        # An interrupt in the caller ends the helpers at their work.
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_task_batches(_interrupt_the_caller, [0, 1, 2], workers=3)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
+
+    def test_a_helper_dying_inside_its_claim_does_not_hang_the_caller(
+        self, fork_signals, monkeypatch
+    ):
+        # A helper killed while it holds the window's lock leaves the
+        # other helper blocked on it: the caller ends both and runs
+        # every batch itself.  (Forked helpers inherit the patch.)
+        def claim_and_die(lock, window):
+            lock.acquire()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(pool, "_claim_front", claim_and_die)
+        monkeypatch.setattr(pool, "_LOCK_PATIENCE_S", 0.05)
+        delivered = []
+        results = run_task_batches(
+            _double,
+            list(range(6)),
+            workers=3,
+            on_result=lambda i, result: delivered.append(i),
+        )
+        assert results == [2 * i for i in range(6)]
+        assert delivered == list(range(6))
+        assert multiprocessing.active_children() == []
+
+    def test_helpers_inherit_the_callers_instances(self, monkeypatch):
+        # The caller keeps its process-wide instance cache across
+        # dispatches, so a second spec on the same seeded instances
+        # reuses builds made during the first: in the caller itself,
+        # or in a helper forked from it.
+        _require_a_pool()
+        monkeypatch.setattr(runner, "_INSTANCES", None)
+        monkeypatch.setattr(runner, "_BATCHES", {})
+        grid = dict(ns=(16, 32, 64, 128), seeds=(0, 1, 2))
+        first = ExperimentSpec(
+            "test/inherit/sinkless-det", "sinkless-orientation", "sinkless-det",
+            "cubic", **grid,
+        )
+        second = dataclasses.replace(
+            first, name="test/inherit/sinkless-rand", solver="sinkless-rand"
+        )
+        run_experiment(first, workers=2, batch_size=1)
+        report = run_experiment(second, workers=2, batch_size=1)
+        counters = aggregate(report.telemetry)["counters"]
+        assert counters.get("instance_cache.core_reused", 0) >= 1, counters
+
     @pytest.mark.skipif(
         not os.path.isdir("/proc"), reason="reads process groups from /proc"
     )
     def test_a_killed_parent_takes_its_workers_with_it(self):
-        # The parent leads its own process group, so its pool workers
-        # share the group id, which is the parent's pid.
+        # The parent leads its own process group, so its helpers share
+        # the group id, which is the parent's pid.  The parent runs a
+        # batch itself, next to workers - 1 helpers.
         _require_a_pool()
+        workers = 3
         src = os.path.dirname(os.path.dirname(repro.__file__))
         script = (
             "import time\n"
             "from repro.engine.pool import run_task_batches\n"
-            "run_task_batches(time.sleep, [60, 60, 60, 60], workers=2)\n"
+            f"run_task_batches(time.sleep, [60, 60, 60, 60], workers={workers})\n"
         )
         parent = subprocess.Popen(
             [sys.executable, "-c", script],
@@ -259,9 +403,9 @@ class TestPool:
         )
         try:
             deadline = time.monotonic() + 60
-            while len(_live_group_members(parent.pid)) < 3:
+            while len(_live_group_members(parent.pid)) < 1 + (workers - 1):
                 assert parent.poll() is None, "the pool's parent exited early"
-                assert time.monotonic() < deadline, "the pool never started"
+                assert time.monotonic() < deadline, "the helpers never started"
                 time.sleep(0.05)
             parent.kill()
             parent.wait(timeout=10)
@@ -278,28 +422,107 @@ class TestPool:
 
 
 def _require_a_pool():
-    executor = _make_executor(2, 2, 0)
-    if executor is None:
-        pytest.skip("no process pool on this platform")
-    executor.shutdown()
+    try:
+        pool._context().Lock()
+    except (ImportError, NotImplementedError, OSError):
+        pytest.skip("no process helpers on this platform")
+
+
+#: Events the batch functions below wait on; the ``fork_signals``
+#: fixture fills it before a dispatch, so forked helpers inherit them.
+_SIGNALS: dict = {}
+
+
+@pytest.fixture
+def fork_signals(monkeypatch):
+    """Fresh events for a dispatch whose helpers are forked.
+
+    The tests using it hand helpers state (events, patched functions)
+    that only a forked helper inherits.
+    """
+    _require_a_pool()
+    ctx = pool._context()
+    if ctx.get_start_method() != "fork":
+        pytest.skip("helpers are not forked on this platform")
+    signals = {key: ctx.Event() for key in (0, 1, "doomed")}
+    monkeypatch.setattr(sys.modules[__name__], "_SIGNALS", signals)
+    return signals
+
+
+def _in_a_helper() -> bool:
+    return multiprocessing.parent_process() is not None
 
 
 def _double(x):
     return 2 * x
 
 
+def _describe(batch):
+    index, text = batch
+    return {"index": index, "length": len(text), "echo": text[::-1]}
+
+
+def _run_once(batch):
+    index, root = batch
+    os.close(os.open(os.path.join(root, f"ran-{index}"), os.O_CREAT | os.O_EXCL))
+    return index
+
+
 def _with_pid(x):
     return x, os.getpid()
 
 
+def _meet(side):
+    _SIGNALS[side].set()
+    assert _SIGNALS[1 - side].wait(timeout=60), "the other batch never ran"
+    return os.getpid()
+
+
 def _suicide_batch(payload):
     if payload == "die":
+        if not _in_a_helper():
+            raise RuntimeError("the doomed batch ran in the caller")
+        _SIGNALS["doomed"].set()
         os.kill(os.getpid(), signal.SIGKILL)
-    return f"ok:{payload}"
+    if not _in_a_helper():
+        assert _SIGNALS["doomed"].wait(timeout=60), "no helper claimed the doomed batch"
+    return f"ok:{payload}", os.getpid()
+
+
+class _TwoArgError(Exception):
+    def __init__(self, what, count):
+        super().__init__(f"{what} {count}")
+
+
+def _fail_in_a_helper(payload):
+    if _in_a_helper():
+        _SIGNALS["doomed"].set()
+        if payload == "plain":
+            raise ValueError("boom in a helper")
+        raise _TwoArgError("boom", 2)
+    assert _SIGNALS["doomed"].wait(timeout=60), "no helper ran the failing batch"
+    return payload
+
+
+def _fail_the_front_once_the_back_runs(batch):
+    index, root = batch
+    open(os.path.join(root, f"ran-{index}"), "w").close()
+    if _in_a_helper():
+        assert _SIGNALS[0].wait(timeout=60), "the caller never ran a batch"
+        raise ValueError(f"boom: {index}")
+    _SIGNALS[0].set()
+    assert _SIGNALS["doomed"].wait(timeout=60), "no helper failed"
+    return index
 
 
 def _raising_batch(payload):
     raise ValueError(f"boom: {payload}")
+
+
+def _interrupt_the_caller(payload):
+    if _in_a_helper():
+        time.sleep(60)
+    raise KeyboardInterrupt
 
 
 def _live_group_members(pgid: int) -> list[str]:

@@ -242,6 +242,23 @@ class TestCopyAndEquality:
             assert clone.half_at(2, 0) == "late"
             assert labeling.half_at(2, 0) is EMPTY
 
+    def test_padded_inputs_survive_pickle_and_deepcopy(self):
+        # A padded instance's inputs hold PaddedInput labels on nodes,
+        # edges and half-edges.
+        instance = registry.family("padded-sinkless").builder(2, 0)
+        labeling = instance.inputs
+        assert isinstance(labeling.node(0), PaddedInput)
+        for clone in (pickle.loads(pickle.dumps(labeling)), copy.deepcopy(labeling)):
+            for table in ("_nodes", "_edges", "_slots"):
+                assert getattr(clone, table) == getattr(labeling, table), table
+            for flags in ("_node_set", "_edge_set", "_slot_set"):
+                assert getattr(clone, flags) == getattr(labeling, flags), flags
+            assert all(
+                type(label) is type(original)
+                for label, original in zip(clone._slots, labeling._slots)
+            )
+            assert list(clone.items()) == list(labeling.items())
+
     def test_sentinels_unpickle_as_themselves(self):
         assert pickle.loads(pickle.dumps(EMPTY)) is EMPTY
         assert pickle.loads(pickle.dumps(BLANK)) is BLANK

@@ -19,14 +19,15 @@ import multiprocessing
 import os
 import random
 import signal
+import sys
 
 import pytest
 
-from repro.engine import runner
+from repro.engine import pool, runner
 from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.experiments import build_experiment
-from repro.engine.pool import WorkerCrashed, _make_executor
+from repro.engine.pool import WorkerCrashed
 from repro.engine.runner import (
     merge_shard_reports,
     plan_experiment,
@@ -280,16 +281,28 @@ def _export_bytes(root, path):
 
 
 _EXECUTE = runner._execute_batch_payload
-#: The trial whose chunk kills its pool worker in the crash test.
+#: The trial whose chunk kills its pool helper in the crash test.
 _DOOMED = PARITY_SPEC.trials()[4].to_payload()
+#: Set by the helper that claims the doomed chunk; the crash test makes
+#: it before the dispatch, so forked helpers inherit it.
+_DOOMED_CLAIMED = None
+#: The trial payloads of the chunks the calling process ran itself.
+_RAN_IN_CALLER: list = []
 
 
 def _die_on_the_doomed_chunk(payload):
+    in_caller = multiprocessing.parent_process() is None
     if _DOOMED in payload["trials"]:
-        if multiprocessing.parent_process() is None:
+        if in_caller:
             # Never SIGKILL the test process itself.
-            raise RuntimeError("the doomed chunk ran outside a pool worker")
+            raise RuntimeError("the doomed chunk ran outside a pool helper")
+        _DOOMED_CLAIMED.set()
         os.kill(os.getpid(), signal.SIGKILL)
+    if in_caller:
+        # The caller's own chunks wait until a helper holds the doomed
+        # one, so the caller never claims it.
+        assert _DOOMED_CLAIMED.wait(timeout=60), "no helper claimed the doomed chunk"
+        _RAN_IN_CALLER.extend(payload["trials"])
     return _EXECUTE(payload)
 
 
@@ -335,33 +348,50 @@ class TestInterruptedShard:
     def test_a_dead_worker_keeps_the_delivered_chunks(
         self, tmp_path, monkeypatch
     ):
-        executor = _make_executor(2, 2, 0)
-        if executor is None:
-            pytest.skip("no process pool on this platform")
-        executor.shutdown()
+        ctx = pool._context()
+        try:
+            claimed = ctx.Event()
+        except (ImportError, NotImplementedError, OSError):
+            pytest.skip("no process helpers on this platform")
+        if ctx.get_start_method() != "fork":
+            pytest.skip("helpers are not forked, so they would not see the event")
         manifest = plan_experiment(PARITY_SPEC, batch_size=1).manifest(0)
         trials = PARITY_SPEC.trials()
+        # The pool gets the chunks largest-first; the doomed chunk's
+        # position in that order is the batch index the crash names.
+        order = sorted(range(len(trials)), key=lambda i: (-trials[i].n, i))
+        doomed = order.index(4)
         root = str(tmp_path / "cache")
         with monkeypatch.context() as patch:
             patch.setattr(
                 runner, "_execute_batch_payload", _die_on_the_doomed_chunk
             )
+            patch.setattr(sys.modules[__name__], "_DOOMED_CLAIMED", claimed)
+            patch.setattr(sys.modules[__name__], "_RAN_IN_CALLER", [])
             with pytest.raises(WorkerCrashed) as excinfo:
                 run_shard(manifest, workers=2, cache=TrialCache(root))
-        lost = len(excinfo.value.chunk_indices)
+            ran_in_caller = [
+                i for i, trial in enumerate(trials)
+                if trial.to_payload() in _RAN_IN_CALLER
+            ]
+        assert excinfo.value.chunk_indices == (doomed,)
+        # The helper ran the chunks up to the doomed one; the caller ran
+        # the rest, from the back.
+        assert ran_in_caller == sorted(order[doomed + 1:])
         stored = _records_on_disk(root)
-        # One trial per chunk: every chunk not reported lost is stored,
-        # with the record a clean run computes, and the doomed one is not.
-        assert len(stored) == len(trials) - lost
-        assert trials[4].key() not in stored
+        # One trial per chunk: every chunk but the doomed one is stored,
+        # with the record a clean run computes.
+        assert sorted(stored) == sorted(
+            trial.key() for i, trial in enumerate(trials) if i != 4
+        )
         oracle = str(tmp_path / "oracle")
         run_experiment(PARITY_SPEC, cache=TrialCache(oracle))
         clean = _records_on_disk(oracle)
         assert all(clean[key] == record for key, record in stored.items())
 
         rerun = run_shard(manifest, workers=2, cache=TrialCache(root))
-        assert rerun.cache_hits == len(stored)
-        assert rerun.computed == lost
+        assert rerun.cache_hits == len(trials) - 1
+        assert rerun.computed == 1
         # Pool chunks land in arrival order, so compare the key-sorted
         # exports rather than the append-ordered shard files.
         assert _export_bytes(root, str(tmp_path / "mine.jsonl")) == (

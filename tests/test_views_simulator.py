@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import kernels
@@ -133,6 +135,12 @@ class TestSyncEngine:
         assert len(err.trace) == 10  # the partial trace survives
         assert all(r.active == 4 for r in err.trace)
         assert "10 rounds" in str(err) and "4 node(s)" in str(err)
+        # It survives a pickle round trip, as a pool helper sends it.
+        clone = pickle.loads(pickle.dumps(err))
+        assert type(clone) is ConvergenceError and str(clone) == str(err)
+        assert (clone.max_rounds, clone.active, clone.trace) == (
+            err.max_rounds, err.active, err.trace
+        )
 
     def test_node_radius_uniform(self):
         graph = cycle(6)
