@@ -20,14 +20,9 @@ import time
 
 from benchmarks.conftest import report, report_json
 from repro.analysis import render_table
-from repro.engine.runner import (
-    merge_shard_reports,
-    plan_experiment,
-    run_experiment,
-    run_shard,
-)
+from repro.engine.runner import plan_experiment, run_experiment, run_shard
 from repro.engine.spec import ExperimentSpec
-from repro.obs import aggregate, get_telemetry, set_enabled
+from repro.obs import aggregate, get_telemetry, merge_snapshots, set_enabled
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 N = 512 if QUICK else 4096
@@ -132,33 +127,39 @@ def test_k4_shard_telemetry_merges_order_independently_and_stays_inert():
     plan = plan_experiment(spec, num_shards=4, batch_size=len(SEEDS))
 
     def run_all():
-        return [run_shard(plan.manifest(i)) for i in range(plan.num_shards)]
+        """Every shard's report, and their records by global index."""
+        reports = [run_shard(plan, i) for i in range(plan.num_shards)]
+        records = [None] * plan.trial_count()
+        for report in reports:
+            for i, record in report.records:
+                records[i] = record
+        return reports, records
 
     was_enabled = set_enabled(True)
     try:
         get_telemetry().reset()
-        reports = run_all()
+        reports, records = run_all()
         merges = [
-            merge_shard_reports([reports[i] for i in order])
+            merge_snapshots([reports[i].telemetry for i in order])
             for order in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0))
         ]
-        assert all(m.telemetry == merges[0].telemetry for m in merges[1:])
-        assert all(m.records == merges[0].records for m in merges[1:])
-        counters = aggregate(merges[0].telemetry)["counters"]
+        assert all(m == merges[0] for m in merges[1:])
+        counters = aggregate(merges[0])["counters"]
         assert counters["trials.executed"] == len(spec.ns) * len(SEEDS)
         set_enabled(False)
-        silent = merge_shard_reports(run_all())
+        silent, silent_records = run_all()
     finally:
         set_enabled(was_enabled)
-    assert silent.telemetry is None
-    assert silent.records == merges[0].records
+    assert all(report.telemetry is None for report in silent)
+    assert None not in records
+    assert silent_records == records
     report_json(
         "obs_shard_merge",
         {
             "num_shards": plan.num_shards,
             "trials": len(spec.ns) * len(SEEDS),
             "order_independent": True,
-            "records_identical_disabled": silent.records == merges[0].records,
+            "records_identical_disabled": silent_records == records,
             "counters": counters,
         },
         file="BENCH_obs.json",

@@ -1,14 +1,13 @@
 """E12 — vectorized kernels over the CSR core vs the object layer.
 
-PR 8's claim: the numpy-backed kernel layer (``repro.kernels``) beats
-the pure-python object layer by >= 3x on frontier-vectorized BFS and
-the batched verifier at n >= 1000, with *bit-identical* results — the
-object layer stays the differential-testing oracle, the vector backend
-only buys time.
+The claim: the numpy-backed kernel layer (``repro.kernels``) beats the
+pure-python object layer by >= 3x on the batched verifier at
+n >= 1000, with *bit-identical* results — the object layer stays the
+differential-testing oracle, the vector backend only buys time.
 
 Emits ``benchmarks/BENCH_kernels.json`` via the shared ``report_json``
-hook for cross-PR tracking.  The >= 3x gates hold in quick mode too:
-the kernels are measured back-to-back in-process, so the ratio is
+hook for cross-PR tracking.  The >= 3x gate holds in quick mode too:
+the backends are measured back-to-back in-process, so the ratio is
 robust to runner noise even when the absolute times are not.
 
 The ``small_trials`` row backs the ``auto`` kernel mode, which takes
@@ -30,8 +29,6 @@ from repro.analysis import render_table
 from repro.generators import cubic_instance
 from repro.lcl import Labeling
 from repro.lcl.verifier import PreparedVerifier
-from repro.local import bfs_distances
-from repro.local.distances import connected_components, multi_source_bfs
 from repro.problems import VertexColoring
 from repro.runtime import registry
 from repro.runtime.driver import dispatch_solver, verifier_for
@@ -39,16 +36,11 @@ from repro.runtime.driver import dispatch_solver, verifier_for
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 #: The acceptance bar binds at n >= 1000; quick mode shrinks repeats,
 #: not the instance (a sub-1000-node quick instance would gate nothing,
-#: and per-level numpy dispatch overhead only amortizes out well past
-#: the bar — ratios at this size are stable, at 1024 they are noise).
+#: and numpy's per-call overhead only amortizes out well past the bar —
+#: ratios at this size are stable, at 1024 they are noise).
 N = 8192
 REPEATS = 3 if QUICK else 5
 THRESHOLD = 3.0
-#: Frontier bookkeeping (parent extraction, component relabeling) caps
-#: these two below the 3x bar; they gate at their own measured floors
-#: so a regression can't silently eat the win PR 8 shipped.
-MSBFS_THRESHOLD = 2.0
-COMPONENTS_THRESHOLD = 1.5
 #: (solver, family) cells of the canonical grid whose small instances
 #: the ``small_trials`` row times, and the sizes it uses.
 SMALL_TRIAL_CELLS = (
@@ -90,47 +82,9 @@ def _coloring_outputs(graph):
 
 
 def test_vector_kernel_speedups():
-    # Random cubic topology: BFS frontiers grow exponentially, so most
-    # of the graph sits in a few wide frontiers — the vectorized
-    # kernels' favorable (and realistic: it is the paper's hard
-    # family) regime.
+    # Random cubic topology: the paper's hard family.
     graph = cubic_instance(N, seed=0).graph
     n = graph.num_nodes
-    rows = []
-    payload = {}
-
-    def case(label, object_s, vector_s, gated):
-        speedup = object_s / vector_s
-        rows.append(
-            [
-                label,
-                n,
-                round(object_s * 1e3, 2),
-                round(vector_s * 1e3, 2),
-                f"{speedup:.2f}x",
-                "yes" if gated else "no",
-            ]
-        )
-        payload[label] = {
-            "n": n,
-            "object_ms": object_s * 1e3,
-            "vector_ms": vector_s * 1e3,
-            "speedup": speedup,
-            "gated": gated,
-        }
-        return speedup
-
-    bfs_speedup = case("bfs_distances", *_vector_vs_object(bfs_distances, graph, 0), True)
-    msbfs_speedup = case(
-        "multi_source_bfs",
-        *_vector_vs_object(multi_source_bfs, graph, [0, 1, 2]),
-        True,
-    )
-    components_speedup = case(
-        "connected_components",
-        *_vector_vs_object(connected_components, graph),
-        True,
-    )
 
     # Batched verifier: one PreparedVerifier skeleton, repeated verify
     # calls — the seed-batch shape the engine actually runs.  The
@@ -144,46 +98,44 @@ def test_vector_kernel_speedups():
         verdict = kernels.prepared_verify(prepared, outputs)
         return (verdict.ok, tuple(verdict.violations))
 
-    verifier_speedup = case(
-        "batched_verifier", *_vector_vs_object(batched_verify), True
-    )
+    object_s, vector_s = _vector_vs_object(batched_verify)
+    verifier_speedup = object_s / vector_s
 
     report(
         render_table(
-            ["kernel", "n", "object ms", "vector ms", "speedup", "gated"],
-            rows,
+            ["kernel", "n", "object ms", "vector ms", "speedup"],
+            [
+                [
+                    "batched_verifier",
+                    n,
+                    round(object_s * 1e3, 2),
+                    round(vector_s * 1e3, 2),
+                    f"{verifier_speedup:.2f}x",
+                ]
+            ],
             title=(
                 "E12 vectorized kernels vs object layer "
-                f"(results bit-identical; bar >= {THRESHOLD}x on gated rows)"
+                f"(results bit-identical; bar >= {THRESHOLD}x)"
             ),
         )
     )
     report_json(
         "vector_kernels",
         {
-            "cases": payload,
+            "cases": {
+                "batched_verifier": {
+                    "n": n,
+                    "object_ms": object_s * 1e3,
+                    "vector_ms": vector_s * 1e3,
+                    "speedup": verifier_speedup,
+                }
+            },
             "n": n,
             "quick": QUICK,
             "threshold": THRESHOLD,
-            "msbfs_threshold": MSBFS_THRESHOLD,
-            "components_threshold": COMPONENTS_THRESHOLD,
-            "bfs_speedup": bfs_speedup,
-            "msbfs_speedup": msbfs_speedup,
-            "components_speedup": components_speedup,
             "verifier_speedup": verifier_speedup,
         },
         file="BENCH_kernels.json",
-    )
-    assert bfs_speedup >= THRESHOLD, (
-        f"vectorized BFS speedup {bfs_speedup:.2f}x below {THRESHOLD}x at n={n}"
-    )
-    assert msbfs_speedup >= MSBFS_THRESHOLD, (
-        f"multi-source BFS speedup {msbfs_speedup:.2f}x below "
-        f"{MSBFS_THRESHOLD}x at n={n}"
-    )
-    assert components_speedup >= COMPONENTS_THRESHOLD, (
-        f"connected components speedup {components_speedup:.2f}x below "
-        f"{COMPONENTS_THRESHOLD}x at n={n}"
     )
     assert verifier_speedup >= THRESHOLD, (
         f"batched verifier speedup {verifier_speedup:.2f}x below "

@@ -6,16 +6,16 @@ solver, and family plus the (n, seed) grid; the runner expands it into
 content-hashed trials, replays whatever the on-disk cache already
 holds, dispatches the delta to a process pool, and folds the records
 into the same ``Sweep``/``SweepPoint`` shapes the analysis layer has
-always used.  The same pipeline scales out: a
-:class:`ShardPlan` deals a spec's dispatch chunks onto K serializable
-:class:`ShardManifest` shards that run anywhere
-(:func:`run_shard`) and merge back bit-identically
-(:func:`merge_shard_reports` + cache union).  ``python -m
-repro.engine`` exposes the named experiments of
-:mod:`repro.engine.experiments` and the
-``plan``/``run-shard``/``merge`` flow from the shell.  Any launcher
-can run the shards and restart one that dies: ``run_shard`` stores
-each chunk as it arrives, so a rerun recomputes only what was lost.
+always used.  The same pipeline scales out: a :class:`ShardPlan` deals
+a spec's dispatch chunks onto K shards that run anywhere
+(:func:`run_shard`), and their records come home through the cache —
+union the shards' roots with :meth:`TrialCache.merge`, then replay the
+plan with :func:`run_experiment`, bit-identically to a single-host
+run.  ``python -m repro.engine`` exposes the named experiments of
+:mod:`repro.engine.experiments` and the ``plan``/``run-shard``/``merge``
+flow from the shell.  Any launcher can run the shards and restart one
+that dies: ``run_shard`` stores each chunk as it arrives, so a rerun
+recomputes only what was lost.
 """
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, CacheStats, TrialCache
@@ -26,19 +26,12 @@ from repro.engine.runner import (
     ShardReport,
     auto_batch_size,
     execute_trial_batch,
-    merge_shard_reports,
     plan_experiment,
     run_experiment,
     run_shard,
 )
-from repro.engine.shard import ShardManifest, ShardPlan
-from repro.engine.spec import (
-    CACHE_VERSION,
-    ExperimentSpec,
-    TrialSpec,
-    grid,
-    seed_grid,
-)
+from repro.engine.shard import ShardPlan
+from repro.engine.spec import CACHE_VERSION, ExperimentSpec, TrialSpec, grid
 
 __all__ = [
     "CACHE_VERSION",
@@ -47,7 +40,6 @@ __all__ = [
     "EXPERIMENTS",
     "EngineReport",
     "ExperimentSpec",
-    "ShardManifest",
     "ShardPlan",
     "ShardReport",
     "TrialCache",
@@ -58,10 +50,8 @@ __all__ = [
     "default_workers",
     "execute_trial_batch",
     "grid",
-    "merge_shard_reports",
     "plan_experiment",
     "run_experiment",
     "run_shard",
     "run_task_batches",
-    "seed_grid",
 ]

@@ -8,14 +8,14 @@ replay the *last* record for a key wins, so an interrupted run can
 simply be re-run, and :meth:`TrialCache.compact` rewrites the files
 down to that last record per key when append growth matters.
 
-The store is built for distributed merge: because every record is
-keyed by its trial's content hash, two caches can only ever disagree
-on *presence*, never on *value* — so ``merge`` is a plain key union
-(idempotent, commutative), ``export``/``import_file`` move records as
-one portable JSONL file, and the ``isolation`` mode points writes at a
-private root (one per shard of a sharded run) that unions cleanly back
-into the shared root afterward.  A root moves between hosts as plain
-files — a shared filesystem or any copy — and ``merge`` takes it from
+The store is built for distributed merge, and it is the one way a
+sharded run's results come home: because every record is keyed by its
+trial's content hash, two caches can only ever disagree on *presence*,
+never on *value* — so ``merge`` is a plain key union (idempotent,
+commutative), and the ``isolation`` mode points writes at a private
+root (one per shard of a sharded run) that unions cleanly back into
+the shared root afterward.  A root moves between hosts as plain files
+— a shared filesystem or any copy — and ``merge`` takes it from
 wherever it landed.  All readers tolerate a torn trailing line, the
 worst a killed writer or a cut-short copy can leave behind.
 
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.obs import get_telemetry
-from repro.util.fsio import atomic_write_text
 
 __all__ = ["CacheStats", "TrialCache", "DEFAULT_CACHE_DIR"]
 
@@ -49,23 +48,15 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     #: Lines that are not a record, skipped while reading this cache's
-    #: roots, imports, and merge sources — mostly the torn tails killed
-    #: writers leave.
+    #: roots and merge sources — mostly the torn tails killed writers
+    #: leave.
     torn_lines: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "torn_lines": self.torn_lines,
-        }
 
 
 def _parse_lines(
     path: str, on_torn: Callable[[], None] | None = None
 ) -> Iterator[tuple[str, dict[str, Any]]]:
-    """Yield ``(key, record)`` pairs from one shard/export file.
+    """Yield ``(key, record)`` pairs from one shard file.
 
     A missing file reads as empty.  Every other line that is not a
     record — an object with a non-empty string ``key`` and an object
@@ -207,14 +198,6 @@ class TrialCache:
             get_telemetry().incr("cache.hits")
         return record
 
-    def get_many(self, keys: Iterable[str]) -> dict[str, dict[str, Any]]:
-        found: dict[str, dict[str, Any]] = {}
-        for key in keys:
-            record = self.get(key)
-            if record is not None:
-                found[key] = record
-        return found
-
     def put(self, key: str, record: dict[str, Any]) -> None:
         self.put_many([(key, record)])
 
@@ -248,33 +231,7 @@ class TrialCache:
     def __len__(self) -> int:
         return len(self._index)
 
-    # -- transport: export / import / merge ----------------------------
-
-    def export(self, path: str, keys: Iterable[str] | None = None) -> int:
-        """Write records as one portable JSONL file; returns the count.
-
-        ``keys=None`` exports everything on disk; an explicit iterable
-        exports exactly those keys (unknown ones are skipped).  Lines
-        are key-sorted, so equal caches export byte-identical files.
-        The file is staged and atomically replaced: a consumer reading
-        an export sees the previous complete file or the new one, never
-        a half-written mixture, even if the exporter is killed.
-        """
-        if keys is None:
-            self.load_all()
-            entries = sorted(self._index.items())
-        else:
-            picked: dict[str, dict[str, Any]] = {}
-            for key in keys:
-                record = self._peek(key)
-                if record is not None:
-                    picked[key] = record  # dedups repeated keys, too
-            entries = sorted(picked.items())
-        atomic_write_text(
-            path,
-            "".join(_dump_line(key, record) + "\n" for key, record in entries),
-        )
-        return len(entries)
+    # -- transport: merge ---------------------------------------------
 
     def _absorb(self, incoming: dict[str, dict[str, Any]]) -> int:
         """Key-union incoming records; newcomers win only when they differ.
@@ -292,33 +249,6 @@ class TrialCache:
         ]
         self.put_many(fresh)
         return len(fresh)
-
-    def import_file(self, path: str) -> tuple[int, int]:
-        """Import a JSONL export; returns ``(added, torn_lines_skipped)``.
-
-        Tolerates a torn trailing line — but *reports* it, so a caller
-        moving records between hosts can tell a clean transfer from one
-        that silently lost its tail; within the file the last record
-        per key wins, mirroring shard replay.
-        """
-        if not os.path.isfile(path):
-            raise ValueError(f"cache export {path!r} does not exist")
-        incoming: dict[str, dict[str, Any]] = {}
-        skipped = 0
-
-        def count() -> None:
-            nonlocal skipped
-            skipped += 1
-
-        for key, record in _parse_lines(path, count):
-            incoming[key] = record
-        if skipped:
-            self.stats.torn_lines += skipped
-            get_telemetry().incr("cache.torn_lines_skipped", skipped)
-            _LOG.warning(
-                "import of %s skipped %d torn line(s)", path, skipped
-            )
-        return self._absorb(incoming), skipped
 
     def merge(self, other_root: str) -> int:
         """Union another cache root's records into this cache.

@@ -40,8 +40,9 @@ the rerun recomputes only the chunks that were lost, and ``status``
 shows which shards still owe trials.
 
 Failure hygiene: every subcommand reports a setup failure (a missing
-plan or cache root, a bad shard index, an unknown name) as one
-structured line (command, experiment, shard, cause) on stderr, and
+plan or cache root, a bad shard index, an unknown name, an unreadable
+report file, an unwritable ``--out``) as one structured line
+(command, experiment, shard, cause) on stderr, and
 ``run``/``run-shard``/``merge`` report run-time failures (a rejected
 output, a crashed worker) the same way and exit 3 — never a bare
 traceback.  ``--json-errors`` switches that line to a JSON object a
@@ -539,19 +540,13 @@ def _parser() -> argparse.ArgumentParser:
     stats = command(
         "stats",
         _stats,
-        "cache-dir",
-        help=(
-            "render the telemetry of a report, or (without --report) the "
-            "`cache --status` view of --cache-dir"
-        ),
+        help="render the merged telemetry of a --json report",
     )
     stats.add_argument(
         "--report",
+        required=True,
         metavar="PATH",
-        help=(
-            "a JSON report written by run/run-shard/merge --json; renders "
-            "its merged telemetry block"
-        ),
+        help="a JSON report written by run/run-shard/merge --json",
     )
 
     cache = command(
@@ -616,24 +611,6 @@ def _open_cache(root: str) -> TrialCache:
     if not os.path.isdir(root):
         raise ValueError(f"cache root {root!r} does not exist")
     return TrialCache(root)
-
-
-def _show_cache(cache: TrialCache, counters: bool) -> None:
-    """The record count of a cache root, optionally with its counters."""
-    cache.load_all()
-    print(f"{cache.root}: {len(cache)} record(s) on disk")
-    if counters:
-        # The obs counters this process accrued touching the root:
-        # shard files loaded by load_all, stale lines compacted by
-        # --compact, plus hits/misses/puts once a runner used it.
-        print(
-            "\n"
-            + format_telemetry(
-                get_telemetry().snapshot(),
-                title=cache.root,
-                counter_prefix="cache.",
-            )
-        )
 
 
 def _progress_callback(spec_name: str, total: int):
@@ -787,9 +764,9 @@ def _plan(args: argparse.Namespace) -> int:
             for spec in specs
         ]
         payload = dump_plan_file(args.experiment, plans)
+        _write_json(args.out, payload)
     except (ValueError, OSError) as err:
         return _emit_error(args, err, 2, args.experiment)
-    _write_json(args.out, payload)
     if args.out != "-":
         print(
             f"wrote {args.out}: {args.experiment}, {len(plans)} spec(s) x "
@@ -823,16 +800,16 @@ def _run_shard_plans(args, plans, index, cache) -> int:
     show_progress = args.progress and not args.quiet
     reports = []
     for plan in plans:
-        manifest = plan.manifest(index)
         on_record = None
         if show_progress:
             on_record = _progress_callback(
-                f"{manifest.spec.name} [shard {index}]",
-                len(manifest.trial_indices()),
+                f"{plan.spec.name} [shard {index}]",
+                len(plan.trial_indices(index)),
             )
         reports.append(
             run_shard(
-                manifest,
+                plan,
+                index,
                 workers=args.workers,
                 cache=cache,
                 on_record=on_record,
@@ -987,43 +964,71 @@ def _cache(args: argparse.Namespace) -> int:
                 f"dropped {dropped} stale line(s)"
             )
         if args.status or not args.compact:
-            _show_cache(cache, counters=args.status)
+            cache.load_all()
+            print(f"{cache.root}: {len(cache)} record(s) on disk")
+        if args.status:
+            # The obs counters this process accrued touching the root:
+            # shard files loaded by load_all, stale lines compacted by
+            # --compact.
+            print(
+                "\n"
+                + format_telemetry(
+                    get_telemetry().snapshot(),
+                    title=cache.root,
+                    counter_prefix="cache.",
+                )
+            )
     except (ValueError, OSError) as err:
         return _emit_error(args, err, 2)
     return 0
 
 
 def _stats(args: argparse.Namespace) -> int:
-    """Render telemetry: from a --json report file, or a cache root."""
+    """Render the telemetry a ``--json`` report file carries."""
     try:
-        if args.report is None:
-            _show_cache(_open_cache(args.cache_dir), counters=True)
-            return 0
         with open(args.report, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            text = _render_report_telemetry(json.load(handle), args.report)
     except (ValueError, OSError) as err:
         return _emit_error(args, err, 2)
-    entries = payload.get("reports", [])
-    if isinstance(payload, dict) and "telemetry" in payload:
-        entries = [payload]  # a single report object
-    snapshots = [
-        entry.get("telemetry") for entry in entries if isinstance(entry, dict)
-    ]
+    print(text)
+    return 0
+
+
+def _render_report_telemetry(payload: object, path: str) -> str:
+    """The merged telemetry tables of a report file, then one wall-time
+    line per report.
+
+    A report file holds one report object, or an object whose
+    ``reports`` list holds them (what ``run``/``run-shard``/``merge
+    --json`` write).  Anything else raises ``ValueError``, so ``stats``
+    reports it as one setup-error line.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"a report file holds one JSON object, not {type(payload).__name__}"
+        )
+    entries = [payload] if "telemetry" in payload else payload.get("reports", [])
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) for entry in entries
+    ):
+        raise ValueError("a report file's reports must be a list of JSON objects")
+    snapshots = [entry.get("telemetry") for entry in entries]
     if not any(snapshots):
-        print(
-            f"{args.report}: no telemetry blocks "
+        return (
+            f"{path}: no telemetry blocks "
             "(written by an older build, or telemetry disabled?)"
         )
-        return 0
-    title = payload.get("experiment") or args.report
-    print(format_telemetry(merge_snapshots(snapshots), title=str(title)))
-    for entry in entries:
-        if isinstance(entry, dict) and "elapsed_s" in entry:
-            name = entry.get("experiment", "?")
-            wall = entry.get("elapsed_s", 0.0)
-            compute = entry.get("cpu_elapsed_s", wall)
-            print(f"{name}: {wall:.2f}s wall, {compute:.2f}s compute")
-    return 0
+    try:
+        title = str(payload.get("experiment") or path)
+        lines = [format_telemetry(merge_snapshots(snapshots), title=title)]
+        lines += [
+            f"{entry.get('experiment', '?')}: {entry['elapsed_s']:.2f}s wall"
+            for entry in entries
+            if "elapsed_s" in entry
+        ]
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(f"malformed report file: {err!r}") from err
+    return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

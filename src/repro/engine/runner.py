@@ -1,21 +1,26 @@
 """Plan -> shard -> chunk execution, from one spec to many hosts.
 
-The pipeline has three stages, each its own function, and
-``run_experiment`` is nothing but their single-shard composition:
+The pipeline has two stages, each its own function, and
+``run_experiment`` is their single-shard composition plus the sweep
+aggregation:
 
 1. :func:`plan_experiment` expands the spec into its trial grid
    (n-major, seed-minor order), chunks the FULL grid into per-``(spec,
    n)`` dispatch chunks, and deals the chunks onto K shards — a pure
    function of ``(spec, num_shards, batch_size)``, so any host re-plans
    to byte-identical shards;
-2. :func:`run_shard` executes one :class:`~repro.engine.shard.ShardManifest`:
-   look the shard's trial keys up in the cache, hand each chunk's
-   missing trials to the worker pool as ONE task (one result pickle
-   per chunk a helper runs, not per trial), store the fresh records;
-3. :func:`merge_shard_reports` reduces the K shard reports back into
-   one :class:`EngineReport` — grid-ordered records, aggregated
-   ``Sweep`` — bit-identical to what a single-host run produces, in
-   whatever order the shards ran and on whatever mix of processes.
+2. :func:`run_shard` executes shard ``i`` of a
+   :class:`~repro.engine.shard.ShardPlan`: look the shard's trial keys
+   up in the cache, hand each chunk's missing trials to the worker
+   pool as ONE task (one result pickle per chunk a helper runs, not
+   per trial), store the fresh records.
+
+Shard results come home one way, through the trial cache: union the
+shards' cache roots (:meth:`~repro.engine.cache.TrialCache.merge`) and
+replay the plan with :func:`run_experiment`, which is pure cache hits
+when the shards covered the grid and yields an :class:`EngineReport`
+bit-identical to a single-host run, in whatever order the shards ran
+and on whatever mix of processes.
 
 The chunk — not the trial — stays the unit of scheduling.  In every
 process that runs chunks, :func:`execute_trial_batch` runs a chunk
@@ -48,7 +53,7 @@ from repro import kernels as kernel_layer
 from repro.analysis.sweep import Sweep, aggregate_points
 from repro.engine.cache import TrialCache
 from repro.engine.pool import run_task_batches
-from repro.engine.shard import ShardManifest, ShardPlan
+from repro.engine.shard import ShardPlan
 from repro.engine.spec import ExperimentSpec, TrialSpec
 from repro.obs import get_telemetry, merge_snapshots
 from repro.runtime.driver import InstanceCache, TrialBatch
@@ -60,7 +65,6 @@ __all__ = [
     "ShardReport",
     "auto_batch_size",
     "execute_trial_batch",
-    "merge_shard_reports",
     "plan_experiment",
     "run_experiment",
     "run_shard",
@@ -83,8 +87,7 @@ class EngineReport:
     trials_total: int
     cache_hits: int
     computed: int
-    #: Wall-clock proxy: the whole call for a single-host run, the
-    #: slowest shard (max) for a merged one.
+    #: Wall clock of the whole ``run_experiment`` call.
     elapsed: float
     workers: int
     #: Worker dispatch accounting: how many chunks the missing trials
@@ -92,31 +95,21 @@ class EngineReport:
     #: was dispatched).
     batches: int = 0
     batch_size: int = 0
-    #: Aggregate compute: the *sum* of shard elapsed times.  Equals
-    #: ``elapsed`` for a single-shard run; for a K-shard merge the two
-    #: answer different questions (how long you waited vs. how much
-    #: work the fleet did).
-    cpu_elapsed: float = 0.0
     #: Merged telemetry snapshot (see :mod:`repro.obs`); None when the
     #: producing run had telemetry disabled.
     telemetry: dict[str, Any] | None = None
-    #: The kernels mode the run was dispatched with ("mixed" when
-    #: merged shards disagree) — records are backend-independent, but
-    #: mixed-backend merges should be auditable.
+    #: The kernels mode the run was dispatched with — records are
+    #: backend-independent, but the report says what ran.
     kernels: str = "auto"
 
     def summary(self) -> str:
         dispatch = ""
         if self.batches:
             dispatch = f" in {self.batches} chunk(s) of <= {self.batch_size}"
-        timing = f"{self.elapsed:.2f}s"
-        if self.cpu_elapsed > self.elapsed + 1e-9:
-            # Only a multi-shard merge splits the two: say both.
-            timing = f"{self.elapsed:.2f}s wall ({self.cpu_elapsed:.2f}s compute)"
         return (
             f"{self.spec.name}: {self.trials_total} trials "
             f"({self.cache_hits} cached, {self.computed} computed{dispatch}) "
-            f"on {self.workers} worker(s) in {timing}"
+            f"on {self.workers} worker(s) in {self.elapsed:.2f}s"
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -131,7 +124,6 @@ class EngineReport:
             "batch_size": self.batch_size,
             "kernels": self.kernels,
             "elapsed_s": round(self.elapsed, 4),
-            "cpu_elapsed_s": round(self.cpu_elapsed, 4),
             "telemetry": self.telemetry,
             "points": [
                 {
@@ -323,15 +315,16 @@ def plan_experiment(
 
 @dataclass
 class ShardReport:
-    """One shard's slice of records plus its run accounting.
+    """Shard ``shard_index`` of ``plan``: its records and run accounting.
 
     ``records`` pairs each *global* trial index (into the spec's grid)
-    with its JSON-safe record, in shard execution order — a shard only
-    ever holds a slice of the grid, so aggregation waits for
-    :func:`merge_shard_reports`.
+    with its JSON-safe record, in shard execution order.  A shard holds
+    only a slice of the grid; the whole grid's report comes from the
+    cache, once the shards' roots are merged (:func:`run_experiment`).
     """
 
-    manifest: ShardManifest
+    plan: ShardPlan
+    shard_index: int
     records: list[tuple[int, dict[str, Any]]]
     trials_total: int
     cache_hits: int
@@ -342,7 +335,7 @@ class ShardReport:
     batch_size: int
     #: This shard's merged telemetry snapshot (parent deltas + one
     #: piggybacked delta per dispatched chunk); None with telemetry
-    #: disabled.  Merges into the EngineReport exactly like records do.
+    #: disabled.
     telemetry: dict[str, Any] | None = field(default=None)
     #: The kernels mode this shard was dispatched with.
     kernels: str = "auto"
@@ -352,9 +345,9 @@ class ShardReport:
         if self.batches:
             dispatch = f" in {self.batches} chunk(s) of <= {self.batch_size}"
         return (
-            f"{self.manifest.spec.name} "
+            f"{self.plan.spec.name} "
             # 0-based, like --shard parsing and the status table.
-            f"[shard {self.manifest.shard_index}/{self.manifest.num_shards}]: "
+            f"[shard {self.shard_index}/{self.plan.num_shards}]: "
             f"{self.trials_total} trials ({self.cache_hits} cached, "
             f"{self.computed} computed{dispatch}) on {self.workers} worker(s) "
             f"in {self.elapsed:.2f}s"
@@ -362,7 +355,10 @@ class ShardReport:
 
     def as_dict(self) -> dict[str, Any]:
         return {
-            "manifest": self.manifest.as_dict(),
+            "experiment": self.plan.spec.name,
+            "shard_index": self.shard_index,
+            "num_shards": self.plan.num_shards,
+            "plan_key": self.plan.key(),
             "records": [[i, record] for i, record in self.records],
             "trials_total": self.trials_total,
             "cache_hits": self.cache_hits,
@@ -375,31 +371,16 @@ class ShardReport:
             "kernels": self.kernels,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardReport":
-        return cls(
-            manifest=ShardManifest.from_dict(payload["manifest"]),
-            records=[(int(i), record) for i, record in payload["records"]],
-            trials_total=payload["trials_total"],
-            cache_hits=payload["cache_hits"],
-            computed=payload["computed"],
-            elapsed=payload["elapsed_s"],
-            workers=payload["workers"],
-            batches=payload["batches"],
-            batch_size=payload["batch_size"],
-            telemetry=payload["telemetry"],
-            kernels=payload["kernels"],
-        )
-
 
 def run_shard(
-    manifest: ShardManifest,
+    plan: ShardPlan,
+    shard_index: int,
     workers: int = 1,
     cache: TrialCache | None = None,
     on_record: Callable[[dict[str, Any]], None] | None = None,
     kernels: str = "auto",
 ) -> ShardReport:
-    """Execute one shard of a plan: this shard's chunks, nothing else.
+    """Execute shard ``shard_index`` of ``plan``: its chunks, nothing else.
 
     Cache-held trials replay without dispatch; the missing remainder
     re-packs into dispatch chunks that still never mix sizes or exceed
@@ -409,7 +390,7 @@ def run_shard(
     order), then computed records, still in grid order.  Give each
     shard its own cache root (``TrialCache(root, isolation=...)``) when
     several run concurrently on one filesystem, and merge the roots
-    afterward.
+    afterward: the cache is how a shard's records come home.
 
     With ``workers > 1`` and more than one missing chunk, the pool gets
     the chunks largest-first (by n times trials, ties in grid order),
@@ -446,14 +427,9 @@ def run_shard(
     telemetry = get_telemetry()
     snapshots: list[dict[str, Any]] = []
     start = time.perf_counter()
-    spec = manifest.spec
+    spec = plan.spec
     trials = spec.trials()
-    indices = manifest.trial_indices()
-    if any(not 0 <= i < len(trials) for i in indices):
-        raise ValueError(
-            f"manifest for {spec.name!r} indexes outside the "
-            f"{len(trials)}-trial grid (stale plan?)"
-        )
+    indices = plan.trial_indices(shard_index)
     got: dict[int, dict[str, Any]] = {}
     missing: set[int] = set()
     with telemetry.span("shard.lookup"):
@@ -480,10 +456,8 @@ def run_shard(
     # are already maximal per size), and on a partially warm cache it
     # packs the remnants the way the pre-shard runner packed its
     # missing subset, instead of shipping many underfull chunks.
-    missing_in_order = [
-        i for chunk in manifest.chunks for i in chunk if i in missing
-    ]
-    chunks = _chunk_missing(trials, missing_in_order, manifest.batch_size)
+    missing_in_order = [i for i in indices if i in missing]
+    chunks = _chunk_missing(trials, missing_in_order, plan.batch_size)
     if chunks:
         # The grid position of each submitted chunk: largest-first for
         # a pool (longest-processing-time-first), since a chunk's cost
@@ -546,7 +520,8 @@ def run_shard(
     snapshots.append(telemetry.snapshot(reset=True))
 
     report = ShardReport(
-        manifest=manifest,
+        plan=plan,
+        shard_index=shard_index,
         records=[(i, got[i]) for i in indices],
         trials_total=len(indices),
         cache_hits=len(indices) - len(missing),
@@ -554,90 +529,12 @@ def run_shard(
         elapsed=time.perf_counter() - start,
         workers=workers,
         batches=len(chunks),
-        batch_size=manifest.batch_size,
+        batch_size=plan.batch_size,
         telemetry=merge_snapshots(snapshots) if telemetry.enabled else None,
         kernels=kernels,
     )
     _LOG.info("%s", report.summary())
     return report
-
-
-def merge_shard_reports(reports: Sequence[ShardReport]) -> EngineReport:
-    """Reduce a plan's K shard reports into one :class:`EngineReport`.
-
-    Accepts the reports in any order (shards may have run anywhere, in
-    any interleaving) and rebuilds the grid-ordered record list and the
-    aggregated ``Sweep`` bit-identically to a single-host
-    :func:`run_experiment`.  Refuses reports from different plans
-    (``plan_key`` mismatch), duplicate shards, and incomplete coverage
-    — a merge must never silently aggregate half a grid.
-
-    Time accounting keeps both meanings apart: ``elapsed`` is the
-    slowest shard (the wall-clock proxy — shards running concurrently
-    finish when the last one does), ``cpu_elapsed`` is the sum over
-    shards (aggregate compute).  Shard telemetry snapshots reduce with
-    the same idempotent key union the trial cache uses, so the merged
-    ``telemetry`` block is independent of merge order.
-    """
-    if not reports:
-        raise ValueError("merge needs at least one shard report")
-    manifests = [report.manifest for report in reports]
-    plan_keys = {manifest.plan_key for manifest in manifests}
-    if len(plan_keys) != 1:
-        raise ValueError(
-            f"shard reports come from {len(plan_keys)} different plans; "
-            "re-plan and re-run rather than merging across plans"
-        )
-    num_shards = manifests[0].num_shards
-    seen = sorted(manifest.shard_index for manifest in manifests)
-    if seen != list(range(num_shards)):
-        raise ValueError(
-            f"shard coverage incomplete or duplicated: have shards {seen}, "
-            f"need exactly 0..{num_shards - 1}"
-        )
-    spec = manifests[0].spec
-    total = len(spec.ns) * len(spec.seeds)
-    records: list[dict[str, Any] | None] = [None] * total
-    for report in reports:
-        for i, record in report.records:
-            if records[i] is not None:
-                raise ValueError(f"trial index {i} appears in two shards")
-            records[i] = record
-    holes = [i for i, record in enumerate(records) if record is None]
-    if holes:
-        raise ValueError(
-            f"merged reports leave {len(holes)} trial(s) uncovered "
-            f"(first missing index: {holes[0]})"
-        )
-    sweep = Sweep(
-        solver_name=spec.solver_display_name(),
-        points=aggregate_points(spec.ns, spec.seeds, records),
-    )
-    shard_telemetry = [report.telemetry for report in reports]
-    shard_kernels = {report.kernels for report in reports}
-    return EngineReport(
-        spec=spec,
-        sweep=sweep,
-        records=records,  # type: ignore[arg-type]
-        trials_total=total,
-        cache_hits=sum(report.cache_hits for report in reports),
-        computed=sum(report.computed for report in reports),
-        elapsed=max(report.elapsed for report in reports),
-        workers=max(report.workers for report in reports),
-        batches=sum(report.batches for report in reports),
-        batch_size=manifests[0].batch_size if any(
-            report.batches for report in reports
-        ) else 0,
-        cpu_elapsed=sum(report.elapsed for report in reports),
-        telemetry=(
-            merge_snapshots(shard_telemetry)
-            if any(shard_telemetry)
-            else None
-        ),
-        kernels=(
-            shard_kernels.pop() if len(shard_kernels) == 1 else "mixed"
-        ),
-    )
 
 
 def run_experiment(
@@ -651,11 +548,15 @@ def run_experiment(
     """Run (or replay) one experiment spec and aggregate its sweep.
 
     This is the single-shard special case of the general pipeline —
-    literally ``plan_experiment(num_shards=1)`` + :func:`run_shard` +
-    :func:`merge_shard_reports`; there is no second code path.
-    ``batch_size`` caps how many trials travel in one worker dispatch
-    chunk (None = :func:`auto_batch_size`); chunks never span two grid
-    sizes.  ``on_record`` streams results: it fires once per record —
+    literally ``plan_experiment(num_shards=1)`` + :func:`run_shard`,
+    whose one shard owns the whole grid in grid order, then
+    :func:`~repro.analysis.sweep.aggregate_points`; there is no second
+    code path.  Replaying a sharded plan is the same call against the
+    merged cache: pure hits when the shards covered the grid, exactly
+    the remainder computed otherwise.  ``batch_size`` caps how many
+    trials travel in one worker dispatch chunk (None =
+    :func:`auto_batch_size`); chunks never span two grid sizes.
+    ``on_record`` streams results: it fires once per record —
     immediately (in grid order) for cache hits, then for computed
     chunks, in grid order at any worker count (see :func:`run_shard`).
     """
@@ -676,17 +577,31 @@ def run_experiment(
         spec, num_shards=1, batch_size=batch_size, workers=workers
     )
     shard = run_shard(
-        plan.manifest(0),
+        plan,
+        0,
         workers=workers,
         cache=cache,
         on_record=on_record,
         kernels=kernels,
     )
-    report = merge_shard_reports([shard])
-    # Whole-call elapsed, like the pre-shard runner: the warm-cache
-    # pre-scan above does the shard-file loading, so the shard's own
-    # timer alone would understate replay cost.  One host did all the
-    # work, so the aggregate-compute figure is the same number.
-    report.elapsed = time.perf_counter() - start
-    report.cpu_elapsed = report.elapsed
-    return report
+    records = [record for _, record in shard.records]
+    return EngineReport(
+        spec=spec,
+        sweep=Sweep(
+            solver_name=spec.solver_display_name(),
+            points=aggregate_points(spec.ns, spec.seeds, records),
+        ),
+        records=records,
+        trials_total=shard.trials_total,
+        cache_hits=shard.cache_hits,
+        computed=shard.computed,
+        # Whole-call elapsed: the warm-cache pre-scan above does the
+        # shard-file loading, so the shard's own timer alone would
+        # understate replay cost.
+        elapsed=time.perf_counter() - start,
+        workers=workers,
+        batches=shard.batches,
+        batch_size=shard.batch_size if shard.batches else 0,
+        telemetry=shard.telemetry,
+        kernels=kernels,
+    )

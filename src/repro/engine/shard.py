@@ -3,11 +3,11 @@
 A shard is the unit of *distribution* the way a chunk is the unit of
 *scheduling*: a :class:`ShardPlan` fixes — once, deterministically —
 how one spec's full (n, seed) trial grid is cut into worker-dispatch
-chunks and how those chunks are dealt onto K shards, and a
-:class:`ShardManifest` is the JSON-serializable view one shard needs to
-execute anywhere.  A remote host holding only ``(experiment name,
-manifest)`` reconstructs the exact trials it owns; the content-addressed
-trial cache then makes the merge step a plain key union.
+chunks and how those chunks are dealt onto K shards.  Shard ``i`` of a
+plan is nothing more than ``(plan, i)``: a host holding the plan file
+reconstructs the exact trials it owns, and the content-addressed trial
+cache is how their records come home — the merge step is a plain key
+union followed by a replay of the plan.
 
 Three properties carry the whole design:
 
@@ -19,15 +19,14 @@ Three properties carry the whole design:
   goes to shard ``i % K``), so a shard never splits a same-size seed
   run and the per-worker topology/verifier memos keep their hit rates;
 * **content addressing** — :meth:`ShardPlan.key` hashes everything that
-  determines the partition, so reports from different plans can never
-  be merged by accident.
+  determines the partition, so a plan file that was edited or written
+  by an incompatible build is refused on load.
 
 This module is pure data; the execution half (``plan_experiment``,
-``run_shard``, ``merge_shard_reports``) lives in
-:mod:`repro.engine.runner`.  Running the shards is left to any
-launcher (a shell loop, ``xargs -P``, a batch scheduler), which
-restarts a shard that dies; :func:`shard_coverage` is what ``status``
-reports per shard.
+``run_shard``) lives in :mod:`repro.engine.runner`.  Running the
+shards is left to any launcher (a shell loop, ``xargs -P``, a batch
+scheduler), which restarts a shard that dies; :func:`shard_coverage`
+is what ``status`` reports per shard.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.engine.spec import CACHE_VERSION, ExperimentSpec
 
 __all__ = [
     "PLAN_VERSION",
-    "ShardManifest",
     "ShardPlan",
     "dump_plan_file",
     "load_plan_file",
@@ -50,8 +48,8 @@ __all__ = [
     "spec_payload",
 ]
 
-# Bump when the plan/manifest layout changes; a loader seeing a foreign
-# version must refuse rather than misread shard boundaries.
+# Bump when the plan layout changes; a loader seeing a foreign version
+# must refuse rather than misread shard boundaries.
 PLAN_VERSION = 2
 
 
@@ -122,8 +120,8 @@ class ShardPlan:
     def key(self) -> str:
         """Content hash of everything that determines the partition.
 
-        Memoized (plans are frozen): ``manifest()`` stamps it on every
-        shard, and hashing re-serializes the whole chunk list.
+        Memoized (plans are frozen): every shard report of the plan
+        carries it, and hashing re-serializes the whole chunk list.
         """
         cached = self.__dict__.get("_key")
         if cached is not None:
@@ -146,30 +144,16 @@ class ShardPlan:
 
     def shard_chunks(self, shard_index: int) -> tuple[tuple[int, ...], ...]:
         """The chunks shard ``shard_index`` owns (round-robin deal)."""
-        self._check_index(shard_index)
-        return self.chunks[shard_index :: self.num_shards]
-
-    def manifest(self, shard_index: int) -> "ShardManifest":
-        """The serializable execution order for one shard."""
-        self._check_index(shard_index)
-        return ShardManifest(
-            spec=self.spec,
-            num_shards=self.num_shards,
-            shard_index=shard_index,
-            batch_size=self.batch_size,
-            chunks=self.shard_chunks(shard_index),
-            plan_key=self.key(),
-        )
-
-    def manifests(self) -> list["ShardManifest"]:
-        return [self.manifest(i) for i in range(self.num_shards)]
-
-    def _check_index(self, shard_index: int) -> None:
         if not 0 <= shard_index < self.num_shards:
             raise ValueError(
                 f"shard index {shard_index} out of range for a "
                 f"{self.num_shards}-shard plan"
             )
+        return self.chunks[shard_index :: self.num_shards]
+
+    def trial_indices(self, shard_index: int) -> list[int]:
+        """Shard ``shard_index``'s global trial indices, in execution order."""
+        return [i for chunk in self.shard_chunks(shard_index) for i in chunk]
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -203,71 +187,6 @@ class ShardPlan:
         return plan
 
 
-@dataclass(frozen=True)
-class ShardManifest:
-    """Everything one shard needs to run anywhere: spec + chunk slice.
-
-    ``chunks`` holds *global* trial indices into ``spec.trials()``, in
-    plan order, so two hosts executing different shards of one plan
-    agree on what every index means.  ``plan_key`` pins the manifest to
-    the plan that produced it; the merge step refuses reports whose
-    keys disagree.
-    """
-
-    spec: ExperimentSpec
-    num_shards: int
-    shard_index: int
-    batch_size: int
-    chunks: tuple[tuple[int, ...], ...]
-    plan_key: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chunks", _as_chunk_tuple(self.chunks))
-        if not 0 <= self.shard_index < self.num_shards:
-            raise ValueError(
-                f"shard index {self.shard_index} out of range for a "
-                f"{self.num_shards}-shard plan"
-            )
-
-    def trial_indices(self) -> list[int]:
-        """This shard's global trial indices, in execution order."""
-        return [i for chunk in self.chunks for i in chunk]
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "version": PLAN_VERSION,
-            "spec": spec_payload(self.spec),
-            "num_shards": self.num_shards,
-            "shard_index": self.shard_index,
-            "batch_size": self.batch_size,
-            "chunks": [list(chunk) for chunk in self.chunks],
-            "plan_key": self.plan_key,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardManifest":
-        if payload.get("version") != PLAN_VERSION:
-            raise ValueError(
-                f"unsupported manifest version {payload.get('version')!r} "
-                f"(this build reads version {PLAN_VERSION})"
-            )
-        return cls(
-            spec=spec_from_payload(payload["spec"]),
-            num_shards=int(payload["num_shards"]),
-            shard_index=int(payload["shard_index"]),
-            batch_size=int(payload["batch_size"]),
-            chunks=_as_chunk_tuple(payload["chunks"]),
-            plan_key=payload["plan_key"],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardManifest":
-        return cls.from_dict(json.loads(text))
-
-
 def shard_coverage(
     plans: Sequence[ShardPlan], shard_index: int, contains: Callable[[str], bool]
 ) -> tuple[int, int]:
@@ -282,7 +201,7 @@ def shard_coverage(
     owed = missing = 0
     for plan in plans:
         trials = plan.spec.trials()
-        for i in plan.manifest(shard_index).trial_indices():
+        for i in plan.trial_indices(shard_index):
             owed += 1
             if not contains(trials[i].key()):
                 missing += 1

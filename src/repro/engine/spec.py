@@ -29,7 +29,6 @@ __all__ = [
     "ExperimentSpec",
     "TrialSpec",
     "grid",
-    "seed_grid",
 ]
 
 # Bump when the trial record layout or the key payload changes; stale
@@ -141,8 +140,3 @@ def grid(lo: int, hi: int, base: int = 2) -> tuple[int, ...]:
         n *= base
     return tuple(ns)
 
-
-def seed_grid(count: int) -> tuple[int, ...]:
-    if count < 1:
-        raise ValueError("need at least one seed")
-    return tuple(range(count))

@@ -1,11 +1,11 @@
 """Backend selection for the vectorized kernel layer.
 
 The kernel layer gives the hot loops over the frozen CSR tables —
-BFS/distances, the ne-LCL verifier passes, whole SyncEngine rounds of
-node programs that ship an array twin, and every anchor scan of the
-deterministic sinkless solver as one batched pass — a second,
-numpy-backed implementation that works array-at-a-time instead of one
-Python index at a time.  The object-layer implementations stay exactly
+the ne-LCL verifier passes, whole SyncEngine rounds of node programs
+that ship an array twin, and every anchor scan of the deterministic
+sinkless solver as one batched pass — a second, numpy-backed
+implementation that works array-at-a-time instead of one Python index
+at a time.  The object-layer implementations stay exactly
 as they were and remain the differential-testing oracle: for every
 kernel, ``vector`` and ``object`` produce bit-identical results (the
 property suite in ``tests/test_kernels.py`` pins this on random

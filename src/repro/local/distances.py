@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro import kernels
 from repro.local.graphs import PortGraph
 
 __all__ = [
@@ -31,10 +30,6 @@ def bfs_distances(
     graph: PortGraph, source: int, max_radius: int | None = None
 ) -> dict[int, int]:
     """Map every node within ``max_radius`` of ``source`` to its distance."""
-    if kernels.vector_enabled():
-        from repro.kernels import vector
-
-        return vector.bfs_distances(graph, source, max_radius)
     off, nbr, _, _ = graph.csr()
     dist = {source: 0}
     queue = [source]
@@ -60,10 +55,6 @@ def multi_source_bfs(
     smallest-eid tie-break, which makes the forest a pure function of the
     graph and source order.
     """
-    if kernels.vector_enabled():
-        from repro.kernels import vector
-
-        return vector.multi_source_bfs(graph, sources)
     off, nbr, _, eids = graph.csr()
     dist: dict[int, int] = {}
     parent_edge: dict[int, int] = {}
@@ -85,10 +76,6 @@ def multi_source_bfs(
 
 def connected_components(graph: PortGraph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by minimum node."""
-    if kernels.vector_enabled():
-        from repro.kernels import vector
-
-        return vector.connected_components(graph)
     off, nbr, _, _ = graph.csr()
     seen = [False] * graph.num_nodes
     components = []

@@ -1,7 +1,7 @@
 """Crash-safe file writes: tmp file + ``os.replace``.
 
-Every file the engine hands to another process — plan files, shard
-report JSON, cache exports — must be either absent or complete: a
+Every file the engine hands to another process — plan files and
+report JSON — must be either absent or complete: a
 reader that races a writer (or outlives a killed one) may see the
 *old* contents but never a torn prefix.  POSIX rename within one
 directory gives exactly that, so the helper stages the text in a

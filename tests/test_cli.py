@@ -8,7 +8,7 @@ make uniform: count flags reject values below 1 at parse time,
 ``main`` as exit code 2 instead of ``SystemExit``, and a failure comes
 back as one error line (``--json-errors``: one JSON object), not a
 traceback: exit code 2 for setup (a missing, torn or malformed plan
-file included), 3 at run time.
+or report file, and an unwritable ``--out``, included), 3 at run time.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ SURFACE = {
         "--cache-dir", "--cache-out", "--json", "--json-errors", "--kernels",
         "--plan", "--progress", "--shard", "--trace", "--workers",
     ],
-    "stats": ["--cache-dir", "--report"],
+    "stats": ["--report"],
     "status": ["--cache-dir", "--from", "--plan"],
 }
 EVERYWHERE = ["-h", "--help", "-q", "--quiet", "-v", "--verbose"]
@@ -116,6 +116,17 @@ BAD_PLAN_FILES = {
         _dumps_after(lambda payload: payload.update(num_shards=3)),
         "ValueError",
     ),
+}
+
+
+#: Report files ``stats`` cannot render, each a setup error.
+BAD_REPORT_FILES = {
+    "a-list": [],
+    "entries-not-objects": {"reports": [1, {"telemetry": 5}]},
+    "telemetry-not-an-object": {"reports": [{"telemetry": 5}]},
+    "foreign-telemetry-version": {
+        "reports": [{"experiment": "x", "elapsed_s": 1.0, "telemetry": {"v": 9}}]
+    },
 }
 
 
@@ -289,3 +300,59 @@ def test_a_bad_plan_file_is_one_setup_error_line(
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["cause"], error["exit_code"]) == (cause, 2)
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORT_FILES))
+def test_a_bad_report_file_is_one_setup_error_line(case, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(BAD_REPORT_FILES[case]), encoding="utf-8")
+    assert main(["stats", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: command=stats cause=ValueError message=")
+    assert captured.out == ""
+
+
+def test_plan_to_an_unwritable_out_is_one_setup_error_line(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "plan.json"
+    argv = ["plan", "--experiment", "sinkless", "--max-n", "64", "--shards", "2"]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(
+        "error: command=plan experiment=sinkless cause=FileNotFoundError message="
+    )
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+def test_stats_requires_a_report(tmp_path, capsys):
+    assert main(["stats"]) == 2
+    assert "--report" in capsys.readouterr().err
+    # The cache view is ``cache --status``; ``stats`` has no fallback to it.
+    argv = ["stats", "--report", str(tmp_path / "report.json")]
+    assert main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --cache-dir" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "cache").exists()
+
+
+def test_stats_names_each_shard_report_by_its_spec(plan_path, tmp_path, capsys):
+    report_path = str(tmp_path / "shard.json")
+    argv = ["run-shard", "--plan", plan_path, "--shard", "1/2", "--workers", "1"]
+    argv += ["--cache-dir", str(tmp_path / "cache"), "--json", report_path]
+    assert main(argv) == 0
+    with open(report_path, encoding="utf-8") as handle:
+        reports = json.load(handle)["reports"]
+    assert [rep["shard_index"] for rep in reports] == [1] * len(reports)
+    capsys.readouterr()
+    assert main(["stats", "--report", report_path]) == 0
+    walls = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.endswith("s wall")
+    ]
+    assert [line.split(": ")[0] for line in walls] == [
+        rep["experiment"] for rep in reports
+    ]
+    assert all(name.startswith("sinkless/") for name in walls)

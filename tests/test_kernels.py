@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 import repro
 from repro import kernels
 from repro.engine.experiments import build_experiment
-from repro.engine.runner import (
-    ShardReport,
-    merge_shard_reports,
-    plan_experiment,
-    run_experiment,
-    run_shard,
-)
+from repro.engine.runner import plan_experiment, run_experiment, run_shard
 from repro.engine.spec import ExperimentSpec
 from repro.generators import cycle
 from repro.lcl import Labeling, verify
@@ -53,6 +47,16 @@ PARITY_SPEC = ExperimentSpec(
 
 def _record_keys(report):
     return [json.dumps(r, sort_keys=True) for r in report.records]
+
+
+def _shard_record_keys(plan, reports):
+    """:func:`_record_keys` of the shards' records, assembled by their
+    global trial index."""
+    records = [None] * plan.trial_count()
+    for report in reports:
+        for i, record in report.records:
+            records[i] = record
+    return [json.dumps(r, sort_keys=True) for r in records]
 
 
 def _corruptions(outputs):
@@ -417,14 +421,11 @@ class TestKernelsRecordParity:
         oracle = run_experiment(PARITY_SPEC, workers=1, kernels="object")
         plan = plan_experiment(PARITY_SPEC, num_shards=num_shards)
         reports = [
-            run_shard(
-                plan.manifest(i), workers=2, kernels="vector"
-            )
+            run_shard(plan, i, workers=2, kernels="vector")
             for i in range(num_shards)
         ]
-        merged = merge_shard_reports(reports)
-        assert _record_keys(merged) == _record_keys(oracle)
-        assert merged.kernels == "vector"
+        assert _shard_record_keys(plan, reports) == _record_keys(oracle)
+        assert all(report.kernels == "vector" for report in reports)
 
     @needs_numpy
     def test_small_canonical_cells_identical_across_backends(self):
@@ -452,22 +453,21 @@ class TestKernelsRecordParity:
 
     def test_shard_report_kernels_roundtrip(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=1)
-        report = run_shard(plan.manifest(0), workers=1, kernels="object")
-        payload = report.as_dict()
-        assert payload["kernels"] == "object"
-        assert ShardReport.from_dict(payload).kernels == "object"
+        report = run_shard(plan, 0, workers=1, kernels="object")
+        # What ``run-shard --json`` writes, read back.
+        payload = json.loads(json.dumps(report.as_dict()))
+        assert payload["kernels"] == report.kernels == "object"
 
     def test_mixed_shard_backends_merge_identically(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=4)
         modes = ["object", "vector", "object", "vector"]
         reports = [
-            run_shard(plan.manifest(i), workers=1, kernels=modes[i])
+            run_shard(plan, i, workers=1, kernels=modes[i])
             for i in range(4)
         ]
-        merged = merge_shard_reports(reports)
         oracle = run_experiment(PARITY_SPEC, workers=1, kernels="object")
-        assert _record_keys(merged) == _record_keys(oracle)
-        assert merged.kernels == "mixed"
+        assert _shard_record_keys(plan, reports) == _record_keys(oracle)
+        assert [report.as_dict()["kernels"] for report in reports] == modes
 
 
 # -- batched array programs vs the object round loop --------------------------
@@ -582,11 +582,10 @@ class TestArrayProgramRecordParity:
         oracle = run_experiment(LINIAL_SPEC, workers=1, kernels="object")
         plan = plan_experiment(LINIAL_SPEC, num_shards=num_shards)
         reports = [
-            run_shard(plan.manifest(i), workers=2, kernels="vector")
+            run_shard(plan, i, workers=2, kernels="vector")
             for i in range(num_shards)
         ]
-        merged = merge_shard_reports(reports)
-        assert _record_keys(merged) == _record_keys(oracle)
+        assert _shard_record_keys(plan, reports) == _record_keys(oracle)
 
     @needs_numpy
     def test_engine_runs_the_registered_array_twin(self, monkeypatch):

@@ -22,15 +22,10 @@ import time
 
 import pytest
 
+from repro.engine import runner
 from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
-from repro.engine.runner import (
-    ShardReport,
-    merge_shard_reports,
-    plan_experiment,
-    run_experiment,
-    run_shard,
-)
+from repro.engine.runner import plan_experiment, run_experiment, run_shard
 from repro.engine.spec import ExperimentSpec
 from repro.obs import (
     Telemetry,
@@ -211,55 +206,69 @@ class TestEngineTelemetry:
 
     def test_shard_report_telemetry_survives_the_payload_round_trip(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
-        report = run_shard(plan.manifest(0))
+        report = run_shard(plan, 0)
         assert report.telemetry is not None
-        revived = ShardReport.from_dict(
-            json.loads(json.dumps(report.as_dict()))
-        )
-        assert revived.telemetry == report.telemetry
+        payload = json.loads(json.dumps(report.as_dict()))
+        assert payload["telemetry"] == report.telemetry
 
     def test_merged_telemetry_is_order_independent(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
-        reports = [run_shard(plan.manifest(i)) for i in range(3)]
+        reports = [run_shard(plan, i) for i in range(3)]
         merged = [
-            merge_shard_reports([reports[i] for i in order])
+            merge_snapshots([reports[i].telemetry for i in order])
             for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0))
         ]
-        assert merged[0].telemetry == merged[1].telemetry == merged[2].telemetry
+        assert merged[0] == merged[1] == merged[2]
         assert (
-            aggregate(merged[0].telemetry)["counters"]["trials.executed"]
+            aggregate(merged[0])["counters"]["trials.executed"]
             == len(PARITY_SPEC.ns) * len(PARITY_SPEC.seeds)
         )
 
-    def test_merge_reports_wall_clock_and_aggregate_compute(self):
-        plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
-        reports = [run_shard(plan.manifest(i)) for i in range(2)]
-        merged = merge_shard_reports(reports)
-        assert merged.elapsed == max(r.elapsed for r in reports)
-        assert merged.cpu_elapsed == pytest.approx(
-            sum(r.elapsed for r in reports)
-        )
-        payload = merged.as_dict()
-        assert payload["elapsed_s"] == round(merged.elapsed, 4)
-        assert payload["cpu_elapsed_s"] == round(merged.cpu_elapsed, 4)
+    def test_engine_report_elapsed_is_the_whole_call(
+        self, tmp_path, monkeypatch
+    ):
+        shards = []
+        real_run_shard = runner.run_shard
+
+        def recording(*args, **kwargs):
+            shards.append(real_run_shard(*args, **kwargs))
+            return shards[-1]
+
+        monkeypatch.setattr(runner, "run_shard", recording)
+        root = str(tmp_path / "cache")
+        run_experiment(PARITY_SPEC, cache=TrialCache(root))
+        start = time.perf_counter()
+        report = run_experiment(PARITY_SPEC, cache=TrialCache(root))
+        outer = time.perf_counter() - start
+        _, shard = shards
+        # The warm pre-scan loads the shard files before the shard's
+        # own timer starts; the report's clock covers both.
+        assert shard.elapsed < report.elapsed <= outer
+        assert report.telemetry == shard.telemetry
+        payload = report.as_dict()
+        assert payload["elapsed_s"] == round(report.elapsed, 4)
+        assert "cpu_elapsed_s" not in payload
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_records_bit_identical_with_telemetry_on_and_off(self, num_shards):
         plan = plan_experiment(PARITY_SPEC, num_shards=num_shards, batch_size=2)
 
         def run_all():
-            return merge_shard_reports(
-                [run_shard(plan.manifest(i)) for i in range(num_shards)]
-            )
+            reports = [run_shard(plan, i) for i in range(num_shards)]
+            records = [None] * plan.trial_count()
+            for report in reports:
+                for i, record in report.records:
+                    records[i] = record
+            return reports, records
 
-        with_telemetry = run_all()
-        assert with_telemetry.telemetry is not None
+        with_telemetry, records_on = run_all()
+        assert all(r.telemetry is not None for r in with_telemetry)
         set_enabled(False)
-        without = run_all()
+        without, records_off = run_all()
         set_enabled(True)
-        assert without.telemetry is None
-        assert without.records == with_telemetry.records
-        assert without.sweep == with_telemetry.sweep
+        assert all(r.telemetry is None for r in without)
+        assert None not in records_on
+        assert records_off == records_on
 
     def test_warm_replay_counts_hits_not_trials(self, tmp_path):
         cache = TrialCache(str(tmp_path / "cache"))
@@ -369,7 +378,12 @@ class TestTraceAndRendering:
         capsys.readouterr()
         assert engine_main(["stats", "--report", report_path]) == 0
         out = capsys.readouterr().out
-        assert "phases" in out and "trial.solve" in out and "compute" in out
+        assert "phases" in out and "trial.solve" in out
+        # One wall-time line per report, named by its spec.
+        with open(report_path, encoding="utf-8") as handle:
+            names = [rep["experiment"] for rep in json.load(handle)["reports"]]
+        walls = [line for line in out.splitlines() if line.endswith("s wall")]
+        assert [line.split(": ")[0] for line in walls] == names
         assert engine_main(["cache", "--cache-dir", cache_dir, "--status"]) == 0
         out = capsys.readouterr().out
         assert "record(s) on disk" in out

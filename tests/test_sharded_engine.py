@@ -1,15 +1,16 @@
 """Shard determinism and cache merge algebra.
 
 The shard layer's load-bearing invariant: running a plan's K shards in
-ANY order, on any mix of processes, with any per-shard cache roots,
-then merging, yields records — and a Figure 1 table — byte-identical
-to the single-host run.  The suite pins that (K in {1, 2, 5} against
-the per-trial oracle, plus the K=4 shuffled landscape acceptance run),
-the property a launcher's restart rests on (a shard that fails mid-run
-keeps its finished chunks, and the rerun computes only the rest), and
-the cache algebra that makes distributed merge safe: union is
-idempotent and commutative, compaction preserves the index, and a torn
-trailing line never poisons an import.
+ANY order, on any mix of processes, into per-shard cache roots, then
+unioning the roots and replaying the plan, yields records — and a
+Figure 1 table — byte-identical to the single-host run.  The suite
+pins that (K in {1, 2, 5} against the per-trial oracle, plus the K=4
+shuffled landscape acceptance run), the property a launcher's restart
+rests on (a shard that fails mid-run keeps its finished chunks, and
+the rerun computes only the rest), and the cache algebra that makes
+distributed merge safe: union is idempotent and commutative,
+compaction preserves the index, and a torn trailing line never
+poisons a merge.
 """
 
 from __future__ import annotations
@@ -28,18 +29,8 @@ from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
 from repro.engine.experiments import build_experiment
 from repro.engine.pool import WorkerCrashed
-from repro.engine.runner import (
-    merge_shard_reports,
-    plan_experiment,
-    run_experiment,
-    run_shard,
-)
-from repro.engine.shard import (
-    ShardManifest,
-    ShardPlan,
-    dump_plan_file,
-    load_plan_file,
-)
+from repro.engine.runner import plan_experiment, run_experiment, run_shard
+from repro.engine.shard import dump_plan_file, load_plan_file
 from repro.engine.spec import ExperimentSpec
 from tests.conftest import reference_records
 
@@ -77,6 +68,25 @@ class TestPlanning:
         assert dealt[1] == plan.chunks[1::2]
         merged = sorted(i for side in dealt for chunk in side for i in chunk)
         assert merged == list(range(plan.trial_count()))
+
+    def test_trial_indices_flatten_the_shard_chunks(self):
+        for num_shards in (1, 2, 4):
+            plan = plan_experiment(
+                PARITY_SPEC, num_shards=num_shards, batch_size=2
+            )
+            owned = [plan.trial_indices(i) for i in range(num_shards)]
+            for shard_index, indices in enumerate(owned):
+                assert indices == [
+                    i for chunk in plan.shard_chunks(shard_index) for i in chunk
+                ]
+            everything = [i for indices in owned for i in indices]
+            assert sorted(everything) == list(range(plan.trial_count()))
+            with pytest.raises(ValueError, match="out of range"):
+                plan.trial_indices(num_shards)
+        # One shard owns the whole grid, in grid order.
+        assert plan_experiment(PARITY_SPEC).trial_indices(0) == list(
+            range(len(PARITY_SPEC.trials()))
+        )
 
     def test_chunking_ignores_the_cache_state(self, tmp_path):
         # Planning must chunk the FULL grid: a host with a warm cache
@@ -121,15 +131,9 @@ class TestPlanning:
             plan_experiment(PARITY_SPEC, num_shards=0)
         plan = plan_experiment(PARITY_SPEC, num_shards=2)
         with pytest.raises(ValueError, match="out of range"):
-            plan.manifest(2)
-
-    def test_manifest_json_round_trip(self):
-        plan = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
-        manifest = plan.manifest(1)
-        clone = ShardManifest.from_json(manifest.to_json())
-        assert clone == manifest
-        assert clone.spec == PARITY_SPEC
-        assert clone.trial_indices() == manifest.trial_indices()
+            plan.shard_chunks(2)
+        with pytest.raises(ValueError, match="out of range"):
+            run_shard(plan, -1)
 
     def test_plan_file_round_trip(self):
         plans = [plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)]
@@ -170,39 +174,75 @@ class TestShardedEquivalence:
         plan = plan_experiment(
             PARITY_SPEC, num_shards=num_shards, batch_size=2
         )
-        manifests = plan.manifests()
-        random.Random(num_shards).shuffle(manifests)  # any execution order
-        reports = []
-        for manifest in manifests:
+        rng = random.Random(num_shards)
+        order = list(range(num_shards))
+        rng.shuffle(order)  # any execution order
+        assembled = [None] * len(oracle)
+        computed = 0
+        for shard_index in order:
             cache = TrialCache(
                 str(tmp_path / "shared"),
-                isolation=str(tmp_path / f"shard-{manifest.shard_index}"),
+                isolation=str(tmp_path / f"shard-{shard_index}"),
             )
-            reports.append(run_shard(manifest, workers=2, cache=cache))
-        merged = merge_shard_reports(reports)
-        assert merged.records == oracle
-        assert merged.trials_total == len(oracle)
-        assert merged.computed == len(oracle)
-        single = run_experiment(PARITY_SPEC)
-        assert merged.sweep == single.sweep
+            report = run_shard(plan, shard_index, workers=2, cache=cache)
+            computed += report.computed
+            for i, record in report.records:
+                assert assembled[i] is None  # no trial in two shards
+                assembled[i] = record
+        assert assembled == oracle
+        assert computed == len(oracle)
 
-    def test_remote_host_needs_only_the_manifest(self, tmp_path):
-        # Simulate shipping: serialize each manifest to JSON, "receive"
-        # it, run from the deserialized copy alone.
+        rng.shuffle(order)  # any union order
+        merged = TrialCache(str(tmp_path / "merged"))
+        for shard_index in order:
+            merged.merge(str(tmp_path / f"shard-{shard_index}"))
+        replay = run_experiment(
+            PARITY_SPEC, cache=merged, batch_size=plan.batch_size
+        )
+        assert replay.records == oracle
+        assert replay.trials_total == len(oracle)
+        assert replay.computed == 0
+        single = run_experiment(PARITY_SPEC)
+        assert replay.sweep == single.sweep
+
+    def test_remote_host_needs_only_the_plan_file(self, tmp_path):
+        # Simulate shipping: each "host" receives the plan file's text
+        # and a shard index, runs into its own root, and the roots come
+        # home through a cache merge.
         oracle = reference_records(PARITY_SPEC)
         plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
-        reports = []
-        for manifest in plan.manifests():
-            wire = manifest.to_json()
-            reports.append(run_shard(ShardManifest.from_json(wire)))
-        assert merge_shard_reports(reports).records == oracle
+        wire = json.dumps(dump_plan_file("test", [plan]))
+        for shard_index in range(2):
+            _, (received,) = load_plan_file(json.loads(wire))
+            run_shard(
+                received,
+                shard_index,
+                cache=TrialCache(str(tmp_path / f"host-{shard_index}")),
+            )
+        home = TrialCache(str(tmp_path / "home"))
+        assert sum(home.merge(str(tmp_path / f"host-{i}")) for i in range(2)) == 9
+        replay = run_experiment(PARITY_SPEC, cache=home)
+        assert replay.records == oracle
+        assert replay.computed == 0
+
+    def test_shard_report_payload_names_its_plan(self):
+        plan = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
+        report = run_shard(plan, 1)
+        # What ``run-shard --json`` writes, read back.
+        payload = json.loads(json.dumps(report.as_dict()))
+        assert payload["experiment"] == PARITY_SPEC.name
+        assert (payload["shard_index"], payload["num_shards"]) == (1, 3)
+        assert payload["plan_key"] == plan.key()
+        assert [i for i, _ in payload["records"]] == plan.trial_indices(1)
+        assert payload["records"] == [[i, r] for i, r in report.records]
+        assert payload["trials_total"] == len(plan.trial_indices(1))
 
     def test_shard_replays_its_cache_slice(self, tmp_path):
         plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
         cache = TrialCache(str(tmp_path / "cache"))
-        cold = run_shard(plan.manifest(0), cache=cache)
+        cold = run_shard(plan, 0, cache=cache)
         assert cold.computed == cold.trials_total > 0
-        warm = run_shard(plan.manifest(0), cache=cache)
+        warm = run_shard(plan, 0, cache=cache)
         assert warm.cache_hits == warm.trials_total
         assert warm.computed == 0 and warm.batches == 0
         assert warm.records == cold.records
@@ -219,42 +259,27 @@ class TestShardedEquivalence:
             ns=(8,),
             seeds=tuple(range(8)),
         )
-        full = TrialCache(str(tmp_path / "full"))
-        oracle = run_experiment(spec, cache=full, batch_size=2)
-        odd_keys = [
-            trial.key() for trial in spec.trials() if trial.seed % 2
-        ]
-        dump = str(tmp_path / "odd.jsonl")
-        assert full.export(dump, keys=odd_keys) == 4
+        oracle = run_experiment(spec, batch_size=2)
         partial = TrialCache(str(tmp_path / "partial"))
-        partial.import_file(dump)
+        partial.put_many(
+            (trial.key(), record)
+            for trial, record in zip(spec.trials(), oracle.records)
+            if trial.seed % 2
+        )
         report = run_experiment(spec, cache=partial, batch_size=2)
         assert report.records == oracle.records
         assert report.cache_hits == 4 and report.computed == 4
         assert report.batches == 2  # [0,2] and [4,6], not four singletons
 
-    def test_merge_rejects_incomplete_and_foreign_reports(self):
-        plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
-        reports = [run_shard(m) for m in plan.manifests()]
-        with pytest.raises(ValueError, match="at least one"):
-            merge_shard_reports([])
-        with pytest.raises(ValueError, match="incomplete"):
-            merge_shard_reports(reports[:1])
-        with pytest.raises(ValueError, match="incomplete"):
-            merge_shard_reports([reports[0], reports[0]])
-        other = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=3)
-        alien = run_shard(other.manifest(1))
-        with pytest.raises(ValueError, match="different plans"):
-            merge_shard_reports([reports[0], alien])
-
     def test_sharded_cache_roots_merge_into_a_full_replay(self, tmp_path):
         plan = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
-        for manifest in plan.manifests():
+        for shard_index in range(plan.num_shards):
             run_shard(
-                manifest,
+                plan,
+                shard_index,
                 cache=TrialCache(
                     str(tmp_path / "base"),
-                    isolation=str(tmp_path / f"s{manifest.shard_index}"),
+                    isolation=str(tmp_path / f"s{shard_index}"),
                 ),
             )
         base = TrialCache(str(tmp_path / "base"))
@@ -272,12 +297,6 @@ def _records_on_disk(root):
     cache = TrialCache(root)
     cache.load_all()
     return dict(cache._index)
-
-
-def _export_bytes(root, path):
-    TrialCache(root).export(path)
-    with open(path, "rb") as handle:
-        return handle.read()
 
 
 _EXECUTE = runner._execute_batch_payload
@@ -314,7 +333,7 @@ class TestInterruptedShard:
     def test_a_failed_chunk_keeps_the_chunks_before_it(
         self, tmp_path, monkeypatch
     ):
-        manifest = plan_experiment(PARITY_SPEC, batch_size=1).manifest(0)
+        plan = plan_experiment(PARITY_SPEC, batch_size=1)
         trials = PARITY_SPEC.trials()
         calls = []
 
@@ -328,11 +347,11 @@ class TestInterruptedShard:
         with monkeypatch.context() as patch:
             patch.setattr(runner, "_execute_batch_payload", fail_the_third)
             with pytest.raises(RuntimeError, match="the shard died here"):
-                run_shard(manifest, workers=1, cache=TrialCache(root))
-        delivered = [trials[i].key() for chunk in manifest.chunks[:2] for i in chunk]
+                run_shard(plan, 0, workers=1, cache=TrialCache(root))
+        delivered = [trials[i].key() for chunk in plan.chunks[:2] for i in chunk]
         assert sorted(_records_on_disk(root)) == sorted(delivered)
 
-        rerun = run_shard(manifest, workers=1, cache=TrialCache(root))
+        rerun = run_shard(plan, 0, workers=1, cache=TrialCache(root))
         assert rerun.cache_hits == 2
         assert rerun.computed == len(trials) - 2
         oracle = str(tmp_path / "oracle")
@@ -355,7 +374,7 @@ class TestInterruptedShard:
             pytest.skip("no process helpers on this platform")
         if ctx.get_start_method() != "fork":
             pytest.skip("helpers are not forked, so they would not see the event")
-        manifest = plan_experiment(PARITY_SPEC, batch_size=1).manifest(0)
+        plan = plan_experiment(PARITY_SPEC, batch_size=1)
         trials = PARITY_SPEC.trials()
         # The pool gets the chunks largest-first; the doomed chunk's
         # position in that order is the batch index the crash names.
@@ -369,7 +388,7 @@ class TestInterruptedShard:
             patch.setattr(sys.modules[__name__], "_DOOMED_CLAIMED", claimed)
             patch.setattr(sys.modules[__name__], "_RAN_IN_CALLER", [])
             with pytest.raises(WorkerCrashed) as excinfo:
-                run_shard(manifest, workers=2, cache=TrialCache(root))
+                run_shard(plan, 0, workers=2, cache=TrialCache(root))
             ran_in_caller = [
                 i for i, trial in enumerate(trials)
                 if trial.to_payload() in _RAN_IN_CALLER
@@ -389,14 +408,12 @@ class TestInterruptedShard:
         clean = _records_on_disk(oracle)
         assert all(clean[key] == record for key, record in stored.items())
 
-        rerun = run_shard(manifest, workers=2, cache=TrialCache(root))
+        rerun = run_shard(plan, 0, workers=2, cache=TrialCache(root))
         assert rerun.cache_hits == len(trials) - 1
         assert rerun.computed == 1
-        # Pool chunks land in arrival order, so compare the key-sorted
-        # exports rather than the append-ordered shard files.
-        assert _export_bytes(root, str(tmp_path / "mine.jsonl")) == (
-            _export_bytes(oracle, str(tmp_path / "clean.jsonl"))
-        )
+        # Pool chunks land in arrival order, so compare the key ->
+        # record mappings rather than the append-ordered shard files.
+        assert _records_on_disk(root) == _records_on_disk(oracle)
 
 
 class TestLandscapeAcceptance:
@@ -404,9 +421,10 @@ class TestLandscapeAcceptance:
         self, tmp_path
     ):
         """The acceptance criterion, end to end: a landscape run split
-        into K=4 shards, executed in shuffled order with per-shard
-        cache roots, then merged, is byte-identical to K=1 — records
-        and the rendered Figure 1 table."""
+        into K=4 shards, executed in shuffled order into per-shard
+        cache roots, unioned in shuffled order and replayed, is
+        byte-identical to K=1 — records and the rendered Figure 1
+        table."""
         from repro.analysis import render_landscape
         from repro.analysis.landscape import rows_from_engine_reports
 
@@ -428,34 +446,21 @@ class TestLandscapeAcceptance:
             for plan in plans
             for shard_index in range(4)
         ]
-        random.Random(7).shuffle(jobs)  # any order, interleaved specs
-        by_spec: dict[str, list] = {}
+        rng = random.Random(7)
+        rng.shuffle(jobs)  # any order, interleaved specs
         for plan, shard_index in jobs:
             cache = TrialCache(
                 str(tmp_path / "shared"),
                 isolation=str(tmp_path / f"shard-{shard_index}"),
             )
-            report = run_shard(plan.manifest(shard_index), cache=cache)
-            by_spec.setdefault(plan.spec.name, []).append(report)
-        merged_reports = [
-            merge_shard_reports(by_spec[spec.name]) for spec in specs
-        ]
+            run_shard(plan, shard_index, cache=cache)
 
-        for single, merged in zip(single_reports, merged_reports):
-            assert merged.records == single.records
-            assert json.dumps(merged.records, sort_keys=True) == json.dumps(
-                single.records, sort_keys=True
-            )
-            assert merged.sweep == single.sweep
-        merged_table = render_landscape(
-            rows_from_engine_reports(merged_reports)
-        )
-        assert merged_table == single_table
-
-        # And the merged cache replays every shard's work: union the
-        # four private roots, then rerun the whole landscape all-hits.
+        # Union the four private roots, then replay the whole
+        # landscape from the merged cache: all hits.
+        roots = list(range(4))
+        rng.shuffle(roots)
         base = TrialCache(str(tmp_path / "shared"))
-        for shard_index in range(4):
+        for shard_index in roots:
             base.merge(str(tmp_path / f"shard-{shard_index}"))
         replay = [
             run_experiment(
@@ -464,9 +469,13 @@ class TestLandscapeAcceptance:
             for spec in specs
         ]
         assert all(rep.computed == 0 for rep in replay)
-        assert [rep.records for rep in replay] == [
-            rep.records for rep in single_reports
-        ]
+        for single, merged in zip(single_reports, replay):
+            assert merged.records == single.records
+            assert json.dumps(merged.records, sort_keys=True) == json.dumps(
+                single.records, sort_keys=True
+            )
+            assert merged.sweep == single.sweep
+        assert render_landscape(rows_from_engine_reports(replay)) == single_table
 
 
 #: Lines that decode to a JSON object but are not a record: each is
@@ -517,44 +526,13 @@ class TestCacheAlgebra:
         with pytest.raises(ValueError, match="does not exist"):
             cache.merge(str(tmp_path / "nope"))
 
-    def test_export_import_round_trip(self, tmp_path):
-        items = [("aa1", {"x": 1}), ("bb2", {"x": 2}), ("cc3", {"x": 3})]
-        cache = self._filled(tmp_path / "src", items)
-        out = str(tmp_path / "dump.jsonl")
-        assert cache.export(out) == 3
-        dest = TrialCache(str(tmp_path / "dest"))
-        assert dest.import_file(out) == (3, 0)
-        assert dest.import_file(out) == (0, 0)  # idempotent
-        for key, record in items:
-            assert dest.get(key) == record
-
-    def test_export_selected_keys(self, tmp_path):
-        cache = self._filled(
-            tmp_path / "src", [("aa1", {"x": 1}), ("bb2", {"x": 2})]
-        )
-        out = str(tmp_path / "dump.jsonl")
-        assert cache.export(out, keys=["bb2", "zz9"]) == 1
-        with open(out, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) == 1 and '"bb2"' in lines[0]
-
-    def test_export_dedups_repeated_keys(self, tmp_path):
-        # Keys gathered from overlapping manifests repeat; the export
-        # must not crash sorting equal keys nor write duplicates.
-        cache = self._filled(tmp_path / "src", [("aa1", {"x": 1})])
-        out = str(tmp_path / "dump.jsonl")
-        assert cache.export(out, keys=["aa1", "aa1"]) == 1
-        with open(out, encoding="utf-8") as handle:
-            assert len(handle.read().splitlines()) == 1
-
     def test_torn_tail_tolerated_everywhere(self, tmp_path):
-        cache = self._filled(tmp_path / "src", [("aa1", {"x": 1})])
-        out = str(tmp_path / "dump.jsonl")
-        cache.export(out)
-        with open(out, "a", encoding="utf-8") as handle:
+        self._filled(tmp_path / "src", [("aa1", {"x": 1})])
+        source = os.path.join(str(tmp_path / "src"), "aa.jsonl")
+        with open(source, "a", encoding="utf-8") as handle:
             handle.write('{"key": "bb2", "record": {"x"')  # killed mid-write
         dest = TrialCache(str(tmp_path / "dest"))
-        assert dest.import_file(out) == (1, 1)  # one good, one torn
+        assert dest.merge(str(tmp_path / "src")) == 1  # one good, one torn
         assert dest.stats.torn_lines == 1
         assert dest.get("aa1") == {"x": 1}
         # The same torn line inside a shard file is skipped on load.
@@ -586,7 +564,8 @@ class TestCacheAlgebra:
         assert fresh.get("aa1") == {"x": 1}
         assert fresh.stats.torn_lines == 4
         dest = TrialCache(str(tmp_path / "dest"))
-        assert dest.import_file(shard) == (1, 4)
+        assert dest.merge(str(tmp_path / "src")) == 1
+        assert dest.stats.torn_lines == 4
 
     @pytest.mark.parametrize("line", STRAY_OBJECTS)
     def test_stray_objects_are_skipped_and_counted(self, tmp_path, line):
@@ -598,15 +577,9 @@ class TestCacheAlgebra:
         fresh.load_all()
         assert fresh._index == {"aa1": {"x": 1}}
         assert fresh.stats.torn_lines == 1
-        assert TrialCache(str(tmp_path / "imported")).import_file(shard) == (1, 1)
         merged = TrialCache(str(tmp_path / "merged"))
         assert merged.merge(str(tmp_path / "src")) == 1
         assert merged.stats.torn_lines == 1
-
-    def test_import_missing_file_rejected(self, tmp_path):
-        cache = TrialCache(str(tmp_path / "cache"))
-        with pytest.raises(ValueError, match="does not exist"):
-            cache.import_file(str(tmp_path / "nope.jsonl"))
 
     def test_isolation_writes_stay_private(self, tmp_path):
         base_root = str(tmp_path / "base")
@@ -769,6 +742,36 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "complete" in out and "without computing" in out
+
+    def test_sharded_round_trip_equals_a_cold_single_host_run(
+        self, tmp_path, capsys
+    ):
+        plan_path = self._plan_file(tmp_path, shards=3)
+        for shard in (2, 0, 1):
+            argv = ["run-shard", "--plan", plan_path, "--shard", f"{shard}/3"]
+            argv += ["--workers", "1", "--cache-dir", str(tmp_path / "base")]
+            argv += ["--cache-out", str(tmp_path / f"s{shard}")]
+            assert engine_main(argv) == 0
+        merged_json = str(tmp_path / "merged.json")
+        argv = ["merge", "--plan", plan_path]
+        argv += ["--cache-dir", str(tmp_path / "merged"), "--json", merged_json]
+        argv += ["--from"] + [str(tmp_path / f"s{shard}") for shard in (1, 2, 0)]
+        assert engine_main(argv) == 0
+        single_json = str(tmp_path / "single.json")
+        argv = ["run", "--experiment", "sinkless", "--max-n", "128"]
+        argv += ["--workers", "1", "--no-cache", "--json", single_json]
+        assert engine_main(argv) == 0
+        capsys.readouterr()
+
+        def reports(path):
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)["reports"]
+
+        merged, single = reports(merged_json), reports(single_json)
+        assert [rep["computed"] for rep in merged] == [0] * len(merged)
+        assert [(rep["experiment"], rep["points"]) for rep in merged] == [
+            (rep["experiment"], rep["points"]) for rep in single
+        ]
 
     def test_merge_computes_the_remainder_of_a_partial_plan(
         self, tmp_path, capsys
