@@ -1,21 +1,21 @@
 """E11 — batched trial pipeline: the batch as the unit of scheduling.
 
-PR 4's claim: running a seed-batch of trials through
-``Runtime.run_many`` — one solver-factory/verifier setup, one frozen
+PR 4's claim: running a seed-batch of trials through one
+``TrialBatch`` — one solver-factory/verifier setup, one frozen
 topology per size, one verifier skeleton per shared core — beats the
-per-trial path (``Runtime.run`` in a loop, which rebuilds all of that
-per trial) by >= 2x trial throughput on topology-reusable families at
-batch size >= 8, while producing bit-identical records.
+per-trial path (a fresh ``TrialBatch`` per trial, which rebuilds all of
+that per trial) by >= 2x trial throughput on topology-reusable families
+at batch size >= 8, while producing bit-identical records.
 
 Topology-seeded families (the random cubic hard instances) cannot share
 graphs across seeds; their case is reported too as the honest lower
 bound — there the batch only amortizes setup, not construction.  (The
 engine's process-wide ``InstanceCache`` does share each seeded build
-across specs and solvers, but one ``run_many`` grid names every
-(n, seed) once, so nothing here is built twice either way.)
+across specs and solvers, but one batch's grid names every (n, seed)
+once, so nothing here is built twice either way.)
 
 The engine-layer ratio (chunked ``run_experiment`` vs a per-trial
-``Runtime.run`` loop over the same spec) is recorded alongside.
+``TrialBatch`` loop over the same spec) is recorded alongside.
 
 PR 8 moves the seeded-cubic lower bound: with the vectorized kernel
 backend (``kernels="vector"``), the batch is no longer bound by
@@ -38,7 +38,7 @@ from repro import kernels
 from repro.analysis import render_table
 from repro.engine.runner import run_experiment
 from repro.engine.spec import ExperimentSpec
-from repro.runtime import Runtime, registry
+from repro.runtime import TrialBatch, registry
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 N = 512 if QUICK else 4096
@@ -72,20 +72,31 @@ def _record_key(record):
     )
 
 
-def _best_times(runtime, problem, solver, family, n):
+def _per_trial(problem, solver, family, n, seed, kernels="auto"):
+    """One trial through a fresh batch: every setup cost paid again."""
+    return TrialBatch(problem, solver, family, kernels=kernels).run_one(n, seed)
+
+
+def _batched(problem, solver, family, n, kernels="auto"):
+    """The seed grid through one batch: setup paid once."""
+    batch = TrialBatch(problem, solver, family, kernels=kernels)
+    return [batch.run_one(n, seed) for seed in SEEDS]
+
+
+def _best_times(problem, solver, family, n):
     """Best-of-REPEATS per-trial seconds for both paths, interleaved."""
     best_per_trial = best_batched = float("inf")
     per_records = batched_records = None
     for _ in range(REPEATS):
         start = time.perf_counter()
         per_records = [
-            runtime.run(problem, solver, family, n, seed) for seed in SEEDS
+            _per_trial(problem, solver, family, n, seed) for seed in SEEDS
         ]
         best_per_trial = min(
             best_per_trial, (time.perf_counter() - start) / len(SEEDS)
         )
         start = time.perf_counter()
-        batched_records = runtime.run_many(problem, solver, family, [n], SEEDS)
+        batched_records = _batched(problem, solver, family, n)
         best_batched = min(
             best_batched, (time.perf_counter() - start) / len(SEEDS)
         )
@@ -96,7 +107,7 @@ def _best_times(runtime, problem, solver, family, n):
     return best_per_trial, best_batched
 
 
-def _vector_cubic_times(runtime):
+def _vector_cubic_times():
     """Per-trial object path vs batched vector path on seeded cubic.
 
     This is the end-to-end claim of the kernel layer: same trials,
@@ -109,7 +120,7 @@ def _vector_cubic_times(runtime):
     for _ in range(REPEATS):
         start = time.perf_counter()
         per_records = [
-            runtime.run(
+            _per_trial(
                 "sinkless-orientation",
                 "sinkless-det",
                 "cubic",
@@ -123,13 +134,8 @@ def _vector_cubic_times(runtime):
             best_per_trial, (time.perf_counter() - start) / len(SEEDS)
         )
         start = time.perf_counter()
-        vector_records = runtime.run_many(
-            "sinkless-orientation",
-            "sinkless-det",
-            "cubic",
-            [N],
-            SEEDS,
-            kernels="vector",
+        vector_records = _batched(
+            "sinkless-orientation", "sinkless-det", "cubic", N, kernels="vector"
         )
         best_vector = min(
             best_vector, (time.perf_counter() - start) / len(SEEDS)
@@ -141,8 +147,8 @@ def _vector_cubic_times(runtime):
     return best_per_trial, best_vector
 
 
-def _engine_layer_ratio(runtime):
-    """Chunked run_experiment vs a per-trial Runtime.run loop, same spec."""
+def _engine_layer_ratio():
+    """Chunked run_experiment vs a per-trial TrialBatch loop, same spec."""
     spec = ExperimentSpec(
         name="bench/degree-parity/parity@cycle",
         problem="degree-parity",
@@ -156,7 +162,7 @@ def _engine_layer_ratio(runtime):
     for _ in range(REPEATS):
         start = time.perf_counter()
         serial = [
-            runtime.run(spec.problem, spec.solver, spec.generator, t.n, t.seed)
+            _per_trial(spec.problem, spec.solver, spec.generator, t.n, t.seed)
             for t in spec.trials()
         ]
         best_serial = min(best_serial, time.perf_counter() - start)
@@ -171,13 +177,12 @@ def _engine_layer_ratio(runtime):
 
 
 def test_batched_pipeline_throughput():
-    runtime = Runtime()
     rows = []
     payload = {}
     headline = float("inf")
     for problem, solver, family, reusable in CASES:
         assert registry.family(family).reusable_topology == reusable
-        per_trial_s, batched_s = _best_times(runtime, problem, solver, family, N)
+        per_trial_s, batched_s = _best_times(problem, solver, family, N)
         speedup = per_trial_s / batched_s
         if reusable:
             headline = min(headline, speedup)
@@ -203,7 +208,7 @@ def test_batched_pipeline_throughput():
 
     vector_cubic_speedup = None
     if kernels.HAVE_NUMPY:
-        per_s, vec_s = _vector_cubic_times(runtime)
+        per_s, vec_s = _vector_cubic_times()
         vector_cubic_speedup = per_s / vec_s
         rows.append(
             [
@@ -226,7 +231,7 @@ def test_batched_pipeline_throughput():
             "speedup": vector_cubic_speedup,
         }
 
-    engine_serial_s, engine_chunked_s = _engine_layer_ratio(runtime)
+    engine_serial_s, engine_chunked_s = _engine_layer_ratio()
     engine_speedup = engine_serial_s / engine_chunked_s
     rows.append(
         [
@@ -260,8 +265,8 @@ def test_batched_pipeline_throughput():
             ],
             rows,
             title=(
-                "E11 batched trial pipeline (run_many / chunked engine vs "
-                "per-trial)\n"
+                "E11 batched trial pipeline (one TrialBatch / chunked engine "
+                "vs per-trial)\n"
                 f"    worst topology-reusable speedup: {headline:.2f}x "
                 f"(bar: >= {THRESHOLD}x, informational in quick mode; "
                 "records bit-identical)"

@@ -158,9 +158,7 @@ def _timed_trial(solver, family, n, backend):
         instance = registry.family(family).builder(n, 0)
         start = time.perf_counter()
         with kernels.active(backend):
-            result = dispatch_solver(
-                solver_info.factory(), instance, solver_info.array_program
-            )
+            result = dispatch_solver(solver_info.factory(), instance)
             check(instance, result)
         best = min(best, time.perf_counter() - start)
         produced = (

@@ -17,8 +17,8 @@ The package provides:
 * ``repro.generators`` / ``repro.analysis`` — instances, n-sweeps, and
   growth-shape fitting used to regenerate the paper's landscape.
 * ``repro.runtime`` — the registry-driven execution layer: catalogs of
-  problems, solvers, and families, and the unified ``Runtime`` driver
-  every (problem, solver, family) trial runs through.
+  problems, solvers, and families, and the one trial executor
+  (``TrialBatch``) every (problem, solver, family) trial runs through.
 * ``repro.engine`` — parallel, cached experiment orchestration over
   registry-generated specs (``python -m repro.engine``).
 """

@@ -43,9 +43,6 @@ class Sweep:
     def means(self) -> list[float]:
         return [p.rounds_mean for p in self.points]
 
-    def maxima(self) -> list[int]:
-        return [p.rounds_max for p in self.points]
-
 
 def aggregate_points(
     ns: Sequence[int], seeds: Sequence[int], records: Sequence[dict[str, Any]]

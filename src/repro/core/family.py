@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.core.padded_problem import PaddedProblem
 from repro.core.padded_solver import PaddedSolver
-from repro.core.theory import deterministic_prediction, randomized_prediction
 from repro.gadgets.family import LogGadgetFamily
 from repro.lcl.assignment import Labeling
 from repro.lcl.problem import NeLCL
@@ -56,12 +55,6 @@ class FamilyLevel:
         if isinstance(self.problem, PaddedProblem):
             return self.problem.verify(graph, inputs, outputs)
         return lcl_verify(self.problem, graph, inputs, outputs)
-
-    def predicted_det(self, n: int) -> float:
-        return deterministic_prediction(self.index, n)
-
-    def predicted_rand(self, n: int) -> float:
-        return randomized_prediction(self.index, n)
 
 
 def build_family(levels: int, delta: int = 3) -> list[FamilyLevel]:
@@ -152,6 +145,7 @@ register_solver(
 )(lambda: PaddedSolver(_padded_sinkless_problem(), RandomizedSinklessSolver()))
 
 
+# The cubic base graph is sampled from the seed: no topology sharing.
 @register_family(
     "padded-sinkless",
     description="16-node cubic base padded with height-h gadgets",
@@ -162,8 +156,6 @@ register_solver(
     grid=lambda max_n: tuple(
         h for h in range(2, 8) if 16 * (2 ** (h + 1)) <= max_n
     ),
-    # The cubic base graph is sampled from the seed: no topology sharing.
-    topology_seeded=True,
 )
 def padded_sinkless_instance(height: int, seed: int):
     """A 16-node cubic base padded with gadgets of the given height."""

@@ -207,7 +207,7 @@ def execute_trial_batch(
     records = []
     for trial in trials:
         record = batch.run_one(trial.n, trial.seed)
-        if record.verified is False:
+        if not record.verified:
             raise AssertionError(
                 f"{record.rejection} (n={trial.n}, seed={trial.seed})"
             )

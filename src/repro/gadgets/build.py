@@ -68,9 +68,6 @@ class BuiltGadget:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
-    def role_of(self, v: int):
-        return self.inputs.node(v).role
-
     def half_label(self, v: int, port: int):
         return self.inputs.half_at(v, port).label
 

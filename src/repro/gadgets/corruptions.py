@@ -40,19 +40,6 @@ class Corruption:
     inputs: Labeling
 
 
-def _clone_inputs(graph: PortGraph, built: BuiltGadget) -> Labeling:
-    clone = Labeling(graph)
-    for v in graph.nodes():
-        if v < built.graph.num_nodes:
-            clone.set_node(v, built.inputs.node(v))
-    for v in graph.nodes():
-        if v >= built.graph.num_nodes:
-            continue
-        for port in range(min(graph.degree(v), built.graph.degree(v))):
-            clone.set_half(HalfEdge(v, port), built.inputs.half_at(v, port))
-    return clone
-
-
 def _interior_node(built: BuiltGadget) -> int:
     """A node with both children and both horizontal neighbors."""
     for v, coord in built.coords.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.gadgets.build import BuiltGadget, build_gadget, gadget_size
 from repro.gadgets.checker import check_component
-from repro.gadgets.prover import ProverResult, error_radius, run_prover
+from repro.gadgets.prover import ProverResult, run_prover
 from repro.gadgets.scope import GadgetScope
 from repro.util.logmath import ceil_log2, floor_log2
 
@@ -45,10 +45,6 @@ class GadgetFamily:
     def prove(self, scope: GadgetScope, component: list[int], n_hint: int) -> ProverResult:
         """Run the prover V (Definition 2's algorithm)."""
         return run_prover(scope, component, self.delta, n_hint)
-
-    def prover_radius(self, n_hint: int) -> int:
-        """The O(d(n)) round bound of V."""
-        return error_radius(n_hint)
 
 
 class LogGadgetFamily(GadgetFamily):

@@ -68,7 +68,6 @@ def _register_probe(name: str) -> str:
         grid=lambda max_n: tuple(
             h for h in range(_MIN_HEIGHT, 11) if 2 ** (h + 1) <= max_n
         ),
-        topology_seeded=False,
         topology=topology,
         dress=dress,
     )(build)

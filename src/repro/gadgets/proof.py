@@ -87,7 +87,6 @@ def _gadget_dress(built, height: int, seed: int):
     size_kind="height",
     test_sizes=(3,),
     grid=lambda max_n: tuple(h for h in range(3, 11) if 2 ** (h + 1) <= max_n),
-    topology_seeded=False,
     topology=_gadget_topology,
     dress=_gadget_dress,
 )

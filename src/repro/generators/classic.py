@@ -115,9 +115,9 @@ def with_isolated_nodes(graph: PortGraph, count: int) -> PortGraph:
 #
 # Every classic family's graph depends on ``n`` alone; the seed only
 # selects identifiers and the per-node randomness.  Each registration
-# therefore declares ``topology_seeded=False`` and splits the builder
-# into the frozen ``topology`` (shared across seeds by batched drivers)
-# and the cheap per-seed ``_instance`` dressing.
+# therefore splits the builder into the frozen ``topology`` (shared
+# across seeds by batched drivers) and the cheap per-seed ``_instance``
+# dressing.
 
 
 def _instance(graph: PortGraph, n: int, seed: int):
@@ -148,7 +148,6 @@ def _tree_topology(n: int) -> PortGraph:
     max_degree=2,
     min_degree=2,
     test_sizes=(5, 12),
-    topology_seeded=False,
     topology=cycle,
     dress=_instance,
 )
@@ -163,7 +162,6 @@ def cycle_instance(n: int, seed: int):
     max_degree=2,
     min_degree=1,
     test_sizes=(6, 13),
-    topology_seeded=False,
     topology=path,
     dress=_instance,
 )
@@ -178,7 +176,6 @@ def path_instance(n: int, seed: int):
     max_degree=4,
     min_degree=4,
     test_sizes=(9, 25),
-    topology_seeded=False,
     topology=_torus_topology,
     dress=_instance,
 )
@@ -193,7 +190,6 @@ def torus_instance(n: int, seed: int):
     max_degree=3,
     min_degree=1,
     test_sizes=(7, 15),
-    topology_seeded=False,
     topology=_tree_topology,
     dress=_instance,
 )

@@ -21,14 +21,13 @@ from repro.util.rng import NodeRng
 __all__ = ["cubic_instance", "padded_hard_instance", "family_hard_instance"]
 
 
+# The seed picks the regular graph itself: no topology sharing.
 @register_family(
     "cubic",
     description="random 3-regular graphs (locally tree-like hard inputs)",
     max_degree=3,
     min_degree=3,
     test_sizes=(16, 30),
-    # The seed picks the regular graph itself: no topology sharing.
-    topology_seeded=True,
 )
 def cubic_instance(n: int, seed: int) -> Instance:
     """A random 3-regular instance with random identifiers."""

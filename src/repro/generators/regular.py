@@ -228,6 +228,7 @@ def lift_girth(
     )
 
 
+# Sampling and girth surgery both consume the seed: no sharing.
 @register_family(
     "high-girth-cubic",
     description="random cubic graphs lifted to girth >= 6 by edge surgery",
@@ -235,8 +236,6 @@ def lift_girth(
     min_degree=3,
     girth_at_least=6,
     test_sizes=(24, 40),
-    # Sampling and girth surgery both consume the seed: no sharing.
-    topology_seeded=True,
 )
 def high_girth_cubic_instance(n: int, seed: int):
     """A 3-regular instance with no cycle shorter than 6.

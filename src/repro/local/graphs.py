@@ -47,7 +47,6 @@ parallel edges behave identically through either.
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from itertools import accumulate
 from operator import sub
@@ -100,22 +99,6 @@ class Edge(NamedTuple):
         if side == self.b:
             return self.a
         raise ValueError(f"{side} is not an endpoint of edge {self.eid}")
-
-
-class _DeprecatedCallableInt(int):
-    """Shim for ``PortGraph.min_degree`` callers from before it became a
-    property: the value still answers ``()`` (with a DeprecationWarning)."""
-
-    __slots__ = ()
-
-    def __call__(self) -> int:
-        warnings.warn(
-            "PortGraph.min_degree is now a property; use `graph.min_degree` "
-            "instead of `graph.min_degree()`",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return int(self)
 
 
 def _csr_tables(
@@ -244,7 +227,7 @@ class PortGraph:
         self._ends = _readonly_q(ends)
         deg = tuple(map(sub, off[1:], off))
         self._deg = deg
-        self._min_degree = _DeprecatedCallableInt(min(deg, default=0))
+        self._min_degree = min(deg, default=0)
         self._max_degree = max(deg, default=0)
         self._frozen = True
         # _edges and _adj are deliberately left unset; __getattr__
@@ -359,11 +342,7 @@ class PortGraph:
 
     @property
     def min_degree(self) -> int:
-        """Minimum degree (0 for the empty graph).
-
-        The value tolerates the legacy ``graph.min_degree()`` call form
-        with a DeprecationWarning.
-        """
+        """Minimum degree (0 for the empty graph)."""
         return self._min_degree
 
     # -- flat incidence core -----------------------------------------------------
@@ -432,10 +411,6 @@ class PortGraph:
         for edge in self._edges:
             yield edge.a
             yield edge.b
-
-    def half_edges_of(self, v: int) -> Iterator[HalfEdge]:
-        for port in range(self._deg[v]):
-            yield HalfEdge(v, port)
 
     # -- incidence queries ---------------------------------------------------------
 

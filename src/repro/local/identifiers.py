@@ -24,7 +24,6 @@ class IdAssignment:
         if any(i <= 0 for i in ids):
             raise ValueError("identifiers must be positive")
         self._ids = ids
-        self._inverse = {identifier: v for v, identifier in enumerate(ids)}
         self._max_id = max(ids, default=0)
 
     def __len__(self) -> int:
@@ -33,10 +32,6 @@ class IdAssignment:
     def of(self, v: int) -> int:
         """The identifier of node ``v``."""
         return self._ids[v]
-
-    def node_with(self, identifier: int) -> int:
-        """The node carrying ``identifier``."""
-        return self._inverse[identifier]
 
     def max_id(self) -> int:
         return self._max_id

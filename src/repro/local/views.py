@@ -130,7 +130,3 @@ class ViewOracle:
             # the View isolated from later growth of the shared BFS state.
             trimmed = dict(dist)
         return View(self.graph, v, radius, trimmed)
-
-    def forget(self, v: int) -> None:
-        """Drop cached BFS state for ``v`` (metering is kept)."""
-        self._state.pop(v, None)

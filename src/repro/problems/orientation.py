@@ -131,10 +131,6 @@ class Orientation:
     def out_degree(self, v: int) -> int:
         return self._out_degree[v]
 
-    def points_out_of(self, eid: int, v: int) -> bool:
-        """Whether edge ``eid`` contributes an out-edge to node ``v``."""
-        return self.tail_node(eid) == v
-
     def in_edge_ids(self, v: int) -> list[int]:
         """Edges whose head is ``v``, in port order (for self-loops both
         sides count)."""

@@ -1,10 +1,10 @@
 """Trivial LCLs: the O(1) anchors of the complexity landscape.
 
 Besides the direct :class:`ConstantSolver`, this module registers one
-solver per runtime execution path for the degree-parity problem — a
-round-based node program (SyncEngine) and a view-based program
-(ViewOracle) — so the driver's adapter is exercised by real catalog
-entries, not just by the ``solve``-style solvers.
+degree-parity solver per LOCAL execution model — a round-based node
+program on :class:`~repro.local.simulator.SyncEngine` and a view-based
+program metered by :class:`~repro.local.views.ViewOracle` — so both
+models run as real catalog entries, each inside its own ``solve``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from repro.lcl.assignment import Labeling
 from repro.lcl.labels import LabelSet
 from repro.lcl.problem import NeLCL
 from repro.local.algorithm import Instance, RunResult
+from repro.local.simulator import SyncEngine
+from repro.local.views import ViewOracle
 from repro.runtime.registry import register_problem, register_solver
 
 __all__ = [
@@ -131,24 +133,26 @@ def _parity_array_program():
     families=_ALL_FAMILIES,
     randomized=False,
     description="parity as a round-based node program (SyncEngine path)",
-    array_program=_parity_array_program,
 )
 class ParitySyncSolver:
-    """Degree parity through the driver's SyncEngine adapter."""
+    """Degree parity as a node program on SyncEngine; each node is
+    charged the round it halted at."""
 
     name = "parity-sync"
     randomized = False
 
-    @staticmethod
-    def node_factory(v: int, instance: Instance) -> _ParityNode:
-        return _ParityNode(v, instance)
-
-    @staticmethod
-    def finish(instance: Instance, engine_result) -> Labeling:
+    def solve(self, instance: Instance) -> RunResult:
+        run = SyncEngine(
+            instance, _ParityNode, array_program=_parity_array_program
+        ).run()
         outputs = Labeling(instance.graph)
-        for v, parity in enumerate(engine_result.results):
+        for v, parity in enumerate(run.results):
             outputs.set_node(v, parity)
-        return outputs
+        return RunResult(
+            outputs=outputs,
+            node_radius=run.node_radius(),
+            extras={"engine_rounds": run.rounds},
+        )
 
 
 @register_solver(
@@ -159,15 +163,21 @@ class ParitySyncSolver:
     description="parity as a view-based program (ViewOracle path)",
 )
 class ParityViewSolver:
-    """Degree parity through the driver's ViewOracle adapter."""
+    """Degree parity from metered views; each node is charged the
+    largest radius it consulted."""
 
     name = "parity-views"
     randomized = False
 
-    @staticmethod
-    def run_views(oracle, instance: Instance) -> Labeling:
-        outputs = Labeling(instance.graph)
-        for v in instance.graph.nodes():
+    def solve(self, instance: Instance) -> RunResult:
+        graph = instance.graph
+        oracle = ViewOracle(graph)
+        outputs = Labeling(graph)
+        for v in graph.nodes():
             view = oracle.view(v, 0)  # the radius-0 view suffices
-            outputs.set_node(v, instance.graph.degree(view.center) % 2)
-        return outputs
+            outputs.set_node(v, graph.degree(view.center) % 2)
+        return RunResult(
+            outputs=outputs,
+            node_radius=oracle.node_radii(),
+            extras={"view_rounds": oracle.rounds()},
+        )

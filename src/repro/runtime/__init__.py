@@ -6,11 +6,11 @@ One layer owns the cross-product the paper's landscape is made of:
   ``@register_problem`` / ``@register_solver`` / ``@register_family``
   decorators in the problem, generator, core, and gadget modules;
 * :mod:`repro.runtime.driver` — :class:`~repro.runtime.driver.TrialBatch`,
-  the one trial executor behind ``Runtime.run(problem, solver, family,
-  n, seed)``, ``Runtime.run_many``, and the engine's worker chunks:
-  build the instance, dispatch the solver behind one adapter (direct /
-  SyncEngine / ViewOracle), verify, return a
-  :class:`~repro.runtime.driver.TrialRecord`.
+  the one trial executor: ``TrialBatch(problem, solver, family)
+  .run_one(n, seed)`` builds the instance, calls the solver's
+  ``solve(instance)``, verifies, and returns a
+  :class:`~repro.runtime.driver.TrialRecord`; the engine's worker
+  chunks run through it too.
 
 The engine's experiment specs name their (problem, solver, family)
 triple by these catalogs' names.
@@ -36,7 +36,6 @@ from repro.runtime.registry import (
 )
 from repro.runtime.driver import (
     InstanceCache,
-    Runtime,
     TrialBatch,
     TrialRecord,
     dispatch_solver,
@@ -47,7 +46,6 @@ __all__ = [
     "FamilyInfo",
     "InstanceCache",
     "ProblemInfo",
-    "Runtime",
     "SolverInfo",
     "TrialBatch",
     "TrialRecord",

@@ -1,20 +1,18 @@
 """The unified execution driver: one executor for every trial.
 
 :class:`TrialBatch` is the single path every (problem x solver x family)
-trial goes through — :meth:`Runtime.run`, :meth:`Runtime.run_many`, and
-the engine's worker chunks all call :meth:`TrialBatch.run_one`:
+trial goes through — tests, benches and the engine's worker chunks all
+call :meth:`TrialBatch.run_one`:
 
 1. build the instance from the registered family through an
    :class:`InstanceCache`, which shares frozen topology across seeds
    and builds each seeded instance once per process;
-2. dispatch the registered solver through the adapter — directly for
-   :class:`~repro.local.algorithm.LocalAlgorithm` objects, via
-   :class:`~repro.local.simulator.SyncEngine` for round-based node
-   programs (batched through the registered array twin under the
-   vector backend), via :class:`~repro.local.views.ViewOracle` for
-   view-based programs — landing in one
-   :class:`~repro.local.algorithm.RunResult` shape regardless of the
-   execution model;
+2. call the registered solver's ``solve(instance)`` through
+   :func:`dispatch_solver`, landing in one
+   :class:`~repro.local.algorithm.RunResult` shape whatever the
+   execution model (a solver that is a node program or a metered view
+   drives :class:`~repro.local.simulator.SyncEngine` or
+   :class:`~repro.local.views.ViewOracle` inside its own ``solve``);
 3. run the problem's verifier (the ne-LCL checker of
    :mod:`repro.lcl.verifier` by default, over a skeleton prepared once
    per shared core; the problem's own ``verify`` for padded problems;
@@ -29,7 +27,7 @@ import logging
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro import kernels as kernel_layer
 from repro.lcl.assignment import Labeling
@@ -37,11 +35,9 @@ from repro.lcl.problem import NeLCL
 from repro.lcl.verifier import PreparedVerifier
 from repro.lcl.verifier import verify as lcl_verify
 from repro.local.algorithm import Instance, RunResult
-from repro.local.simulator import SyncEngine
-from repro.local.views import ViewOracle
 from repro.obs import get_telemetry
 from repro.runtime import registry
-from repro.runtime.registry import FamilyInfo, ProblemInfo, SolverInfo
+from repro.runtime.registry import FamilyInfo, ProblemInfo
 from repro.util.rng import NodeRng
 
 _LOG = logging.getLogger("repro.runtime")
@@ -49,7 +45,6 @@ _LOG = logging.getLogger("repro.runtime")
 __all__ = [
     "INSTANCE_NODE_BUDGET",
     "InstanceCache",
-    "Runtime",
     "TrialBatch",
     "TrialRecord",
     "dispatch_solver",
@@ -71,14 +66,14 @@ class TrialRecord:
     rounds: int
     node_radius: list[int]
     outputs: Labeling
-    verified: bool | None  # None = verification skipped
+    verified: bool
     wall_time: float
     extras: dict = field(default_factory=dict)
     #: The verifier's message when it rejected the output.
     rejection: str | None = None
 
     def summary(self) -> str:
-        status = {True: "ok", False: "FAILED", None: "unverified"}[self.verified]
+        status = "ok" if self.verified else "FAILED"
         return (
             f"{self.problem} / {self.solver} @ {self.family} "
             f"n={self.actual_n} seed={self.seed}: {self.rounds} rounds, "
@@ -86,60 +81,17 @@ class TrialRecord:
         )
 
 
-def dispatch_solver(
-    solver_obj: Any,
-    instance: Instance,
-    array_program: Callable[[], Any] | None = None,
-) -> RunResult:
-    """Run a solver object on an instance, whatever its execution model.
+def dispatch_solver(solver_obj: Any, instance: Instance) -> RunResult:
+    """Run a solver object on an instance: ``solver_obj.solve(instance)``.
 
-    Three shapes are accepted, checked in order:
-
-    * ``solve(instance) -> RunResult`` — the repo-wide
-      :class:`~repro.local.algorithm.LocalAlgorithm` protocol (covers
-      solvers that drive ``SyncEngine``/``ViewOracle`` internally);
-    * ``node_factory(v, instance)`` plus ``finish(instance, engine_result)
-      -> Labeling`` — a round-based node program; the adapter runs it on
-      :class:`~repro.local.simulator.SyncEngine` and charges each node
-      the round it halted at;
-    * ``run_views(oracle, instance) -> Labeling`` — a view-based
-      program; the adapter meters it through
-      :class:`~repro.local.views.ViewOracle` and charges each node the
-      largest radius it consulted.
-
-    ``array_program`` (usually the registry's
-    :attr:`~repro.runtime.registry.SolverInfo.array_program`, else the
-    solver object's own attribute) is the node program's batched twin;
-    the engine runs it instead of the object loop under the vector
-    kernel backend, with bit-identical records.
+    ``solve(instance) -> RunResult`` — the
+    :class:`~repro.local.algorithm.LocalAlgorithm` protocol — is the one
+    solver protocol; an object without it is a ``TypeError``.
     """
-    if hasattr(solver_obj, "solve"):
-        return solver_obj.solve(instance)
-    if hasattr(solver_obj, "node_factory"):
-        if array_program is None:
-            array_program = getattr(solver_obj, "array_program", None)
-        engine = SyncEngine(
-            instance, solver_obj.node_factory, array_program=array_program
-        )
-        engine_result = engine.run()
-        outputs = solver_obj.finish(instance, engine_result)
-        return RunResult(
-            outputs=outputs,
-            node_radius=engine_result.node_radius(),
-            extras={"engine_rounds": engine_result.rounds},
-        )
-    if hasattr(solver_obj, "run_views"):
-        oracle = ViewOracle(instance.graph)
-        outputs = solver_obj.run_views(oracle, instance)
-        return RunResult(
-            outputs=outputs,
-            node_radius=oracle.node_radii(),
-            extras={"view_rounds": oracle.rounds()},
-        )
-    raise TypeError(
-        f"solver {solver_obj!r} implements none of the adapter protocols "
-        "(solve / node_factory+finish / run_views)"
-    )
+    solve = getattr(solver_obj, "solve", None)
+    if solve is None:
+        raise TypeError(f"solver {solver_obj!r} has no solve(instance) method")
+    return solve(instance)
 
 
 def verifier_for(problem_info: ProblemInfo) -> Callable[[Instance, RunResult], None]:
@@ -215,8 +167,8 @@ class InstanceCache:
     """Built instances shared across trials: seeded instances per
     ``(family, n, seed)``, frozen-topology cores per ``(family, n)``.
 
-    Families that declare ``topology_seeded=False`` with the
-    ``topology``/``dress`` split build their immutable core (the frozen
+    Families with the ``topology``/``dress`` split build their
+    immutable core (the frozen
     :class:`~repro.local.graphs.PortGraph`, plus any other
     seed-independent state) once per ``(family, n)`` and re-dress it per
     seed with the cheap mutable parts — identifiers, inputs labeling,
@@ -392,7 +344,6 @@ class TrialBatch:
         solver: str,
         family: str,
         *,
-        verify: bool = True,
         check_sound: bool = True,
         instances: InstanceCache | None = None,
         kernels: str = "auto",
@@ -415,14 +366,12 @@ class TrialBatch:
                     f"{', '.join(self.solver_info.families)})"
                 )
         self.instances = instances if instances is not None else InstanceCache()
-        self._verify = verify
-        self._checker = verifier_for(self.problem_info) if verify else None
+        self._checker = verifier_for(self.problem_info)
         _LOG.debug(
-            "trial batch ready: %s / %s @ %s (verify=%s)",
+            "trial batch ready: %s / %s @ %s",
             self.problem_info.name,
             self.solver_info.name,
             self.family_info.name,
-            verify,
         )
 
     def _check(self, instance: Instance, result: RunResult, core_key) -> None:
@@ -436,7 +385,6 @@ class TrialBatch:
                     f"{self.problem_info.name}: {verdict.summary()}"
                 )
                 return
-        assert self._checker is not None
         self._checker(instance, result)
 
     def run_one(self, n: int, seed: int = 0) -> TrialRecord:
@@ -447,23 +395,17 @@ class TrialBatch:
             instance, core_key = self.instances.build(self.family_info, n, seed)
         backend = kernel_layer.select_backend(self._kernels)
         telemetry.incr(f"kernels.{backend}_trials")
-        verified: bool | None = None
+        verified = True
         rejection: str | None = None
         with kernel_layer.active(backend):
             with telemetry.span("trial.solve"):
-                result = dispatch_solver(
-                    self.solver_info.factory(),
-                    instance,
-                    self.solver_info.array_program,
-                )
-            if self._verify:
-                verified = True
-                try:
-                    with telemetry.span("trial.verify"):
-                        self._check(instance, result, core_key)
-                except AssertionError as err:
-                    verified = False
-                    rejection = str(err)
+                result = dispatch_solver(self.solver_info.factory(), instance)
+            try:
+                with telemetry.span("trial.verify"):
+                    self._check(instance, result, core_key)
+            except AssertionError as err:
+                verified = False
+                rejection = str(err)
         telemetry.incr("trials.executed")
         return TrialRecord(
             problem=self.problem_info.name,
@@ -481,87 +423,3 @@ class TrialBatch:
             rejection=rejection,
         )
 
-
-class Runtime:
-    """Registry-driven execution of (problem, solver, family) triples."""
-
-    def __init__(self) -> None:
-        registry.ensure_registered()
-
-    # -- catalog passthrough (the driver is the natural API surface) ----
-
-    def triples(self) -> list[tuple[ProblemInfo, SolverInfo, FamilyInfo]]:
-        """The validated sound cross-product (see the registry)."""
-        return registry.sound_triples()
-
-    # -- the three stages ----------------------------------------------
-
-    def build_instance(self, family: str, n: int, seed: int = 0) -> Instance:
-        """Build one instance of a registered family."""
-        return registry.family(family).builder(n, seed)
-
-    def solve(self, solver: str, instance: Instance) -> RunResult:
-        """Instantiate a registered solver and dispatch it on an instance."""
-        solver_info = registry.solver(solver)
-        return dispatch_solver(
-            solver_info.factory(), instance, solver_info.array_program
-        )
-
-    def verify(
-        self, problem: str, instance: Instance, result: RunResult
-    ) -> bool:
-        """True iff the registered verifier accepts the result."""
-        try:
-            verifier_for(registry.problem(problem))(instance, result)
-        except AssertionError:
-            return False
-        return True
-
-    # -- the unified entry points (both are TrialBatch runs) ------------
-
-    def run(
-        self,
-        problem: str,
-        solver: str,
-        family: str,
-        n: int,
-        seed: int = 0,
-        verify: bool = True,
-        check_sound: bool = True,
-        kernels: str = "auto",
-    ) -> TrialRecord:
-        """One trial: a :class:`TrialBatch` of one (see it for the flags)."""
-        return self.run_many(
-            problem, solver, family, (n,), (seed,), verify, check_sound, kernels
-        )[0]
-
-    def run_many(
-        self,
-        problem: str,
-        solver: str,
-        family: str,
-        ns: Sequence[int],
-        seeds: Sequence[int] = (0,),
-        verify: bool = True,
-        check_sound: bool = True,
-        kernels: str = "auto",
-    ) -> list[TrialRecord]:
-        """One :class:`TrialBatch` over the (ns x seeds) grid, n-major.
-
-        Catalog lookups, soundness checks, and the verifier closure are
-        set up once; families with seed-independent topology share one
-        frozen core (and one prepared verifier skeleton) across all
-        seeds of a size.  The batch's instance cache is its own and the
-        grid names every (n, seed) once, so no seeded instance is
-        reused here; the engine's one cache per process shares them
-        across specs and solvers.
-        """
-        batch = TrialBatch(
-            problem,
-            solver,
-            family,
-            verify=verify,
-            check_sound=check_sound,
-            kernels=kernels,
-        )
-        return [batch.run_one(n, seed) for n in ns for seed in seeds]

@@ -17,11 +17,12 @@ decorators:
 * :func:`register_family` — an instance family ``(n, seed) ->
   Instance`` with the structural guarantees its members satisfy.
 
-Everything downstream — the unified :class:`~repro.runtime.driver.Runtime`,
-the engine's declarative experiments, the CLI's ``list``/``describe``
-subcommands, and the conformance test-suite — reads these catalogs
-instead of hand-wired lists; registering a new problem, solver, or
-family automatically widens all of them.
+Everything downstream — the trial executor
+:class:`~repro.runtime.driver.TrialBatch`, the engine's declarative
+experiments, the CLI's ``list``/``describe`` subcommands, and the
+conformance test-suite — reads these catalogs instead of hand-wired
+lists; registering a new problem, solver, or family automatically
+widens all of them.
 
 Registration is import-driven: :func:`ensure_registered` imports the
 known registering packages once, so catalogs are complete in any
@@ -128,18 +129,9 @@ class SolverInfo:
     #: families).  The conformance suite exercises these through the
     #: unsound path (``check_sound=False``) and demands rejection.
     unsound_families: tuple[str, ...] = ()
-    #: Optional zero-argument factory producing the solver's
-    #: :class:`~repro.local.simulator.ArrayProgram` twin; the driver
-    #: hands it to :class:`~repro.local.simulator.SyncEngine` so
-    #: round-based node programs batch under the vector backend.  Must
-    #: defer numpy imports until called.
-    array_program: Callable[[], Any] | None = None
 
     def sound_on(self, family_name: str) -> bool:
         return family_name in self.families
-
-    def unsound_on(self, family_name: str) -> bool:
-        return family_name in self.unsound_families
 
 
 @dataclass(frozen=True)
@@ -161,15 +153,12 @@ class FamilyInfo:
     #: Size grid for sweeps up to a node budget; None = geometric
     #: powers-of-two grid from 64.
     grid: Callable[[int], tuple[int, ...]] | None = None
-    #: Does the seed influence the *topology* of produced instances?
-    #: True (the conservative default) means every trial must run the
-    #: full builder.  Families that declare False — the graph depends
-    #: only on ``n`` — may additionally provide the two hooks below so
-    #: batched drivers can build the frozen core once per size and
-    #: re-dress it per seed.
-    topology_seeded: bool = True
     #: ``n -> core``: the immutable, seed-independent part of an
-    #: instance (typically the frozen :class:`PortGraph`).
+    #: instance (typically the frozen :class:`PortGraph`).  A family
+    #: whose graph depends only on ``n`` provides it with ``dress`` so
+    #: batched drivers build the core once per size and re-dress it per
+    #: seed; a family whose seed picks the graph provides neither, and
+    #: every trial runs the full builder.
     topology: Callable[[int], Any] | None = None
     #: ``(core, n, seed) -> Instance``: attach the cheap per-seed state
     #: (identifiers, inputs labeling, ``NodeRng``) to a shared core.
@@ -180,11 +169,7 @@ class FamilyInfo:
     @property
     def reusable_topology(self) -> bool:
         """Can batched drivers share one core across seeds of a size?"""
-        return (
-            not self.topology_seeded
-            and self.topology is not None
-            and self.dress is not None
-        )
+        return self.topology is not None
 
     def sweep_sizes(self, max_n: int) -> tuple[int, ...]:
         """The family's size grid capped by a node budget (may be empty)."""
@@ -255,21 +240,16 @@ def register_solver(
     randomized: bool | None = None,
     description: str = "",
     unsound_families: tuple[str, ...] | list[str] = (),
-    array_program: Callable[[], Any] | None = None,
 ):
     """Class/function decorator (or plain call) adding a solver entry.
 
     The decorated object must be a zero-argument factory producing a
-    solver the :class:`~repro.runtime.driver.Runtime` adapter can
-    execute (``solve``, ``node_factory``/``finish``, or ``run_views``
-    — see the driver module).  ``randomized`` defaults to the solver
-    class's ``randomized`` attribute.  ``unsound_families`` declares
-    negative probe targets: families the solver executes on but whose
-    outputs the verifier must reject (see :func:`unsound_triples`).
-    ``array_program`` (defaulting to the factory's own ``array_program``
-    attribute, when present) names the batched
-    :class:`~repro.local.simulator.ArrayProgram` twin of a
-    ``node_factory``-style solver.
+    solver with ``solve(instance) -> RunResult`` (the
+    :class:`~repro.local.algorithm.LocalAlgorithm` protocol).
+    ``randomized`` defaults to the solver class's ``randomized``
+    attribute.  ``unsound_families`` declares negative probe targets:
+    families the solver executes on but whose outputs the verifier must
+    reject (see :func:`unsound_triples`).
     """
     overlap = set(families) & set(unsound_families)
     if overlap:
@@ -282,9 +262,6 @@ def register_solver(
         is_rand = randomized
         if is_rand is None:
             is_rand = bool(getattr(factory, "randomized", False))
-        program = array_program
-        if program is None:
-            program = getattr(factory, "array_program", None)
         _register(
             _SOLVERS,
             SolverInfo(
@@ -296,7 +273,6 @@ def register_solver(
                 description=description,
                 ref=_ref_of(factory),
                 unsound_families=tuple(unsound_families),
-                array_program=program,
             ),
         )
         return factory
@@ -314,7 +290,6 @@ def register_family(
     size_kind: str = "nodes",
     test_sizes: tuple[int, ...] = (8, 17),
     grid: Callable[[int], tuple[int, ...]] | None = None,
-    topology_seeded: bool = True,
     topology: Callable[[int], Any] | None = None,
     dress: Callable[[Any, int, int], Any] | None = None,
 ):
@@ -322,17 +297,12 @@ def register_family(
 
     The decorated builder is called as ``builder(n, seed, **params)``
     and must return a :class:`~repro.local.algorithm.Instance`.
-    Families whose graph depends only on ``n`` declare
-    ``topology_seeded=False`` and may provide the ``topology``/``dress``
-    split so batched drivers can share the frozen core across seeds.
+    Families whose graph depends only on ``n`` may provide the
+    ``topology``/``dress`` split so batched drivers can share the
+    frozen core across seeds.
     """
     if size_kind not in ("nodes", "height"):
         raise ValueError(f"unknown size_kind {size_kind!r}")
-    if topology_seeded and (topology is not None or dress is not None):
-        raise ValueError(
-            f"family {name!r} declares topology/dress hooks but also "
-            "topology_seeded=True; seeded topologies cannot be shared"
-        )
     if (topology is None) != (dress is None):
         raise ValueError(
             f"family {name!r} must provide both topology and dress hooks "
@@ -352,7 +322,6 @@ def register_family(
                 size_kind=size_kind,
                 test_sizes=tuple(test_sizes),
                 grid=grid,
-                topology_seeded=topology_seeded,
                 topology=topology,
                 dress=dress,
             ),

@@ -69,9 +69,9 @@ def reference_run(problem: str, solver: str, family: str, n: int, seed: int):
 
     The family's full builder, a fresh solver object, and the plain
     ``verifier_for`` check on the object backend — never a shared core
-    or a prepared verifier skeleton.  Every amortized path
-    (``Runtime.run_many``, chunked, sharded, and merged engine runs) is
-    held to what this produces.
+    or a prepared verifier skeleton.  Every amortized path (one
+    ``TrialBatch`` over a grid, chunked, sharded, and merged engine
+    runs) is held to what this produces.
     """
     from repro.runtime import registry
     from repro.runtime.driver import dispatch_solver, verifier_for

@@ -1,9 +1,9 @@
 """The batched trial pipeline's load-bearing property: equivalence.
 
-``Runtime.run_many`` and chunked ``run_experiment`` may amortize
-whatever setup they like — catalog lookups, frozen topology, verifier
-skeletons — but the records they produce must be bit-identical to the
-un-amortized reference (``tests.conftest.reference_run``) at every
+One ``TrialBatch`` over a grid and chunked ``run_experiment`` may
+amortize whatever setup they like — catalog lookups, frozen topology,
+verifier skeletons — but the records they produce must be bit-identical
+to the un-amortized reference (``tests.conftest.reference_run``) at every
 worker count and batch size.
 The suite pins that, plus the cache-discipline corners: a seeded
 instance is shared by every trial on its (family, n, seed) and by no
@@ -29,7 +29,7 @@ from repro.engine.runner import (
 from repro.engine.spec import ExperimentSpec
 from repro.generators import cycle
 from repro.local import Instance
-from repro.runtime import InstanceCache, Runtime, TrialBatch, driver, registry
+from repro.runtime import InstanceCache, TrialBatch, driver, registry
 from tests.conftest import reference_records, reference_run
 
 
@@ -57,7 +57,7 @@ PARITY_SPEC = ExperimentSpec(
 class TestRunManyEquivalence:
     GRIDS = [
         # (problem, solver, family, ns, seeds) — a reuse family per
-        # adapter path, a randomized solver, the shared-inputs gadget
+        # execution model, a randomized solver, the shared-inputs gadget
         # core, and a seeded-topology family where reuse must NOT kick in.
         ("degree-parity", "parity", "cycle", (8, 12), (0, 1, 2)),
         ("degree-parity", "parity-sync", "torus", (9, 16), (0, 1)),
@@ -68,8 +68,9 @@ class TestRunManyEquivalence:
 
     @pytest.mark.parametrize("problem,solver,family,ns,seeds", GRIDS)
     def test_matches_per_trial_run(self, problem, solver, family, ns, seeds):
-        batched = Runtime().run_many(problem, solver, family, ns, seeds)
         grid = [(n, seed) for n in ns for seed in seeds]
+        batch = TrialBatch(problem, solver, family)
+        batched = [batch.run_one(n, seed) for n, seed in grid]
         assert [(r.problem, r.solver, r.family, r.n, r.seed) for r in batched] == [
             (problem, solver, family, n, seed) for n, seed in grid
         ]
@@ -87,15 +88,8 @@ class TestRunManyEquivalence:
             assert record.outputs == result.outputs
 
     def test_unsound_combination_rejected_like_run(self):
-        runtime = Runtime()
         with pytest.raises(ValueError, match="not declared sound"):
-            runtime.run_many("sinkless-orientation", "sinkless-det", "cycle", (8,))
-
-    def test_verify_false_skips_verification(self):
-        records = Runtime().run_many(
-            "degree-parity", "parity", "cycle", (8,), (0,), verify=False
-        )
-        assert [r.verified for r in records] == [None]
+            TrialBatch("sinkless-orientation", "sinkless-det", "cycle")
 
 
 class TestInstanceCache:
@@ -287,15 +281,10 @@ class TestInstanceCache:
     def test_registry_rejects_hooks_on_seeded_family(self):
         from repro.runtime.registry import register_family
 
-        with pytest.raises(ValueError, match="topology_seeded=True"):
-            register_family(
-                "bad-family", topology_seeded=True, topology=lambda n: None,
-                dress=lambda core, n, seed: None,
-            )
         with pytest.raises(ValueError, match="both topology and dress"):
-            register_family(
-                "bad-family", topology_seeded=False, topology=lambda n: None,
-            )
+            register_family("bad-family", topology=lambda n: None)
+        with pytest.raises(ValueError, match="both topology and dress"):
+            register_family("bad-family", dress=lambda core, n, seed: None)
 
 
 class TestChunkedEngineEquivalence:

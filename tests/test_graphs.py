@@ -161,15 +161,15 @@ class TestQueries:
         assert graph.max_degree == 2
         assert graph.min_degree == 1
 
-    def test_min_degree_call_form_deprecated(self):
-        graph = PortGraph.from_edge_list(3, [(0, 1), (0, 2)])
-        with pytest.warns(DeprecationWarning):
-            assert graph.min_degree() == 1
-
     def test_degree_caches_on_empty_graph(self):
         graph = PortGraph(0, [])
         assert graph.max_degree == 0
         assert graph.min_degree == 0
+
+    def test_min_degree_is_a_plain_int(self):
+        graph = PortGraph.from_edge_list(3, [(0, 1), (0, 2)])
+        assert type(graph.min_degree) is int
+        assert not callable(graph.min_degree)
 
 
 class TestProperties:

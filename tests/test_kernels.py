@@ -27,7 +27,7 @@ from repro.engine.spec import ExperimentSpec
 from repro.generators import cycle
 from repro.lcl import Labeling, verify
 from repro.lcl.verifier import PreparedVerifier
-from repro.runtime.driver import Runtime
+from repro.runtime import TrialBatch
 from tests.conftest import multigraphs, reference_run
 
 needs_numpy = pytest.mark.skipif(
@@ -176,9 +176,9 @@ class TestBackendSelection:
     def test_runtime_works_without_numpy(self, monkeypatch):
         monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
         monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", True)
-        record = Runtime().run(
-            "degree-parity", "parity", "cycle", 16, kernels="vector"
-        )
+        record = TrialBatch(
+            "degree-parity", "parity", "cycle", kernels="vector"
+        ).run_one(16)
         assert record.verified
 
 
@@ -398,17 +398,12 @@ class TestVectorVerifierTwin:
 
 class TestKernelsRecordParity:
     def test_runtime_records_identical_across_backends(self):
-        runtime = Runtime()
-        grids = dict(ns=(8, 16), seeds=(0, 1))
-        obj = runtime.run_many(
-            "degree-parity", "parity", "cycle", kernels="object", **grids
-        )
-        auto = runtime.run_many(
-            "degree-parity", "parity", "cycle", kernels="auto", **grids
-        )
-        vec = runtime.run_many(
-            "degree-parity", "parity", "cycle", kernels="vector", **grids
-        )
+        def run(kernels):
+            batch = TrialBatch("degree-parity", "parity", "cycle", kernels=kernels)
+            return [batch.run_one(n, seed) for n in (8, 16) for seed in (0, 1)]
+
+        obj, auto, vec = run("object"), run("auto"), run("vector")
+
         def strip(records):
             return [
                 {k: v for k, v in vars(r).items() if k != "wall_time"}
@@ -589,10 +584,9 @@ class TestArrayProgramRecordParity:
 
     @needs_numpy
     def test_engine_runs_the_registered_array_twin(self, monkeypatch):
-        # parity-sync's twin is registered with the solver rather than
-        # carried by its node factory, so only an executor that passes
-        # the registry's array_program batches it under the vector
-        # backend.
+        # parity-sync's twin is not carried by its node factory:
+        # ParitySyncSolver.solve hands it to SyncEngine, which batches
+        # it under the vector backend.
         from repro.kernels import engine as kernel_engine
 
         calls = []

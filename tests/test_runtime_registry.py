@@ -1,7 +1,7 @@
 """Conformance suite for the runtime registry and unified driver.
 
 The heart of it is one parametrized test that pushes *every* sound
-(problem, solver, family) triple through ``Runtime.run`` at small
+(problem, solver, family) triple through ``TrialBatch.run_one`` at small
 sizes and demands a verifier-accepted output — so any future
 registration is correctness-tested for free, and an unsound soundness
 declaration fails loudly here rather than polluting the landscape.
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import Runtime, registry
+from repro.runtime import TrialBatch, registry
 from repro.runtime.driver import dispatch_solver
 
-RUNTIME = Runtime()
 TRIPLES = registry.sound_triples()
 TRIPLE_IDS = [f"{s.name}@{f.name}" for _p, s, f in TRIPLES]
 UNSOUND = registry.unsound_triples()
@@ -52,6 +51,27 @@ class TestCatalogs:
         with pytest.raises(KeyError, match="unknown problem"):
             registry.problem("nope")
 
+    def test_every_solver_implements_solve(self):
+        """``solve(instance)`` is the one solver protocol."""
+        for info in registry.solvers().values():
+            assert callable(getattr(info.factory(), "solve", None)), info.name
+
+    def test_families_sharing_cores_are_pinned(self):
+        """Exactly the families whose graph depends on ``n`` alone
+        provide the ``topology``/``dress`` split."""
+        from repro.gadgets.corruptions import CORRUPTIONS
+
+        families = registry.families()
+        reusable = {
+            name for name, info in families.items() if info.reusable_topology
+        }
+        probes = {f"corrupt-{name}" for name in CORRUPTIONS}
+        assert len(probes) == 10
+        assert reusable == {"cycle", "path", "torus", "tree", "gadget"} | probes
+        assert set(families) - reusable == {
+            "cubic", "high-girth-cubic", "padded-sinkless",
+        }
+
     def test_duplicate_registration_with_different_settings_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             registry.register_family("cubic", description="something else")(
@@ -67,9 +87,9 @@ class TestConformance:
     )
     def test_sound_triple_verifies(self, problem, solver, family):
         """Every registered combination produces accepted outputs."""
-        family_info = registry.family(family)
-        for n in family_info.test_sizes:
-            record = RUNTIME.run(problem, solver, family, n, seed=1)
+        batch = TrialBatch(problem, solver, family)
+        for n in registry.family(family).test_sizes:
+            record = batch.run_one(n, seed=1)
             assert record.verified, record.summary()
             assert record.rounds == max(record.node_radius, default=0)
             assert len(record.node_radius) == record.actual_n
@@ -77,21 +97,17 @@ class TestConformance:
 
     def test_unsound_combinations_rejected(self):
         with pytest.raises(ValueError, match="not declared sound"):
-            RUNTIME.run("3-coloring-cycles", "cycle-3-coloring", "cubic", 16)
+            TrialBatch("3-coloring-cycles", "cycle-3-coloring", "cubic")
         with pytest.raises(ValueError, match="solves"):
-            RUNTIME.run("mis", "cycle-3-coloring", "cycle", 8)
+            TrialBatch("mis", "cycle-3-coloring", "cycle")
 
     def test_check_sound_false_probes_anyway(self):
         """Unsound probes run; the verifier reports the truth."""
-        record = RUNTIME.run(
-            "degree-parity", "constant", "cycle", 6, check_sound=False
-        )
+        record = TrialBatch(
+            "degree-parity", "constant", "cycle", check_sound=False
+        ).run_one(6)
         # the constant solver outputs "ok", not parities
         assert record.verified is False
-
-    def test_verify_false_skips_verification(self):
-        record = RUNTIME.run("mis", "mis-luby", "cycle", 8, verify=False)
-        assert record.verified is None
 
 
 class TestUnsoundProbes:
@@ -109,16 +125,14 @@ class TestUnsoundProbes:
         ids=UNSOUND_IDS,
     )
     def test_unsound_triple_is_rejected(self, problem, solver, family):
-        family_info = registry.family(family)
-        for n in family_info.test_sizes:
-            record = RUNTIME.run(
-                problem, solver, family, n, seed=1, check_sound=False
-            )
+        batch = TrialBatch(problem, solver, family, check_sound=False)
+        for n in registry.family(family).test_sizes:
+            record = batch.run_one(n, seed=1)
             assert record.verified is False, record.summary()
 
     def test_sound_check_still_rejects_probes(self):
         with pytest.raises(ValueError, match="not declared sound"):
-            RUNTIME.run("gadget-proof", "gadget-prover", "corrupt-color-clash", 4)
+            TrialBatch("gadget-proof", "gadget-prover", "corrupt-color-clash")
 
     def test_overlapping_declarations_rejected(self):
         with pytest.raises(ValueError, match="both sound and unsound"):
@@ -133,10 +147,10 @@ class TestUnsoundProbes:
 class TestAdapter:
     def test_all_three_execution_paths_agree_on_parity(self):
         """direct / SyncEngine / ViewOracle produce identical labelings."""
-        instance = RUNTIME.build_instance("tree", 15, seed=3)
+        instance = registry.family("tree").builder(15, 3)
         outputs = []
         for solver in ("parity", "parity-sync", "parity-views"):
-            result = RUNTIME.solve(solver, instance)
+            result = dispatch_solver(registry.solver(solver).factory(), instance)
             outputs.append(
                 [result.outputs.node(v) for v in instance.graph.nodes()]
             )
@@ -144,9 +158,39 @@ class TestAdapter:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_dispatch_rejects_alien_objects(self):
-        instance = RUNTIME.build_instance("cycle", 5)
-        with pytest.raises(TypeError, match="adapter protocols"):
+        instance = registry.family("cycle").builder(5, 0)
+        with pytest.raises(TypeError, match="no solve"):
             dispatch_solver(object(), instance)
+
+    def test_dispatch_hands_the_instance_to_solve(self):
+        """Dispatch is ``solver_obj.solve(instance)`` and nothing more."""
+        instance = registry.family("cycle").builder(5, 0)
+        seen = []
+        sentinel = object()
+
+        class Stub:
+            def solve(self, inst):
+                seen.append(inst)
+                return sentinel
+
+        assert dispatch_solver(Stub(), instance) is sentinel
+        assert seen == [instance]
+
+    @pytest.mark.parametrize(
+        "solver,extras",
+        [
+            ("parity", {}),
+            ("parity-sync", {"engine_rounds": 0}),
+            ("parity-views", {"view_rounds": 0}),
+        ],
+    )
+    def test_parity_models_report_their_rounds(self, solver, extras):
+        """Each execution model charges every node radius 0 and records
+        its own round count in ``extras``."""
+        record = TrialBatch("degree-parity", solver, "torus").run_one(9, seed=1)
+        assert record.verified is True
+        assert record.node_radius == [0] * record.actual_n
+        assert record.extras == extras
 
     def test_family_guarantees_hold_on_samples(self):
         """Registered structural guarantees are true of built instances."""

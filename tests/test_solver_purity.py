@@ -80,9 +80,7 @@ def test_solve_and_verify_leave_the_instance_unchanged(problem, solver, family, 
             instance, rng=None if instance.rng is None else NodeRng(SEED)
         )
         with kernel_layer.active(backend):
-            result = dispatch_solver(
-                solver.factory(), trial, solver.array_program
-            )
+            result = dispatch_solver(solver.factory(), trial)
             try:
                 verifier_for(problem)(trial, result)
             except AssertionError:
