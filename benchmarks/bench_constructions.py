@@ -83,16 +83,15 @@ def test_figure4_port_mapping(benchmark):
         iterations=1,
     )
     # node 1's gadget: its Port_1 edge goes to the broken gadget 0
-    comp_of_node1 = decomposition.component_of_node[
-        padded.padded_node(1, gadgets[1].center)
-    ]
-    virtual = decomposition.virtual
+    analysis = decomposition.analysis
+    comp_of_node1 = analysis.component_of[padded.padded_node(1, gadgets[1].center)]
+    virtual = analysis.virtual
     a = virtual.virtual_of_component[comp_of_node1]
     alpha = virtual.alpha[a]
     rows = []
     for i in (1, 2, 3):
         port_node = padded.padded_node(1, gadgets[1].ports[i - 1])
-        status = decomposition.port_status.get(port_node, "-")
+        status = analysis.port_status.get(port_node, "-")
         mapped = alpha.index(i) + 1 if i in alpha else "invalid"
         rows.append([f"Port_{i}", status, mapped])
     report(
@@ -102,7 +101,7 @@ def test_figure4_port_mapping(benchmark):
             title="E10  Figure 4: port mapping around an invalid neighbor",
         )
     )
-    assert decomposition.port_status[
+    assert analysis.port_status[
         padded.padded_node(1, gadgets[1].ports[0])
     ] == PORT_ERR1
     assert alpha == [2]

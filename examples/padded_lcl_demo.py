@@ -51,7 +51,7 @@ def main() -> None:
     decomposition = decompose(
         padded.graph, padded.inputs, family, instance.ids, instance.n_hint
     )
-    virtual = decomposition.virtual
+    virtual = decomposition.analysis.virtual
     print(
         f"contraction: {virtual.num_real()} valid gadgets -> virtual graph "
         f"with {virtual.graph.num_edges} edges (the base graph, recovered)"

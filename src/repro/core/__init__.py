@@ -35,9 +35,10 @@ from repro.core.virtual_graph import (
     PORT_ERR2,
     PORT_OK,
     Decomposition,
-    GadgetComponent,
+    GadgetAnalysis,
     VirtualGraph,
     decompose,
+    gadget_analysis,
 )
 
 __all__ = [
@@ -76,7 +77,8 @@ __all__ = [
     "PORT_ERR2",
     "PORT_OK",
     "Decomposition",
-    "GadgetComponent",
+    "GadgetAnalysis",
     "VirtualGraph",
     "decompose",
+    "gadget_analysis",
 ]

@@ -28,18 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
-from repro.core.padding import GADEDGE, PORTEDGE
-from repro.core.projection import edge_tag, pi_part
+from repro.core.projection import pi_part
 from repro.core.virtual_graph import (
+    GADGET_EDGE,
+    PORT_EDGE,
     PORT_ERR1,
     PORT_ERR2,
     PORT_OK,
-    _gadget_scope,
+    UNTAGGED_EDGE,
+    GadgetAnalysis,
+    gadget_analysis,
 )
 from repro.gadgets.family import GadgetFamily
 from repro.gadgets.labels import GADOK, Port
 from repro.gadgets.psi import verify_psi
-from repro.gadgets.scope import GadgetScope
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import BLANK, EMPTY
 from repro.lcl.problem import NeLCL
@@ -78,11 +80,13 @@ class PaddedOutput(NamedTuple):
     psi: Hashable  # GADOK | ERROR | Pointer
 
 
+#: The labels outside L_Err (see ``_is_lerr``).
+_NOT_LERR = (GADOK, BLANK, EMPTY)
+
+
 def _is_lerr(label: Hashable) -> bool:
     """Is this element output from L_Err (an error label of Psi_G)?"""
-    if label in (GADOK, BLANK, EMPTY):
-        return False
-    return True
+    return label not in _NOT_LERR
 
 
 def empty_pad_list(delta: int) -> PadList:
@@ -127,11 +131,11 @@ class PaddedProblem:
 
 
 def _psi_outputs_of_component(
-    outputs: Labeling, component: list[int]
+    outputs: list, component: list[int]
 ) -> dict[int, Hashable]:
     result = {}
     for v in component:
-        label = outputs.node(v)
+        label = outputs[v]
         result[v] = label.psi if isinstance(label, PaddedOutput) else None
     return result
 
@@ -141,19 +145,27 @@ def verify_padded(
     graph: PortGraph,
     inputs: Labeling,
     outputs: Labeling,
-    max_violations: int | None = None,
 ) -> Verdict:
-    """Check constraints 1-6 of Section 3.3."""
+    """Check constraints 1-6 of Section 3.3.
+
+    Every constraint is checked on ``outputs`` here; what is read about
+    the input comes from the instance's shared
+    :func:`~repro.core.virtual_graph.gadget_analysis` (the scope and its
+    structural verdicts, the components, the port edges and the virtual
+    graph), which the solver usually built already.
+    """
     delta = problem.delta
     violations: list[Violation] = []
 
-    def add(kind: str, where, message: str) -> bool:
+    def add(kind: str, where, message: str) -> None:
         violations.append(Violation(kind, where, message))
-        return max_violations is not None and len(violations) >= max_violations
+
+    out_nodes = outputs.node_labels()
+    out_edges = outputs.edge_labels()
+    out_slots = outputs.slot_labels()
 
     # --- output shape -------------------------------------------------------
-    for v in graph.nodes():
-        label = outputs.node(v)
+    for v, label in enumerate(out_nodes):
         if not isinstance(label, PaddedOutput) or not isinstance(label.list, PadList):
             add("domain", ("node", v), f"node output {label!r} is not a PaddedOutput")
             return Verdict(False, violations)
@@ -165,21 +177,16 @@ def verify_padded(
         ):
             add("domain", ("node", v), "Sigma_list arrays must have length delta")
 
-    # One scope serves every constraint below: its flat table tells port
-    # edges (out of scope) from gadget edges, malformed tags included.
-    scope = _gadget_scope(graph, inputs)
-    in_scope = scope.in_scope
+    analysis = gadget_analysis(graph, inputs, problem.family)
+    scope, kinds = analysis.scope, analysis.edge_kinds
     off, nbr, _peer, eids = graph.csr()
     ends = graph.edge_slots()
-    out_nodes = outputs.node_labels()
-    out_edges = outputs.edge_labels()
-    out_slots = outputs.slot_labels()
 
     # --- constraint 1: port edges blank, gadget edges Psi-labeled ---------
-    for eid in range(graph.num_edges):
+    for eid, kind in enumerate(kinds):
         label = out_edges[eid]
         halves = (out_slots[ends[2 * eid]], out_slots[ends[2 * eid + 1]])
-        if not in_scope(eid):
+        if kind == PORT_EDGE:
             if label is not BLANK:
                 add("edge", eid, "port edge must output BLANK")
             for side_label in halves:
@@ -194,35 +201,31 @@ def verify_padded(
                     add("edge", eid, "gadget half-edge must carry a Psi_G label")
 
     # --- constraint 2: Psi_G holds on every gadget component ---------------
-    components = scope.components()
-    component_of_node: dict[int, int] = {}
-    for index, component in enumerate(components):
-        for v in component:
-            component_of_node[v] = index
-        psi_outputs = _psi_outputs_of_component(outputs, component)
+    for index in range(analysis.num_components):
+        component = analysis.nodes_of(index)
+        psi_outputs = _psi_outputs_of_component(out_nodes, component)
         for violation in verify_psi(scope, component, psi_outputs, delta):
-            if add("node", violation.node, f"Psi_G: {violation.message}"):
-                return Verdict(False, violations)
+            add("node", violation.node, f"Psi_G: {violation.message}")
         # replication: a gadget half-edge carries its node's Psi label;
         # a gadget edge is GadOk exactly when both endpoints are
         for v in component:
-            for port, eid, other, _label in scope.incidences(v):
-                slot = off[v] + port
+            psi = psi_outputs[v]
+            for slot in range(off[v], off[v + 1]):
+                eid = eids[slot]
+                if kinds[eid] == PORT_EDGE:
+                    continue
                 half_label = out_slots[slot]
-                if half_label != psi_outputs.get(v):
+                if half_label != psi:
                     add(
                         "node",
                         v,
                         "gadget half-edge must replicate the node's Psi label "
-                        f"({half_label!r} vs {psi_outputs.get(v)!r})",
+                        f"({half_label!r} vs {psi!r})",
                     )
                 if ends[2 * eid] != slot:
                     continue  # each edge once, from side a (a loop's lower port)
-                edge_label = out_edges[eid]
-                expected_ok = (
-                    psi_outputs.get(v) == GADOK and psi_outputs.get(other) == GADOK
-                )
-                if expected_ok != (edge_label == GADOK):
+                expected_ok = psi == GADOK and psi_outputs.get(nbr[slot]) == GADOK
+                if expected_ok != (out_edges[eid] == GADOK):
                     add(
                         "edge",
                         eid,
@@ -230,36 +233,28 @@ def verify_padded(
                     )
 
     # --- constraints 3 and 4: port flags ------------------------------------
-    def port_edge_slots(v: int) -> list[int]:
-        return [slot for slot in range(off[v], off[v + 1]) if not in_scope(eids[slot])]
-
-    port_tag_of = scope.port_tag
-
-    for v in graph.nodes():
-        label: PaddedOutput = out_nodes[v]
-        tag = port_tag_of(v)
-        is_port = isinstance(tag, Port)
-        n_port_edges = len(port_edge_slots(v))
-        must_err2 = is_port and n_port_edges != 1
+    port_status = analysis.port_status
+    for v, label in enumerate(out_nodes):
+        must_err2 = port_status.get(v) == PORT_ERR2
         if must_err2 != (label.port_err == PORT_ERR2):
+            n_port_edges = sum(
+                1 for slot in range(off[v], off[v + 1]) if kinds[eids[slot]] == PORT_EDGE
+            )
             add(
                 "node",
                 v,
                 f"constraint 3: PortErr2 iff a port with {n_port_edges} port edges",
             )
 
-    for eid in range(graph.num_edges):
-        if in_scope(eid):
-            continue
+    port_tag_of = scope.port_tag
+    for eid in analysis.port_edges:
         a_node, b_node = nbr[ends[2 * eid + 1]], nbr[ends[2 * eid]]
         for u, far_node in ((a_node, b_node), (b_node, a_node)):
-            u_tag = port_tag_of(u)
-            if not isinstance(u_tag, Port):
+            if not isinstance(port_tag_of(u), Port):
                 continue
             u_out: PaddedOutput = out_nodes[u]
             far_out: PaddedOutput = out_nodes[far_node]
-            far_tag = port_tag_of(far_node)
-            both_ports = isinstance(far_tag, Port)
+            both_ports = isinstance(port_tag_of(far_node), Port)
             both_gadok = u_out.psi == GADOK and far_out.psi == GADOK
             if both_ports and both_gadok:
                 if u_out.port_err == PORT_ERR1:
@@ -273,8 +268,9 @@ def verify_padded(
                     )
 
     # --- constraint 5 (label level): S and the iota copies ------------------
+    # Only a Port node has anything to check past the LErr escape.
     in_edges, in_slots = inputs.edge_labels(), inputs.slot_labels()
-    for v in graph.nodes():
+    for v, port_slots in analysis.port_edge_slots.items():
         label = out_nodes[v]
         # LErr escape: any incident element (node psi, incident gadget
         # edges/halves) with an error label satisfies the node for free.
@@ -285,43 +281,39 @@ def verify_padded(
         if any(_is_lerr(x) for x in incident_labels):
             continue
         pad: PadList = label.list
-        tag = port_tag_of(v)
-        if isinstance(tag, Port):
-            in_s = tag.i in pad.ports
-            if in_s != (label.port_err == PORT_OK):
-                add("node", v, "constraint 5: Port_i in S iff NoPortErr")
-            if tag.i == 1 and pad.iota_v != pi_part(inputs.node(v)):
-                add("node", v, "constraint 5: iota_V must copy Port_1's Pi input")
-            if in_s:
-                for slot in port_edge_slots(v):
-                    if pad.iota_e[tag.i - 1] != pi_part(in_edges[eids[slot]]):
-                        add("node", v, "constraint 5: iota_E must copy the port edge input")
-                    if pad.iota_b[tag.i - 1] != pi_part(in_slots[slot]):
-                        add("node", v, "constraint 5: iota_B must copy the half input")
+        i = port_tag_of(v).i
+        in_s = i in pad.ports
+        if in_s != (label.port_err == PORT_OK):
+            add("node", v, "constraint 5: Port_i in S iff NoPortErr")
+        if i == 1 and pad.iota_v != pi_part(inputs.node(v)):
+            add("node", v, "constraint 5: iota_V must copy Port_1's Pi input")
+        if in_s:
+            for slot in port_slots:
+                if pad.iota_e[i - 1] != pi_part(in_edges[eids[slot]]):
+                    add("node", v, "constraint 5: iota_E must copy the port edge input")
+                if pad.iota_b[i - 1] != pi_part(in_slots[slot]):
+                    add("node", v, "constraint 5: iota_B must copy the half input")
 
     # --- constraint 6 (label level): list agreement --------------------------
-    for eid in range(graph.num_edges):
-        a, b = ends[2 * eid], ends[2 * eid + 1]
-        u, w = nbr[b], nbr[a]
-        u_out: PaddedOutput = out_nodes[u]
-        w_out: PaddedOutput = out_nodes[w]
-        element_labels = [
-            u_out.psi,
-            w_out.psi,
-            out_edges[eid],
-            out_slots[a],
-            out_slots[b],
-        ]
-        if any(_is_lerr(x) for x in element_labels):
+    for eid, kind in enumerate(kinds):
+        if kind == UNTAGGED_EDGE:
             continue
-        tag = edge_tag(inputs, eid)
-        if tag == GADEDGE:
+        a, b = ends[2 * eid], ends[2 * eid + 1]
+        u_out: PaddedOutput = out_nodes[nbr[b]]
+        w_out: PaddedOutput = out_nodes[nbr[a]]
+        if (
+            u_out.psi not in _NOT_LERR
+            or w_out.psi not in _NOT_LERR
+            or out_edges[eid] not in _NOT_LERR
+            or out_slots[a] not in _NOT_LERR
+            or out_slots[b] not in _NOT_LERR
+        ):
+            continue
+        if kind == GADGET_EDGE:
             if u_out.list != w_out.list:
                 add("edge", eid, "constraint 6: Sigma_list differs inside a gadget")
             continue
-        if tag != PORTEDGE:
-            continue
-        u_tag, w_tag = port_tag_of(u), port_tag_of(w)
+        u_tag, w_tag = port_tag_of(nbr[b]), port_tag_of(nbr[a])
         if not (isinstance(u_tag, Port) and isinstance(w_tag, Port)):
             continue
         i, j = u_tag.i, w_tag.i
@@ -336,53 +328,43 @@ def verify_padded(
             add("edge", eid, "constraint 6: missing o_B on a valid port")
 
     # --- constraints 5/6 (solution level): Pi holds on the contraction ------
-    violations.extend(_verify_contraction(problem, graph, inputs, outputs, scope))
+    violations.extend(_verify_contraction(problem, analysis, outputs))
 
     return Verdict(ok=not violations, violations=violations)
 
 
 def _verify_contraction(
     problem: PaddedProblem,
-    graph: PortGraph,
-    inputs: Labeling,
+    analysis: GadgetAnalysis,
     outputs: Labeling,
-    scope: GadgetScope,
 ) -> list[Violation]:
     """Check that the Sigma_list outputs solve Pi on the virtual graph.
 
     This is the semantic reading of the last bullets of constraints 5
-    and 6: reconstruct the virtual graph by contracting the valid
-    gadgets, read the virtual solution out of the Sigma_list labels,
-    and run the base problem's verifier on it.  For an ne-LCL base this
-    is equivalent to evaluating the hypothetical node and edge
-    configurations the paper writes down; for a padded base it is the
-    recursion that makes Pi_3 and beyond checkable.
+    and 6: take the virtual graph the analysis contracted from the
+    valid gadgets, read the virtual solution out of the Sigma_list
+    labels, and run the base problem's verifier on it.  For an ne-LCL
+    base this is equivalent to evaluating the hypothetical node and
+    edge configurations the paper writes down; for a padded base it is
+    the recursion that makes Pi_3 and beyond checkable (the virtual
+    inputs belong to this analysis, so the base level's analysis is
+    shared with the base solver the same way).
 
     Dummy stubs standing in for dangling port edges are exempt (their
     Pi'-edge constraints are satisfied through the LErr escape on the
     far side), so violations located at them are filtered out.
     """
-    from repro.core.virtual_graph import decompose
-    from repro.local.identifiers import sequential_ids
-
-    decomposition = decompose(
-        graph,
-        inputs,
-        problem.family,
-        sequential_ids(graph.num_nodes),
-        graph.num_nodes,
-        scope=scope,
-    )
-    virtual = decomposition.virtual
+    virtual = analysis.virtual
     vg = virtual.graph
     v_off, _nbr, _peer, v_eids = vg.csr()
+    out_nodes = outputs.node_labels()
     virtual_outputs = Labeling(vg)
     for a in vg.nodes():
         comp_index = virtual.component_of_virtual[a]
         if comp_index is None:
             continue
-        component = decomposition.components[comp_index]
-        rep = outputs.node(component.min_node())
+        first = analysis.component_nodes[analysis.component_start[comp_index]]
+        rep = out_nodes[first]
         if not isinstance(rep, PaddedOutput):
             continue
         pad = rep.list

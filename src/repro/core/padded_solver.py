@@ -21,7 +21,6 @@ dilation of Theorem 1, measured rather than assumed).
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Hashable
 
 from repro.core.padded_problem import (
@@ -30,8 +29,12 @@ from repro.core.padded_problem import (
     PaddedProblem,
     PadList,
 )
-from repro.core.projection import pi_part
-from repro.core.virtual_graph import PORT_OK, Decomposition, decompose
+from repro.core.virtual_graph import (
+    PORT_EDGE,
+    PORT_OK,
+    GadgetAnalysis,
+    decompose,
+)
 from repro.gadgets.labels import GADOK
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import BLANK, EMPTY
@@ -51,37 +54,12 @@ class PaddedSolver:
 
     # -- helpers ------------------------------------------------------------
 
-    def _center_distances(
-        self, decomposition: Decomposition
-    ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
-        """Per valid component: BFS distances from the center, and ecc."""
-        dist_maps: dict[int, dict[int, int]] = {}
-        eccs: dict[int, int] = {}
-        scope = decomposition.scope
-        for component in decomposition.components:
-            if not component.is_valid or component.center is None:
-                continue
-            dist = {component.center: 0}
-            frontier = deque([component.center])
-            while frontier:
-                x = frontier.popleft()
-                for _p, _e, other, _l in scope.incidences(x):
-                    if other not in dist:
-                        dist[other] = dist[x] + 1
-                        frontier.append(other)
-            dist_maps[component.index] = dist
-            eccs[component.index] = max(dist.values())
-        return dist_maps, eccs
-
     def _simulation_radii(
-        self,
-        decomposition: Decomposition,
-        base_result: RunResult,
-        dist_maps: dict[int, dict[int, int]],
-        eccs: dict[int, int],
+        self, analysis: GadgetAnalysis, base_result: RunResult
     ) -> dict[int, int]:
         """Physical radius bound per *virtual* node (see module docstring)."""
-        virtual = decomposition.virtual
+        virtual = analysis.virtual
+        center_dist, eccs = analysis.center_dist, analysis.ecc
         vg = virtual.graph
         v_off, v_nbr, _peer, v_eids = vg.csr()
         v_ends = vg.edge_slots()
@@ -89,15 +67,12 @@ class PaddedSolver:
         weights: list[int] = []
         for eid in range(vg.num_edges):
             total = 1
-            a, b = v_ends[2 * eid], v_ends[2 * eid + 1]
-            # the node of one side is the neighbor entry of the other
-            for slot, node in ((a, v_nbr[b]), (b, v_nbr[a])):
+            for slot in (v_ends[2 * eid], v_ends[2 * eid + 1]):
                 att = virtual.attachment[slot]
                 if att is None:
                     continue  # dummy side: weight 1 covers the hop
                 port_node, _port_slot = att
-                comp_index = virtual.component_of_virtual[node]
-                total += dist_maps[comp_index].get(port_node, 0)
+                total += center_dist[port_node]
             weights.append(total)
 
         sim_radius: dict[int, int] = {}
@@ -141,11 +116,12 @@ class PaddedSolver:
         decomposition = decompose(
             graph, inputs, problem.family, instance.ids, instance.n_hint
         )
-        virtual = decomposition.virtual
+        analysis = decomposition.analysis
+        virtual = analysis.virtual
 
         base_instance = Instance(
             graph=virtual.graph,
-            ids=virtual.ids,
+            ids=decomposition.virtual_ids,
             inputs=virtual.inputs,
             n_hint=instance.n_hint,
             rng=instance.rng,
@@ -153,40 +129,38 @@ class PaddedSolver:
         base_result = self.base_solver.solve(base_instance)
 
         # gadget-layer outputs: Psi labels on nodes/halves/edges, blanks
-        # on port edges (constraints 1 and 2)
-        psi_of: list[Hashable] = [None] * graph.num_nodes
-        for component in decomposition.components:
-            for v in component.nodes:
-                psi_of[v] = component.prover.outputs[v]
-        in_scope = decomposition.scope.in_scope
-        off, nbr, _peer, eids = graph.csr()
+        # on port edges (constraints 1 and 2); a gadget edge is GadOk
+        # exactly when both endpoints are
+        psi_of = analysis.psi
+        kinds = analysis.edge_kinds
+        off, _nbr, _peer, eids = graph.csr()
         ends = graph.edge_slots()
-        edge_labels = []
-        for eid in range(graph.num_edges):
-            a, b = ends[2 * eid], ends[2 * eid + 1]
-            if in_scope(eid):
-                ok = psi_of[nbr[b]] == GADOK and psi_of[nbr[a]] == GADOK
-                edge_labels.append(GADOK if ok else ERRMARK)
-            else:
-                edge_labels.append(BLANK)
+        edge_labels: list[Hashable] = [GADOK] * graph.num_edges
+        for v, psi in enumerate(psi_of):
+            if psi != GADOK:
+                for slot in range(off[v], off[v + 1]):
+                    eid = eids[slot]
+                    if kinds[eid] != PORT_EDGE:
+                        edge_labels[eid] = ERRMARK
         slot_labels = [
-            psi_of[v] if in_scope(eids[slot]) else BLANK
-            for v in graph.nodes()
-            for slot in range(off[v], off[v + 1])
+            psi for psi, degree in zip(psi_of, graph.degrees) for _ in range(degree)
         ]
+        for eid in analysis.port_edges:
+            edge_labels[eid] = BLANK
+            slot_labels[ends[2 * eid]] = slot_labels[ends[2 * eid + 1]] = BLANK
 
-        # Sigma_list per component (constraints 5 and 6)
+        # Sigma_list per valid gadget (constraints 5 and 6); the iota
+        # fields are the virtual inputs the contraction recovered
         empty = problem.empty_list()
-        in_edges, in_slots = inputs.edge_labels(), inputs.slot_labels()
+        v_inputs = virtual.inputs
+        v_in_edges, v_in_slots = v_inputs.edge_labels(), v_inputs.slot_labels()
         v_off, _nbr, _peer, v_eids = virtual.graph.csr()
         base_outputs = base_result.outputs
         base_slots = base_outputs.slot_labels()
-        pad_of_component: dict[int, PadList] = {}
-        for component in decomposition.components:
-            if not component.is_valid:
-                pad_of_component[component.index] = empty
+        pad_of_component: list[PadList] = [empty] * analysis.num_components
+        for a, comp_index in enumerate(virtual.component_of_virtual):
+            if comp_index is None:
                 continue
-            a = virtual.virtual_of_component[component.index]
             ranked = virtual.alpha[a] or []
             iota_e = [EMPTY] * delta
             iota_b = [EMPTY] * delta
@@ -194,16 +168,14 @@ class PaddedSolver:
             o_b = [EMPTY] * delta
             for rank, i in enumerate(ranked):
                 v_slot = v_off[a] + rank
-                _port_node, slot = virtual.attachment[v_slot]
-                iota_e[i - 1] = pi_part(in_edges[eids[slot]])
-                iota_b[i - 1] = pi_part(in_slots[slot])
-                o_e[i - 1] = base_outputs.edge(v_eids[v_slot])
+                v_eid = v_eids[v_slot]
+                iota_e[i - 1] = v_in_edges[v_eid]
+                iota_b[i - 1] = v_in_slots[v_slot]
+                o_e[i - 1] = base_outputs.edge(v_eid)
                 o_b[i - 1] = base_slots[v_slot]
-            port1 = component.port_nodes.get(1)
-            iota_v = pi_part(inputs.node(port1)) if port1 is not None else EMPTY
-            pad_of_component[component.index] = PadList(
+            pad_of_component[comp_index] = PadList(
                 ports=frozenset(ranked),
-                iota_v=iota_v,
+                iota_v=v_inputs.node(a),
                 iota_e=tuple(iota_e),
                 iota_b=tuple(iota_b),
                 o_v=base_outputs.node(a),
@@ -214,9 +186,9 @@ class PaddedSolver:
         # one shared PaddedOutput per distinct (component, flag, psi)
         shared: dict[tuple, PaddedOutput] = {}
         node_labels = []
-        for v in graph.nodes():
-            comp_index = decomposition.component_of_node[v]
-            port_err = decomposition.port_status.get(v, PORT_OK)
+        port_status = analysis.port_status
+        for v, comp_index in enumerate(analysis.component_of):
+            port_err = port_status.get(v, PORT_OK)
             key = (comp_index, port_err, psi_of[v])
             label = shared.get(key)
             if label is None:
@@ -232,22 +204,17 @@ class PaddedSolver:
         )
 
         # --- radius accounting ---------------------------------------------
-        dist_maps, eccs = self._center_distances(decomposition)
-        sim_radius = self._simulation_radii(
-            decomposition, base_result, dist_maps, eccs
-        )
-        node_radius = [0] * graph.num_nodes
-        for component in decomposition.components:
-            for v in component.nodes:
-                node_radius[v] = component.prover.node_radius[v]
-        for component in decomposition.components:
-            if not component.is_valid:
+        # V's charge, raised on each valid gadget to the distance to its
+        # center plus the simulated base algorithm's physical reach
+        sim_radius = self._simulation_radii(analysis, base_result)
+        node_radius = decomposition.prover_radii()
+        center_dist = analysis.center_dist
+        for a, comp_index in enumerate(virtual.component_of_virtual):
+            if comp_index is None:
                 continue
-            a = virtual.virtual_of_component[component.index]
             reach = sim_radius.get(a, 0)
-            dist = dist_maps[component.index]
-            for v in component.nodes:
-                node_radius[v] = max(node_radius[v], dist.get(v, 0) + reach)
+            for v in analysis.nodes_of(comp_index):
+                node_radius[v] = max(node_radius[v], center_dist[v] + reach)
 
         return RunResult(
             outputs=outputs,
@@ -257,9 +224,7 @@ class PaddedSolver:
                 "base_extras": base_result.extras,
                 "virtual_nodes": virtual.num_real(),
                 "virtual_edges": virtual.graph.num_edges,
-                "invalid_gadgets": sum(
-                    1 for c in decomposition.components if not c.is_valid
-                ),
-                "max_gadget_ecc": max(eccs.values(), default=0),
+                "invalid_gadgets": analysis.num_components - sum(analysis.valid),
+                "max_gadget_ecc": max(analysis.ecc.values(), default=0),
             },
         )

@@ -44,7 +44,13 @@ from repro.gadgets.labels import (
 )
 from repro.gadgets.scope import GadgetScope
 
-__all__ = ["StructuralViolation", "check_node", "check_component", "component_is_valid"]
+__all__ = [
+    "StructuralViolation",
+    "check_node",
+    "node_verdict",
+    "check_component",
+    "component_is_valid",
+]
 
 
 @dataclass(frozen=True)
@@ -293,17 +299,27 @@ def _check_center(
         seen_indices.add(label.i)
 
 
+def node_verdict(
+    scope: GadgetScope, v: int, delta: int
+) -> tuple[StructuralViolation, ...]:
+    """:func:`check_node`'s violations as the memoized tuple (shared —
+    a sound node's is the one empty tuple)."""
+    table = scope.verdicts.get(delta)
+    if table is None:
+        table = scope.verdicts[delta] = [None] * scope.graph.num_nodes
+    verdict = table[v]
+    if verdict is None:
+        verdict = table[v] = tuple(_evaluate_node(scope, v, delta))
+    return verdict
+
+
 def check_node(scope: GadgetScope, v: int, delta: int) -> list[StructuralViolation]:
     """All constant-radius structural constraints at node ``v``.
 
-    The verdict is a pure function of the scope's snapshot, so it is
-    computed once per ``(v, delta)`` and memoized on the scope.
+    The verdict is a pure function of the labels the scope read, so it
+    is computed once per ``(v, delta)`` and memoized on the scope.
     """
-    key = (v, delta)
-    verdict = scope.verdicts.get(key)
-    if verdict is None:
-        verdict = scope.verdicts[key] = tuple(_evaluate_node(scope, v, delta))
-    return list(verdict)
+    return list(node_verdict(scope, v, delta))
 
 
 def _evaluate_node(
@@ -339,7 +355,7 @@ def check_component(
     """Structural violations over one gadget component."""
     out: list[StructuralViolation] = []
     for v in component:
-        out.extend(check_node(scope, v, delta))
+        out.extend(node_verdict(scope, v, delta))
     return out
 
 

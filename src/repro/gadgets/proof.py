@@ -49,17 +49,41 @@ class GadgetProverSolver:
 
     def solve(self, instance):
         from repro.gadgets.prover import run_prover
-        from repro.gadgets.scope import GadgetScope
         from repro.local.algorithm import RunResult
 
-        scope = GadgetScope(instance.graph, instance.inputs)
-        component = sorted(instance.graph.nodes())
-        result = run_prover(scope, component, 3, instance.n_hint)
+        graph, inputs = instance.graph, instance.inputs
+        if inputs.graph is graph:
+            scope = inputs.derived(
+                ("checked-gadget-scope", _DELTA), lambda: _checked_scope(graph, inputs)
+            )
+        else:
+            scope = _checked_scope(graph, inputs)
+        component = list(graph.nodes())
+        result = run_prover(scope, component, _DELTA, instance.n_hint)
         return RunResult(
             outputs=result.outputs,
             node_radius=[result.node_radius[v] for v in component],
             extras={"all_ok": result.all_ok(), "is_valid": result.is_valid},
         )
+
+
+#: The gadget family's degree: V runs on (log, 3)-gadgets.
+_DELTA = 3
+
+
+def _checked_scope(graph, inputs):
+    """The instance's whole-graph scope with every node's structural
+    verdict, its navigation table dropped: what every trial of V on the
+    instance shares (a padded instance shares its
+    :func:`repro.core.virtual_graph.gadget_analysis` the same way)."""
+    from repro.gadgets.checker import node_verdict
+    from repro.gadgets.scope import GadgetScope
+
+    scope = GadgetScope(graph, inputs)
+    for v in graph.nodes():
+        node_verdict(scope, v, _DELTA)
+    scope.drop_navigation()
+    return scope
 
 
 def _gadget_topology(height: int):

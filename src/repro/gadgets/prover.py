@@ -66,6 +66,10 @@ class ProverResult:
     node_radius: dict[int, int]
     is_valid: bool
     violations: list = field(default_factory=list)
+    #: On a valid gadget, each node's BFS distance from the center (the
+    #: radii are charged from it); empty otherwise.  Unlike the radii it
+    #: does not depend on ``n``.
+    center_dist: dict[int, int] = field(default_factory=dict)
 
     def all_ok(self) -> bool:
         return all(label == GADOK for label in self.outputs.values())
@@ -163,33 +167,37 @@ def _choose_pointer(
     return Pointer(UP)
 
 
+def _center_distances(scope: GadgetScope, component: list[int]) -> dict[int, int]:
+    """BFS distances from the component's center, or {} when it has no
+    center or the search does not cover exactly the component."""
+    center = next((v for v in component if scope.role(v) == CENTER), None)
+    if center is None:
+        return {}
+    dist_center = {center: 0}
+    frontier = deque([center])
+    while frontier:
+        x = frontier.popleft()
+        for _p, _e, other, _l in scope.incidences(x):
+            if other not in dist_center:
+                dist_center[other] = dist_center[x] + 1
+                frontier.append(other)
+    return dist_center if set(dist_center) == set(component) else {}
+
+
 def _radius_accounting(
-    scope: GadgetScope, component: list[int], valid: bool, limit: int
+    component: list[int], dist_center: dict[int, int], limit: int
 ) -> dict[int, int]:
     """The view radius each node consulted.
 
     Valid gadget: a node is sure once it has seen the whole gadget plus
     one hop; the distance to the center plus the center's eccentricity
-    upper-bounds that.  Invalid gadget: the paper's O(log n) bound
-    (``limit``) is charged, capped by the component's extent.
+    upper-bounds that.  Invalid gadget (no ``dist_center``): the
+    paper's O(log n) bound (``limit``) is charged.
     """
-    dist_center: dict[int, int] = {}
-    center = next((v for v in component if scope.role(v) == CENTER), None)
-    if center is not None:
-        dist_center[center] = 0
-        frontier = deque([center])
-        while frontier:
-            x = frontier.popleft()
-            for _p, _e, other, _l in scope.incidences(x):
-                if other not in dist_center:
-                    dist_center[other] = dist_center[x] + 1
-                    frontier.append(other)
-    if valid and center is not None and set(dist_center) == set(component):
-        ecc_center = max(dist_center.values())
-        return {
-            v: min(dist_center[v] + ecc_center + 1, limit) for v in component
-        }
-    return {v: limit for v in component}
+    if not dist_center:
+        return {v: limit for v in component}
+    ecc_center = max(dist_center.values())
+    return {v: min(dist_center[v] + ecc_center + 1, limit) for v in component}
 
 
 def run_prover(
@@ -202,11 +210,12 @@ def run_prover(
     limit = error_radius(n_hint)
     violations = check_component(scope, component, delta)
     if not violations:
-        radius = _radius_accounting(scope, component, True, limit)
+        dist_center = _center_distances(scope, component)
         return ProverResult(
             outputs={v: GADOK for v in component},
-            node_radius=radius,
+            node_radius=_radius_accounting(component, dist_center, limit),
             is_valid=True,
+            center_dist=dist_center,
         )
     errors = {violation.node for violation in violations}
     outputs: dict[int, Hashable] = {}
@@ -215,10 +224,9 @@ def run_prover(
             outputs[v] = ERROR
         else:
             outputs[v] = _choose_pointer(scope, v, errors, delta, limit=len(component))
-    radius = _radius_accounting(scope, component, False, limit)
     return ProverResult(
         outputs=outputs,
-        node_radius=radius,
+        node_radius=_radius_accounting(component, {}, limit),
         is_valid=False,
         violations=violations,
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from repro.gadgets.checker import check_node
+from repro.gadgets.checker import node_verdict
 from repro.gadgets.labels import (
     Down,
     ERROR,
@@ -91,7 +91,7 @@ def verify_psi(
         if not _is_valid_output(label, delta):
             violations.append(PsiViolation(v, f"output {label!r} is not a Psi label"))
             continue
-        structurally_broken = bool(check_node(scope, v, delta))
+        structurally_broken = bool(node_verdict(scope, v, delta))
         if structurally_broken != (label == ERROR):
             if structurally_broken:
                 violations.append(

@@ -26,15 +26,25 @@ Incidence = tuple[int, int, int, Hashable]
 class GadgetScope:
     """Navigation over the gadget-edge subgraph of a labeled graph.
 
-    A scope is a snapshot of ``graph`` and ``inputs``: it reads the
-    labeling's node and slot lists once, at construction, into flat
-    tables indexed by node and by CSR port slot, and builds each node's
-    tuple of in-scope incidences there too.  Later edits to ``inputs``
-    are not seen, so corruptions build a new
-    :class:`~repro.lcl.assignment.Labeling` rather than editing one.
-    For the same reason a node's structural verdict is a pure function
-    of the scope: :func:`repro.gadgets.checker.check_node` memoizes it
-    in :attr:`verdicts`.
+    A scope reads the labeling's node and slot lists once, at
+    construction, into flat tables indexed by node and by CSR port slot
+    (the graph's own CSR tables and an in-scope byte per edge do the
+    rest), and keeps no reference to the labeling.  Later edits to
+    ``inputs`` are not seen.  A node's structural verdict is therefore a
+    pure function of the scope: :func:`repro.gadgets.checker.check_node`
+    memoizes it in :attr:`verdicts`, one list per ``delta`` with an
+    entry per node.
+
+    Navigation runs on a table of each node's in-scope incidence tuples,
+    built at construction: fast, but several hundred bytes per node.
+    There is one scope per instance, kept as long as the instance's
+    inputs (a padded instance's
+    :func:`~repro.core.virtual_graph.gadget_analysis`, or the scope V
+    re-reads on every trial on a gadget core), so its owner calls
+    :meth:`drop_navigation` once the checks, proofs and searches that
+    need speed are done.  From then on :meth:`incidences` rebuilds a
+    node's tuple from the flat tables on each call: the same values, a
+    new tuple.
     """
 
     def __init__(
@@ -44,16 +54,17 @@ class GadgetScope:
         edge_in_scope: Callable[[int], bool] | None = None,
     ):
         self.graph = graph
-        self.inputs = inputs
-        #: ``check_node``'s memo: ``(node, delta) -> violations``.
-        self.verdicts: dict[tuple[int, int], tuple] = {}
-        off, nbr, peer, eids = (table.tolist() for table in graph.csr())
-        self._off = off
+        #: ``check_node``'s memo: ``delta -> per-node verdict`` (None
+        #: until evaluated; a sound node's verdict is the shared ``()``).
+        self.verdicts: dict[int, list[tuple | None]] = {}
+        self._off, self._nbr, self._peer, self._eids = graph.csr()
         self._deg = graph.degrees
         if edge_in_scope is None:
-            self._in_scope = [True] * graph.num_edges
+            self._in_scope = bytearray(b"\x01") * graph.num_edges
         else:
-            self._in_scope = [bool(edge_in_scope(eid)) for eid in range(graph.num_edges)]
+            self._in_scope = bytearray(
+                1 if edge_in_scope(eid) else 0 for eid in range(graph.num_edges)
+            )
         self._nodes: list[GadgetNodeInput | None] = [
             label if isinstance(label, GadgetNodeInput) else None
             for label in inputs.node_labels()
@@ -62,21 +73,33 @@ class GadgetScope:
             half if isinstance(half, GadgetHalfInput) else None
             for half in inputs.slot_labels()
         ]
+        self._build_navigation()
+
+    def _build_navigation(self) -> None:
+        """The per-node incidence tuples and per-slot far labels."""
+        off, nbr, peer, eids = (table.tolist() for table in self.graph.csr())
         labels = [None if half is None else half.label for half in self._halves]
         # per slot: the endpoint label on the far side of its edge
-        self._far_labels = [labels[off[w] + p] for w, p in zip(nbr, peer)]
+        self._far_labels: list[Hashable] | None = [
+            labels[off[w] + p] for w, p in zip(nbr, peer)
+        ]
         in_scope = self._in_scope
-        self._rows: list[tuple[Incidence, ...]] = [
+        self._rows: list[tuple[Incidence, ...]] | None = [
             tuple(
                 (slot - off[v], eids[slot], nbr[slot], labels[slot])
                 for slot in range(off[v], off[v + 1])
                 if in_scope[eids[slot]]
             )
-            for v in graph.nodes()
+            for v in range(len(off) - 1)
         ]
 
+    def drop_navigation(self) -> None:
+        """Free the navigation table (see the class docstring)."""
+        self._rows = None
+        self._far_labels = None
+
     def in_scope(self, eid: int) -> bool:
-        return self._in_scope[eid]
+        return self._in_scope[eid] == 1
 
     # -- labels ---------------------------------------------------------------
 
@@ -107,21 +130,41 @@ class GadgetScope:
 
     def incidences(self, v: int) -> tuple[Incidence, ...]:
         """The ``(port, eid, other_node, my_label)`` of each in-scope edge
-        at ``v``, in port order (the same tuple on every call)."""
-        return self._rows[v]
+        at ``v``, in port order."""
+        rows = self._rows
+        if rows is not None:
+            return rows[v]
+        off, eids, nbr, in_scope, halves = (
+            self._off, self._eids, self._nbr, self._in_scope, self._halves
+        )
+        base = off[v]
+        out = []
+        for slot in range(base, off[v + 1]):
+            eid = eids[slot]
+            if in_scope[eid]:
+                half = halves[slot]
+                out.append(
+                    (slot - base, eid, nbr[slot], None if half is None else half.label)
+                )
+        return tuple(out)
 
     def labels_at(self, v: int) -> list[Hashable]:
         """The in-scope endpoint labels at ``v`` (may contain None)."""
-        return [label for _p, _e, _o, label in self._rows[v]]
+        return [label for _p, _e, _o, label in self.incidences(v)]
 
     def other_label(self, v: int, port: int) -> Hashable | None:
         """The endpoint label on the far side of the edge at ``(v, port)``."""
         if not 0 <= port < self._deg[v]:
             raise IndexError(f"node {v} has no port {port}")
-        return self._far_labels[self._off[v] + port]
+        slot = self._off[v] + port
+        far_labels = self._far_labels
+        if far_labels is not None:
+            return far_labels[slot]
+        half = self._halves[self._off[self._nbr[slot]] + self._peer[slot]]
+        return None if half is None else half.label
 
     def has_label(self, v: int, label: Hashable) -> bool:
-        return any(mine == label for _p, _e, _o, mine in self._rows[v])
+        return any(mine == label for _p, _e, _o, mine in self.incidences(v))
 
     def follow(self, v: int, label: Hashable) -> int | None:
         """The unique neighbor across the edge labeled ``label`` at ``v``.
@@ -130,7 +173,7 @@ class GadgetScope:
         several do (a 1b violation caught elsewhere), the first in port
         order is used so navigation stays deterministic.
         """
-        for _port, _eid, other, mine in self._rows[v]:
+        for _port, _eid, other, mine in self.incidences(v):
             if mine == label:
                 return other
         return None

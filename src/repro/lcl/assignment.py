@@ -20,16 +20,22 @@ lives at slot ``offsets[v] + p``.  Every entry starts as ``EMPTY``.
 * The **bulk** accessors (``node_labels``/``set_node_labels`` and their
   edge and slot twins) hand whole lists to the hot paths, which index
   them by node, edge id and slot directly.
+* :meth:`Labeling.derived` keeps values computed from the labels (a
+  padded instance's gadget analysis) with the labeling itself: every
+  write drops them, a copy starts without them, and they are not
+  pickled.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator, TypeVar
 
 from repro.lcl.labels import EMPTY
 from repro.local.graphs import HalfEdge, PortGraph
 
 __all__ = ["Labeling"]
+
+T = TypeVar("T")
 
 
 class Labeling:
@@ -45,6 +51,8 @@ class Labeling:
         self._node_set = bytearray(graph.num_nodes)
         self._edge_set = bytearray(graph.num_edges)
         self._slot_set = bytearray(2 * graph.num_edges)
+        #: :meth:`derived`'s values; every write resets it to None.
+        self._derived: dict[Hashable, Any] | None = None
 
     # -- node labels --------------------------------------------------------
 
@@ -56,6 +64,7 @@ class Labeling:
             raise KeyError(f"node {v} out of range")
         self._nodes[v] = label
         self._node_set[v] = 1
+        self._derived = None
 
     # -- edge labels --------------------------------------------------------
 
@@ -67,6 +76,7 @@ class Labeling:
             raise KeyError(f"edge {eid} out of range")
         self._edges[eid] = label
         self._edge_set[eid] = 1
+        self._derived = None
 
     # -- half-edge labels ------------------------------------------------------
 
@@ -86,6 +96,7 @@ class Labeling:
         slot = self._off[v] + port
         self._slots[slot] = label
         self._slot_set[slot] = 1
+        self._derived = None
 
     def set_half_at(self, v: int, port: int, label: Hashable) -> None:
         self.set_half(HalfEdge(v, port), label)
@@ -98,6 +109,7 @@ class Labeling:
             raise KeyError(f"slot {slot} out of range")
         self._slots[slot] = label
         self._slot_set[slot] = 1
+        self._derived = None
 
     def node_labels(self) -> list[Hashable]:
         """Every node's label, by node (shared — do not mutate)."""
@@ -115,18 +127,21 @@ class Labeling:
         """Set every node's label at once, from a sequence by node."""
         self._nodes = self._whole(labels, self._nodes, "node")
         self._node_set = bytearray(b"\x01") * len(self._nodes)
+        self._derived = None
         return self
 
     def set_edge_labels(self, labels: Iterable[Hashable]) -> "Labeling":
         """Set every edge's label at once, from a sequence by edge id."""
         self._edges = self._whole(labels, self._edges, "edge")
         self._edge_set = bytearray(b"\x01") * len(self._edges)
+        self._derived = None
         return self
 
     def set_slot_labels(self, labels: Iterable[Hashable]) -> "Labeling":
         """Set every half-edge's label at once, from a sequence by slot."""
         self._slots = self._whole(labels, self._slots, "slot")
         self._slot_set = bytearray(b"\x01") * len(self._slots)
+        self._derived = None
         return self
 
     @staticmethod
@@ -169,20 +184,48 @@ class Labeling:
         out._node_set = self._node_set + bytearray(extra)
         out._edge_set = bytearray(self._edge_set)
         out._slot_set = bytearray(self._slot_set)
+        out._derived = None
         return out
+
+    # -- derived values ------------------------------------------------------------
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once and kept with this labeling under
+        ``key`` until its next write.
+
+        For values that are pure functions of the labels, such as a
+        padded instance's gadget analysis
+        (:func:`repro.core.virtual_graph.gadget_analysis`): a value lives
+        no longer than its labeling, is never served for another one
+        (an equal copy included), and is dropped by every setter, so it
+        never describes labels that have changed since.  (Writing
+        through the shared bulk lists bypasses this, as it bypasses the
+        written-flags; they are read-only by contract.)  A value must
+        not refer back to this labeling, so that dropping the labeling
+        frees it at once.
+        """
+        derived = self._derived
+        if derived is None:
+            derived = self._derived = {}
+        if key in derived:
+            return derived[key]
+        value = derived[key] = build()
+        return value
 
     # -- pickling ----------------------------------------------------------------
     #
     # The offsets view is a memoryview, which does not pickle; it is
-    # re-derived from the (picklable) graph.
+    # re-derived from the (picklable) graph.  Derived values are left
+    # behind.
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_off"], state["_deg"]
+        del state["_off"], state["_deg"], state["_derived"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._derived = None
         self._off = self.graph.csr()[0]
         self._deg = self.graph.degrees
 

@@ -15,7 +15,8 @@ call :meth:`TrialBatch.run_one`:
    :class:`~repro.local.views.ViewOracle` inside its own ``solve``);
 3. run the problem's verifier (the ne-LCL checker of
    :mod:`repro.lcl.verifier` by default, over a skeleton prepared once
-   per shared core; the problem's own ``verify`` for padded problems;
+   per shared core; the problem's own ``verify`` for padded problems,
+   which reads the gadget analysis the solver built on the instance;
    or a registered custom check);
 4. return a :class:`TrialRecord` with outputs, per-node radii, round
    complexity, verification status, and wall time.
@@ -201,6 +202,20 @@ class InstanceCache:
     when its core is evicted, and the budget stays a bound on memory.
     Seeded instances get none: each (instance, problem) pair is
     verified only once or twice.
+
+    What else an entry keeps rides on its inputs labeling
+    (:meth:`~repro.lcl.assignment.Labeling.derived`): the values
+    derived from the input alone, which the first trial on the entry
+    builds and every later one reuses.  A padded instance keeps its
+    gadget analysis (:func:`repro.core.virtual_graph.gadget_analysis`:
+    its scope and structural verdicts, components, proofs, port status
+    and virtual graph), and a gadget core the scope and verdicts that V
+    re-reads on every trial.  Unlike a skeleton, the analysis pays off
+    within one trial, since the padded solver and verifier both read
+    it, and again on every other solver and spec that shares the
+    instance; it costs ~80 bytes per node.  It lives and dies with the
+    entry: eviction frees it, and an instance over the budget keeps its
+    analysis only while a trial holds the instance.
     """
 
     def __init__(self) -> None:

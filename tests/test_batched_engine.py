@@ -54,11 +54,15 @@ PARITY_SPEC = ExperimentSpec(
 )
 
 
-class TestRunManyEquivalence:
+class TestBatchedMatchesPerTrialReference:
+    """One ``TrialBatch`` over a grid gives each trial the record of the
+    un-amortized per-trial reference."""
+
     GRIDS = [
         # (problem, solver, family, ns, seeds) — a reuse family per
-        # execution model, a randomized solver, the shared-inputs gadget
-        # core, and a seeded-topology family where reuse must NOT kick in.
+        # execution model, a randomized solver on a seeded-topology
+        # family (its instances are kept and reused per (n, seed)), and
+        # the shared-inputs gadget core.
         ("degree-parity", "parity", "cycle", (8, 12), (0, 1, 2)),
         ("degree-parity", "parity-sync", "torus", (9, 16), (0, 1)),
         ("degree-parity", "parity-views", "tree", (7, 15), (0, 1)),
@@ -86,10 +90,6 @@ class TestRunManyEquivalence:
                 tuple(sorted(result.extras.items())),
             )
             assert record.outputs == result.outputs
-
-    def test_unsound_combination_rejected_like_run(self):
-        with pytest.raises(ValueError, match="not declared sound"):
-            TrialBatch("sinkless-orientation", "sinkless-det", "cycle")
 
 
 class TestInstanceCache:

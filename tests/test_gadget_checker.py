@@ -129,12 +129,14 @@ class TestCorruptionLocality:
 
 class TestScopeSnapshot:
     """A scope reads its labels once, into flat tables; every accessor
-    must still answer exactly what the labeling says."""
+    must still answer exactly what the labeling says, from its
+    navigation table and, once that is dropped, from the flat tables
+    alone."""
 
     FOLLOW_LABELS = (*TREE_LABELS, UP, Down(1), Down(2), Down(3), "no-such-label")
 
-    def _assert_snapshot(self, scope, edge_in_scope=lambda eid: True):
-        graph, inputs = scope.graph, scope.inputs
+    def _assert_snapshot(self, scope, inputs, edge_in_scope=lambda eid: True):
+        graph = scope.graph
         for eid in range(graph.num_edges):
             assert scope.in_scope(eid) is edge_in_scope(eid), eid
         for v in graph.nodes():
@@ -159,48 +161,69 @@ class TestScopeSnapshot:
             first = scope.incidences(v)
             assert list(first) == rows, v
             assert isinstance(first, tuple)
-            assert scope.incidences(v) is first
+            assert scope.incidences(v) == first
             assert scope.scope_degree(v) == len(first)
             for label in self.FOLLOW_LABELS:
                 expected = next((o for _p, _e, o, mine in rows if mine == label), None)
                 assert scope.follow(v, label) == expected, (v, label)
 
+    def _assert_both_modes(self, scope, inputs, edge_in_scope=lambda eid: True):
+        self._assert_snapshot(scope, inputs, edge_in_scope)
+        scope.drop_navigation()
+        self._assert_snapshot(scope, inputs, edge_in_scope)
+
     def test_built_gadget_and_corruptions(self):
         built = build_gadget(3, 4)
-        self._assert_snapshot(_scope(built.graph, built.inputs))
+        self._assert_both_modes(_scope(built.graph, built.inputs), built.inputs)
         for corruption in all_corruptions(built, random.Random(2)):
-            self._assert_snapshot(_scope(corruption.graph, corruption.inputs))
+            self._assert_both_modes(
+                _scope(corruption.graph, corruption.inputs), corruption.inputs
+            )
 
     @pytest.mark.parametrize("family", PROBE_FAMILIES)
     def test_registered_corruption_families(self, family):
         instance = registry.family(family).builder(4, 0)
-        self._assert_snapshot(_scope(instance.graph, instance.inputs))
+        self._assert_both_modes(
+            _scope(instance.graph, instance.inputs), instance.inputs
+        )
 
     def test_edge_filter(self):
         built = build_gadget(3, 3)
         kept = lambda eid: eid % 3 != 0  # noqa: E731
-        self._assert_snapshot(GadgetScope(built.graph, built.inputs, kept), kept)
+        self._assert_both_modes(
+            GadgetScope(built.graph, built.inputs, kept), built.inputs, kept
+        )
 
     def test_padded_instance_scope(self):
-        from repro.core import pad_graph
-        from repro.core.virtual_graph import _gadget_scope
+        from repro.core import gadget_analysis, pad_graph
+        from repro.core.projection import GadgetProjection
+        from repro.gadgets import LogGadgetFamily
         from repro.generators import complete
 
         base = complete(4)
         padded = pad_graph(base, [build_gadget(3, 3) for _ in base.nodes()])
-        scope = _gadget_scope(padded.graph, padded.inputs)
-        self._assert_snapshot(scope, lambda eid: padded.edge_tag(eid) != PORTEDGE)
+        # the analysis keeps its scope with the navigation table dropped
+        scope = gadget_analysis(padded.graph, padded.inputs, LogGadgetFamily(3)).scope
+        self._assert_snapshot(
+            scope,
+            GadgetProjection(padded.graph, padded.inputs),
+            lambda eid: padded.edge_tag(eid) != PORTEDGE,
+        )
         # port edges are out of scope, so every gadget stays its own component
         assert len(scope.components()) == base.num_nodes
 
     def test_registered_padded_instance_scope(self):
-        from repro.core.projection import edge_tag
-        from repro.core.virtual_graph import _gadget_scope
+        from repro.core import gadget_analysis
+        from repro.core.projection import GadgetProjection, edge_tag
+        from repro.gadgets import LogGadgetFamily
 
         instance = registry.family("padded-sinkless").builder(2, 0)
-        scope = _gadget_scope(instance.graph, instance.inputs)
+        graph, inputs = instance.graph, instance.inputs
+        scope = gadget_analysis(graph, inputs, LogGadgetFamily(3)).scope
         self._assert_snapshot(
-            scope, lambda eid: edge_tag(instance.inputs, eid) != PORTEDGE
+            scope,
+            GadgetProjection(graph, inputs),
+            lambda eid: edge_tag(inputs, eid) != PORTEDGE,
         )
 
 

@@ -100,9 +100,10 @@ class TestDecompose:
         decomposition = decompose(
             padded.graph, padded.inputs, family, ids, padded.graph.num_nodes
         )
-        assert len(decomposition.components) == 5
-        assert all(c.is_valid for c in decomposition.components)
-        virtual = decomposition.virtual
+        analysis = decomposition.analysis
+        assert analysis.num_components == 5
+        assert all(analysis.valid)
+        virtual = analysis.virtual
         assert virtual.num_real() == 5
         assert virtual.graph.num_edges == 5
         # contraction of a cycle is the cycle
@@ -121,12 +122,12 @@ class TestDecompose:
             padded.graph.num_nodes,
         )
         used_ports = {
-            status for status in decomposition.port_status.values()
+            status for status in decomposition.analysis.port_status.values()
         }
         # degree-2 base nodes leave one port unused per gadget: that
         # port has no port edge -> PortErr2; connected ones are OK
         assert used_ports == {PORT_OK, PORT_ERR2}
-        ok = sum(1 for s in decomposition.port_status.values() if s == PORT_OK)
+        ok = sum(1 for s in decomposition.analysis.port_status.values() if s == PORT_OK)
         assert ok == 2 * base.num_edges
 
     def test_virtual_ids_are_gadget_minima(self):
@@ -137,9 +138,13 @@ class TestDecompose:
             padded.graph, padded.inputs, LogGadgetFamily(2), ids,
             padded.graph.num_nodes,
         )
-        virtual = decomposition.virtual
-        expected = {min(ids.of(v) for v in comp.nodes) for comp in decomposition.components}
-        actual = {virtual.ids.of(a) for a in virtual.graph.nodes()}
+        analysis = decomposition.analysis
+        virtual = analysis.virtual
+        expected = {
+            min(ids.of(v) for v in analysis.nodes_of(c))
+            for c in range(analysis.num_components)
+        }
+        actual = {decomposition.virtual_ids.of(a) for a in virtual.graph.nodes()}
         assert expected <= actual
 
     def test_corrupted_gadget_not_contracted(self):
@@ -165,17 +170,16 @@ class TestDecompose:
             padded.graph, inputs, LogGadgetFamily(2),
             sequential_ids(padded.graph.num_nodes), padded.graph.num_nodes,
         )
-        valid = [c for c in decomposition.components if c.is_valid]
-        invalid = [c for c in decomposition.components if not c.is_valid]
-        assert len(valid) == 1 and len(invalid) == 1
-        virtual = decomposition.virtual
+        analysis = decomposition.analysis
+        assert sorted(analysis.valid) == [0, 1]  # one invalid, one valid
+        virtual = analysis.virtual
         assert virtual.num_real() == 1
         # the far side is no longer a Port, so the valid gadget's port is
         # PortErr1 and the virtual node is isolated (no dangling stub)
         assert virtual.graph.num_nodes == 1
         assert virtual.graph.num_edges == 0
         port = padded.padded_node(0, g0.ports[0])
-        assert decomposition.port_status[port] == PORT_ERR1
+        assert analysis.port_status[port] == PORT_ERR1
 
     def test_dangling_from_port_err2(self):
         """Two base edges into the same gadget port -> PortErr2 there,
@@ -227,9 +231,10 @@ class TestDecompose:
             sequential_ids(graph.num_nodes), graph.num_nodes,
         )
         # gadget components are untouched: all three stay valid
-        assert all(c.is_valid for c in decomposition.components)
-        assert decomposition.port_status[target] == PORT_ERR2
-        virtual = decomposition.virtual
+        analysis = decomposition.analysis
+        assert all(analysis.valid)
+        assert analysis.port_status[target] == PORT_ERR2
+        virtual = analysis.virtual
         # nodes 0 and 2 keep NoPortErr ports -> two dangling stubs
         assert virtual.num_real() == 3
         dummies = virtual.graph.num_nodes - 3
@@ -243,5 +248,5 @@ class TestDecompose:
         decomposition = decompose(
             graph, inputs, LogGadgetFamily(3), sequential_ids(6), 6
         )
-        assert all(not c.is_valid for c in decomposition.components)
-        assert decomposition.virtual.num_real() == 0
+        assert not any(decomposition.analysis.valid)
+        assert decomposition.analysis.virtual.num_real() == 0

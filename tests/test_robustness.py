@@ -121,7 +121,7 @@ class TestPaddedRoundTripProperty:
             sequential_ids(padded.graph.num_nodes),
             padded.graph.num_nodes,
         )
-        virtual = decomposition.virtual
+        virtual = decomposition.analysis.virtual
         assert virtual.num_real() == base.num_nodes
         assert virtual.graph.num_edges == base.num_edges
         # degree spectrum is preserved by the contraction

@@ -100,6 +100,8 @@ class TestConformance:
             TrialBatch("3-coloring-cycles", "cycle-3-coloring", "cubic")
         with pytest.raises(ValueError, match="solves"):
             TrialBatch("mis", "cycle-3-coloring", "cycle")
+        with pytest.raises(ValueError, match="not declared sound"):
+            TrialBatch("sinkless-orientation", "sinkless-det", "cycle")
 
     def test_check_sound_false_probes_anyway(self):
         """Unsound probes run; the verifier reports the truth."""
