@@ -2,7 +2,7 @@
 
 PR 4's claim: running a seed-batch of trials through one
 ``TrialBatch`` — one solver-factory/verifier setup, one frozen
-topology per size, one verifier skeleton per shared core — beats the
+topology per size, one kept vector verifier per shared core — beats the
 per-trial path (a fresh ``TrialBatch`` per trial, which rebuilds all of
 that per trial) by >= 2x trial throughput on topology-reusable families
 at batch size >= 8, while producing bit-identical records.

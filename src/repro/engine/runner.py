@@ -29,16 +29,16 @@ through the runtime's one trial executor,
 one process-wide :class:`~repro.runtime.driver.InstanceCache`, across
 the chunks of every spec the process runs: families with
 seed-independent topology rebuild only identifiers/inputs/rng on a
-shared frozen graph, whose verifier configuration skeleton is prepared
-once; a seeded instance (the random cubic hard inputs) is built once
-per (family, n, seed) and handed, with a fresh ``NodeRng``, to every
-spec and solver that runs on it.  At any worker count this process
-runs chunks itself, so its cache carries over from spec to spec, and
-the pool helpers a dispatch forks start with everything it holds; what
-a helper builds dies with it at the end of its spec.  Records stay
-bit-identical at every worker count, batch size, and shard count, so
-aggregation — a pure function of the ordered record list — cannot tell
-the difference.
+shared frozen graph, which on the vector backend keeps one vector
+verifier per problem; a seeded instance (the random cubic hard
+inputs) is built once per (family, n, seed) and handed, with a fresh
+``NodeRng``, to every spec and solver that runs on it.  At any worker
+count this process runs chunks itself, so its cache carries over from
+spec to spec, and the pool helpers a dispatch forks start with
+everything it holds; what a helper builds dies with it at the end of
+its spec.  Records stay bit-identical at every worker count, batch
+size, and shard count, so aggregation — a pure function of the ordered
+record list — cannot tell the difference.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _json_safe_extras(extras: dict) -> dict[str, Any]:
 # -- per-process execution state ------------------------------------------
 #
 # Module globals live once per process, so chunks run by the same
-# process share one instance cache — cores, prepared verifier skeletons
+# process share one instance cache — cores, their kept vector verifiers
 # and seeded instances — and one TrialBatch per (problem, solver,
 # family, kernels).  A forked pool helper starts with a copy of the
 # dispatching process's.

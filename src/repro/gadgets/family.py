@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gadgets.build import BuiltGadget, build_gadget, gadget_size
-from repro.gadgets.checker import check_component
 from repro.gadgets.prover import ProverResult, run_prover
 from repro.gadgets.scope import GadgetScope
 from repro.util.logmath import ceil_log2, floor_log2
@@ -37,10 +36,6 @@ class GadgetFamily:
     def depth_bound(self, n: int) -> int:  # pragma: no cover - interface
         """An upper bound on d(n): the diameter of members of size <= n."""
         raise NotImplementedError
-
-    def check(self, scope: GadgetScope, component: list[int]):
-        """Structural violations of one component (empty iff member)."""
-        return check_component(scope, component, self.delta)
 
     def prove(self, scope: GadgetScope, component: list[int], n_hint: int) -> ProverResult:
         """Run the prover V (Definition 2's algorithm)."""

@@ -147,15 +147,7 @@ def vector_enabled() -> bool:
 
 
 def prepared_verify(prepared: Any, outputs: Any):
-    """``prepared.verify(outputs)`` through the ambient backend.
-
-    With the vector backend active, a vectorized twin of the
-    :class:`~repro.lcl.verifier.PreparedVerifier` skeleton is built
-    (and cached on the prepared instance) and evaluated instead; its
-    verdict is bit-identical, violations included.
-    """
-    if vector_enabled():
-        from repro.kernels.verifier import vector_prepared
-
-        return vector_prepared(prepared).verify(outputs)
+    """``prepared.verify(outputs)`` on a kept
+    :class:`~repro.kernels.verifier.VectorPreparedVerifier`: the trial
+    driver's one call into it, which ``perfbench/layers.py`` times."""
     return prepared.verify(outputs)

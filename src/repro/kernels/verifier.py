@@ -48,7 +48,7 @@ from repro.lcl.verifier import (
 )
 from repro.local.graphs import HalfEdge
 
-__all__ = ["VectorPreparedVerifier", "vector_prepared", "vector_verify"]
+__all__ = ["VectorPreparedVerifier", "vector_verify"]
 
 _I64 = np.int64
 
@@ -85,15 +85,16 @@ def _dedupe_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class VectorPreparedVerifier:
-    """Vector twin of :class:`repro.lcl.verifier.PreparedVerifier`.
+    """The vector layer's ne-LCL checker for one (problem, graph, inputs).
 
-    Precomputes, once per (problem, graph, inputs): the label interner
-    seeded with every input-side label, the flat slot geometry, the
-    per-degree-class slot/eid matrices, and the input-side column
-    blocks.  Each :meth:`verify` call then only interns the output
-    labels and runs the unique-row passes.  Constraint verdicts are
-    additionally memoized by row bytes across calls, so seed-sweep
-    batches evaluate each distinct configuration exactly once ever.
+    Precomputes, once: the label interner seeded with every input-side
+    label, the flat slot geometry, the per-degree-class slot/eid
+    matrices, and the input-side column blocks.  Each :meth:`verify`
+    call then only interns the output labels and runs the unique-row
+    passes.  Constraint verdicts are additionally memoized by row bytes
+    across calls, so a seed sweep on a kept instance (one per shared
+    core and problem, see :class:`repro.runtime.driver.InstanceCache`)
+    evaluates each distinct configuration exactly once ever.
     """
 
     def __init__(self, problem: Any, graph: Any, inputs: Labeling | None = None):
@@ -362,20 +363,9 @@ class VectorPreparedVerifier:
         return Verdict(ok=not violations, violations=violations)
 
 
-def vector_prepared(prepared: Any) -> VectorPreparedVerifier:
-    """The cached vector twin of an object-layer PreparedVerifier."""
-    twin = getattr(prepared, "_vector_twin", None)
-    if twin is None:
-        twin = VectorPreparedVerifier(
-            prepared.problem, prepared.graph, prepared.inputs_src
-        )
-        prepared._vector_twin = twin
-    return twin
-
-
 def vector_verify(
     problem: Any, graph: Any, inputs: Labeling | None, outputs: Labeling
 ) -> Verdict:
     """One-shot vectorized ``verify(problem, graph, inputs, outputs)``
-    with default options (no violation cap, no input-domain pass)."""
+    with default options (no input-domain pass)."""
     return VectorPreparedVerifier(problem, graph, inputs).verify(outputs)

@@ -14,7 +14,8 @@ call :meth:`TrialBatch.run_one`:
    drives :class:`~repro.local.simulator.SyncEngine` or
    :class:`~repro.local.views.ViewOracle` inside its own ``solve``);
 3. run the problem's verifier (the ne-LCL checker of
-   :mod:`repro.lcl.verifier` by default, over a skeleton prepared once
+   :mod:`repro.lcl.verifier` by default, which on the vector backend is
+   a :class:`~repro.kernels.verifier.VectorPreparedVerifier` kept once
    per shared core; the problem's own ``verify`` for padded problems,
    which reads the gadget analysis the solver built on the instance;
    or a registered custom check);
@@ -28,18 +29,20 @@ import logging
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import kernels as kernel_layer
 from repro.lcl.assignment import Labeling
 from repro.lcl.problem import NeLCL
-from repro.lcl.verifier import PreparedVerifier
 from repro.lcl.verifier import verify as lcl_verify
 from repro.local.algorithm import Instance, RunResult
 from repro.obs import get_telemetry
 from repro.runtime import registry
 from repro.runtime.registry import FamilyInfo, ProblemInfo
 from repro.util.rng import NodeRng
+
+if TYPE_CHECKING:
+    from repro.kernels.verifier import VectorPreparedVerifier
 
 _LOG = logging.getLogger("repro.runtime")
 
@@ -49,7 +52,6 @@ __all__ = [
     "TrialBatch",
     "TrialRecord",
     "dispatch_solver",
-    "prepared_verifier_for",
     "verifier_for",
 ]
 
@@ -129,25 +131,6 @@ def verifier_for(problem_info: ProblemInfo) -> Callable[[Instance, RunResult], N
     return check
 
 
-def prepared_verifier_for(
-    problem_info: ProblemInfo, instance: Instance
-) -> PreparedVerifier | None:
-    """A skeleton-precomputed verifier for trials sharing this instance's
-    graph and inputs, or None when the problem does not go through the
-    plain ne-LCL check (custom verifiers, padded problems).
-
-    A returned verifier accepts exactly the outputs
-    :func:`verifier_for`'s closure accepts; callers reuse it only for
-    instances whose ``graph``/``inputs`` are identical objects.
-    """
-    if problem_info.verifier is not None:
-        return None
-    problem_obj = problem_info.materialize()
-    if not isinstance(problem_obj, NeLCL):
-        return None
-    return PreparedVerifier(problem_obj, instance.graph, instance.inputs)
-
-
 _MISSING = object()
 
 #: The most nodes :class:`InstanceCache` retains at once, in cores and
@@ -186,7 +169,7 @@ class InstanceCache:
     order, evicted to hold their total node count (a core counts its
     graph's) within :data:`INSTANCE_NODE_BUDGET`.  An entry larger than
     the budget is returned but not kept, so a core that large is
-    rebuilt for every trial and gets no prepared verifier.  Solvers and
+    rebuilt for every trial and gets no kept verifier.  Solvers and
     verifiers never write to an instance's graph, ids or inputs
     (``tests/test_solver_purity.py``), so records stay bit-identical
     to an unshared build either way.
@@ -197,11 +180,12 @@ class InstanceCache:
     ``instance_cache.core_built``; a build over the budget is
     ``instance_cache.bypassed``.
 
-    The cache also holds each kept core's prepared verifier skeletons,
-    one per problem: a skeleton pins its core's graph, so it is dropped
-    when its core is evicted, and the budget stays a bound on memory.
-    Seeded instances get none: each (instance, problem) pair is
-    verified only once or twice.
+    On the vector backend the cache also keeps each kept core's
+    :class:`~repro.kernels.verifier.VectorPreparedVerifier`, one per
+    problem: it pins its core's graph, so it is dropped when its core
+    is evicted, and the budget stays a bound on memory.  Seeded
+    instances get none: each (instance, problem) pair is verified only
+    once or twice.
 
     What else an entry keeps rides on its inputs labeling
     (:meth:`~repro.lcl.assignment.Labeling.derived`): the values
@@ -210,10 +194,10 @@ class InstanceCache:
     gadget analysis (:func:`repro.core.virtual_graph.gadget_analysis`:
     its scope and structural verdicts, components, proofs, port status
     and virtual graph), and a gadget core the scope and verdicts that V
-    re-reads on every trial.  Unlike a skeleton, the analysis pays off
-    within one trial, since the padded solver and verifier both read
-    it, and again on every other solver and spec that shares the
-    instance; it costs ~80 bytes per node.  It lives and dies with the
+    re-reads on every trial.  Unlike a kept verifier, the analysis
+    pays off within one trial, since the padded solver and verifier
+    both read it, and again on every other solver and spec that shares
+    the instance; it costs ~80 bytes per node.  It lives and dies with the
     entry: eviction frees it, and an instance over the budget keeps its
     analysis only while a trial holds the instance.
     """
@@ -222,9 +206,9 @@ class InstanceCache:
         # (family, n) -> core and (family, n, seed) -> seeded instance,
         # least recently used first.
         self._kept: OrderedDict[tuple, Any] = OrderedDict()
-        # core key -> problem name -> PreparedVerifier, or None when the
-        # problem is not preparable (custom / padded verification).
-        self._prepared: dict[tuple[str, int], dict[str, PreparedVerifier | None]] = {}
+        # core key -> problem name -> vector verifier, or None when the
+        # problem is not a plain ne-LCL (custom / padded verification).
+        self._prepared: dict[tuple, dict[str, VectorPreparedVerifier | None]] = {}
         self.retained_nodes = 0
         self.built = 0
         self.reused = 0
@@ -306,14 +290,16 @@ class InstanceCache:
 
     def prepared_verifier(
         self, core_key: tuple[str, int], problem_info: ProblemInfo, instance: Instance
-    ) -> PreparedVerifier | None:
-        """The prepared verifier of ``problem_info`` on a shared core.
+    ) -> VectorPreparedVerifier | None:
+        """The kept vector verifier of ``problem_info`` on a shared core,
+        for the vector backend only.
 
         Built on first use per (core, problem) and rebuilt when the
-        instance's graph or inputs object is no longer the one the
-        skeleton was prepared on (the core under its key was replaced).
-        None when the problem is not preparable; that answer is cached
-        too, so the probe runs once per core.
+        instance's graph or inputs object is no longer the one it was
+        built on (the core under its key was replaced).  None when the
+        problem is not a plain ne-LCL (a custom verifier, or a padded
+        problem's own ``verify``); that answer is cached too, so the
+        probe runs once per core.
         """
         per_core = self._prepared.setdefault(core_key, {})
         entry = per_core.get(problem_info.name, _MISSING)
@@ -324,10 +310,17 @@ class InstanceCache:
                 or entry.inputs_src is not instance.inputs
             )
         ):
-            entry = prepared_verifier_for(problem_info, instance)
+            entry = None
+            if problem_info.verifier is None:
+                problem_obj = problem_info.materialize()
+                if isinstance(problem_obj, NeLCL):
+                    from repro.kernels.verifier import VectorPreparedVerifier
+
+                    entry = VectorPreparedVerifier(
+                        problem_obj, instance.graph, instance.inputs
+                    )
+                    get_telemetry().incr("prepared_verifier.built")
             per_core[problem_info.name] = entry
-            if entry is not None:
-                get_telemetry().incr("prepared_verifier.built")
         elif entry is not None:
             get_telemetry().incr("prepared_verifier.reused")
         return entry
@@ -339,11 +332,11 @@ class TrialBatch:
     Setup happens once per batch: the three catalog entries are looked
     up and the verifier closure is materialized at construction, frozen
     topology is shared across seeds and seeded instances across trials
-    through an :class:`InstanceCache`, and the cache keeps a
-    :class:`~repro.lcl.verifier.PreparedVerifier` per shared core.
-    Records are bit-identical to building every instance with the
-    family's full builder and checking it with :func:`verifier_for`
-    (wall time aside).
+    through an :class:`InstanceCache`, and on the vector backend the
+    cache keeps a :class:`~repro.kernels.verifier.VectorPreparedVerifier`
+    per shared core.  Records are bit-identical to building every
+    instance with the family's full builder and checking it with
+    :func:`verifier_for` (wall time aside).
 
     ``check_sound`` rejects combinations the registry does not vouch
     for: the solver must target ``problem`` and declare soundness on
@@ -390,7 +383,7 @@ class TrialBatch:
         )
 
     def _check(self, instance: Instance, result: RunResult, core_key) -> None:
-        if core_key is not None:
+        if core_key is not None and kernel_layer.vector_enabled():
             prepared = self.instances.prepared_verifier(
                 core_key, self.problem_info, instance
             )

@@ -69,7 +69,7 @@ def reference_run(problem: str, solver: str, family: str, n: int, seed: int):
 
     The family's full builder, a fresh solver object, and the plain
     ``verifier_for`` check on the object backend — never a shared core
-    or a prepared verifier skeleton.  Every amortized path (one
+    or a kept verifier.  Every amortized path (one
     ``TrialBatch`` over a grid, chunked, sharded, and merged engine
     runs) is held to what this produces.
     """

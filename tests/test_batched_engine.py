@@ -2,7 +2,7 @@
 
 One ``TrialBatch`` over a grid and chunked ``run_experiment`` may
 amortize whatever setup they like — catalog lookups, frozen topology,
-verifier skeletons — but the records they produce must be bit-identical
+kept vector verifiers — but the records they produce must be bit-identical
 to the un-amortized reference (``tests.conftest.reference_run``) at every
 worker count and batch size.
 The suite pins that, plus the cache-discipline corners: a seeded
@@ -17,6 +17,7 @@ import dataclasses
 
 import pytest
 
+from repro import kernels
 from repro.analysis.sweep import Sweep, SweepPoint
 from repro.engine.cache import TrialCache
 from repro.engine import runner
@@ -208,8 +209,8 @@ class TestInstanceCache:
             assert instances.retained_nodes == sum(
                 core.num_nodes for core in instances._kept.values()
             )
-        # The most recent cores that fit are kept, and skeletons are
-        # dropped with their cores.
+        # The most recent cores that fit are kept, and kept verifiers
+        # are dropped with their cores.
         assert list(instances._kept) == [("cycle", 22), ("cycle", 23)]
         assert set(instances._prepared) <= set(instances._kept)
         assert instances.bypassed == 0
@@ -242,11 +243,14 @@ class TestInstanceCache:
         first, core_key = instances.build(registry.family("cycle"), 30, 0)
         second, _ = instances.build(registry.family("cycle"), 30, 1)
         assert core_key is None and first.graph is not second.graph
-        batch.run_one(30, 2)  # verified without a prepared skeleton
+        batch.run_one(30, 2)  # verified without a kept verifier
         assert (instances.built, instances.reused, instances.bypassed) == (0, 0, 3)
         assert not instances._kept and not instances._prepared
         assert instances.retained_nodes == 0
 
+    @pytest.mark.skipif(
+        not kernels.HAVE_NUMPY, reason="only the vector backend keeps verifiers"
+    )
     def test_prepared_verifiers_are_shared_per_core_and_problem(self):
         instances = InstanceCache()
         for solver in ("parity", "parity-sync"):
@@ -255,14 +259,21 @@ class TestInstanceCache:
             )
             batch.run_one(8, 0)
             batch.run_one(8, 1)
-        (skeletons,) = instances._prepared.values()
-        assert list(skeletons) == ["degree-parity"]
-        # A replaced core invalidates its skeleton.
-        prepared = skeletons["degree-parity"]
+        (per_core,) = instances._prepared.values()
+        assert list(per_core) == ["degree-parity"]
+        # A replaced core invalidates its kept verifier.
+        prepared = per_core["degree-parity"]
         instances._kept[("cycle", 8)] = registry.family("cycle").topology(8)
         batch = TrialBatch("degree-parity", "parity", "cycle", instances=instances)
         batch.run_one(8, 0)
         assert instances._prepared[("cycle", 8)]["degree-parity"] is not prepared
+
+    def test_object_backend_keeps_no_verifier_per_core(self):
+        batch = TrialBatch("degree-parity", "parity", "cycle", kernels="object")
+        for seed in range(3):
+            assert batch.run_one(8, seed).verified
+        assert batch.instances.reused == 2
+        assert not batch.instances._prepared
 
     def test_batches_share_seeded_instances_across_solvers(self):
         instances = InstanceCache()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from repro import kernels
 from repro.generators import cycle
-from repro.lcl import Labeling, verify
+from repro.lcl import Labeling, LabelSet, NeLCL, verify
 from repro.local import (
     Instance,
     PortGraph,
@@ -460,33 +460,68 @@ class TestViewCaching:
         assert view.boundary() is view.boundary()
 
 
-class TestVerifierCap:
-    def test_domain_pass_respects_max_violations(self):
+class TestVerifierReport:
+    """The verifier reports every violation, the domain pass first, and
+    the vector backend reports the same list."""
+
+    @staticmethod
+    def _verified(problem, graph, outputs):
+        verdict = verify(problem, graph, Labeling(graph), outputs)
+        if kernels.HAVE_NUMPY:
+            with kernels.active("vector"):
+                twin = verify(problem, graph, Labeling(graph), outputs)
+            assert twin.ok == verdict.ok
+            assert twin.violations == verdict.violations
+        return verdict
+
+    def test_domain_pass_reports_every_node(self):
         graph = cycle(64)
         problem = VertexColoring(3).problem()
         outputs = Labeling(graph).fill_nodes("not-a-color")
-        verdict = verify(problem, graph, Labeling(graph), outputs, max_violations=5)
+        verdict = self._verified(problem, graph, outputs)
         assert not verdict.ok
-        assert len(verdict.violations) == 5
+        domain = verdict.violations[: graph.num_nodes]
+        assert [(v.kind, v.where) for v in domain] == [
+            ("domain", ("node", v)) for v in graph.nodes()
+        ]
+        rest = verdict.violations[graph.num_nodes :]
+        assert all(v.kind != "domain" for v in rest)
 
-    def test_zero_cap_still_reports_domain_violations(self):
-        # historical behavior: max_violations=0 skips the constraint
-        # passes but never declares an out-of-domain labeling valid
+    def test_out_of_domain_labeling_is_never_valid(self):
+        # Constraints that accept everything cannot make an
+        # out-of-domain labeling valid: the domain pass rejects it alone.
         graph = cycle(4)
-        problem = VertexColoring(3).problem()
+        problem = NeLCL(
+            "anything-goes",
+            lambda cfg: True,
+            lambda cfg: True,
+            node_outputs=LabelSet("colors", {0, 1, 2}),
+        )
         outputs = Labeling(graph).fill_nodes("not-a-color")
-        verdict = verify(problem, graph, Labeling(graph), outputs, max_violations=0)
+        verdict = self._verified(problem, graph, outputs)
         assert not verdict.ok
-        assert len(verdict.violations) == 4
+        assert [v.where for v in verdict.violations] == [
+            ("node", v) for v in graph.nodes()
+        ]
 
-    def test_cap_spans_domain_and_constraint_passes(self):
+    def test_domain_violations_precede_constraint_violations(self):
         graph = cycle(6)
         problem = VertexColoring(2).problem()
         outputs = Labeling(graph)
         for v in graph.nodes():
             # nodes 0..2 break the domain, the rest break edges (same color)
             outputs.set_node(v, "bad" if v < 3 else 0)
-        capped = verify(problem, graph, Labeling(graph), outputs, max_violations=4)
-        uncapped = verify(problem, graph, Labeling(graph), outputs)
-        assert len(capped.violations) == 4
-        assert capped.violations == uncapped.violations[:4]
+        verdict = self._verified(problem, graph, outputs)
+        assert [(v.kind, v.where) for v in verdict.violations] == [
+            ("domain", ("node", 0)),
+            ("domain", ("node", 1)),
+            ("domain", ("node", 2)),
+            ("node", 0),
+            ("node", 1),
+            ("node", 2),
+            ("edge", 0),
+            ("edge", 1),
+            ("edge", 3),
+            ("edge", 4),
+        ]
+

@@ -26,7 +26,6 @@ from repro.engine.runner import plan_experiment, run_experiment, run_shard
 from repro.engine.spec import ExperimentSpec
 from repro.generators import cycle
 from repro.lcl import Labeling, verify
-from repro.lcl.verifier import PreparedVerifier
 from repro.runtime import TrialBatch
 from tests.conftest import multigraphs, reference_run
 
@@ -253,89 +252,87 @@ class TestVectorVerifierTwin:
         kinds = {violation.kind for violation in verdict.violations}
         assert "domain" in kinds
 
-    def test_prepared_twin_matches_and_is_cached(self):
+    def test_kept_verifier_matches_verify_call_after_call(self):
+        # A kept verifier checks one output after another, as a seed
+        # sweep on a shared core does: its memo of constraint verdicts
+        # carries over between calls, and every verdict stays verify's.
+        from repro.kernels.verifier import VectorPreparedVerifier
         from repro.problems import VertexColoring
 
         graph = cycle(32)
         problem = VertexColoring(3).problem()
-        prepared = PreparedVerifier(problem, graph)
-        outputs = Labeling(graph)
-        for v in graph.nodes():
-            outputs.set_node(v, v % 3)
-        expected = prepared.verify(outputs)
-        with kernels.active("vector"):
-            got = kernels.prepared_verify(prepared, outputs)
-            twin = prepared._vector_twin
-            again = kernels.prepared_verify(prepared, outputs)
-            assert prepared._vector_twin is twin  # built once, reused
-        assert got.ok == expected.ok
-        assert got.violations == expected.violations
-        assert again.violations == expected.violations
+        kept = VectorPreparedVerifier(problem, graph)
 
-    def test_prepared_object_path_untouched_without_vector(self):
-        from repro.problems import VertexColoring
+        def coloring(color):
+            outputs = Labeling(graph)
+            for v in graph.nodes():
+                outputs.set_node(v, color(v))
+            return outputs
 
-        graph = cycle(8)
-        prepared = PreparedVerifier(VertexColoring(3).problem(), graph)
-        outputs = Labeling(graph)
-        for v in graph.nodes():
-            outputs.set_node(v, v % 3 if v else 1)
-        verdict = kernels.prepared_verify(prepared, outputs)
-        assert verdict.violations == prepared.verify(outputs).violations
-        assert not hasattr(prepared, "_vector_twin")
+        proper = coloring(lambda v: v % 3)
+        runs = [
+            proper,
+            coloring(lambda v: v % 3 if v else 1),  # node 0 clashes
+            coloring(lambda v: "junk" if v % 5 == 4 else v % 3),
+            coloring(lambda v: 0),
+            proper,
+        ]
+        accepted = []
+        for index, outputs in enumerate(runs):
+            memo = (len(kept._node_memo), len(kept._edge_memo))
+            expected = verify(problem, graph, Labeling(graph), outputs)
+            got = kept.verify(outputs)
+            assert got.ok == expected.ok
+            assert got.violations == expected.violations
+            accepted.append(expected.ok)
+            if index == len(runs) - 1:
+                # The repeat is answered from the memo alone.
+                assert (len(kept._node_memo), len(kept._edge_memo)) == memo
+        assert accepted == [True, False, False, False, True]
 
-    # -- the object skeleton is built on the first object-path verify --
+    # -- vector verifiers are built only where the vector path runs --
 
     @pytest.fixture
-    def skeleton_builds(self, monkeypatch):
-        """Every ``PreparedVerifier`` whose object skeleton gets built."""
+    def vector_builds(self, monkeypatch):
+        """Every ``VectorPreparedVerifier`` that gets constructed."""
+        from repro.kernels.verifier import VectorPreparedVerifier
+
         built = []
-        build = PreparedVerifier._build_skeleton
+        init = VectorPreparedVerifier.__init__
 
-        def counted(prepared):
+        def counted(prepared, *args, **kwargs):
             built.append(prepared)
-            return build(prepared)
+            init(prepared, *args, **kwargs)
 
-        monkeypatch.setattr(PreparedVerifier, "_build_skeleton", counted)
+        monkeypatch.setattr(VectorPreparedVerifier, "__init__", counted)
         return built
 
-    @staticmethod
-    def _coloring(graph):
+    def test_object_backend_builds_no_vector_verifier(self, vector_builds):
+        from repro.problems import VertexColoring
+
+        graph = cycle(32)
         outputs = Labeling(graph)
         for v in graph.nodes():
             outputs.set_node(v, v % 3 if v else 1)  # node 0 clashes
-        return outputs
-
-    def test_vector_path_never_builds_the_object_skeleton(
-        self, skeleton_builds
-    ):
-        from repro.problems import VertexColoring
-
-        graph = cycle(32)
         problem = VertexColoring(3).problem()
-        prepared = PreparedVerifier(problem, graph)
-        outputs = self._coloring(graph)
-        with kernels.active("vector"):
-            verdicts = [
-                kernels.prepared_verify(prepared, outputs) for _ in range(3)
-            ]
-        assert skeleton_builds == []
-        expected = verify(problem, graph, Labeling(graph), outputs)
-        assert not expected.ok
-        for verdict in verdicts:
-            assert verdict.violations == expected.violations
+        assert not verify(problem, graph, Labeling(graph), outputs).ok
+        batch = TrialBatch("degree-parity", "parity", "cycle", kernels="object")
+        for seed in range(3):
+            assert batch.run_one(8, seed).verified
+        assert vector_builds == []
 
-    def test_object_path_builds_the_skeleton_once(self, skeleton_builds):
-        from repro.problems import VertexColoring
-
-        graph = cycle(32)
-        prepared = PreparedVerifier(VertexColoring(3).problem(), graph)
-        assert skeleton_builds == []  # nothing is built up front
-        outputs = self._coloring(graph)
-        for _ in range(3):
-            kernels.prepared_verify(prepared, outputs)
-            prepared.verify(outputs)
-        assert skeleton_builds == [prepared]
+    def test_kept_verifier_is_built_once_per_core(self, vector_builds):
+        batch = TrialBatch("degree-parity", "parity", "cycle", kernels="vector")
+        for n in (8, 16):
+            for seed in range(3):
+                assert batch.run_one(n, seed).verified
+        kept = [
+            per_core["degree-parity"]
+            for per_core in batch.instances._prepared.values()
+        ]
+        # One build per core; every later seed reuses it.
+        assert len(kept) == 2
+        assert vector_builds == kept
 
     @pytest.mark.parametrize(
         "problem, solver, family, n",
@@ -346,7 +343,7 @@ class TestVectorVerifierTwin:
             ("degree-parity", "parity", "tree", 40),
         ],
     )
-    def test_lazy_skeleton_verdicts_match_verify(
+    def test_vector_verdicts_match_verify_on_solver_outputs(
         self, problem, solver, family, n
     ):
         from repro.runtime import registry
@@ -356,11 +353,11 @@ class TestVectorVerifierTwin:
         problem_obj = registry.problem(problem).materialize()
         graph = instance.graph
         inputs = instance.inputs if instance.inputs is not None else Labeling(graph)
-        prepared = PreparedVerifier(problem_obj, graph, instance.inputs)
         accepted = []
         for outputs in [result.outputs, *_corruptions(result.outputs)]:
             expected = verify(problem_obj, graph, inputs, outputs)
-            got = prepared.verify(outputs)
+            with kernels.active("vector"):
+                got = verify(problem_obj, graph, inputs, outputs)
             assert got.ok == expected.ok
             assert got.violations == expected.violations
             accepted.append(expected.ok)
@@ -373,24 +370,20 @@ class TestVectorVerifierTwin:
             ("maximal-matching", "matching-line-coloring", "torus", (16, 64)),
         ],
     )
-    def test_shared_core_sweep_builds_no_object_skeleton(
-        self, skeleton_builds, problem, solver, family, ns
+    def test_shared_core_sweep_keeps_one_vector_verifier_per_core(
+        self, problem, solver, family, ns
     ):
-        from repro.runtime.driver import TrialBatch
+        from repro.kernels.verifier import VectorPreparedVerifier
 
         batch = TrialBatch(problem, solver, family, kernels="vector")
         for n in ns:
             for seed in range(3):
                 assert batch.run_one(n, seed).verified
-        prepared = [
-            entry
-            for per_core in batch.instances._prepared.values()
-            for entry in per_core.values()
-        ]
-        # The sweep verified through prepared verifiers, on their twins.
-        assert len(prepared) == len(ns)
-        assert all(hasattr(entry, "_vector_twin") for entry in prepared)
-        assert skeleton_builds == []
+        kept = batch.instances._prepared
+        assert list(kept) == [(family, n) for n in ns]
+        for per_core in kept.values():
+            assert list(per_core) == [problem]
+            assert isinstance(per_core[problem], VectorPreparedVerifier)
 
 
 # -- record parity through the whole stack ------------------------------------

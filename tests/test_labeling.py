@@ -29,7 +29,7 @@ from repro.lcl.labels import BLANK, EMPTY
 from repro.local import Instance, PortGraph
 from repro.local.graphs import HalfEdge
 from repro.runtime import registry
-from repro.runtime.driver import dispatch_solver, prepared_verifier_for, verifier_for
+from repro.runtime.driver import dispatch_solver, verifier_for
 from tests.conftest import multigraphs
 
 
@@ -522,7 +522,4 @@ def test_trials_never_build_the_object_layer(problem, solver, family, n, backend
     with kernels.active(backend):
         result = dispatch_solver(registry.solver(solver).factory(), instance)
         verifier_for(info)(instance, result)
-        prepared = prepared_verifier_for(info, instance)
-        if prepared is not None:
-            assert kernels.prepared_verify(prepared, result.outputs).ok
     assert _object_layer_unset(instance.graph)

@@ -158,12 +158,18 @@ class TestVerifier:
         assert not verdict.ok
         assert "asymmetric" in verdict.violations[0].message
 
-    def test_max_violations_truncates(self):
+    def test_every_out_of_domain_label_is_reported(self):
         graph = cycle(10)
         problem = _all_equal_problem()
         outputs = Labeling(graph)  # everything EMPTY: all domains fail
-        verdict = verify(problem, graph, Labeling(graph), outputs, max_violations=3)
+        verdict = verify(problem, graph, Labeling(graph), outputs)
         assert not verdict.ok
+        # EMPTY equals EMPTY, so the constraints accept: the 10 node and
+        # 20 half-edge domain violations are the whole report, nodes by
+        # index first, then half-edges edge by edge.
+        assert [v.where for v in verdict.violations] == [
+            ("node", v) for v in graph.nodes()
+        ] + [("half", h) for h in graph.half_edges()]
 
     def test_self_loop_configuration(self):
         graph = build_multigraph(1, [(0, 0)])

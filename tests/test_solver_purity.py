@@ -7,7 +7,7 @@ checked here for every sound registered triple at its family's test
 sizes and every ``corrupt-*`` probe, on both kernel backends: the
 graph's CSR tables and degree table, the identifiers, and the inputs
 labeling's labels and written-flags are the same after the solver and
-every verifier path ran as before.
+the verifier ran as before.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ import pytest
 
 from repro import kernels as kernel_layer
 from repro.runtime import registry
-from repro.runtime.driver import (
-    dispatch_solver,
-    prepared_verifier_for,
-    verifier_for,
-)
+from repro.runtime.driver import dispatch_solver, verifier_for
 from repro.util.rng import NodeRng
 
 SEED = 1
@@ -85,9 +81,6 @@ def test_solve_and_verify_leave_the_instance_unchanged(problem, solver, family, 
                 verifier_for(problem)(trial, result)
             except AssertionError:
                 pass  # probes are rejected; purity is what is checked
-            prepared = prepared_verifier_for(problem, trial)
-            if prepared is not None:
-                kernel_layer.prepared_verify(prepared, result.outputs)
         assert (trial.graph, trial.ids, trial.inputs) == parts
         assert fingerprint(instance) == before, (
             f"{solver.name} on {backend} changed its {family.name} instance"
