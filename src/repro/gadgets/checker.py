@@ -22,12 +22,19 @@ inputs), ``up-root`` (the Up edge exists exactly at parentless nodes),
 and ``root-no-sides`` (roots have no horizontal edges).  Valid gadgets
 satisfy all three, so Lemma 9 (no cheating on valid gadgets) is
 unaffected.
+
+This module is the only source of violation lists.  On the vector
+backend, :func:`node_verdict` first runs one numpy pass over the whole
+scope (:func:`repro.kernels.gadgets.sound_mask`), which clears the
+nodes whose verdict is certainly empty; only the nodes it flags are
+evaluated here, so on a valid gadget none is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import kernels
 from repro.gadgets.labels import (
     CENTER,
     Down,
@@ -43,6 +50,7 @@ from repro.gadgets.labels import (
     UP,
 )
 from repro.gadgets.scope import GadgetScope
+from repro.obs import get_telemetry
 
 __all__ = [
     "StructuralViolation",
@@ -303,14 +311,33 @@ def node_verdict(
     scope: GadgetScope, v: int, delta: int
 ) -> tuple[StructuralViolation, ...]:
     """:func:`check_node`'s violations as the memoized tuple (shared —
-    a sound node's is the one empty tuple)."""
+    a sound node's is the one empty tuple).
+
+    The memo for ``delta`` is made on the scope's first check at that
+    ``delta``.  On the vector backend, one structural pass
+    (:func:`repro.kernels.gadgets.sound_mask`) fills it with ``()`` at
+    every node it clears, so only the nodes it flags are evaluated here
+    (counted as ``gadgets.node_checks``).
+    """
     table = scope.verdicts.get(delta)
     if table is None:
-        table = scope.verdicts[delta] = [None] * scope.graph.num_nodes
+        table = scope.verdicts[delta] = _new_memo(scope, delta)
     verdict = table[v]
     if verdict is None:
+        get_telemetry().incr("gadgets.node_checks")
         verdict = table[v] = tuple(_evaluate_node(scope, v, delta))
     return verdict
+
+
+def _new_memo(scope: GadgetScope, delta: int) -> list[tuple | None]:
+    """A fresh memo: ``()`` where the structural pass clears a node,
+    None (not yet evaluated) elsewhere."""
+    if not kernels.vector_enabled():
+        return [None] * scope.graph.num_nodes
+    from repro.kernels.gadgets import sound_mask
+
+    get_telemetry().incr("gadgets.structural_passes")
+    return [() if sound else None for sound in sound_mask(scope, delta).tolist()]
 
 
 def check_node(scope: GadgetScope, v: int, delta: int) -> list[StructuralViolation]:

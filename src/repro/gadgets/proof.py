@@ -73,9 +73,12 @@ _DELTA = 3
 
 def _checked_scope(graph, inputs):
     """The instance's whole-graph scope with every node's structural
-    verdict, its navigation table dropped: what every trial of V on the
+    verdict, and no navigation table kept: what every trial of V on the
     instance shares (a padded instance shares its
-    :func:`repro.core.virtual_graph.gadget_analysis` the same way)."""
+    :func:`repro.core.virtual_graph.gadget_analysis` the same way).  On
+    the vector backend the scope also keeps the numpy pass's center
+    distances, which V reads on every trial, and builds no navigation
+    table at all when every node is sound."""
     from repro.gadgets.checker import node_verdict
     from repro.gadgets.scope import GadgetScope
 

@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable
 
+from repro import kernels
 from repro.gadgets.checker import check_component
 from repro.gadgets.labels import (
     CENTER,
@@ -168,11 +169,23 @@ def _choose_pointer(
 
 
 def _center_distances(scope: GadgetScope, component: list[int]) -> dict[int, int]:
-    """BFS distances from the component's center, or {} when it has no
-    center or the search does not cover exactly the component."""
+    """BFS distances from the component's first center, or {} when it
+    has no center or the search does not cover exactly the component.
+
+    On the vector backend they are read from the scope's numpy
+    :meth:`~repro.gadgets.scope.GadgetScope.structure` whenever that
+    center is the smallest of its in-scope component, the one the numpy
+    BFS starts from.
+    """
     center = next((v for v in component if scope.role(v) == CENTER), None)
     if center is None:
         return {}
+    if kernels.vector_enabled():
+        from repro.kernels.gadgets import center_distances
+
+        found = center_distances(scope.structure(), center, component)
+        if found is not None:
+            return found
     dist_center = {center: 0}
     frontier = deque([center])
     while frontier:

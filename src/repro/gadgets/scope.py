@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable
 
+from repro import kernels
 from repro.gadgets.labels import GadgetHalfInput, GadgetNodeInput
 from repro.lcl.assignment import Labeling
 from repro.local.graphs import PortGraph
@@ -33,12 +34,16 @@ class GadgetScope:
     ``inputs`` are not seen.  A node's structural verdict is therefore a
     pure function of the scope: :func:`repro.gadgets.checker.check_node`
     memoizes it in :attr:`verdicts`, one list per ``delta`` with an
-    entry per node.
+    entry per node.  On the vector backend the numpy pass of
+    :mod:`repro.kernels.gadgets` reads the same tables: it fills that
+    memo for every node it clears, and :meth:`structure` keeps the
+    components and center distances it finds.
 
     Navigation runs on a table of each node's in-scope incidence tuples,
-    built at construction: fast, but several hundred bytes per node.
-    There is one scope per instance, kept as long as the instance's
-    inputs (a padded instance's
+    built on first use: fast, but several hundred bytes per node, and a
+    scope whose nodes the numpy pass all clears never needs it.  There
+    is one scope per instance, kept as long as the instance's inputs (a
+    padded instance's
     :func:`~repro.core.virtual_graph.gadget_analysis`, or the scope V
     re-reads on every trial on a gadget core), so its owner calls
     :meth:`drop_navigation` once the checks, proofs and searches that
@@ -73,18 +78,19 @@ class GadgetScope:
             half if isinstance(half, GadgetHalfInput) else None
             for half in inputs.slot_labels()
         ]
-        self._build_navigation()
+        self._rows: list[tuple[Incidence, ...]] | None = None
+        self._far_labels: list[Hashable] | None = None
+        self._navigable = True
+        self._structure = None
 
     def _build_navigation(self) -> None:
         """The per-node incidence tuples and per-slot far labels."""
         off, nbr, peer, eids = (table.tolist() for table in self.graph.csr())
         labels = [None if half is None else half.label for half in self._halves]
         # per slot: the endpoint label on the far side of its edge
-        self._far_labels: list[Hashable] | None = [
-            labels[off[w] + p] for w, p in zip(nbr, peer)
-        ]
+        self._far_labels = [labels[off[w] + p] for w, p in zip(nbr, peer)]
         in_scope = self._in_scope
-        self._rows: list[tuple[Incidence, ...]] | None = [
+        self._rows = [
             tuple(
                 (slot - off[v], eids[slot], nbr[slot], labels[slot])
                 for slot in range(off[v], off[v + 1])
@@ -94,9 +100,21 @@ class GadgetScope:
         ]
 
     def drop_navigation(self) -> None:
-        """Free the navigation table (see the class docstring)."""
+        """Free the navigation table, and build none from now on (see
+        the class docstring)."""
         self._rows = None
         self._far_labels = None
+        self._navigable = False
+
+    def structure(self):
+        """The :class:`~repro.kernels.gadgets.ScopeStructure` of the numpy
+        pass (component labels, center distances, component sizes),
+        computed on first call.  Vector backend only."""
+        if self._structure is None:
+            from repro.kernels.gadgets import scope_structure
+
+            self._structure = scope_structure(self)
+        return self._structure
 
     def in_scope(self, eid: int) -> bool:
         return self._in_scope[eid] == 1
@@ -132,6 +150,9 @@ class GadgetScope:
         """The ``(port, eid, other_node, my_label)`` of each in-scope edge
         at ``v``, in port order."""
         rows = self._rows
+        if rows is None and self._navigable:
+            self._build_navigation()
+            rows = self._rows
         if rows is not None:
             return rows[v]
         off, eids, nbr, in_scope, halves = (
@@ -158,6 +179,9 @@ class GadgetScope:
             raise IndexError(f"node {v} has no port {port}")
         slot = self._off[v] + port
         far_labels = self._far_labels
+        if far_labels is None and self._navigable:
+            self._build_navigation()
+            far_labels = self._far_labels
         if far_labels is not None:
             return far_labels[slot]
         half = self._halves[self._off[self._nbr[slot]] + self._peer[slot]]
@@ -193,7 +217,12 @@ class GadgetScope:
         return sorted(seen)
 
     def components(self) -> list[list[int]]:
-        """All in-scope components (every node appears in exactly one)."""
+        """All in-scope components (every node appears in exactly one),
+        each ascending, in order of smallest node."""
+        if kernels.vector_enabled():
+            from repro.kernels.gadgets import component_lists
+
+            return component_lists(self.structure().component)
         seen: set[int] = set()
         out = []
         for v in self.graph.nodes():

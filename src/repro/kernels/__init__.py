@@ -2,14 +2,17 @@
 
 The kernel layer gives the hot loops over the frozen CSR tables —
 the ne-LCL verifier passes, whole SyncEngine rounds of node programs
-that ship an array twin, and every anchor scan of the deterministic
-sinkless solver as one batched pass — a second, numpy-backed
+that ship an array twin, every anchor scan of the deterministic
+sinkless solver as one batched pass, and the gadget layer's
+structural checks, components and center distances as one pass per
+scope (:mod:`repro.kernels.gadgets`) — a second, numpy-backed
 implementation that works array-at-a-time instead of one Python index
 at a time.  The object-layer implementations stay exactly
 as they were and remain the differential-testing oracle: for every
 kernel, ``vector`` and ``object`` produce bit-identical results (the
 property suite in ``tests/test_kernels.py`` pins this on random
-multigraphs including self-loops and parallel edges).
+multigraphs including self-loops and parallel edges, and on perturbed
+gadgets).
 
 Selection is *ambient*: call sites check :func:`vector_enabled` and the
 trial drivers establish the backend with :func:`active` around each
@@ -87,7 +90,7 @@ def preload(mode: str) -> None:
         return
     import numpy.ma  # noqa: F401
 
-    from repro.kernels import engine, programs, vector, verifier  # noqa: F401
+    from repro.kernels import engine, gadgets, programs, vector, verifier  # noqa: F401
 
 
 def current_backend() -> str:

@@ -45,9 +45,6 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.ok
 
-    def first(self) -> Violation | None:
-        return self.violations[0] if self.violations else None
-
     def summary(self, limit: int = 5) -> str:
         if self.ok:
             return "accepted"

@@ -34,6 +34,7 @@ from repro.local.algorithm import Instance, RunResult
 from repro.local.graphs import HalfEdge, PortGraph
 from repro.problems.orientation import Orientation, fix_deficient
 from repro.runtime.registry import register_solver
+from repro.util.rng import fork_rng
 
 _SINKLESS_FAMILIES = ("cubic", "high-girth-cubic", "torus")
 
@@ -261,11 +262,13 @@ class RandomizedSinklessSolver:
         ids = instance.ids
         rng = instance.require_rng()
         # Per-edge fair coins: each edge uses its own forked stream so the
-        # outcome does not depend on iteration order.
+        # outcome does not depend on iteration order.  Each stream is
+        # drawn once, so it is forked and dropped, not kept in ``rng``.
         ends = graph.edge_slots()
+        first = graph.num_nodes
         tails = [
             ends[2 * eid]
-            if rng.for_node(graph.num_nodes + eid).random() < 0.5
+            if fork_rng(rng.seed, first + eid).random() < 0.5
             else ends[2 * eid + 1]
             for eid in range(graph.num_edges)
         ]

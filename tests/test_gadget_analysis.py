@@ -36,6 +36,7 @@ from repro.gadgets.labels import NOPORT, GadgetNodeInput
 from repro.generators import complete
 from repro.local import Instance
 from repro.local.identifiers import sequential_ids
+from repro.obs import get_telemetry
 from repro.problems import DeterministicSinklessSolver, SinklessOrientation
 from repro.runtime import InstanceCache, TrialBatch, driver, registry
 from repro.runtime.driver import dispatch_solver, verifier_for
@@ -88,27 +89,63 @@ def _honest_k4():
     return padded, problem, result
 
 
-class TestOneCheckPerNode:
-    def test_solve_and_verify_check_each_node_once(self, evaluations):
-        instance = registry.family("padded-sinkless").builder(3, 0)
-        result = dispatch_solver(registry.solver("padded-sinkless-det").factory(), instance)
-        verifier_for(registry.problem("padded-sinkless"))(instance, result)
-        assert evaluations == Counter(instance.graph.nodes())
+@pytest.fixture
+def counted(evaluations):
+    """The structural checker's telemetry since the test began: object
+    node checks (also counted by node in ``evaluations``) and numpy
+    structural passes."""
+    telemetry = get_telemetry()
+    names = ("gadgets.node_checks", "gadgets.structural_passes")
+    before = {name: telemetry.counters().get(name, 0) for name in names}
 
-    def test_second_trial_on_a_kept_instance_checks_none(self, evaluations, analyses):
+    def delta():
+        now = telemetry.counters()
+        return {name.split(".")[1]: now.get(name, 0) - before[name] for name in names}
+
+    return delta
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOneCheckPerNode:
+    """The object backend evaluates each node of a padded instance once.
+    The vector backend runs one structural pass per instance, which
+    clears every node of a valid one, so it evaluates none."""
+
+    @staticmethod
+    def _assert_checked_once(backend, evaluations, counted, n):
+        if backend == "object":
+            assert evaluations == Counter(range(n))
+            assert counted() == {"node_checks": n, "structural_passes": 0}
+        else:
+            assert not evaluations
+            assert counted() == {"node_checks": 0, "structural_passes": 1}
+
+    def test_solve_and_verify_check_each_node_once(self, backend, evaluations, counted):
+        instance = registry.family("padded-sinkless").builder(3, 0)
+        with kernel_layer.active(backend):
+            result = dispatch_solver(
+                registry.solver("padded-sinkless-det").factory(), instance
+            )
+            verifier_for(registry.problem("padded-sinkless"))(instance, result)
+        self._assert_checked_once(
+            backend, evaluations, counted, instance.graph.num_nodes
+        )
+
+    def test_second_trial_on_a_kept_instance_checks_none(
+        self, backend, evaluations, counted, analyses
+    ):
         instances = InstanceCache()
-        det = TrialBatch(*PADDED, instances=instances)
+        det = TrialBatch(*PADDED, instances=instances, kernels=backend)
         rand = TrialBatch(
             "padded-sinkless", "padded-sinkless-rand", "padded-sinkless",
-            instances=instances,
+            instances=instances, kernels=backend,
         )
         first = det.run_one(3, 0)
         assert first.verified
-        assert evaluations == Counter(range(first.actual_n))
-        evaluations.clear()
+        self._assert_checked_once(backend, evaluations, counted, first.actual_n)
         second = rand.run_one(3, 0)
         assert second.verified
-        assert not evaluations
+        self._assert_checked_once(backend, evaluations, counted, first.actual_n)
         assert len(analyses) == 1
         assert (instances.built, instances.reused) == (1, 1)
 

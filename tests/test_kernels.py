@@ -24,6 +24,19 @@ from repro import kernels
 from repro.engine.experiments import build_experiment
 from repro.engine.runner import plan_experiment, run_experiment, run_shard
 from repro.engine.spec import ExperimentSpec
+from repro.gadgets.labels import (
+    CENTER,
+    Down,
+    Index,
+    LCHILD,
+    LEFT,
+    NOPORT,
+    PARENT,
+    Port,
+    RCHILD,
+    RIGHT,
+    UP,
+)
 from repro.generators import cycle
 from repro.lcl import Labeling, verify
 from repro.runtime import TrialBatch
@@ -217,6 +230,7 @@ class TestPreload:
         assert {
             "numpy.ma",
             "repro.kernels.engine",
+            "repro.kernels.gadgets",
             "repro.kernels.programs",
             "repro.kernels.vector",
             "repro.kernels.verifier",
@@ -763,3 +777,215 @@ class TestAnchorScansDifferential:
         oracle = run_experiment(spec, workers=1, kernels="object")
         report = run_experiment(spec, workers=1, kernels="vector")
         assert _record_keys(report) == _record_keys(oracle)
+
+
+# -- the gadget structural pass ----------------------------------------------
+
+
+class _Str(str):
+    """A str subclass: equal to a gadget label, but not coded as one."""
+
+
+#: What a perturbation writes, as ``(coded, uncoded)``: the codes of
+#: :mod:`repro.kernels.gadgets` express the first exactly (labels out of
+#: range included), not the second (labels that compare equal to valid
+#: ones without being them, negative or non-int colors).
+_ROLES = (
+    (CENTER, Index(1), Index(2), Index(3), Index(0), Index(9)),
+    (Port(2), (2,), _Str(CENTER)),
+)
+_PORTS = ((NOPORT, Port(1), Port(2), Port(3), Port(0)), (Index(2), _Str(NOPORT)))
+_COLORS = ((0, 1, 2, 3, 7), (-1, "red"))
+_HALF_LABELS = (
+    (PARENT, LEFT, RIGHT, LCHILD, RCHILD, UP, Down(1), Down(2), Down(3), Down(0)),
+    (Index(1), "Center", _Str(LEFT)),
+)
+
+
+def _padded_scope(graph, inputs):
+    """A maker of the scope :class:`~repro.core.virtual_graph.GadgetAnalysis`
+    builds."""
+    from repro.core.padding import PORTEDGE
+    from repro.core.projection import GadgetProjection
+    from repro.gadgets import GadgetScope
+
+    projection = GadgetProjection(graph, inputs)
+    tags = projection.edge_labels()
+    return lambda: GadgetScope(graph, projection, lambda eid: tags[eid] != PORTEDGE)
+
+
+@needs_numpy
+class TestGadgetStructuralPass:
+    """:mod:`repro.kernels.gadgets` against the object checker and BFS.
+
+    Where the inputs are the ones this repo builds, the sound mask
+    agrees with ``_evaluate_node`` at every node, both ways; on any
+    input, a node it clears has an empty object verdict.  The components
+    and center distances equal the object layer's.  Each check gets
+    scopes from a maker, so the two layers never share one.
+    """
+
+    @staticmethod
+    def _verdicts(make, delta):
+        from repro.gadgets.checker import _evaluate_node
+        from repro.kernels.gadgets import sound_mask
+
+        mask = sound_mask(make(), delta).tolist()
+        scope = make()
+        clean = [not _evaluate_node(scope, v, delta) for v in range(len(mask))]
+        return mask, clean
+
+    def _assert_exact(self, make, delta):
+        mask, clean = self._verdicts(make, delta)
+        assert mask == clean
+        self._assert_structure(make)
+        return mask
+
+    @staticmethod
+    def _assert_structure(make):
+        from repro.gadgets.prover import _center_distances
+
+        scope, vector = make(), make()
+        everything = list(range(scope.graph.num_nodes))
+        expected = scope.components()
+        with kernels.active("vector"):
+            assert vector.components() == expected
+            found = [_center_distances(vector, nodes) for nodes in expected]
+            whole = _center_distances(vector, everything)
+        assert found == [_center_distances(scope, nodes) for nodes in expected]
+        assert whole == _center_distances(scope, everything)
+        assert vector._rows is None  # the numpy answers need no navigation
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4])
+    @pytest.mark.parametrize("height", [2, 3, 4, 5])
+    def test_valid_members_are_cleared_everywhere(self, delta, height):
+        from repro.gadgets import GadgetScope, build_gadget
+
+        built = build_gadget(delta, height)
+        make = lambda: GadgetScope(built.graph, built.inputs)  # noqa: E731
+        assert all(self._assert_exact(make, delta))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_named_corruptions_flag_the_object_violations(self, seed):
+        import random
+
+        from repro.gadgets import CORRUPTIONS, GadgetScope, build_gadget, corrupt
+
+        built = build_gadget(3, 4)
+        for name in CORRUPTIONS:
+            broken = corrupt(built, name, random.Random(seed))
+            make = lambda: GadgetScope(broken.graph, broken.inputs)  # noqa: E731
+            assert not all(self._assert_exact(make, 3)), name
+
+    def test_lemma5_instances_pi2_and_both_levels_of_pi3(self):
+        from repro.core import build_family, gadget_analysis
+        from repro.generators.hard import padded_hard_instance
+
+        levels = build_family(3, delta=3)
+        pi2 = padded_hard_instance(levels[1], 20_000, 0)
+        mask = self._assert_exact(_padded_scope(pi2.graph, pi2.inputs), 3)
+        assert 0 < sum(mask) < len(mask)  # the isolated filler is flagged
+        pi3 = padded_hard_instance(levels[2], 2**14, 0)
+        self._assert_exact(_padded_scope(pi3.graph, pi3.inputs), 3)
+        virtual = gadget_analysis(pi3.graph, pi3.inputs, levels[2].family).virtual
+        self._assert_exact(_padded_scope(virtual.graph, virtual.inputs), 3)
+
+    @pytest.mark.parametrize("delta, height", [(2, 3), (3, 2)])
+    def test_every_single_coded_edit(self, delta, height):
+        # Each variant changes one thing: a half-edge label, one field of
+        # a node label, an edge (dropped), or a node's child edges
+        # (pruned) together with its port tag.
+        from repro.gadgets import GadgetScope, build_gadget
+
+        built = build_gadget(delta, height)
+        graph = built.graph
+        variants = []
+        for slot, half in enumerate(built.inputs.slot_labels()):
+            for label in _HALF_LABELS[0]:
+                inputs = built.inputs.copy()
+                inputs.set_slot(slot, half._replace(label=label))
+                variants.append((inputs, set()))
+        for v, node in enumerate(built.inputs.node_labels()):
+            for field, (coded, _uncoded) in zip(
+                node._fields, (_ROLES, _PORTS, _COLORS)
+            ):
+                for value in coded:
+                    inputs = built.inputs.copy()
+                    inputs.set_node(v, node._replace(**{field: value}))
+                    variants.append((inputs, set()))
+            children = {
+                graph.edge_id_at(v, port)
+                for port in range(graph.degree(v))
+                if built.inputs.half_at(v, port).label in (LCHILD, RCHILD)
+            }
+            for port in _PORTS[0]:
+                inputs = built.inputs.copy()
+                inputs.set_node(v, node._replace(port=port))
+                variants.append((inputs, children))
+        variants += [(built.inputs, {eid}) for eid in range(graph.num_edges)]
+        for inputs, dropped in variants:
+            make = lambda: GadgetScope(  # noqa: E731
+                graph, inputs, lambda eid: eid not in dropped
+            )
+            mask, clean = self._verdicts(make, delta)
+            assert mask == clean
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_gadgets(self, data):
+        # Relabel nodes and half-edges, write malformed inputs, drop
+        # edges and prune a node's child edges (both out of scope).  With coded labels only, the
+        # mask is exact; with any other, a node it clears is still sound.
+        from repro.gadgets import GadgetHalfInput, GadgetNodeInput, GadgetScope
+        from repro.gadgets import build_gadget
+
+        def pick(choices):
+            coded, uncoded = choices
+            i = data.draw(st.integers(0, len(coded) + len(uncoded) - 1))
+            return (coded + uncoded)[i], i < len(coded)
+
+        delta, height = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+        built = build_gadget(delta, height)
+        graph, inputs = built.graph, built.inputs.copy()
+        nodes = st.integers(0, graph.num_nodes - 1)
+        out_of_scope: set[int] = set()
+        exact = True
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(["node", "half", "junk", "drop", "prune"]))
+            if kind == "node":
+                v = data.draw(nodes)
+                field = data.draw(st.integers(0, 2))
+                value, coded = pick((_ROLES, _PORTS, _COLORS)[field])
+                inputs.set_node(v, built.inputs.node(v)._replace(**{
+                    GadgetNodeInput._fields[field]: value
+                }))
+                exact &= coded
+            elif kind == "half":
+                (label, a), (color, b) = pick(_HALF_LABELS), pick(_COLORS)
+                slot = data.draw(st.integers(0, 2 * graph.num_edges - 1))
+                inputs.set_slot(slot, GadgetHalfInput(label, color))
+                exact &= a and b
+            elif kind == "junk":
+                if data.draw(st.booleans()):
+                    inputs.set_node(data.draw(nodes), None)
+                else:
+                    inputs.set_slot(data.draw(st.integers(0, 2 * graph.num_edges - 1)), "x")
+                exact = False
+            elif kind == "drop":
+                out_of_scope.add(data.draw(st.integers(0, graph.num_edges - 1)))
+            else:
+                v = data.draw(nodes)
+                out_of_scope.update(
+                    graph.edge_id_at(v, port)
+                    for port in range(graph.degree(v))
+                    if built.inputs.half_at(v, port).label in (LCHILD, RCHILD)
+                )
+        make = lambda: GadgetScope(  # noqa: E731
+            graph, inputs, lambda eid: eid not in out_of_scope
+        )
+        mask, clean = self._verdicts(make, delta)
+        if exact:
+            assert mask == clean
+        else:
+            assert all(c for m, c in zip(mask, clean) if m)
+        self._assert_structure(make)

@@ -278,6 +278,18 @@ class TestRandomizedSolver:
         )
         assert rand.rounds < det.rounds
 
+    def test_keeps_only_the_global_stream(self):
+        # each edge's coin comes from a stream forked for it and dropped:
+        # a solve leaves one cached stream, not one per edge
+        rng = random.Random(22)
+        graph = random_regular(1024, 3, rng)
+        node_rng = NodeRng(3)
+        instance = Instance(graph, random_ids(1024, rng), None, None, node_rng)
+        result = RandomizedSinklessSolver().solve(instance)
+        problem = SinklessOrientation().problem()
+        assert verify(problem, graph, result.outputs, result.outputs).ok
+        assert list(node_rng._streams) == [-1]
+
     @given(multigraphs(max_nodes=12, max_edges=24), st.integers(0, 2**30))
     @settings(max_examples=40, deadline=None)
     def test_valid_on_random_multigraphs(self, graph, seed):
