@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import report
 from repro.analysis import measure_row, render_landscape
+from repro.core.theory import PI_PLACEMENTS
 from repro.generators import cycle
 from repro.generators.hard import cubic_instance, padded_hard_instance
 from repro.lcl import Labeling, verify
@@ -26,6 +27,7 @@ from repro.problems import (
     SinklessOrientation,
     ThreeColoringCycles,
 )
+from repro.runtime import registry
 from repro.util.rng import NodeRng
 
 NS = [2**k for k in range(6, 13)]
@@ -38,6 +40,12 @@ def _cycle_instance(n: int, seed: int) -> Instance:
 
     rng = random.Random(seed * 7919 + n)
     return Instance(cycle(n), random_ids(n, rng), None, None, NodeRng(seed))
+
+
+def _paper(problem: str):
+    """The registered problem's (det, rand) placement."""
+    info = registry.problem(problem)
+    return info.paper_det, info.paper_rand
 
 
 def _verifier(problem):
@@ -55,8 +63,7 @@ def test_landscape_table(family_levels, benchmark):
     rows.append(
         measure_row(
             "trivial",
-            "O(1)",
-            "O(1)",
+            *_paper("constant"),
             ConstantSolver(),
             ConstantSolver(),
             _cycle_instance,
@@ -69,8 +76,7 @@ def test_landscape_table(family_levels, benchmark):
     rows.append(
         measure_row(
             "3-coloring cycles",
-            "Theta(log* n)",
-            "Theta(log* n)",
+            *_paper("3-coloring-cycles"),
             coloring,
             coloring,
             _cycle_instance,
@@ -84,8 +90,7 @@ def test_landscape_table(family_levels, benchmark):
     rows.append(
         measure_row(
             "MIS (bounded degree)",
-            "Theta(log* n)",
-            "Theta(log* n)",
+            *_paper("mis"),
             mis,
             mis,
             cubic_instance,
@@ -98,8 +103,7 @@ def test_landscape_table(family_levels, benchmark):
     rows.append(
         measure_row(
             "sinkless orientation",
-            "Theta(log n)",
-            "Theta(loglog n)",
+            *_paper("sinkless-orientation"),
             DeterministicSinklessSolver(),
             RandomizedSinklessSolver(),
             cubic_instance,
@@ -113,8 +117,7 @@ def test_landscape_table(family_levels, benchmark):
     rows.append(
         measure_row(
             "Pi_2 (this work)",
-            "Theta(log^2 n)",
-            "Theta(log n loglog n)",
+            *PI_PLACEMENTS[pi2.index],
             pi2.det_solver,
             pi2.rand_solver,
             lambda n, s: padded_hard_instance(pi2, n, s),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.analysis import measure_row, render_landscape
 from repro.core import build_family
+from repro.core.theory import PI_PLACEMENTS
 from repro.generators.hard import cubic_instance, padded_hard_instance
 from repro.problems import DeterministicSinklessSolver, RandomizedSinklessSolver
 
@@ -21,8 +22,7 @@ def main() -> None:
     rows = [
         measure_row(
             "sinkless orientation",
-            "Theta(log n)",
-            "Theta(loglog n)",
+            *PI_PLACEMENTS[1],
             DeterministicSinklessSolver(),
             RandomizedSinklessSolver(),
             cubic_instance,
@@ -35,8 +35,7 @@ def main() -> None:
     rows.append(
         measure_row(
             "Pi_2 (the paper's new LCL)",
-            "Theta(log^2 n)",
-            "Theta(log n loglog n)",
+            *PI_PLACEMENTS[pi2.index],
             pi2.det_solver,
             pi2.rand_solver,
             lambda n, s: padded_hard_instance(pi2, n, s),

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.util.logmath import log_star
+from repro.util.logmath import GROWTH_FUNCTIONS
 
 __all__ = [
     "GROWTH_FUNCTIONS",
@@ -24,24 +24,6 @@ __all__ = [
     "growth_rank",
     "ratio_series",
 ]
-
-
-def _log(n: float) -> float:
-    return math.log2(max(n, 2.0))
-
-
-GROWTH_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "1": lambda n: 1.0,
-    "log*": lambda n: float(log_star(n)),
-    "loglog": lambda n: math.log2(max(_log(n), 2.0)),
-    "log": _log,
-    "log loglog": lambda n: _log(n) * math.log2(max(_log(n), 2.0)),
-    "log^2": lambda n: _log(n) ** 2,
-    "log^2 loglog": lambda n: _log(n) ** 2 * math.log2(max(_log(n), 2.0)),
-    "log^3": lambda n: _log(n) ** 3,
-    "sqrt": lambda n: math.sqrt(n),
-    "n": lambda n: float(n),
-}
 
 
 @dataclass

@@ -15,6 +15,7 @@ from repro.analysis.growth import best_fit
 from repro.analysis.sweep import Sweep, run_sweep
 from repro.analysis.tables import render_table
 from repro.local.algorithm import Instance, LocalAlgorithm
+from repro.util.logmath import Placement
 
 __all__ = [
     "LandscapeRow",
@@ -27,8 +28,8 @@ __all__ = [
 @dataclass
 class LandscapeRow:
     problem: str
-    paper_det: str
-    paper_rand: str
+    paper_det: Placement | None
+    paper_rand: Placement | None
     det_sweep: Sweep | None
     rand_sweep: Sweep | None
     candidates: Sequence[str] | None = None
@@ -50,17 +51,17 @@ class LandscapeRow:
     def row(self) -> list:
         return [
             self.problem,
-            self.paper_det,
+            self.paper_det or "-",
             self.measured_det(),
-            self.paper_rand,
+            self.paper_rand or "-",
             self.measured_rand(),
         ]
 
 
 def measure_row(
     problem: str,
-    paper_det: str,
-    paper_rand: str,
+    paper_det: Placement | None,
+    paper_rand: Placement | None,
     det_solver: LocalAlgorithm | None,
     rand_solver: LocalAlgorithm | None,
     instance_factory: Callable[[int, int], Instance],
@@ -100,18 +101,18 @@ def _growth_sort_key(sweep: Sweep) -> tuple[int, int]:
 
 
 def rows_from_engine_reports(reports: Sequence) -> list[LandscapeRow]:
-    """Fold registry-generated engine reports into Figure 1 rows.
+    """Fold engine reports into Figure 1 rows.
 
-    Accepts the :class:`~repro.engine.runner.EngineReport` list of the
-    ``landscape`` experiment (spec names shaped
-    ``landscape/<problem>/<solver>@<family>``) and produces one row per
-    (problem, family) pair.  When several solvers of one kind cover a
+    Accepts :class:`~repro.engine.runner.EngineReport` objects, such as
+    the ``landscape`` experiment's, and produces one row per (problem,
+    family) pair, read from each spec's ``problem``, ``solver`` and
+    ``generator`` fields.  When several solvers of one kind cover a
     cell, the deterministic and randomized columns each show the
     *best-per-cell* representative: the solver whose measured rounds
     fit the smallest growth class (ties broken by solver name, sweeps
     too short to fit ranked last) — a cell's entry is the complexity of
     the problem, not of whichever algorithm happened to register first.
-    Reports with foreign spec names are ignored.
+    Reports naming an unregistered problem or solver are ignored.
     """
     from repro.runtime import registry
 
@@ -119,17 +120,13 @@ def rows_from_engine_reports(reports: Sequence) -> list[LandscapeRow]:
     problems = registry.problems()
     cells: dict[tuple[str, str], dict[str, list[tuple[str, Sweep]]]] = {}
     for report in reports:
-        parts = report.spec.name.split("/")
-        if len(parts) != 3 or "@" not in parts[2]:
-            continue
-        problem_name = parts[1]
-        solver_name, _, family_name = parts[2].partition("@")
-        solver_info = solvers.get(solver_name)
-        if solver_info is None or problem_name not in problems:
+        spec = report.spec
+        solver_info = solvers.get(spec.solver)
+        if solver_info is None or spec.problem not in problems:
             continue
         kind = "rand" if solver_info.randomized else "det"
-        cell = cells.setdefault((problem_name, family_name), {})
-        cell.setdefault(kind, []).append((solver_name, report.sweep))
+        cell = cells.setdefault((spec.problem, spec.generator), {})
+        cell.setdefault(kind, []).append((spec.solver, report.sweep))
 
     def best_per_cell(candidates: list[tuple[str, Sweep]] | None) -> Sweep | None:
         if not candidates:

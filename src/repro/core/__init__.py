@@ -6,7 +6,7 @@ from repro.core.derandomization import (
     implied_nd_lower_bound,
     panconesi_srinivasan_nd,
 )
-from repro.core.family import FamilyLevel, build_family, pi_family_level
+from repro.core.family import FamilyLevel, build_family
 from repro.core.hard_instances import (
     HardInstance,
     hard_instance,
@@ -48,7 +48,6 @@ __all__ = [
     "panconesi_srinivasan_nd",
     "FamilyLevel",
     "build_family",
-    "pi_family_level",
     "HardInstance",
     "hard_instance",
     "paper_f",

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.util.logmath import log
+
 __all__ = [
     "ghk_deterministic_upper",
     "panconesi_srinivasan_nd",
@@ -35,14 +37,10 @@ __all__ = [
 ]
 
 
-def _log(n: float) -> float:
-    return math.log2(max(n, 2.0))
-
-
 def panconesi_srinivasan_nd(n: int, constant: float = 1.0) -> float:
     """The best known deterministic network-decomposition bound,
     2^(c * sqrt(log n)) [21]."""
-    return 2.0 ** (constant * math.sqrt(_log(n)))
+    return 2.0 ** (constant * math.sqrt(log(n)))
 
 
 def ghk_deterministic_upper(
@@ -51,7 +49,7 @@ def ghk_deterministic_upper(
     """D(n) = O(R * ND + R * log^2 n) [12]; ND defaults to [21]."""
     if nd_rounds is None:
         nd_rounds = panconesi_srinivasan_nd(n)
-    return rand_rounds * nd_rounds + rand_rounds * _log(n) ** 2
+    return rand_rounds * nd_rounds + rand_rounds * log(n) ** 2
 
 
 def implied_nd_lower_bound(det_rounds: float, rand_rounds: float, n: int) -> float:
@@ -64,7 +62,7 @@ def implied_nd_lower_bound(det_rounds: float, rand_rounds: float, n: int) -> flo
     """
     if rand_rounds <= 0:
         raise ValueError("rand_rounds must be positive")
-    return det_rounds / rand_rounds - _log(n) ** 2
+    return det_rounds / rand_rounds - log(n) ** 2
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def classify_gap(det_rounds: float, rand_rounds: float, n: int) -> GapClassifica
     if rand_rounds <= 0:
         raise ValueError("rand_rounds must be positive")
     ratio = det_rounds / rand_rounds
-    log_n = _log(n)
+    log_n = log(n)
     if ratio <= 2.0:
         kind = "none"
     elif ratio <= log_n**2:

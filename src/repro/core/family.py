@@ -6,10 +6,10 @@ level carries a deterministic and a randomized solver, built by wrapping
 the previous level's solvers in the generic Lemma 4 algorithm, and a
 verifier (the ne-LCL verifier at level 1, the Pi' verifier above).
 
-The predicted complexities are deterministic Theta(log^i n) and
-randomized Theta(log^{i-1} n log log n); the Theorem 11 benchmark sweeps
-``solve_on_hard_instance`` over n and fits the measured rounds against
-exactly these shapes.
+The predicted complexities (:data:`repro.core.theory.PI_PLACEMENTS`) are
+deterministic Theta(log^i n) and randomized Theta(log^{i-1} n log log n);
+the Theorem 11 benchmark sweeps ``solve_on_hard_instance`` over n and
+fits the measured rounds against exactly these shapes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.problems.sinkless_solvers import (
     RandomizedSinklessSolver,
 )
 
-__all__ = ["FamilyLevel", "build_family", "pi_family_level"]
+__all__ = ["FamilyLevel", "build_family"]
 
 
 @dataclass
@@ -94,30 +94,35 @@ def build_family(levels: int, delta: int = 3) -> list[FamilyLevel]:
     return out
 
 
-def pi_family_level(index: int, delta: int = 3) -> FamilyLevel:
-    """The single level Pi_index (hard instances come from
-    :func:`repro.generators.hard.padded_hard_instance`)."""
-    return build_family(index, delta)[-1]
-
-
-# -- runtime registrations (the Pi_2 landscape row) ---------------------
+# -- runtime registrations (the Pi_1 and Pi_2 landscape rows) ----------
 #
-# The padded level Pi_2 = pad(sinkless-orientation, log-gadgets) is the
-# paper's headline construction; registering it (problem, both solvers,
-# and the height-graded instance family) puts the Theorem 1 overhead
+# Both levels' placements are Theorem 11's, read from core.theory; Pi_1
+# registers here because repro.core imports repro.problems, so the
+# problems package cannot import core.theory.  The padded level
+# Pi_2 = pad(sinkless-orientation, log-gadgets) is the paper's headline
+# construction; registering it (problem, both solvers, and the
+# height-graded instance family) puts the Theorem 1 overhead
 # measurement into the same registry-driven cross-product as the base
 # problems.  Instances are graded by gadget *height* h, not node count:
 # the padded graph on a 16-node cubic base has 16 * (2^(h+1) - 1) + 16
 # nodes, so sweeps pass heights and report the true padded sizes.
 
+from repro.core.theory import PI_PLACEMENTS
 from repro.runtime.registry import register_family, register_problem, register_solver
+
+register_problem(
+    "sinkless-orientation",
+    description="orient every edge; nodes of degree >= 3 need an out-edge",
+    paper_det=PI_PLACEMENTS[1][0],
+    paper_rand=PI_PLACEMENTS[1][1],
+)(SinklessOrientation)
 
 
 @register_problem(
     "padded-sinkless",
     description="Pi_2: sinkless orientation padded with log-gadgets",
-    paper_det="Theta(log^2 n)",
-    paper_rand="Theta(log n loglog n)",
+    paper_det=PI_PLACEMENTS[2][0],
+    paper_rand=PI_PLACEMENTS[2][1],
 )
 def _padded_sinkless_problem() -> PaddedProblem:
     return PaddedProblem(SinklessOrientation().problem(), LogGadgetFamily(3))

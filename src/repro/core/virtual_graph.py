@@ -69,6 +69,11 @@ PORT_ERR2 = "PortErr2"
 #: explicitly a PortEdge belongs to the gadget layer: an untagged edge
 #: (malformed tag) is an adversarial gadget edge.
 GADGET_EDGE, PORT_EDGE, UNTAGGED_EDGE = 0, 1, 2
+#: ``edge_kinds.translate`` table to the scope's in-scope bytes: every
+#: edge but a PortEdge belongs to the gadget layer.
+_IN_GADGET_SCOPE = bytes.maketrans(
+    bytes([GADGET_EDGE, PORT_EDGE, UNTAGGED_EDGE]), bytes([1, 0, 1])
+)
 
 
 @dataclass
@@ -125,7 +130,7 @@ class GadgetAnalysis:
         )
         self.port_edges = [eid for eid, kind in enumerate(kinds) if kind == PORT_EDGE]
         scope = self.scope = GadgetScope(  # type: ignore[arg-type]
-            graph, projection, lambda eid: kinds[eid] != PORT_EDGE
+            graph, projection, kinds.translate(_IN_GADGET_SCOPE)
         )
         self._prove_components(family)
         self._port_status()

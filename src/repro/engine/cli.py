@@ -60,7 +60,7 @@ import sys
 from typing import Sequence
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, TrialCache
-from repro.engine.experiments import EXPERIMENTS, build_experiment, paper_placement
+from repro.engine.experiments import EXPERIMENTS, build_experiment
 from repro.engine.pool import default_workers
 from repro.engine.runner import (
     EngineReport,
@@ -162,6 +162,11 @@ def _emit_error(
     return code
 
 
+def _placements(info: registry.ProblemInfo) -> str:
+    """A problem's paper placements, ``-`` where the paper places none."""
+    return f"det {info.paper_det or '-'} / rand {info.paper_rand or '-'}"
+
+
 def format_report(reports: Sequence[EngineReport]) -> str:
     """Render engine reports as benchmark-style tables.
 
@@ -171,6 +176,7 @@ def format_report(reports: Sequence[EngineReport]) -> str:
     """
     from repro.analysis import best_fit, render_table
 
+    problems = registry.problems()
     blocks = []
     for rep in reports:
         sweep = rep.sweep
@@ -178,10 +184,10 @@ def format_report(reports: Sequence[EngineReport]) -> str:
         if len(sweep.points) >= 3:
             fit = best_fit(sweep.ns(), sweep.means())
             fit_note = f"\n    measured fit: {fit}"
-        paper_det, paper_rand = paper_placement(rep.spec.name)
+        info = problems.get(rep.spec.problem)
         paper_note = ""
-        if (paper_det, paper_rand) != ("-", "-"):
-            paper_note = f"\n    paper: det {paper_det} / rand {paper_rand}"
+        if info is not None and (info.paper_det or info.paper_rand):
+            paper_note = f"\n    paper: {_placements(info)}"
         table = render_table(
             ["n", "trials", "rounds mean", "rounds max", "rounds min"],
             [
@@ -219,7 +225,7 @@ def format_catalog() -> str:
     for name in sorted(problems):
         info = problems[name]
         lines.append(
-            f"  {name:24s} det {info.paper_det} / rand {info.paper_rand}"
+            f"  {name:24s} {_placements(info)}"
             f"  [{_constraint_note(info.max_degree, info.min_degree, info.min_girth)}]"
         )
     lines.append(f"\nsolvers ({len(solvers)}):")
@@ -259,7 +265,7 @@ def format_description(name: str) -> str:
         rows = [
             f"problem {info.name}",
             f"  {info.description}",
-            f"  paper placement: det {info.paper_det} / rand {info.paper_rand}",
+            f"  paper placement: {_placements(info)}",
             "  instance constraints: "
             + _constraint_note(info.max_degree, info.min_degree, info.min_girth),
             "  solvers: "

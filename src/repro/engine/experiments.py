@@ -27,24 +27,7 @@ from repro.engine.spec import ExperimentSpec, grid
 from repro.runtime import registry
 from repro.runtime.registry import FamilyInfo, ProblemInfo, SolverInfo
 
-__all__ = ["EXPERIMENTS", "Experiment", "build_experiment", "paper_placement"]
-
-
-def paper_placement(spec_name: str) -> tuple[str, str]:
-    """The paper's (det, rand) placement for a spec, from the registry.
-
-    Registry-generated spec names embed the problem as their second
-    path segment (``<experiment>/<problem>/<solver>@<family>``); the
-    placement is the registered problem's.  Unknown shapes get ("-", "-").
-    """
-    parts = spec_name.split("/")
-    if len(parts) < 2:
-        return ("-", "-")
-    problems = registry.problems()
-    info = problems.get(parts[1])
-    if info is None:
-        return ("-", "-")
-    return (info.paper_det, info.paper_rand)
+__all__ = ["EXPERIMENTS", "Experiment", "build_experiment"]
 
 
 def _registry_spec(

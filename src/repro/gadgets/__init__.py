@@ -27,10 +27,9 @@ from repro.gadgets.labels import (
     RIGHT,
     TREE_LABELS,
     UP,
-    is_pointer,
 )
 from repro.gadgets.prover import ProverResult, error_radius, run_prover
-from repro.gadgets.psi import PsiViolation, psi_labels_are_error_only, verify_psi
+from repro.gadgets.psi import PsiViolation, verify_psi
 from repro.gadgets.scope import GadgetScope
 
 __all__ = [
@@ -65,12 +64,10 @@ __all__ = [
     "RIGHT",
     "TREE_LABELS",
     "UP",
-    "is_pointer",
     "ProverResult",
     "error_radius",
     "run_prover",
     "PsiViolation",
-    "psi_labels_are_error_only",
     "verify_psi",
     "GadgetScope",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "ERROR",
     "Pointer",
     "POINTER_KINDS",
-    "is_pointer",
 ]
 
 
@@ -104,7 +103,3 @@ class Pointer(NamedTuple):
 
 
 POINTER_KINDS = (RIGHT, LEFT, PARENT, RCHILD, UP)
-
-
-def is_pointer(label: object) -> bool:
-    return isinstance(label, Pointer)

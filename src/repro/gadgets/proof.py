@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.gadgets.corruptions import CORRUPTIONS as _CORRUPTION_NAMES
 from repro.runtime.registry import register_family, register_problem, register_solver
+from repro.util.logmath import Placement
 
 __all__ = ["GadgetProverSolver", "gadget_instance", "verify_prover_ok"]
 
@@ -24,8 +25,8 @@ def verify_prover_ok(instance, result) -> None:
 register_problem(
     "gadget-proof",
     description="certify membership in the (log, 3)-gadget family",
-    paper_det="O(log n)",
-    paper_rand="O(log n)",
+    paper_det=Placement("O", "log"),
+    paper_rand=Placement("O", "log"),
     verifier=verify_prover_ok,
 )(lambda: None)  # proof acceptance has no ne-LCL object; the verifier is custom
 

@@ -46,7 +46,7 @@ from repro.gadgets.labels import (
 )
 from repro.gadgets.scope import GadgetScope
 
-__all__ = ["PsiViolation", "verify_psi", "psi_labels_are_error_only"]
+__all__ = ["PsiViolation", "verify_psi"]
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,3 @@ def verify_psi(
                     )
                 )
     return violations
-
-
-def psi_labels_are_error_only(outputs: Mapping[int, object], component: list[int]) -> bool:
-    """True when every node of the component uses an error label."""
-    return all(outputs.get(v) != GADOK for v in component)

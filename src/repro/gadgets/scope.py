@@ -2,8 +2,8 @@
 
 Gadget structure checks must ignore edges that do not belong to the
 gadget (in padded graphs, the ``PortEdge`` connections).  A
-:class:`GadgetScope` wraps a graph, its input labeling, and an edge
-predicate, and offers the label-following navigation that both the
+:class:`GadgetScope` wraps a graph, its input labeling, and an in-scope
+byte per edge, and offers the label-following navigation that both the
 structural checker (Section 4.2/4.3) and the prover V (Section 4.5)
 are written in terms of.
 """
@@ -11,7 +11,7 @@ are written in terms of.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro import kernels
 from repro.gadgets.labels import GadgetHalfInput, GadgetNodeInput
@@ -56,20 +56,17 @@ class GadgetScope:
         self,
         graph: PortGraph,
         inputs: Labeling,
-        edge_in_scope: Callable[[int], bool] | None = None,
+        in_scope: bytes | None = None,
     ):
+        """``in_scope`` holds one byte per edge id, 1 for an edge of the
+        gadget and 0 for one to ignore; None puts every edge in scope."""
         self.graph = graph
         #: ``check_node``'s memo: ``delta -> per-node verdict`` (None
         #: until evaluated; a sound node's verdict is the shared ``()``).
         self.verdicts: dict[int, list[tuple | None]] = {}
         self._off, self._nbr, self._peer, self._eids = graph.csr()
         self._deg = graph.degrees
-        if edge_in_scope is None:
-            self._in_scope = bytearray(b"\x01") * graph.num_edges
-        else:
-            self._in_scope = bytearray(
-                1 if edge_in_scope(eid) else 0 for eid in range(graph.num_edges)
-            )
+        self._in_scope = b"\x01" * graph.num_edges if in_scope is None else in_scope
         self._nodes: list[GadgetNodeInput | None] = [
             label if isinstance(label, GadgetNodeInput) else None
             for label in inputs.node_labels()

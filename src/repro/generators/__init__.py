@@ -16,7 +16,6 @@ from repro.generators.classic import (
 )
 from repro.generators.hard import (
     cubic_instance,
-    family_hard_instance,
     padded_hard_instance,
 )
 from repro.generators.regular import (
@@ -28,7 +27,6 @@ from repro.generators.regular import (
 
 __all__ = [
     "cubic_instance",
-    "family_hard_instance",
     "padded_hard_instance",
     "complete",
     "complete_binary_tree",

@@ -18,7 +18,7 @@ from repro.local.identifiers import random_ids
 from repro.runtime.registry import register_family
 from repro.util.rng import NodeRng
 
-__all__ = ["cubic_instance", "padded_hard_instance", "family_hard_instance"]
+__all__ = ["cubic_instance", "padded_hard_instance"]
 
 
 # The seed picks the regular graph itself: no topology sharing.
@@ -68,12 +68,3 @@ def padded_hard_instance(
             rng=NodeRng(seed),
         )
     return instance
-
-
-def family_hard_instance(level: FamilyLevel):
-    """An instance factory (n, seed) -> Instance for sweeps of Pi_i."""
-
-    def factory(n: int, seed: int) -> Instance:
-        return padded_hard_instance(level, n, seed)
-
-    return factory

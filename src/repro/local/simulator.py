@@ -6,8 +6,10 @@ receives the messages of its neighbors, and updates its state.  Round
 counting is exact: the reported complexity is the number of rounds
 executed before every node has halted.
 
-Algorithms naturally expressed round-by-round (Cole–Vishkin, Luby)
-use this engine; view-based algorithms use
+Two registered solvers run on this engine: the Linial color reduction
+(``linial-4-coloring``, which also runs inside ``cycle-3-coloring``,
+``mis-color-classes`` and ``matching-line-coloring``) and the
+``parity-sync`` demo.  View-based algorithms use
 :class:`repro.local.views.ViewOracle` instead.  Section 2 of the paper
 notes the two are equivalent.
 

@@ -1,11 +1,7 @@
 """Classic LCL problems and their solvers (the blue dots of Figure 1)."""
 
 from repro.problems.coloring import LinialColoringSolver, VertexColoring
-from repro.problems.cycle_coloring import (
-    CycleColoringSolver,
-    ThreeColoringCycles,
-    cole_vishkin_solver,
-)
+from repro.problems.cycle_coloring import CycleColoringSolver, ThreeColoringCycles
 from repro.problems.matching import (
     ColorClassMatchingSolver,
     LubyMatchingSolver,
@@ -18,7 +14,7 @@ from repro.problems.mis import (
     MaximalIndependentSet,
 )
 from repro.problems.orientation import IN, OUT, Orientation, fix_deficient
-from repro.problems.sinkless import SinklessOrientation, sinkless_orientation
+from repro.problems.sinkless import SinklessOrientation
 from repro.problems.sinkless_solvers import (
     DeterministicSinklessSolver,
     RandomizedSinklessSolver,
@@ -37,7 +33,6 @@ __all__ = [
     "VertexColoring",
     "CycleColoringSolver",
     "ThreeColoringCycles",
-    "cole_vishkin_solver",
     "ColorClassMatchingSolver",
     "LubyMatchingSolver",
     "MaximalMatching",
@@ -50,7 +45,6 @@ __all__ = [
     "Orientation",
     "fix_deficient",
     "SinklessOrientation",
-    "sinkless_orientation",
     "DeterministicSinklessSolver",
     "RandomizedSinklessSolver",
     "anchor_scan",

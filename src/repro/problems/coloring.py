@@ -17,6 +17,7 @@ from repro.local.algorithm import Instance, RunResult
 from repro.local.simulator import SyncEngine
 from repro.problems.linial import reduce_color, reduction_schedule
 from repro.runtime.registry import register_problem, register_solver
+from repro.util.logmath import Placement
 
 __all__ = ["VertexColoring", "LinialColoringSolver", "proper_coloring_labeling"]
 
@@ -163,8 +164,8 @@ register_problem(
     "4-coloring",
     description="proper vertex coloring with 4 colors (Delta <= 3)",
     max_degree=3,
-    paper_det="Theta(log* n)",
-    paper_rand="Theta(log* n)",
+    paper_det=Placement("Theta", "log*"),
+    paper_rand=Placement("Theta", "log*"),
 )(lambda: VertexColoring(4))
 
 register_solver(

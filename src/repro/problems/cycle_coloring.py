@@ -18,16 +18,17 @@ from repro.lcl.problem import NeLCL
 from repro.local.algorithm import Instance, RunResult
 from repro.problems.coloring import LinialColoringSolver, VertexColoring
 from repro.runtime.registry import register_problem, register_solver
+from repro.util.logmath import Placement
 
-__all__ = ["ThreeColoringCycles", "cole_vishkin_solver", "CycleColoringSolver"]
+__all__ = ["ThreeColoringCycles", "CycleColoringSolver"]
 
 
 @register_problem(
     "3-coloring-cycles",
     description="proper 3-coloring of paths and cycles",
     max_degree=2,
-    paper_det="Theta(log* n)",
-    paper_rand="Theta(log* n)",
+    paper_det=Placement("Theta", "log*"),
+    paper_rand=Placement("Theta", "log*"),
 )
 class ThreeColoringCycles:
     """Factory for the 3-coloring LCL restricted to degree <= 2 graphs.
@@ -73,8 +74,3 @@ class CycleColoringSolver:
         if instance.graph.max_degree > 2:
             raise ValueError("cycle coloring requires maximum degree 2")
         return LinialColoringSolver(num_colors=3).solve(instance)
-
-
-def cole_vishkin_solver() -> CycleColoringSolver:
-    """The deterministic Theta(log* n) cycle-coloring solver."""
-    return CycleColoringSolver()

@@ -21,6 +21,7 @@ from repro.local.graphs import PortGraph
 from repro.local.identifiers import IdAssignment
 from repro.problems.coloring import LinialColoringSolver
 from repro.runtime.registry import register_problem, register_solver
+from repro.util.logmath import Placement
 
 _MATCHING_FAMILIES = ("cycle", "path", "cubic", "torus", "high-girth-cubic")
 
@@ -41,8 +42,8 @@ _HALF = LabelSet(
 @register_problem(
     "maximal-matching",
     description="maximal matching (no two matched edges share a node)",
-    paper_det="Theta(log* n)",
-    paper_rand="Theta(log* n)",
+    paper_det=Placement("Theta", "log*"),
+    paper_rand=Placement("Theta", "log*"),
 )
 class MaximalMatching:
     """Factory for the maximal-matching ne-LCL (loops never matched)."""

@@ -29,6 +29,7 @@ from repro.local.algorithm import Instance, RunResult
 from repro.local.graphs import PortGraph
 from repro.problems.coloring import LinialColoringSolver
 from repro.runtime.registry import register_problem, register_solver
+from repro.util.logmath import Placement
 
 __all__ = ["MaximalIndependentSet", "ColorClassMisSolver", "LubyMisSolver", "mis_labeling"]
 
@@ -44,8 +45,8 @@ _NODE = LabelSet("mis-node", {IN_SET, OUT_SET})
 @register_problem(
     "mis",
     description="maximal independent set (independent dominating set)",
-    paper_det="Theta(log* n)",
-    paper_rand="Theta(log* n)",
+    paper_det=Placement("Theta", "log*"),
+    paper_rand=Placement("Theta", "log*"),
 )
 class MaximalIndependentSet:
     """Factory for the MIS ne-LCL."""

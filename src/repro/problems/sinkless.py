@@ -18,22 +18,19 @@ from __future__ import annotations
 from repro.lcl.labels import EMPTY, LabelSet
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration
 from repro.problems.orientation import IN, OUT
-from repro.runtime.registry import register_problem
 
-__all__ = ["SinklessOrientation", "sinkless_orientation"]
+__all__ = ["SinklessOrientation"]
 
 _HALF_OUTPUTS = LabelSet("orientation", {OUT, IN})
 _SILENT = LabelSet("silent", {EMPTY})
 
 
-@register_problem(
-    "sinkless-orientation",
-    description="orient every edge; nodes of degree >= 3 need an out-edge",
-    paper_det="Theta(log n)",
-    paper_rand="Theta(loglog n)",
-)
 class SinklessOrientation:
-    """Factory for the sinkless-orientation ne-LCL."""
+    """Factory for the sinkless-orientation ne-LCL.
+
+    :mod:`repro.core.family` registers it as Pi_1, with Theorem 11's
+    placement.
+    """
 
     def __init__(self, exempt_below: int = 3):
         if exempt_below < 0:
@@ -69,8 +66,3 @@ class SinklessOrientation:
             ),
             metadata={"exempt_below": exempt_below},
         )
-
-
-def sinkless_orientation(exempt_below: int = 3) -> NeLCL:
-    """Convenience constructor for the default sinkless-orientation LCL."""
-    return SinklessOrientation(exempt_below).problem()

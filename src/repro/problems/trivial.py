@@ -16,6 +16,7 @@ from repro.local.algorithm import Instance, RunResult
 from repro.local.simulator import SyncEngine
 from repro.local.views import ViewOracle
 from repro.runtime.registry import register_problem, register_solver
+from repro.util.logmath import Placement
 
 __all__ = [
     "ConstantLabelProblem",
@@ -31,8 +32,8 @@ _ALL_FAMILIES = ("cycle", "path", "cubic", "torus", "tree", "high-girth-cubic")
 @register_problem(
     "constant",
     description="every node outputs the fixed label 'ok'",
-    paper_det="O(1)",
-    paper_rand="O(1)",
+    paper_det=Placement("O", "1"),
+    paper_rand=Placement("O", "1"),
 )
 class ConstantLabelProblem:
     """Every node outputs the fixed label; always satisfiable in 0 rounds."""
@@ -55,8 +56,8 @@ class ConstantLabelProblem:
 @register_problem(
     "degree-parity",
     description="label each node with deg(v) mod 2",
-    paper_det="O(1)",
-    paper_rand="O(1)",
+    paper_det=Placement("O", "1"),
+    paper_rand=Placement("O", "1"),
 )
 class ParityOfDegreeProblem:
     """Output your degree's parity; a 0-round but non-constant LCL."""

@@ -36,6 +36,8 @@ import importlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.util.logmath import Placement
+
 __all__ = [
     "FamilyInfo",
     "ProblemInfo",
@@ -95,9 +97,10 @@ class ProblemInfo:
     max_degree: int | None = None
     min_degree: int | None = None
     min_girth: int | None = None
-    #: The paper's Figure 1 placement, e.g. "Theta(log n)" / "-".
-    paper_det: str = "-"
-    paper_rand: str = "-"
+    #: The paper's Figure 1 placement, e.g. ``Placement("Theta", "log")``
+    #: (printed ``Theta(log n)``); None where the paper places none.
+    paper_det: Placement | None = None
+    paper_rand: Placement | None = None
     #: Custom ``(instance, result) -> None`` check; when None the
     #: runtime derives one from the factory (ne-LCL verifier, or the
     #: object's own ``verify``).
@@ -200,8 +203,8 @@ def register_problem(
     max_degree: int | None = None,
     min_degree: int | None = None,
     min_girth: int | None = None,
-    paper_det: str = "-",
-    paper_rand: str = "-",
+    paper_det: Placement | None = None,
+    paper_rand: Placement | None = None,
     verifier: Callable[[Any, Any], None] | None = None,
 ):
     """Class/function decorator (or plain call) adding a problem entry.

@@ -4,7 +4,6 @@ from repro.util.fsio import atomic_write_text
 from repro.util.logmath import (
     ceil_log2,
     floor_log2,
-    iterated_log,
     log_star,
 )
 from repro.util.rng import NodeRng, fork_rng
@@ -13,7 +12,6 @@ __all__ = [
     "atomic_write_text",
     "ceil_log2",
     "floor_log2",
-    "iterated_log",
     "log_star",
     "NodeRng",
     "fork_rng",

@@ -1,16 +1,29 @@
-"""Integer logarithm helpers used throughout the complexity accounting.
+"""Logarithm helpers and the growth vocabulary of the paper's claims.
 
 The paper states all bounds in terms of ``log n``, ``log log n`` and
-``log* n``; these helpers provide exact integer versions so that measured
-round counts can be compared against predictions without floating-point
-ambiguity at small ``n``.
+``log* n``.  This module holds exact integer versions for round
+accounting, one clamped float ``log``/``loglog`` pair for predictions,
+and the growth classes every claim and fit is written in:
+:data:`GROWTH_FUNCTIONS` names them, and a :class:`Placement` states a
+claim as a bound on one of them.  It imports nothing from the rest of
+the package, so registering modules can state their claims with it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
-__all__ = ["floor_log2", "ceil_log2", "iterated_log", "log_star"]
+__all__ = [
+    "GROWTH_FUNCTIONS",
+    "Placement",
+    "ceil_log2",
+    "floor_log2",
+    "log",
+    "log_star",
+    "loglog",
+]
 
 
 def floor_log2(x: int) -> int:
@@ -27,22 +40,6 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def iterated_log(x: float, iterations: int) -> float:
-    """Apply ``log2`` to ``x`` the given number of times.
-
-    Values are clamped at 1 from below between applications so that the
-    function stays defined for the small ``n`` used in tests.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    value = float(x)
-    for _ in range(iterations):
-        value = math.log2(max(value, 1.0) + 1e-12) if value > 1.0 else 0.0
-        if value <= 0.0:
-            return 0.0
-    return value
-
-
 def log_star(x: float) -> int:
     """Return ``log* x``: the number of times ``log2`` must be applied
     before the value drops to at most 1."""
@@ -54,3 +51,57 @@ def log_star(x: float) -> int:
         if count > 64:  # unreachable for sane inputs; guards bad floats
             raise OverflowError(f"log_star did not converge for {x!r}")
     return count
+
+
+def log(n: float) -> float:
+    """``log2 n``, clamped to 1 below ``n = 2``."""
+    return math.log2(max(n, 2.0))
+
+
+def loglog(n: float) -> float:
+    """``log2 log2 n``, clamped to 1 below ``n = 4``."""
+    return math.log2(max(log(n), 2.0))
+
+
+#: The growth classes of Figure 1's axes, by name, declared
+#: slowest-growing first (:func:`repro.analysis.growth.growth_rank`
+#: reads that order).
+GROWTH_FUNCTIONS: dict[str, Callable[[float], float]] = {
+    "1": lambda n: 1.0,
+    "log*": lambda n: float(log_star(n)),
+    "loglog": loglog,
+    "log": log,
+    "log loglog": lambda n: log(n) * loglog(n),
+    "log^2": lambda n: log(n) ** 2,
+    "log^2 loglog": lambda n: log(n) ** 2 * loglog(n),
+    "log^3": lambda n: log(n) ** 3,
+    "sqrt": lambda n: math.sqrt(n),
+    "n": lambda n: float(n),
+}
+
+
+@dataclass(frozen=True)
+class Placement:
+    """A claim about one complexity: ``bound`` (``"Theta"`` or ``"O"``)
+    of the growth class ``growth``, a key of :data:`GROWTH_FUNCTIONS`.
+
+    ``str()`` writes each factor over ``n``: ``Placement("Theta",
+    "log loglog")`` is ``Theta(log n loglog n)``, and ``Placement("O",
+    "1")`` is ``O(1)``.
+    """
+
+    bound: str
+    growth: str
+
+    def __post_init__(self) -> None:
+        if self.bound not in ("Theta", "O"):
+            raise ValueError(f"bound must be 'Theta' or 'O', not {self.bound!r}")
+        if self.growth not in GROWTH_FUNCTIONS:
+            raise ValueError(f"unknown growth class {self.growth!r}")
+
+    def __str__(self) -> str:
+        factors = " ".join(
+            factor if factor in ("1", "n") else f"{factor} n"
+            for factor in self.growth.split()
+        )
+        return f"{self.bound}({factors})"

@@ -517,8 +517,12 @@ class TestAutoBatchSize:
 
 
 class TestBestPerCellLandscape:
-    def _report(self, name, points):
-        spec = ExperimentSpec(name, "p", "s", "g", ns=(64,), seeds=(0,))
+    def _report(self, solver, points):
+        """A finished degree-parity@cycle report of ``solver``."""
+        name = f"landscape/degree-parity/{solver}@cycle"
+        spec = ExperimentSpec(
+            name, "degree-parity", solver, "cycle", ns=(64,), seeds=(0,)
+        )
         sweep = Sweep(solver_name=name, points=points)
         return type("FakeReport", (), {"spec": spec, "sweep": sweep})()
 
@@ -541,14 +545,8 @@ class TestBestPerCellLandscape:
         # "parity" sorts before "parity-sync", but its fake sweep grows
         # linearly while parity-sync stays constant: the best-per-cell
         # policy must pick the constant one for the det column.
-        growing = self._report(
-            "landscape/degree-parity/parity@cycle",
-            self._points([64, 128, 256, 512]),
-        )
-        flat = self._report(
-            "landscape/degree-parity/parity-sync@cycle",
-            self._points([3, 3, 3, 3]),
-        )
+        growing = self._report("parity", self._points([64, 128, 256, 512]))
+        flat = self._report("parity-sync", self._points([3, 3, 3, 3]))
         rows = rows_from_engine_reports([growing, flat])
         assert len(rows) == 1
         assert rows[0].det_sweep is flat.sweep
@@ -557,13 +555,8 @@ class TestBestPerCellLandscape:
     def test_short_sweeps_lose_to_fitted_ones(self):
         from repro.analysis.landscape import rows_from_engine_reports
 
-        short = self._report(
-            "landscape/degree-parity/parity@cycle", self._points([1, 1])
-        )
-        fitted = self._report(
-            "landscape/degree-parity/parity-sync@cycle",
-            self._points([5, 6, 7, 8]),
-        )
+        short = self._report("parity", self._points([1, 1]))
+        fitted = self._report("parity-sync", self._points([5, 6, 7, 8]))
         rows = rows_from_engine_reports([short, fitted])
         assert rows[0].det_sweep is fitted.sweep
 

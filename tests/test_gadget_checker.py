@@ -190,8 +190,9 @@ class TestScopeSnapshot:
     def test_edge_filter(self):
         built = build_gadget(3, 3)
         kept = lambda eid: eid % 3 != 0  # noqa: E731
+        in_scope = bytes(kept(eid) for eid in range(built.graph.num_edges))
         self._assert_both_modes(
-            GadgetScope(built.graph, built.inputs, kept), built.inputs, kept
+            GadgetScope(built.graph, built.inputs, in_scope), built.inputs, kept
         )
 
     def test_padded_instance_scope(self):

@@ -810,8 +810,8 @@ def _padded_scope(graph, inputs):
     from repro.gadgets import GadgetScope
 
     projection = GadgetProjection(graph, inputs)
-    tags = projection.edge_labels()
-    return lambda: GadgetScope(graph, projection, lambda eid: tags[eid] != PORTEDGE)
+    in_scope = bytes(tag != PORTEDGE for tag in projection.edge_labels())
+    return lambda: GadgetScope(graph, projection, in_scope)
 
 
 @needs_numpy
@@ -925,7 +925,9 @@ class TestGadgetStructuralPass:
         variants += [(built.inputs, {eid}) for eid in range(graph.num_edges)]
         for inputs, dropped in variants:
             make = lambda: GadgetScope(  # noqa: E731
-                graph, inputs, lambda eid: eid not in dropped
+                graph,
+                inputs,
+                bytes(eid not in dropped for eid in range(graph.num_edges)),
             )
             mask, clean = self._verdicts(make, delta)
             assert mask == clean
@@ -981,7 +983,9 @@ class TestGadgetStructuralPass:
                     if built.inputs.half_at(v, port).label in (LCHILD, RCHILD)
                 )
         make = lambda: GadgetScope(  # noqa: E731
-            graph, inputs, lambda eid: eid not in out_of_scope
+            graph,
+            inputs,
+            bytes(eid not in out_of_scope for eid in range(graph.num_edges)),
         )
         mask, clean = self._verdicts(make, delta)
         if exact:

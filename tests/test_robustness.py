@@ -157,7 +157,9 @@ class TestGadgetScope:
             for p in range(built.graph.degree(built.center))
         }
         scope = GadgetScope(
-            built.graph, built.inputs, lambda eid: eid not in center_edges
+            built.graph,
+            built.inputs,
+            bytes(eid not in center_edges for eid in range(built.graph.num_edges)),
         )
         comps = scope.components()
         assert len(comps) == 3  # two sub-gadgets + isolated center

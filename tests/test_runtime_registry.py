@@ -259,9 +259,26 @@ class TestEngineIntegration:
         assert "solves sinkless-orientation" in out
         assert main(["describe", "nope"]) == 2
 
-    def test_paper_placement_reads_registry(self):
-        from repro.engine.experiments import paper_placement
+    def test_reports_read_a_hand_named_spec_by_its_fields(self):
+        """A spec's name is free text: the paper line and the Figure 1
+        row come from its problem, solver and generator fields."""
+        from repro.analysis.landscape import rows_from_engine_reports
+        from repro.engine import ExperimentSpec, run_experiment
+        from repro.engine.cli import format_report
 
-        det, rand = paper_placement("landscape/sinkless-orientation/x@cubic")
-        assert det == "Theta(log n)" and rand == "Theta(loglog n)"
-        assert paper_placement("weird") == ("-", "-")
+        spec = ExperimentSpec(
+            name="sinkless/det",
+            problem="sinkless-orientation",
+            solver="sinkless-det",
+            generator="cubic",
+            ns=(16, 32),
+            seeds=(0,),
+        )
+        report = run_experiment(spec, workers=1, cache=None)
+        assert (
+            "paper: det Theta(log n) / rand Theta(loglog n)"
+            in format_report([report])
+        )
+        (row,) = rows_from_engine_reports([report])
+        assert row.problem == "sinkless-orientation @ cubic"
+        assert row.det_sweep is report.sweep and row.rand_sweep is None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util import NodeRng, ceil_log2, floor_log2, fork_rng, iterated_log, log_star
+from repro.util import NodeRng, ceil_log2, floor_log2, fork_rng, log_star
 
 
 class TestLogMath:
@@ -35,14 +35,6 @@ class TestLogMath:
         assert log_star(16) == 3
         assert log_star(65536) == 4
         assert log_star(2.0**65536 if False else 10**9) == 5
-
-    def test_iterated_log(self):
-        assert iterated_log(256, 0) == 256
-        assert iterated_log(256, 1) == pytest.approx(8, abs=1e-6)
-        assert iterated_log(256, 2) == pytest.approx(3, abs=1e-6)
-        assert iterated_log(1, 5) == 0.0
-        with pytest.raises(ValueError):
-            iterated_log(4, -1)
 
     @given(st.integers(min_value=2, max_value=10**9))
     @settings(max_examples=50)
