@@ -7,6 +7,16 @@ gather across the CSR ``dest`` involution delivers every message, one
 ``step_all`` call advances every node, and the active set is compacted
 to flat slot ranges as nodes halt — no per-node Python in the loop.
 
+A program may also finish its run in *closed form*: after a round's
+``step_all`` it reports, through its optional ``closed_tail``, how many
+rounds from that one on it has already computed.  The engine then
+charges those rounds to every still-active node — trace entries,
+``engine.rounds`` and ``engine.active_nodes`` as if they had been
+stepped — halts those nodes at the tail's end and stops.  Linial's
+palette elimination runs this way (one array pass per non-empty color
+class instead of one round per eliminated color);
+``kernels.tail_rounds`` counts the rounds finished in closed form.
+
 Import this module only behind :func:`repro.kernels.vector_enabled`: it
 imports numpy at module load.  Semantics are pinned to the object loop
 **bit-identically** — ``halt_rounds``, round traces, and
@@ -137,10 +147,13 @@ def run_array_program(
     round ``r`` send nothing that round, rounds count message rounds,
     the trace records per-round active counts, and exhausting
     ``max_rounds`` raises :class:`ConvergenceError` with the same
-    diagnostics.
+    diagnostics — also when ``max_rounds`` falls inside a closed-form
+    tail, whose rounds are traced up to the cut.
     """
     layout = SlotLayout(instance.graph)
     program.init_all(instance, layout)
+    closed_tail = getattr(program, "closed_tail", None)
+    tail = 0
     n = layout.num_nodes
     halted = np.zeros(n, dtype=bool)
     halt_rounds = np.zeros(n, dtype=_I64)
@@ -162,6 +175,22 @@ def run_array_program(
         active = int(active_nodes.size)
         if active == 0:
             break
+        if closed_tail is not None:
+            tail = closed_tail()
+            if tail:
+                # rounds round_index .. end - 1 are computed; every
+                # active node takes part in them and halts at ``end``
+                end = round_index + tail
+                trace.extend(
+                    MessageRound(r, active)
+                    for r in range(round_index, min(end, max_rounds))
+                )
+                if end >= max_rounds:
+                    raise ConvergenceError(max_rounds, active, trace)
+                rounds += tail
+                active_total += active * tail
+                halt_rounds[active_nodes] = end
+                break
         if out_values is None or out_values.shape[0] != layout.total:
             got = "no" if out_values is None else out_values.shape[0]
             raise ValueError(
@@ -192,6 +221,8 @@ def run_array_program(
     telemetry.incr("engine.rounds", rounds)
     telemetry.incr("engine.active_nodes", active_total)
     telemetry.incr("kernels.array_rounds", rounds)
+    if tail:
+        telemetry.incr("kernels.tail_rounds", tail)
     return EngineResult(
         results=program.results_all(),
         rounds=rounds,

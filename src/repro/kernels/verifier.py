@@ -16,10 +16,11 @@ value.  The vector pass exploits exactly that:
 3. dedupe the rows and evaluate the Python predicate once per distinct
    row, on a genuine configuration object built for a representative
    element (so the constraint sees exactly what the object layer shows
-   it).  Deduping packs each row into a single int64 key by
-   mixed-radix accumulation over the per-column value ranges (one
-   1-D sort) — the ``np.unique(axis=0)`` row-sort it replaces is an
-   order of magnitude slower and only kept as the overflow fallback;
+   it).  Deduping packs each row into a single int64 key, a
+   mixed-radix number over the per-column value ranges (one
+   matrix-vector product, then one 1-D sort) — the
+   ``np.unique(axis=0)`` row-sort it replaces is an order of magnitude
+   slower and only kept as the overflow fallback;
 4. scatter the verdicts back through the dedupe's inverse index.
 
 Verdicts are bit-identical to the object layer, violations included:
@@ -57,23 +58,26 @@ def _dedupe_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` of the distinct rows of an int64 matrix.
 
     ``first[k]`` is the row index of the first occurrence of the k-th
-    distinct row; ``inverse[i]`` maps row ``i`` to its distinct-row
-    index.  Entries are non-negative label codes, so each row packs
-    into one int64 by mixed-radix accumulation over the per-column
-    value ranges — a single 1-D sort instead of the lexicographic
-    row-sort ``np.unique(axis=0)`` pays.  Falls back to the row-sort
-    in the (pathological: ~2**63 distinct configurations) case where
-    the radix product would overflow.
+    distinct row, in ascending row order; ``inverse[i]`` maps row ``i``
+    to its distinct-row index — exactly what ``np.unique(rows, axis=0,
+    return_index=True, return_inverse=True)`` returns.  Entries are
+    non-negative label codes, so each row packs into one int64 key, a
+    mixed-radix number over the per-column value ranges (one
+    matrix-vector product) — a single 1-D sort instead of the
+    lexicographic row-sort ``np.unique(axis=0)`` pays.  Falls back to
+    the row-sort in the (pathological: ~2**63 distinct configurations)
+    case where the radix product would overflow.
     """
-    maxes = rows.max(axis=0).tolist() if rows.size else []
+    count, columns = rows.shape
+    maxes = rows.max(axis=0).tolist() if count else [0] * columns
+    # column j's radix weight is the product of the later columns' ranges
+    weights = []
     span = 1
-    for m in maxes:
+    for m in reversed(maxes):
+        weights.append(span)
         span *= m + 1
-    if 0 < span < 2**63:
-        keys = rows[:, 0].copy()
-        for j in range(1, rows.shape[1]):
-            keys *= maxes[j] + 1
-            keys += rows[:, j]
+    if span < 2**63:
+        keys = rows @ np.array(weights[::-1], dtype=_I64)
         _, first, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )

@@ -55,30 +55,72 @@ class Verdict:
         return "\n".join(lines)
 
 
+class _Tables:
+    """The flat tables configurations are assembled from: the graph's
+    CSR core and edge slots, and both labelings' node, edge and slot
+    lists.  :func:`verify` reads them once per call, not once per
+    element."""
+
+    __slots__ = (
+        "off",
+        "nbr",
+        "eids",
+        "ends",
+        "in_nodes",
+        "out_nodes",
+        "in_edges",
+        "out_edges",
+        "in_slots",
+        "out_slots",
+    )
+
+    def __init__(self, graph: PortGraph, inputs: Labeling, outputs: Labeling):
+        self.off, self.nbr, _peer, self.eids = graph.csr()
+        self.ends = graph.edge_slots()
+        self.in_nodes, self.out_nodes = inputs.node_labels(), outputs.node_labels()
+        self.in_edges, self.out_edges = inputs.edge_labels(), outputs.edge_labels()
+        self.in_slots, self.out_slots = inputs.slot_labels(), outputs.slot_labels()
+
+    def node(self, v: int) -> NodeConfiguration:
+        start, end = self.off[v], self.off[v + 1]
+        row = self.eids[start:end].tolist()
+        return NodeConfiguration(
+            degree=end - start,
+            node_input=self.in_nodes[v],
+            node_output=self.out_nodes[v],
+            edge_inputs=tuple(map(self.in_edges.__getitem__, row)),
+            edge_outputs=tuple(map(self.out_edges.__getitem__, row)),
+            half_inputs=tuple(self.in_slots[start:end]),
+            half_outputs=tuple(self.out_slots[start:end]),
+            loop_ports=tuple([u == v for u in self.nbr[start:end].tolist()]),
+        )
+
+    def edge(self, eid: int) -> EdgeConfiguration:
+        a, b = self.ends[2 * eid], self.ends[2 * eid + 1]
+        u, w = self.nbr[b], self.nbr[a]
+        in_nodes, out_nodes = self.in_nodes, self.out_nodes
+        return EdgeConfiguration(
+            node_inputs=(in_nodes[u], in_nodes[w]),
+            node_outputs=(out_nodes[u], out_nodes[w]),
+            edge_input=self.in_edges[eid],
+            edge_output=self.out_edges[eid],
+            half_inputs=(self.in_slots[a], self.in_slots[b]),
+            half_outputs=(self.out_slots[a], self.out_slots[b]),
+            is_loop=u == w,
+        )
+
+
 def node_configuration(
     graph: PortGraph, v: int, inputs: Labeling, outputs: Labeling
 ) -> NodeConfiguration:
     """Assemble the configuration node ``v`` checks locally.
 
     Reads topology through the flat incidence core and labels through
-    the labelings' slot lists: node ``v``'s ports are the slots
+    the labelings' lists: node ``v``'s ports are the slots
     ``offsets[v]..offsets[v + 1]``, and a port is a loop port exactly
     when its flat neighbor entry is ``v`` itself.
     """
-    off, nbr, _peer, eids = graph.csr()
-    start, end = off[v], off[v + 1]
-    row = eids[start:end].tolist()
-    in_edges, out_edges = inputs.edge_labels(), outputs.edge_labels()
-    return NodeConfiguration(
-        degree=end - start,
-        node_input=inputs.node(v),
-        node_output=outputs.node(v),
-        edge_inputs=tuple(in_edges[e] for e in row),
-        edge_outputs=tuple(out_edges[e] for e in row),
-        half_inputs=tuple(inputs.slot_labels()[start:end]),
-        half_outputs=tuple(outputs.slot_labels()[start:end]),
-        loop_ports=tuple(u == v for u in nbr[start:end].tolist()),
-    )
+    return _Tables(graph, inputs, outputs).node(v)
 
 
 def edge_configuration(
@@ -86,20 +128,7 @@ def edge_configuration(
 ) -> EdgeConfiguration:
     """Assemble the configuration edge ``eid`` checks locally (its ``a``
     side first)."""
-    ends = graph.edge_slots()
-    nbr = graph.csr()[1]
-    a, b = ends[2 * eid], ends[2 * eid + 1]
-    u, w = nbr[b], nbr[a]
-    in_slots, out_slots = inputs.slot_labels(), outputs.slot_labels()
-    return EdgeConfiguration(
-        node_inputs=(inputs.node(u), inputs.node(w)),
-        node_outputs=(outputs.node(u), outputs.node(w)),
-        edge_input=inputs.edge(eid),
-        edge_output=outputs.edge(eid),
-        half_inputs=(in_slots[a], in_slots[b]),
-        half_outputs=(out_slots[a], out_slots[b]),
-        is_loop=u == w,
-    )
+    return _Tables(graph, inputs, outputs).edge(eid)
 
 
 def _domain_violations(
@@ -165,9 +194,10 @@ def verify(
     if check_input_domain:
         violations += _domain_violations(problem, graph, inputs, "input")
 
+    tables = _Tables(graph, inputs, outputs)
     node_constraint = problem.node_constraint
     for v in graph.nodes():
-        config = node_configuration(graph, v, inputs, outputs)
+        config = tables.node(v)
         if not node_constraint(config):
             violations.append(
                 Violation("node", v, f"node constraint of {problem.name} failed")
@@ -175,7 +205,7 @@ def verify(
     edge_constraint = problem.edge_constraint
     check_flip = not problem.edge_symmetric
     for eid in range(graph.num_edges):
-        config = edge_configuration(graph, eid, inputs, outputs)
+        config = tables.edge(eid)
         if not edge_constraint(config):
             violations.append(
                 Violation("edge", eid, f"edge constraint of {problem.name} failed")

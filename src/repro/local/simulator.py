@@ -21,7 +21,9 @@ Two execution paths share the exact same semantics:
   run whole-population at a time over flat per-slot numpy arrays in
   :func:`repro.kernels.engine.run_array_program`: one gather across the
   CSR delivery involution, one ``step_all``, active-set compaction as
-  nodes halt — no per-node Python in the loop.
+  nodes halt — no per-node Python in the loop.  A program whose last
+  rounds have a closed form (Linial's palette elimination) computes
+  them in one call and reports them as a tail instead of stepping them.
 
 Results, ``halt_rounds``, round traces, and
 :class:`ConvergenceError` diagnostics are bit-identical across the two;
@@ -110,6 +112,15 @@ class ArrayProgram(Protocol):
     the object node would return ``None`` this round.  Programs are
     single-use: the engine builds one per run via the factory handed to
     :class:`SyncEngine`.
+
+    A program may also define ``closed_tail() -> int``, which the engine
+    reads after every ``step_all(r, ...)`` that leaves some node active.
+    A positive ``R`` says the program has already computed rounds
+    ``r .. r + R - 1`` in closed form (their outbox is then not read, so
+    ``step_all`` may return ``None`` for it): every still-active node
+    takes part in all of them and halts at round ``r + R``, as its
+    object node would.  The engine charges those rounds without
+    stepping them and stops.
     """
 
     def init_all(self, instance: Instance, layout: Any) -> None:  # pragma: no cover

@@ -6,6 +6,15 @@ synchronous engine: identifiers seed the initial proper coloring, each
 Linial step shrinks the palette (O(log* n) rounds), and a final
 color-class elimination walks the palette down to the target size
 (O(Delta^2 polylog Delta) rounds, constant in n).
+
+The elimination phase removes one color class per round, highest
+first; each member of the class moves to the smallest target color no
+neighbor holds.  The object node program steps those rounds one by one.
+The array twin (:class:`repro.kernels.programs.LinialProgram`) computes
+them in closed form — one array pass per non-empty class, which is
+exact because a class of a proper coloring is an independent set — and
+the engine charges every node the same rounds, so rounds, radii and
+colors are identical on both backends.
 """
 
 from __future__ import annotations
@@ -58,10 +67,7 @@ class VertexColoring:
 
 
 def proper_coloring_labeling(graph, colors: list[int]) -> Labeling:
-    labeling = Labeling(graph)
-    for v, color in enumerate(colors):
-        labeling.set_node(v, color)
-    return labeling
+    return Labeling(graph).set_node_labels(colors)
 
 
 class _LinialNode:

@@ -7,12 +7,14 @@ constraints force at most one matched incidence, consistency of the
 neighbors).
 
 The deterministic solver colors the *line graph* with Linial's
-algorithm and sweeps color classes; the randomized one is a Luby-style
-proposal scheme on edges.
+algorithm and sweeps color classes (on the vector backend, one array
+pass per class: :func:`repro.kernels.programs.matching_sweep`); the
+randomized one is a Luby-style proposal scheme on edges.
 """
 
 from __future__ import annotations
 
+from repro import kernels
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import LabelSet
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration
@@ -176,20 +178,23 @@ class ColorClassMatchingSolver:
             lg, IdAssignment(line_ids), None, None, instance.rng
         )
         coloring_run = LinialColoringSolver().solve(line_instance)
-        colors = [coloring_run.outputs.node(e) for e in lg.nodes()]
-        palette = max(colors, default=0) + 1
-        matched: set[int] = set()
-        node_matched = [False] * graph.num_nodes
-        sweep_rounds = 0
-        for c in range(palette):
-            sweep_rounds += 1
-            for eid, (u, w) in enumerate(zip(a_nodes, b_nodes)):
-                if colors[eid] != c or u == w:
-                    continue
-                if not node_matched[u] and not node_matched[w]:
-                    matched.add(eid)
-                    node_matched[u] = True
-                    node_matched[w] = True
+        colors = coloring_run.outputs.node_labels()
+        sweep_rounds = max(colors, default=0) + 1
+        if kernels.vector_enabled():
+            from repro.kernels.programs import matching_sweep
+
+            matched = matching_sweep(graph, colors)
+        else:
+            matched = set()
+            node_matched = [False] * graph.num_nodes
+            for c in range(sweep_rounds):
+                for eid, (u, w) in enumerate(zip(a_nodes, b_nodes)):
+                    if colors[eid] != c or u == w:
+                        continue
+                    if not node_matched[u] and not node_matched[w]:
+                        matched.add(eid)
+                        node_matched[u] = True
+                        node_matched[w] = True
         line_rounds = coloring_run.rounds
         total_rounds = 2 * line_rounds + sweep_rounds + 1
         return RunResult(

@@ -13,7 +13,8 @@ Solvers:
 
 * :class:`ColorClassMisSolver` (deterministic): proper coloring via
   Linial, then one sweep over color classes; O(log* n) + poly(Delta)
-  rounds.
+  rounds.  On the vector backend the sweep is one array pass per class
+  (:func:`repro.kernels.programs.mis_sweep`).
 * :class:`LubyMisSolver` (randomized): classic Luby rounds; O(log n)
   w.h.p.  Included as the natural randomized baseline even though
   randomness does not improve over the deterministic complexity here
@@ -22,6 +23,7 @@ Solvers:
 
 from __future__ import annotations
 
+from repro import kernels
 from repro.lcl.assignment import Labeling
 from repro.lcl.labels import LabelSet
 from repro.lcl.problem import EdgeConfiguration, NeLCL, NodeConfiguration
@@ -118,21 +120,24 @@ class ColorClassMisSolver:
     def solve(self, instance: Instance) -> RunResult:
         graph = instance.graph
         coloring_run = LinialColoringSolver().solve(instance)
-        colors = [coloring_run.outputs.node(v) for v in graph.nodes()]
-        palette = max(colors, default=0) + 1
-        members: set[int] = set()
-        blocked: set[int] = set()
+        colors = coloring_run.outputs.node_labels()
         # one synchronous round per color class; same-class nodes are
         # non-adjacent so their joint decision is conflict-free
-        sweep_rounds = 0
-        for c in range(palette):
-            sweep_rounds += 1
-            for v in graph.nodes():
-                if colors[v] == c and v not in blocked and v not in members:
-                    members.add(v)
-                    for u in graph.neighbors(v):
-                        if u != v:
-                            blocked.add(u)
+        sweep_rounds = max(colors, default=0) + 1
+        if kernels.vector_enabled():
+            from repro.kernels.programs import mis_sweep
+
+            members = mis_sweep(graph, colors)
+        else:
+            members = set()
+            blocked: set[int] = set()
+            for c in range(sweep_rounds):
+                for v in graph.nodes():
+                    if colors[v] == c and v not in blocked and v not in members:
+                        members.add(v)
+                        for u in graph.neighbors(v):
+                            if u != v:
+                                blocked.add(u)
         total = [r + sweep_rounds for r in coloring_run.node_radius]
         return RunResult(
             outputs=mis_labeling(graph, members),

@@ -400,6 +400,48 @@ class TestVectorVerifierTwin:
             assert isinstance(per_core[problem], VectorPreparedVerifier)
 
 
+@needs_numpy
+class TestDedupeRows:
+    """``_dedupe_rows`` returns ``np.unique``'s ``(first, inverse)`` on
+    both paths: the packed-key sort, and the row-sort fallback for radix
+    products past int64."""
+
+    @staticmethod
+    def _unique(rows):
+        import numpy as np
+
+        _, first, inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
+        )
+        return first, np.asarray(inverse).reshape(-1)
+
+    @pytest.mark.parametrize(
+        "count, high",
+        [
+            (0, 4),  # no rows
+            (1, 4),  # one row
+            (1, 2**40),
+            (300, 3),  # many repeats
+            (50, 10**6),  # few repeats
+            (40, 2**40),  # a radix product past int64: the row-sort
+        ],
+    )
+    def test_matches_np_unique(self, count, high):
+        import numpy as np
+
+        from repro.kernels.verifier import _dedupe_rows
+
+        rng = np.random.default_rng(count ^ high)
+        for columns in (1, 2, 5):
+            pool = rng.integers(0, high, size=(count, columns), dtype=np.int64)
+            # drawn with replacement, so that rows repeat in no pattern
+            rows = pool[rng.integers(0, max(count, 1), size=count)]
+            first, inverse = _dedupe_rows(rows)
+            want_first, want_inverse = self._unique(rows)
+            assert first.tolist() == want_first.tolist()
+            assert inverse.tolist() == want_inverse.tolist()
+
+
 # -- record parity through the whole stack ------------------------------------
 
 
@@ -493,6 +535,24 @@ LINIAL_SPEC = ExperimentSpec(
     seeds=(0, 1),
 )
 
+MIS_SPEC = ExperimentSpec(
+    "kernels/mis/mis-color-classes@tree",
+    "mis",
+    "mis-color-classes",
+    "tree",
+    ns=(32, 64),
+    seeds=(0, 1),
+)
+
+MATCHING_SPEC = ExperimentSpec(
+    "kernels/maximal-matching/matching-line-coloring@torus",
+    "maximal-matching",
+    "matching-line-coloring",
+    "torus",
+    ns=(36, 64),
+    seeds=(0, 1),
+)
+
 
 @needs_numpy
 class TestArrayProgramDifferential:
@@ -568,11 +628,65 @@ class TestArrayProgramDifferential:
         assert got.node_radius == expected.node_radius
         assert got.extras == expected.extras
 
+    @pytest.mark.parametrize(
+        "solver", ["mis-color-classes", "matching-line-coloring"]
+    )
+    @given(graph=multigraphs(max_nodes=10, max_edges=16))
+    @settings(max_examples=30, deadline=None)
+    def test_class_sweeps_match_on_multigraphs(self, solver, graph):
+        # The array sweeps act on a whole color class at once; the
+        # object sweeps one member at a time.  Parallel edges give two
+        # line-graph nodes one identifier, so the matching solver
+        # raises there, and then both paths must raise alike.
+        from repro.local.algorithm import Instance
+        from repro.runtime import registry
+
+        instance = Instance.simple(graph)
+
+        def solve(backend):
+            with kernels.active(backend):
+                try:
+                    return registry.solver(solver).factory().solve(instance)
+                except ValueError as err:
+                    return repr(err)
+
+        expected, got = solve("object"), solve("vector")
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert got.outputs == expected.outputs
+        assert got.rounds == expected.rounds
+        assert got.node_radius == expected.node_radius
+        assert got.extras == expected.extras
+
+    def test_linial_tail_counts_the_elimination_rounds(self):
+        from repro.generators.hard import cubic_instance
+        from repro.obs import get_telemetry
+        from repro.problems import LinialColoringSolver
+
+        instance = cubic_instance(64, 0)
+        names = ("kernels.tail_rounds", "kernels.array_rounds")
+        counts = {}
+        for backend in ("object", "vector"):
+            before = get_telemetry().counters()
+            with kernels.active(backend):
+                result = LinialColoringSolver().solve(instance)
+            after = get_telemetry().counters()
+            counts[backend] = tuple(
+                after.get(name, 0) - before.get(name, 0) for name in names
+            )
+        tail = result.extras["elimination_rounds"]
+        assert tail > 0
+        assert counts["object"] == (0, 0)
+        assert counts["vector"] == (tail, result.rounds)
+
 
 class TestArrayProgramRecordParity:
     """Array-program solvers through the whole runtime stack."""
 
-    @pytest.mark.parametrize("spec", [ARRAY_PARITY_SPEC, LINIAL_SPEC])
+    @pytest.mark.parametrize(
+        "spec", [ARRAY_PARITY_SPEC, LINIAL_SPEC, MIS_SPEC, MATCHING_SPEC]
+    )
     def test_runtime_records_identical_across_backends(self, spec):
         oracle = run_experiment(spec, workers=1, kernels="object")
         for backend in ("vector", "auto"):

@@ -291,6 +291,48 @@ class TestArrayProgramEngine:
         assert got.active == expected.active
         assert got.trace == expected.trace
 
+    @needs_numpy
+    def test_closed_form_tail_cut_by_max_rounds(self):
+        """A ``max_rounds`` inside Linial's closed-form elimination tail
+        raises the object loop's ConvergenceError; one more round than
+        the run takes raises on neither path."""
+        from repro.kernels.programs import LinialProgram
+        from repro.problems.coloring import _LinialNode
+        from repro.problems.linial import reduction_schedule
+
+        n, target = 40, 3
+        instance = Instance(cycle(n), sequential_ids(n))
+        schedule = reduction_schedule(n, 2)
+        stepped = len(schedule)
+        total = stepped + schedule[-1][0] ** 2 - target
+        assert total > stepped + 1  # the tail is several rounds long
+
+        def run(backend, max_rounds):
+            engine = SyncEngine(
+                instance,
+                lambda v, inst: _LinialNode(v, inst, schedule, target, n),
+                array_program=lambda: LinialProgram(schedule, target, n),
+            )
+            with kernels.active(backend):
+                return engine.run(max_rounds)
+
+        for max_rounds in (stepped + 1, stepped + 3, total):
+            errors = []
+            for backend in ("object", "vector"):
+                with pytest.raises(ConvergenceError) as excinfo:
+                    run(backend, max_rounds)
+                errors.append(excinfo.value)
+            expected, got = errors
+            assert got.max_rounds == expected.max_rounds == max_rounds
+            assert got.active == expected.active == n
+            assert got.trace == expected.trace
+            assert len(got.trace) == max_rounds
+        expected, got = run("object", total + 1), run("vector", total + 1)
+        assert got.rounds == expected.rounds == total
+        assert got.results == expected.results
+        assert got.halt_rounds == expected.halt_rounds == [total] * n
+        assert got.trace == expected.trace
+
     def test_degrades_to_object_loop_without_numpy(self, monkeypatch, caplog):
         """No numpy: the array seam falls back, warns once, same answers."""
         import logging
