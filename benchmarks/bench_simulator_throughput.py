@@ -2,11 +2,12 @@
 
 The original microbenchmarks time the LOCAL-model machinery itself
 (view gathering, BFS, the object round loop, the verifier).  PR 10
-adds the tentpole gate: solvers that ship an
+adds the tentpole gate: node programs run with an
 :class:`repro.local.simulator.ArrayProgram` twin must run >= 3x faster
 through :func:`repro.kernels.engine.run_array_program` than through
 the per-node object loop at n >= 8192, with bit-identical engine
-results.  Everything machine-readable lands in
+results.  The flooding probes are test fixtures
+(``tests/flood_programs.py``).  Everything machine-readable lands in
 ``benchmarks/BENCH_simulator.json`` via the shared ``report_json``
 hook.
 """
@@ -23,10 +24,10 @@ from repro.analysis import render_table
 from repro.generators import cubic_instance, cycle, random_regular
 from repro.lcl import Labeling, verify
 from repro.local import Instance, SyncEngine, ViewOracle, bfs_distances
-from repro.local.flood import MinIdFloodNode
 from repro.local.identifiers import sequential_ids
 from repro.problems import SinklessOrientation, DeterministicSinklessSolver
 from repro.problems.coloring import LinialColoringSolver
+from tests.flood_programs import FloodNode, MinFloodProgram, MinIdFloodNode
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 #: The acceptance bar binds at n >= 8192; quick mode shrinks repeats,
@@ -57,13 +58,11 @@ def test_bfs_full_graph(benchmark):
 
 
 def test_message_engine_flood(benchmark):
-    from tests.test_views_simulator import _FloodNode
-
     graph = cycle(512)
     instance = Instance(graph, sequential_ids(512))
 
     def flood():
-        return SyncEngine(instance, _FloodNode).run().rounds
+        return SyncEngine(instance, FloodNode).run().rounds
 
     assert benchmark(flood) == 256
 
@@ -81,12 +80,10 @@ def test_verifier_throughput(benchmark):
 
     # One timed pass per case for the machine-readable trajectory file
     # (pytest-benchmark stats are unavailable under --benchmark-disable).
-    from tests.test_views_simulator import _FloodNode
-
     flood_graph = cycle(512)
     flood_instance = Instance(flood_graph, sequential_ids(512))
     start = time.perf_counter()
-    SyncEngine(flood_instance, _FloodNode).run()
+    SyncEngine(flood_instance, FloodNode).run()
     flood_s = time.perf_counter() - start
 
     def gather_once() -> float:
@@ -139,7 +136,7 @@ def _best(fn):
 def test_batched_engine_speedup():
     """PR 10 gate: array programs >= 3x over the object loop at n >= 8192.
 
-    Both node programs below ship batched twins; the object loop is the
+    Both node programs below run with batched twins; the object loop is the
     oracle, so besides the speedup bar every run asserts bit-identical
     engine results (per-node outputs, round counts, halting rounds, and
     the full round trace).
@@ -150,7 +147,9 @@ def test_batched_engine_speedup():
     payload = {}
 
     def flood_run():
-        result = SyncEngine(instance, MinIdFloodNode).run(max_rounds=10_000)
+        result = SyncEngine(
+            instance, MinIdFloodNode, array_program=MinFloodProgram
+        ).run(max_rounds=10_000)
         return (result.results, result.rounds, result.halt_rounds, result.trace)
 
     def linial_run():

@@ -31,7 +31,7 @@ from repro.engine.runner import (
     run_shard,
 )
 from repro.engine.shard import ShardPlan
-from repro.engine.spec import CACHE_VERSION, ExperimentSpec, TrialSpec, grid
+from repro.engine.spec import CACHE_VERSION, ExperimentSpec, TrialSpec
 
 __all__ = [
     "CACHE_VERSION",
@@ -49,7 +49,6 @@ __all__ = [
     "build_experiment",
     "default_workers",
     "execute_trial_batch",
-    "grid",
     "plan_experiment",
     "run_experiment",
     "run_shard",

@@ -204,7 +204,7 @@ def format_report(reports: Sequence[EngineReport]) -> str:
 
 
 def _constraint_note(
-    max_degree: int | None, min_degree: int | None, girth: int | None
+    max_degree: int | None, min_degree: int | None = None, girth: int | None = None
 ) -> str:
     parts = []
     if min_degree is not None:
@@ -226,7 +226,7 @@ def format_catalog() -> str:
         info = problems[name]
         lines.append(
             f"  {name:24s} {_placements(info)}"
-            f"  [{_constraint_note(info.max_degree, info.min_degree, info.min_girth)}]"
+            f"  [{_constraint_note(info.max_degree)}]"
         )
     lines.append(f"\nsolvers ({len(solvers)}):")
     for name in sorted(solvers):
@@ -267,7 +267,7 @@ def format_description(name: str) -> str:
             f"  {info.description}",
             f"  paper placement: {_placements(info)}",
             "  instance constraints: "
-            + _constraint_note(info.max_degree, info.min_degree, info.min_girth),
+            + _constraint_note(info.max_degree),
             "  solvers: "
             + (
                 ", ".join(s.name for s in registry.solvers_for(name)) or "(none)"

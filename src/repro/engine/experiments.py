@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.engine.spec import ExperimentSpec, grid
+from repro.engine.spec import ExperimentSpec
 from repro.runtime import registry
 from repro.runtime.registry import FamilyInfo, ProblemInfo, SolverInfo
 
@@ -71,7 +71,12 @@ class Experiment:
 
 
 def _build_sinkless(max_n: int, seeds: tuple[int, ...]) -> list[ExperimentSpec]:
-    ns = grid(64, max_n)
+    ns = registry.family("cubic").sweep_sizes(max_n)
+    if not ns:
+        raise ValueError(
+            "sinkless experiment needs --max-n >= 64 (the smallest "
+            "cubic grid point has 64 nodes)"
+        )
     specs = []
     for solver_name in ("sinkless-det", "sinkless-rand"):
         problem, solver, family = _named_triple(solver_name, "cubic")

@@ -28,7 +28,6 @@ __all__ = [
     "CACHE_VERSION",
     "ExperimentSpec",
     "TrialSpec",
-    "grid",
 ]
 
 # Bump when the trial record layout or the key payload changes; stale
@@ -124,19 +123,3 @@ class ExperimentSpec:
         from repro.runtime import registry
 
         return registry.solver_display_name(self.solver)
-
-
-def grid(lo: int, hi: int, base: int = 2) -> tuple[int, ...]:
-    """Geometric n-grid: powers of ``base`` from ``lo`` up to ``hi``."""
-    if hi < lo:
-        raise ValueError(
-            f"grid upper bound {hi} is below the smallest size {lo}; "
-            f"raise --max-n to at least {lo}"
-        )
-    ns: list[int] = []
-    n = lo
-    while n <= hi:
-        ns.append(n)
-        n *= base
-    return tuple(ns)
-

@@ -4,8 +4,6 @@ from repro.gadgets.build import BuiltGadget, build_gadget, gadget_size, subgadge
 from repro.gadgets.checker import (
     StructuralViolation,
     check_component,
-    check_node,
-    component_is_valid,
 )
 from repro.gadgets.corruptions import CORRUPTIONS, Corruption, all_corruptions, corrupt
 from repro.gadgets.family import GadgetFamily, LogGadgetFamily
@@ -39,8 +37,6 @@ __all__ = [
     "subgadget_size",
     "StructuralViolation",
     "check_component",
-    "check_node",
-    "component_is_valid",
     "CORRUPTIONS",
     "Corruption",
     "all_corruptions",

@@ -1,9 +1,9 @@
 """Local checkability of gadgets: the constraints of Sections 4.2 and 4.3.
 
-``check_node`` evaluates every constant-radius constraint at one node
+``node_verdict`` evaluates every constant-radius constraint at one node
 and returns the violated constraint codes; a gadget component is valid
-iff no node reports a violation (Lemmas 7 and 8).  The constraint
-codes follow the paper's numbering:
+iff no node reports a violation, i.e. ``check_component`` returns none
+(Lemmas 7 and 8).  The constraint codes follow the paper's numbering:
 
 * ``1a``–``1d``: basic consistency.  Constraint 1a (no self-loops or
   parallel edges) is realized through the distance-2 coloring input of
@@ -54,10 +54,8 @@ from repro.obs import get_telemetry
 
 __all__ = [
     "StructuralViolation",
-    "check_node",
     "node_verdict",
     "check_component",
-    "component_is_valid",
 ]
 
 
@@ -310,11 +308,14 @@ def _check_center(
 def node_verdict(
     scope: GadgetScope, v: int, delta: int
 ) -> tuple[StructuralViolation, ...]:
-    """:func:`check_node`'s violations as the memoized tuple (shared —
-    a sound node's is the one empty tuple).
+    """All constant-radius structural constraints at node ``v``, as the
+    memoized tuple of violations (shared — a sound node's is the one
+    empty tuple).
 
-    The memo for ``delta`` is made on the scope's first check at that
-    ``delta``.  On the vector backend, one structural pass
+    The verdict is a pure function of the labels the scope read, so it
+    is computed once per ``(v, delta)``: the memo for ``delta`` is made
+    on the scope's first check at that ``delta``.  On the vector
+    backend, one structural pass
     (:func:`repro.kernels.gadgets.sound_mask`) fills it with ``()`` at
     every node it clears, so only the nodes it flags are evaluated here
     (counted as ``gadgets.node_checks``).
@@ -340,19 +341,10 @@ def _new_memo(scope: GadgetScope, delta: int) -> list[tuple | None]:
     return [() if sound else None for sound in sound_mask(scope, delta).tolist()]
 
 
-def check_node(scope: GadgetScope, v: int, delta: int) -> list[StructuralViolation]:
-    """All constant-radius structural constraints at node ``v``.
-
-    The verdict is a pure function of the labels the scope read, so it
-    is computed once per ``(v, delta)`` and memoized on the scope.
-    """
-    return list(node_verdict(scope, v, delta))
-
-
 def _evaluate_node(
     scope: GadgetScope, v: int, delta: int
 ) -> list[StructuralViolation]:
-    """:func:`check_node` without the memo."""
+    """:func:`node_verdict` without the memo."""
     out: list[StructuralViolation] = []
     node = scope.node_input(v)
     if node is None:
@@ -384,7 +376,3 @@ def check_component(
     for v in component:
         out.extend(node_verdict(scope, v, delta))
     return out
-
-
-def component_is_valid(scope: GadgetScope, component: list[int], delta: int) -> bool:
-    return not check_component(scope, component, delta)

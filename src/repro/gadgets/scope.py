@@ -32,7 +32,7 @@ class GadgetScope:
     (the graph's own CSR tables and an in-scope byte per edge do the
     rest), and keeps no reference to the labeling.  Later edits to
     ``inputs`` are not seen.  A node's structural verdict is therefore a
-    pure function of the scope: :func:`repro.gadgets.checker.check_node`
+    pure function of the scope: :func:`repro.gadgets.checker.node_verdict`
     memoizes it in :attr:`verdicts`, one list per ``delta`` with an
     entry per node.  On the vector backend the numpy pass of
     :mod:`repro.kernels.gadgets` reads the same tables: it fills that
@@ -61,7 +61,7 @@ class GadgetScope:
         """``in_scope`` holds one byte per edge id, 1 for an edge of the
         gadget and 0 for one to ignore; None puts every edge in scope."""
         self.graph = graph
-        #: ``check_node``'s memo: ``delta -> per-node verdict`` (None
+        #: ``node_verdict``'s memo: ``delta -> per-node verdict`` (None
         #: until evaluated; a sound node's verdict is the shared ``()``).
         self.verdicts: dict[int, list[tuple | None]] = {}
         self._off, self._nbr, self._peer, self._eids = graph.csr()

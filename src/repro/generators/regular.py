@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+#: Configuration-model samples :func:`random_regular` draws before it
+#: gives up on a simple one.
+_MAX_SAMPLES = 200
+
+
 def _stub_pairs(n: int, degree: int, rng: random.Random) -> list[tuple[int, int]]:
     """One configuration-model pairing: shuffle the stubs, pair them in order."""
     if n * degree % 2 != 0:
@@ -51,24 +56,24 @@ def configuration_model(n: int, degree: int, rng: random.Random) -> PortGraph:
     return PortGraph.from_edge_list(n, _stub_pairs(n, degree, rng))
 
 
-def random_regular(
-    n: int, degree: int, rng: random.Random, simple: bool = True, max_tries: int = 200
-) -> PortGraph:
-    """A random d-regular graph; resamples until simple when requested.
+def random_regular(n: int, degree: int, rng: random.Random) -> PortGraph:
+    """A simple random d-regular graph, by resampling until simple.
 
     Each sample is a configuration-model pairing, drawn exactly as
-    :func:`configuration_model` draws it.  A sample with a loop or a
-    repeated pair is rejected on the pair list, so only the accepted
-    sample is built into a :class:`PortGraph`; the graph and the RNG
-    state afterwards are those of calling :func:`configuration_model`
-    until the result ``is_simple()``.  Every sample adds one to the
-    ``generators.configuration_attempts`` counter.
+    :func:`configuration_model` (the one sampler that keeps loops and
+    parallel edges) draws it.  A sample with a loop or a repeated pair
+    is rejected on the pair list, so only the accepted sample is built
+    into a :class:`PortGraph`; the graph and the RNG state afterwards
+    are those of calling :func:`configuration_model` until the result
+    ``is_simple()``.  Every sample adds one to the
+    ``generators.configuration_attempts`` counter; after
+    ``_MAX_SAMPLES`` rejections it gives up.
     """
     telemetry = get_telemetry()
-    for _ in range(max_tries):
+    for _ in range(_MAX_SAMPLES):
         telemetry.incr("generators.configuration_attempts")
         pairs = _stub_pairs(n, degree, rng)
-        if not simple or _pairs_simple(pairs):
+        if _pairs_simple(pairs):
             return PortGraph.from_edge_list(n, pairs)
     raise RuntimeError(
         f"failed to sample a simple {degree}-regular graph on {n} nodes"

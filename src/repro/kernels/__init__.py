@@ -2,7 +2,7 @@
 
 The kernel layer gives the hot loops over the frozen CSR tables —
 the ne-LCL verifier passes, whole SyncEngine rounds of node programs
-that ship an array twin, every anchor scan of the deterministic
+run with an array twin, every anchor scan of the deterministic
 sinkless solver as one batched pass, and the gadget layer's
 structural checks, components and center distances as one pass per
 scope (:mod:`repro.kernels.gadgets`) — a second, numpy-backed

@@ -1,8 +1,9 @@
 """The batched node-program engine: whole-population rounds as array ops.
 
 This is the array-at-a-time twin of the :class:`~repro.local.simulator.
-SyncEngine` object loop.  A solver that also ships an
-:class:`~repro.local.simulator.ArrayProgram` runs its rounds here: one
+SyncEngine` object loop.  A solver that passes the engine an
+:class:`~repro.local.simulator.ArrayProgram` factory
+(``array_program=``) runs its rounds here: one
 gather across the CSR ``dest`` involution delivers every message, one
 ``step_all`` call advances every node, and the active set is compacted
 to flat slot ranges as nodes halt — no per-node Python in the loop.
@@ -35,40 +36,9 @@ from repro.kernels import vector
 from repro.local.simulator import ConvergenceError, EngineResult, MessageRound
 from repro.obs import get_telemetry
 
-__all__ = ["RoundInbox", "SlotLayout", "run_array_program", "segment_reduce"]
+__all__ = ["RoundInbox", "SlotLayout", "run_array_program"]
 
 _I64 = np.int64
-
-
-def segment_reduce(
-    ufunc: np.ufunc, flat: np.ndarray, lengths: np.ndarray, empty: Any
-) -> np.ndarray:
-    """Per-segment ``ufunc.reduce`` over consecutive runs of ``flat``.
-
-    ``lengths`` tiles ``flat`` exactly (``lengths.sum() == len(flat)``);
-    segment ``i`` is the next ``lengths[i]`` rows.  Empty segments yield
-    ``empty``.  Reduction runs along axis 0, so 2-D payloads (bitset
-    rows, vector messages) reduce row-wise.
-
-    ``np.ufunc.reduceat`` alone mishandles empty segments (it returns
-    ``flat[start]`` instead of the identity, and an empty tail segment
-    would index past the end), so the reduceat runs over the non-empty
-    segments only: their start offsets are strictly increasing and the
-    gap a skipped empty segment leaves is zero rows, so each reduceat
-    window is exactly one segment.
-    """
-    k = lengths.shape[0]
-    out = np.empty((k,) + flat.shape[1:], dtype=flat.dtype)
-    if k == 0:
-        return out
-    out[...] = empty
-    nonempty = np.flatnonzero(lengths)
-    if nonempty.size == 0 or flat.shape[0] == 0:
-        return out
-    starts = np.zeros(k, dtype=_I64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    out[nonempty] = ufunc.reduceat(flat, starts[nonempty], axis=0)
-    return out
 
 
 class SlotLayout:

@@ -12,7 +12,7 @@ byte per edge.  This module reads them array-at-a-time:
 * :func:`sound_mask` evaluates the constant-radius constraints 1a–3h
   and c1–c2d at every node at once, and marks the nodes it clears.
 
-The object checker (:func:`repro.gadgets.checker.check_node`) stays
+The object checker (:func:`repro.gadgets.checker.node_verdict`) stays
 the only source of violation lists and the oracle.  The mask is exact
 where it can encode every label a node reads, and conservative
 elsewhere: if it marks a node sound, the object verdict is empty; a
@@ -262,7 +262,7 @@ def _at(table: np.ndarray, nodes: np.ndarray, missing: Any) -> np.ndarray:
 
 
 def sound_mask(scope: Any, delta: int) -> np.ndarray:
-    """(a) per node: True where :func:`~repro.gadgets.checker.check_node`
+    """(a) per node: True where :func:`~repro.gadgets.checker.node_verdict`
     at ``delta`` certainly finds no violation (see the module docstring).
 
     Each check below names the constraint of ``checker.py`` it mirrors;

@@ -1,14 +1,16 @@
-"""Array twins of the repo's node programs.
+"""Array twins of the solvers' node programs.
 
 Each class here is the :class:`~repro.local.simulator.ArrayProgram`
 counterpart of an object node program — the parity node of
-``repro.problems.trivial``, the Linial reduction node of
-``repro.problems.coloring``, and the two flood probes of
-``repro.local.flood`` — producing bit-identical results, halt rounds,
-and traces through :func:`repro.kernels.engine.run_array_program`.
-Beside them, :func:`mis_sweep` and :func:`matching_sweep` are the array
-twins of the color-class sweeps that follow the Linial coloring in
-``mis-color-classes`` and ``matching-line-coloring``.
+``repro.problems.trivial`` and the Linial reduction node of
+``repro.problems.coloring`` — producing bit-identical results, halt
+rounds, and traces through
+:func:`repro.kernels.engine.run_array_program`; each solver passes its
+twin to :class:`~repro.local.simulator.SyncEngine` as
+``array_program=``.  Beside them, :func:`mis_sweep` and
+:func:`matching_sweep` are the array twins of the color-class sweeps
+that follow the Linial coloring in ``mis-color-classes`` and
+``matching-line-coloring``.
 
 Import only behind :func:`repro.kernels.vector_enabled`: numpy loads at
 module import.  The object programs stay the oracle; these only buy
@@ -21,28 +23,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.engine import RoundInbox, SlotLayout, segment_reduce
+from repro.kernels.engine import RoundInbox, SlotLayout
 
 __all__ = [
-    "EccFloodProgram",
     "LinialProgram",
-    "MinFloodProgram",
     "ParityProgram",
     "matching_sweep",
     "mis_sweep",
 ]
 
 _I64 = np.int64
-_I64_MAX = np.iinfo(np.int64).max
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=_I64)
-
-
-def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a ``(k, w)`` uint64 bitset matrix."""
-    if words.size == 0:
-        return np.zeros(words.shape[0], dtype=_I64)
-    bytes_view = np.ascontiguousarray(words).view(np.uint8)
-    return _POP8[bytes_view.reshape(words.shape[0], -1)].sum(axis=1)
 
 
 class ParityProgram:
@@ -56,84 +46,6 @@ class ParityProgram:
 
     def results_all(self) -> list[Any]:
         return self._parity.tolist()
-
-
-class MinFloodProgram:
-    """Array twin of :class:`repro.local.flood.MinIdFloodNode`.
-
-    Forward the smallest value seen; halt the round after it stops
-    changing.  Halting is staggered (nodes far from the minimum run
-    longer), so this program exercises active-set compaction.
-    """
-
-    def init_all(self, instance: Any, layout: SlotLayout) -> None:
-        self._layout = layout
-        self._value = np.arange(layout.num_nodes, dtype=_I64)
-        self._changed = np.ones(layout.num_nodes, dtype=bool)
-
-    def step_all(self, round_index: int, inbox: RoundInbox | None):
-        if inbox is not None:
-            flat = np.where(
-                inbox.sent[inbox.slots], inbox.values[inbox.slots], _I64_MAX
-            )
-            best = segment_reduce(np.minimum, flat, inbox.lengths, _I64_MAX)
-            own = self._value[inbox.active]
-            best = np.minimum(best, own)
-            self._changed[inbox.active] = best != own
-            self._value[inbox.active] = best
-        return self._value[self._layout.node_of], ~self._changed
-
-    def results_all(self) -> list[Any]:
-        return self._value.tolist()
-
-
-class EccFloodProgram:
-    """Array twin of :class:`repro.local.flood.FloodNode`.
-
-    The object node floods frozensets of ids; here each heard/fresh set
-    is a row of packed uint64 bitset words, the per-node union is a
-    segmented bitwise-or, and "heard everyone" is a running popcount —
-    same delta-flood semantics, same ``done_at`` results.
-    """
-
-    def init_all(self, instance: Any, layout: SlotLayout) -> None:
-        self._layout = layout
-        n = layout.num_nodes
-        self._n = n
-        words = max(1, (n + 63) // 64)
-        bits = np.zeros((n, words), dtype=np.uint64)
-        idx = np.arange(n)
-        bits[idx, idx // 64] = np.uint64(1) << (idx % 64).astype(np.uint64)
-        self._heard = bits
-        self._fresh = bits.copy()
-        self._count = np.ones(n, dtype=_I64)
-        self._done_at = np.full(n, -1, dtype=_I64)
-        if n == 1:
-            self._done_at[0] = 0
-
-    def step_all(self, round_index: int, inbox: RoundInbox | None):
-        if inbox is not None:
-            flat = np.where(
-                inbox.sent[inbox.slots, None],
-                inbox.values[inbox.slots],
-                np.uint64(0),
-            )
-            incoming = segment_reduce(
-                np.bitwise_or, flat, inbox.lengths, np.uint64(0)
-            )
-            act = inbox.active
-            new = incoming & ~self._heard[act]
-            self._heard[act] |= new
-            self._fresh[act] = new
-            self._count[act] += _popcount_rows(new)
-            # the object node sets done_at = message_round + 1; this
-            # step processes the messages of round_index - 1
-            done = act[self._count[act] == self._n]
-            self._done_at[done] = round_index
-        return self._fresh[self._layout.node_of], self._done_at >= 0
-
-    def results_all(self) -> list[Any]:
-        return [r if r >= 0 else None for r in self._done_at.tolist()]
 
 
 def _poly_points(colors: np.ndarray, q: int, d: int) -> np.ndarray:

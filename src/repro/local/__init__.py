@@ -4,7 +4,6 @@ from repro.local.algorithm import Instance, LocalAlgorithm, RunResult
 from repro.local.builder import GraphBuilder
 from repro.local.distances import (
     bfs_distances,
-    ball,
     connected_components,
     cycle_containment_radius,
     diameter,
@@ -13,12 +12,10 @@ from repro.local.distances import (
     induced_subgraph,
     multi_source_bfs,
 )
-from repro.local.flood import FloodNode, MinIdFloodNode
 from repro.local.graphs import Edge, HalfEdge, PortGraph
 from repro.local.identifiers import (
     IdAssignment,
     random_ids,
-    reversed_ids,
     sequential_ids,
 )
 from repro.local.simulator import ConvergenceError, EngineResult, SyncEngine
@@ -30,7 +27,6 @@ __all__ = [
     "RunResult",
     "GraphBuilder",
     "bfs_distances",
-    "ball",
     "connected_components",
     "cycle_containment_radius",
     "diameter",
@@ -39,13 +35,10 @@ __all__ = [
     "induced_subgraph",
     "multi_source_bfs",
     "Edge",
-    "FloodNode",
     "HalfEdge",
-    "MinIdFloodNode",
     "PortGraph",
     "IdAssignment",
     "random_ids",
-    "reversed_ids",
     "sequential_ids",
     "ConvergenceError",
     "EngineResult",

@@ -21,7 +21,6 @@ __all__ = [
     "diameter",
     "girth",
     "cycle_containment_radius",
-    "ball",
     "induced_subgraph",
 ]
 
@@ -153,7 +152,8 @@ def girth(graph: PortGraph) -> int | None:
 def cycle_containment_radius(
     graph: PortGraph, v: int, max_radius: int | None = None
 ) -> int | None:
-    """The smallest ``r`` such that ``ball(v, r)`` contains a full cycle.
+    """The smallest ``r`` such that ``v``'s radius-``r`` ball contains a
+    full cycle.
 
     This is the quantity ``h(v)`` used by the deterministic sinkless
     orientation solver: a node exploring radius ``r`` can certify a cycle
@@ -189,11 +189,6 @@ def cycle_containment_radius(
                     return radius
                 return None
     return None
-
-
-def ball(graph: PortGraph, v: int, radius: int) -> dict[int, int]:
-    """Nodes within ``radius`` of ``v`` mapped to their distance."""
-    return bfs_distances(graph, v, max_radius=radius)
 
 
 def induced_subgraph(

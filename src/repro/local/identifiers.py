@@ -3,7 +3,7 @@
 In the LOCAL model nodes carry unique identifiers from a polynomial
 range (paper, Section 1).  Deterministic algorithms may use them for
 symmetry breaking; the choice of assignment is part of the (worst-case)
-input, so generators for several adversary styles are provided.
+input.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-__all__ = ["IdAssignment", "sequential_ids", "random_ids", "reversed_ids"]
+__all__ = ["IdAssignment", "sequential_ids", "random_ids"]
 
 
 class IdAssignment:
@@ -45,19 +45,7 @@ def sequential_ids(n: int) -> IdAssignment:
     return IdAssignment(range(1, n + 1))
 
 
-def reversed_ids(n: int) -> IdAssignment:
-    """Node ``v`` gets identifier ``n - v`` (an easy adversarial twist)."""
-    return IdAssignment(range(n, 0, -1))
-
-
-def random_ids(n: int, rng: random.Random, space_exponent: int = 2) -> IdAssignment:
-    """A uniform injective assignment into {1, ..., n**space_exponent}.
-
-    ``space_exponent >= 1``; the default quadratic space matches the
-    usual poly(n) identifier-space assumption.
-    """
-    if space_exponent < 1:
-        raise ValueError("space_exponent must be at least 1")
-    space = max(n, n**space_exponent)
-    ids = rng.sample(range(1, space + 1), n)
-    return IdAssignment(ids)
+def random_ids(n: int, rng: random.Random) -> IdAssignment:
+    """A uniform injective assignment into {1, ..., n**2}: the usual
+    poly(n) identifier space."""
+    return IdAssignment(rng.sample(range(1, n * n + 1), n))

@@ -16,9 +16,10 @@ notes the two are equivalent.
 Two execution paths share the exact same semantics:
 
 * the **object loop** below — one Python object per node, the oracle;
-* the **batched array path** — when a solver also supplies an
-  :class:`ArrayProgram` and the vector kernel backend is active, rounds
-  run whole-population at a time over flat per-slot numpy arrays in
+* the **batched array path** — when a solver also passes an
+  :class:`ArrayProgram` factory (``array_program=``) and the vector
+  kernel backend is active, rounds run whole-population at a time over
+  flat per-slot numpy arrays in
   :func:`repro.kernels.engine.run_array_program`: one gather across the
   CSR delivery involution, one ``step_all``, active-set compaction as
   nodes halt — no per-node Python in the loop.  A program whose last
@@ -176,12 +177,9 @@ class SyncEngine:
     """Runs node objects in lock-step synchronous rounds.
 
     ``array_program`` is an optional zero-argument factory producing an
-    :class:`ArrayProgram`; when present and the vector kernel backend is
-    active, :meth:`run` executes the batched path instead of the object
-    loop.  Node-factory classes may also expose the factory as an
-    ``array_program`` attribute — it is discovered automatically, so
-    ``SyncEngine(instance, FloodNode)`` batches wherever the class ships
-    a twin.
+    :class:`ArrayProgram`, the one way to attach a batched twin: when it
+    is given and the vector kernel backend is active, :meth:`run`
+    executes the batched path instead of the object loop.
     """
 
     def __init__(
@@ -193,8 +191,6 @@ class SyncEngine:
         self.instance = instance
         self.graph = instance.graph
         self._node_factory = node_factory
-        if array_program is None:
-            array_program = getattr(node_factory, "array_program", None)
         self._array_program = array_program
         self._nodes: list[NodeProtocol] | None = None
 

@@ -167,13 +167,18 @@ class ColorClassMatchingSolver:
         lg = line_graph(graph)
         # Identifier of a line node = identifier pair of its endpoints,
         # flattened injectively; communication on the line graph costs a
-        # constant factor on the base graph, accounted below.
+        # constant factor on the base graph, accounted below.  The k-th
+        # parallel copy of an edge (k >= 1, in edge-id order) adds
+        # k * base**2, above every simple-graph identifier.
         base = instance.ids.max_id() + 1
         a_nodes, b_nodes = _endpoints(graph)
         line_ids = []
+        copies: dict[tuple[int, int], int] = {}
         for u, w in zip(a_nodes, b_nodes):
             lo, hi = sorted((instance.ids.of(u), instance.ids.of(w)))
-            line_ids.append(lo * base + hi + 1)
+            k = copies.get((lo, hi), 0)
+            copies[(lo, hi)] = k + 1
+            line_ids.append(k * base * base + lo * base + hi + 1)
         line_instance = Instance(
             lg, IdAssignment(line_ids), None, None, instance.rng
         )

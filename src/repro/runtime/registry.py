@@ -9,7 +9,7 @@ decorators:
 
 * :func:`register_problem` — an LCL (a factory producing an
   :class:`~repro.lcl.problem.NeLCL` or any object with a compatible
-  ``verify``), its degree/girth constraints, and the paper's placement
+  ``verify``), its maximum-degree constraint, and the paper's placement
   of its deterministic/randomized complexity;
 * :func:`register_solver` — a solver for a named problem, whether it
   is randomized, and the families it is *sound* on (the instances it
@@ -93,10 +93,9 @@ class ProblemInfo:
     name: str
     factory: Callable[[], Any]
     description: str = ""
-    #: Instances must satisfy these to be meaningful inputs (None = any).
+    #: Instances must not exceed this degree to be meaningful inputs
+    #: (None = any).
     max_degree: int | None = None
-    min_degree: int | None = None
-    min_girth: int | None = None
     #: The paper's Figure 1 placement, e.g. ``Placement("Theta", "log")``
     #: (printed ``Theta(log n)``); None where the paper places none.
     paper_det: Placement | None = None
@@ -201,8 +200,6 @@ def register_problem(
     *,
     description: str = "",
     max_degree: int | None = None,
-    min_degree: int | None = None,
-    min_girth: int | None = None,
     paper_det: Placement | None = None,
     paper_rand: Placement | None = None,
     verifier: Callable[[Any, Any], None] | None = None,
@@ -223,8 +220,6 @@ def register_problem(
                 factory=factory,
                 description=description,
                 max_degree=max_degree,
-                min_degree=min_degree,
-                min_girth=min_girth,
                 paper_det=paper_det,
                 paper_rand=paper_rand,
                 verifier=verifier,
@@ -422,28 +417,18 @@ def solvers_for(problem_name: str) -> list[SolverInfo]:
 
 
 def compatible(problem_info: ProblemInfo, family_info: FamilyInfo) -> bool:
-    """Do the family's guarantees satisfy the problem's constraints?
+    """Do the family's guarantees satisfy the problem's degree bound?
 
-    Unknown guarantees (None) are treated as "no promise" and only
-    pass unconstrained problems — soundness declarations must be
+    An unknown guarantee (None) is treated as "no promise" and only
+    passes an unconstrained problem — soundness declarations must be
     backed by declared structure.
     """
-    if problem_info.max_degree is not None:
-        if family_info.max_degree is None:
-            return False
-        if family_info.max_degree > problem_info.max_degree:
-            return False
-    if problem_info.min_degree is not None:
-        if family_info.min_degree is None:
-            return False
-        if family_info.min_degree < problem_info.min_degree:
-            return False
-    if problem_info.min_girth is not None:
-        if family_info.girth_at_least is None:
-            return False
-        if family_info.girth_at_least < problem_info.min_girth:
-            return False
-    return True
+    if problem_info.max_degree is None:
+        return True
+    return (
+        family_info.max_degree is not None
+        and family_info.max_degree <= problem_info.max_degree
+    )
 
 
 def sound_triples() -> list[tuple[ProblemInfo, SolverInfo, FamilyInfo]]:

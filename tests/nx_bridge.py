@@ -1,8 +1,8 @@
 """Conversions between :class:`PortGraph` and networkx multigraphs.
 
-networkx is used only at the boundary: for generator convenience and for
-cross-checking structural computations in tests.  Everything inside the
-library operates on :class:`PortGraph`.
+Test-only: networkx cross-checks the library's structural computations
+(``tests/test_distances.py``).  The library itself never imports
+networkx.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.local.graphs import PortGraph
-
-__all__ = ["to_networkx", "from_networkx"]
 
 
 def to_networkx(graph: PortGraph) -> nx.MultiGraph:

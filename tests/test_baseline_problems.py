@@ -22,7 +22,7 @@ from repro.generators import (
 from repro.lcl import Labeling, verify
 from repro.lcl.labels import EMPTY
 from repro.local import Instance
-from repro.local.graphs import HalfEdge
+from repro.local.graphs import HalfEdge, PortGraph
 from repro.local.identifiers import random_ids
 from repro.problems import (
     ColorClassMatchingSolver,
@@ -210,6 +210,8 @@ class TestMatching:
             lambda: torus_grid(3, 5),
             lambda: random_regular(40, 3, random.Random(8)),
             lambda: star(5),
+            # parallel edges join the same two identifiers
+            lambda: PortGraph.from_edge_list(3, [(0, 1), (0, 1), (1, 2)]),
         ],
     )
     def test_solvers_produce_valid_matching(self, solver_factory, graph_factory):

@@ -18,8 +18,8 @@ from repro.local import (
     induced_subgraph,
     multi_source_bfs,
 )
-from repro.local.nxinterop import to_networkx
 from tests.conftest import build_multigraph, multigraphs, simple_graphs
+from tests.nx_bridge import to_networkx
 
 
 class TestBfs:

@@ -33,7 +33,6 @@ from repro.engine import (
     TrialSpec,
     build_experiment,
     execute_trial_batch,
-    grid,
     run_experiment,
     run_task_batches,
 )
@@ -106,8 +105,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec("e", "p", "s", "g", ns=(8,), seeds=())
 
-    def test_grid_helper(self):
-        assert grid(64, 512) == (64, 128, 256, 512)
+    def test_sinkless_grid(self):
+        # cubic's powers-of-two sweep from 64, for both solvers
+        specs = build_experiment("sinkless", 512)
+        assert [spec.ns for spec in specs] == [(64, 128, 256, 512)] * 2
+        with pytest.raises(ValueError, match="--max-n >= 64"):
+            build_experiment("sinkless", 32)
 
 
 class TestDeterminism:

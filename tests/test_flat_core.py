@@ -31,7 +31,7 @@ from repro.local.graphs import Edge, HalfEdge
 from repro.local.identifiers import sequential_ids
 from repro.problems import VertexColoring
 from tests.conftest import build_multigraph, edge_plans, multigraphs
-from tests.test_views_simulator import _FloodNode
+from tests.flood_programs import EccFloodProgram, FloodNode
 
 
 # -- reference implementations through the object layer only -----------------
@@ -328,13 +328,13 @@ class TestRewiredConsumers:
         instance = Instance(graph, sequential_ids(graph.num_nodes))
         try:
             expected, expected_rounds = _object_engine_run(
-                instance, _FloodNode, max_rounds=64
+                instance, FloodNode, max_rounds=64
             )
         except Exception:  # disconnected graphs never converge; skip those
             return
         if None in expected:
             return
-        result = SyncEngine(instance, _FloodNode).run(max_rounds=64)
+        result = SyncEngine(instance, FloodNode).run(max_rounds=64)
         assert result.results == expected
         assert result.rounds == expected_rounds
 
@@ -376,21 +376,20 @@ class TestVectorKernelsDifferential:
     @given(multigraphs())
     @settings(max_examples=20, deadline=None)
     def test_engine_delivery_matches_object_backend(self, graph: PortGraph):
-        # _FloodNode ships an array twin, so under the vector backend it
-        # takes the batched path; _PlainFlood suppresses the twin, so the
-        # object round loop runs under the vector backend on the same
-        # graphs and must agree with both.
-        class _PlainFlood(_FloodNode):
-            array_program = None
-
+        # Given its array twin, FloodNode takes the batched path under
+        # the vector backend; without one, the object round loop runs
+        # under the vector backend on the same graphs and must agree
+        # with both.
         instance = Instance(graph, sequential_ids(graph.num_nodes))
         try:
-            expected = SyncEngine(instance, _PlainFlood).run(max_rounds=64)
+            expected = SyncEngine(instance, FloodNode).run(max_rounds=64)
         except Exception:
             return  # disconnected graphs never converge; skip those
         with kernels.active("vector"):
-            plan = SyncEngine(instance, _PlainFlood).run(max_rounds=64)
-            batched = SyncEngine(instance, _FloodNode).run(max_rounds=64)
+            plan = SyncEngine(instance, FloodNode).run(max_rounds=64)
+            batched = SyncEngine(
+                instance, FloodNode, array_program=EccFloodProgram
+            ).run(max_rounds=64)
         for got in (plan, batched):
             assert got.results == expected.results
             assert got.rounds == expected.rounds

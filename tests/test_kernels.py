@@ -558,11 +558,12 @@ MATCHING_SPEC = ExperimentSpec(
 class TestArrayProgramDifferential:
     """Batched node programs against the object loop on random graphs.
 
-    Every solver that ships an :class:`repro.local.simulator.ArrayProgram`
-    twin must produce bit-identical engine results — per-node outputs,
-    round counts, halting rounds, traces, and ConvergenceError
-    diagnostics — on multigraphs with self-loops, parallel edges,
-    irregular degrees, and staggered halts.
+    Every node program run with an
+    :class:`repro.local.simulator.ArrayProgram` twin must produce
+    bit-identical engine results — per-node outputs, round counts,
+    halting rounds, traces, and ConvergenceError diagnostics — on
+    multigraphs with self-loops, parallel edges, irregular degrees,
+    and staggered halts.
     """
 
     @given(multigraphs())
@@ -571,13 +572,19 @@ class TestArrayProgramDifferential:
         # min-id flooding converges on every graph (each component
         # settles on its minimum), so parity holds with no exclusions.
         from repro.local import Instance, SyncEngine
-        from repro.local.flood import MinIdFloodNode
         from repro.local.identifiers import sequential_ids
+        from tests.flood_programs import MinFloodProgram, MinIdFloodNode
 
         instance = Instance(graph, sequential_ids(graph.num_nodes))
-        expected = SyncEngine(instance, MinIdFloodNode).run(max_rounds=64)
+
+        def run():
+            return SyncEngine(
+                instance, MinIdFloodNode, array_program=MinFloodProgram
+            ).run(max_rounds=64)
+
+        expected = run()
         with kernels.active("vector"):
-            got = SyncEngine(instance, MinIdFloodNode).run(max_rounds=64)
+            got = run()
         assert got.results == expected.results
         assert got.rounds == expected.rounds
         assert got.halt_rounds == expected.halt_rounds
@@ -589,22 +596,28 @@ class TestArrayProgramDifferential:
         # the delta-flood livelocks on some topologies (an early halter
         # cuts the relay); both paths must then raise identically.
         from repro.local import ConvergenceError, Instance, SyncEngine
-        from repro.local.flood import FloodNode
         from repro.local.identifiers import sequential_ids
+        from tests.flood_programs import EccFloodProgram, FloodNode
 
         instance = Instance(graph, sequential_ids(graph.num_nodes))
+
+        def run():
+            return SyncEngine(
+                instance, FloodNode, array_program=EccFloodProgram
+            ).run(max_rounds=48)
+
         try:
-            expected = SyncEngine(instance, FloodNode).run(max_rounds=48)
+            expected = run()
         except ConvergenceError as err:
             with kernels.active("vector"):
                 with pytest.raises(ConvergenceError) as excinfo:
-                    SyncEngine(instance, FloodNode).run(max_rounds=48)
+                    run()
             assert excinfo.value.max_rounds == err.max_rounds
             assert excinfo.value.active == err.active
             assert excinfo.value.trace == err.trace
             return
         with kernels.active("vector"):
-            got = SyncEngine(instance, FloodNode).run(max_rounds=48)
+            got = run()
         assert got.results == expected.results
         assert got.rounds == expected.rounds
         assert got.halt_rounds == expected.halt_rounds
@@ -635,25 +648,21 @@ class TestArrayProgramDifferential:
     @settings(max_examples=30, deadline=None)
     def test_class_sweeps_match_on_multigraphs(self, solver, graph):
         # The array sweeps act on a whole color class at once; the
-        # object sweeps one member at a time.  Parallel edges give two
-        # line-graph nodes one identifier, so the matching solver
-        # raises there, and then both paths must raise alike.
+        # object sweeps one member at a time.  Both must give the same
+        # valid output, parallel edges and self-loops included.
         from repro.local.algorithm import Instance
         from repro.runtime import registry
+        from repro.runtime.driver import verifier_for
 
         instance = Instance.simple(graph)
+        info = registry.solver(solver)
 
         def solve(backend):
             with kernels.active(backend):
-                try:
-                    return registry.solver(solver).factory().solve(instance)
-                except ValueError as err:
-                    return repr(err)
+                return info.factory().solve(instance)
 
         expected, got = solve("object"), solve("vector")
-        if isinstance(expected, str):
-            assert got == expected
-            return
+        verifier_for(registry.problem(info.problem))(instance, expected)
         assert got.outputs == expected.outputs
         assert got.rounds == expected.rounds
         assert got.node_radius == expected.node_radius

@@ -6,8 +6,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from repro.local.nxinterop import from_networkx, to_networkx
 from tests.conftest import build_multigraph, multigraphs
+from tests.nx_bridge import from_networkx, to_networkx
 
 
 class TestRoundTrip:

@@ -15,7 +15,7 @@ from repro.gadgets.labels import Down, LCHILD, PARENT, RIGHT, UP
 from repro.generators import complete, random_regular
 from repro.lcl import Labeling, verify
 from repro.local import Instance
-from repro.local.identifiers import random_ids, reversed_ids, sequential_ids
+from repro.local.identifiers import IdAssignment, random_ids, sequential_ids
 from repro.problems import (
     DeterministicSinklessSolver,
     RandomizedSinklessSolver,
@@ -30,7 +30,7 @@ class TestAdversarialIdentifiers:
         "ids_factory",
         [
             sequential_ids,
-            reversed_ids,
+            lambda n: IdAssignment(range(n, 0, -1)),
             lambda n: random_ids(n, random.Random(99)),
         ],
     )
@@ -60,7 +60,7 @@ class TestAdversarialIdentifiers:
         graph = random_regular(32, 3, random.Random(8))
         problem = SinklessOrientation().problem()
         outputs = []
-        for ids in (sequential_ids(32), reversed_ids(32)):
+        for ids in (sequential_ids(32), IdAssignment(range(32, 0, -1))):
             result = DeterministicSinklessSolver().solve(Instance(graph, ids))
             assert verify(problem, graph, Labeling(graph), result.outputs).ok
             outputs.append(result.outputs)

@@ -10,6 +10,12 @@ from repro import kernels
 from repro.generators import cycle, path
 from repro.local import ConvergenceError, Instance, PortGraph, SyncEngine, ViewOracle
 from repro.local.identifiers import sequential_ids
+from tests.flood_programs import (
+    EccFloodProgram,
+    FloodNode,
+    MinFloodProgram,
+    MinIdFloodNode,
+)
 
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="the batched engine path needs numpy"
@@ -69,17 +75,11 @@ class TestViewOracle:
         assert sub.num_edges == 4  # an arc of the cycle
 
 
-# The delta-flooding diameter probe now lives in the library (it grew a
-# batched twin); `tests.test_flat_core` and the simulator benchmark still
-# import it from here.
-from repro.local.flood import FloodNode as _FloodNode  # noqa: E402
-
-
 class TestSyncEngine:
     def test_flooding_takes_eccentricity_rounds(self):
         graph = cycle(10)
         instance = Instance(graph, sequential_ids(10))
-        engine = SyncEngine(instance, _FloodNode)
+        engine = SyncEngine(instance, FloodNode)
         result = engine.run()
         # every node hears everyone after exactly ecc = 5 message rounds
         assert result.rounds == 5
@@ -88,14 +88,12 @@ class TestSyncEngine:
     def test_single_node_halts_immediately(self):
         graph = PortGraph(1, [])
         instance = Instance(graph, sequential_ids(1))
-        result = SyncEngine(instance, _FloodNode).run()
+        result = SyncEngine(instance, FloodNode).run()
         assert result.rounds == 0
         assert result.results == [0]
 
     def test_wrong_message_count_raises(self):
-        class BadNode(_FloodNode):
-            array_program = None  # behaviour differs: keep the object loop
-
+        class BadNode(FloodNode):
             def outgoing(self, round_index):
                 return []  # wrong: must equal degree
 
@@ -105,9 +103,7 @@ class TestSyncEngine:
             SyncEngine(instance, BadNode).run()
 
     def test_nonconvergence_raises(self):
-        class ForeverNode(_FloodNode):
-            array_program = None  # behaviour differs: keep the object loop
-
+        class ForeverNode(FloodNode):
             def outgoing(self, round_index):
                 return [0] * self.degree
 
@@ -119,9 +115,7 @@ class TestSyncEngine:
     def test_nonconvergence_carries_diagnostics(self):
         from repro.local import ConvergenceError
 
-        class ForeverNode(_FloodNode):
-            array_program = None  # behaviour differs: keep the object loop
-
+        class ForeverNode(FloodNode):
             def outgoing(self, round_index):
                 return [0] * self.degree
 
@@ -145,7 +139,7 @@ class TestSyncEngine:
     def test_node_radius_uniform(self):
         graph = cycle(6)
         instance = Instance(graph, sequential_ids(6))
-        result = SyncEngine(instance, _FloodNode).run()
+        result = SyncEngine(instance, FloodNode).run()
         assert result.node_radius() == [result.rounds] * 6
 
     def test_node_radius_per_component(self):
@@ -160,9 +154,7 @@ class TestSyncEngine:
 
         graph = disjoint_union(cycle(3), cycle(7))
 
-        class ComponentFlood(_FloodNode):
-            array_program = None  # behaviour differs: keep the object loop
-
+        class ComponentFlood(FloodNode):
             def __init__(self, v: int, instance: Instance):
                 super().__init__(v, instance)
                 self.n = 3 if v < 3 else 7  # component size, not graph size
@@ -202,23 +194,22 @@ class TestSyncEngine:
 class TestArrayProgramEngine:
     """The batched array path against the object loop it shadows."""
 
-    def _both(self, graph, node_factory, max_rounds=500):
-        import repro.kernels as kernels
-
+    def _both(self, graph, node_factory, array_program, max_rounds=500):
         instance = Instance(graph, sequential_ids(graph.num_nodes))
         with kernels.active("object"):
             expected = SyncEngine(instance, node_factory).run(max_rounds)
         with kernels.active("vector"):
-            got = SyncEngine(instance, node_factory).run(max_rounds)
+            got = SyncEngine(
+                instance, node_factory, array_program=array_program
+            ).run(max_rounds)
         return expected, got
 
     @needs_numpy
     def test_flood_twins_match_object_loop(self):
-        from repro.local.flood import MinIdFloodNode
-
+        twins = ((FloodNode, EccFloodProgram), (MinIdFloodNode, MinFloodProgram))
         for graph in (cycle(10), cycle(33), PortGraph(1, [])):
-            for node_factory in (_FloodNode, MinIdFloodNode):
-                expected, got = self._both(graph, node_factory)
+            for node_factory, array_program in twins:
+                expected, got = self._both(graph, node_factory, array_program)
                 assert got.results == expected.results
                 assert got.rounds == expected.rounds
                 assert got.halt_rounds == expected.halt_rounds
@@ -277,14 +268,13 @@ class TestArrayProgramEngine:
         node halts first and stops relaying, so the endpoints never
         hear the far side.  Both engines must report the same failure.
         """
-        import repro.kernels as kernels
-
         errors = []
         for backend in ("object", "vector"):
             instance = Instance(path(9), sequential_ids(9))
+            engine = SyncEngine(instance, FloodNode, array_program=EccFloodProgram)
             with kernels.active(backend):
                 with pytest.raises(ConvergenceError) as excinfo:
-                    SyncEngine(instance, _FloodNode).run(max_rounds=40)
+                    engine.run(max_rounds=40)
             errors.append(excinfo.value)
         expected, got = errors
         assert got.max_rounds == expected.max_rounds == 40
@@ -347,7 +337,9 @@ class TestArrayProgramEngine:
         with caplog.at_level(logging.WARNING, logger="repro.local.simulator"):
             for _ in range(2):  # the warning must not repeat
                 instance = Instance(graph, sequential_ids(6))
-                result = SyncEngine(instance, _FloodNode).run()
+                result = SyncEngine(
+                    instance, FloodNode, array_program=EccFloodProgram
+                ).run()
         assert result.results == [3] * 6
         assert result.rounds == 3
         degraded = [
