@@ -1,4 +1,4 @@
-"""E12 — shard-native dispatch: plan/run/merge overhead vs a single run.
+"""E12 — shard-native dispatch: plan/run/union overhead vs a single run.
 
 The shard layer's promise is that making the shard a first-class
 object costs nothing when you don't distribute: planning the full
@@ -10,9 +10,9 @@ spec.  Two scenarios are timed:
   (plan construction, shard slicing, assembling the shards' records
   by global trial index).  This is the gated number: < 5%.
 * **per-shard caches** — each shard writes a private isolation root;
-  the roots are unioned into a shared root and the plan is replayed
+  the roots are unioned into a shared root and the grid is replayed
   from it with ``run_experiment`` (0 computed), which is what
-  ``merge`` does, vs a single run writing one cache directly.  The
+  ``run --from`` does, vs a single run writing one cache directly.  The
   union and the replay are extra passes over every record that a
   single run simply does not have, so this case is reported for the
   trajectory and held only to a loose sanity bound.

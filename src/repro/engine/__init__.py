@@ -10,12 +10,15 @@ always used.  The same pipeline scales out: a :class:`ShardPlan` deals
 a spec's dispatch chunks onto K shards that run anywhere
 (:func:`run_shard`), and their records come home through the cache —
 union the shards' roots with :meth:`TrialCache.merge`, then replay the
-plan with :func:`run_experiment`, bit-identically to a single-host
-run.  ``python -m repro.engine`` exposes the named experiments of
-:mod:`repro.engine.experiments` and the ``plan``/``run-shard``/``merge``
-flow from the shell.  Any launcher can run the shards and restart one
-that dies: ``run_shard`` stores each chunk as it arrives, so a rerun
-recomputes only what was lost.
+grid with :func:`run_experiment`, bit-identically to a single-host
+run.  A plan is a pure function of the spec, the shard count and the
+chunk size, so no plan travels between hosts: ``python -m
+repro.engine`` exposes the named experiments of
+:mod:`repro.engine.experiments`, ``run-shard --shard I/K`` runs a shard
+of one from its grid flags, and ``run --from ROOT...`` unions the
+shard roots and replays.  Any launcher can run the shards and restart
+one that dies: ``run_shard`` stores each chunk as it arrives, so a
+rerun recomputes only what was lost.
 """
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, CacheStats, TrialCache
@@ -24,7 +27,6 @@ from repro.engine.pool import WorkerCrashed, default_workers, run_task_batches
 from repro.engine.runner import (
     EngineReport,
     ShardReport,
-    auto_batch_size,
     execute_trial_batch,
     plan_experiment,
     run_experiment,
@@ -45,7 +47,6 @@ __all__ = [
     "TrialCache",
     "TrialSpec",
     "WorkerCrashed",
-    "auto_batch_size",
     "build_experiment",
     "default_workers",
     "execute_trial_batch",

@@ -288,7 +288,7 @@ class TrialCache:
         compaction is read-modify-replace, so records appended by a
         concurrent writer between the read pass and the replace would
         be clobbered.  Run it between sweeps (the CI smoke compacts
-        after ``merge``), or point concurrent shards at isolation
+        after ``run --from``), or point concurrent shards at isolation
         roots so the shared root has no other writer.
         """
         kept = 0

@@ -1,12 +1,11 @@
-"""``python -m repro.engine`` — run, shard, merge, and inspect experiments.
+"""``python -m repro.engine`` — run, shard, and inspect experiments.
 
 Subcommands::
 
     python -m repro.engine run --experiment sinkless --workers 4
-    python -m repro.engine plan --experiment landscape --shards 4 --out plan.json
-    python -m repro.engine run-shard --plan plan.json --shard 0/4 --cache-out shard0
-    python -m repro.engine merge --plan plan.json --from shard0 shard1 shard2 shard3
-    python -m repro.engine status --plan plan.json
+    python -m repro.engine run-shard --experiment landscape --shard 0/4 --cache-out shard0
+    python -m repro.engine status --experiment landscape --shards 4 --from shard0 shard1
+    python -m repro.engine run --experiment landscape --from shard0 shard1 shard2 shard3
     python -m repro.engine stats --report report.json
     python -m repro.engine cache --status
     python -m repro.engine cache --compact
@@ -16,10 +15,10 @@ Subcommands::
 Observability: every subcommand takes ``-v``/``-vv`` (INFO/DEBUG on
 the ``repro`` loggers, stderr) and ``-q`` (errors only — library
 users can equally attach their own handlers and silence the CLI);
-``run``/``run-shard``/``merge`` take ``--trace PATH`` to stream span
-and event JSONL for offline analysis; ``stats`` renders the
-phase/counter breakdown a ``--json`` report carries, and ``cache
---status`` the trial cache's counters.
+``run``/``run-shard`` take ``--trace PATH`` to stream span and event
+JSONL for offline analysis; ``stats`` renders the phase/counter
+breakdown a ``--json`` report carries, and ``cache --status`` the
+trial cache's counters.
 
 A flag shared by several subcommands means the same in each:
 ``--json -`` is stdout, and count flags reject values below 1.
@@ -28,26 +27,27 @@ suite feeds into ``benchmarks/conftest.report``) plus
 cache/parallelism accounting, and optionally writes the full JSON
 report; ``list``/``describe`` read the runtime registry's catalogs.
 
-The shard flow needs no scheduler integration: ``plan`` writes one
-JSON file fixing the chunk/shard partition for every spec of an
-experiment, ``run-shard`` executes one shard of it anywhere (a private
-``--cache-out`` root keeps concurrent shards from contending), and
-``merge`` unions the shard caches and rebuilds the exact report — and
-Figure 1 table — a single-host run would have produced.  Any shell
-loop, ``xargs -P``, or batch scheduler can drive it, and restarts a
-shard that dies: ``run-shard`` stores each chunk as it completes, so
-the rerun recomputes only the chunks that were lost, and ``status``
-shows which shards still owe trials.
+The shard flow needs no scheduler integration and no plan file: which
+trials shard ``I/K`` owns is a pure function of the grid flags
+(``--experiment --max-n --seeds --batch-size``) and K, so every host
+given the same flags derives the same partition.  ``run-shard``
+executes one shard anywhere (a private ``--cache-out`` root keeps
+concurrent shards from contending), and ``run --from ROOT...`` unions
+the shard roots into ``--cache-dir`` and replays the grid, rebuilding
+the exact report — and Figure 1 table — a single-host run would have
+produced.  Any shell loop, ``xargs -P``, or batch scheduler can drive
+it, and restarts a shard that dies: ``run-shard`` stores each chunk as
+it completes, so the rerun recomputes only the chunks that were lost,
+and ``status`` shows which shards still owe trials.
 
 Failure hygiene: every subcommand reports a setup failure (a missing
-plan or cache root, a bad shard index, an unknown name, an unreadable
-report file, an unwritable ``--out``) as one structured line
-(command, experiment, shard, cause) on stderr, and
-``run``/``run-shard``/``merge`` report run-time failures (a rejected
+cache root, a bad shard index, an unknown name, an unreadable report
+file) as one structured line (command, experiment, shard, cause) on
+stderr, and ``run``/``run-shard`` report run-time failures (a rejected
 output, a crashed worker) the same way and exit 3 — never a bare
-traceback.  ``--json-errors`` switches that line to a JSON object a
-launcher can parse.  Usage errors are argparse's own message.  Exit
-codes: 0 success, 2 bad invocation/setup, 3 run-time failure.
+traceback.  ``--json-errors`` switches ``run-shard``'s line to a JSON
+object a launcher can parse.  Usage errors are argparse's own message.
+Exit codes: 0 success, 2 bad invocation/setup, 3 run-time failure.
 """
 
 from __future__ import annotations
@@ -68,12 +68,7 @@ from repro.engine.runner import (
     run_experiment,
     run_shard,
 )
-from repro.engine.shard import (
-    ShardPlan,
-    dump_plan_file,
-    load_plan_file,
-    shard_coverage,
-)
+from repro.engine.shard import ShardPlan, shard_coverage
 from repro.obs import TraceSink, format_telemetry, get_telemetry, merge_snapshots
 from repro.runtime import registry
 from repro.util.fsio import atomic_write_text
@@ -347,6 +342,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _shard(text: str) -> tuple[int, int]:
+    """The argparse type of ``--shard``: ``I/K``, shard I (0-based) of K."""
+    index, _, count = text.partition("/")
+    try:
+        return int(index), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected I/K, e.g. 1/4, got {text!r}"
+        ) from None
+
+
 def _parser() -> argparse.ArgumentParser:
     # Every flag more than one subcommand takes is defined once, as a
     # parent parser the subcommands list by name, so a shared flag has
@@ -380,12 +386,9 @@ def _parser() -> argparse.ArgumentParser:
         type=_positive_int,
         metavar="COUNT",
         help=(
-            "trials per dispatch chunk (default: auto — covers a full seed "
-            "group; `plan` sizes it independently of the host)"
+            "trials per dispatch chunk (default: the seed count, up to 64, "
+            "so one chunk per size)"
         ),
-    )
-    parent("plan").add_argument(
-        "--plan", required=True, metavar="PATH", help="plan file from `plan`"
     )
     parent("workers").add_argument(
         "--workers",
@@ -407,17 +410,8 @@ def _parser() -> argparse.ArgumentParser:
         metavar="ROOT",
         help=(
             "shard cache roots not yet merged, e.g. the --cache-out roots "
-            "of shards: `merge` unions them into --cache-dir, `status` "
-            "counts them as present"
-        ),
-    )
-    parent("compact").add_argument(
-        "--compact",
-        action="store_true",
-        help=(
-            "rewrite the cache root's shard files keeping only the last "
-            "record per key (`merge`: after merging; run only while no "
-            "other writer uses the root)"
+            "of shards: `run` unions them into --cache-dir before it "
+            "replays, `status` counts them as present"
         ),
     )
     parent("kernels").add_argument(
@@ -444,11 +438,6 @@ def _parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="stream span/event telemetry as JSONL to PATH (off by default)",
-    )
-    parent("json-errors").add_argument(
-        "--json-errors",
-        action="store_true",
-        help="emit failures as one JSON object on stderr instead of a text line",
     )
     verbosity = parent("verbosity")
     verbosity.add_argument(
@@ -480,67 +469,64 @@ def _parser() -> argparse.ArgumentParser:
     run = command(
         "run",
         _run,
-        "grid workers progress kernels cache-dir json trace",
-        help="run a named experiment",
+        "grid workers progress kernels cache-dir from json trace",
+        help=(
+            "run a named experiment, or replay it from shard roots "
+            "(any remainder is computed locally)"
+        ),
     )
     run.add_argument(
         "--no-cache",
         action="store_true",
         help="recompute every trial; do not read or write the cache",
     )
-
-    plan = command(
-        "plan", _plan, "grid", help="write a deterministic sharded execution plan"
-    )
-    plan.add_argument(
-        "--shards",
-        type=_positive_int,
-        required=True,
-        metavar="K",
-        help="number of shards to deal the dispatch chunks onto",
-    )
-    plan.add_argument(
-        "--out",
-        default="-",
-        metavar="PATH",
-        help="where to write the plan JSON ('-' for stdout, the default)",
-    )
+    # ``--from`` comes from a parent parser, so it cannot share a mutually
+    # exclusive group with ``--no-cache``; ``main`` rejects the pair.
+    run.set_defaults(usage_error=run.error)
 
     run_shard_p = command(
         "run-shard",
         _run_shard,
-        "plan workers cache-dir progress kernels json trace json-errors",
-        help="execute one shard of a plan",
+        "grid workers cache-dir progress kernels json trace",
+        help="execute one shard of a named experiment",
     )
     run_shard_p.add_argument(
         "--shard",
         required=True,
-        metavar="I[/K]",
-        help="0-based shard to run, e.g. '1' or '1/4' (the /K must match the plan)",
+        type=_shard,
+        metavar="I/K",
+        help=(
+            "0-based shard I of K, e.g. '1/4'; every shard of one run "
+            "takes the same K and grid flags"
+        ),
     )
     run_shard_p.add_argument(
         "--cache-out",
         metavar="DIR",
         help=(
             "private root this shard writes to (reads still see --cache-dir); "
-            "merge the roots afterward.  Default: write into --cache-dir"
+            "`run --from` unions the roots afterward.  Default: write into "
+            "--cache-dir"
         ),
+    )
+    run_shard_p.add_argument(
+        "--json-errors",
+        action="store_true",
+        help="emit failures as one JSON object on stderr instead of a text line",
     )
 
-    command(
-        "merge",
-        _merge,
-        "plan cache-dir from compact workers kernels json trace json-errors",
-        help=(
-            "union shard cache roots and rebuild the single-host report "
-            "(any remainder is computed locally)"
-        ),
-    )
-    command(
+    status = command(
         "status",
         _status,
-        "plan cache-dir from",
-        help="per-shard completion of a plan against a cache",
+        "grid cache-dir from",
+        help="per-shard completion of a named experiment against a cache",
+    )
+    status.add_argument(
+        "--shards",
+        type=_positive_int,
+        required=True,
+        metavar="K",
+        help="number of shards, the K of run-shard's --shard I/K",
     )
 
     stats = command(
@@ -552,14 +538,22 @@ def _parser() -> argparse.ArgumentParser:
         "--report",
         required=True,
         metavar="PATH",
-        help="a JSON report written by run/run-shard/merge --json",
+        help="a JSON report written by run/run-shard --json",
     )
 
     cache = command(
         "cache",
         _cache,
-        "cache-dir compact",
+        "cache-dir",
         help="inspect or compact a trial cache root",
+    )
+    cache.add_argument(
+        "--compact",
+        action="store_true",
+        help=(
+            "rewrite the cache root's shard files keeping only the last "
+            "record per key (run only while no other writer uses the root)"
+        ),
     )
     cache.add_argument(
         "--status",
@@ -590,7 +584,7 @@ def _write_json(path: str, payload: object) -> None:
     """Write ``payload`` as indented JSON to ``path``, or stdout for ``-``.
 
     Files are replaced atomically: a scheduler watching for the file
-    must never read half a plan or report.
+    must never read half a report.
     """
     text = json.dumps(payload, indent=2)
     if path == "-":
@@ -649,10 +643,31 @@ def _render_partial_landscape(reports: Sequence[EngineReport]) -> str | None:
 # -- run / list / describe ---------------------------------------------
 
 
+def _merged_cache(args: argparse.Namespace) -> TrialCache:
+    """``--cache-dir`` with every ``--from`` root unioned into it.
+
+    Every root is checked before anything is written, so a typo'd root
+    fails the run without creating or changing a cache.
+    """
+    for root in args.sources:
+        if not os.path.isdir(root):
+            raise ValueError(f"cache root {root!r} does not exist")
+    cache = TrialCache(args.cache_dir)
+    if args.sources:
+        added = sum(cache.merge(root) for root in args.sources)
+        torn = cache.stats.torn_lines
+        torn_note = f" ({torn} torn line(s) skipped)" if torn else ""
+        print(
+            f"merged {len(args.sources)} root(s) into {args.cache_dir}: "
+            f"{added} new record(s){torn_note}\n"
+        )
+    return cache
+
+
 def _run(args: argparse.Namespace) -> int:
     try:
         specs = build_experiment(args.experiment, args.max_n, args.seeds)
-        cache = None if args.no_cache else TrialCache(args.cache_dir)
+        cache = None if args.no_cache else _merged_cache(args)
         sink = _attach_trace(args)
     except (ValueError, OSError) as err:
         return _emit_error(args, err, 2, args.experiment)
@@ -735,69 +750,34 @@ def _describe(args: argparse.Namespace) -> int:
 # -- sharded execution -------------------------------------------------
 
 
-def _load_plans(path: str) -> tuple[str, list[ShardPlan]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return load_plan_file(payload)
-
-
-def _parse_shard(value: str, num_shards: int) -> int:
-    """Parse ``--shard`` values: a 0-based index, optionally ``i/K``."""
-    text = value
-    if "/" in text:
-        text, _, declared = text.partition("/")
-        if int(declared) != num_shards:
-            raise ValueError(
-                f"--shard says /{declared} but the plan has "
-                f"{num_shards} shard(s)"
-            )
-    index = int(text)
-    if not 0 <= index < num_shards:
-        raise ValueError(
-            f"shard index {index} out of range for a {num_shards}-shard plan "
-            "(indices are 0-based)"
-        )
-    return index
-
-
-def _plan(args: argparse.Namespace) -> int:
-    try:
-        specs = build_experiment(args.experiment, args.max_n, args.seeds)
-        plans = [
-            plan_experiment(
-                spec, num_shards=args.shards, batch_size=args.batch_size
-            )
-            for spec in specs
-        ]
-        payload = dump_plan_file(args.experiment, plans)
-        _write_json(args.out, payload)
-    except (ValueError, OSError) as err:
-        return _emit_error(args, err, 2, args.experiment)
-    if args.out != "-":
-        print(
-            f"wrote {args.out}: {args.experiment}, {len(plans)} spec(s) x "
-            f"{args.shards} shard(s), {payload['trials_total']} trials"
-        )
-    return 0
+def _plans(args: argparse.Namespace, num_shards: int) -> list[ShardPlan]:
+    """Every spec of the grid flags' experiment, dealt onto ``num_shards``."""
+    return [
+        plan_experiment(spec, num_shards=num_shards, batch_size=args.batch_size)
+        for spec in build_experiment(args.experiment, args.max_n, args.seeds)
+    ]
 
 
 def _run_shard(args: argparse.Namespace) -> int:
-    experiment = None
-    index = None
+    index, num_shards = args.shard
     try:
-        experiment, plans = _load_plans(args.plan)
-        index = _parse_shard(args.shard, plans[0].num_shards)
+        plans = _plans(args, num_shards)
+        if not 0 <= index < num_shards:
+            raise ValueError(
+                f"shard index {index} out of range for {num_shards} shard(s) "
+                "(indices are 0-based)"
+            )
         cache = TrialCache(args.cache_dir, isolation=args.cache_out)
         sink = _attach_trace(args)
     except (ValueError, OSError) as err:
-        return _emit_error(args, err, 2, experiment, index)
+        return _emit_error(args, err, 2, args.experiment, index)
     try:
         return _run_shard_plans(args, plans, index, cache)
     except Exception as err:
         # The CLI boundary: a solver bug, a rejecting verifier, a full
         # disk — one attributable line for the launcher, not a
         # traceback (which -vv still logs).
-        return _emit_error(args, err, 3, experiment, index)
+        return _emit_error(args, err, 3, args.experiment, index)
     finally:
         _detach_trace(sink)
 
@@ -839,81 +819,8 @@ def _run_shard_plans(args, plans, index, cache) -> int:
         _write_json(
             args.json,
             {
-                "plan": args.plan,
+                "experiment": args.experiment,
                 "shard_index": index,
-                "reports": [rep.as_dict() for rep in reports],
-            },
-        )
-    return 0
-
-
-def _merge(args: argparse.Namespace) -> int:
-    sink = None
-    experiment = None
-    try:
-        experiment, plans = _load_plans(args.plan)
-        if not args.sources and not os.path.isdir(args.cache_dir):
-            # With --from roots, creating a fresh destination is the
-            # point; without them, a typo'd --cache-dir would silently
-            # recompute the whole experiment instead of replaying it.
-            raise ValueError(
-                f"cache root {args.cache_dir!r} does not exist and no "
-                "--from roots were given; nothing to merge"
-            )
-        sink = _attach_trace(args)
-        cache = TrialCache(args.cache_dir)
-        added = 0
-        for root in args.sources:
-            added += cache.merge(root)
-    except (ValueError, OSError) as err:
-        _detach_trace(sink)
-        return _emit_error(args, err, 2, experiment)
-    try:
-        return _merge_replay(args, experiment, plans, cache, added)
-    except Exception as err:
-        return _emit_error(args, err, 3, experiment)
-    finally:
-        _detach_trace(sink)
-
-
-def _merge_replay(args, experiment, plans, cache, added) -> int:
-    torn = cache.stats.torn_lines
-    torn_note = f" ({torn} torn line(s) skipped)" if torn else ""
-    print(
-        f"merged {len(args.sources)} shard root(s) into "
-        f"{args.cache_dir}: {added} new record(s){torn_note}"
-    )
-    if args.compact:
-        kept, dropped = cache.compact()
-        print(f"compacted: kept {kept} record(s), dropped {dropped} stale line(s)")
-    # Replay the plan from the merged cache — the single-shard pipeline
-    # again, so a complete merge is pure cache hits and an incomplete
-    # one computes exactly the remainder.
-    reports = [
-        run_experiment(
-            plan.spec,
-            workers=args.workers,
-            cache=cache,
-            batch_size=plan.batch_size,
-            kernels=args.kernels,
-        )
-        for plan in plans
-    ]
-    print()
-    _print_reports(experiment, reports)
-    total = sum(rep.trials_total for rep in reports)
-    hits = sum(rep.cache_hits for rep in reports)
-    print(
-        f"\ntotal: {total} trials, {hits} from the merged cache, "
-        f"{total - hits} computed during merge"
-    )
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "experiment": experiment,
-                "merged_roots": list(args.sources),
-                "records_added": added,
                 "reports": [rep.as_dict() for rep in reports],
             },
         )
@@ -924,39 +831,38 @@ def _status(args: argparse.Namespace) -> int:
     from repro.analysis import render_table
 
     try:
-        experiment, plans = _load_plans(args.plan)
+        plans = _plans(args, args.shards)
         # Probe the shared root plus any not-yet-merged shard roots, so
         # a scheduler can watch shards that write to private
         # --cache-out dirs without forcing an early merge.
         probes = [_open_cache(root) for root in [args.cache_dir, *args.sources]]
     except (ValueError, OSError) as err:
-        return _emit_error(args, err, 2)
+        return _emit_error(args, err, 2, args.experiment)
 
     def present(key: str) -> bool:
         return any(probe.contains(key) for probe in probes)
 
-    num_shards = plans[0].num_shards
     rows = []
     remaining = 0
-    for shard_index in range(num_shards):
+    for shard_index in range(args.shards):
         owed, missing = shard_coverage(plans, shard_index, present)
         remaining += missing
         state = f"{missing} remaining" if missing else "complete"
-        rows.append([f"{shard_index}/{num_shards}", owed, owed - missing, state])
+        rows.append([f"{shard_index}/{args.shards}", owed, owed - missing, state])
     print(
         render_table(
             ["shard", "trials", "cached", "status"],
             rows,
             title=(
-                f"{experiment}: {len(plans)} spec(s) x {num_shards} shard(s) "
-                f"against {args.cache_dir}"
+                f"{args.experiment}: {len(plans)} spec(s) x {args.shards} "
+                f"shard(s) against {args.cache_dir}"
             ),
         )
     )
     if remaining:
-        print(f"\n{remaining} trial(s) remaining before `merge` is all-hits")
+        print(f"\n{remaining} trial(s) remaining before `run --from` is all-hits")
     else:
-        print("\nplan complete — `merge` will replay without computing")
+        print("\nplan complete — `run --from` will replay without computing")
     return 0
 
 
@@ -1005,8 +911,8 @@ def _render_report_telemetry(payload: object, path: str) -> str:
     line per report.
 
     A report file holds one report object, or an object whose
-    ``reports`` list holds them (what ``run``/``run-shard``/``merge
-    --json`` write).  Anything else raises ``ValueError``, so ``stats``
+    ``reports`` list holds them (what ``run``/``run-shard --json``
+    write).  Anything else raises ``ValueError``, so ``stats``
     reports it as one setup-error line.
     """
     if not isinstance(payload, dict):
@@ -1042,6 +948,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     returns argparse's 2 instead of raising ``SystemExit``."""
     try:
         args = _parser().parse_args(argv)
+        if getattr(args, "no_cache", False) and args.sources:
+            args.usage_error("argument --from: not allowed with argument --no-cache")
     except SystemExit as exit_:
         return exit_.code
     _setup_logging(args)

@@ -7,8 +7,8 @@ aggregation:
 1. :func:`plan_experiment` expands the spec into its trial grid
    (n-major, seed-minor order), chunks the FULL grid into per-``(spec,
    n)`` dispatch chunks, and deals the chunks onto K shards — a pure
-   function of ``(spec, num_shards, batch_size)``, so any host re-plans
-   to byte-identical shards;
+   function of ``(spec, num_shards, batch_size)``, so every host given
+   the same experiment grid and shard count derives the same shards;
 2. :func:`run_shard` executes shard ``i`` of a
    :class:`~repro.engine.shard.ShardPlan`: look the shard's trial keys
    up in the cache, hand each chunk's missing trials to the worker
@@ -17,7 +17,7 @@ aggregation:
 
 Shard results come home one way, through the trial cache: union the
 shards' cache roots (:meth:`~repro.engine.cache.TrialCache.merge`) and
-replay the plan with :func:`run_experiment`, which is pure cache hits
+replay the grid with :func:`run_experiment`, which is pure cache hits
 when the shards covered the grid and yields an :class:`EngineReport`
 bit-identical to a single-host run, in whatever order the shards ran
 and on whatever mix of processes.
@@ -63,16 +63,15 @@ _LOG = logging.getLogger("repro.engine")
 __all__ = [
     "EngineReport",
     "ShardReport",
-    "auto_batch_size",
     "execute_trial_batch",
     "plan_experiment",
     "run_experiment",
     "run_shard",
 ]
 
-# The auto heuristic never picks a chunk larger than this: it bounds
-# both the result pickle and how stale the streaming progress can get.
-# An explicit ``batch_size`` may exceed it (chunks still never span two
+# The default chunk never holds more trials than this: it bounds both
+# the result pickle and how stale the streaming progress can get.  An
+# explicit ``batch_size`` may exceed it (chunks still never span two
 # grid sizes, so len(spec.seeds) remains the effective ceiling then).
 MAX_BATCH_SIZE = 64
 
@@ -91,8 +90,9 @@ class EngineReport:
     elapsed: float
     workers: int
     #: Worker dispatch accounting: how many chunks the missing trials
-    #: were grouped into, and the per-chunk trial cap used (0 = nothing
-    #: was dispatched).
+    #: were grouped into, and the plan's per-chunk trial cap — the
+    #: ``batch_size`` the caller pinned, else the spec's seed count
+    #: capped at ``MAX_BATCH_SIZE`` (0 = nothing was dispatched).
     batches: int = 0
     batch_size: int = 0
     #: Merged telemetry snapshot (see :mod:`repro.obs`); None when the
@@ -244,20 +244,6 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def auto_batch_size(num_missing: int, workers: int, seeds_per_n: int) -> int:
-    """The default chunk size when the caller does not pin one.
-
-    Large enough that one chunk usually covers a full seed group (so
-    topology reuse sees every seed of a size), small enough to leave
-    ~4 chunks per worker for load balancing, and capped at
-    ``MAX_BATCH_SIZE`` to bound pickle sizes.
-    """
-    if num_missing <= 0:
-        return 1
-    balance = -(-num_missing // (max(workers, 1) * 4))  # ceil division
-    return max(1, min(MAX_BATCH_SIZE, max(balance, seeds_per_n)))
-
-
 def _chunk_missing(
     trials: Sequence[TrialSpec], missing: Sequence[int], batch_size: int
 ) -> list[list[int]]:
@@ -286,24 +272,23 @@ def plan_experiment(
     spec: ExperimentSpec,
     num_shards: int = 1,
     batch_size: int | None = None,
-    workers: int = 1,
 ) -> ShardPlan:
     """Cut a spec's full trial grid into a deterministic shard plan.
 
     The plan is a pure function of ``(spec, num_shards, batch_size)``:
     chunking always covers the FULL grid — never the cache-missing
-    subset, which would differ per host — so re-planning anywhere, at
-    any cache state, yields byte-identical shards.  ``workers`` only
-    feeds the :func:`auto_batch_size` heuristic when ``batch_size`` is
-    None; pin ``batch_size`` explicitly when plans must agree across
-    hosts with different CPU counts.
+    subset, which would differ per host — so planning anywhere, at any
+    cache state, yields identical shards.  ``batch_size=None`` takes
+    one chunk per size (``len(spec.seeds)`` trials) up to
+    ``MAX_BATCH_SIZE``, so a full seed group shares one chunk's topology
+    reuse whenever it fits.
 
     Invalid ``num_shards``/``batch_size`` values are rejected by
     ``ShardPlan.__post_init__`` — one copy of each guard.
     """
     trials = spec.trials()
     if batch_size is None:
-        batch_size = auto_batch_size(len(trials), workers, len(spec.seeds))
+        batch_size = min(MAX_BATCH_SIZE, len(spec.seeds))
     chunks = _chunk_missing(trials, range(len(trials)), batch_size)
     return ShardPlan(
         spec=spec,
@@ -358,7 +343,6 @@ class ShardReport:
             "experiment": self.plan.spec.name,
             "shard_index": self.shard_index,
             "num_shards": self.plan.num_shards,
-            "plan_key": self.plan.key(),
             "records": [[i, record] for i, record in self.records],
             "trials_total": self.trials_total,
             "cache_hits": self.cache_hits,
@@ -551,31 +535,17 @@ def run_experiment(
     literally ``plan_experiment(num_shards=1)`` + :func:`run_shard`,
     whose one shard owns the whole grid in grid order, then
     :func:`~repro.analysis.sweep.aggregate_points`; there is no second
-    code path.  Replaying a sharded plan is the same call against the
+    code path.  Replaying a sharded run is the same call against the
     merged cache: pure hits when the shards covered the grid, exactly
     the remainder computed otherwise.  ``batch_size`` caps how many
-    trials travel in one worker dispatch chunk (None =
-    :func:`auto_batch_size`); chunks never span two grid sizes.
+    trials travel in one worker dispatch chunk (None = the spec's seed
+    count, up to ``MAX_BATCH_SIZE``); chunks never span two grid sizes.
     ``on_record`` streams results: it fires once per record —
     immediately (in grid order) for cache hits, then for computed
     chunks, in grid order at any worker count (see :func:`run_shard`).
     """
     start = time.perf_counter()
-    if batch_size is None and cache is not None:
-        # Key the auto heuristic off the cache-missing subset, as the
-        # pre-shard runner did: a warm cache's small remainder should
-        # spread across the workers, not ride in one chunk sized for
-        # the full grid.  Sharded plans cannot do this — their chunking
-        # must be cache-independent to be host-independent — but the
-        # single-shard case has no such constraint.
-        missing = sum(
-            1 for trial in spec.trials() if not cache.contains(trial.key())
-        )
-        if missing:
-            batch_size = auto_batch_size(missing, workers, len(spec.seeds))
-    plan = plan_experiment(
-        spec, num_shards=1, batch_size=batch_size, workers=workers
-    )
+    plan = plan_experiment(spec, num_shards=1, batch_size=batch_size)
     shard = run_shard(
         plan,
         0,
@@ -595,9 +565,6 @@ def run_experiment(
         trials_total=shard.trials_total,
         cache_hits=shard.cache_hits,
         computed=shard.computed,
-        # Whole-call elapsed: the warm-cache pre-scan above does the
-        # shard-file loading, so the shard's own timer alone would
-        # understate replay cost.
         elapsed=time.perf_counter() - start,
         workers=workers,
         batches=shard.batches,

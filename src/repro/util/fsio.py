@@ -1,9 +1,9 @@
 """Crash-safe file writes: tmp file + ``os.replace``.
 
-Every file the engine hands to another process — plan files and
-report JSON — must be either absent or complete: a
-reader that races a writer (or outlives a killed one) may see the
-*old* contents but never a torn prefix.  POSIX rename within one
+Every file the engine hands to another process — report JSON — must
+be either absent or complete: a reader that races a writer (or
+outlives a killed one) may see the *old* contents but never a torn
+prefix.  POSIX rename within one
 directory gives exactly that, so the helper stages the text in a
 sibling temp file and atomically replaces the target.
 """

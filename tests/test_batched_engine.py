@@ -23,8 +23,9 @@ from repro.engine.cache import TrialCache
 from repro.engine import runner
 from repro.engine.cli import main as engine_main
 from repro.engine.runner import (
-    auto_batch_size,
+    MAX_BATCH_SIZE,
     execute_trial_batch,
+    plan_experiment,
     run_experiment,
 )
 from repro.engine.spec import ExperimentSpec
@@ -503,17 +504,27 @@ class TestLargestFirst:
 
 
 class TestAutoBatchSize:
-    def test_covers_a_seed_group(self):
-        assert auto_batch_size(num_missing=12, workers=8, seeds_per_n=6) == 6
+    """Unpinned, a chunk holds one size's seeds, up to the cap."""
 
-    def test_load_balances_large_runs(self):
-        # 1000 missing on 4 workers -> ceil(1000/16) = 63 per chunk.
-        assert auto_batch_size(1000, 4, 2) == 63
+    @staticmethod
+    def _plan(seed_count):
+        spec = ExperimentSpec(
+            "test/degree-parity/parity@cycle-seeds",
+            "degree-parity",
+            "parity",
+            "cycle",
+            ns=(8, 12),
+            seeds=tuple(range(seed_count)),
+        )
+        return plan_experiment(spec)
+
+    def test_covers_a_seed_group(self):
+        assert self._plan(6).batch_size == 6
 
     def test_caps_and_floors(self):
-        assert auto_batch_size(10_000, 1, 1) == 64
-        assert auto_batch_size(0, 4, 3) == 1
-        assert auto_batch_size(1, 1, 1) == 1
+        assert MAX_BATCH_SIZE == 64
+        assert self._plan(100).batch_size == 64
+        assert self._plan(1).batch_size == 1
 
 
 class TestBestPerCellLandscape:

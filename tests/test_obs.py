@@ -241,8 +241,8 @@ class TestEngineTelemetry:
         report = run_experiment(PARITY_SPEC, cache=TrialCache(root))
         outer = time.perf_counter() - start
         _, shard = shards
-        # The warm pre-scan loads the shard files before the shard's
-        # own timer starts; the report's clock covers both.
+        # Planning runs before the shard's own timer starts; the
+        # report's clock covers both.
         assert shard.elapsed < report.elapsed <= outer
         assert report.telemetry == shard.telemetry
         payload = report.as_dict()

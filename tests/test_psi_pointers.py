@@ -19,9 +19,14 @@ from repro.gadgets.labels import Down, LCHILD, LEFT, PARENT, RCHILD, RIGHT, UP
 
 @pytest.fixture(scope="module")
 def broken():
-    """A corrupted gadget with a Psi-consistent proof to mutate."""
+    """A corrupted gadget with a Psi-consistent proof to mutate.
+
+    The wrong-index corruption's height-4 proof holds Right, Left,
+    Parent, RChild, Up and Down pointers, so every chain below has a
+    pointer to break.
+    """
     built = build_gadget(3, 4)
-    corruption = corrupt(built, "swapped-children")
+    corruption = corrupt(built, "wrong-index")
     scope = GadgetScope(corruption.graph, corruption.inputs)
     component = sorted(corruption.graph.nodes())
     prover = run_prover(scope, component, 3, corruption.graph.num_nodes)
@@ -42,8 +47,7 @@ class TestChainBreaks:
     def test_breaking_a_chain_rejected(self, broken, kind):
         scope, component, outputs = broken
         v = _find(scope, component, outputs, kind)
-        if v is None:
-            pytest.skip(f"no {kind} pointer in this proof")
+        assert v is not None, f"no {kind} pointer in this proof"
         target = scope.follow(v, kind)
         assert target is not None
         mutated = dict(outputs)
@@ -53,8 +57,7 @@ class TestChainBreaks:
     def test_up_pointer_needs_down_continuation(self, broken):
         scope, component, outputs = broken
         v = _find(scope, component, outputs, UP)
-        if v is None:
-            pytest.skip("no Up pointer in this proof")
+        assert v is not None, "no Up pointer in this proof"
         center = scope.follow(v, UP)
         mutated = dict(outputs)
         mutated[center] = GADOK
@@ -64,8 +67,7 @@ class TestChainBreaks:
         """The center may not point back into the Up-pointer's gadget."""
         scope, component, outputs = broken
         v = _find(scope, component, outputs, UP)
-        if v is None:
-            pytest.skip("no Up pointer in this proof")
+        assert v is not None, "no Up pointer in this proof"
         center = scope.follow(v, UP)
         own_index = scope.role(v).i
         mutated = dict(outputs)
@@ -110,7 +112,6 @@ class TestOutputDiscipline:
         mutated = dict(prover.outputs)
         # the center has no Right edge; force a Right pointer there
         center = next(v for v in component if scope.role(v) == "Center")
-        if mutated[center] == ERROR:
-            pytest.skip("center is an error node in this corruption")
+        assert mutated[center] != ERROR, "center is an error node in this corruption"
         mutated[center] = Pointer(RIGHT)
         assert verify_psi(scope, component, mutated, 2)

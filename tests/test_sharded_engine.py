@@ -27,10 +27,14 @@ import pytest
 from repro.engine import pool, runner
 from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
-from repro.engine.experiments import build_experiment
+from repro.engine.experiments import EXPERIMENTS, build_experiment
 from repro.engine.pool import WorkerCrashed
-from repro.engine.runner import plan_experiment, run_experiment, run_shard
-from repro.engine.shard import dump_plan_file, load_plan_file
+from repro.engine.runner import (
+    MAX_BATCH_SIZE,
+    plan_experiment,
+    run_experiment,
+    run_shard,
+)
 from repro.engine.spec import ExperimentSpec
 from tests.conftest import reference_records
 
@@ -50,7 +54,6 @@ class TestPlanning:
         a = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
         b = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
         assert a == b
-        assert a.key() == b.key()
 
     def test_plan_chunks_cover_the_grid_and_respect_sizes(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
@@ -95,14 +98,36 @@ class TestPlanning:
         run_experiment(PARITY_SPEC, cache=cache)
         warm = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
         cold = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
-        assert warm.key() == cold.key()
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "max_n, seed_count", [(None, None), (4096, 100)], ids=["default", "wide"]
+    )
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_default_chunks_are_one_per_size_split_at_the_cap(
+        self, experiment, max_n, seed_count
+    ):
+        # The default chunk size depends on the seed count alone, so
+        # every host derives the same shards from the grid flags.
+        for spec in build_experiment(experiment, max_n, seed_count):
+            plan = plan_experiment(spec)
+            seeds = len(spec.seeds)
+            per_size = [MAX_BATCH_SIZE] * (seeds // MAX_BATCH_SIZE)
+            per_size += [seeds % MAX_BATCH_SIZE] if seeds % MAX_BATCH_SIZE else []
+            assert plan.batch_size == min(MAX_BATCH_SIZE, seeds)
+            assert [len(chunk) for chunk in plan.chunks] == per_size * len(spec.ns)
+            assert [i for chunk in plan.chunks for i in chunk] == list(
+                range(len(spec.ns) * seeds)
+            )
+            trials = spec.trials()
+            for chunk in plan.chunks:
+                assert len({trials[i].n for i in chunk}) == 1, spec.name
 
     def test_warm_cache_keys_auto_batch_off_the_missing_subset(
         self, tmp_path
     ):
-        # 16 sizes x 2 seeds: the full grid auto-sizes to 8-trial
-        # chunks on one worker, but after warming all but the last
-        # size, the 2-trial remainder must be sized for itself.
+        # 16 sizes x 2 seeds: after warming all but the last size, the
+        # 2-trial remainder travels as the one chunk it needs.
         wide = ExperimentSpec(
             "test/degree-parity/parity@cycle-wide",
             "degree-parity",
@@ -117,12 +142,13 @@ class TestPlanning:
         )
         cache_dir = str(tmp_path / "cache")
         cold = run_experiment(wide, cache=TrialCache(cache_dir))
-        assert cold.batch_size == 8
+        assert cold.batches == 16  # one chunk per size
         run_experiment(narrower, cache=TrialCache(str(tmp_path / "warm")))
         cache = TrialCache(str(tmp_path / "warm"))
         warm = run_experiment(wide, cache=cache)
         assert warm.computed == 2
-        assert warm.batch_size == 2  # sized for the remainder, not the grid
+        assert warm.batches == 1
+        assert warm.records == cold.records
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="batch size"):
@@ -134,35 +160,6 @@ class TestPlanning:
             plan.shard_chunks(2)
         with pytest.raises(ValueError, match="out of range"):
             run_shard(plan, -1)
-
-    def test_plan_file_round_trip(self):
-        plans = [plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)]
-        payload = json.loads(json.dumps(dump_plan_file("test", plans)))
-        experiment, loaded = load_plan_file(payload)
-        assert experiment == "test"
-        assert loaded == plans
-
-    def test_plan_file_rejects_tampering(self):
-        plans = [plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)]
-        payload = dump_plan_file("test", plans)
-        payload["specs"][0]["chunks"][0] = [1, 0]  # reorder one chunk
-        with pytest.raises(ValueError, match="content hash"):
-            load_plan_file(payload)
-
-    def test_truncated_plan_refused_even_without_plan_key(self):
-        plans = [plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)]
-        payload = dump_plan_file("test", plans)
-        payload["specs"][0]["chunks"] = payload["specs"][0]["chunks"][:-1]
-        payload["specs"][0].pop("plan_key")
-        with pytest.raises(ValueError, match="full 9-trial grid"):
-            load_plan_file(payload)
-
-    def test_foreign_version_refused(self):
-        plans = [plan_experiment(PARITY_SPEC, num_shards=1)]
-        payload = dump_plan_file("test", plans)
-        payload["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            load_plan_file(payload)
 
 
 class TestShardedEquivalence:
@@ -205,26 +202,6 @@ class TestShardedEquivalence:
         single = run_experiment(PARITY_SPEC)
         assert replay.sweep == single.sweep
 
-    def test_remote_host_needs_only_the_plan_file(self, tmp_path):
-        # Simulate shipping: each "host" receives the plan file's text
-        # and a shard index, runs into its own root, and the roots come
-        # home through a cache merge.
-        oracle = reference_records(PARITY_SPEC)
-        plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
-        wire = json.dumps(dump_plan_file("test", [plan]))
-        for shard_index in range(2):
-            _, (received,) = load_plan_file(json.loads(wire))
-            run_shard(
-                received,
-                shard_index,
-                cache=TrialCache(str(tmp_path / f"host-{shard_index}")),
-            )
-        home = TrialCache(str(tmp_path / "home"))
-        assert sum(home.merge(str(tmp_path / f"host-{i}")) for i in range(2)) == 9
-        replay = run_experiment(PARITY_SPEC, cache=home)
-        assert replay.records == oracle
-        assert replay.computed == 0
-
     def test_shard_report_payload_names_its_plan(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
         report = run_shard(plan, 1)
@@ -232,7 +209,6 @@ class TestShardedEquivalence:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["experiment"] == PARITY_SPEC.name
         assert (payload["shard_index"], payload["num_shards"]) == (1, 3)
-        assert payload["plan_key"] == plan.key()
         assert [i for i, _ in payload["records"]] == plan.trial_indices(1)
         assert payload["records"] == [[i, r] for i, r in report.records]
         assert payload["trials_total"] == len(plan.trial_indices(1))
@@ -677,83 +653,48 @@ class TestCompaction:
 
 
 class TestCli:
-    def _plan_file(self, tmp_path, shards=2):
-        path = str(tmp_path / "plan.json")
-        code = engine_main(
-            [
-                "plan",
-                "--experiment",
-                "sinkless",
-                "--max-n",
-                "128",
-                "--shards",
-                str(shards),
-                "--batch-size",
-                "2",
-                "--out",
-                path,
-            ]
-        )
-        assert code == 0
-        return path
+    #: The grid flags every shard, status and replay of one run shares.
+    GRID = ["--experiment", "sinkless", "--max-n", "128", "--batch-size", "2"]
 
-    def test_plan_run_shard_merge_status_round_trip(self, tmp_path, capsys):
-        plan_path = self._plan_file(tmp_path)
+    def _run_shard(self, shard, cache_dir, cache_out=None, grid=GRID):
+        argv = ["run-shard", *grid, "--shard", shard, "--workers", "1"]
+        argv += ["--cache-dir", str(cache_dir)]
+        if cache_out is not None:
+            argv += ["--cache-out", str(cache_out)]
+        assert engine_main(argv) == 0
+
+    @staticmethod
+    def _reports(path):
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)["reports"]
+
+    def test_run_shard_status_replay_round_trip(self, tmp_path, capsys):
         merged_dir = str(tmp_path / "merged")
         for shard in ("0/2", "1/2"):
-            code = engine_main(
-                [
-                    "run-shard",
-                    "--plan",
-                    plan_path,
-                    "--shard",
-                    shard,
-                    "--workers",
-                    "1",
-                    "--cache-dir",
-                    merged_dir,
-                    "--cache-out",
-                    str(tmp_path / f"s{shard[0]}"),
-                ]
-            )
-            assert code == 0
+            self._run_shard(shard, merged_dir, tmp_path / f"s{shard[0]}")
         out = capsys.readouterr().out
         assert "shard 0/2" in out and "shard 1/2" in out
-        code = engine_main(
-            [
-                "merge",
-                "--plan",
-                plan_path,
-                "--cache-dir",
-                merged_dir,
-                "--from",
-                str(tmp_path / "s0"),
-                str(tmp_path / "s1"),
-                "--compact",
-            ]
-        )
-        assert code == 0
+        merged_json = str(tmp_path / "merged.json")
+        argv = ["run", *self.GRID, "--workers", "1", "--cache-dir", merged_dir]
+        argv += ["--from", str(tmp_path / "s0"), str(tmp_path / "s1")]
+        assert engine_main(argv + ["--json", merged_json]) == 0
         out = capsys.readouterr().out
-        assert "merged 2 shard root(s)" in out
-        assert ", 0 computed during merge" in out
-        code = engine_main(
-            ["status", "--plan", plan_path, "--cache-dir", merged_dir]
-        )
-        assert code == 0
+        reports = self._reports(merged_json)
+        total = sum(rep["trials_total"] for rep in reports)
+        assert f"merged 2 root(s) into {merged_dir}: {total} new record(s)" in out
+        assert [rep["computed"] for rep in reports] == [0] * len(reports)
+        argv = ["status", *self.GRID, "--shards", "2", "--cache-dir", merged_dir]
+        assert engine_main(argv) == 0
         out = capsys.readouterr().out
         assert "complete" in out and "without computing" in out
 
     def test_sharded_round_trip_equals_a_cold_single_host_run(
         self, tmp_path, capsys
     ):
-        plan_path = self._plan_file(tmp_path, shards=3)
         for shard in (2, 0, 1):
-            argv = ["run-shard", "--plan", plan_path, "--shard", f"{shard}/3"]
-            argv += ["--workers", "1", "--cache-dir", str(tmp_path / "base")]
-            argv += ["--cache-out", str(tmp_path / f"s{shard}")]
-            assert engine_main(argv) == 0
+            self._run_shard(f"{shard}/3", tmp_path / "base", tmp_path / f"s{shard}")
         merged_json = str(tmp_path / "merged.json")
-        argv = ["merge", "--plan", plan_path]
+        argv = ["run", *self.GRID, "--workers", "1"]
         argv += ["--cache-dir", str(tmp_path / "merged"), "--json", merged_json]
         argv += ["--from"] + [str(tmp_path / f"s{shard}") for shard in (1, 2, 0)]
         assert engine_main(argv) == 0
@@ -763,129 +704,65 @@ class TestCli:
         assert engine_main(argv) == 0
         capsys.readouterr()
 
-        def reports(path):
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)["reports"]
-
-        merged, single = reports(merged_json), reports(single_json)
+        merged, single = self._reports(merged_json), self._reports(single_json)
         assert [rep["computed"] for rep in merged] == [0] * len(merged)
         assert [(rep["experiment"], rep["points"]) for rep in merged] == [
             (rep["experiment"], rep["points"]) for rep in single
         ]
 
-    def test_merge_computes_the_remainder_of_a_partial_plan(
+    def test_run_from_computes_the_remainder_of_a_partial_set(
         self, tmp_path, capsys
     ):
-        plan_path = self._plan_file(tmp_path)
         merged_dir = str(tmp_path / "merged")
-        engine_main(
-            [
-                "run-shard",
-                "--plan",
-                plan_path,
-                "--shard",
-                "0",
-                "--workers",
-                "1",
-                "--cache-dir",
-                merged_dir,
-            ]
-        )
+        self._run_shard("0/2", merged_dir, tmp_path / "s0")
         capsys.readouterr()
-        code = engine_main(
-            [
-                "status", "--plan", plan_path, "--cache-dir", merged_dir,
-            ]
-        )
-        assert code == 0
+        argv = ["status", *self.GRID, "--shards", "2", "--cache-dir", merged_dir]
+        assert engine_main(argv + ["--from", str(tmp_path / "s0")]) == 0
         assert "remaining" in capsys.readouterr().out
-        code = engine_main(
-            [
-                "merge",
-                "--plan",
-                plan_path,
-                "--cache-dir",
-                merged_dir,
-                "--workers",
-                "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert ", 0 computed during merge" not in out
+        merged_json = str(tmp_path / "merged.json")
+        argv = ["run", *self.GRID, "--workers", "1", "--cache-dir", merged_dir]
+        argv += ["--from", str(tmp_path / "s0"), "--json", merged_json]
+        assert engine_main(argv) == 0
+        capsys.readouterr()
+        specs = build_experiment("sinkless", max_n=128)
+        owed_by_shard_1 = [
+            len(plan_experiment(spec, 2, batch_size=2).trial_indices(1))
+            for spec in specs
+        ]
+        reports = self._reports(merged_json)
+        assert [rep["computed"] for rep in reports] == owed_by_shard_1
+        assert all(owed > 0 for owed in owed_by_shard_1)
 
     def test_status_sees_unmerged_cache_out_roots(self, tmp_path, capsys):
         # The documented scheduler probe: shards write private
         # --cache-out roots; status --from must count them as done
         # before any merge happens.
-        plan_path = self._plan_file(tmp_path)
         merged_dir = str(tmp_path / "merged")
         for shard in ("0/2", "1/2"):
-            engine_main(
-                [
-                    "run-shard",
-                    "--plan",
-                    plan_path,
-                    "--shard",
-                    shard,
-                    "--workers",
-                    "1",
-                    "--cache-dir",
-                    merged_dir,
-                    "--cache-out",
-                    str(tmp_path / f"s{shard[0]}"),
-                ]
-            )
+            self._run_shard(shard, merged_dir, tmp_path / f"s{shard[0]}")
         capsys.readouterr()
-        code = engine_main(
-            ["status", "--plan", plan_path, "--cache-dir", merged_dir]
-        )
-        assert code == 0
+        status = ["status", *self.GRID, "--shards", "2", "--cache-dir", merged_dir]
+        assert engine_main(status) == 0
         assert "remaining" in capsys.readouterr().out  # merged root is empty
-        code = engine_main(
-            [
-                "status",
-                "--plan",
-                plan_path,
-                "--cache-dir",
-                merged_dir,
-                "--from",
-                str(tmp_path / "s0"),
-                str(tmp_path / "s1"),
-            ]
-        )
-        assert code == 0
+        argv = status + ["--from", str(tmp_path / "s0"), str(tmp_path / "s1")]
+        assert engine_main(argv) == 0
         assert "plan complete" in capsys.readouterr().out
-        code = engine_main(
-            [
-                "status",
-                "--plan",
-                plan_path,
-                "--cache-dir",
-                merged_dir,
-                "--from",
-                str(tmp_path / "nope"),
-            ]
-        )
-        assert code == 2
+        assert engine_main(status + ["--from", str(tmp_path / "nope")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ran", [(), (0,), (2,), (0, 1), (0, 1, 2)])
     def test_status_reports_exactly_the_shards_still_owing(
         self, tmp_path, capsys, ran
     ):
-        path = str(tmp_path / "plan.json")
-        argv = ["plan", "--experiment", "sinkless", "--max-n", "128"]
-        argv += ["--seeds", "2", "--batch-size", "1", "--shards", "3"]
-        assert engine_main(argv + ["--out", path]) == 0
+        grid = ["--experiment", "sinkless", "--max-n", "128"]
+        grid += ["--seeds", "2", "--batch-size", "1"]
         cache_dir = str(tmp_path / "cache")
         os.makedirs(cache_dir)
         for shard in ran:
-            argv = ["run-shard", "--plan", path, "--shard", f"{shard}/3"]
-            argv += ["--workers", "1", "--cache-dir", cache_dir]
-            assert engine_main(argv) == 0
+            self._run_shard(f"{shard}/3", cache_dir, grid=grid)
         capsys.readouterr()
-        assert engine_main(["status", "--plan", path, "--cache-dir", cache_dir]) == 0
+        argv = ["status", *grid, "--shards", "3", "--cache-dir", cache_dir]
+        assert engine_main(argv) == 0
         rows = {
             line.split()[0]: line.split()[1:]
             for line in capsys.readouterr().out.splitlines()
@@ -905,24 +782,31 @@ class TestCli:
         self, tmp_path, capsys
     ):
         # A typo'd --cache-dir must error, not be silently created and
-        # report a finished plan as all-remaining.
-        plan_path = self._plan_file(tmp_path)
+        # report a finished run as all-remaining.
         for argv in (
-            ["status", "--plan", plan_path, "--cache-dir", str(tmp_path / "x")],
+            ["status", *self.GRID, "--shards", "2", "--cache-dir", str(tmp_path / "x")],
             ["cache", "--cache-dir", str(tmp_path / "x")],
         ):
             assert engine_main(argv) == 2, argv
             assert "does not exist" in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
 
-    def test_invalid_shard_spec_rejected(self, tmp_path, capsys):
-        plan_path = self._plan_file(tmp_path)
-        for bad in ("2/2", "0/3", "-1"):
-            code = engine_main(
-                ["run-shard", "--plan", plan_path, "--shard", bad]
-            )
-            assert code == 2, bad
-            assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("bad", ["2/2", "7/3", "0/0"])
+    def test_invalid_shard_spec_rejected(self, bad, tmp_path, capsys):
+        argv = ["run-shard", *self.GRID, "--shard", bad]
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert engine_main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            "error: command=run-shard experiment=sinkless shard="
+        )
+        assert "cause=ValueError" in line
+        assert captured.out == ""
+        assert engine_main(argv + ["--json-errors"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["cause"], error["exit_code"]) == ("ValueError", 2)
+        assert not (tmp_path / "cache").exists()
 
     def test_cache_compact_subcommand(self, tmp_path, capsys):
         root = str(tmp_path / "cache")
