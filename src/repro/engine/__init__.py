@@ -21,7 +21,7 @@ one that dies: ``run_shard`` stores each chunk as it arrives, so a
 rerun recomputes only what was lost.
 """
 
-from repro.engine.cache import DEFAULT_CACHE_DIR, CacheStats, TrialCache
+from repro.engine.cache import DEFAULT_CACHE_DIR, TrialCache
 from repro.engine.experiments import EXPERIMENTS, build_experiment
 from repro.engine.pool import WorkerCrashed, default_workers, run_task_batches
 from repro.engine.runner import (
@@ -37,7 +37,6 @@ from repro.engine.spec import CACHE_VERSION, ExperimentSpec, TrialSpec
 
 __all__ = [
     "CACHE_VERSION",
-    "CacheStats",
     "DEFAULT_CACHE_DIR",
     "EXPERIMENTS",
     "EngineReport",

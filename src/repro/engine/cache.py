@@ -22,7 +22,10 @@ worst a killed writer or a cut-short copy can leave behind.
 The cache is deliberately dumb: it stores whatever JSON-safe record
 the runner hands it, keyed by the trial's content hash.  Invalidation
 is handled upstream by :data:`repro.engine.spec.CACHE_VERSION` being
-part of every key.
+part of every key.  Its accounting is process telemetry (the
+``cache.hits``, ``cache.misses``, ``cache.puts`` and shard-load, merge
+and compaction counters of :mod:`repro.obs`); the one count a cache
+keeps itself is ``torn_lines``, which ``run --from`` reports per cache.
 """
 
 from __future__ import annotations
@@ -30,27 +33,16 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.obs import get_telemetry
 
-__all__ = ["CacheStats", "TrialCache", "DEFAULT_CACHE_DIR"]
+__all__ = ["TrialCache", "DEFAULT_CACHE_DIR"]
 
 _LOG = logging.getLogger("repro.engine")
 
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    #: Lines that are not a record, skipped while reading this cache's
-    #: roots and merge sources — mostly the torn tails killed writers
-    #: leave.
-    torn_lines: int = 0
 
 
 def _parse_lines(
@@ -125,11 +117,14 @@ class TrialCache:
 
     root: str = DEFAULT_CACHE_DIR
     isolation: str | None = None
-    stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self._index: dict[str, dict[str, Any]] = {}
         self._loaded: set[str] = set()
+        #: Lines that are not a record, skipped while reading this
+        #: cache's roots and merge sources — mostly the torn tails
+        #: killed writers leave.
+        self.torn_lines = 0
         # Fail fast on an unusable cache root, before any trial work
         # whose results would otherwise be computed and then lost.
         os.makedirs(self.root, exist_ok=True)
@@ -147,7 +142,7 @@ class TrialCache:
         return [self.root] + ([self.isolation] if self.isolation else [])
 
     def _count_torn(self) -> None:
-        self.stats.torn_lines += 1
+        self.torn_lines += 1
         get_telemetry().incr("cache.torn_lines_skipped")
 
     def _load_shard(self, name: str) -> None:
@@ -190,12 +185,7 @@ class TrialCache:
 
     def get(self, key: str) -> dict[str, Any] | None:
         record = self._peek(key)
-        if record is None:
-            self.stats.misses += 1
-            get_telemetry().incr("cache.misses")
-        else:
-            self.stats.hits += 1
-            get_telemetry().incr("cache.hits")
+        get_telemetry().incr("cache.misses" if record is None else "cache.hits")
         return record
 
     def put(self, key: str, record: dict[str, Any]) -> None:
@@ -210,7 +200,6 @@ class TrialCache:
             self._load_shard(name)
             self._index[key] = record
             by_shard.setdefault(name, []).append(_dump_line(key, record))
-            self.stats.puts += 1
             get_telemetry().incr("cache.puts")
         if not by_shard:
             return
@@ -257,7 +246,7 @@ class TrialCache:
         commutative up to file layout (any merge order yields the same
         key -> record mapping) because keys are content hashes: two
         caches can only disagree on presence.  Returns how many records
-        were new; torn source lines land in ``stats.torn_lines`` and
+        were new; torn source lines land in ``torn_lines`` and
         the ``cache.torn_lines_skipped`` counter.
         """
         if not os.path.isdir(other_root):

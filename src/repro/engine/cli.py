@@ -15,8 +15,8 @@ Subcommands::
 Observability: every subcommand takes ``-v``/``-vv`` (INFO/DEBUG on
 the ``repro`` loggers, stderr) and ``-q`` (errors only — library
 users can equally attach their own handlers and silence the CLI);
-``run``/``run-shard`` take ``--trace PATH`` to stream span and event
-JSONL for offline analysis; ``stats`` renders the phase/counter
+``run``/``run-shard`` take ``--trace PATH`` to stream span JSONL for
+offline analysis; ``stats`` renders the phase/counter
 breakdown a ``--json`` report carries, and ``cache --status`` the
 trial cache's counters.
 
@@ -110,7 +110,7 @@ def _attach_trace(args: argparse.Namespace) -> TraceSink | None:
         return None
     sink = TraceSink(args.trace)
     get_telemetry().attach_sink(sink)
-    _LOG.info("streaming span/event trace to %s", args.trace)
+    _LOG.info("streaming span trace to %s", args.trace)
     return sink
 
 
@@ -437,7 +437,7 @@ def _parser() -> argparse.ArgumentParser:
     parent("trace").add_argument(
         "--trace",
         metavar="PATH",
-        help="stream span/event telemetry as JSONL to PATH (off by default)",
+        help="stream span telemetry as JSONL to PATH (off by default)",
     )
     verbosity = parent("verbosity")
     verbosity.add_argument(
@@ -643,19 +643,31 @@ def _render_partial_landscape(reports: Sequence[EngineReport]) -> str | None:
 # -- run / list / describe ---------------------------------------------
 
 
-def _merged_cache(args: argparse.Namespace) -> TrialCache:
-    """``--cache-dir`` with every ``--from`` root unioned into it.
+def _check_roots(roots: Sequence[str | None]) -> None:
+    """Raise what creating each cache root would raise, creating nothing.
 
-    Every root is checked before anything is written, so a typo'd root
-    fails the run without creating or changing a cache.
+    ``run`` and ``run-shard`` check their roots, then open ``--trace``,
+    and only then create the roots, so a bad output path fails the
+    command without leaving an empty root or trace file behind.
     """
-    for root in args.sources:
-        if not os.path.isdir(root):
-            raise ValueError(f"cache root {root!r} does not exist")
+    for root in filter(None, roots):
+        path = existing = os.path.abspath(root)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if os.path.isdir(existing):
+            continue
+        if existing == path:
+            raise FileExistsError(f"cache root {root!r} is a file")
+        raise NotADirectoryError(f"cache root {root!r} lies under a file")
+
+
+def _merged_cache(args: argparse.Namespace) -> TrialCache:
+    """``--cache-dir`` with every ``--from`` root unioned into it
+    (``_run`` has checked that each exists)."""
     cache = TrialCache(args.cache_dir)
     if args.sources:
         added = sum(cache.merge(root) for root in args.sources)
-        torn = cache.stats.torn_lines
+        torn = cache.torn_lines
         torn_note = f" ({torn} torn line(s) skipped)" if torn else ""
         print(
             f"merged {len(args.sources)} root(s) into {args.cache_dir}: "
@@ -665,11 +677,19 @@ def _merged_cache(args: argparse.Namespace) -> TrialCache:
 
 
 def _run(args: argparse.Namespace) -> int:
+    sink = None
     try:
         specs = build_experiment(args.experiment, args.max_n, args.seeds)
-        cache = None if args.no_cache else _merged_cache(args)
+        # A typo'd --from root fails the run before any cache or trace
+        # is created or changed.
+        for root in args.sources:
+            if not os.path.isdir(root):
+                raise ValueError(f"cache root {root!r} does not exist")
+        _check_roots([] if args.no_cache else [args.cache_dir])
         sink = _attach_trace(args)
+        cache = None if args.no_cache else _merged_cache(args)
     except (ValueError, OSError) as err:
+        _detach_trace(sink)
         return _emit_error(args, err, 2, args.experiment)
     try:
         return _run_specs(args, specs, cache)
@@ -760,6 +780,7 @@ def _plans(args: argparse.Namespace, num_shards: int) -> list[ShardPlan]:
 
 def _run_shard(args: argparse.Namespace) -> int:
     index, num_shards = args.shard
+    sink = None
     try:
         plans = _plans(args, num_shards)
         if not 0 <= index < num_shards:
@@ -767,9 +788,11 @@ def _run_shard(args: argparse.Namespace) -> int:
                 f"shard index {index} out of range for {num_shards} shard(s) "
                 "(indices are 0-based)"
             )
-        cache = TrialCache(args.cache_dir, isolation=args.cache_out)
+        _check_roots([args.cache_dir, args.cache_out])
         sink = _attach_trace(args)
+        cache = TrialCache(args.cache_dir, isolation=args.cache_out)
     except (ValueError, OSError) as err:
+        _detach_trace(sink)
         return _emit_error(args, err, 2, args.experiment, index)
     try:
         return _run_shard_plans(args, plans, index, cache)
@@ -929,6 +952,11 @@ def _render_report_telemetry(payload: object, path: str) -> str:
         return (
             f"{path}: no telemetry blocks "
             "(written by an older build, or telemetry disabled?)"
+        )
+    if any(isinstance(snap, dict) and "v" in snap for snap in snapshots):
+        raise ValueError(
+            "telemetry in the retired {v, parts} layout; re-run the "
+            "experiment for one {counters, spans} map per report"
         )
     try:
         title = str(payload.get("experiment") or path)

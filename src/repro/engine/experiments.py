@@ -112,15 +112,17 @@ def _build_gadget(max_n: int, seeds: tuple[int, ...]) -> list[ExperimentSpec]:
 def _build_landscape(max_n: int, seeds: tuple[int, ...]) -> list[ExperimentSpec]:
     """The full sound cross-product of the registry, one spec per triple."""
     specs = []
+    node_graded = False
     for problem, solver, family in registry.sound_triples():
         ns = family.sweep_sizes(max_n)
         if not ns:
             continue  # family's smallest member exceeds the budget
+        node_graded = node_graded or family.size_kind == "nodes"
         spec_seeds = seeds if solver.randomized else seeds[:1]
         specs.append(
             _registry_spec("landscape", problem, solver, family, ns, spec_seeds)
         )
-    if not specs:
+    if not node_graded:
         raise ValueError(
             "landscape experiment needs --max-n >= 64 (the smallest "
             "grid point of every node-graded family)"

@@ -227,12 +227,13 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     """Module-level pool target: chunk payload in, records + telemetry out.
 
     The telemetry delta of the process that ran the chunk piggybacks on
-    the result — one extra dict per chunk, no new IPC round trips.  The
-    delta snapshot (``reset=True``) drains everything this process
-    accrued since its previous snapshot, so the chunks the dispatching
-    process runs itself (all of them on the serial path) partition its
-    totals across the chunk boundaries, and every increment lands in
-    exactly one delta.
+    the result — one ``{"counters", "spans"}`` map per chunk, no new
+    IPC round trips.  The delta snapshot (``reset=True``) drains
+    everything this process accrued since its previous snapshot, so the
+    chunks the dispatching process runs itself (all of them on the
+    serial path) partition its totals across the chunk boundaries, and
+    every increment lands in exactly one delta, which ``run_shard``
+    adds into the report's sum once.
     """
     records = execute_trial_batch(
         [TrialSpec.from_payload(entry) for entry in payload["trials"]],

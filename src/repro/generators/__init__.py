@@ -12,7 +12,6 @@ from repro.generators.classic import (
     torus_grid,
     torus_instance,
     tree_instance,
-    with_isolated_nodes,
 )
 from repro.generators.hard import (
     cubic_instance,
@@ -39,7 +38,6 @@ __all__ = [
     "torus_grid",
     "torus_instance",
     "tree_instance",
-    "with_isolated_nodes",
     "configuration_model",
     "high_girth_cubic_instance",
     "lift_girth",

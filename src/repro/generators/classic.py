@@ -22,7 +22,6 @@ __all__ = [
     "complete_binary_tree",
     "torus_grid",
     "disjoint_union",
-    "with_isolated_nodes",
     "cycle_instance",
     "path_instance",
     "torus_instance",
@@ -101,14 +100,6 @@ def disjoint_union(*graphs: PortGraph) -> PortGraph:
             edges.append((a, b))
         offset += g.num_nodes
     return PortGraph(total, edges)
-
-
-def with_isolated_nodes(graph: PortGraph, count: int) -> PortGraph:
-    """Append ``count`` isolated nodes (used by the Lemma 5 instances)."""
-    from repro.local.graphs import HalfEdge
-
-    edges = [(edge.a, edge.b) for edge in graph.edges()]
-    return PortGraph(graph.num_nodes + count, edges)
 
 
 # -- registered instance families --------------------------------------

@@ -16,7 +16,6 @@ __all__ = [
     "bfs_distances",
     "multi_source_bfs",
     "connected_components",
-    "component_of",
     "eccentricity",
     "diameter",
     "girth",
@@ -90,12 +89,6 @@ def connected_components(graph: PortGraph) -> list[list[int]]:
                     comp.append(u)
         components.append(sorted(comp))
     return components
-
-
-def component_of(graph: PortGraph, v: int) -> list[int]:
-    """The sorted connected component containing ``v``."""
-    dist = bfs_distances(graph, v)
-    return sorted(dist)
 
 
 def eccentricity(graph: PortGraph, v: int) -> int:

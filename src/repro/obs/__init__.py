@@ -1,13 +1,12 @@
-"""Observability: spans, counters, and events across the engine stack.
+"""Observability: spans and counters across the engine stack.
 
-A lightweight, stdlib-only telemetry layer with the same merge algebra
-as the trial store: process-local accumulation
-(:class:`~repro.obs.telemetry.Telemetry`), delta snapshots keyed by
-unique origins, and an idempotent + commutative
-:func:`~repro.obs.telemetry.merge_snapshots` union — so worker and
-shard telemetry reduce across processes and hosts exactly like trial
-records do.  The engine threads it through every layer (trial phase
-spans in the drivers, cache hit/miss counters, per-chunk worker
+A lightweight, stdlib-only telemetry layer: process-local accumulation
+(:class:`~repro.obs.telemetry.Telemetry`), delta snapshots that each
+hold one additive ``{"counters", "spans"}`` map, and
+:func:`~repro.obs.telemetry.merge_snapshots`, which sums them — so the
+telemetry of every chunk, in whichever process ran it, adds up to one
+map per report.  The engine threads it through every layer (trial
+phase spans in the drivers, cache hit/miss counters, per-chunk worker
 snapshots piggybacked on batch results, merged ``telemetry`` blocks on
 reports); ``python -m repro.engine stats`` and ``--trace PATH`` expose
 it from the shell.
@@ -18,7 +17,6 @@ disabled.
 """
 
 from repro.obs.telemetry import (
-    SNAPSHOT_VERSION,
     Telemetry,
     aggregate,
     get_telemetry,
@@ -29,7 +27,6 @@ from repro.obs.trace import TraceSink
 from repro.obs.render import format_telemetry
 
 __all__ = [
-    "SNAPSHOT_VERSION",
     "Telemetry",
     "TraceSink",
     "aggregate",

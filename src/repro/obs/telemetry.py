@@ -1,6 +1,6 @@
-"""Process-local telemetry: spans, counters, events — snapshot/merge-able.
+"""Process-local telemetry: spans and counters, snapshot and summed.
 
-One :class:`Telemetry` object per process accumulates three primitive
+One :class:`Telemetry` object per process accumulates two primitive
 kinds of signal:
 
 * **spans** — named, nestable, monotonic-clock timed sections.  Each
@@ -9,48 +9,34 @@ kinds of signal:
   also stream to an attached trace sink, when one is attached.
 * **counters** — monotonic non-negative integers (cache hits, core
   reuses, chunks dispatched).
-* **events** — structured records forwarded verbatim to the trace sink
-  (a no-op without one, so the hot path pays one attribute test).
 
 The layer is deliberately passive: nothing here ever touches trial
 records, RNG state, or the cache contents, so enabling or disabling
 telemetry cannot change what an experiment computes.
 
-Snapshot / merge algebra
-------------------------
+Snapshots
+---------
 
-Distribution follows the trial store's idempotent-merge design.  A
-:meth:`Telemetry.snapshot` is a JSON-safe dict whose payload lives
-under ``parts``, keyed by a unique *origin* id (``pid:seq`` by
-default).  With ``reset=True`` the snapshot is a **delta** — it drains
-everything accrued since the previous reset — so a long-running
-process partitions its activity into disjoint parts, each counted in
-exactly one snapshot.  :func:`merge_snapshots` is then a plain key
-union over origins:
+A :meth:`Telemetry.snapshot` is one JSON-safe, additive map::
 
-* **idempotent** — re-merging a snapshot (a retried chunk result, a
-  re-delivered shard report) changes nothing, because its origins are
-  already present;
-* **commutative / associative** — origins are disjoint keys, so any
-  merge order yields the same mapping (parts are stored key-sorted to
-  make equal merges compare equal structurally, too).
+    {"counters": {name: int},
+     "spans": {path: {"count", "total_s", "min_s", "max_s"}}}
 
-:func:`aggregate` folds a merged snapshot's parts into one flat
-``{"counters": ..., "spans": ...}`` view for rendering; the folds
-(integer sums; count/total/min/max combination) are themselves
-commutative and associative, so the aggregate is independent of merge
-order by construction.
+``snapshot(reset=True)`` drains the registry, so a process's successive
+snapshots are disjoint deltas.  :func:`merge_snapshots` sums them:
+counters and span ``count``/``total_s`` add and ``min_s``/``max_s``
+combine, in any order (float totals up to rounding).  A sum counts
+every snapshot it is given, so each delta is merged once: the runner
+takes one per cache lookup, per chunk and per store phase.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
-    "SNAPSHOT_VERSION",
     "Telemetry",
     "aggregate",
     "get_telemetry",
@@ -58,25 +44,7 @@ __all__ = [
     "set_enabled",
 ]
 
-# Bump when the snapshot layout changes; mergers refuse foreign
-# versions rather than silently misreading parts.
-SNAPSHOT_VERSION = 1
-
 _SPAN_ZERO = (0, 0.0, float("inf"), 0.0)  # count, total, min, max
-
-# (pid, nonce) for default snapshot origins.  The nonce regenerates
-# whenever the pid changes (fork), and keeps origins from colliding
-# when snapshots from different *hosts* — where bare pids can repeat —
-# meet in one merge.
-_PROCESS_TAG: list = [None, None]
-
-
-def _process_tag() -> str:
-    pid = os.getpid()
-    if _PROCESS_TAG[0] != pid:
-        _PROCESS_TAG[0] = pid
-        _PROCESS_TAG[1] = os.urandom(4).hex()
-    return f"{pid}-{_PROCESS_TAG[1]}"
 
 
 class _Span:
@@ -137,7 +105,6 @@ class Telemetry:
         self._counters: dict[str, int] = {}
         self._spans: dict[str, tuple[int, float, float, float]] = {}
         self._local = threading.local()
-        self._seq = 0
         self._sink: Any = None  # duck-typed: .emit(dict), .close()
 
     # -- internals -----------------------------------------------------
@@ -178,18 +145,10 @@ class Telemetry:
             return _NULL_SPAN
         return _Span(self, name)
 
-    def event(self, name: str, **fields: Any) -> None:
-        """Forward one structured record to the trace sink, if any."""
-        if not self.enabled:
-            return
-        sink = self._sink
-        if sink is not None:
-            sink.emit({"kind": "event", "name": name, **fields})
-
     # -- trace sink ----------------------------------------------------
 
     def attach_sink(self, sink: Any) -> None:
-        """Stream spans/events to ``sink`` (anything with ``emit(dict)``)."""
+        """Stream closed spans to ``sink`` (anything with ``emit(dict)``)."""
         self._sink = sink
 
     def detach_sink(self) -> Any:
@@ -199,102 +158,68 @@ class Telemetry:
 
     # -- snapshot / reset ----------------------------------------------
 
-    def counters(self) -> dict[str, int]:
-        """A copy of the live counter map (test/inspection helper)."""
-        with self._lock:
-            return dict(self._counters)
-
-    def span_stats(self) -> dict[str, dict[str, float]]:
-        """A copy of the live span aggregates, JSON-shaped."""
-        with self._lock:
-            return {path: _span_dict(stat) for path, stat in self._spans.items()}
-
     def reset(self) -> None:
         """Drop everything accrued (worker processes reset after fork)."""
         with self._lock:
             self._counters.clear()
             self._spans.clear()
 
-    def snapshot(self, origin: str | None = None, reset: bool = False) -> dict:
-        """A JSON-safe, mergeable view of everything accrued.
+    def snapshot(self, reset: bool = False) -> dict:
+        """A JSON-safe copy of everything accrued, as one additive map.
 
-        ``origin`` names this snapshot's part; the default
-        ``pid-nonce:seq`` is unique per process *and* per call, which
-        is what makes delta snapshots (``reset=True``) merge
-        exactly-once.  An empty registry snapshots to zero parts, so
-        idle processes add nothing to a merge.
+        ``reset=True`` drains the registry in the same step, which makes
+        the snapshot a delta that no later snapshot repeats.
         """
         with self._lock:
-            if origin is None:
-                origin = f"{_process_tag()}:{self._seq}"
-            self._seq += 1
-            counters = dict(self._counters)
-            spans = {path: _span_dict(stat) for path, stat in self._spans.items()}
+            snap = {
+                "counters": dict(self._counters),
+                "spans": {
+                    path: _span_dict(stat) for path, stat in self._spans.items()
+                },
+            }
             if reset:
                 self._counters.clear()
                 self._spans.clear()
-        parts: dict[str, Any] = {}
-        if counters or spans:
-            parts[origin] = {"counters": counters, "spans": spans}
-        return {"v": SNAPSHOT_VERSION, "parts": parts}
+        return snap
 
 
 def _span_dict(stat: Sequence[float]) -> dict[str, float]:
     count, total, lo, hi = stat
-    return {
-        "count": int(count),
-        "total_s": total,
-        "min_s": 0.0 if lo == float("inf") else lo,
-        "max_s": hi,
-    }
+    return {"count": count, "total_s": total, "min_s": lo, "max_s": hi}
 
 
 def merge_snapshots(snapshots: Iterable[Mapping | None]) -> dict:
-    """Key-union snapshots by origin: idempotent, commutative.
+    """The sum of ``snapshots``, with counters and span paths key-sorted.
 
-    ``None`` entries are tolerated (a report whose producer had
-    telemetry disabled merges as empty).  A duplicate origin must
-    carry the same part it did before — parts are deltas of one
-    process interval, so a collision is a re-delivery, not a conflict
-    — and is skipped, which is exactly what makes retried chunks and
-    re-merged shard reports count once.
+    Counters and span ``count``/``total_s`` add; ``min_s``/``max_s``
+    combine.  ``None`` adds nothing (a report whose producer had
+    telemetry disabled).
     """
-    parts: dict[str, Any] = {}
+    counters: dict[str, int] = {}
+    spans: dict[str, dict[str, float]] = {}
     for snap in snapshots:
         if not snap:
             continue
-        version = snap.get("v")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported telemetry snapshot version {version!r} "
-                f"(this build reads version {SNAPSHOT_VERSION})"
-            )
-        for origin, part in snap.get("parts", {}).items():
-            parts.setdefault(origin, part)
-    return {"v": SNAPSHOT_VERSION, "parts": dict(sorted(parts.items()))}
-
-
-def aggregate(snapshot: Mapping | None) -> dict[str, dict]:
-    """Fold a snapshot's parts into one flat counters/spans view."""
-    counters: dict[str, int] = {}
-    spans: dict[str, dict[str, float]] = {}
-    if snapshot:
-        for part in snapshot.get("parts", {}).values():
-            for name, value in part.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + int(value)
-            for path, stat in part.get("spans", {}).items():
-                into = spans.get(path)
-                if into is None:
-                    spans[path] = dict(stat)
-                else:
-                    into["count"] += stat["count"]
-                    into["total_s"] += stat["total_s"]
-                    into["min_s"] = min(into["min_s"], stat["min_s"])
-                    into["max_s"] = max(into["max_s"], stat["max_s"])
+        for name, value in snap["counters"].items():
+            counters[name] = counters.get(name, 0) + int(value)
+        for path, stat in snap["spans"].items():
+            into = spans.get(path)
+            if into is None:
+                spans[path] = dict(stat)
+            else:
+                into["count"] += stat["count"]
+                into["total_s"] += stat["total_s"]
+                into["min_s"] = min(into["min_s"], stat["min_s"])
+                into["max_s"] = max(into["max_s"], stat["max_s"])
     return {
         "counters": dict(sorted(counters.items())),
         "spans": dict(sorted(spans.items())),
     }
+
+
+def aggregate(snapshot: Mapping | None) -> dict[str, dict]:
+    """One snapshot's key-sorted copy (empty maps for ``None``)."""
+    return merge_snapshots([snapshot])
 
 
 # -- the process-default registry ---------------------------------------

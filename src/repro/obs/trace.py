@@ -1,12 +1,13 @@
-"""JSONL trace sink: span intervals and events as an append-only stream.
+"""JSONL trace sink: span intervals as an append-only stream.
 
 The sink is the *offline* half of the telemetry layer: attach one to a
-:class:`~repro.obs.telemetry.Telemetry` and every closed span and every
-``event`` call appends one JSON line — ``{"t": wall-clock, "pid": ...,
-"kind": "span" | "event", ...}`` — suitable for grep, pandas, or a
-trace viewer.  It is off by default (``--trace PATH`` on the CLI turns
-it on) and stays out of the hot path entirely when detached: the only
-cost without a sink is one attribute test per span close.
+:class:`~repro.obs.telemetry.Telemetry` and every closed span appends
+one JSON line — ``{"t": wall-clock, "pid": ..., "kind": "span",
+"name": path, "depth": ..., "dur_s": ...}`` — suitable for grep,
+pandas, or a trace viewer.  It is off by default (``--trace PATH`` on
+the CLI turns it on) and stays out of the hot path entirely when
+detached: the only cost without a sink is one attribute test per span
+close.
 
 Tracing is parent-process only: pool helpers detach any inherited sink
 when they initialize (one writer per file, no interleaved lines), so a

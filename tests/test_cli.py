@@ -80,9 +80,11 @@ def _grid_argv(command, cache_dir=None, grid=GRID, extra=()):
 #: Each experiment's largest ``--max-n`` below its smallest instance.
 TOO_SMALL = {"sinkless": 63, "padding": 127, "gadget": 15, "landscape": 15}
 
-#: Grids and cache roots no grid subcommand can set up, each with the
-#: cause its error line names.  ``root`` is an existing cache root and
-#: ``file`` a plain file; no other path exists.
+#: Grids, cache roots and trace paths no grid subcommand can set up,
+#: each with the cause its error line names.  ``root`` is an existing
+#: cache root and ``file`` a plain file; no other path exists, and none
+#: may be created: ``run`` and ``run-shard`` check every output path
+#: before they create a cache root or a trace file.
 BAD_SETUPS = {
     **{
         f"{command}-{experiment}-max-n-{max_n}": (
@@ -129,6 +131,18 @@ BAD_SETUPS = {
         _grid_argv("status", extra=["--from", "file"]),
         "ValueError",
     ),
+    "run-trace-in-a-missing-directory": (
+        _grid_argv("run", extra=["--trace", "nodir/t.jsonl"]),
+        "FileNotFoundError",
+    ),
+    "run-shard-trace-in-a-missing-directory": (
+        _grid_argv("run-shard", extra=["--trace", "nodir/t.jsonl"]),
+        "FileNotFoundError",
+    ),
+    "run-shard-cache-out-is-a-file": (
+        _grid_argv("run-shard", extra=["--cache-out", "file", "--trace", "t.jsonl"]),
+        "FileExistsError",
+    ),
 }
 
 
@@ -140,6 +154,22 @@ BAD_REPORT_FILES = {
     "foreign-telemetry-version": {
         "reports": [{"experiment": "x", "elapsed_s": 1.0, "telemetry": {"v": 9}}]
     },
+    "retired-parts-layout": {
+        "reports": [
+            {
+                "experiment": "x",
+                "elapsed_s": 1.0,
+                "telemetry": dict(
+                    v=1, parts={"1-ab:0": {"counters": {"cache.hits": 1}, "spans": {}}}
+                ),
+            }
+        ]
+    },
+}
+#: The cause a bad report file's error line names, where it names one.
+REPORT_FILE_CAUSES = {
+    "foreign-telemetry-version": "retired {v, parts} layout",
+    "retired-parts-layout": "retired {v, parts} layout",
 }
 
 
@@ -376,6 +406,7 @@ def test_a_bad_report_file_is_one_setup_error_line(case, tmp_path, capsys):
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
     assert line.startswith("error: command=stats cause=ValueError message=")
+    assert REPORT_FILE_CAUSES.get(case, "") in line
     assert captured.out == ""
 
 

@@ -42,6 +42,7 @@ from repro.engine.pool import WorkerCrashed
 from repro.generators.hard import cubic_instance
 from repro.obs import aggregate, get_telemetry
 from repro.problems import DeterministicSinklessSolver
+from repro.runtime import registry
 from tests.conftest import reference_record
 
 SPEC = ExperimentSpec(
@@ -111,6 +112,19 @@ class TestSpec:
         assert [spec.ns for spec in specs] == [(64, 128, 256, 512)] * 2
         with pytest.raises(ValueError, match="--max-n >= 64"):
             build_experiment("sinkless", 32)
+
+    def test_landscape_needs_a_node_graded_grid(self):
+        # gadget heights fit from max_n 16, the node-graded sweeps from 64
+        for max_n in (15, 16, 63):
+            with pytest.raises(ValueError, match="--max-n >= 64"):
+                build_experiment("landscape", max_n)
+        families = registry.families()
+        specs = build_experiment("landscape", 64)
+        node_graded = [
+            spec for spec in specs if families[spec.generator].size_kind == "nodes"
+        ]
+        assert node_graded
+        assert {spec.ns for spec in node_graded} == {(64,)}
 
 
 class TestDeterminism:
@@ -261,7 +275,7 @@ class TestPool:
         )
         assert results == [(x, os.getpid()) for x in (1, 2, 3)]
         assert delivered == [0, 1, 2]
-        assert get_telemetry().counters()["pool.serial_fallbacks"] == 1
+        assert get_telemetry().snapshot()["counters"]["pool.serial_fallbacks"] == 1
 
     def test_worker_death_raises_typed_error_with_lost_chunks(self, fork_signals):
         # The caller's batches wait until a helper holds the doomed one,

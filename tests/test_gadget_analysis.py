@@ -96,10 +96,10 @@ def counted(evaluations):
     structural passes."""
     telemetry = get_telemetry()
     names = ("gadgets.node_checks", "gadgets.structural_passes")
-    before = {name: telemetry.counters().get(name, 0) for name in names}
+    before = {name: telemetry.snapshot()["counters"].get(name, 0) for name in names}
 
     def delta():
-        now = telemetry.counters()
+        now = telemetry.snapshot()["counters"]
         return {name.split(".")[1]: now.get(name, 0) - before[name] for name in names}
 
     return delta

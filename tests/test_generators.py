@@ -150,9 +150,9 @@ class TestRegularGraphs:
     def test_configuration_attempts_counted_per_sample(self):
         _graph, samples = _reference_random_regular(64, 3, random.Random(3))
         assert samples > 1
-        before = get_telemetry().counters().get("generators.configuration_attempts", 0)
+        before = get_telemetry().snapshot()["counters"].get("generators.configuration_attempts", 0)
         random_regular(64, 3, random.Random(3))
-        after = get_telemetry().counters().get("generators.configuration_attempts", 0)
+        after = get_telemetry().snapshot()["counters"].get("generators.configuration_attempts", 0)
         assert after - before == samples
 
     def test_configuration_model_allows_multigraph(self):

@@ -101,14 +101,9 @@ def _corruptions(outputs):
     return [moved, shifted]
 
 
-def _counter_total(telemetry_block, name):
-    """Sum one counter across the delta parts of a merged snapshot."""
-    if not telemetry_block:
-        return 0
-    total = 0
-    for part in telemetry_block.get("parts", {}).values():
-        total += part.get("counters", {}).get(name, 0)
-    return total
+def _counter(telemetry_block, name):
+    """One counter of a report's telemetry block (0 when never counted)."""
+    return telemetry_block["counters"].get(name, 0)
 
 
 # -- backend selection --------------------------------------------------------
@@ -491,9 +486,9 @@ class TestKernelsRecordParity:
         assert report.kernels == "object"
         assert report.as_dict()["kernels"] == "object"
         tele = report.as_dict()["telemetry"]
-        executed = _counter_total(tele, "kernels.object_trials")
+        executed = _counter(tele, "kernels.object_trials")
         assert executed == len(report.records)
-        assert _counter_total(tele, "kernels.vector_trials") == 0
+        assert _counter(tele, "kernels.vector_trials") == 0
 
     def test_shard_report_kernels_roundtrip(self):
         plan = plan_experiment(PARITY_SPEC, num_shards=1)
@@ -677,10 +672,10 @@ class TestArrayProgramDifferential:
         names = ("kernels.tail_rounds", "kernels.array_rounds")
         counts = {}
         for backend in ("object", "vector"):
-            before = get_telemetry().counters()
+            before = get_telemetry().snapshot()["counters"]
             with kernels.active(backend):
                 result = LinialColoringSolver().solve(instance)
-            after = get_telemetry().counters()
+            after = get_telemetry().snapshot()["counters"]
             counts[backend] = tuple(
                 after.get(name, 0) - before.get(name, 0) for name in names
             )
@@ -738,17 +733,17 @@ class TestArrayProgramRecordParity:
         vec = run_experiment(LINIAL_SPEC, workers=1, kernels="vector")
         obj_tele = obj.as_dict()["telemetry"]
         vec_tele = vec.as_dict()["telemetry"]
-        obj_rounds = _counter_total(obj_tele, "engine.rounds")
-        vec_rounds = _counter_total(vec_tele, "engine.rounds")
+        obj_rounds = _counter(obj_tele, "engine.rounds")
+        vec_rounds = _counter(vec_tele, "engine.rounds")
         assert obj_rounds == vec_rounds > 0
-        assert _counter_total(obj_tele, "engine.active_nodes") == \
-            _counter_total(vec_tele, "engine.active_nodes") > 0
+        assert _counter(obj_tele, "engine.active_nodes") == \
+            _counter(vec_tele, "engine.active_nodes") > 0
         # the per-path counters are exclusive: each backend runs every
         # engine round on exactly one of the two loops
-        assert _counter_total(obj_tele, "kernels.object_rounds") == obj_rounds
-        assert _counter_total(obj_tele, "kernels.array_rounds") == 0
-        assert _counter_total(vec_tele, "kernels.array_rounds") == vec_rounds
-        assert _counter_total(vec_tele, "kernels.object_rounds") == 0
+        assert _counter(obj_tele, "kernels.object_rounds") == obj_rounds
+        assert _counter(obj_tele, "kernels.array_rounds") == 0
+        assert _counter(vec_tele, "kernels.array_rounds") == vec_rounds
+        assert _counter(vec_tele, "kernels.object_rounds") == 0
 
 
 # -- batched anchor scans vs the per-node oracle -------------------------------

@@ -509,7 +509,7 @@ class TestCacheAlgebra:
             handle.write('{"key": "bb2", "record": {"x"')  # killed mid-write
         dest = TrialCache(str(tmp_path / "dest"))
         assert dest.merge(str(tmp_path / "src")) == 1  # one good, one torn
-        assert dest.stats.torn_lines == 1
+        assert dest.torn_lines == 1
         assert dest.get("aa1") == {"x": 1}
         # The same torn line inside a shard file is skipped on load.
         shard = os.path.join(str(tmp_path / "dest"), "aa.jsonl")
@@ -529,7 +529,7 @@ class TestCacheAlgebra:
         assert again.get("aa01") == {"x": 1}
         assert again.get("aa03") == {"x": 3}
         assert again.get("aa02") is None
-        assert again.stats.torn_lines == 1
+        assert again.torn_lines == 1
 
     def test_non_object_lines_are_skipped_and_counted(self, tmp_path):
         self._filled(tmp_path / "src", [("aa1", {"x": 1})])
@@ -538,10 +538,10 @@ class TestCacheAlgebra:
             handle.write('42\n"aa2"\n[1, 2]\nnull\n')
         fresh = TrialCache(str(tmp_path / "src"))
         assert fresh.get("aa1") == {"x": 1}
-        assert fresh.stats.torn_lines == 4
+        assert fresh.torn_lines == 4
         dest = TrialCache(str(tmp_path / "dest"))
         assert dest.merge(str(tmp_path / "src")) == 1
-        assert dest.stats.torn_lines == 4
+        assert dest.torn_lines == 4
 
     @pytest.mark.parametrize("line", STRAY_OBJECTS)
     def test_stray_objects_are_skipped_and_counted(self, tmp_path, line):
@@ -552,10 +552,10 @@ class TestCacheAlgebra:
         fresh = TrialCache(str(tmp_path / "src"))
         fresh.load_all()
         assert fresh._index == {"aa1": {"x": 1}}
-        assert fresh.stats.torn_lines == 1
+        assert fresh.torn_lines == 1
         merged = TrialCache(str(tmp_path / "merged"))
         assert merged.merge(str(tmp_path / "src")) == 1
-        assert merged.stats.torn_lines == 1
+        assert merged.torn_lines == 1
 
     def test_isolation_writes_stay_private(self, tmp_path):
         base_root = str(tmp_path / "base")
@@ -608,7 +608,7 @@ class TestCompaction:
         assert TrialCache(root).compact() == (2, 1)
         after = TrialCache(root)
         after.load_all()
-        assert after.stats.torn_lines == 0
+        assert after.torn_lines == 0
         assert after._index == {"aa1": {"x": 1}, "aa2": {"x": 2}}
         assert TrialCache(root).compact() == (2, 0)
 
@@ -622,7 +622,7 @@ class TestCompaction:
         assert TrialCache(root).compact() == (2, 2)
         after = TrialCache(root)
         after.load_all()
-        assert after.stats.torn_lines == 0
+        assert after.torn_lines == 0
         assert len(after) == 2
 
     @pytest.mark.parametrize("line", STRAY_OBJECTS)
@@ -637,7 +637,7 @@ class TestCompaction:
             assert handle.read() == '{"key": "aa1", "record": {"x": 1}}\n'
         after = TrialCache(root)
         after.load_all()
-        assert after.stats.torn_lines == 0
+        assert after.torn_lines == 0
 
     def test_compacted_cache_still_replays_the_engine_run(self, tmp_path):
         root = str(tmp_path / "cache")

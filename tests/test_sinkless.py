@@ -17,7 +17,6 @@ from repro.generators import (
     random_regular,
     star,
     torus_grid,
-    with_isolated_nodes,
 )
 from repro.lcl import verify
 from repro.local import Instance, PortGraph
@@ -203,7 +202,7 @@ class TestDeterministicSolver:
             lambda: random_regular(40, 3, random.Random(1)),
             lambda: random_regular(40, 4, random.Random(2)),
             lambda: disjoint_union(complete(4), cycle(5), star(4)),
-            lambda: with_isolated_nodes(complete(5), 7),
+            lambda: complete(5).with_isolated_nodes(7),
             lambda: complete_binary_tree(4),
         ],
     )

@@ -7,6 +7,13 @@ re-exports and ``__all__`` strings do not count as reads.  A read is a
 name load (annotations included) or an attribute load
 (``registry.problem(...)``).
 
+A top-level function that shares its name with a class member (a
+method or class attribute anywhere in ``src/repro``) cannot be told
+from the member by an attribute load on some object.  Such a function
+counts as read only through a name load in its own module or in a
+module that imports it, a ``from ... import`` of it outside a package's
+``__init__``, or an attribute load on its own module or package.
+
 :data:`KEPT` only shrinks: an entry fails the suite once it gains a
 caller in ``src/`` or its definition is gone.
 """
@@ -74,6 +81,75 @@ def _reads(node: ast.AST) -> set[str]:
     return found
 
 
+def _class_members(tree: ast.Module) -> set[str]:
+    """The names every class in ``tree`` defines in its body."""
+    members: set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                members.add(stmt.name)
+            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            members.update(t.id for t in targets if isinstance(t, ast.Name))
+    return members
+
+
+def _package(module: str) -> str:
+    """The ``__init__`` module of the package ``module`` lives in."""
+    head, _, _ = module.rpartition("/")
+    return f"{head}/__init__.py" if head else "__init__.py"
+
+
+def _owner_reads(
+    modules: dict[str, ast.Module], module: str, tree: ast.Module
+) -> set[tuple[str, str]]:
+    """``(defining module, name)`` for every read in ``module`` that
+    names where the name comes from: a name load of its own definitions
+    or of an imported name, a ``from ... import`` outside an
+    ``__init__``, and an attribute load on an imported module."""
+
+    def resolve(dotted: str) -> str | None:
+        """The module key of a dotted ``repro`` module name, if any."""
+        head, _, rest = dotted.partition(".")
+        stem = rest.replace(".", "/")
+        keys = (f"{stem}.py", f"{stem}/__init__.py") if stem else ("__init__.py",)
+        return next((k for k in keys if head == "repro" and k in modules), None)
+
+    bound_modules: dict[str, str] = {}
+    imported: dict[str, tuple[str, str]] = {}
+    reads: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        source = resolve(node.module)
+        for alias in node.names:
+            local = alias.asname or alias.name
+            submodule = resolve(f"{node.module}.{alias.name}")
+            if submodule is not None:
+                bound_modules[local] = submodule
+            elif source is not None:
+                imported[local] = (source, alias.name)
+                if not module.endswith("__init__.py"):
+                    reads.add(imported[local])
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id != own:
+                    reads.add((module, node.id))
+                if node.id in imported:
+                    reads.add(imported[node.id])
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound_modules
+            ):
+                reads.add((bound_modules[node.value.id], node.attr))
+    return reads
+
+
 def _registered(node: ast.FunctionDef | ast.ClassDef) -> bool:
     for decorator in node.decorator_list:
         func = getattr(decorator, "func", None)
@@ -89,8 +165,13 @@ def census(modules: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
     ``module:name``."""
     defined: set[str] = set()
     unregistered: dict[str, str] = {}  # module:name -> name
+    functions: set[str] = set()
     reads: set[str] = set()
+    members: set[str] = set()
+    owner_reads: set[tuple[str, str]] = set()
     for module, tree in modules.items():
+        members |= _class_members(tree)
+        owner_reads |= _owner_reads(modules, module, tree)
         for stmt in tree.body:
             read = _reads(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -98,10 +179,19 @@ def census(modules: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
                 if not stmt.name.startswith("_"):
                     key = f"{module}:{stmt.name}"
                     defined.add(key)
+                    if not isinstance(stmt, ast.ClassDef):
+                        functions.add(key)
                     if not _registered(stmt):
                         unregistered[key] = stmt.name
             reads |= read
-    unread = {key for key, name in unregistered.items() if name not in reads}
+
+    def is_read(key: str, name: str) -> bool:
+        if key in functions and name in members:
+            module = key.partition(":")[0]
+            return bool({(module, name), (_package(module), name)} & owner_reads)
+        return name in reads
+
+    unread = {key for key, name in unregistered.items() if not is_read(key, name)}
     return defined, unread
 
 
@@ -167,3 +257,39 @@ def test_what_counts_as_a_read():
         "b.py:method",
     }
     assert unread == {"a.py:Exported", "a.py:recursive", "a.py:caller"}
+
+
+def test_a_function_named_like_a_member_needs_a_resolved_read():
+    modules = {
+        "c.py": ast.parse(
+            "class Holder:\n"
+            "    def by_attribute(self): pass\n"
+            "    def by_import(self): pass\n"
+            "    def by_module(self): pass\n"
+            "    def by_reexport(self): pass\n"
+            "    by_name = None\n"
+            "def by_attribute(): pass\n"
+            "def by_import(): pass\n"
+            "def by_module(): pass\n"
+            "def by_reexport(): pass\n"
+            "def by_name(): pass\n"
+            "def uses(holder): return holder.by_attribute(), by_name()\n"
+        ),
+        "d.py": ast.parse(
+            "from repro import c\n"
+            "from repro.c import by_import\n"
+            "def calls(): return c.by_module()\n"
+        ),
+        "__init__.py": ast.parse("from repro.c import by_reexport\n"),
+    }
+    _defined, unread = census(modules)
+    # A method call on some object and a package re-export name no
+    # module; an import outside __init__, an attribute of the module and
+    # a name load in the module itself do.
+    assert unread == {
+        "c.py:Holder",
+        "c.py:by_attribute",
+        "c.py:by_reexport",
+        "c.py:uses",
+        "d.py:calls",
+    }
