@@ -72,14 +72,14 @@ def _record_key(record):
     )
 
 
-def _per_trial(problem, solver, family, n, seed, kernels="auto"):
+def _per_trial(problem, solver, family, n, seed, backend=kernels.DEFAULT_BACKEND):
     """One trial through a fresh batch: every setup cost paid again."""
-    return TrialBatch(problem, solver, family, kernels=kernels).run_one(n, seed)
+    return TrialBatch(problem, solver, family, kernels=backend).run_one(n, seed)
 
 
-def _batched(problem, solver, family, n, kernels="auto"):
+def _batched(problem, solver, family, n, backend=kernels.DEFAULT_BACKEND):
     """The seed grid through one batch: setup paid once."""
-    batch = TrialBatch(problem, solver, family, kernels=kernels)
+    batch = TrialBatch(problem, solver, family, kernels=backend)
     return [batch.run_one(n, seed) for seed in SEEDS]
 
 
@@ -126,7 +126,7 @@ def _vector_cubic_times():
                 "cubic",
                 N,
                 seed,
-                kernels="object",
+                backend="object",
             )
             for seed in SEEDS
         ]
@@ -135,7 +135,7 @@ def _vector_cubic_times():
         )
         start = time.perf_counter()
         vector_records = _batched(
-            "sinkless-orientation", "sinkless-det", "cubic", N, kernels="vector"
+            "sinkless-orientation", "sinkless-det", "cubic", N, backend="vector"
         )
         best_vector = min(
             best_vector, (time.perf_counter() - start) / len(SEEDS)

@@ -7,7 +7,7 @@ peak resident set size they need.  Each run happens in a fresh child
 process, so its peak RSS (``ru_maxrss``, interpreter and imports
 included) belongs to that one trial alone; the bench reports the
 median of its runs and the peak RSS per node.  Every verdict must be
-ok.  The kernel backend is the one a trial resolves from ``auto``.
+ok.  The kernel backend is the platform's, as in every trial.
 
 Full mode runs n = 2^16 three times; ``BENCH_QUICK=1`` runs n = 2^14
 once.  Results land in ``BENCH_labels.json``.
@@ -42,7 +42,7 @@ def measure(n: int) -> dict:
     from repro.generators.hard import padded_hard_instance
 
     level = build_family(3)[2]
-    with kernels.active(kernels.select_backend("auto")):
+    with kernels.active(kernels.DEFAULT_BACKEND):
         start = time.perf_counter()
         instance = padded_hard_instance(level, n, 0)
         built = time.perf_counter()

@@ -18,6 +18,8 @@ import os
 import random
 import time
 
+import pytest
+
 from benchmarks.conftest import report, report_json
 from repro import kernels
 from repro.analysis import render_table
@@ -133,6 +135,9 @@ def _best(fn):
     return best, result
 
 
+@pytest.mark.skipif(
+    not kernels.HAVE_NUMPY, reason="times the array path, which needs numpy"
+)
 def test_batched_engine_speedup():
     """PR 10 gate: array programs >= 3x over the object loop at n >= 8192.
 

@@ -13,18 +13,22 @@ The backends are measured back-to-back in-process, best of
 ``REPEATS``, which cancels much of a shared host's drift but not all:
 on a 2-vCPU host, quick runs read 5.8–8.8x and a full run 7.2x.
 
-The ``small_trials`` row backs the ``auto`` kernel mode, which takes
-the vector backend at every instance size: whole trials (solve +
-verify) of the canonical cells at n in {64, 128}, on both backends,
-with identical results asserted.  At these sizes one trial is a few
-milliseconds, so vector < object is gated in aggregate, and only in
-thorough mode.
+The ``small_trials`` row backs the platform's choice of the vector
+backend at every instance size wherever numpy imports: whole trials
+(solve + verify) of the canonical cells at n in {64, 128}, on both
+backends, with identical results asserted.  At these sizes one trial
+is a few milliseconds, so vector < object is gated in aggregate, and
+only in thorough mode.
+
+Without numpy there is no vector backend to time, so both tests skip.
 """
 
 from __future__ import annotations
 
 import os
 import time
+
+import pytest
 
 from benchmarks.conftest import report, report_json
 from repro import kernels
@@ -34,6 +38,10 @@ from repro.lcl import Labeling, verify
 from repro.problems import VertexColoring
 from repro.runtime import registry
 from repro.runtime.driver import dispatch_solver, verifier_for
+
+pytestmark = pytest.mark.skipif(
+    not kernels.HAVE_NUMPY, reason="times the vector kernels, which need numpy"
+)
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 #: The acceptance bar binds at n >= 1000; quick mode shrinks repeats,
@@ -173,7 +181,7 @@ def _timed_trial(solver, family, n, backend):
 
 
 def test_small_trial_speedups():
-    kernels.preload("vector")  # numpy's lazy imports stay out of the timings
+    kernels.preload()  # numpy's lazy imports stay out of the timings
     rows = []
     payload = {}
     totals = {"object": 0.0, "vector": 0.0}

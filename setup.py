@@ -2,16 +2,17 @@
 the ``wheel`` package).
 
 The library itself is stdlib-only.  ``pip install -e .[fast]`` pulls in
-numpy and unlocks :mod:`repro.kernels`' vectorized layer; without it
-every kernel degrades to the pure-python object layer with identical
-results (see the "Vectorized kernels" section of the README).
+numpy, and every trial then runs on :mod:`repro.kernels`' vectorized
+layer; without it every trial runs on the pure-python object layer,
+with identical results (see the "Vectorized kernels" section of the
+README).
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro-podc-balliu",
-    version="0.8.0",
+    version="1.0.0",
     description=(
         "Reproduction of the PODC'20 LCL complexity-landscape paper: "
         "instances, solvers, verifier, and the sharded experiment engine"
@@ -22,8 +23,8 @@ setup(
     install_requires=[],
     extras_require={
         # Vectorized kernels over the CSR core.  Optional: the object
-        # layer is the always-available oracle; `kernels=auto` only
-        # selects the vector backend when numpy imports.
+        # layer is the always-available oracle, and the platform runs
+        # the vector backend wherever numpy imports.
         "fast": ["numpy>=1.22"],
     },
 )

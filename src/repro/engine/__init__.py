@@ -18,7 +18,9 @@ repro.engine`` exposes the named experiments of
 of one from its grid flags, and ``run --from ROOT...`` unions the
 shard roots and replays.  Any launcher can run the shards and restart
 one that dies: ``run_shard`` stores each chunk as it arrives, so a
-rerun recomputes only what was lost.
+rerun recomputes only what was lost.  Records are the same on either
+kernel backend, so no run, shard or report names one: every trial runs
+on the platform's (:data:`repro.kernels.DEFAULT_BACKEND`).
 """
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, TrialCache

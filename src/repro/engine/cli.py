@@ -21,7 +21,9 @@ breakdown a ``--json`` report carries, and ``cache --status`` the
 trial cache's counters.
 
 A flag shared by several subcommands means the same in each:
-``--json -`` is stdout, and count flags reject values below 1.
+``--json -`` is stdout, and count flags reject values below 1.  No
+flag picks a kernel backend: records are the same on both, and the
+platform picks (:data:`repro.kernels.DEFAULT_BACKEND`).
 ``run`` prints one table per spec (the same renderer the benchmark
 suite feeds into ``benchmarks/conftest.report``) plus
 cache/parallelism accounting, and optionally writes the full JSON
@@ -414,16 +416,6 @@ def _parser() -> argparse.ArgumentParser:
             "replays, `status` counts them as present"
         ),
     )
-    parent("kernels").add_argument(
-        "--kernels",
-        choices=("auto", "vector", "object"),
-        default="auto",
-        help=(
-            "kernel backend: 'vector' forces the numpy layer, 'object' the "
-            "pure-python oracle, 'auto' (default) picks vector whenever "
-            "numpy is importable and object otherwise, without a warning"
-        ),
-    )
     parent("progress").add_argument(
         "--progress",
         action="store_true",
@@ -469,7 +461,7 @@ def _parser() -> argparse.ArgumentParser:
     run = command(
         "run",
         _run,
-        "grid workers progress kernels cache-dir from json trace",
+        "grid workers progress cache-dir from json trace",
         help=(
             "run a named experiment, or replay it from shard roots "
             "(any remainder is computed locally)"
@@ -487,7 +479,7 @@ def _parser() -> argparse.ArgumentParser:
     run_shard_p = command(
         "run-shard",
         _run_shard,
-        "grid workers cache-dir progress kernels json trace",
+        "grid workers cache-dir progress json trace",
         help="execute one shard of a named experiment",
     )
     run_shard_p.add_argument(
@@ -716,7 +708,6 @@ def _run_specs(args, specs, cache) -> int:
                 cache=cache,
                 batch_size=args.batch_size,
                 on_record=on_record,
-                kernels=args.kernels,
             )
         )
         if show_progress:
@@ -822,7 +813,6 @@ def _run_shard_plans(args, plans, index, cache) -> int:
                 workers=args.workers,
                 cache=cache,
                 on_record=on_record,
-                kernels=args.kernels,
             )
         )
         if show_progress:

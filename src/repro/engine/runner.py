@@ -37,8 +37,11 @@ count this process runs chunks itself, so its cache carries over from
 spec to spec, and the pool helpers a dispatch forks start with
 everything it holds; what a helper builds dies with it at the end of
 its spec.  Records stay bit-identical at every worker count, batch
-size, and shard count, so aggregation — a pure function of the ordered
-record list — cannot tell the difference.
+size, and shard count, and on either kernel backend, so aggregation —
+a pure function of the ordered record list — cannot tell the
+difference.  Which backend runs is the platform's choice
+(:data:`repro.kernels.DEFAULT_BACKEND`), not the run's: nothing here
+takes or reports one.
 """
 
 from __future__ import annotations
@@ -98,9 +101,6 @@ class EngineReport:
     #: Merged telemetry snapshot (see :mod:`repro.obs`); None when the
     #: producing run had telemetry disabled.
     telemetry: dict[str, Any] | None = None
-    #: The kernels mode the run was dispatched with — records are
-    #: backend-independent, but the report says what ran.
-    kernels: str = "auto"
 
     def summary(self) -> str:
         dispatch = ""
@@ -122,7 +122,6 @@ class EngineReport:
             "computed": self.computed,
             "batches": self.batches,
             "batch_size": self.batch_size,
-            "kernels": self.kernels,
             "elapsed_s": round(self.elapsed, 4),
             "telemetry": self.telemetry,
             "points": [
@@ -151,11 +150,11 @@ def _json_safe_extras(extras: dict) -> dict[str, Any]:
 # Module globals live once per process, so chunks run by the same
 # process share one instance cache — cores, their kept vector verifiers
 # and seeded instances — and one TrialBatch per (problem, solver,
-# family, kernels).  A forked pool helper starts with a copy of the
+# family).  A forked pool helper starts with a copy of the
 # dispatching process's.
 
 _INSTANCES: InstanceCache | None = None
-_BATCHES: dict[tuple[str, str, str, str], TrialBatch] = {}
+_BATCHES: dict[tuple[str, str, str], TrialBatch] = {}
 
 
 def _instances() -> InstanceCache:
@@ -165,8 +164,8 @@ def _instances() -> InstanceCache:
     return _INSTANCES
 
 
-def _batch(trial: TrialSpec, kernels: str) -> TrialBatch:
-    key = (trial.problem, trial.solver, trial.generator, kernels)
+def _batch(trial: TrialSpec) -> TrialBatch:
+    key = (trial.problem, trial.solver, trial.generator)
     batch = _BATCHES.get(key)
     if batch is None:
         # Specs may name any triple (corruption probes included); the
@@ -177,23 +176,18 @@ def _batch(trial: TrialSpec, kernels: str) -> TrialBatch:
             trial.generator,
             check_sound=False,
             instances=_instances(),
-            kernels=kernels,
         )
         _BATCHES[key] = batch
     return batch
 
 
-def execute_trial_batch(
-    trials: Sequence[TrialSpec], kernels: str = "auto"
-) -> list[dict[str, Any]]:
+def execute_trial_batch(trials: Sequence[TrialSpec]) -> list[dict[str, Any]]:
     """Run a chunk of same-spec trials and return their JSON-safe records.
 
     All trials must name the same (problem, solver, generator) triple
     (they come from one spec).  A rejected output raises
     ``AssertionError`` with the verifier's message plus the trial's n
-    and seed.  ``kernels`` travels in the chunk payload, NOT in the
-    trial specs: records are backend-independent, so the cache key must
-    not split on it.
+    and seed.
     """
     if not trials:
         return []
@@ -203,7 +197,7 @@ def execute_trial_batch(
         raise ValueError(
             "a trial batch must share one (problem, solver, generator) triple"
         )
-    batch = _batch(head, kernels)
+    batch = _batch(head)
     records = []
     for trial in trials:
         record = batch.run_one(trial.n, trial.seed)
@@ -236,8 +230,7 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     adds into the report's sum once.
     """
     records = execute_trial_batch(
-        [TrialSpec.from_payload(entry) for entry in payload["trials"]],
-        kernels=payload["kernels"],
+        [TrialSpec.from_payload(entry) for entry in payload["trials"]]
     )
     return {
         "records": records,
@@ -323,8 +316,6 @@ class ShardReport:
     #: piggybacked delta per dispatched chunk); None with telemetry
     #: disabled.
     telemetry: dict[str, Any] | None = field(default=None)
-    #: The kernels mode this shard was dispatched with.
-    kernels: str = "auto"
 
     def summary(self) -> str:
         dispatch = ""
@@ -353,7 +344,6 @@ class ShardReport:
             "batches": self.batches,
             "batch_size": self.batch_size,
             "telemetry": self.telemetry,
-            "kernels": self.kernels,
         }
 
 
@@ -363,7 +353,6 @@ def run_shard(
     workers: int = 1,
     cache: TrialCache | None = None,
     on_record: Callable[[dict[str, Any]], None] | None = None,
-    kernels: str = "auto",
 ) -> ShardReport:
     """Execute shard ``shard_index`` of ``plan``: its chunks, nothing else.
 
@@ -399,16 +388,13 @@ def run_shard(
     calls in one process is attributed to the later shard's report —
     every increment lands in exactly one report, at any worker count.
 
-    ``kernels`` rides in each dispatched chunk's payload (records stay
-    bit-identical across backends, so cache keys ignore it).  Payloads
-    carry trial specs only: whichever process runs a chunk builds a
-    missing frozen core on the chunk's first trial and shares it across
-    seeds through its process-wide
+    Payloads carry trial specs only: whichever process runs a chunk
+    builds a missing frozen core on the chunk's first trial and shares
+    it across seeds through its process-wide
     :class:`~repro.runtime.driver.InstanceCache`, which also keeps
     every seeded instance it builds for the process's later trials on
     it.
     """
-    kernel_layer.ensure_mode(kernels)
     telemetry = get_telemetry()
     snapshots: list[dict[str, Any]] = []
     start = time.perf_counter()
@@ -452,12 +438,9 @@ def run_shard(
             order.sort(
                 key=lambda pos: (-trials[chunks[pos][0]].n * len(chunks[pos]), pos)
             )
-            kernel_layer.preload(kernels)
+            kernel_layer.preload()
         payloads = [
-            {
-                "trials": [trials[i].to_payload() for i in chunks[pos]],
-                "kernels": kernels,
-            }
+            {"trials": [trials[i].to_payload() for i in chunks[pos]]}
             for pos in order
         ]
         streamed = 0
@@ -516,7 +499,6 @@ def run_shard(
         batches=len(chunks),
         batch_size=plan.batch_size,
         telemetry=merge_snapshots(snapshots) if telemetry.enabled else None,
-        kernels=kernels,
     )
     _LOG.info("%s", report.summary())
     return report
@@ -528,7 +510,6 @@ def run_experiment(
     cache: TrialCache | None = None,
     batch_size: int | None = None,
     on_record: Callable[[dict[str, Any]], None] | None = None,
-    kernels: str = "auto",
 ) -> EngineReport:
     """Run (or replay) one experiment spec and aggregate its sweep.
 
@@ -547,14 +528,7 @@ def run_experiment(
     """
     start = time.perf_counter()
     plan = plan_experiment(spec, num_shards=1, batch_size=batch_size)
-    shard = run_shard(
-        plan,
-        0,
-        workers=workers,
-        cache=cache,
-        on_record=on_record,
-        kernels=kernels,
-    )
+    shard = run_shard(plan, 0, workers=workers, cache=cache, on_record=on_record)
     records = [record for _, record in shard.records]
     return EngineReport(
         spec=spec,
@@ -571,5 +545,4 @@ def run_experiment(
         batches=shard.batches,
         batch_size=shard.batch_size if shard.batches else 0,
         telemetry=shard.telemetry,
-        kernels=kernels,
     )

@@ -27,13 +27,13 @@ Two execution paths share the exact same semantics:
   them in one call and reports them as a tail instead of stepping them.
 
 Results, ``halt_rounds``, round traces, and
-:class:`ConvergenceError` diagnostics are bit-identical across the two;
-``--kernels object`` always forces the oracle.
+:class:`ConvergenceError` diagnostics are bit-identical across the two,
+so a process without numpy runs the object loop, silently, and tests
+reach it as the oracle with ``kernels.active("object")``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
@@ -49,10 +49,6 @@ __all__ = [
     "EngineResult",
     "ConvergenceError",
 ]
-
-_LOG = logging.getLogger("repro.local.simulator")
-_WARNED_NO_ARRAY_BACKEND = False
-
 
 class ConvergenceError(RuntimeError):
     """The engine hit ``max_rounds`` with nodes still active.
@@ -163,16 +159,6 @@ class EngineResult:
         return list(self.halt_rounds)
 
 
-def _warn_no_array_backend() -> None:
-    global _WARNED_NO_ARRAY_BACKEND
-    if not _WARNED_NO_ARRAY_BACKEND:
-        _WARNED_NO_ARRAY_BACKEND = True
-        _LOG.warning(
-            "array node program degrades to the object round loop "
-            "(numpy is not importable; install the [fast] extra)"
-        )
-
-
 class SyncEngine:
     """Runs node objects in lock-step synchronous rounds.
 
@@ -209,15 +195,10 @@ class SyncEngine:
         return self._nodes
 
     def run(self, max_rounds: int = 10_000) -> EngineResult:
-        if self._array_program is not None:
-            if kernels.vector_enabled():
-                from repro.kernels.engine import run_array_program
+        if self._array_program is not None and kernels.vector_enabled():
+            from repro.kernels.engine import run_array_program
 
-                return run_array_program(
-                    self.instance, self._array_program(), max_rounds
-                )
-            if not kernels.HAVE_NUMPY:
-                _warn_no_array_backend()
+            return run_array_program(self.instance, self._array_program(), max_rounds)
         graph = self.graph
         nodes = self.nodes
         num_nodes = graph.num_nodes

@@ -21,6 +21,11 @@ call :meth:`TrialBatch.run_one`:
    or a registered custom check);
 4. return a :class:`TrialRecord` with outputs, per-node radii, round
    complexity, verification status, and wall time.
+
+Steps 2 and 3 run on the platform's kernel backend
+(:data:`repro.kernels.DEFAULT_BACKEND`: ``vector`` where numpy imports,
+``object`` otherwise); records are bit-identical on both, and tests
+name the object oracle with ``TrialBatch(kernels="object")``.
 """
 
 from __future__ import annotations
@@ -210,9 +215,6 @@ class InstanceCache:
         # problem is not a plain ne-LCL (custom / padded verification).
         self._prepared: dict[tuple, dict[str, VectorPreparedVerifier | None]] = {}
         self.retained_nodes = 0
-        self.built = 0
-        self.reused = 0
-        self.bypassed = 0
 
     def build(
         self, family_info: FamilyInfo, n: int, seed: int
@@ -263,13 +265,7 @@ class InstanceCache:
         return True
 
     def _count(self, event: str) -> None:
-        """One :meth:`build` outcome, on the attribute and in telemetry."""
-        if event == "core_reused":
-            self.reused += 1
-        elif event == "core_built":
-            self.built += 1
-        else:
-            self.bypassed += 1
+        """One :meth:`build` outcome, in telemetry."""
         get_telemetry().incr(f"instance_cache.{event}")
 
     def core(self, family_info: FamilyInfo, n: int) -> Any:
@@ -342,8 +338,10 @@ class TrialBatch:
     for: the solver must target ``problem`` and declare soundness on
     ``family``.  Pass ``False`` to probe unsound combinations (e.g.
     corruption experiments) — the verifier still reports the truth.
-    ``kernels`` picks the implementation layer for solve+verify (see
-    :mod:`repro.kernels`); records are bit-identical across backends.
+    Trials solve and verify on the platform's backend
+    (:data:`repro.kernels.DEFAULT_BACKEND`); ``kernels`` names another
+    of :data:`repro.kernels.BACKENDS`, which tests use to run the object
+    oracle.  Records are bit-identical across backends.
     """
 
     def __init__(
@@ -354,10 +352,15 @@ class TrialBatch:
         *,
         check_sound: bool = True,
         instances: InstanceCache | None = None,
-        kernels: str = "auto",
+        kernels: str = kernel_layer.DEFAULT_BACKEND,
     ):
+        if kernels not in kernel_layer.BACKENDS:
+            raise ValueError(
+                f"backend {kernels!r} cannot run here (choose from "
+                f"{', '.join(kernel_layer.BACKENDS)})"
+            )
         registry.ensure_registered()
-        self._kernels = kernel_layer.ensure_mode(kernels)
+        self._backend = kernels
         self.problem_info = registry.problem(problem)
         self.solver_info = registry.solver(solver)
         self.family_info = registry.family(family)
@@ -401,11 +404,10 @@ class TrialBatch:
         start = time.perf_counter()
         with telemetry.span("trial.build"):
             instance, core_key = self.instances.build(self.family_info, n, seed)
-        backend = kernel_layer.select_backend(self._kernels)
-        telemetry.incr(f"kernels.{backend}_trials")
+        telemetry.incr(f"kernels.{self._backend}_trials")
         verified = True
         rejection: str | None = None
-        with kernel_layer.active(backend):
+        with kernel_layer.active(self._backend):
             with telemetry.span("trial.solve"):
                 result = dispatch_solver(self.solver_info.factory(), instance)
             try:

@@ -61,6 +61,26 @@ def simple_graphs(draw, max_nodes: int = 12):
     return PortGraph.from_edge_list(n, chosen)
 
 
+@pytest.fixture
+def cache_builds():
+    """``(built, reused, bypassed)`` since the test began: the
+    ``instance_cache.core_built``, ``core_reused`` and ``bypassed``
+    telemetry counters, one of which each ``InstanceCache`` build counts."""
+    from repro.obs import get_telemetry
+
+    telemetry = get_telemetry()
+    names = [
+        f"instance_cache.{event}" for event in ("core_built", "core_reused", "bypassed")
+    ]
+    before = telemetry.snapshot()["counters"]
+
+    def delta() -> tuple[int, int, int]:
+        now = telemetry.snapshot()["counters"]
+        return tuple(now.get(name, 0) - before.get(name, 0) for name in names)
+
+    return delta
+
+
 # -- the un-amortized trial reference ----------------------------------------
 
 
@@ -85,25 +105,51 @@ def reference_run(problem: str, solver: str, family: str, n: int, seed: int):
     return instance, result, True
 
 
+def _engine_record(trial, actual_n: int, rounds: int, extras: dict) -> dict:
+    """The engine's JSON record of one ``TrialSpec``'s outcome."""
+    return {
+        "n": trial.n,
+        "actual_n": actual_n,
+        "seed": trial.seed,
+        "rounds": rounds,
+        "extras": {
+            key: value
+            for key, value in extras.items()
+            if isinstance(value, (bool, int, float, str))
+        },
+    }
+
+
 def reference_record(trial) -> dict:
     """The engine's JSON record for one ``TrialSpec``, via :func:`reference_run`."""
     instance, result, verified = reference_run(
         trial.problem, trial.solver, trial.generator, trial.n, trial.seed
     )
     assert verified, f"reference run of {trial} was rejected"
-    return {
-        "n": trial.n,
-        "actual_n": instance.graph.num_nodes,
-        "seed": trial.seed,
-        "rounds": result.rounds,
-        "extras": {
-            key: value
-            for key, value in result.extras.items()
-            if isinstance(value, (bool, int, float, str))
-        },
-    }
+    return _engine_record(trial, instance.graph.num_nodes, result.rounds, result.extras)
 
 
 def reference_records(spec) -> list[dict]:
     """:func:`reference_record` over a spec's whole grid, in grid order."""
     return [reference_record(trial) for trial in spec.trials()]
+
+
+def oracle_records(spec) -> list[dict]:
+    """A spec's whole grid through ``TrialBatch(kernels="object")``, the
+    object oracle, as the engine's JSON records in grid order.
+
+    The engine runs every trial on the platform's backend, so a parity
+    test holds an engine run to these."""
+    from repro.runtime import TrialBatch
+
+    batch = TrialBatch(
+        spec.problem, spec.solver, spec.generator, check_sound=False, kernels="object"
+    )
+    records = []
+    for trial in spec.trials():
+        record = batch.run_one(trial.n, trial.seed)
+        assert record.verified, f"oracle run of {trial}: {record.rejection}"
+        records.append(
+            _engine_record(trial, record.actual_n, record.rounds, record.extras)
+        )
+    return records

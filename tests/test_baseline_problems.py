@@ -249,11 +249,11 @@ class TestMatching:
 _FOREIGN_HALF_LABELS = [7, EMPTY, (1,), (1, 0, 0, 0), "out"]
 
 
-@pytest.mark.parametrize("backend", ["object", "vector"])
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
 @pytest.mark.parametrize("label", _FOREIGN_HALF_LABELS, ids=repr)
 class TestLabelsOutsideTheAlphabet:
     """A half-edge label outside the problem's alphabet is a rejected
-    output with a domain violation, never a crash, on both backends."""
+    output with a domain violation, never a crash, on every backend."""
 
     @staticmethod
     def _verdict(problem, graph, outputs, backend):

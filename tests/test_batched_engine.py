@@ -95,16 +95,16 @@ class TestBatchedMatchesPerTrialReference:
 
 
 class TestInstanceCache:
-    def test_reuse_family_shares_one_graph_across_seeds(self):
+    def test_reuse_family_shares_one_graph_across_seeds(self, cache_builds):
         cache = InstanceCache()
         a, key_a = cache.build(registry.family("cycle"), 8, 0)
         b, key_b = cache.build(registry.family("cycle"), 8, 1)
         assert key_a == key_b == ("cycle", 8)
         assert a.graph is b.graph
         assert a.ids != b.ids  # the per-seed dressing still differs
-        assert (cache.built, cache.reused) == (1, 1)
+        assert cache_builds() == (1, 1, 0)
 
-    def test_seeded_family_builds_once_per_seed(self):
+    def test_seeded_family_builds_once_per_seed(self, cache_builds):
         cache = InstanceCache()
         cubic = registry.family("cubic")
         a, key_a = cache.build(cubic, 16, 0)
@@ -118,7 +118,7 @@ class TestInstanceCache:
         # Another seed is another graph.
         assert c.graph is not a.graph
         assert bytes(c.graph.csr()[1]) != bytes(a.graph.csr()[1])
-        assert (cache.built, cache.reused, cache.bypassed) == (2, 1, 0)
+        assert cache_builds() == (2, 1, 0)
         assert cache.retained_nodes == 32
 
     def test_instance_without_rng_stays_without(self):
@@ -140,7 +140,7 @@ class TestInstanceCache:
         ],
     )
     def test_memoized_instance_matches_fresh_build_twice(
-        self, problem, solver, family, n
+        self, problem, solver, family, n, cache_builds
     ):
         instance, result, verified = reference_run(problem, solver, family, n, 1)
         expected = (
@@ -152,12 +152,12 @@ class TestInstanceCache:
         )
         batch = TrialBatch(problem, solver, family)
         records = [batch.run_one(n, 1), batch.run_one(n, 1)]
-        assert (batch.instances.built, batch.instances.reused) == (1, 1)
+        assert cache_builds() == (1, 1, 0)
         for record in records:
             assert record_key(record) == expected
             assert record.outputs == result.outputs
 
-    def test_retained_nodes_never_exceed_the_budget(self, monkeypatch):
+    def test_retained_nodes_never_exceed_the_budget(self, monkeypatch, cache_builds):
         monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 64)
         cache = InstanceCache()
         cubic = registry.family("cubic")
@@ -175,9 +175,11 @@ class TestInstanceCache:
             assert cache.retained_nodes == sum(
                 instance.graph.num_nodes for instance in cache._kept.values()
             )
-        assert cache.bypassed == 0
+        assert cache_builds()[2] == 0
 
-    def test_over_budget_instance_is_returned_not_retained(self, monkeypatch):
+    def test_over_budget_instance_is_returned_not_retained(
+        self, monkeypatch, cache_builds
+    ):
         monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 20)
         cache = InstanceCache()
         cubic = registry.family("cubic")
@@ -186,19 +188,18 @@ class TestInstanceCache:
         again, _ = cache.build(cubic, 30, 0)
         assert key is None and big.graph.num_nodes == 30
         assert again.graph is not big.graph  # built afresh each time
-        assert (cache.built, cache.reused, cache.bypassed) == (1, 0, 2)
+        assert cache_builds() == (1, 0, 2)
         assert list(cache._kept) == [("cubic", 16, 0)]
         assert cache.retained_nodes == 16
         assert cache.build(cubic, 16, 0)[0].graph is kept.graph
 
-    def test_batch_counts_reuse_on_topology_family(self):
+    def test_batch_counts_reuse_on_topology_family(self, cache_builds):
         batch = TrialBatch("degree-parity", "parity", "cycle")
         for seed in range(4):
             batch.run_one(8, seed)
-        assert batch.instances.built == 1
-        assert batch.instances.reused == 3
+        assert cache_builds() == (1, 3, 0)
 
-    def test_batch_prepared_verifiers_stay_bounded(self, monkeypatch):
+    def test_batch_prepared_verifiers_stay_bounded(self, monkeypatch, cache_builds):
         # 20 cycle sizes of 4..23 nodes overflow a 64-node budget many
         # times over.
         monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 64)
@@ -214,9 +215,11 @@ class TestInstanceCache:
         # are dropped with their cores.
         assert list(instances._kept) == [("cycle", 22), ("cycle", 23)]
         assert set(instances._prepared) <= set(instances._kept)
-        assert instances.bypassed == 0
+        assert cache_builds()[2] == 0
 
-    def test_cores_and_seeded_instances_share_one_budget(self, monkeypatch):
+    def test_cores_and_seeded_instances_share_one_budget(
+        self, monkeypatch, cache_builds
+    ):
         monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 64)
         cache = InstanceCache()
         cycle_family, cubic = registry.family("cycle"), registry.family("cubic")
@@ -232,12 +235,12 @@ class TestInstanceCache:
         ]
         assert cache.retained_nodes == 56
         again, _ = cache.build(cycle_family, 20, 1)  # built anew, evicting seed 0
-        assert (cache.built, cache.reused, cache.bypassed) == (6, 0, 0)
+        assert cache_builds() == (6, 0, 0)
         assert list(cache._kept)[-1] == ("cycle", 20)
         assert ("cubic", 16, 0) not in cache._kept
         assert cache.retained_nodes == 60
 
-    def test_over_budget_core_is_rebuilt_per_trial(self, monkeypatch):
+    def test_over_budget_core_is_rebuilt_per_trial(self, monkeypatch, cache_builds):
         monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 20)
         batch = TrialBatch("degree-parity", "parity", "cycle")
         instances = batch.instances
@@ -245,7 +248,7 @@ class TestInstanceCache:
         second, _ = instances.build(registry.family("cycle"), 30, 1)
         assert core_key is None and first.graph is not second.graph
         batch.run_one(30, 2)  # verified without a kept verifier
-        assert (instances.built, instances.reused, instances.bypassed) == (0, 0, 3)
+        assert cache_builds() == (0, 0, 3)
         assert not instances._kept and not instances._prepared
         assert instances.retained_nodes == 0
 
@@ -269,14 +272,14 @@ class TestInstanceCache:
         batch.run_one(8, 0)
         assert instances._prepared[("cycle", 8)]["degree-parity"] is not prepared
 
-    def test_object_backend_keeps_no_verifier_per_core(self):
+    def test_object_backend_keeps_no_verifier_per_core(self, cache_builds):
         batch = TrialBatch("degree-parity", "parity", "cycle", kernels="object")
         for seed in range(3):
             assert batch.run_one(8, seed).verified
-        assert batch.instances.reused == 2
+        assert cache_builds() == (1, 2, 0)
         assert not batch.instances._prepared
 
-    def test_batches_share_seeded_instances_across_solvers(self):
+    def test_batches_share_seeded_instances_across_solvers(self, cache_builds):
         instances = InstanceCache()
         det = TrialBatch(
             "sinkless-orientation", "sinkless-det", "cubic", instances=instances
@@ -288,7 +291,7 @@ class TestInstanceCache:
             det.run_one(16, seed)
         for seed in range(3):
             rand.run_one(16, seed)
-        assert (instances.built, instances.reused, instances.bypassed) == (3, 3, 0)
+        assert cache_builds() == (3, 3, 0)
 
     def test_registry_rejects_hooks_on_seeded_family(self):
         from repro.runtime.registry import register_family

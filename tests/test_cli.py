@@ -30,13 +30,13 @@ SURFACE = {
     "list": [],
     "run": [
         "--batch-size", "--cache-dir", "--experiment", "--from", "--json",
-        "--kernels", "--max-n", "--no-cache", "--progress", "--seeds",
-        "--trace", "--workers",
+        "--max-n", "--no-cache", "--progress", "--seeds", "--trace",
+        "--workers",
     ],
     "run-shard": [
         "--batch-size", "--cache-dir", "--cache-out", "--experiment", "--json",
-        "--json-errors", "--kernels", "--max-n", "--progress", "--seeds",
-        "--shard", "--trace", "--workers",
+        "--json-errors", "--max-n", "--progress", "--seeds", "--shard",
+        "--trace", "--workers",
     ],
     "stats": ["--report"],
     "status": [
@@ -184,10 +184,10 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
 def test_every_subcommand_keeps_its_option_strings():
     subcommands = _subcommands()
     assert sorted(subcommands) == sorted(SURFACE)
-    # The census: 7 subcommands, 36 (subcommand, flag) pairs, of which
+    # The census: 7 subcommands, 34 (subcommand, flag) pairs, of which
     # 12 are count flags.
     assert len(SURFACE) == 7
-    assert sum(len(options) for options in SURFACE.values()) == 36
+    assert sum(len(options) for options in SURFACE.values()) == 34
     assert len(COUNT_FLAG_USES) == 12
     for name, sub in subcommands.items():
         options = sorted(s for a in sub._actions for s in a.option_strings)

@@ -44,8 +44,6 @@ from repro.util.rng import NodeRng
 from tests.conftest import reference_run
 
 PADDED = ("padded-sinkless", "padded-sinkless-det", "padded-sinkless")
-#: The concrete backends a trial can run on here (one without numpy).
-BACKENDS = sorted({"object", kernel_layer.select_backend("auto")})
 
 
 @pytest.fixture
@@ -105,7 +103,7 @@ def counted(evaluations):
     return delta
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", kernel_layer.BACKENDS)
 class TestOneCheckPerNode:
     """The object backend evaluates each node of a padded instance once.
     The vector backend runs one structural pass per instance, which
@@ -132,7 +130,7 @@ class TestOneCheckPerNode:
         )
 
     def test_second_trial_on_a_kept_instance_checks_none(
-        self, backend, evaluations, counted, analyses
+        self, backend, evaluations, counted, analyses, cache_builds
     ):
         instances = InstanceCache()
         det = TrialBatch(*PADDED, instances=instances, kernels=backend)
@@ -147,7 +145,7 @@ class TestOneCheckPerNode:
         assert second.verified
         self._assert_checked_once(backend, evaluations, counted, first.actual_n)
         assert len(analyses) == 1
-        assert (instances.built, instances.reused) == (1, 1)
+        assert cache_builds() == (1, 1, 0)
 
 
 class TestSafety:
@@ -225,8 +223,8 @@ class TestRecursion:
 
 
 class TestRecords:
-    @pytest.mark.parametrize("kernels", BACKENDS)
-    def test_kept_instance_trials_match_fresh_builds(self, kernels):
+    @pytest.mark.parametrize("kernels", kernel_layer.BACKENDS)
+    def test_kept_instance_trials_match_fresh_builds(self, kernels, cache_builds):
         instances = InstanceCache()
         for solver in ("padded-sinkless-det", "padded-sinkless-rand"):
             batch = TrialBatch(
@@ -243,7 +241,7 @@ class TestRecords:
             assert record.node_radius == list(result.node_radius)
             assert record.extras == result.extras
             assert record.outputs == result.outputs
-        assert (instances.built, instances.reused) == (1, 1)
+        assert cache_builds() == (1, 1, 0)
 
 
 class TestLifetime:
@@ -267,7 +265,7 @@ class TestLifetime:
                 gc.enable()
 
     def test_over_budget_instance_keeps_its_analysis_only_in_use(
-        self, monkeypatch, analyses
+        self, monkeypatch, analyses, cache_builds
     ):
         monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 100)
         batch = TrialBatch(*PADDED)
@@ -275,7 +273,7 @@ class TestLifetime:
         gc.disable()
         try:
             record = batch.run_one(2, 0)
-            assert record.verified and batch.instances.bypassed == 1
+            assert record.verified and cache_builds() == (0, 0, 1)
             assert len(analyses) == 1 and analyses[0]() is None
         finally:
             if was_enabled:

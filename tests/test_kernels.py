@@ -1,16 +1,19 @@
-"""Tests for :mod:`repro.kernels`: backend selection, the vectorized
-verifier twin, and record parity across the whole engine stack.
+"""Tests for :mod:`repro.kernels`: the platform's backend, the
+vectorized verifier twin, and record parity across the whole engine
+stack.
 
 The object layer is the oracle everywhere: with or without numpy, with
 any worker count or shard count, trial records must be bit-identical —
-the vector backend only buys time, never different answers.
+the vector backend only buys time, never different answers.  The
+engine runs the platform's backend, so each engine-level parity check
+holds its records to the same grid on ``TrialBatch(kernels="object")``
+(:func:`tests.conftest.oracle_records`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -40,7 +43,7 @@ from repro.gadgets.labels import (
 from repro.generators import cycle
 from repro.lcl import Labeling, verify
 from repro.runtime import TrialBatch
-from tests.conftest import multigraphs, reference_run
+from tests.conftest import multigraphs, oracle_records, reference_run
 
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="vector kernels need numpy"
@@ -59,6 +62,11 @@ PARITY_SPEC = ExperimentSpec(
 
 def _record_keys(report):
     return [json.dumps(r, sort_keys=True) for r in report.records]
+
+
+def _oracle_keys(spec):
+    """:func:`_record_keys` of ``spec``'s grid on the object oracle."""
+    return [json.dumps(r, sort_keys=True) for r in oracle_records(spec)]
 
 
 def _shard_record_keys(plan, reports):
@@ -110,17 +118,33 @@ def _counter(telemetry_block, name):
 
 
 class TestBackendSelection:
-    def test_ensure_mode_rejects_junk(self):
-        with pytest.raises(ValueError, match="unknown kernels mode"):
-            kernels.ensure_mode("simd")
-        for mode in kernels.BACKENDS:
-            assert kernels.ensure_mode(mode) == mode
+    def test_the_platform_picks_the_backend(self):
+        if kernels.HAVE_NUMPY:
+            assert kernels.BACKENDS == ("object", "vector")
+            assert kernels.DEFAULT_BACKEND == "vector"
+        else:
+            assert kernels.BACKENDS == ("object",)
+            assert kernels.DEFAULT_BACKEND == "object"
 
-    def test_active_needs_concrete_backend(self):
-        with pytest.raises(ValueError, match="concrete backend"):
-            with kernels.active("auto"):
+    @pytest.mark.parametrize("backend", ["auto", "simd", "vector"])
+    def test_a_backend_this_process_cannot_run_is_refused(
+        self, monkeypatch, backend
+    ):
+        # What a process without numpy can run, whatever this one has.
+        monkeypatch.setattr(kernels, "BACKENDS", ("object",))
+        with pytest.raises(ValueError, match="cannot run here"):
+            with kernels.active(backend):
                 pass
+        with pytest.raises(ValueError, match="cannot run here"):
+            TrialBatch("degree-parity", "parity", "cycle", kernels=backend)
+        assert kernels.current_backend() == "object"
 
+    def test_trial_batch_runs_every_backend_here(self):
+        for backend in kernels.BACKENDS:
+            batch = TrialBatch("degree-parity", "parity", "cycle", kernels=backend)
+            assert batch.run_one(16).verified
+
+    @needs_numpy
     def test_active_restores_previous_backend(self):
         assert kernels.current_backend() == "object"
         with kernels.active("vector"):
@@ -130,98 +154,45 @@ class TestBackendSelection:
             assert kernels.current_backend() == "vector"
         assert kernels.current_backend() == "object"
 
-    def test_object_mode_always_object(self):
-        assert kernels.select_backend("object") == "object"
-
-    @pytest.mark.parametrize(
-        "have_numpy", [pytest.param(True, marks=needs_numpy), False]
-    )
-    def test_auto_follows_numpy_alone(self, monkeypatch, have_numpy):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", have_numpy)
-        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", True)
-        expected = "vector" if have_numpy else "object"
-        assert kernels.select_backend("auto") == expected
-        assert kernels.select_backend("vector") == expected
-        assert kernels.select_backend("object") == "object"
-
     def test_vector_enabled_is_ambient(self):
         assert not kernels.vector_enabled()
-        with kernels.active("vector"):
-            assert kernels.vector_enabled() == kernels.HAVE_NUMPY
+        for backend in kernels.BACKENDS:
+            with kernels.active(backend):
+                assert kernels.vector_enabled() == (backend == "vector")
 
-    def test_degrades_without_numpy_with_one_warning(self, monkeypatch, caplog):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", False)
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            assert kernels.select_backend("vector") == "object"
-            assert kernels.select_backend("auto") == "object"
-            assert kernels.select_backend("vector") == "object"
-        warnings = [
-            rec for rec in caplog.records if "degrade" in rec.getMessage()
-        ]
-        assert len(warnings) == 1  # logged once, not per call
-        with kernels.active("vector"):
-            assert not kernels.vector_enabled()
 
-    def test_only_an_explicit_vector_request_warns(self, monkeypatch, caplog):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", False)
-
-        def warnings():
-            return [
-                rec for rec in caplog.records if "degrade" in rec.getMessage()
-            ]
-
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            for _ in range(3):
-                assert kernels.select_backend("auto") == "object"
-            assert warnings() == []  # the default mode degrades silently
-            assert kernels.select_backend("vector") == "object"
-            assert kernels.select_backend("vector") == "object"
-            assert len(warnings()) == 1
-
-    def test_runtime_works_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", True)
-        record = TrialBatch(
-            "degree-parity", "parity", "cycle", kernels="vector"
-        ).run_one(16)
-        assert record.verified
+def _python(code, hide_numpy=False):
+    """Run ``code`` in a fresh interpreter that imports ``repro`` from
+    this tree, with ``numpy`` unimportable when ``hide_numpy``."""
+    if hide_numpy:
+        code = "import sys\nsys.modules['numpy'] = None\n" + code
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestPreload:
     """Each check runs in a fresh interpreter, so that modules other
     tests imported cannot hide what ``preload`` loads."""
 
-    @staticmethod
-    def _modules_loaded_by(mode):
-        code = (
-            "import sys\n"
-            "from repro import kernels\n"
-            "before = set(sys.modules)\n"
-            f"kernels.preload({mode!r})\n"
-            "print(' '.join(sorted(set(sys.modules) - before)))\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+    CODE = (
+        "import sys\n"
+        "from repro import kernels\n"
+        "before = set(sys.modules)\n"
+        "kernels.preload()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+
+    @needs_numpy
+    def test_loads_the_vector_backend(self):
+        result = _python(self.CODE)
         assert result.returncode == 0, result.stderr[-2000:]
-        return set(result.stdout.split())
-
-    def test_object_mode_imports_nothing(self):
-        assert self._modules_loaded_by("object") == set()
-
-    def test_auto_mode_loads_the_vector_backend(self):
-        loaded = self._modules_loaded_by("auto")
-        if not kernels.HAVE_NUMPY:
-            assert loaded == set()
-            return
         assert {
             "numpy.ma",
             "repro.kernels.engine",
@@ -229,7 +200,30 @@ class TestPreload:
             "repro.kernels.programs",
             "repro.kernels.vector",
             "repro.kernels.verifier",
-        } <= loaded
+        } <= set(result.stdout.split())
+
+    def test_loads_nothing_without_numpy(self):
+        result = _python(self.CODE, hide_numpy=True)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.split() == []
+
+
+def test_a_numpy_free_default_run_is_silent():
+    """Without numpy every trial runs on the object oracle, and no layer
+    says so: the run writes nothing to stderr."""
+    result = _python(
+        "import runpy\n"
+        "from repro import kernels\n"
+        "assert not kernels.HAVE_NUMPY\n"
+        "sys.argv = ['python -m repro.engine', 'run', '--experiment', "
+        "'landscape', '--max-n', '64', '--seeds', '1', '--no-cache', "
+        "'--workers', '1']\n"
+        "runpy.run_module('repro.engine', run_name='__main__', alter_sys=True)\n",
+        hide_numpy=True,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "total: 62 trials" in result.stdout
+    assert result.stderr == ""
 
 
 # -- the vectorized verifier twin --------------------------------------------
@@ -442,71 +436,58 @@ class TestDedupeRows:
 
 class TestKernelsRecordParity:
     def test_runtime_records_identical_across_backends(self):
-        def run(kernels):
-            batch = TrialBatch("degree-parity", "parity", "cycle", kernels=kernels)
-            return [batch.run_one(n, seed) for n in (8, 16) for seed in (0, 1)]
-
-        obj, auto, vec = run("object"), run("auto"), run("vector")
-
-        def strip(records):
+        def run(**backend):
+            batch = TrialBatch("degree-parity", "parity", "cycle", **backend)
             return [
-                {k: v for k, v in vars(r).items() if k != "wall_time"}
-                for r in records
+                {
+                    k: v
+                    for k, v in vars(batch.run_one(n, seed)).items()
+                    if k != "wall_time"
+                }
+                for n in (8, 16)
+                for seed in (0, 1)
             ]
-        assert strip(obj) == strip(auto) == strip(vec)
+
+        oracle = run(kernels="object")
+        assert run() == oracle
+        for backend in kernels.BACKENDS:
+            assert run(kernels=backend) == oracle
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_shard_records_identical_across_backends(self, num_shards):
-        oracle = run_experiment(PARITY_SPEC, workers=1, kernels="object")
         plan = plan_experiment(PARITY_SPEC, num_shards=num_shards)
-        reports = [
-            run_shard(plan, i, workers=2, kernels="vector")
-            for i in range(num_shards)
-        ]
-        assert _shard_record_keys(plan, reports) == _record_keys(oracle)
-        assert all(report.kernels == "vector" for report in reports)
+        reports = [run_shard(plan, i, workers=2) for i in range(num_shards)]
+        assert _shard_record_keys(plan, reports) == _oracle_keys(PARITY_SPEC)
 
     @needs_numpy
     def test_small_canonical_cells_identical_across_backends(self):
-        """``auto`` takes the vector kernels at every size, so the small
-        end of every canonical cell must match the object oracle too:
-        the landscape up to 128 nodes, and the padded and gadget grids
-        at their smallest heights."""
+        """The vector kernels run at every size, so the small end of
+        every canonical cell must match the object oracle too: the
+        landscape up to 128 nodes, and the padded and gadget grids at
+        their smallest heights."""
         specs = build_experiment("landscape", max_n=128, seed_count=2)
         specs += build_experiment("padding", max_n=512)
         specs += build_experiment("gadget", max_n=256)
         assert len(specs) == 64
         for spec in specs:
-            oracle = run_experiment(spec, workers=1, kernels="object")
-            got = run_experiment(spec, workers=1, kernels="vector")
-            assert _record_keys(got) == _record_keys(oracle), spec.name
+            got = run_experiment(spec, workers=1)
+            assert _record_keys(got) == _oracle_keys(spec), spec.name
 
-    def test_report_carries_kernels_field(self):
-        report = run_experiment(PARITY_SPEC, workers=1, kernels="object")
-        assert report.kernels == "object"
-        assert report.as_dict()["kernels"] == "object"
-        tele = report.as_dict()["telemetry"]
-        executed = _counter(tele, "kernels.object_trials")
-        assert executed == len(report.records)
-        assert _counter(tele, "kernels.vector_trials") == 0
+    def test_reports_count_trials_on_the_platform_backend(self):
+        from repro.obs import get_telemetry
 
-    def test_shard_report_kernels_roundtrip(self):
+        # A report also carries what this process counted since the last
+        # report: drain what earlier tests' oracle trials left behind.
+        get_telemetry().snapshot(reset=True)
+        report = run_experiment(PARITY_SPEC, workers=1)
         plan = plan_experiment(PARITY_SPEC, num_shards=1)
-        report = run_shard(plan, 0, workers=1, kernels="object")
-        # What ``run-shard --json`` writes, read back.
-        payload = json.loads(json.dumps(report.as_dict()))
-        assert payload["kernels"] == report.kernels == "object"
-
-    def test_mixed_shard_backends_merge_identically(self):
-        plan = plan_experiment(PARITY_SPEC, num_shards=4)
-        modes = ["object", "vector", "object", "vector"]
-        reports = [
-            run_shard(plan, i, workers=1, kernels=modes[i])
-            for i in range(4)
-        ]
-        oracle = run_experiment(PARITY_SPEC, workers=1, kernels="object")
-        assert _shard_record_keys(plan, reports) == _record_keys(oracle)
-        assert [report.as_dict()["kernels"] for report in reports] == modes
+        shard = run_shard(plan, 0, workers=1)
+        for payload in (report.as_dict(), shard.as_dict()):
+            assert "kernels" not in payload
+            for backend in ("object", "vector"):
+                ran = backend == kernels.DEFAULT_BACKEND
+                executed = _counter(payload["telemetry"], f"kernels.{backend}_trials")
+                assert executed == (len(report.records) if ran else 0)
 
 
 # -- batched array programs vs the object round loop --------------------------
@@ -692,20 +673,14 @@ class TestArrayProgramRecordParity:
         "spec", [ARRAY_PARITY_SPEC, LINIAL_SPEC, MIS_SPEC, MATCHING_SPEC]
     )
     def test_runtime_records_identical_across_backends(self, spec):
-        oracle = run_experiment(spec, workers=1, kernels="object")
-        for backend in ("vector", "auto"):
-            report = run_experiment(spec, workers=1, kernels=backend)
-            assert _record_keys(report) == _record_keys(oracle)
+        report = run_experiment(spec, workers=1)
+        assert _record_keys(report) == _oracle_keys(spec)
 
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_shard_records_identical_across_backends(self, num_shards):
-        oracle = run_experiment(LINIAL_SPEC, workers=1, kernels="object")
         plan = plan_experiment(LINIAL_SPEC, num_shards=num_shards)
-        reports = [
-            run_shard(plan, i, workers=2, kernels="vector")
-            for i in range(num_shards)
-        ]
-        assert _shard_record_keys(plan, reports) == _record_keys(oracle)
+        reports = [run_shard(plan, i, workers=2) for i in range(num_shards)]
+        assert _shard_record_keys(plan, reports) == _oracle_keys(LINIAL_SPEC)
 
     @needs_numpy
     def test_engine_runs_the_registered_array_twin(self, monkeypatch):
@@ -723,16 +698,23 @@ class TestArrayProgramRecordParity:
 
         monkeypatch.setattr(kernel_engine, "run_array_program", counted)
         spec = dataclasses.replace(ARRAY_PARITY_SPEC, ns=(256, 512), seeds=(0,))
-        report = run_experiment(spec, workers=1, kernels="vector")
+        report = run_experiment(spec, workers=1)
         assert calls == [256, 512]
-        assert report.records == run_experiment(spec, kernels="object").records
+        assert report.records == oracle_records(spec)
 
     @needs_numpy
     def test_round_telemetry_splits_by_path(self):
-        obj = run_experiment(LINIAL_SPEC, workers=1, kernels="object")
-        vec = run_experiment(LINIAL_SPEC, workers=1, kernels="vector")
-        obj_tele = obj.as_dict()["telemetry"]
-        vec_tele = vec.as_dict()["telemetry"]
+        from repro.obs import get_telemetry
+
+        vec_tele = run_experiment(LINIAL_SPEC, workers=1).as_dict()["telemetry"]
+        before = get_telemetry().snapshot()["counters"]
+        oracle_records(LINIAL_SPEC)
+        after = get_telemetry().snapshot()["counters"]
+        obj_tele = {
+            "counters": {
+                name: count - before.get(name, 0) for name, count in after.items()
+            }
+        }
         obj_rounds = _counter(obj_tele, "engine.rounds")
         vec_rounds = _counter(vec_tele, "engine.rounds")
         assert obj_rounds == vec_rounds > 0
@@ -892,9 +874,8 @@ class TestAnchorScansDifferential:
             assert vec.node_radius == obj.node_radius
             assert vec.rounds == obj.rounds
             assert vec.extras == obj.extras
-        oracle = run_experiment(spec, workers=1, kernels="object")
-        report = run_experiment(spec, workers=1, kernels="vector")
-        assert _record_keys(report) == _record_keys(oracle)
+        report = run_experiment(spec, workers=1)
+        assert _record_keys(report) == _oracle_keys(spec)
 
 
 # -- the gadget structural pass ----------------------------------------------

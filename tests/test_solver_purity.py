@@ -4,10 +4,11 @@
 (family, n, seed), across specs and solvers, and one frozen core to
 every seed of a reusable-topology family.  Both rest on this contract,
 checked here for every sound registered triple at its family's test
-sizes and every ``corrupt-*`` probe, on both kernel backends: the
-graph's CSR tables and degree table, the identifiers, and the inputs
-labeling's labels and written-flags are the same after the solver and
-the verifier ran as before.
+sizes and every ``corrupt-*`` probe, on every kernel backend this
+process can run (``kernels.BACKENDS``): the graph's CSR tables and
+degree table, the identifiers, and the inputs labeling's labels and
+written-flags are the same after the solver and the verifier ran as
+before.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from repro.runtime.driver import dispatch_solver, verifier_for
 from repro.util.rng import NodeRng
 
 SEED = 1
-#: The concrete backends a trial can run on here (one without numpy).
-BACKENDS = sorted({"object", kernel_layer.select_backend("auto")})
 
 CASES = [
     (problem, solver, family, n)
@@ -70,7 +69,7 @@ def test_solve_and_verify_leave_the_instance_unchanged(problem, solver, family, 
     instance = family.builder(n, SEED)
     parts = (instance.graph, instance.ids, instance.inputs)
     before = fingerprint(instance)
-    for backend in BACKENDS:
+    for backend in kernel_layer.BACKENDS:
         # Each run gets its own rng, as InstanceCache hands it out.
         trial = replace(
             instance, rng=None if instance.rng is None else NodeRng(SEED)

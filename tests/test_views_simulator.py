@@ -323,29 +323,24 @@ class TestArrayProgramEngine:
         assert got.halt_rounds == expected.halt_rounds == [total] * n
         assert got.trace == expected.trace
 
-    def test_degrades_to_object_loop_without_numpy(self, monkeypatch, caplog):
-        """No numpy: the array seam falls back, warns once, same answers."""
+    def test_object_backend_never_consults_the_twin(self, caplog):
+        """On the object backend — the only one a process without numpy
+        runs — the engine steps the object loop and says nothing."""
         import logging
 
-        import repro.kernels as kernels
-        from repro.local import simulator
+        def no_twin():
+            raise AssertionError("the object loop consulted the array twin")
 
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-        monkeypatch.setattr(kernels, "_WARNED_NO_NUMPY", True)
-        monkeypatch.setattr(simulator, "_WARNED_NO_ARRAY_BACKEND", False)
-        graph = cycle(6)
-        with caplog.at_level(logging.WARNING, logger="repro.local.simulator"):
-            for _ in range(2):  # the warning must not repeat
-                instance = Instance(graph, sequential_ids(6))
+        with caplog.at_level(logging.DEBUG):
+            with kernels.active("object"):
                 result = SyncEngine(
-                    instance, FloodNode, array_program=EccFloodProgram
+                    Instance(cycle(6), sequential_ids(6)),
+                    FloodNode,
+                    array_program=no_twin,
                 ).run()
         assert result.results == [3] * 6
         assert result.rounds == 3
-        degraded = [
-            rec for rec in caplog.records if "degrades" in rec.getMessage()
-        ]
-        assert len(degraded) == 1
+        assert caplog.records == []
 
 
 class TestInstance:
