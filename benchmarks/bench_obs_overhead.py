@@ -21,7 +21,7 @@ import time
 
 from benchmarks.conftest import report, report_json
 from repro.analysis import render_table
-from repro.engine.runner import plan_experiment, run_experiment, run_shard
+from repro.engine.runner import run_experiment, shard_trials
 from repro.engine.spec import ExperimentSpec
 from repro.obs import aggregate, get_telemetry, merge_snapshots, set_enabled
 
@@ -125,14 +125,19 @@ def test_telemetry_overhead_and_inertness():
 def test_k4_shard_telemetry_merges_order_independently_and_stays_inert():
     # Smaller sizes: this case checks algebra, not throughput.
     spec = _spec("bench-obs/shards/parity@cycle", ns=(64, 96, 128, 160))
-    plan = plan_experiment(spec, num_shards=4, batch_size=len(SEEDS))
+    num_shards = 4
 
     def run_all():
         """Every shard's report, and their records by global index."""
-        reports = [run_shard(plan, i) for i in range(plan.num_shards)]
-        records = [None] * plan.trial_count()
-        for report in reports:
-            for i, record in report.records:
+        reports = [
+            run_experiment(spec, batch_size=len(SEEDS), shard=(i, num_shards))
+            for i in range(num_shards)
+        ]
+        records = [None] * len(spec.trials())
+        for index, report in enumerate(reports):
+            chunks = shard_trials(spec, index, num_shards, len(SEEDS))
+            owned = [i for chunk in chunks for i in chunk]
+            for i, record in zip(owned, report.records):
                 records[i] = record
         return reports, records
 
@@ -165,7 +170,7 @@ def test_k4_shard_telemetry_merges_order_independently_and_stays_inert():
     report_json(
         "obs_shard_merge",
         {
-            "num_shards": plan.num_shards,
+            "num_shards": num_shards,
             "trials": len(spec.ns) * len(SEEDS),
             "order_independent": True,
             "records_identical_disabled": silent_records == records,

@@ -1,14 +1,14 @@
-"""E12 — shard-native dispatch: plan/run/union overhead vs a single run.
+"""E12 — shard-native dispatch: deal/run/union overhead vs a single run.
 
-The shard layer's promise is that making the shard a first-class
-object costs nothing when you don't distribute: planning the full
-grid, executing K shards, and bringing their records home must stay
-within 5% of the plain single-host ``run_experiment`` on the same
-spec.  Two scenarios are timed:
+The shard layer's promise is that a shard costs nothing when you don't
+distribute: dealing the full grid, executing K shards
+(``run_experiment(spec, shard=(i, K))``), and bringing their records
+home must stay within 5% of the plain single-host ``run_experiment``
+on the same spec.  Two scenarios are timed:
 
 * **in-memory** — no cache anywhere; isolates pure pipeline overhead
-  (plan construction, shard slicing, assembling the shards' records
-  by global trial index).  This is the gated number: < 5%.
+  (each shard's deal, and assembling the shards' records by global
+  trial index).  This is the gated number: < 5%.
 * **per-shard caches** — each shard writes a private isolation root;
   the roots are unioned into a shared root and the grid is replayed
   from it with ``run_experiment`` (0 computed), which is what
@@ -32,7 +32,7 @@ import time
 from benchmarks.conftest import report, report_json
 from repro.analysis import render_table
 from repro.engine.cache import TrialCache
-from repro.engine.runner import plan_experiment, run_experiment, run_shard
+from repro.engine.runner import run_experiment, shard_trials
 from repro.engine.spec import ExperimentSpec
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
@@ -71,12 +71,10 @@ def _time_single(spec, cache_root=None) -> tuple[float, list]:
 
 
 def _time_sharded(spec, root=None) -> tuple[float, list]:
-    """Plan and run all K shards serially on one host, then bring the
-    records home: assembled by global trial index with no cache, or
-    per-shard isolation roots unioned into a shared root and replayed
-    from it."""
+    """Run all K shards serially on one host, then bring the records
+    home: assembled by global trial index with no cache, or per-shard
+    isolation roots unioned into a shared root and replayed from it."""
     start = time.perf_counter()
-    plan = plan_experiment(spec, num_shards=NUM_SHARDS)
     reports = []
     for index in range(NUM_SHARDS):
         cache = None
@@ -85,20 +83,22 @@ def _time_sharded(spec, root=None) -> tuple[float, list]:
                 os.path.join(root, "shared"),
                 isolation=os.path.join(root, f"shard-{index}"),
             )
-        reports.append(run_shard(plan, index, workers=1, cache=cache))
+        reports.append(
+            run_experiment(spec, workers=1, cache=cache, shard=(index, NUM_SHARDS))
+        )
     if root:
         shared = TrialCache(os.path.join(root, "shared"))
         for index in range(NUM_SHARDS):
             shared.merge(os.path.join(root, f"shard-{index}"))
-        replay = run_experiment(
-            spec, workers=1, cache=shared, batch_size=plan.batch_size
-        )
+        replay = run_experiment(spec, workers=1, cache=shared)
         assert replay.computed == 0
         records = replay.records
     else:
-        records = [None] * plan.trial_count()
-        for report in reports:
-            for i, record in report.records:
+        records = [None] * len(spec.trials())
+        for index, report in enumerate(reports):
+            chunks = shard_trials(spec, index, NUM_SHARDS)
+            owned = [i for chunk in chunks for i in chunk]
+            for i, record in zip(owned, report.records):
                 records[i] = record
     return time.perf_counter() - start, records
 
@@ -154,7 +154,7 @@ def test_shard_pipeline_overhead():
             ["case", "trials", "single ms", f"{NUM_SHARDS}-shard ms", "overhead"],
             rows,
             title=(
-                "E12 shard pipeline overhead (plan + run-shard x"
+                "E12 shard pipeline overhead (run-shard x"
                 f"{NUM_SHARDS} + merge vs run_experiment)\n"
                 f"    pipeline: {pipeline:+.2f}% "
                 f"(budget: < {PIPELINE_THRESHOLD_PCT:.0f}%); with cache "

@@ -101,10 +101,11 @@ def _growth_sort_key(sweep: Sweep) -> tuple[int, int]:
 
 
 def rows_from_engine_reports(reports: Sequence) -> list[LandscapeRow]:
-    """Fold engine reports into Figure 1 rows.
+    """Fold whole-grid engine reports into Figure 1 rows.
 
-    Accepts :class:`~repro.engine.runner.EngineReport` objects, such as
-    the ``landscape`` experiment's, and produces one row per (problem,
+    Accepts :class:`~repro.engine.runner.EngineReport` objects of whole
+    grids (a shard's slice has no sweep), such as the ``landscape``
+    experiment's, and produces one row per (problem,
     family) pair, read from each spec's ``problem``, ``solver`` and
     ``generator`` fields.  When several solvers of one kind cover a
     cell, the deterministic and randomized columns each show the

@@ -6,21 +6,22 @@ solver, and family plus the (n, seed) grid; the runner expands it into
 content-hashed trials, replays whatever the on-disk cache already
 holds, dispatches the delta to a process pool, and folds the records
 into the same ``Sweep``/``SweepPoint`` shapes the analysis layer has
-always used.  The same pipeline scales out: a :class:`ShardPlan` deals
-a spec's dispatch chunks onto K shards that run anywhere
-(:func:`run_shard`), and their records come home through the cache —
-union the shards' roots with :meth:`TrialCache.merge`, then replay the
-grid with :func:`run_experiment`, bit-identically to a single-host
-run.  A plan is a pure function of the spec, the shard count and the
-chunk size, so no plan travels between hosts: ``python -m
+always used.  The same executor scales out: ``run_experiment(spec,
+shard=(i, K))`` runs the dispatch chunks that :func:`shard_trials`
+deals to shard ``i`` of ``K``, anywhere, and their records come home
+through the cache — union the shards' roots with
+:meth:`TrialCache.merge`, then replay the grid with
+:func:`run_experiment`, bit-identically to a single-host run.  The
+deal is a pure function of the spec, the shard count and the chunk
+size, so nothing travels between hosts but the grid flags: ``python -m
 repro.engine`` exposes the named experiments of
 :mod:`repro.engine.experiments`, ``run-shard --shard I/K`` runs a shard
 of one from its grid flags, and ``run --from ROOT...`` unions the
 shard roots and replays.  Any launcher can run the shards and restart
-one that dies: ``run_shard`` stores each chunk as it arrives, so a
-rerun recomputes only what was lost.  Records are the same on either
-kernel backend, so no run, shard or report names one: every trial runs
-on the platform's (:data:`repro.kernels.DEFAULT_BACKEND`).
+one that dies: a run stores each chunk as it arrives, so a rerun
+recomputes only what was lost.  Records are the same on either kernel
+backend, so no run, shard or report names one: every trial runs on the
+platform's (:data:`repro.kernels.DEFAULT_BACKEND`).
 """
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, TrialCache
@@ -28,13 +29,10 @@ from repro.engine.experiments import EXPERIMENTS, build_experiment
 from repro.engine.pool import WorkerCrashed, default_workers, run_task_batches
 from repro.engine.runner import (
     EngineReport,
-    ShardReport,
     execute_trial_batch,
-    plan_experiment,
     run_experiment,
-    run_shard,
+    shard_trials,
 )
-from repro.engine.shard import ShardPlan
 from repro.engine.spec import CACHE_VERSION, ExperimentSpec, TrialSpec
 
 __all__ = [
@@ -43,16 +41,13 @@ __all__ = [
     "EXPERIMENTS",
     "EngineReport",
     "ExperimentSpec",
-    "ShardPlan",
-    "ShardReport",
     "TrialCache",
     "TrialSpec",
     "WorkerCrashed",
     "build_experiment",
     "default_workers",
     "execute_trial_batch",
-    "plan_experiment",
     "run_experiment",
-    "run_shard",
     "run_task_batches",
+    "shard_trials",
 ]

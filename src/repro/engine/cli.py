@@ -31,15 +31,17 @@ report; ``list``/``describe`` read the runtime registry's catalogs.
 
 The shard flow needs no scheduler integration and no plan file: which
 trials shard ``I/K`` owns is a pure function of the grid flags
-(``--experiment --max-n --seeds --batch-size``) and K, so every host
-given the same flags derives the same partition.  ``run-shard``
-executes one shard anywhere (a private ``--cache-out`` root keeps
-concurrent shards from contending), and ``run --from ROOT...`` unions
-the shard roots into ``--cache-dir`` and replays the grid, rebuilding
-the exact report — and Figure 1 table — a single-host run would have
-produced.  Any shell loop, ``xargs -P``, or batch scheduler can drive
-it, and restarts a shard that dies: ``run-shard`` stores each chunk as
-it completes, so the rerun recomputes only the chunks that were lost,
+(``--experiment --max-n --seeds --batch-size``) and K
+(:func:`~repro.engine.runner.shard_trials`), so every host given the
+same flags derives the same partition.  ``run-shard`` executes one
+shard anywhere — ``run_experiment(spec, shard=(I, K))`` per spec, with
+a private ``--cache-out`` root keeping concurrent shards from
+contending — and ``run --from ROOT...`` unions the shard roots into
+``--cache-dir`` and replays the grid, rebuilding the exact report —
+and Figure 1 table — a single-host run would have produced.  Any
+shell loop, ``xargs -P``, or batch scheduler can drive it, and
+restarts a shard that dies: ``run-shard`` stores each chunk as it
+completes, so the rerun recomputes only the chunks that were lost,
 and ``status`` shows which shards still owe trials.
 
 Failure hygiene: every subcommand reports a setup failure (a missing
@@ -64,13 +66,7 @@ from typing import Sequence
 from repro.engine.cache import DEFAULT_CACHE_DIR, TrialCache
 from repro.engine.experiments import EXPERIMENTS, build_experiment
 from repro.engine.pool import default_workers
-from repro.engine.runner import (
-    EngineReport,
-    plan_experiment,
-    run_experiment,
-    run_shard,
-)
-from repro.engine.shard import ShardPlan, shard_coverage
+from repro.engine.runner import EngineReport, run_experiment, shard_trials
 from repro.obs import TraceSink, format_telemetry, get_telemetry, merge_snapshots
 from repro.runtime import registry
 from repro.util.fsio import atomic_write_text
@@ -165,11 +161,12 @@ def _placements(info: registry.ProblemInfo) -> str:
 
 
 def format_report(reports: Sequence[EngineReport]) -> str:
-    """Render engine reports as benchmark-style tables.
+    """Render whole-grid engine reports as benchmark-style tables.
 
     The return value is plain text suitable for
     ``benchmarks.conftest.report`` — one table per spec with the
-    measured growth fit in the title, followed by run accounting.
+    measured growth fit in the title, followed by run accounting.  A
+    shard's slice has no sweep to render.
     """
     from repro.analysis import best_fit, render_table
 
@@ -598,7 +595,7 @@ def _open_cache(root: str) -> TrialCache:
     """An existing cache root; a read-only probe must not create one.
 
     A typo'd path would otherwise become an empty cache and report a
-    finished plan as all-remaining.
+    finished run as all-remaining.
     """
     if not os.path.isdir(root):
         raise ValueError(f"cache root {root!r} does not exist")
@@ -761,24 +758,17 @@ def _describe(args: argparse.Namespace) -> int:
 # -- sharded execution -------------------------------------------------
 
 
-def _plans(args: argparse.Namespace, num_shards: int) -> list[ShardPlan]:
-    """Every spec of the grid flags' experiment, dealt onto ``num_shards``."""
-    return [
-        plan_experiment(spec, num_shards=num_shards, batch_size=args.batch_size)
-        for spec in build_experiment(args.experiment, args.max_n, args.seeds)
-    ]
-
-
 def _run_shard(args: argparse.Namespace) -> int:
     index, num_shards = args.shard
     sink = None
     try:
-        plans = _plans(args, num_shards)
-        if not 0 <= index < num_shards:
-            raise ValueError(
-                f"shard index {index} out of range for {num_shards} shard(s) "
-                "(indices are 0-based)"
-            )
+        specs = build_experiment(args.experiment, args.max_n, args.seeds)
+        # Deal every spec now: a bad index or count fails the command
+        # before it creates a root or a trace file.
+        owed = [
+            sum(map(len, shard_trials(spec, index, num_shards, args.batch_size)))
+            for spec in specs
+        ]
         _check_roots([args.cache_dir, args.cache_out])
         sink = _attach_trace(args)
         cache = TrialCache(args.cache_dir, isolation=args.cache_out)
@@ -786,7 +776,7 @@ def _run_shard(args: argparse.Namespace) -> int:
         _detach_trace(sink)
         return _emit_error(args, err, 2, args.experiment, index)
     try:
-        return _run_shard_plans(args, plans, index, cache)
+        return _run_shard_specs(args, specs, owed, cache)
     except Exception as err:
         # The CLI boundary: a solver bug, a rejecting verifier, a full
         # disk — one attributable line for the launcher, not a
@@ -796,23 +786,22 @@ def _run_shard(args: argparse.Namespace) -> int:
         _detach_trace(sink)
 
 
-def _run_shard_plans(args, plans, index, cache) -> int:
+def _run_shard_specs(args, specs, owed, cache) -> int:
+    index, num_shards = args.shard
     show_progress = args.progress and not args.quiet
     reports = []
-    for plan in plans:
+    for spec, trials in zip(specs, owed):
         on_record = None
         if show_progress:
-            on_record = _progress_callback(
-                f"{plan.spec.name} [shard {index}]",
-                len(plan.trial_indices(index)),
-            )
+            on_record = _progress_callback(f"{spec.name} [shard {index}]", trials)
         reports.append(
-            run_shard(
-                plan,
-                index,
+            run_experiment(
+                spec,
                 workers=args.workers,
                 cache=cache,
+                batch_size=args.batch_size,
                 on_record=on_record,
+                shard=args.shard,
             )
         )
         if show_progress:
@@ -824,7 +813,7 @@ def _run_shard_plans(args, plans, index, cache) -> int:
     elapsed = sum(rep.elapsed for rep in reports)
     wrote = args.cache_out or args.cache_dir
     print(
-        f"\nshard {index}/{plans[0].num_shards}: {total} trials "
+        f"\nshard {index}/{num_shards}: {total} trials "
         f"({hits} cached, {computed} computed) in {elapsed:.2f}s; "
         f"records in {wrote}"
     )
@@ -844,7 +833,7 @@ def _status(args: argparse.Namespace) -> int:
     from repro.analysis import render_table
 
     try:
-        plans = _plans(args, args.shards)
+        specs = build_experiment(args.experiment, args.max_n, args.seeds)
         # Probe the shared root plus any not-yet-merged shard roots, so
         # a scheduler can watch shards that write to private
         # --cache-out dirs without forcing an early merge.
@@ -858,7 +847,14 @@ def _status(args: argparse.Namespace) -> int:
     rows = []
     remaining = 0
     for shard_index in range(args.shards):
-        owed, missing = shard_coverage(plans, shard_index, present)
+        owed = missing = 0
+        for spec in specs:
+            trials = spec.trials()
+            for chunk in shard_trials(spec, shard_index, args.shards, args.batch_size):
+                owed += len(chunk)
+                # Trial keys are content hashes, so the probe is exact
+                # whichever host computed what.
+                missing += sum(not present(trials[i].key()) for i in chunk)
         remaining += missing
         state = f"{missing} remaining" if missing else "complete"
         rows.append([f"{shard_index}/{args.shards}", owed, owed - missing, state])
@@ -867,7 +863,7 @@ def _status(args: argparse.Namespace) -> int:
             ["shard", "trials", "cached", "status"],
             rows,
             title=(
-                f"{args.experiment}: {len(plans)} spec(s) x {args.shards} "
+                f"{args.experiment}: {len(specs)} spec(s) x {args.shards} "
                 f"shard(s) against {args.cache_dir}"
             ),
         )

@@ -1,19 +1,21 @@
-"""Plan -> shard -> chunk execution, from one spec to many hosts.
+"""One executor, from one spec to many hosts.
 
-The pipeline has two stages, each its own function, and
-``run_experiment`` is their single-shard composition plus the sweep
-aggregation:
+:func:`run_experiment` runs the trials of one spec that
+:func:`shard_trials` deals to its ``shard=(index, count)``; the default
+``(0, 1)`` is the whole grid.  A call takes four steps:
 
-1. :func:`plan_experiment` expands the spec into its trial grid
-   (n-major, seed-minor order), chunks the FULL grid into per-``(spec,
-   n)`` dispatch chunks, and deals the chunks onto K shards — a pure
-   function of ``(spec, num_shards, batch_size)``, so every host given
-   the same experiment grid and shard count derives the same shards;
-2. :func:`run_shard` executes shard ``i`` of a
-   :class:`~repro.engine.shard.ShardPlan`: look the shard's trial keys
-   up in the cache, hand each chunk's missing trials to the worker
-   pool as ONE task (one result pickle per chunk a helper runs, not
-   per trial), store the fresh records.
+1. :func:`shard_trials` chunks the FULL trial grid (n-major,
+   seed-minor order) into per-``(spec, n)`` dispatch chunks and deals
+   the chunks round-robin onto ``count`` shards — a pure function of
+   ``(spec, index, count, batch_size)``, so every host given the same
+   experiment grid and shard count derives the same slice;
+2. the slice's trial keys are looked up in the cache;
+3. each chunk's missing trials go to the worker pool as ONE task (one
+   result pickle per chunk a helper runs, not per trial), and each
+   chunk's fresh records are stored as it arrives;
+4. a whole-grid run folds its records into the sweep
+   (:func:`~repro.analysis.sweep.aggregate_points`); a slice holds only
+   part of the grid, so its report has none.
 
 Shard results come home one way, through the trial cache: union the
 shards' cache roots (:meth:`~repro.engine.cache.TrialCache.merge`) and
@@ -48,15 +50,13 @@ from __future__ import annotations
 
 import logging
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro import kernels as kernel_layer
 from repro.analysis.sweep import Sweep, aggregate_points
 from repro.engine.cache import TrialCache
 from repro.engine.pool import run_task_batches
-from repro.engine.shard import ShardPlan
 from repro.engine.spec import ExperimentSpec, TrialSpec
 from repro.obs import get_telemetry, merge_snapshots
 from repro.runtime.driver import InstanceCache, TrialBatch
@@ -65,11 +65,9 @@ _LOG = logging.getLogger("repro.engine")
 
 __all__ = [
     "EngineReport",
-    "ShardReport",
     "execute_trial_batch",
-    "plan_experiment",
     "run_experiment",
-    "run_shard",
+    "shard_trials",
 ]
 
 # The default chunk never holds more trials than this: it bounds both
@@ -81,10 +79,15 @@ MAX_BATCH_SIZE = 64
 
 @dataclass
 class EngineReport:
-    """One experiment's aggregated results plus run accounting."""
+    """One run's records plus run accounting: a whole grid's, with its
+    aggregated sweep, or one shard's slice of the grid."""
 
     spec: ExperimentSpec
-    sweep: Sweep
+    #: The grid's aggregated sweep; None for a slice, which holds only
+    #: part of the grid.
+    sweep: Sweep | None
+    #: The run's records in grid order: the whole grid's, or the
+    #: slice's, in the order of :func:`shard_trials`.
     records: list[dict[str, Any]]
     trials_total: int
     cache_hits: int
@@ -93,29 +96,39 @@ class EngineReport:
     elapsed: float
     workers: int
     #: Worker dispatch accounting: how many chunks the missing trials
-    #: were grouped into, and the plan's per-chunk trial cap — the
-    #: ``batch_size`` the caller pinned, else the spec's seed count
-    #: capped at ``MAX_BATCH_SIZE`` (0 = nothing was dispatched).
-    batches: int = 0
-    batch_size: int = 0
-    #: Merged telemetry snapshot (see :mod:`repro.obs`); None when the
-    #: producing run had telemetry disabled.
-    telemetry: dict[str, Any] | None = None
+    #: were grouped into (0 = nothing was dispatched), and the per-chunk
+    #: trial cap — the ``batch_size`` the caller pinned, else the spec's
+    #: seed count capped at ``MAX_BATCH_SIZE``.
+    batches: int
+    batch_size: int
+    #: Merged telemetry snapshot (see :mod:`repro.obs`) of this call
+    #: alone; None when the producing run had telemetry disabled.
+    telemetry: dict[str, Any] | None
+    #: ``(index, count)``: the run was shard ``index`` of ``count``;
+    #: ``(0, 1)`` is the whole grid.
+    shard: tuple[int, int]
 
     def summary(self) -> str:
         dispatch = ""
         if self.batches:
             dispatch = f" in {self.batches} chunk(s) of <= {self.batch_size}"
+        index, count = self.shard
+        # 0-based, like --shard parsing and the status table.
+        where = "" if self.sweep is not None else f" [shard {index}/{count}]"
         return (
-            f"{self.spec.name}: {self.trials_total} trials "
+            f"{self.spec.name}{where}: {self.trials_total} trials "
             f"({self.cache_hits} cached, {self.computed} computed{dispatch}) "
             f"on {self.workers} worker(s) in {self.elapsed:.2f}s"
         )
 
     def as_dict(self) -> dict[str, Any]:
-        return {
+        """The JSON form: a whole grid's carries its solver and sweep
+        points, a slice's its records paired with their grid indices."""
+        index, count = self.shard
+        payload: dict[str, Any] = {
             "experiment": self.spec.name,
-            "solver": self.sweep.solver_name,
+            "shard_index": index,
+            "num_shards": count,
             "workers": self.workers,
             "trials_total": self.trials_total,
             "cache_hits": self.cache_hits,
@@ -124,17 +137,26 @@ class EngineReport:
             "batch_size": self.batch_size,
             "elapsed_s": round(self.elapsed, 4),
             "telemetry": self.telemetry,
-            "points": [
-                {
-                    "n": p.n,
-                    "trials": p.trials,
-                    "rounds_mean": p.rounds_mean,
-                    "rounds_max": p.rounds_max,
-                    "rounds_min": p.rounds_min,
-                }
-                for p in self.sweep.points
-            ],
         }
+        if self.sweep is None:
+            chunks = shard_trials(self.spec, index, count, self.batch_size)
+            indices = (i for chunk in chunks for i in chunk)
+            payload["records"] = [
+                [i, record] for i, record in zip(indices, self.records)
+            ]
+            return payload
+        payload["solver"] = self.sweep.solver_name
+        payload["points"] = [
+            {
+                "n": p.n,
+                "trials": p.trials,
+                "rounds_mean": p.rounds_mean,
+                "rounds_max": p.rounds_max,
+                "rounds_min": p.rounds_min,
+            }
+            for p in self.sweep.points
+        ]
+        return payload
 
 
 def _json_safe_extras(extras: dict) -> dict[str, Any]:
@@ -226,8 +248,8 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     everything this process accrued since its previous snapshot, so the
     chunks the dispatching process runs itself (all of them on the
     serial path) partition its totals across the chunk boundaries, and
-    every increment lands in exactly one delta, which ``run_shard``
-    adds into the report's sum once.
+    every increment lands in exactly one delta, which
+    :func:`run_experiment` adds into the report's sum once.
     """
     records = execute_trial_batch(
         [TrialSpec.from_payload(entry) for entry in payload["trials"]]
@@ -262,109 +284,73 @@ def _chunk_missing(
     return chunks
 
 
-def plan_experiment(
-    spec: ExperimentSpec,
-    num_shards: int = 1,
-    batch_size: int | None = None,
-) -> ShardPlan:
-    """Cut a spec's full trial grid into a deterministic shard plan.
-
-    The plan is a pure function of ``(spec, num_shards, batch_size)``:
-    chunking always covers the FULL grid — never the cache-missing
-    subset, which would differ per host — so planning anywhere, at any
-    cache state, yields identical shards.  ``batch_size=None`` takes
-    one chunk per size (``len(spec.seeds)`` trials) up to
-    ``MAX_BATCH_SIZE``, so a full seed group shares one chunk's topology
-    reuse whenever it fits.
-
-    Invalid ``num_shards``/``batch_size`` values are rejected by
-    ``ShardPlan.__post_init__`` — one copy of each guard.
-    """
-    trials = spec.trials()
+def _chunk_cap(spec: ExperimentSpec, batch_size: int | None) -> int:
+    """The per-chunk trial cap: ``batch_size``, else the spec's seed
+    count up to ``MAX_BATCH_SIZE``, so a full seed group shares one
+    chunk's topology reuse whenever it fits."""
     if batch_size is None:
-        batch_size = min(MAX_BATCH_SIZE, len(spec.seeds))
-    chunks = _chunk_missing(trials, range(len(trials)), batch_size)
-    return ShardPlan(
-        spec=spec,
-        num_shards=num_shards,
-        batch_size=batch_size,
-        chunks=tuple(tuple(chunk) for chunk in chunks),
-    )
+        return min(MAX_BATCH_SIZE, len(spec.seeds))
+    if batch_size < 1:
+        raise ValueError(f"batch size must be positive, got {batch_size}")
+    return batch_size
 
 
-@dataclass
-class ShardReport:
-    """Shard ``shard_index`` of ``plan``: its records and run accounting.
+def shard_trials(
+    spec: ExperimentSpec, index: int, count: int, batch_size: int | None = None
+) -> list[list[int]]:
+    """The dispatch chunks shard ``index`` of ``count`` runs, as global
+    trial indices into ``spec.trials()``.
 
-    ``records`` pairs each *global* trial index (into the spec's grid)
-    with its JSON-safe record, in shard execution order.  A shard holds
-    only a slice of the grid; the whole grid's report comes from the
-    cache, once the shards' roots are merged (:func:`run_experiment`).
+    A pure function of its arguments: the chunking always covers the
+    FULL grid — never the cache-missing subset, which would differ per
+    host — so every host, at any cache state, derives the same shards.
+    A chunk never spans two sizes and never exceeds the cap (see
+    ``batch_size`` in :func:`run_experiment`), and chunk ``c`` of the
+    grid goes to shard ``c % count``: round-robin, so the per-size
+    chunk runs (which grow with ``n``) spread evenly instead of piling
+    the largest sizes onto the last shard.  ``(0, 1)`` owns the whole
+    grid in grid order.
     """
-
-    plan: ShardPlan
-    shard_index: int
-    records: list[tuple[int, dict[str, Any]]]
-    trials_total: int
-    cache_hits: int
-    computed: int
-    elapsed: float
-    workers: int
-    batches: int
-    batch_size: int
-    #: This shard's merged telemetry snapshot (parent deltas + one
-    #: piggybacked delta per dispatched chunk); None with telemetry
-    #: disabled.
-    telemetry: dict[str, Any] | None = field(default=None)
-
-    def summary(self) -> str:
-        dispatch = ""
-        if self.batches:
-            dispatch = f" in {self.batches} chunk(s) of <= {self.batch_size}"
-        return (
-            f"{self.plan.spec.name} "
-            # 0-based, like --shard parsing and the status table.
-            f"[shard {self.shard_index}/{self.plan.num_shards}]: "
-            f"{self.trials_total} trials ({self.cache_hits} cached, "
-            f"{self.computed} computed{dispatch}) on {self.workers} worker(s) "
-            f"in {self.elapsed:.2f}s"
+    if count < 1:
+        raise ValueError(f"a run needs >= 1 shard, got {count}")
+    if not 0 <= index < count:
+        raise ValueError(
+            f"shard index {index} out of range for {count} shard(s) "
+            "(indices are 0-based)"
         )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.plan.spec.name,
-            "shard_index": self.shard_index,
-            "num_shards": self.plan.num_shards,
-            "records": [[i, record] for i, record in self.records],
-            "trials_total": self.trials_total,
-            "cache_hits": self.cache_hits,
-            "computed": self.computed,
-            "elapsed_s": round(self.elapsed, 4),
-            "workers": self.workers,
-            "batches": self.batches,
-            "batch_size": self.batch_size,
-            "telemetry": self.telemetry,
-        }
+    trials = spec.trials()
+    chunks = _chunk_missing(trials, range(len(trials)), _chunk_cap(spec, batch_size))
+    return chunks[index::count]
 
 
-def run_shard(
-    plan: ShardPlan,
-    shard_index: int,
+def run_experiment(
+    spec: ExperimentSpec,
     workers: int = 1,
     cache: TrialCache | None = None,
+    batch_size: int | None = None,
     on_record: Callable[[dict[str, Any]], None] | None = None,
-) -> ShardReport:
-    """Execute shard ``shard_index`` of ``plan``: its chunks, nothing else.
+    shard: tuple[int, int] = (0, 1),
+) -> EngineReport:
+    """Run (or replay) shard ``shard = (index, count)`` of one spec.
+
+    The run owns the trials :func:`shard_trials` deals to that shard;
+    the default ``(0, 1)`` is the whole grid, whose report carries the
+    aggregated sweep.  Replaying a sharded run is a whole-grid call
+    against the merged cache: pure hits when the shards covered the
+    grid, exactly the remainder computed otherwise.  ``batch_size``
+    caps how many trials travel in one worker dispatch chunk (None =
+    the spec's seed count, up to ``MAX_BATCH_SIZE``); chunks never span
+    two grid sizes.  Give each shard its own cache root
+    (``TrialCache(root, isolation=...)``) when several run concurrently
+    on one filesystem, and merge the roots afterward: the cache is how
+    a shard's records come home.
 
     Cache-held trials replay without dispatch; the missing remainder
     re-packs into dispatch chunks that still never mix sizes or exceed
-    the plan's ``batch_size`` — scattered misses after a partial merge
-    travel a few full chunks, not many one-trial pickles.  ``on_record``
-    streams the shard's records: cache hits first (in shard grid
-    order), then computed records, still in grid order.  Give each
-    shard its own cache root (``TrialCache(root, isolation=...)``) when
-    several run concurrently on one filesystem, and merge the roots
-    afterward: the cache is how a shard's records come home.
+    the cap — scattered misses after a partial merge travel a few full
+    chunks, not many one-trial pickles.  ``on_record`` streams the
+    run's records: cache hits first (in grid order), then computed
+    records, still in grid order at any worker count.
 
     With ``workers > 1`` and more than one missing chunk, the pool gets
     the chunks largest-first (by n times trials, ties in grid order),
@@ -380,13 +366,11 @@ def run_shard(
     inside its first solve or verify.  The serial path runs and streams
     the chunks in grid order.
 
-    The report's ``telemetry`` block is assembled from delta snapshots:
-    one per dispatched chunk (piggybacked on the chunk result by the
-    worker that ran it) plus this process's own deltas around the
-    lookup and store phases.  Deltas drain everything accrued since the
-    previous snapshot, so telemetry recorded between two ``run_shard``
-    calls in one process is attributed to the later shard's report —
-    every increment lands in exactly one report, at any worker count.
+    The report's ``telemetry`` is this call's alone.  The call first
+    drains what the process accrued before it, then sums delta
+    snapshots: one per dispatched chunk (piggybacked on the chunk
+    result by the worker that ran it) plus this process's own deltas
+    after the lookup phase and at the very end, after the sweep.
 
     Payloads carry trial specs only: whichever process runs a chunk
     builds a missing frozen core on the chunk's first trial and shares
@@ -395,12 +379,17 @@ def run_shard(
     every seeded instance it builds for the process's later trials on
     it.
     """
-    telemetry = get_telemetry()
-    snapshots: list[dict[str, Any]] = []
     start = time.perf_counter()
-    spec = plan.spec
+    telemetry = get_telemetry()
+    # What the process accrued before this call is not this report's.
+    telemetry.snapshot(reset=True)
+    snapshots: list[dict[str, Any]] = []
+    index, count = shard
+    batch_size = _chunk_cap(spec, batch_size)
     trials = spec.trials()
-    indices = plan.trial_indices(shard_index)
+    indices = [
+        i for chunk in shard_trials(spec, index, count, batch_size) for i in chunk
+    ]
     got: dict[int, dict[str, Any]] = {}
     missing: set[int] = set()
     with telemetry.span("shard.lookup"):
@@ -422,13 +411,13 @@ def run_shard(
     # must not scoop the parent-side counters accrued so far.
     snapshots.append(telemetry.snapshot(reset=True))
 
-    # Re-pack the shard's missing trials with the same chunker the plan
-    # used: on a cold run this reproduces the plan chunks exactly (they
+    # Re-pack the missing trials with the same chunker shard_trials
+    # uses: on a cold run this reproduces its chunks exactly (they
     # are already maximal per size), and on a partially warm cache it
     # packs the remnants the way the pre-shard runner packed its
     # missing subset, instead of shipping many underfull chunks.
     missing_in_order = [i for i in indices if i in missing]
-    chunks = _chunk_missing(trials, missing_in_order, plan.batch_size)
+    chunks = _chunk_missing(trials, missing_in_order, batch_size)
     if chunks:
         # The grid position of each submitted chunk: largest-first for
         # a pool (longest-processing-time-first), since a chunk's cost
@@ -481,68 +470,32 @@ def run_shard(
             _execute_batch_payload,
             payloads,
             workers=workers,
-            pool_seed=zlib.crc32(spec.name.encode()),
             on_result=deliver,
         )
-    # The store-phase delta (plus pool dispatch accounting).
-    snapshots.append(telemetry.snapshot(reset=True))
 
-    report = ShardReport(
-        plan=plan,
-        shard_index=shard_index,
-        records=[(i, got[i]) for i in indices],
+    records = [got[i] for i in indices]
+    sweep = None
+    if count == 1:
+        sweep = Sweep(
+            solver_name=spec.solver_display_name(),
+            points=aggregate_points(spec.ns, spec.seeds, records),
+        )
+    # The store-phase delta (plus pool dispatch accounting), taken
+    # after everything else the call does, the sweep included.
+    snapshots.append(telemetry.snapshot(reset=True))
+    report = EngineReport(
+        spec=spec,
+        sweep=sweep,
+        records=records,
         trials_total=len(indices),
         cache_hits=len(indices) - len(missing),
         computed=len(missing),
         elapsed=time.perf_counter() - start,
         workers=workers,
         batches=len(chunks),
-        batch_size=plan.batch_size,
+        batch_size=batch_size,
         telemetry=merge_snapshots(snapshots) if telemetry.enabled else None,
+        shard=shard,
     )
     _LOG.info("%s", report.summary())
     return report
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    workers: int = 1,
-    cache: TrialCache | None = None,
-    batch_size: int | None = None,
-    on_record: Callable[[dict[str, Any]], None] | None = None,
-) -> EngineReport:
-    """Run (or replay) one experiment spec and aggregate its sweep.
-
-    This is the single-shard special case of the general pipeline —
-    literally ``plan_experiment(num_shards=1)`` + :func:`run_shard`,
-    whose one shard owns the whole grid in grid order, then
-    :func:`~repro.analysis.sweep.aggregate_points`; there is no second
-    code path.  Replaying a sharded run is the same call against the
-    merged cache: pure hits when the shards covered the grid, exactly
-    the remainder computed otherwise.  ``batch_size`` caps how many
-    trials travel in one worker dispatch chunk (None = the spec's seed
-    count, up to ``MAX_BATCH_SIZE``); chunks never span two grid sizes.
-    ``on_record`` streams results: it fires once per record —
-    immediately (in grid order) for cache hits, then for computed
-    chunks, in grid order at any worker count (see :func:`run_shard`).
-    """
-    start = time.perf_counter()
-    plan = plan_experiment(spec, num_shards=1, batch_size=batch_size)
-    shard = run_shard(plan, 0, workers=workers, cache=cache, on_record=on_record)
-    records = [record for _, record in shard.records]
-    return EngineReport(
-        spec=spec,
-        sweep=Sweep(
-            solver_name=spec.solver_display_name(),
-            points=aggregate_points(spec.ns, spec.seeds, records),
-        ),
-        records=records,
-        trials_total=shard.trials_total,
-        cache_hits=shard.cache_hits,
-        computed=shard.computed,
-        elapsed=time.perf_counter() - start,
-        workers=workers,
-        batches=shard.batches,
-        batch_size=shard.batch_size if shard.batches else 0,
-        telemetry=shard.telemetry,
-    )

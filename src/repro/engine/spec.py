@@ -52,9 +52,9 @@ class TrialSpec:
     seed: int
 
     def key(self) -> str:
-        # Memoized: the shard pipeline keys the same TrialSpec several
-        # times (missing pre-scan, shard lookup, store), and the hash
-        # is a pure function of the frozen fields.
+        # Memoized: a run keys the same TrialSpec more than once (cache
+        # lookup, store), and the hash is a pure function of the
+        # frozen fields.
         cached = self.__dict__.get("_key")
         if cached is not None:
             return cached
@@ -98,9 +98,9 @@ class ExperimentSpec:
     def trials(self) -> list[TrialSpec]:
         """The full trial grid, in deterministic (n-major, seed-minor) order.
 
-        Memoized per spec (specs are immutable): planning, shard
-        execution, and the warm-cache pre-scan all walk the same grid,
-        and sharing one TrialSpec list also shares the per-trial key
+        Memoized per spec (specs are immutable): the shard deal, the
+        cache lookup and the dispatch all walk the same grid, and
+        sharing one TrialSpec list also shares the per-trial key
         memos.  Callers get a fresh list object each time, so mutating
         the returned list cannot poison the memo.
         """

@@ -88,6 +88,8 @@ class ConstantSolver:
     def __init__(self, label: str | None = "ok", parity: bool = False):
         self.label = label
         self.parity = parity
+        if parity:
+            self.name = "parity"
 
     def solve(self, instance: Instance) -> RunResult:
         graph = instance.graph

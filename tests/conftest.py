@@ -134,6 +134,26 @@ def reference_records(spec) -> list[dict]:
     return [reference_record(trial) for trial in spec.trials()]
 
 
+def shard_records(report) -> list[tuple[int, dict]]:
+    """A run's records paired with their global grid indices, the slice
+    ``shard_trials`` deals to the run's shard (the whole grid at K=1)."""
+    from repro.engine.runner import shard_trials
+
+    index, count = report.shard
+    chunks = shard_trials(report.spec, index, count, report.batch_size)
+    return list(zip([i for chunk in chunks for i in chunk], report.records))
+
+
+def assembled_records(spec, reports) -> list[dict | None]:
+    """The grid's records put together from shard reports by grid index
+    (``None`` where no report holds the trial)."""
+    records: list[dict | None] = [None] * len(spec.trials())
+    for report in reports:
+        for i, record in shard_records(report):
+            records[i] = record
+    return records
+
+
 def oracle_records(spec) -> list[dict]:
     """A spec's whole grid through ``TrialBatch(kernels="object")``, the
     object oracle, as the engine's JSON records in grid order.

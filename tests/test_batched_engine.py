@@ -25,8 +25,8 @@ from repro.engine.cli import main as engine_main
 from repro.engine.runner import (
     MAX_BATCH_SIZE,
     execute_trial_batch,
-    plan_experiment,
     run_experiment,
+    shard_trials,
 )
 from repro.engine.spec import ExperimentSpec
 from repro.generators import cycle
@@ -510,7 +510,7 @@ class TestAutoBatchSize:
     """Unpinned, a chunk holds one size's seeds, up to the cap."""
 
     @staticmethod
-    def _plan(seed_count):
+    def _chunk_sizes(seed_count):
         spec = ExperimentSpec(
             "test/degree-parity/parity@cycle-seeds",
             "degree-parity",
@@ -519,15 +519,15 @@ class TestAutoBatchSize:
             ns=(8, 12),
             seeds=tuple(range(seed_count)),
         )
-        return plan_experiment(spec)
+        return [len(chunk) for chunk in shard_trials(spec, 0, 1)]
 
     def test_covers_a_seed_group(self):
-        assert self._plan(6).batch_size == 6
+        assert self._chunk_sizes(6) == [6, 6]
 
     def test_caps_and_floors(self):
         assert MAX_BATCH_SIZE == 64
-        assert self._plan(100).batch_size == 64
-        assert self._plan(1).batch_size == 1
+        assert self._chunk_sizes(100) == [64, 36, 64, 36]
+        assert self._chunk_sizes(1) == [1, 1]
 
 
 class TestBestPerCellLandscape:
@@ -619,5 +619,10 @@ class TestDisplayNames:
     def test_display_names(self):
         assert registry.solver_display_name("constant") == "constant"
         # Lambda factory: materialized once, then memoized.
-        assert registry.solver_display_name("parity") == "constant"
+        assert registry.solver_display_name("parity") == "parity"
         assert registry.solver_display_name("gadget-prover") == "gadget-prover-V"
+
+    def test_every_solver_has_its_own_display_name(self):
+        # A table title or a --json "solver" names one solver.
+        names = [registry.solver_display_name(name) for name in registry.solvers()]
+        assert len(set(names)) == len(names), sorted(names)

@@ -382,10 +382,11 @@ def test_run_shard_json_errors_emits_parseable_json(tmp_path, capsys):
 def test_run_shard_runtime_failure_exits_3_with_shard_attribution(
     tmp_path, monkeypatch, capsys
 ):
-    def reject(plan, shard_index, **kwargs):
-        raise AssertionError(f"rejected output (spec={plan.spec.name})")
+    def reject(spec, **kwargs):
+        assert kwargs["shard"] == (1, 2)
+        raise AssertionError(f"rejected output (spec={spec.name})")
 
-    monkeypatch.setattr(cli, "run_shard", reject)
+    monkeypatch.setattr(cli, "run_experiment", reject)
     argv = ["run-shard", *GRID, "--shard", "1/2"]
     code = main(argv + ["--cache-dir", str(tmp_path / "cache"), "--json-errors"])
     assert code == 3

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import repro
 from repro import kernels
 from repro.engine.experiments import build_experiment
-from repro.engine.runner import plan_experiment, run_experiment, run_shard
+from repro.engine.runner import run_experiment
 from repro.engine.spec import ExperimentSpec
 from repro.gadgets.labels import (
     CENTER,
@@ -43,7 +43,12 @@ from repro.gadgets.labels import (
 from repro.generators import cycle
 from repro.lcl import Labeling, verify
 from repro.runtime import TrialBatch
-from tests.conftest import multigraphs, oracle_records, reference_run
+from tests.conftest import (
+    assembled_records,
+    multigraphs,
+    oracle_records,
+    reference_run,
+)
 
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="vector kernels need numpy"
@@ -69,14 +74,12 @@ def _oracle_keys(spec):
     return [json.dumps(r, sort_keys=True) for r in oracle_records(spec)]
 
 
-def _shard_record_keys(plan, reports):
+def _shard_record_keys(spec, reports):
     """:func:`_record_keys` of the shards' records, assembled by their
     global trial index."""
-    records = [None] * plan.trial_count()
-    for report in reports:
-        for i, record in report.records:
-            records[i] = record
-    return [json.dumps(r, sort_keys=True) for r in records]
+    return [
+        json.dumps(r, sort_keys=True) for r in assembled_records(spec, reports)
+    ]
 
 
 def _corruptions(outputs):
@@ -455,9 +458,11 @@ class TestKernelsRecordParity:
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_shard_records_identical_across_backends(self, num_shards):
-        plan = plan_experiment(PARITY_SPEC, num_shards=num_shards)
-        reports = [run_shard(plan, i, workers=2) for i in range(num_shards)]
-        assert _shard_record_keys(plan, reports) == _oracle_keys(PARITY_SPEC)
+        reports = [
+            run_experiment(PARITY_SPEC, workers=2, shard=(i, num_shards))
+            for i in range(num_shards)
+        ]
+        assert _shard_record_keys(PARITY_SPEC, reports) == _oracle_keys(PARITY_SPEC)
 
     @needs_numpy
     def test_small_canonical_cells_identical_across_backends(self):
@@ -474,20 +479,17 @@ class TestKernelsRecordParity:
             assert _record_keys(got) == _oracle_keys(spec), spec.name
 
     def test_reports_count_trials_on_the_platform_backend(self):
-        from repro.obs import get_telemetry
-
-        # A report also carries what this process counted since the last
-        # report: drain what earlier tests' oracle trials left behind.
-        get_telemetry().snapshot(reset=True)
+        # A report's counts are its own call's: the oracle trials that
+        # earlier tests ran in this process never reach it.
         report = run_experiment(PARITY_SPEC, workers=1)
-        plan = plan_experiment(PARITY_SPEC, num_shards=1)
-        shard = run_shard(plan, 0, workers=1)
-        for payload in (report.as_dict(), shard.as_dict()):
+        shard = run_experiment(PARITY_SPEC, workers=1, shard=(1, 2))
+        for rep in (report, shard):
+            payload = rep.as_dict()
             assert "kernels" not in payload
             for backend in ("object", "vector"):
                 ran = backend == kernels.DEFAULT_BACKEND
                 executed = _counter(payload["telemetry"], f"kernels.{backend}_trials")
-                assert executed == (len(report.records) if ran else 0)
+                assert executed == (len(rep.records) if ran else 0)
 
 
 # -- batched array programs vs the object round loop --------------------------
@@ -678,9 +680,11 @@ class TestArrayProgramRecordParity:
 
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_shard_records_identical_across_backends(self, num_shards):
-        plan = plan_experiment(LINIAL_SPEC, num_shards=num_shards)
-        reports = [run_shard(plan, i, workers=2) for i in range(num_shards)]
-        assert _shard_record_keys(plan, reports) == _oracle_keys(LINIAL_SPEC)
+        reports = [
+            run_experiment(LINIAL_SPEC, workers=2, shard=(i, num_shards))
+            for i in range(num_shards)
+        ]
+        assert _shard_record_keys(LINIAL_SPEC, reports) == _oracle_keys(LINIAL_SPEC)
 
     @needs_numpy
     def test_engine_runs_the_registered_array_twin(self, monkeypatch):

@@ -22,10 +22,11 @@ import time
 
 import pytest
 
+from repro import kernels
 from repro.engine import runner
 from repro.engine.cache import TrialCache
 from repro.engine.cli import main as engine_main
-from repro.engine.runner import plan_experiment, run_experiment, run_shard
+from repro.engine.runner import run_experiment
 from repro.engine.spec import ExperimentSpec
 from repro.obs import (
     Telemetry,
@@ -36,6 +37,8 @@ from repro.obs import (
     merge_snapshots,
     set_enabled,
 )
+from repro.runtime import TrialBatch
+from tests.conftest import assembled_records
 
 
 @pytest.fixture(autouse=True)
@@ -220,16 +223,47 @@ class TestEngineTelemetry:
             for phase in ("trial.build", "trial.solve", "trial.verify"):
                 assert spans[phase]["count"] == total
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_telemetry_is_its_own_calls(self, workers, monkeypatch):
+        # Trials run outside the engine before the call, and a counter
+        # incremented by its last step, the sweep: the report holds
+        # the latter and none of the former.
+        batch = TrialBatch("degree-parity", "parity", "cycle")
+        for seed in range(3):
+            batch.run_one(8, seed)
+        real_aggregate = runner.aggregate_points
+
+        def counted(*args):
+            get_telemetry().incr("test.sweeps")
+            return real_aggregate(*args)
+
+        monkeypatch.setattr(runner, "aggregate_points", counted)
+        spec = ExperimentSpec(
+            "obs/degree-parity/parity@cycle-own",
+            "degree-parity",
+            "parity",
+            "cycle",
+            ns=(8, 12),
+            seeds=(0, 1),
+        )
+        report = run_experiment(spec, workers=workers)
+        counters = aggregate(report.telemetry)["counters"]
+        assert counters["trials.executed"] == report.computed == 4
+        assert counters[f"kernels.{kernels.DEFAULT_BACKEND}_trials"] == 4
+        assert counters["test.sweeps"] == 1
+        assert get_telemetry().snapshot()["counters"] == {}
+
     def test_shard_report_telemetry_survives_the_payload_round_trip(self):
-        plan = plan_experiment(PARITY_SPEC, num_shards=2, batch_size=2)
-        report = run_shard(plan, 0)
+        report = run_experiment(PARITY_SPEC, batch_size=2, shard=(0, 2))
         assert report.telemetry is not None
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["telemetry"] == report.telemetry
 
     def test_merged_telemetry_is_order_independent(self):
-        plan = plan_experiment(PARITY_SPEC, num_shards=3, batch_size=2)
-        reports = [run_shard(plan, i) for i in range(3)]
+        reports = [
+            run_experiment(PARITY_SPEC, batch_size=2, shard=(i, 3))
+            for i in range(3)
+        ]
         merged = [
             merge_snapshots([reports[i].telemetry for i in order])
             for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0))
@@ -253,39 +287,40 @@ class TestEngineTelemetry:
     def test_engine_report_elapsed_is_the_whole_call(
         self, tmp_path, monkeypatch
     ):
-        shards = []
-        real_run_shard = runner.run_shard
+        # The call's first step, the deal, and its last, the sweep, each
+        # pause; the report's clock covers both.
+        pause = 0.05
 
-        def recording(*args, **kwargs):
-            shards.append(real_run_shard(*args, **kwargs))
-            return shards[-1]
+        def paused(step):
+            def run(*args, **kwargs):
+                time.sleep(pause)
+                return step(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "run_shard", recording)
+            return run
+
+        monkeypatch.setattr(runner, "shard_trials", paused(runner.shard_trials))
+        monkeypatch.setattr(
+            runner, "aggregate_points", paused(runner.aggregate_points)
+        )
         root = str(tmp_path / "cache")
         run_experiment(PARITY_SPEC, cache=TrialCache(root))
         start = time.perf_counter()
         report = run_experiment(PARITY_SPEC, cache=TrialCache(root))
         outer = time.perf_counter() - start
-        _, shard = shards
-        # Planning runs before the shard's own timer starts; the
-        # report's clock covers both.
-        assert shard.elapsed < report.elapsed <= outer
-        assert report.telemetry == shard.telemetry
+        assert report.computed == 0
+        assert 2 * pause <= report.elapsed <= outer
         payload = report.as_dict()
         assert payload["elapsed_s"] == round(report.elapsed, 4)
         assert "cpu_elapsed_s" not in payload
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_records_bit_identical_with_telemetry_on_and_off(self, num_shards):
-        plan = plan_experiment(PARITY_SPEC, num_shards=num_shards, batch_size=2)
-
         def run_all():
-            reports = [run_shard(plan, i) for i in range(num_shards)]
-            records = [None] * plan.trial_count()
-            for report in reports:
-                for i, record in report.records:
-                    records[i] = record
-            return reports, records
+            reports = [
+                run_experiment(PARITY_SPEC, batch_size=2, shard=(i, num_shards))
+                for i in range(num_shards)
+            ]
+            return reports, assembled_records(PARITY_SPEC, reports)
 
         with_telemetry, records_on = run_all()
         assert all(r.telemetry is not None for r in with_telemetry)
