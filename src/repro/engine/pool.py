@@ -16,11 +16,13 @@ batches largest-first, so the caller runs the smallest ones itself,
 reading each helper's one-way result pipe between them.  Only results
 cross a pipe, one per batch a helper runs.  Since the caller keeps its
 process-wide state from one dispatch to the next, as a serial run
-does, a forked helper starts with everything the caller has built so
-far (copy-on-write), and caches warmed by earlier dispatches are warm
+does, a forked helper starts with everything the caller holds so far
+(copy-on-write), and caches warmed by earlier dispatches are warm
 in every helper.  Inheriting the caller's pages also makes them count
 in each helper's RSS, which is why the caller takes the small batches:
-the large ones are built in helpers, and die with them.
+the large ones are built and solved in helpers, and the instances a
+helper builds reach the caller only inside its results (the engine's
+chunk results carry them home).
 
 Every helper runs :func:`_worker_init` first.  It reseeds the global
 ``random`` module from a per-helper derivation of the pool seed.  Trial

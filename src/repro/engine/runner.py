@@ -37,13 +37,13 @@ inputs) is built once per (family, n, seed) and handed, with a fresh
 ``NodeRng``, to every spec and solver that runs on it.  At any worker
 count this process runs chunks itself, so its cache carries over from
 spec to spec, and the pool helpers a dispatch forks start with
-everything it holds; what a helper builds dies with it at the end of
-its spec.  Records stay bit-identical at every worker count, batch
-size, and shard count, and on either kernel backend, so aggregation —
-a pure function of the ordered record list — cannot tell the
-difference.  Which backend runs is the platform's choice
-(:data:`repro.kernels.DEFAULT_BACKEND`), not the run's: nothing here
-takes or reports one.
+everything it holds; what a helper builds comes home with its chunk
+results, so the helpers of later specs start with that too.  Records
+stay bit-identical at every worker count, batch size, and shard count,
+and on either kernel backend, so aggregation — a pure function of the
+ordered record list — cannot tell the difference.  Which backend runs
+is the platform's choice (:data:`repro.kernels.DEFAULT_BACKEND`), not
+the run's: nothing here takes or reports one.
 """
 
 from __future__ import annotations
@@ -240,7 +240,8 @@ def execute_trial_batch(trials: Sequence[TrialSpec]) -> list[dict[str, Any]]:
 
 
 def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """Module-level pool target: chunk payload in, records + telemetry out.
+    """Module-level pool target: chunk payload in, records, telemetry
+    and instances out.
 
     The telemetry delta of the process that ran the chunk piggybacks on
     the result — one ``{"counters", "spans"}`` map per chunk, no new
@@ -250,6 +251,13 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     serial path) partition its totals across the chunk boundaries, and
     every increment lands in exactly one delta, which
     :func:`run_experiment` adds into the report's sum once.
+
+    ``instances`` carries the ``(key, entry)`` pairs the process-wide
+    :class:`~repro.runtime.driver.InstanceCache` built and kept while
+    running the chunk (:meth:`~repro.runtime.driver.InstanceCache.hand_over`),
+    which the dispatching process adopts: a helper's builds outlive it.
+    A chunk the dispatching process runs itself hands over its own
+    objects, which it already keeps.
     """
     records = execute_trial_batch(
         [TrialSpec.from_payload(entry) for entry in payload["trials"]]
@@ -257,6 +265,7 @@ def _execute_batch_payload(payload: dict[str, Any]) -> dict[str, Any]:
     return {
         "records": records,
         "telemetry": get_telemetry().snapshot(reset=True),
+        "instances": _instances().hand_over(),
     }
 
 
@@ -377,7 +386,9 @@ def run_experiment(
     it across seeds through its process-wide
     :class:`~repro.runtime.driver.InstanceCache`, which also keeps
     every seeded instance it builds for the process's later trials on
-    it.
+    it.  A chunk's result carries what that cache built while running
+    it, and this process adopts each entry it lacks, so the helpers
+    forked for later specs start with it.
     """
     start = time.perf_counter()
     telemetry = get_telemetry()
@@ -441,6 +452,7 @@ def run_experiment(
             chunk_records = result["records"]
             if result.get("telemetry"):
                 snapshots.append(result["telemetry"])
+            _instances().adopt(result["instances"])
             if len(chunk_records) != len(chunk):
                 raise ValueError(
                     f"chunk {chunk_pos} returned {len(chunk_records)} records "

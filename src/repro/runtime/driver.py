@@ -139,10 +139,13 @@ def verifier_for(problem_info: ProblemInfo) -> Callable[[Instance, RunResult], N
 _MISSING = object()
 
 #: The most nodes :class:`InstanceCache` retains at once, in cores and
-#: seeded instances together.  The canonical grid needs ~41k nodes
-#: (9,905 in cores) and the paper-scale ``sinkless-wide`` grid 65,408,
-#: so each is built once per process; a larger instance (Pi_3 and
-#: ladder sizes) is built, handed out and dropped, never pinned.
+#: seeded instances together, its own builds and those a pool helper
+#: handed over alike (an entry arrives without its derived values and
+#: kept verifiers, which are rebuilt on next use).  The canonical grid
+#: needs ~41k nodes (9,905 in cores) and the paper-scale
+#: ``sinkless-wide`` grid 65,408, so each is built once per process, and
+#: one a helper built comes home; a larger instance (Pi_3 and ladder
+#: sizes) is built, handed out and dropped, never pinned.
 INSTANCE_NODE_BUDGET = 1 << 16
 
 
@@ -205,6 +208,15 @@ class InstanceCache:
     the instance; it costs ~80 bytes per node.  It lives and dies with the
     entry: eviction frees it, and an instance over the budget keeps its
     analysis only while a trial holds the instance.
+
+    An entry may also arrive from another process.  :meth:`hand_over`
+    gives the entries this cache built and still keeps since its last
+    hand-over, which a pool helper sends home with each chunk result,
+    and :meth:`adopt` keeps those whose key the receiving cache lacks,
+    under the same budget and order.  An entry travels without its
+    derived values (pickling drops them) and without its kept vector
+    verifiers (they live beside the entries), so the receiving process
+    rebuilds both where it next uses the entry.
     """
 
     def __init__(self) -> None:
@@ -214,6 +226,8 @@ class InstanceCache:
         # core key -> problem name -> vector verifier, or None when the
         # problem is not a plain ne-LCL (custom / padded verification).
         self._prepared: dict[tuple, dict[str, VectorPreparedVerifier | None]] = {}
+        # Keys built and kept here since the last hand_over.
+        self._fresh: set[tuple] = set()
         self.retained_nodes = 0
 
     def build(
@@ -243,12 +257,36 @@ class InstanceCache:
             self._count("core_reused")
         else:
             instance = family_info.builder(n, seed)
-            self._count("core_built" if self._retain(key, instance) else "bypassed")
+            self._keep_built(key, instance)
         rng = instance.rng
         return (
             replace(instance, rng=None if rng is None else NodeRng(rng.seed)),
             None,
         )
+
+    def hand_over(self) -> list[tuple[tuple, Any]]:
+        """The ``(key, entry)`` pairs this cache built and kept since the
+        last hand-over and still keeps, least recently used first."""
+        fresh = [(key, kept) for key, kept in self._kept.items() if key in self._fresh]
+        self._fresh.clear()
+        return fresh
+
+    def adopt(self, entries: list[tuple[tuple, Any]]) -> None:
+        """Keep each handed-over entry whose key this cache lacks, as a
+        build is kept but neither counted nor handed over again; an
+        entry it has is left as it is."""
+        for key, entry in entries:
+            if key not in self._kept:
+                self._retain(key, entry)
+
+    def _keep_built(self, key: tuple, entry: Any) -> None:
+        """Keep a new build for later trials and the next hand-over, or
+        count it bypassed when it alone exceeds the budget."""
+        if self._retain(key, entry):
+            self._fresh.add(key)
+            self._count("core_built")
+        else:
+            self._count("bypassed")
 
     def _retain(self, key: tuple, entry: Any) -> bool:
         """Keep ``entry`` under the node budget, evicting the least
@@ -262,6 +300,7 @@ class InstanceCache:
             evicted_key, evicted = self._kept.popitem(last=False)
             self.retained_nodes -= _num_nodes(evicted)
             self._prepared.pop(evicted_key, None)
+            self._fresh.discard(evicted_key)
         return True
 
     def _count(self, event: str) -> None:
@@ -279,7 +318,7 @@ class InstanceCache:
         if core is None:
             assert family_info.topology is not None
             core = family_info.topology(n)
-            self._count("core_built" if self._retain(key, core) else "bypassed")
+            self._keep_built(key, core)
         else:
             self._kept.move_to_end(key)
         return core

@@ -14,6 +14,7 @@ cache must replay the batched run exactly.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -300,6 +301,89 @@ class TestInstanceCache:
             register_family("bad-family", topology=lambda n: None)
         with pytest.raises(ValueError, match="both topology and dress"):
             register_family("bad-family", dress=lambda core, n, seed: None)
+
+
+#: One sound (problem, solver) per family the registry vouches for.
+SOUND_ON = {
+    family.name: (problem.name, solver.name)
+    for problem, solver, family in registry.sound_triples()
+}
+
+
+def entry_tables(entry) -> tuple:
+    """A kept entry's graph tables, identifiers and input labels (with
+    their written-flags); a core may be a bare graph, or carry inputs
+    and no identifiers."""
+    graph = getattr(entry, "graph", entry)
+    ids = getattr(entry, "ids", None)
+    inputs = getattr(entry, "inputs", None)
+    return (
+        graph.num_nodes,
+        tuple(view.tobytes() for view in (*graph.csr(), graph.edge_slots())),
+        None if ids is None else ids.as_list(),
+        None if inputs is None else list(inputs.items()),
+    )
+
+
+class TestHandOver:
+    """A pool helper's cache hands over what it built, pickled into the
+    chunk result, and the dispatching process adopts it."""
+
+    def test_hands_over_each_kept_build_once(self, monkeypatch, cache_builds):
+        monkeypatch.setattr(driver, "INSTANCE_NODE_BUDGET", 64)
+        cache = InstanceCache()
+        cubic, cycle_family = registry.family("cubic"), registry.family("cycle")
+        cache.build(cubic, 16, 0)
+        cache.build(cycle_family, 8, 0)
+        cache.build(cubic, 16, 0)  # a hit: seed 0 is now the most recent
+        handed = cache.hand_over()
+        assert [key for key, _ in handed] == [("cycle", 8), ("cubic", 16, 0)]
+        assert cache.hand_over() == []
+        cache.build(cubic, 16, 1)
+        cache.build(cubic, 30, 0)  # evicts the 8-cycle
+        cache.build(cubic, 30, 1)  # evicts seeds 0 and 1 at n=16
+        handed = cache.hand_over()
+        assert [key for key, _ in handed] == [("cubic", 30, 0), ("cubic", 30, 1)]
+        # The other end: a missing key is kept, a present one is left as
+        # it is, and neither counts as a build or is handed over again.
+        other = InstanceCache()
+        other.build(cubic, 30, 1)
+        own = other._kept[("cubic", 30, 1)]
+        other.adopt(pickle.loads(pickle.dumps(handed)))
+        assert list(other._kept) == [("cubic", 30, 1), ("cubic", 30, 0)]
+        assert other._kept[("cubic", 30, 1)] is own
+        assert other.retained_nodes == 60
+        assert [key for key, _ in other.hand_over()] == [("cubic", 30, 1)]
+        assert cache_builds() == (6, 1, 0)
+
+    @pytest.mark.parametrize("family", sorted(registry.families()))
+    def test_every_familys_kept_entry_crosses_a_pipe(self, family, cache_builds):
+        # A helper sends what it kept inside its chunk result: an entry
+        # that does not pickle would fail every run at workers > 1.
+        family_info = registry.family(family)
+        n, seed = family_info.test_sizes[0], 1
+        cache = InstanceCache()
+        sound = SOUND_ON.get(family)
+        if sound is None:
+            cache.build(family_info, n, seed)
+        else:
+            # A trial first, as in a helper: the entry then holds derived
+            # values, which stay behind.
+            batch = TrialBatch(*sound, family, instances=cache)
+            record = batch.run_one(n, seed)
+        handed = cache.hand_over()
+        assert [key for key, _ in handed] == list(cache._kept)
+        fresh = InstanceCache()
+        fresh.adopt(pickle.loads(pickle.dumps(handed)))
+        assert list(fresh._kept) == list(cache._kept)
+        for key, entry in handed:
+            assert fresh._kept[key] is not entry
+            assert entry_tables(fresh._kept[key]) == entry_tables(entry)
+        if sound is not None:
+            again = TrialBatch(*sound, family, instances=fresh).run_one(n, seed)
+            assert record_key(again) == record_key(record)
+            assert again.outputs == record.outputs
+            assert cache_builds() == (1, 1, 0)
 
 
 class TestChunkedEngineEquivalence:

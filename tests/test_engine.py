@@ -379,10 +379,11 @@ class TestPool:
 
     def test_helpers_inherit_the_callers_instances(self, monkeypatch):
         # The caller keeps its process-wide instance cache across
-        # dispatches, so a second spec on the same seeded instances
-        # reuses builds made during the first: in the caller itself,
-        # or in a helper forked from it.
-        _require_a_pool()
+        # dispatches and adopts what its helpers built, which comes home
+        # with their chunk results, so a second spec on the same seeded
+        # instances reuses every build made during the first: in the
+        # caller itself, or in a helper.
+        _require_forked_helpers()
         monkeypatch.setattr(runner, "_INSTANCES", None)
         monkeypatch.setattr(runner, "_BATCHES", {})
         grid = dict(ns=(16, 32, 64, 128), seeds=(0, 1, 2))
@@ -396,7 +397,37 @@ class TestPool:
         run_experiment(first, workers=2, batch_size=1)
         report = run_experiment(second, workers=2, batch_size=1)
         counters = aggregate(report.telemetry)["counters"]
-        assert counters.get("instance_cache.core_reused", 0) >= 1, counters
+        assert report.trials_total == 12
+        assert counters.get("instance_cache.core_reused", 0) == 12, counters
+        assert counters.get("instance_cache.core_built", 0) == 0, counters
+
+    def test_workers_2_builds_what_workers_1_builds(self, monkeypatch):
+        # Every spec's dispatch ends with its helpers' builds adopted, so
+        # a key is built by the first spec that needs it at either
+        # worker count.  The equality relies on the default chunking
+        # (one chunk per size): no two workers of one dispatch build the
+        # same key.  A smaller batch size can split a reusable core's
+        # seeds over two workers, which then both build it.
+        _require_forked_helpers()
+        specs = build_experiment("sinkless", 256, 2) + build_experiment(
+            "landscape", 128, 1
+        )
+        totals = []
+        for workers in (1, 2):
+            monkeypatch.setattr(runner, "_INSTANCES", None)
+            monkeypatch.setattr(runner, "_BATCHES", {})
+            built = attempts = 0
+            for spec in specs:
+                report = run_experiment(spec, workers=workers)
+                counters = aggregate(report.telemetry)["counters"]
+                built += counters.get("instance_cache.core_built", 0)
+                attempts += counters.get("generators.configuration_attempts", 0)
+                if spec.name.endswith("/sinkless-rand@cubic"):
+                    assert "instance_cache.core_built" not in counters, (
+                        workers, spec.name, counters,
+                    )
+            totals.append((built, attempts))
+        assert totals[1] == totals[0] and all(totals[0]), totals
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc"), reason="reads process groups from /proc"
@@ -445,6 +476,14 @@ def _require_a_pool():
         pytest.skip("no process helpers on this platform")
 
 
+def _require_forked_helpers():
+    """Skip unless helpers are forked: only a forked helper starts with
+    the caller's state (a spawned one starts from a fresh import)."""
+    _require_a_pool()
+    if pool._context().get_start_method() != "fork":
+        pytest.skip("helpers are not forked on this platform")
+
+
 #: Events the batch functions below wait on; the ``fork_signals``
 #: fixture fills it before a dispatch, so forked helpers inherit them.
 _SIGNALS: dict = {}
@@ -457,10 +496,8 @@ def fork_signals(monkeypatch):
     The tests using it hand helpers state (events, patched functions)
     that only a forked helper inherits.
     """
-    _require_a_pool()
+    _require_forked_helpers()
     ctx = pool._context()
-    if ctx.get_start_method() != "fork":
-        pytest.skip("helpers are not forked on this platform")
     signals = {key: ctx.Event() for key in (0, 1, "doomed")}
     monkeypatch.setattr(sys.modules[__name__], "_SIGNALS", signals)
     return signals
